@@ -90,8 +90,9 @@ def cmd_density(args) -> int:
         raise InvalidParameter("need at least two grid points")
     step = (args.xmax - args.xmin) / (args.points - 1)
     grid = [args.xmin + i * step for i in range(args.points)]
+    rows = stieltjes_density(rep, grid, epsilon=args.epsilon, depth=args.depth)
     print("x,f")
-    for x, f in stieltjes_density(rep, grid, epsilon=args.epsilon, depth=args.depth):
+    for x, f in rows:
         print(f"{x:.12g},{f:.12g}")
     return EXIT_OK
 

@@ -5,9 +5,12 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
 * boolean:    K adds.
 * orthogonal: K of the left factor composed with z minus K of the right.
 * monotone:   right K plus the orthogonal K (F-composition, regrouped).
-* s-free:     the stabilized limit of alternating orthogonal convolutions;
-              at order N a fixed iteration count already gives every moment
-              exactly, so no convergence heuristics are involved.
+* s-free:     the two halves are the coupled fixed point u = K_mu(z - v),
+              v = K_nu(z - u), the limit of alternating orthogonal
+              convolutions; coefficient k of either half needs the other
+              only up to index k - 2, so :func:`series.sfree_pair` builds
+              both exactly in one pass, with no convergence heuristics.
+              :func:`orthogonal_iterated` still gives the alternating chain.
 * free:       two independent decompositions, monotone-after-s-free and
               boolean-of-the-two-s-free-halves, always both computed and
               compared; a third cross-check goes through non-crossing
@@ -33,7 +36,13 @@ from .measures import (
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
 from .polys import poly_mul, poly_scale, poly_sub, poly_add
-from .series import F_to_moments, TailSeries, moments_to_F, substitute_into_shifted
+from .series import (
+    F_to_moments,
+    TailSeries,
+    moments_to_F,
+    sfree_pair,
+    substitute_into_shifted,
+)
 
 
 @dataclass(frozen=True)
@@ -71,11 +80,9 @@ def k_series(rep: MeasureRep, order: int) -> TailSeries:
 
 
 def measure_from_k(ks: TailSeries) -> MeasureRep:
-    """Measure with the given K-series; recursion coefficients are attached
-    eagerly when the moments pass the positivity check."""
-    rep = MeasureRep.from_moments(F_to_moments(-ks))
-    rep.jacobi_or_none()
-    return rep
+    """Measure with the given K-series, held as its moments; recursion
+    coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
+    return MeasureRep.from_moments(F_to_moments(-ks))
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +118,29 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
 
 
 def sfree_iterations(order: int) -> int:
-    """Iteration count that pins every moment up to `order` exactly."""
+    """Iteration count at which :func:`orthogonal_iterated` pins every moment
+    up to `order` exactly, i.e. agrees with :func:`sfree`."""
     return -(-order // 2) + 1
 
 
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return orthogonal_iterated(mu, nu, sfree_iterations(order), order)
+    u, _ = sfree_pair(k_series(mu, order), k_series(nu, order))
+    return measure_from_k(u)
 
 
 def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     """Free additive convolution via both decompositions.
 
-    Route A composes the left measure's F with the s-free half subordinate
-    to it; route B adds the K-transforms of the two s-free halves.  They
-    are equal identically, so a mismatch can only mean a bug; both are
-    always computed and compared before returning route A.
+    Both s-free halves u = K_mu(z - v) and v = K_nu(z - u) come from one
+    coupled pass.  Route A composes the left measure's F with the half v
+    subordinate to it, a separate composition that re-checks the fixed-point
+    equation for u; route B adds the two halves.  They are equal
+    identically, so a mismatch can only mean a bug; both are always computed
+    and compared before returning route A.
     """
-    sf_nu_mu = sfree(nu, mu, order)
-    sf_mu_nu = sfree(mu, nu, order)
-    route_a = monotone(mu, sf_nu_mu, order)
-    route_b = boolean(sf_mu_nu, sf_nu_mu, order)
+    u, v = sfree_pair(k_series(mu, order), k_series(nu, order))
+    route_a = monotone(mu, measure_from_k(v), order)
+    route_b = measure_from_k(u + v)
     ma, mb = route_a.moments(order), route_b.moments(order)
     if ma != mb:
         raise RouteMismatch(

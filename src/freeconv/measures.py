@@ -532,6 +532,8 @@ def eval_G(rep, z: complex, depth: int = 64) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
+    if depth < 1:
+        raise InvalidParameter("depth must be >= 1")
     j = _as_jacobi(rep)
     explicit = min(depth, j.levels)
     g: Optional[complex] = None
@@ -646,17 +648,32 @@ def parse_fraction(value) -> Fraction:
     raise InvalidParameter(f"rationals must be ints or 'p/q' strings, got {value!r}")
 
 
+def _json_list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InvalidParameter(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _parse_atom(pair) -> tuple[Fraction, Fraction]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InvalidParameter(f"an atom must be a [location, weight] pair, got {pair!r}")
+    return parse_fraction(pair[0]), parse_fraction(pair[1])
+
+
 def parse_measure(obj: dict) -> MeasureRep:
     """Parse the tagged measure object; unknown auxiliary keys are ignored."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
     if kind == "moments":
-        return MeasureRep.from_moments([parse_fraction(v) for v in obj.get("m", [])])
+        return MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
     if kind == "jacobi":
-        alpha = [parse_fraction(v) for v in obj.get("alpha", [])]
-        omega = [parse_fraction(v) for v in obj.get("omega", [])]
+        alpha = [parse_fraction(v) for v in _json_list(obj, "alpha")]
+        omega = [parse_fraction(v) for v in _json_list(obj, "omega")]
         tail_obj = obj.get("tail", {"kind": "truncate"})
+        if not isinstance(tail_obj, dict):
+            raise InvalidParameter(f"'tail' must be an object, got {tail_obj!r}")
         if tail_obj.get("kind") == "wigner":
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
         elif tail_obj.get("kind") == "truncate":
@@ -665,9 +682,7 @@ def parse_measure(obj: dict) -> MeasureRep:
             raise InvalidParameter(f"unknown tail kind {tail_obj.get('kind')!r}")
         return MeasureRep.from_jacobi(make_jacobi(alpha, omega, tail))
     if kind == "atoms":
-        return MeasureRep.from_atoms(
-            [(parse_fraction(l), parse_fraction(w)) for l, w in obj.get("atoms", [])]
-        )
+        return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])
     raise InvalidParameter(f"unknown measure type {kind!r}")
 
 

@@ -106,27 +106,71 @@ class TailSeries:
         return TailSeries(out)
 
 
+def _add_power_column(powers: list[list[Fraction]], inner: Sequence[Fraction]) -> int:
+    """Extend the table powers[j - 1][k] = [z**-k] (z - inner(z))**-j by one column.
+
+    After column k the table has rows j = 1..k, each with entries 0..k.  Row
+    1 is t = 1/(z - inner), whose coefficients satisfy t_1 = 1 and
+    t_k = sum_{i <= k-2} inner_i * t_{k-1-i}; row j is row j - 1 times row 1.
+    Column k reads inner only up to index k - 2, so inner may still be
+    growing while the table is filled.  Returns k.
+    """
+    k = len(powers) + 1
+    powers.append([Fraction(0)] * k)
+    t = powers[0]
+    if k == 1:
+        t.append(Fraction(1))
+    else:
+        t.append(sum((inner[i] * t[k - 1 - i] for i in range(k - 1)), Fraction(0)))
+    for j in range(2, k + 1):
+        prev = powers[j - 2]
+        powers[j - 1].append(
+            sum((prev[i] * t[k - i] for i in range(j - 1, k)), Fraction(0))
+        )
+    return k
+
+
+def _composed_coeff(outer: Sequence[Fraction], powers: list[list[Fraction]], k: int) -> Fraction:
+    """Coefficient k >= 1 of outer(z - inner) from a table holding column k."""
+    return sum((outer[j] * powers[j - 1][k] for j in range(1, k + 1)), Fraction(0))
+
+
 def substitute_into_shifted(outer: TailSeries, inner: TailSeries) -> TailSeries:
     """Expand outer evaluated at z - inner(z), as a series in 1/z.
 
-    ``outer`` is read as a function of 1/z, so the result is the expansion
-    of outer(1/u) with u = z - inner(z).  Since inner(z)/z has no constant
-    term in w, 1/u = (1/z) * sum_k (inner(z)/z)**k truncates cleanly at the
+    ``outer`` is read as a function of 1/z, so the result is
+    sum_j outer_j * (z - inner(z))**-j, read off column by column from the
+    power table of :func:`_add_power_column`; it truncates cleanly at the
     common order.
     """
     n = min(outer.order, inner.order)
-    outer = outer.truncate(n)
-    inner = inner.truncate(n)
-    if n == 0:
-        return TailSeries.constant(outer.coeffs[0], 0)
-    one = TailSeries.constant(1, n)
-    scaled = TailSeries((Fraction(0),) + inner.coeffs[:n])  # inner(z)/z
-    geom = (one - scaled).reciprocal()
-    t = TailSeries((Fraction(0),) + geom.coeffs[:n])  # 1/(z - inner(z))
-    acc = TailSeries.constant(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * t + TailSeries.constant(outer.coeffs[k], n)
-    return acc
+    a = outer.coeffs
+    powers: list[list[Fraction]] = []
+    out = [a[0]]
+    for _ in range(n):
+        out.append(_composed_coeff(a, powers, _add_power_column(powers, inner.coeffs)))
+    return TailSeries(out)
+
+
+def sfree_pair(k_mu: TailSeries, k_nu: TailSeries) -> tuple[TailSeries, TailSeries]:
+    """The coupled fixed point u = k_mu(z - v), v = k_nu(z - u), truncated
+    at the common order.
+
+    Coefficient k of u needs v only up to index k - 2 (and vice versa), so
+    both halves grow together one coefficient at a time, each from a power
+    table over the other.
+    """
+    n = min(k_mu.order, k_nu.order)
+    a, b = k_mu.coeffs, k_nu.coeffs
+    u, v = [a[0]], [b[0]]
+    powers_v: list[list[Fraction]] = []
+    powers_u: list[list[Fraction]] = []
+    for _ in range(n):
+        k = _add_power_column(powers_v, v)
+        _add_power_column(powers_u, u)
+        u.append(_composed_coeff(a, powers_v, k))
+        v.append(_composed_coeff(b, powers_u, k))
+    return TailSeries(u), TailSeries(v)
 
 
 def moments_to_F(moments: Sequence[Rational]) -> TailSeries:

@@ -86,6 +86,12 @@ class TestConvolve:
         code, _, err = run(capsys, ["convolve", "free", str(bad), nu])
         assert code == 2 and "error" in err
 
+    def test_string_moments_rejected(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.json", {"type": "moments", "m": "0123"})
+        nu = write(tmp_path, "nu.json", DELTA0)
+        code, out, err = run(capsys, ["convolve", "boolean", mu, nu, "--order", "4"])
+        assert code == 2 and out == "" and "list" in err
+
     def test_unknown_measure_type_exit_code(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", {"type": "gaussian"})
         nu = write(tmp_path, "nu.json", DELTA0)
@@ -115,6 +121,13 @@ class TestDensity:
         mu = write(tmp_path, "mu.json", {"type": "moments", "m": ["0", "-1"]})
         code, _, _ = run(capsys, ["density", mu, "--points", "3"])
         assert code == 3
+
+
+    def test_depth_below_one_rejected_before_output(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.json", WIGNER01)
+        for depth in ("0", "-5"):
+            code, out, err = run(capsys, ["density", mu, "--points", "3", "--depth", depth])
+            assert code == 2 and out == "" and "depth" in err
 
 
 class TestGraph:

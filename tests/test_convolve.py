@@ -13,8 +13,9 @@ from freeconv.measures import (
     point_mass,
     two_point,
     wigner,
+    WignerTail,
 )
-from freeconv.partitions import orthogonal_moment_combinatorial
+from freeconv.partitions import free_cumulants_from_moments, orthogonal_moment_combinatorial
 from freeconv.polys import poly_eq, poly_mul, poly_sub
 from freeconv.measures import approximant_G
 
@@ -182,6 +183,84 @@ class TestSFree:
         assert convolve.sfree(BERN, BERN, 6).moments(6) == (
             F(0), F(1), F(0), F(2), F(0), F(5),
         )
+
+
+def oracle_inputs():
+    """Seeded pairs over the three input forms: atoms, exact moments, and
+    recursion coefficients continued by a constant tail."""
+    rng = random.Random(30)
+    atomic = [random_rep(rng) for _ in range(3)]
+    moments = MeasureRep.from_moments(random_rep(rng).moments(24))
+    tail = MeasureRep.from_jacobi(
+        make_jacobi((F(1, 2), F(-1, 3)), (F(2),), WignerTail(F(1, 4), F(3, 2)))
+    )
+    return [(atomic[0], atomic[1]), (atomic[2], moments), (tail, atomic[0])]
+
+
+class TestSFreeAgainstIteratedChain:
+    @pytest.mark.parametrize("pair", range(3))
+    def test_halves_equal_the_stabilized_chain(self, pair):
+        mu, nu = oracle_inputs()[pair]
+        for order in range(1, 25):
+            m = convolve.sfree_iterations(order)
+            for a, b in ((mu, nu), (nu, mu)):
+                assert (
+                    convolve.sfree(a, b, order).moments(order)
+                    == convolve.orthogonal_iterated(a, b, m, order).moments(order)
+                )
+
+
+def add_power_column(powers, series):
+    """Append column i to the table powers[s][i] = [z**i] series(z)**s, where
+    series lists coefficients in ascending powers of z; reads series[:i + 1]."""
+    i = len(powers[0])
+    powers[0].append(F(int(i == 0)))
+    for s in range(1, len(powers)):
+        powers[s].append(sum((powers[s - 1][l] * series[i - l] for l in range(i + 1)), F(0)))
+
+
+def free_cumulants(moments):
+    """kappa_1..kappa_n from m_1..m_n through M(z) = 1 + sum kappa_s z**s M(z)**s."""
+    n = len(moments)
+    m = [F(1)] + list(moments)
+    powers = [[] for _ in range(n)]
+    kappa = []
+    for k in range(1, n + 1):
+        add_power_column(powers, m)
+        kappa.append(m[k] - sum(kappa[s - 1] * powers[s][k - s] for s in range(1, k)))
+    return kappa
+
+
+def moments_from_cumulants(kappa):
+    """Inverse of :func:`free_cumulants`; m_k needs only m_0..m_(k-1)."""
+    n = len(kappa)
+    m = [F(1)]
+    powers = [[] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        add_power_column(powers, m)
+        m.append(sum(kappa[s - 1] * powers[s][k - s] for s in range(1, k + 1)))
+    return tuple(m[1:])
+
+
+class TestFreeAboveThePartitionOracle:
+    def test_cumulant_recursion_round_trips(self):
+        moments = BERN.moments(8)
+        assert moments_from_cumulants(free_cumulants(moments)) == moments
+        assert free_cumulants(wigner(0, 1).moments(8)) == [F(0), F(1)] + [F(0)] * 6
+
+    def test_cumulant_recursion_matches_non_crossing_enumeration(self):
+        for mu, _ in oracle_inputs():
+            moments = mu.moments(10)
+            assert tuple(free_cumulants(moments)) == tuple(free_cumulants_from_moments(moments, 10))
+
+    def test_order_24_matches_additive_free_cumulants(self):
+        order = 24
+        for mu, nu in oracle_inputs():
+            total = [
+                a + b
+                for a, b in zip(free_cumulants(mu.moments(order)), free_cumulants(nu.moments(order)))
+            ]
+            assert convolve.free(mu, nu, order).moments(order) == moments_from_cumulants(total)
 
 
 class TestFree:

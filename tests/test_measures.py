@@ -305,6 +305,23 @@ class TestJson:
         with pytest.raises(InvalidParameter):
             parse_measure({"type": "density"})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"type": "moments", "m": "0123"},
+            {"type": "moments", "m": {"1": "0"}},
+            {"type": "jacobi", "alpha": "01", "omega": ["1"]},
+            {"type": "jacobi", "alpha": ["0", "1"], "omega": "1"},
+            {"type": "jacobi", "alpha": ["0"], "omega": [], "tail": "wigner"},
+            {"type": "atoms", "atoms": "01"},
+            {"type": "atoms", "atoms": ["01"]},
+            {"type": "atoms", "atoms": [["0", "1/2", "1/2"]]},
+        ],
+    )
+    def test_malformed_fields_rejected(self, obj):
+        with pytest.raises(InvalidParameter):
+            parse_measure(obj)
+
     def test_emission_is_idempotent_through_parser(self):
         rep = two_point(F(1, 3), -1, 2)
         blob = json.dumps(measure_to_json(rep, 6))

@@ -8,6 +8,7 @@ from freeconv.series import (
     F_to_moments,
     TailSeries,
     moments_to_F,
+    sfree_pair,
     substitute_into_shifted,
 )
 
@@ -83,6 +84,73 @@ class TestSubstituteIntoShifted:
         outer = TailSeries.constant(F(5, 3), 5)
         inner = ts(2, -1, 3, 0, 1, 2)
         assert substitute_into_shifted(outer, inner) == outer
+
+
+def horner_substitute(outer, inner):
+    """Reference composition: Horner's rule on dense products of 1/(z - inner)."""
+    n = min(outer.order, inner.order)
+    outer, inner = outer.truncate(n), inner.truncate(n)
+    if n == 0:
+        return TailSeries.constant(outer.coeffs[0], 0)
+    one = TailSeries.constant(1, n)
+    geom = (one - TailSeries((F(0),) + inner.coeffs[:n])).reciprocal()
+    t = TailSeries((F(0),) + geom.coeffs[:n])
+    acc = TailSeries.constant(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * t + TailSeries.constant(outer.coeffs[k], n)
+    return acc
+
+
+def random_series(rng, order):
+    return TailSeries([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(order + 1)])
+
+
+class TestSubstituteAgainstHorner:
+    def test_order_zero(self):
+        assert substitute_into_shifted(ts(F(7, 2)), ts(3)) == ts(F(7, 2))
+        assert substitute_into_shifted(ts(F(7, 2), 1, 1), ts(3)) == ts(F(7, 2))
+
+    def test_unequal_orders_truncate_to_the_common_one(self):
+        rng = random.Random(21)
+        for p, q in ((3, 9), (9, 3), (1, 6), (6, 1)):
+            outer, inner = random_series(rng, p), random_series(rng, q)
+            got = substitute_into_shifted(outer, inner)
+            assert got.order == min(p, q)
+            assert got == horner_substitute(outer, inner)
+
+    def test_zero_inner(self):
+        rng = random.Random(22)
+        for n in range(6):
+            outer = random_series(rng, n)
+            assert substitute_into_shifted(outer, TailSeries.zero(n)) == outer
+            assert horner_substitute(outer, TailSeries.zero(n)) == outer
+
+    def test_random_series(self):
+        rng = random.Random(23)
+        for n in range(13):
+            outer, inner = random_series(rng, n), random_series(rng, n)
+            assert substitute_into_shifted(outer, inner) == horner_substitute(outer, inner)
+
+
+class TestSFreePair:
+    def test_halves_solve_the_coupled_equations(self):
+        rng = random.Random(24)
+        for n in range(10):
+            a, b = random_series(rng, n), random_series(rng, n)
+            u, v = sfree_pair(a, b)
+            assert u == horner_substitute(a, v)
+            assert v == horner_substitute(b, u)
+
+    def test_swapping_the_inputs_swaps_the_halves(self):
+        rng = random.Random(25)
+        a, b = random_series(rng, 8), random_series(rng, 8)
+        u, v = sfree_pair(a, b)
+        assert sfree_pair(b, a) == (v, u)
+
+    def test_zero_right_input_leaves_the_left_one(self):
+        a = ts(1, 2, F(1, 3), -1, 5)
+        u, v = sfree_pair(a, TailSeries.zero(4))
+        assert u == a and v.is_zero()
 
 
 class TestMomentTransforms:

@@ -107,6 +107,13 @@ def cmd_graph(args) -> int:
     elif args.op == "orthogonal":
         g = graph_orthogonal(g1, g2)
     elif args.op == "free-ball":
+        # a walk changes the word length by at most one per step, so the
+        # ball determines the root moments only up to order 2 * radius + 1
+        if args.moments > 2 * args.radius + 1:
+            raise InvalidParameter(
+                f"a free-ball of radius {args.radius} determines only "
+                f"{2 * args.radius + 1} root moments, {args.moments} requested"
+            )
         g = free_product_ball(g1, g2, args.radius)
     else:
         raise InvalidParameter(f"unknown graph operation {args.op!r}")

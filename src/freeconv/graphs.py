@@ -172,8 +172,8 @@ def _free_product_edges(
 def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGraph:
     """Truncated free product: alternating words of length <= radius.
 
-    Root spectral moments of order <= radius agree with the infinite free
-    product (an order-n moment only explores words of length <= n/2).
+    Root spectral moments of order <= 2 * radius + 1 agree with the infinite
+    free product (an order-n moment only explores words of length <= n/2).
     """
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")

@@ -675,6 +675,8 @@ def parse_measure(obj: dict) -> MeasureRep:
         if not isinstance(tail_obj, dict):
             raise InvalidParameter(f"'tail' must be an object, got {tail_obj!r}")
         if tail_obj.get("kind") == "wigner":
+            if "a" not in tail_obj or "b" not in tail_obj:
+                raise InvalidParameter(f"a 'wigner' tail needs both 'a' and 'b', got {tail_obj!r}")
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
         elif tail_obj.get("kind") == "truncate":
             tail = None

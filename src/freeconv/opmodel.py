@@ -114,27 +114,24 @@ class WordBasis:
 class ModelOperator:
     """Sparse matrix on an indexed basis, exact or float entries."""
 
-    __slots__ = ("size", "entries", "label", "exact")
+    __slots__ = ("size", "entries", "exact")
 
-    def __init__(self, size: int, entries: dict, label: str = "", exact: bool = True):
+    def __init__(self, size: int, entries: dict, *, exact: bool = True):
         self.size = size
         self.entries = {k: v for k, v in entries.items() if v != 0}
-        self.label = label
         self.exact = exact
 
     def __add__(self, other: "ModelOperator") -> "ModelOperator":
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
-        return ModelOperator(self.size, out, f"{self.label}+{other.label}",
-                             self.exact and other.exact)
+        return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
     def __sub__(self, other: "ModelOperator") -> "ModelOperator":
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) - v
-        return ModelOperator(self.size, out, f"{self.label}-{other.label}",
-                             self.exact and other.exact)
+        return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
         cols: dict[int, list] = {}
@@ -145,12 +142,10 @@ class ModelOperator:
             for rr, vv in cols.get(r, ()):
                 key = (rr, c)
                 out[key] = out.get(key, 0) + vv * v
-        return ModelOperator(self.size, out, f"{self.label}@{other.label}",
-                             self.exact and other.exact)
+        return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
     def scaled(self, s) -> "ModelOperator":
-        return ModelOperator(self.size, {k: v * s for k, v in self.entries.items()},
-                             self.label, self.exact)
+        return ModelOperator(self.size, {k: v * s for k, v in self.entries.items()}, exact=self.exact)
 
     def apply(self, vec: dict) -> dict:
         cols: dict[int, list] = {}
@@ -162,9 +157,9 @@ class ModelOperator:
                 out[r] = out.get(r, 0) + v * x
         return {k: v for k, v in out.items() if v != 0}
 
-    def compress(self, keep: frozenset[int], label: str = "") -> "ModelOperator":
+    def compress(self, keep: frozenset[int]) -> "ModelOperator":
         out = {k: v for k, v in self.entries.items() if k[0] in keep and k[1] in keep}
-        return ModelOperator(self.size, out, label or f"P·{self.label}·P", self.exact)
+        return ModelOperator(self.size, out, exact=self.exact)
 
     def is_symmetric(self, tol: float = FLOAT_TOL) -> bool:
         for (r, c), v in self.entries.items():
@@ -187,9 +182,6 @@ class ModelOperator:
             elif abs(a - b) > tol:
                 return False
         return True
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
 
 def vec_dot(u: dict, v: dict):
@@ -243,7 +235,7 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
                 r = math.sqrt(float(w))
                 entries[(k, k + 1)] = r
                 entries[(k + 1, k)] = r
-    return ModelOperator(d, entries, label="factor", exact=exact)
+    return ModelOperator(d, entries, exact=exact)
 
 
 def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOperator:
@@ -280,7 +272,7 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
                 continue
             key = (ri, ci)
             entries[key] = entries.get(key, 0) + v
-    return ModelOperator(len(basis), entries, label=f"X{factor}", exact=a.exact)
+    return ModelOperator(len(basis), entries, exact=a.exact)
 
 
 def _to_jacobi(measure) -> JacobiParams:
@@ -333,7 +325,7 @@ class FreeProductModel:
         key = (factor, n)
         if key not in self._replicas:
             keep = self.basis.level_indices(factor, n)
-            self._replicas[key] = self.lam(factor).compress(keep, f"X{factor}({n})")
+            self._replicas[key] = self.lam(factor).compress(keep)
         return self._replicas[key]
 
     def branch(self, factor: int, k: int = 1) -> ModelOperator:
@@ -343,7 +335,7 @@ class FreeProductModel:
         if k > self.depth_cap + 1:
             raise DepthExceeded(f"branch level {k} outside the truncated space")
         other = 3 - factor
-        out = ModelOperator(len(self.basis), {}, f"B{factor}({k})", self.exact)
+        out = ModelOperator(len(self.basis), {}, exact=self.exact)
         n = k
         while n <= self.depth_cap + 1:
             out = out + self.replica(factor, n)
@@ -352,7 +344,6 @@ class FreeProductModel:
         while n <= self.depth_cap + 1:
             out = out + self.replica(other, n)
             n += 2
-        out.label = f"B{factor}({k})"
         return out
 
     def one(self):
@@ -382,14 +373,9 @@ class FreeProductModel:
     def certified_vacuum_order(self) -> int:
         return self.depth_cap
 
-    def certified_state_order(self, level: int) -> int:
-        return self.depth_cap - level
-
 
 def _as_float(a: ModelOperator) -> ModelOperator:
-    return ModelOperator(
-        a.size, {k: float(v) for k, v in a.entries.items()}, a.label, exact=False
-    )
+    return ModelOperator(a.size, {k: float(v) for k, v in a.entries.items()}, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,3 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 def poly_eq(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return poly_trim(a) == poly_trim(b)
-
-
-def poly_eval(p: Sequence[Fraction], x):
-    acc = 0
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc

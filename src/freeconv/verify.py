@@ -1,8 +1,16 @@
-"""Deterministic verification suites behind the `verify` CLI command.
+"""The registry of identity checks behind `freeconv verify` and pytest.
 
-Each check returns a named pass/fail result; suites are pure functions of
-their seed, so reruns are reproducible.  Exact checks compare rationals
-for equality; the few analytic checks carry explicit tolerances.
+Every check is a function registered under its suite by `@check(suite)`;
+its name, as printed, is the function name with `_` turned into `-`.  A
+check states its cases with `expect`, which raises `CheckFailed` with a
+witness naming the first case that does not hold; `run_check` turns that
+into a failed `CheckResult`.  Exact checks compare rationals for equality;
+the few analytic checks carry explicit tolerances.
+
+Suites are pure functions of their seed.  The inputs that several checks
+share are drawn once per suite run from `random.Random(seed)`; a check
+that draws more gets its own `random.Random(f"{seed}:{name}")`, so its
+cases depend only on the seed and its name.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 from . import convolve, graphs, opmodel, partitions
 from .measures import (
@@ -32,6 +41,10 @@ from .measures import (
 from .polys import poly_eq, poly_mul, poly_sub
 from .series import TailSeries, moments_to_F
 
+SUITES = ("partitions", "convolutions", "opmodel")
+ORDER = 10  # moment order of the convolution suite
+PAIRS = 20  # random atomic pairs in the convolution suite
+
 
 @dataclass
 class CheckResult:
@@ -40,8 +53,67 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list, name: str, ok: bool, detail: str = "") -> None:
-    results.append(CheckResult(name, bool(ok), detail))
+@dataclass(frozen=True)
+class Check:
+    suite: str
+    fn: Callable[[SimpleNamespace, random.Random], Optional[str]]
+
+
+class CheckFailed(Exception):
+    """A case of a check does not hold; the message is its witness."""
+
+
+# Registration order is the order `verify` prints.
+CHECKS: dict[str, Check] = {}
+
+
+def check(suite: str):
+    """Register the decorated function as a check of `suite`.
+
+    The function takes the suite's shared inputs and its own random stream
+    and may return a detail string to print after `PASS`.
+    """
+
+    def register(fn):
+        CHECKS[fn.__name__.replace("_", "-")] = Check(suite, fn)
+        return fn
+
+    return register
+
+
+def _show(x) -> str:
+    if isinstance(x, MeasureRep):
+        atoms = x.atoms()
+        return _show(atoms.atoms) if atoms is not None else str(x.jacobi_or_none())
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(_show(v) for v in x) + ")"
+    return str(x)
+
+
+def expect(cond, witness: str = "", *args) -> None:
+    """Raise `CheckFailed` unless `cond` holds.
+
+    `witness` names the case (inputs or parameters, order, both sides) as a
+    `str.format` template; it is filled from `args` only when the case
+    fails, so passing cases do no formatting.
+    """
+    if not cond:
+        raise CheckFailed(witness.format(*map(_show, args)))
+
+
+def expect_equal(lhs, rhs, witness: str = "", *args) -> None:
+    """`expect(lhs == rhs, ...)` with both sides added to the witness."""
+    if lhs != rhs:
+        expect(False, witness + ": {} != {}", *args, lhs, rhs)
+
+
+def run_check(name: str, inputs: SimpleNamespace) -> CheckResult:
+    """Run one registered check on its suite's shared inputs."""
+    try:
+        detail = CHECKS[name].fn(inputs, random.Random(f"{inputs.seed}:{name}"))
+    except CheckFailed as exc:
+        return CheckResult(name, False, f"seed {inputs.seed}, {exc}")
+    return CheckResult(name, True, detail or "")
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +160,37 @@ def _series_shift_left(ts: TailSeries) -> TailSeries:
     return TailSeries(ts.coeffs[1:])
 
 
+def suite_inputs(suite: str, seed: int = 7, n_max: int = 8) -> SimpleNamespace:
+    """The inputs the checks of one suite share, built once per suite run."""
+    rng = random.Random(seed)
+    if suite == "partitions":
+        return SimpleNamespace(
+            seed=seed,
+            n_max=n_max,
+            m=random_moment_list(rng, min(n_max, 8)),
+            mu=random_moment_list(rng, 12),
+            mu_m=random_moment_list(rng, 10),
+            nu_m=random_moment_list(rng, 10),
+        )
+    if suite == "convolutions":
+        reps = [(random_atomic_rep(rng), random_atomic_rep(rng)) for _ in range(PAIRS)]
+        return SimpleNamespace(seed=seed, reps=reps)
+    if suite == "opmodel":
+        jmu = random_square_omega_jacobi(rng)
+        jnu = random_square_omega_jacobi(rng)
+        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=8, depth_cap=10)
+        return SimpleNamespace(
+            seed=seed,
+            mu=MeasureRep.from_jacobi(jmu),
+            nu=MeasureRep.from_jacobi(jnu),
+            model=model,
+            total=model.total(),
+            b1=model.branch(1),
+            b2=model.branch(2),
+        )
+    raise ValueError(f"unknown suite {suite!r}")
+
+
 # ---------------------------------------------------------------------------
 # Two-periodic closed form (both factors with one-level K-transforms)
 # ---------------------------------------------------------------------------
@@ -113,427 +216,449 @@ def two_periodic_G(al, om, be, ga, z: complex) -> complex:
 # Partition suite
 # ---------------------------------------------------------------------------
 
-def suite_partitions(n_max: int = 8, seed: int = 7) -> list[CheckResult]:
-    rng = random.Random(seed)
-    res: list[CheckResult] = []
-    n_small = min(n_max, 8)
+@check("partitions")
+def interval_partition_count_doubles(inp, rng):
+    for n in range(1, min(inp.n_max, 12) + 1):
+        expect_equal(len(partitions.compositions(n)), 2 ** (n - 1), "n = {}", n)
 
-    ok = all(len(partitions.compositions(n)) == 2 ** (n - 1) for n in range(1, min(n_max, 12) + 1))
-    _check(res, "interval-partition-count-doubles", ok)
 
-    _check(
-        res,
-        "odd-refinement-small-cases",
-        len(partitions.odd_refinements((3,))) == 2
-        and partitions.odd_refinements((2,)) == ((2,),)
-        and partitions.odd_refinements((1, 2)) == ((1, 2),),
-    )
+@check("partitions")
+def odd_refinement_small_cases(inp, rng):
+    expect_equal(len(partitions.odd_refinements((3,))), 2, "count for (3,)")
+    expect_equal(partitions.odd_refinements((2,)), ((2,),), "(2,)")
+    expect_equal(partitions.odd_refinements((1, 2)), ((1, 2),), "(1, 2)")
 
-    m = random_moment_list(rng, n_small)
-    ok = True
-    for n in range(1, n_small + 1):
+
+@check("partitions")
+def moment_recovers_from_cumulant_coarsenings(inp, rng):
+    m, k = inp.m, partitions.inverse_boolean_cumulant
+    for n in range(1, len(m) + 1):
         for sigma in partitions.compositions(n):
-            lhs = partitions.moment_function(m, sigma)
-            rhs = sum(
-                (partitions.inverse_boolean_cumulant(m, pi) for pi in partitions.coarsenings(sigma)),
-                Fraction(0),
-            )
-            ok = ok and lhs == rhs
-    _check(res, "moment-recovers-from-cumulant-coarsenings", ok)
+            rhs = sum((k(m, pi) for pi in partitions.coarsenings(sigma)), Fraction(0))
+            expect_equal(partitions.moment_function(m, sigma), rhs, "m = {}, sigma = {}", m, sigma)
 
-    mu = random_moment_list(rng, 12)
+
+@check("partitions")
+def cumulant_closed_forms_to_four_parts(inp, rng):
+    mu = inp.mu
 
     def M(i):
         return mu[i - 1]
 
-    k = partitions.inverse_boolean_cumulant
-    ok = (
-        k(mu, (3,)) == M(3)
-        and k(mu, (2, 3)) == M(2) * M(3) - M(5)
-        and k(mu, (1, 2, 3)) == M(1) * M(2) * M(3) - M(3) * M(3) - M(1) * M(5) + M(6)
-        and k(mu, (1, 1, 2, 3))
-        == M(1) * M(1) * M(2) * M(3)
-        - M(2) * M(2) * M(3)
-        - M(1) * M(3) * M(3)
-        - M(1) * M(1) * M(5)
-        + M(2) * M(5)
-        + M(4) * M(3)
-        + M(1) * M(6)
-        - M(7)
-    )
-    _check(res, "cumulant-closed-forms-to-four-parts", ok)
+    closed = {
+        (3,): M(3),
+        (4,): M(4),
+        (2, 3): M(2) * M(3) - M(5),
+        (1, 2, 3): M(1) * M(2) * M(3) - M(3) * M(3) - M(1) * M(5) + M(6),
+        (1, 1, 2, 3): M(1) * M(1) * M(2) * M(3) - M(2) * M(2) * M(3) - M(1) * M(3) * M(3)
+        - M(1) * M(1) * M(5) + M(2) * M(5) + M(4) * M(3) + M(1) * M(6) - M(7),
+        (1, 1, 1, 2): M(1) ** 3 * M(2) - M(2) * M(1) * M(2) - M(1) * M(2) * M(2)
+        - M(1) * M(1) * M(3) + M(2) * M(3) + M(3) * M(2) + M(1) * M(4) - M(5),
+    }
+    for pi, want in closed.items():
+        expect_equal(partitions.inverse_boolean_cumulant(mu, pi), want, "m = {}, pi = {}", mu, pi)
 
-    ok = True
-    for n in range(1, min(n_max, 8) + 1):
-        f = moments_to_F(mu[:n])
-        ok = ok and f.coeffs[n - 1] == partitions.signed_interval_moment_sum(mu, n)
-    _check(res, "reciprocal-transform-coefficients-by-enumeration", ok)
 
-    ok = True
-    for n in range(1, min(n_max, 9) + 1):
+@check("partitions")
+def reciprocal_transform_coefficients_by_enumeration(inp, rng):
+    for n in range(1, min(inp.n_max, 8) + 1):
+        want = partitions.signed_interval_moment_sum(inp.mu, n)
+        expect_equal(moments_to_F(inp.mu[:n]).coeffs[n - 1], want, "m = {}, order {}", inp.mu, n)
+
+
+@check("partitions")
+def outer_hull_fusion_bijection_roundtrip(inp, rng):
+    for n in range(1, min(inp.n_max, 9) + 1):
         d2 = partitions.enumerate_D2(n)
         c = partitions.enumerate_C(n)
-        ok = ok and len(d2) == len(c)
+        expect_equal(len(d2), len(c), "n = {}, |D2| vs |C|", n)
         images = set()
         for pi in d2:
             tau, sigma = partitions.bijection_f(pi)
             images.add((tau, sigma))
-            ok = ok and partitions.bijection_f_inverse(tau, sigma) == pi
-        ok = ok and images == set(c)
-    _check(res, "outer-hull-fusion-bijection-roundtrip", ok)
+            expect_equal(partitions.bijection_f_inverse(tau, sigma), pi, "n = {}, f({}) = {}", n, pi, (tau, sigma))
+        expect(images == set(c), "n = {}: the image of f is not C", n)
 
-    ok = True
-    for n in range(1, min(n_max, 9) + 1):
+
+@check("partitions")
+def leg_grouping_bijection_roundtrip(inp, rng):
+    for n in range(1, min(inp.n_max, 9) + 1):
         dp2 = partitions.enumerate_DP2(n)
         f_set = partitions.enumerate_F(n)
-        ok = ok and len(dp2) == len(f_set)
+        expect_equal(len(dp2), len(f_set), "n = {}, |DP2| vs |F|", n)
         images = set()
         for pair in dp2:
             m_, sigma, j = partitions.bijection_g(pair)
             images.add((m_, sigma, j))
-            ok = ok and partitions.bijection_g_inverse(m_, sigma, j, n) == pair
-        ok = ok and images == set(f_set)
-    _check(res, "leg-grouping-bijection-roundtrip", ok)
+            back = partitions.bijection_g_inverse(m_, sigma, j, n)
+            expect_equal(back, pair, "n = {}, g({}) = {}", n, pair, (m_, sigma, j))
+        expect(images == set(f_set), "n = {}: the image of g is not F", n)
 
-    ok = True
+
+@check("partitions")
+def noncrossing_enumeration_matches_catalan(inp, rng):
     for n in range(1, 9):
-        count = len(partitions.noncrossing_partitions(n))
         catalan = math.comb(2 * n, n) // (n + 1)
-        ok = ok and count == catalan
-        profile_total = sum(partitions.nc_size_profiles(n).values())
-        ok = ok and profile_total == catalan
-    _check(res, "noncrossing-enumeration-matches-catalan", ok)
+        expect_equal(len(partitions.noncrossing_partitions(n)), catalan, "n = {}, count", n)
+        expect_equal(sum(partitions.nc_size_profiles(n).values()), catalan, "n = {}, size profiles", n)
 
-    mu_m = random_moment_list(rng, 10)
-    nu_m = random_moment_list(rng, 10)
+
+@check("partitions")
+def orthogonal_moment_low_order_polynomials(inp, rng):
+    mu_m, nu_m = inp.mu_m, inp.nu_m
+    closed = {
+        1: mu_m[0],
+        2: mu_m[1],
+        3: mu_m[2] + (mu_m[1] - mu_m[0] ** 2) * nu_m[0],
+        4: mu_m[3] + 2 * mu_m[2] * nu_m[0] + mu_m[1] * nu_m[1]
+        - 2 * mu_m[1] * mu_m[0] * nu_m[0] - mu_m[0] ** 2 * nu_m[1],
+    }
+    for order, want in closed.items():
+        got = partitions.orthogonal_moment_combinatorial(mu_m, nu_m, (order,))
+        expect_equal(got, want, "mu = {}, nu = {}, order {}", mu_m, nu_m, order)
+
+
+@check("partitions")
+def orthogonal_moment_dependence_bounds(inp, rng):
     orth = partitions.orthogonal_moment_combinatorial
-    ok = (
-        orth(mu_m, nu_m, (1,)) == mu_m[0]
-        and orth(mu_m, nu_m, (2,)) == mu_m[1]
-        and orth(mu_m, nu_m, (3,))
-        == mu_m[2] + (mu_m[1] - mu_m[0] ** 2) * nu_m[0]
-        and orth(mu_m, nu_m, (4,))
-        == mu_m[3]
-        + 2 * mu_m[2] * nu_m[0]
-        + mu_m[1] * nu_m[1]
-        - 2 * mu_m[1] * mu_m[0] * nu_m[0]
-        - mu_m[0] ** 2 * nu_m[1]
-    )
-    _check(res, "orthogonal-moment-low-order-polynomials", ok)
-
-    ok = True
+    mu_m, nu_m = inp.mu_m, inp.nu_m
     for order in range(1, 9):
         base = orth(mu_m, nu_m, (order,))
         nu_pert = list(nu_m)
         for i in range(max(order - 2, 0), len(nu_pert)):
             nu_pert[i] += Fraction(rng.randint(1, 5))
-        ok = ok and orth(mu_m, nu_pert, (order,)) == base
+        expect_equal(orth(mu_m, nu_pert, (order,)), base, "nu perturbed to {}, order {}", nu_pert, order)
         mu_pert = list(mu_m)
         for i in range(order, len(mu_pert)):
             mu_pert[i] += Fraction(rng.randint(1, 5))
-        ok = ok and orth(mu_pert, nu_m, (order,)) == base
-    _check(res, "orthogonal-moment-dependence-bounds", ok)
+        expect_equal(orth(mu_pert, nu_m, (order,)), base, "mu perturbed to {}, order {}", mu_pert, order)
 
+
+@check("partitions")
+def orthogonal_moment_dilation_homogeneity(inp, rng):
+    orth = partitions.orthogonal_moment_combinatorial
     lam = Fraction(rng.randint(2, 5), rng.randint(1, 3))
-    ok = True
+    mu_s = [x * lam ** (i + 1) for i, x in enumerate(inp.mu_m)]
+    nu_s = [x * lam ** (i + 1) for i, x in enumerate(inp.nu_m)]
     for order in range(1, 9):
-        mu_s = [mu_m[i] * lam ** (i + 1) for i in range(len(mu_m))]
-        nu_s = [nu_m[i] * lam ** (i + 1) for i in range(len(nu_m))]
-        ok = ok and orth(mu_s, nu_s, (order,)) == lam**order * orth(mu_m, nu_m, (order,))
-    _check(res, "orthogonal-moment-dilation-homogeneity", ok)
+        want = lam**order * orth(inp.mu_m, inp.nu_m, (order,))
+        expect_equal(orth(mu_s, nu_s, (order,)), want, "dilation {}, order {}", lam, order)
 
-    ok = True
+
+@check("partitions")
+def orthogonal_moment_block_multiplicativity(inp, rng):
+    orth = partitions.orthogonal_moment_combinatorial
     for pi in [(2, 3), (1, 4, 2), (3, 3)]:
         blockwise = Fraction(1)
         for part in pi:
-            blockwise *= orth(mu_m, nu_m, (part,))
-        ok = ok and orth(mu_m, nu_m, pi) == blockwise
-    _check(res, "orthogonal-moment-block-multiplicativity", ok)
-
-    return res
+            blockwise *= orth(inp.mu_m, inp.nu_m, (part,))
+        expect_equal(orth(inp.mu_m, inp.nu_m, pi), blockwise, "pi = {}", pi)
 
 
 # ---------------------------------------------------------------------------
 # Convolution suite
 # ---------------------------------------------------------------------------
 
-def _moments_equal(a: MeasureRep, b: MeasureRep, n: int) -> bool:
-    return a.moments(n) == b.moments(n)
+PAIR = "pair {} ({}, {})"
+A_VAL = Fraction(3, 2)  # location of the point mass in the worked examples
 
 
-def suite_convolutions(seed: int = 7, pairs: int = 20, order: int = 10) -> list[CheckResult]:
-    rng = random.Random(seed)
-    res: list[CheckResult] = []
+def _moments(rep: MeasureRep) -> tuple[Fraction, ...]:
+    return rep.moments(ORDER)
 
-    reps = [(random_atomic_rep(rng), random_atomic_rep(rng)) for _ in range(pairs)]
 
-    ok = True
-    for mu, nu in reps:
-        conv = convolve.orthogonal(mu, nu, order)
-        mm, nm, cm = mu.moments(order), nu.moments(order), conv.moments(order)
-        for n in range(1, order + 1):
-            ok = ok and cm[n - 1] == partitions.orthogonal_moment_combinatorial(mm, nm, (n,))
-    _check(res, "orthogonal-series-equals-partition-oracle", ok)
+@check("convolutions")
+def orthogonal_series_equals_partition_oracle(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps):
+        mm, nm = _moments(mu), _moments(nu)
+        cm = _moments(convolve.orthogonal(mu, nu, ORDER))
+        for n in range(1, ORDER + 1):
+            want = partitions.orthogonal_moment_combinatorial(mm, nm, (n,))
+            expect_equal(cm[n - 1], want, PAIR + ", order {}", i, mu, nu, n)
 
-    ok = True
-    for mu, nu in reps:
-        free_ab = convolve.free(mu, nu, order)  # asserts route A == route B
-        oracle = convolve.free_cumulant_oracle(mu, nu, order)
-        ok = ok and _moments_equal(free_ab, oracle, order)
-    _check(res, "free-routes-equal-cumulant-oracle", ok)
 
-    ok = True
-    for mu, nu in reps:
-        lhs = convolve.monotone(mu, nu, order)
-        rhs = convolve.boolean(convolve.orthogonal(mu, nu, order), nu, order)
-        ok = ok and _moments_equal(lhs, rhs, order)
-    _check(res, "monotone-splits-into-orthogonal-then-boolean", ok)
+@check("convolutions")
+def free_routes_equal_cumulant_oracle(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps):
+        free_ab = convolve.free(mu, nu, ORDER)  # asserts route A == route B
+        oracle = convolve.free_cumulant_oracle(mu, nu, ORDER)
+        expect_equal(_moments(free_ab), _moments(oracle), PAIR, i, mu, nu)
 
-    ok = True
-    for mu, nu in reps:
-        f = convolve.free(mu, nu, order)
-        b = convolve.boolean(
-            convolve.sfree(mu, nu, order), convolve.sfree(nu, mu, order), order
-        )
-        m1 = convolve.monotone(mu, convolve.sfree(nu, mu, order), order)
-        m2 = convolve.monotone(nu, convolve.sfree(mu, nu, order), order)
-        ok = ok and _moments_equal(f, b, order) and _moments_equal(f, m1, order)
-        ok = ok and _moments_equal(f, m2, order)
-    _check(res, "free-splits-through-subordinate-halves", ok)
 
-    ok = True
-    for mu, nu in reps[:5]:
+@check("convolutions")
+def monotone_splits_into_orthogonal_then_boolean(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps):
+        rhs = convolve.boolean(convolve.orthogonal(mu, nu, ORDER), nu, ORDER)
+        expect_equal(_moments(convolve.monotone(mu, nu, ORDER)), _moments(rhs), PAIR, i, mu, nu)
+
+
+@check("convolutions")
+def free_splits_through_subordinate_halves(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps):
+        f = _moments(convolve.free(mu, nu, ORDER))
+        s12, s21 = convolve.sfree(mu, nu, ORDER), convolve.sfree(nu, mu, ORDER)
+        splits = {
+            "boolean(sfree(mu, nu), sfree(nu, mu))": convolve.boolean(s12, s21, ORDER),
+            "monotone(mu, sfree(nu, mu))": convolve.monotone(mu, s21, ORDER),
+            "monotone(nu, sfree(mu, nu))": convolve.monotone(nu, s12, ORDER),
+        }
+        for how, rep in splits.items():
+            expect_equal(f, _moments(rep), PAIR + ", free vs {}", i, mu, nu, how)
+
+
+@check("convolutions")
+def iterated_orthogonal_moments_stabilize(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps[:5]):
         for m in range(1, 6):
-            a = convolve.orthogonal_iterated(mu, nu, m, order)
-            b = convolve.orthogonal_iterated(mu, nu, m + 1, order)
-            upto = min(2 * m, order)
-            ok = ok and a.moments(upto) == b.moments(upto)
-    _check(res, "iterated-orthogonal-moments-stabilize", ok)
+            upto = min(2 * m, ORDER)
+            a = convolve.orthogonal_iterated(mu, nu, m, ORDER).moments(upto)
+            b = convolve.orthogonal_iterated(mu, nu, m + 1, ORDER).moments(upto)
+            expect_equal(a, b, PAIR + ", iterations {} vs {}", i, mu, nu, m, m + 1)
 
+
+@check("convolutions")
+def identity_and_commutativity_laws(inp, rng):
     delta0 = point_mass(0)
-    ok = True
-    for mu, nu in reps[:10]:
-        ok = ok and _moments_equal(convolve.boolean(mu, nu, order), convolve.boolean(nu, mu, order), order)
-        ok = ok and _moments_equal(convolve.free(mu, nu, order), convolve.free(nu, mu, order), order)
+    for i, (mu, nu) in enumerate(inp.reps[:10]):
+        for op in (convolve.boolean, convolve.free):
+            got = _moments(op(mu, nu, ORDER))
+            expect_equal(got, _moments(op(nu, mu, ORDER)), PAIR + ", {} commutes", i, mu, nu, op.__name__)
         for op in (convolve.boolean, convolve.monotone, convolve.orthogonal, convolve.free):
-            ok = ok and _moments_equal(op(mu, delta0, order), mu, order)
-        ok = ok and _moments_equal(convolve.monotone(delta0, mu, order), mu, order)
-        ok = ok and _moments_equal(convolve.free(delta0, mu, order), mu, order)
-    _check(res, "identity-and-commutativity-laws", ok)
+            got = _moments(op(mu, delta0, ORDER))
+            expect_equal(got, _moments(mu), PAIR + ", {}(mu, delta0)", i, mu, nu, op.__name__)
+        for op in (convolve.monotone, convolve.free):
+            got = _moments(op(delta0, mu, ORDER))
+            expect_equal(got, _moments(mu), PAIR + ", {}(delta0, mu)", i, mu, nu, op.__name__)
 
-    bern = bernoulli_symmetric()
-    d1 = point_mass(1)
-    noncomm = not _moments_equal(
-        convolve.orthogonal(d1, bern, 4), convolve.orthogonal(bern, d1, 4), 4
-    )
-    a = convolve.orthogonal(convolve.orthogonal(bern, bern, 6), bern, 6)
-    b = convolve.orthogonal(bern, convolve.orthogonal(bern, bern, 6), 6)
-    nonassoc = a.moments(6) != b.moments(6)
-    sf_noncomm = not _moments_equal(
-        convolve.sfree(d1, bern, 4), convolve.sfree(bern, d1, 4), 4
-    )
-    sa = convolve.sfree(convolve.sfree(bern, bern, 6), bern, 6)
-    sb = convolve.sfree(bern, convolve.sfree(bern, bern, 6), 6)
-    sf_nonassoc = sa.moments(6) != sb.moments(6)
-    _check(
-        res,
-        "orthogonal-and-subordinate-halves-break-symmetry-laws",
-        noncomm and nonassoc and sf_noncomm and sf_nonassoc,
-    )
 
-    ok = True
-    for mu, nu in reps[:10]:
-        conv = convolve.orthogonal(mu, nu, order)
-        ok = ok and conv.moments(2) == mu.moments(2)
-    _check(res, "orthogonal-keeps-first-two-moments-of-left-factor", ok)
+@check("convolutions")
+def orthogonal_and_subordinate_halves_break_symmetry_laws(inp, rng):
+    bern, d1 = bernoulli_symmetric(), point_mass(1)
+    for op in (convolve.orthogonal, convolve.sfree):
+        lhs = op(d1, bern, 4).moments(4)
+        expect(lhs != op(bern, d1, 4).moments(4), "{} commutes on (delta1, bernoulli): {}", op.__name__, lhs)
+        a = op(op(bern, bern, 6), bern, 6).moments(6)
+        b = op(bern, op(bern, bern, 6), 6).moments(6)
+        expect(a != b, "{} associates on bernoulli: {}", op.__name__, a)
 
-    a_val = Fraction(3, 2)
-    da = point_mass(a_val)
-    ok = True
-    for _, nu in reps[:5]:
-        ok = ok and _moments_equal(convolve.orthogonal(da, nu, order), da, order)
-        ok = ok and _moments_equal(convolve.sfree(da, nu, order), da, order)
-        ok = ok and _moments_equal(
-            convolve.sfree(nu, da, order), convolve.orthogonal(nu, da, order), order
-        )
-    _check(res, "point-mass-absorbs-on-the-left", ok)
 
-    # recursion-coefficient reproductions of the worked examples
-    ok = True
+@check("convolutions")
+def orthogonal_keeps_first_two_moments_of_left_factor(inp, rng):
+    for i, (mu, nu) in enumerate(inp.reps[:10]):
+        expect_equal(convolve.orthogonal(mu, nu, ORDER).moments(2), mu.moments(2), PAIR, i, mu, nu)
+
+
+@check("convolutions")
+def point_mass_absorbs_on_the_left(inp, rng):
+    da = point_mass(A_VAL)
+    for i, (_, nu) in enumerate(inp.reps[:5]):
+        case = "nu of pair {} = {}, "
+        expect_equal(_moments(convolve.orthogonal(da, nu, ORDER)), _moments(da), case + "orthogonal", i, nu)
+        expect_equal(_moments(convolve.sfree(da, nu, ORDER)), _moments(da), case + "sfree", i, nu)
+        want = _moments(convolve.orthogonal(nu, da, ORDER))
+        expect_equal(_moments(convolve.sfree(nu, da, ORDER)), want, case + "sfree(nu, delta)", i, nu)
+
+
+@check("convolutions")
+def worked_recursion_coefficient_examples(inp, rng):
+    da = point_mass(A_VAL)
     mu = random_atomic_rep(rng, max_atoms=4)
     jm = mu.jacobi()
-    shifted = convolve.orthogonal(mu, da, order).jacobi()
-    ok = ok and shifted.alpha == (jm.alpha[0],) + tuple(x + a_val for x in jm.alpha[1:])
-    ok = ok and shifted.omega == jm.omega
+    js = convolve.orthogonal(mu, da, ORDER).jacobi()
+    want = ((jm.alpha[0],) + tuple(x + A_VAL for x in jm.alpha[1:]), jm.omega)
+    expect_equal((js.alpha, js.omega), want, "orthogonal({}, delta)", mu)
 
     p, l1, l2 = Fraction(1, 3), Fraction(2), Fraction(-1)
     q = 1 - p
-    tp = two_point(p, l1, l2)
     nu = random_atomic_rep(rng, max_atoms=3)
     jn = nu.jacobi()
-    jr = convolve.orthogonal(tp, nu, order).jacobi()
-    ok = ok and jr.alpha[0] == l1 * p + l2 * q
-    ok = ok and jr.alpha[1] == jn.alpha[0] + l1 * q + l2 * p
-    ok = ok and jr.omega[0] == p * q * (l1 - l2) ** 2
-    ok = ok and jr.alpha[2:] == jn.alpha[1:]
-    ok = ok and jr.omega[1:] == jn.omega
+    jr = convolve.orthogonal(two_point(p, l1, l2), nu, ORDER).jacobi()
+    want_alpha = (l1 * p + l2 * q, jn.alpha[0] + l1 * q + l2 * p) + jn.alpha[1:]
+    want_omega = (p * q * (l1 - l2) ** 2,) + jn.omega
+    expect_equal((jr.alpha, jr.omega), (want_alpha, want_omega), "orthogonal(two-point, {})", nu)
 
     aw, bw = Fraction(1, 2), Fraction(2)
     w_rep = wigner(aw, bw)
-    js = convolve.sfree(w_rep, w_rep, order).jacobi()
-    ok = ok and js.alpha == (aw, 2 * aw, 2 * aw, 2 * aw, 2 * aw)
-    ok = ok and js.omega == (bw, 2 * bw, 2 * bw, 2 * bw)
-    jf = convolve.free(w_rep, w_rep, order).jacobi()
-    ok = ok and jf.alpha == (2 * aw,) * 5 and jf.omega == (2 * bw,) * 4
+    js = convolve.sfree(w_rep, w_rep, ORDER).jacobi()
+    want = ((aw,) + (2 * aw,) * 4, (bw,) + (2 * bw,) * 3)
+    expect_equal((js.alpha, js.omega), want, "sfree of wigner({}, {})", aw, bw)
+    jf = convolve.free(w_rep, w_rep, ORDER).jacobi()
+    expect_equal((jf.alpha, jf.omega), ((2 * aw,) * 5, (2 * bw,) * 4), "free of wigner({}, {})", aw, bw)
 
-    jshift = convolve.free(mu, da, order).jacobi()
-    ok = ok and jshift.alpha == tuple(x + a_val for x in jm.alpha)
-    ok = ok and jshift.omega == jm.omega
-    ok = ok and _moments_equal(
-        convolve.free(mu, da, order), convolve.free(da, mu, order), order
-    )
-    _check(res, "worked-recursion-coefficient-examples", ok)
+    jf = convolve.free(mu, da, ORDER).jacobi()
+    expect_equal((jf.alpha, jf.omega), (tuple(x + A_VAL for x in jm.alpha), jm.omega), "free({}, delta)", mu)
+    want = _moments(convolve.free(da, mu, ORDER))
+    expect_equal(_moments(convolve.free(mu, da, ORDER)), want, "free({}, delta) commutes", mu)
 
-    # m-fold chains reassemble the K approximants
-    ok = True
-    jw = wigner(0, 1).jacobi()
+
+@check("convolutions")
+def chain_links_rebuild_truncated_transforms(inp, rng):
+    w01 = wigner(0, 1)
+    jw = w01.jacobi()
     for m in range(1, 6):
         chain = convolve.jacobi_chain_decomposition(jw, m)
         order_m = max(2 * m - 1, 1)
         acc = chain[-1]
         for link in reversed(chain[:-1]):
             acc = convolve.orthogonal(link, acc, order_m)
-        ok = ok and acc.moments(order_m) == wigner(0, 1).moments(order_m)
+        expect_equal(acc.moments(order_m), w01.moments(order_m), "{} links", m)
         num, den = convolve.chain_k_rational(jw, m)
         n_pol, m_pol = approximant_G(jw, m + 1)
         # K-approximant equals z - reciprocal of the G-approximant
         lhs = poly_mul(poly_sub(poly_mul([Fraction(0), Fraction(1)], n_pol), m_pol), den)
-        ok = ok and poly_eq(lhs, poly_mul(num, n_pol))
-    _check(res, "chain-links-rebuild-truncated-transforms", ok)
+        expect(poly_eq(lhs, poly_mul(num, n_pol)), "{} links: {} != {}", m, lhs, poly_mul(num, n_pol))
 
-    ok = True
+
+@check("convolutions")
+def approximant_reciprocal_identity(inp, rng):
+    jw = wigner(0, 1).jacobi()
     for m in range(2, 7):
         n_pol, m_pol = approximant_G(jw, m)
         knum, kden = convolve.chain_k_rational(jw, m - 1)
         # (z - K_{m-1}) * N_m == M_m * den
-        f_num = poly_sub(poly_mul([Fraction(0), Fraction(1)], kden), knum)
-        ok = ok and poly_eq(poly_mul(f_num, n_pol), poly_mul(m_pol, kden))
-    _check(res, "approximant-reciprocal-identity", ok)
+        lhs = poly_mul(poly_sub(poly_mul([Fraction(0), Fraction(1)], kden), knum), n_pol)
+        expect(poly_eq(lhs, poly_mul(m_pol, kden)), "m = {}: {} != {}", m, lhs, poly_mul(m_pol, kden))
 
-    # sampled-point properties of the transforms
-    rng_pts = random.Random(seed + 1)
-    pts = [complex(rng_pts.uniform(-4, 4), rng_pts.uniform(0.3, 4)) for _ in range(100)]
-    w01 = wigner(0, 1)
-    tp_m = two_point(Fraction(1, 3), -1, 2)
-    ok = True
-    for z in pts:
-        for rep in (w01, tp_m, bern):
-            g = eval_G(rep, z)
-            f = eval_F(rep, z)
-            k = eval_K(rep, z)
-            ok = ok and g.imag < 0 and f.imag >= z.imag - 1e-12 and k.imag <= 1e-12
-    _check(res, "transform-half-plane-mapping", ok)
 
-    ok = True
-    for z in pts:
+# the fixed measures of the sampled-point checks; all supported in [-2, 2]
+def _sample_measures() -> tuple[MeasureRep, ...]:
+    return wigner(0, 1), two_point(Fraction(1, 3), -1, 2), bernoulli_symmetric()
+
+
+@check("convolutions")
+def transform_half_plane_mapping(inp, rng):
+    reps = _sample_measures()
+    for _ in range(100):
+        z = complex(rng.uniform(-4, 4), rng.uniform(0.3, 4))
+        for rep in reps:
+            g, f, k = eval_G(rep, z), eval_F(rep, z), eval_K(rep, z)
+            ok = g.imag < 0 and f.imag >= z.imag - 1e-12 and k.imag <= 1e-12
+            expect(ok, "{} at z = {}: G = {}, F = {}, K = {}", rep, z, g, f, k)
+
+
+@check("convolutions")
+def orthogonal_transform_expands_imaginary_part(inp, rng):
+    w01, tp_m, _ = _sample_measures()
+    for _ in range(100):
+        z = complex(rng.uniform(-4, 4), rng.uniform(0.3, 4))
         fn = eval_F(tp_m, z)
         val = eval_F(w01, fn) - fn + z
-        ok = ok and val.imag >= z.imag - 1e-10
-    _check(res, "orthogonal-transform-expands-imaginary-part", ok)
+        expect(val.imag >= z.imag - 1e-10, "z = {}: {}", z, val)
 
-    ok = True
-    rng_g = random.Random(seed + 2)
+
+@check("convolutions")
+def constant_tail_transform_closed_form(inp, rng):
+    w01 = wigner(0, 1)
     for _ in range(30):
-        z = complex(rng_g.uniform(-3, 3), rng_g.uniform(0.5, 3))
-        g = eval_G(w01, z)
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
+        g, k = eval_G(w01, z), eval_K(w01, z)
         want = (z - cmath.sqrt(z - 2) * cmath.sqrt(z + 2)) / 2
-        ok = ok and abs(g - want) < 1e-12
-        k = eval_K(w01, z)
-        ok = ok and abs(k - (1 * g + 0)) < 1e-12
+        expect(abs(g - want) < 1e-12, "G of wigner(0, 1) at z = {}: {} vs {}", z, g, want)
+        expect(abs(k - g) < 1e-12, "K vs G of wigner(0, 1) at z = {}: {} vs {}", z, k, g)
     aw2, bw2 = Fraction(1, 2), Fraction(3)
     wrep2 = wigner(aw2, bw2)
     for _ in range(10):
-        z = complex(rng_g.uniform(-3, 3), rng_g.uniform(0.5, 3))
-        ok = ok and abs(eval_K(wrep2, z) - (float(bw2) * eval_G(wrep2, z) + float(aw2))) < 1e-11
-    _check(res, "constant-tail-transform-closed-form", ok)
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
+        k, want = eval_K(wrep2, z), float(bw2) * eval_G(wrep2, z) + float(aw2)
+        expect(abs(k - want) < 1e-11, "K of wigner({}, {}) at z = {}: {} vs {}", aw2, bw2, z, k, want)
 
-    ok = True
-    for rep in (tp_m, bern, w01):  # supports inside [-2, 2], so the tail is tiny
+
+@check("convolutions")
+def fraction_evaluation_matches_moment_series(inp, rng):
+    for rep in _sample_measures():  # supports inside [-2, 2], so the tail is tiny
         m12 = rep.moments(12)
         for _ in range(10):
-            z = 10 * cmath.exp(1j * rng_g.uniform(0.15, math.pi - 0.15))
+            z = 10 * cmath.exp(1j * rng.uniform(0.15, math.pi - 0.15))
             series_val = sum(float(m12[n - 1]) * z ** (-n - 1) for n in range(1, 13)) + 1 / z
-            ok = ok and abs(eval_G(rep, z) - series_val) < 1e-8
-    _check(res, "fraction-evaluation-matches-moment-series", ok)
+            g = eval_G(rep, z)
+            expect(abs(g - series_val) < 1e-8, "{} at z = {}: {} vs {}", rep, z, g, series_val)
 
+
+@check("convolutions")
+def orthogonal_shifts_into_monotone_recursion(inp, rng):
     # shifted-coefficient link between the orthogonal and monotone forms
-    ok = True
-    for mu, nu in reps[:5]:
+    for i, (mu, nu) in enumerate(inp.reps[:5]):
         jm = mu.jacobi()
         if jm.levels < 2:
             continue
         mu_s = MeasureRep.from_jacobi(jm.shift())
-        k_orth = convolve.k_series(convolve.orthogonal(mu, nu, order), order)
-        k_mono = convolve.k_series(convolve.monotone(mu_s, nu, order), order)
+        k_orth = convolve.k_series(convolve.orthogonal(mu, nu, ORDER), ORDER)
+        k_mono = convolve.k_series(convolve.monotone(mu_s, nu, ORDER), ORDER)
         c = k_orth - TailSeries.constant(jm.alpha[0], k_orth.order)
-        lhs = _series_shift_left(c) - (c * k_mono).truncate(order - 2)
-        ok = ok and lhs == TailSeries.constant(jm.omega[0], lhs.order)
-    _check(res, "orthogonal-shifts-into-monotone-recursion", ok)
+        lhs = _series_shift_left(c) - (c * k_mono).truncate(ORDER - 2)
+        expect_equal(lhs.coeffs, TailSeries.constant(jm.omega[0], lhs.order).coeffs, PAIR, i, mu, nu)
 
-    # subordination iteration
-    cfg = convolve.SubordinationEvalConfig()
-    ok = True
-    w02 = wigner(0, 2)
+
+@check("convolutions")
+def subordination_fixed_point_system(inp, rng):
+    tol = 10 * convolve.SubordinationEvalConfig().tol
+    w01, w02 = wigner(0, 1), wigner(0, 2)
     for im in (1.0, 2.0, 3.0):
         z = complex(0.3, im)
-        u, v = convolve.subordination_eval(w01, w01, z, cfg)
-        ok = ok and abs(u - v) < 10 * cfg.tol
-        ok = ok and abs((z - 2 * u) - eval_F(w02, z)) < 1e-9
-    for _ in range(5):
-        mu = random_atomic_rep(rng, spread=2)
-        nu = random_atomic_rep(rng, spread=2)
-        z = complex(0.7, 3.0)
-        u, v = convolve.subordination_eval(mu, nu, z, cfg)
+        u, v = convolve.subordination_eval(w01, w01, z)
+        f = eval_F(w02, z)
+        expect(abs(u - v) < tol, "wigner(0, 1) twice at z = {}: u = {}, v = {}", z, u, v)
+        expect(abs((z - 2 * u) - f) < 1e-9, "wigner(0, 1) twice at z = {}: z - 2u = {}, F = {}", z, z - 2 * u, f)
+    cases = [(random_atomic_rep(rng, spread=2), random_atomic_rep(rng, spread=2), 0.7 + 3j) for _ in range(5)]
+    _, tp_m, bern = _sample_measures()
+    cases += [(tp_m, bern, z) for z in (0.5 + 2j, -1 + 3j, 2.5j)]
+    for mu, nu, z in cases:
+        u, v = convolve.subordination_eval(mu, nu, z)
         f1, f2 = z - v, z - u
-        lhs = eval_F(mu, f1)
-        ok = ok and abs(lhs - eval_F(nu, f2)) < 10 * cfg.tol
-        ok = ok and abs(lhs - (f1 + f2 - z)) < 10 * cfg.tol
-    _check(res, "subordination-fixed-point-system", ok)
+        lhs, rhs = eval_F(mu, f1), eval_F(nu, f2)
+        expect(abs(lhs - rhs) < tol, "({}, {}) at z = {}: F_mu = {}, F_nu = {}", mu, nu, z, lhs, rhs)
+        rhs = f1 + f2 - z
+        expect(abs(lhs - rhs) < tol, "({}, {}) at z = {}: F_mu = {}, f1 + f2 - z = {}", mu, nu, z, lhs, rhs)
 
-    ok = True
+
+@check("convolutions")
+def pointwise_subordination_matches_series(inp, rng):
+    w01, tp_m, bern = _sample_measures()
     for mu, nu in [(bern, tp_m), (w01, bern), (tp_m, w01)]:
-        conv = convolve.free(mu, nu, order)
-        ks = convolve.k_series(conv, order)
+        ks = convolve.k_series(convolve.free(mu, nu, ORDER), ORDER)
         for _ in range(5):
-            z = 20 * cmath.exp(1j * rng_g.uniform(0.2, math.pi - 0.2))
-            u, v = convolve.subordination_eval(mu, nu, z, cfg)
+            z = 20 * cmath.exp(1j * rng.uniform(0.2, math.pi - 0.2))
+            u, v = convolve.subordination_eval(mu, nu, z)
             pointwise = eval_F(mu, z - v)
             series_val = z - sum(float(c) * z ** (-i) for i, c in enumerate(ks.coeffs))
-            ok = ok and abs(pointwise - series_val) < 1e-6
-    _check(res, "pointwise-subordination-matches-series", ok)
+            case = "({}, {}) at z = {}: {} vs {}"
+            expect(abs(pointwise - series_val) < 1e-6, case, mu, nu, z, pointwise, series_val)
 
-    # two-periodic fraction: pattern, closed form, density
-    al, om, be, ga = Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1)
-    mu2 = MeasureRep.from_jacobi(make_jacobi((al, 0), (om,), complete=True))
+
+# K-transforms al + om/z and be + ga/z of the two-periodic example
+TWO_PERIODIC = (Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1))
+
+
+def _two_periodic_left() -> MeasureRep:
+    al, om, _, _ = TWO_PERIODIC
+    return MeasureRep.from_jacobi(make_jacobi((al, 0), (om,), complete=True))
+
+
+@check("convolutions")
+def subordinate_half_gives_two_periodic_coefficients(inp, rng):
+    al, om, be, ga = TWO_PERIODIC
     nu2 = MeasureRep.from_jacobi(make_jacobi((be, 0), (ga,), complete=True))
-    js = convolve.sfree(mu2, nu2, order).jacobi()
-    ok = js.alpha == (al, be, al, be, al) and js.omega == (om, ga, om, ga)
-    _check(res, "subordinate-half-gives-two-periodic-coefficients", ok)
+    js = convolve.sfree(_two_periodic_left(), nu2, ORDER).jacobi()
+    want = ((al, be, al, be, al), (om, ga, om, ga))
+    expect_equal((js.alpha, js.omega), want, "K = {} + {}/z and {} + {}/z", al, om, be, ga)
 
-    rng_p = random.Random(seed + 3)
-    ok = True
+
+@check("convolutions")
+def two_periodic_closed_form_matches_fraction(inp, rng):
+    al, om, be, ga = TWO_PERIODIC
     for _ in range(100):
-        z = complex(rng_p.uniform(-4, 4), rng_p.uniform(2, 6))
+        z = complex(rng.uniform(-4, 4), rng.uniform(2, 6))
         g = 0j
         for k in range(400, 0, -1):
             a_k, w_k = (al, om) if (k - 1) % 2 == 0 else (be, ga)
             g = 1.0 / (z - float(a_k) - float(w_k) * g)
-        ok = ok and abs(g - two_periodic_G(al, om, be, ga, z)) < 1e-9
-    _check(res, "two-periodic-closed-form-matches-fraction", ok)
+        closed = two_periodic_G(al, om, be, ga, z)
+        expect(abs(g - closed) < 1e-9, "z = {}: fraction {} vs closed form {}", z, g, closed)
 
-    ok = True
-    eps = 1e-6
-    alf, omf, bef, gaf = (float(x) for x in (al, om, be, ga))
+
+@check("convolutions")
+def two_periodic_density_on_stable_band(inp, rng):
+    alf, omf, bef, gaf = (float(x) for x in TWO_PERIODIC)
     a2 = gaf * omf
     disc_out = (alf - bef) ** 2 + 4 * (gaf + omf + 2 * math.sqrt(a2))
     disc_in = (alf - bef) ** 2 + 4 * (gaf + omf - 2 * math.sqrt(a2))
@@ -543,23 +668,20 @@ def suite_convolutions(seed: int = 7, pairs: int = 20, order: int = 10) -> list[
     hi = right_out - 0.08 * (right_out - right_in)
     for i in range(60):
         x = lo + (hi - lo) * i / 59
-        gg = two_periodic_G(al, om, be, ga, complex(x, eps))
-        dens = -gg.imag / math.pi
+        dens = -two_periodic_G(*TWO_PERIODIC, complex(x, 1e-6)).imag / math.pi
         P = -gaf - omf + (x - alf) * (x - bef)
         f = math.sqrt(max(4 * a2 - P * P, 0.0)) / (2 * math.pi * gaf * (x - alf))
-        ok = ok and abs(dens - f) < 1e-3
-    _check(res, "two-periodic-density-on-stable-band", ok)
+        expect(abs(dens - f) < 1e-3, "x = {}: {} vs {}", x, dens, f)
 
-    ok = True
+
+@check("convolutions")
+def semicircle_density_recovered_by_inversion(inp, rng):
     grid = [-3 + 6 * i / 600 for i in range(601)]
-    for x, dens in stieltjes_density(w01, grid, epsilon=1e-6):
+    for x, dens in stieltjes_density(wigner(0, 1), grid, epsilon=1e-6):
         f = math.sqrt(max(4 - x * x, 0.0)) / (2 * math.pi)
-        ok = ok and abs(dens - f) <= 1e-3
-    for x, dens in stieltjes_density(mu2, [-10.0, 10.0], epsilon=1e-6):
-        ok = ok and dens <= 1e-3
-    _check(res, "semicircle-density-recovered-by-inversion", ok)
-
-    return res
+        expect(abs(dens - f) <= 1e-3, "semicircle at x = {}: {} vs {}", x, dens, f)
+    for x, dens in stieltjes_density(_two_periodic_left(), [-10.0, 10.0], epsilon=1e-6):
+        expect(dens <= 1e-3, "off the support of K = 1/2 + 2/z at x = {}: {}", x, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -573,108 +695,111 @@ def _phi(op_words: Sequence[opmodel.ModelOperator], vec: dict) -> Fraction:
     return opmodel.vec_dot(cur, vec) / opmodel.vec_dot(vec, vec)
 
 
-def suite_opmodel(seed: int = 7) -> list[CheckResult]:
-    rng = random.Random(seed)
-    res: list[CheckResult] = []
-
-    jmu = random_square_omega_jacobi(rng)
-    jnu = random_square_omega_jacobi(rng)
-    mu = MeasureRep.from_jacobi(jmu)
-    nu = MeasureRep.from_jacobi(jnu)
-    model = opmodel.FreeProductModel(jmu, jnu, factor_dim=8, depth_cap=10)
-
+@check("opmodel")
+def tridiagonal_factor_reproduces_moments(inp, rng):
+    model = inp.model
     a1 = model.factors[0]
-    ok = a1.is_symmetric() and model.x1.is_symmetric() and model.x2.is_symmetric()
+    for label, op in (("A1", a1), ("X1", model.x1), ("X2", model.x2)):
+        expect(op.is_symmetric(), "{} is not symmetric", label)
     vac_factor = {0: Fraction(1)}
     cur = vac_factor
     factor_moments = []
     for _ in range(15):
         cur = a1.apply(cur)
         factor_moments.append(opmodel.vec_dot(cur, vac_factor))
-    ok = ok and tuple(factor_moments) == mu.moments(15)
-    _check(res, "tridiagonal-factor-reproduces-moments", ok)
+    expect_equal(tuple(factor_moments), inp.mu.moments(15), "mu = {}", inp.mu)
 
-    total = model.total()
-    free_m = convolve.free(mu, nu, 10).moments(10)
-    got = model.state_moments(total, model.certified_vacuum_order())
-    _check(res, "vacuum-moments-match-free-convolution", tuple(got) == free_m)
 
-    irr = make_jacobi([0, 0], [Fraction(2)])  # irrational off-diagonal
-    model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
-    got_f = model_f.state_moments(model_f.total(), 10)
-    want_f = convolve.free(
-        MeasureRep.from_jacobi(make_jacobi([0, 0], [Fraction(2)], complete=True)),
-        MeasureRep.from_jacobi(make_jacobi([0, 0], [Fraction(2)], complete=True)),
-        10,
-    ).moments(10)
-    ok = all(abs(g - float(w)) <= 1e-9 for g, w in zip(got_f, want_f))
-    _check(res, "float-fallback-within-tolerance", ok)
+@check("opmodel")
+def vacuum_moments_match_free_convolution(inp, rng):
+    model, mu, nu = inp.model, inp.mu, inp.nu
+    expect(model.exact, "the model of {} and {} dropped to floats", mu, nu)
+    got = model.state_moments(inp.total, model.certified_vacuum_order())
+    expect_equal(tuple(got), convolve.free(mu, nu, 10).moments(10), "mu = {}, nu = {}", mu, nu)
 
-    ok = True
+
+@check("opmodel")
+def float_fallback_within_tolerance(inp, rng):
+    # irrational off-diagonal entries, as a prefix and as a complete recursion
+    for alpha, complete in (([0, 0], False), ([0, Fraction(1, 2)], True)):
+        irr = make_jacobi(alpha, [Fraction(2)], complete=complete)
+        model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+        got = model_f.state_moments(model_f.total(), 10)
+        rep = MeasureRep.from_jacobi(make_jacobi(alpha, [Fraction(2)], complete=True))
+        for n, (g, w) in enumerate(zip(got, convolve.free(rep, rep, 10).moments(10)), start=1):
+            expect(abs(g - float(w)) <= 1e-9, "alpha = {}, omega = (2,), order {}: {} vs {}", alpha, n, g, w)
+
+
+@check("opmodel")
+def replica_sum_reassembles_representation(inp, rng):
+    model = inp.model
     for factor, lam in ((1, model.x1), (2, model.x2)):
         total_rep = opmodel.ModelOperator(len(model.basis), {}, exact=model.exact)
         for n in range(1, model.depth_cap + 2):
             total_rep = total_rep + model.replica(factor, n)
-        ok = ok and total_rep.equals(lam)
-    _check(res, "replica-sum-reassembles-representation", ok)
+        expect(total_rep.equals(lam), "factor {}", factor)
 
-    ok = True
+
+@check("opmodel")
+def distant_replicas_annihilate(inp, rng):
     for n, m in [(1, 3), (2, 4), (1, 4), (3, 6)]:
-        prod = model.replica(1, n) @ model.replica(1, m)
-        ok = ok and not prod.entries
-    _check(res, "distant-replicas-annihilate", ok)
+        prod = inp.model.replica(1, n) @ inp.model.replica(1, m)
+        expect(not prod.entries, "levels {} and {}: {} nonzero entries", n, m, len(prod.entries))
 
-    first = model.replica(1, 1)
-    got = model.state_moments(first, 10)
-    _check(res, "first-replica-acts-like-factor", tuple(got) == mu.moments(10))
 
-    b1 = model.branch(1)
-    b2 = model.branch(2)
-    sf12 = convolve.sfree(mu, nu, 8).moments(8)
-    sf21 = convolve.sfree(nu, mu, 8).moments(8)
-    ok = tuple(model.state_moments(b1, 8)) == sf12
-    ok = ok and tuple(model.state_moments(b2, 8)) == sf21
-    _check(res, "branch-moments-give-subordinate-half", ok)
+@check("opmodel")
+def first_replica_acts_like_factor(inp, rng):
+    got = inp.model.state_moments(inp.model.replica(1, 1), 10)
+    expect_equal(tuple(got), inp.mu.moments(10), "mu = {}", inp.mu)
 
-    ok = True
+
+@check("opmodel")
+def branch_moments_give_subordinate_half(inp, rng):
+    model, mu, nu = inp.model, inp.mu, inp.nu
+    expect_equal(tuple(model.state_moments(inp.b1, 8)), convolve.sfree(mu, nu, 8).moments(8), "branch 1")
+    expect_equal(tuple(model.state_moments(inp.b2, 8)), convolve.sfree(nu, mu, 8).moments(8), "branch 2")
+
+
+@check("opmodel")
+def branch_recursion_peels_one_replica(inp, rng):
+    model = inp.model
     for j, k in [(1, 1), (2, 1), (1, 2), (2, 3)]:
-        lhs = model.branch(j, k)
         rhs = model.replica(j, k) + model.branch(3 - j, k + 1)
-        ok = ok and lhs.equals(rhs)
-    _check(res, "branch-recursion-peels-one-replica", ok)
+        expect(model.branch(j, k).equals(rhs), "branch({}, {})", j, k)
 
-    _check(res, "branches-sum-to-total", (b1 + b2).equals(total))
 
-    ok = True
+@check("opmodel")
+def branches_sum_to_total(inp, rng):
+    expect((inp.b1 + inp.b2).equals(inp.total), "b1 + b2 differs from the total")
+
+
+@check("opmodel")
+def branches_are_boolean_independent_in_vacuum(inp, rng):
+    b1, b2, vac = inp.b1, inp.b2, inp.model.vacuum()
     for k1, k2, k3 in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)]:
-        lhs = _phi([b1] * k1 + [b2] * k2 + [b1] * k3, model.vacuum())
-        rhs = (
-            _phi([b1] * k1, model.vacuum())
-            * _phi([b2] * k2, model.vacuum())
-            * _phi([b1] * k3, model.vacuum())
-        )
-        ok = ok and lhs == rhs
-        lhs2 = _phi([b2] * k1 + [b1] * k2, model.vacuum())
-        rhs2 = _phi([b2] * k1, model.vacuum()) * _phi([b1] * k2, model.vacuum())
-        ok = ok and lhs2 == rhs2
-    _check(res, "branches-are-boolean-independent-in-vacuum", ok)
+        want = _phi([b1] * k1, vac) * _phi([b2] * k2, vac) * _phi([b1] * k3, vac)
+        expect_equal(_phi([b1] * k1 + [b2] * k2 + [b1] * k3, vac), want, "b1^{} b2^{} b1^{}", k1, k2, k3)
+        want = _phi([b2] * k1, vac) * _phi([b1] * k2, vac)
+        expect_equal(_phi([b2] * k1 + [b1] * k2, vac), want, "b2^{} b1^{}", k1, k2)
 
-    x = model.replica(1, 1)
-    zrest = total - x
-    ok = True
-    for pattern in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 2), (1, 3, 2)]:
-        p1, q1, p2 = pattern
-        lhs = _phi([x] * p1 + [zrest] * q1 + [x] * p2, model.vacuum())
-        rhs = _phi([zrest] * q1, model.vacuum()) * _phi([x] * (p1 + p2), model.vacuum())
-        ok = ok and lhs == rhs
-        lhs_end = _phi([x] * p1 + [zrest] * q1, model.vacuum())
-        rhs_end = _phi([zrest] * q1, model.vacuum()) * _phi([x] * p1, model.vacuum())
-        ok = ok and lhs_end == rhs_end
-    _check(res, "first-replica-and-rest-are-monotone-independent", ok)
 
-    ok = True
-    mu_m = mu.moments(6)
-    nu_m = nu.moments(6)
+@check("opmodel")
+def first_replica_and_rest_are_monotone_independent(inp, rng):
+    x = inp.model.replica(1, 1)
+    zrest = inp.total - x
+    vac = inp.model.vacuum()
+    for p1, q1, p2 in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 2), (1, 3, 2)]:
+        want = _phi([zrest] * q1, vac) * _phi([x] * (p1 + p2), vac)
+        expect_equal(_phi([x] * p1 + [zrest] * q1 + [x] * p2, vac), want, "x^{} rest^{} x^{}", p1, q1, p2)
+        want = _phi([zrest] * q1, vac) * _phi([x] * p1, vac)
+        expect_equal(_phi([x] * p1 + [zrest] * q1, vac), want, "x^{} rest^{}", p1, q1)
+
+
+@check("opmodel")
+def centered_alternating_products_vanish_in_vacuum(inp, rng):
+    model = inp.model
+    mu_m = inp.mu.moments(6)
+    nu_m = inp.nu.moments(6)
     for powers in [(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1)]:
         vec = model.vacuum()
         for i, p in enumerate(reversed(powers)):
@@ -686,76 +811,84 @@ def suite_opmodel(seed: int = 7) -> list[CheckResult]:
                 cur = op.apply(cur)
             vec = {k: cur.get(k, 0) - mean * vec.get(k, 0) for k in set(cur) | set(vec)}
         val = opmodel.vec_dot(vec, model.vacuum())
-        ok = ok and val == 0
-    _check(res, "centered-alternating-products-vanish-in-vacuum", ok)
+        expect(val == 0, "powers {}: {}", powers, val)
 
-    eta1 = model.word_vector(((1, 1),))
-    rep_check = opmodel.orthogonality_check(
-        model.replica(1, 1), model.branch(2, 2), model.vacuum(), eta1, 3
-    )
-    ok = rep_check.ok
-    eta2 = model.word_vector(((2, 1),))
-    rep_check = opmodel.orthogonality_check(
-        model.replica(2, 1), model.branch(1, 2), model.vacuum(), eta2, 3
-    )
-    ok = ok and rep_check.ok
+
+@check("opmodel")
+def replica_branch_pairs_pass_orthogonality(inp, rng):
+    model = inp.model
+    vac = model.vacuum()
+    cases = [(1, 1, 2, 2, vac, model.word_vector(((1, 1),))), (2, 1, 1, 2, vac, model.word_vector(((2, 1),)))]
     for _ in range(3):
         vec = {}
         for k in range(1, 4):
             idx = model.basis.index.get(((1, k),))
             if idx is not None:
                 vec[idx] = Fraction(rng.randint(1, 5))
-        rep_check = opmodel.orthogonality_check(
-            model.replica(1, 1), model.branch(2, 2), model.vacuum(), vec, 3
-        )
-        ok = ok and rep_check.ok
-    xi2 = model.word_vector(((2, 1),))
-    eta_l2 = model.word_vector(((1, 1), (2, 1)))
-    rep_check = opmodel.orthogonality_check(
-        model.replica(1, 2), model.branch(2, 3), xi2, eta_l2, 3
-    )
-    ok = ok and rep_check.ok
-    _check(res, "replica-branch-pairs-pass-orthogonality", ok)
+        cases.append((1, 1, 2, 2, vac, vec))
+    cases.append((1, 2, 2, 3, model.word_vector(((2, 1),)), model.word_vector(((1, 1), (2, 1)))))
+    for j, n, i, k, xi, eta in cases:
+        report = opmodel.orthogonality_check(model.replica(j, n), model.branch(i, k), xi, eta, 3)
+        case = "replica({}, {}), branch({}, {}), xi = {}, eta = {}: {}"
+        expect(report.ok, case, j, n, i, k, xi, eta, report.violations[:1])
 
-    neg = opmodel.orthogonality_check(model.x1, model.x2, model.vacuum(), eta1, 3)
-    _check(res, "generic-free-pair-fails-orthogonality", not neg.ok,
-           f"{len(neg.violations)} violating monomials")
 
-    ok = True
-    eta_k1 = model.word_vector(((2, 1),))
-    got = model.state_moments(model.branch(1, 2), 6, vec=eta_k1)
-    ok = ok and tuple(got) == convolve.sfree(mu, nu, 6).moments(6)
-    zeta_k1 = model.word_vector(((1, 1),))
-    got = model.state_moments(model.branch(2, 2), 6, vec=zeta_k1)
-    ok = ok and tuple(got) == convolve.sfree(nu, mu, 6).moments(6)
-    _check(res, "higher-branches-keep-subordinate-law-at-deeper-states", ok)
+@check("opmodel")
+def generic_free_pair_fails_orthogonality(inp, rng):
+    model = inp.model
+    neg = opmodel.orthogonality_check(model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 3)
+    expect(not neg.ok, "X1, X2 passed all {} cases", neg.checked)
+    return f"{len(neg.violations)} violating monomials"
 
-    # graph dictionary
+
+@check("opmodel")
+def higher_branches_keep_subordinate_law_at_deeper_states(inp, rng):
+    model, mu, nu = inp.model, inp.mu, inp.nu
+    got = model.state_moments(model.branch(1, 2), 6, vec=model.word_vector(((2, 1),)))
+    expect_equal(tuple(got), convolve.sfree(mu, nu, 6).moments(6), "branch(1, 2) at word (2,1)")
+    got = model.state_moments(model.branch(2, 2), 6, vec=model.word_vector(((1, 1),)))
+    expect_equal(tuple(got), convolve.sfree(nu, mu, 6).moments(6), "branch(2, 2) at word (1,1)")
+
+
+@check("opmodel")
+def two_point_free_ball_gives_arcsine(inp, rng):
+    arcsine = tuple(Fraction(m) for m in (0, 2, 0, 6, 0, 20))
+    bern = bernoulli_symmetric()
+    expect_equal(convolve.free(bern, bern, 6).moments(6), arcsine, "series route")
     p2 = graphs.path_graph(2)
     ball = graphs.free_product_ball(p2, p2, 6)
-    got = graphs.root_spectral_moments(ball, 6)
-    _check(res, "two-point-free-ball-gives-arcsine", got == (0, 2, 0, 6, 0, 20))
+    expect_equal(graphs.root_spectral_moments(ball, 6), arcsine, "graph route, radius 6")
 
-    branch_g = graphs.free_product_branch(p2, p2, 8, factor=1)
-    got = graphs.root_spectral_moments(branch_g, 6)
+
+@check("opmodel")
+def two_point_branch_gives_subordinate_half(inp, rng):
+    p2 = graphs.path_graph(2)
+    got = graphs.root_spectral_moments(graphs.free_product_branch(p2, p2, 8, factor=1), 6)
     want = convolve.sfree(bernoulli_symmetric(), bernoulli_symmetric(), 6).moments(6)
-    _check(res, "two-point-branch-gives-subordinate-half", got == want)
+    expect_equal(got, want, "radius 8")
 
-    ok = True
+
+@check("opmodel")
+def graph_products_realize_the_five_convolutions(inp, rng):
     for _ in range(5):
         g1 = random_graph(rng, rng.randint(2, 4))
         g2 = random_graph(rng, rng.randint(2, 4))
         r1 = graphs.root_distribution(g1, 8)
         r2 = graphs.root_distribution(g2, 8)
-        ok = ok and graphs.root_spectral_moments(graphs.graph_star(g1, g2), 8) == convolve.boolean(r1, r2, 8).moments(8)
-        ok = ok and graphs.root_spectral_moments(graphs.graph_comb(g1, g2), 8) == convolve.monotone(r1, r2, 8).moments(8)
-        ok = ok and graphs.root_spectral_moments(graphs.graph_orthogonal(g1, g2), 8) == convolve.orthogonal(r1, r2, 8).moments(8)
-        ball = graphs.free_product_ball(g1, g2, 4)
-        ok = ok and graphs.root_spectral_moments(ball, 8) == convolve.free(r1, r2, 8).moments(8)
-        br = graphs.free_product_branch(g1, g2, 4, factor=1)
-        ok = ok and graphs.root_spectral_moments(br, 8) == convolve.sfree(r1, r2, 8).moments(8)
-    _check(res, "graph-products-realize-the-five-convolutions", ok)
+        products = [
+            ("star", graphs.graph_star(g1, g2), convolve.boolean),
+            ("comb", graphs.graph_comb(g1, g2), convolve.monotone),
+            ("orthogonal", graphs.graph_orthogonal(g1, g2), convolve.orthogonal),
+            ("free ball", graphs.free_product_ball(g1, g2, 4), convolve.free),
+            ("branch", graphs.free_product_branch(g1, g2, 4, factor=1), convolve.sfree),
+        ]
+        for label, g, op in products:
+            got, want = graphs.root_spectral_moments(g, 8), op(r1, r2, 8).moments(8)
+            expect_equal(got, want, "{} of graphs with edges {} and {}", label, g1.edges, g2.edges)
 
+
+@check("opmodel")
+def tensor_pair_of_graphs_passes_orthogonality(inp, rng):
     g1 = graphs.path_graph(3)
     g2 = graphs.path_graph(2)
     n1, n2 = g1.n, g2.n
@@ -775,29 +908,45 @@ def suite_opmodel(seed: int = 7) -> list[CheckResult]:
         for x, y in g2.edges:
             a2_entries[(pid(u, x), pid(u, y))] = 1
             a2_entries[(pid(u, y), pid(u, x))] = 1
-    a_first = opmodel.ModelOperator(size, a1_entries, "A1xP", exact=True)
-    a_second = opmodel.ModelOperator(size, a2_entries, "PxA2", exact=True)
+    a_first = opmodel.ModelOperator(size, a1_entries, exact=True)
+    a_second = opmodel.ModelOperator(size, a2_entries, exact=True)
     xi = {pid(g1.root, g2.root): Fraction(1)}
     v0 = next(v for v in range(n1) if v != g1.root)
     eta = {pid(v0, g2.root): Fraction(1)}
-    rep_check = opmodel.orthogonality_check(a_first, a_second, xi, eta, 3)
-    _check(res, "tensor-pair-of-graphs-passes-orthogonality", rep_check.ok)
-
-    return res
+    report = opmodel.orthogonality_check(a_first, a_second, xi, eta, 3)
+    expect(report.ok, "A1 x P, P x A2 on path(3) x path(2): {}", report.violations[:1])
 
 
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
-    "partitions": lambda n_max, seed: suite_partitions(n_max=n_max, seed=seed),
-    "convolutions": lambda n_max, seed: suite_convolutions(seed=seed),
-    "opmodel": lambda n_max, seed: suite_opmodel(seed=seed),
-}
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
+
+def _run_suite(suite: str, seed: int, n_max: int = 8) -> list[CheckResult]:
+    """Every check of one suite, in registration order, on shared inputs."""
+    inputs = suite_inputs(suite, seed, n_max)
+    return [run_check(name, inputs) for name, c in CHECKS.items() if c.suite == suite]
+
+
+def suite_partitions(n_max: int = 8, seed: int = 7) -> list[CheckResult]:
+    return _run_suite("partitions", seed, n_max)
+
+
+def suite_convolutions(seed: int = 7) -> list[CheckResult]:
+    return _run_suite("convolutions", seed)
+
+
+def suite_opmodel(seed: int = 7) -> list[CheckResult]:
+    return _run_suite("opmodel", seed)
 
 
 def run_suites(which: str, n_max: int = 8, seed: int = 7) -> list[CheckResult]:
-    names = ["partitions", "convolutions", "opmodel"] if which == "all" else [which]
+    if which not in ("all",) + SUITES:
+        raise ValueError(f"unknown suite {which!r}")
     out: list[CheckResult] = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-        out.extend(SUITES[name](n_max, seed))
+    if which in ("all", "partitions"):
+        out.extend(suite_partitions(n_max=n_max, seed=seed))
+    if which in ("all", "convolutions"):
+        out.extend(suite_convolutions(seed=seed))
+    if which in ("all", "opmodel"):
+        out.extend(suite_opmodel(seed=seed))
     return out

@@ -1,307 +1,64 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: every check of the `freeconv.verify` registry, one test
+per check name, each printing its `PASS`/`FAIL` line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every tolerance is fixed here, nothing is calibrated at runtime.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The
+checks pin every tolerance themselves; nothing is calibrated at runtime.
+The partition checks run at n_max = 9; the oracle triangle and the
+operator model also carry wall-time bounds.
 """
 
-import math
-import random
 import time
-from fractions import Fraction as F
+from collections import Counter
 
-from freeconv import convolve, graphs, opmodel, partitions
-from freeconv.measures import (
-    MeasureRep,
-    approximant_G,
-    bernoulli_symmetric,
-    eval_F,
-    make_jacobi,
-    point_mass,
-    stieltjes_density,
-    two_point,
-    wigner,
-)
-from freeconv.polys import poly_eq, poly_mul, poly_sub
-from freeconv.verify import random_atomic_rep, two_periodic_G
+import pytest
 
-ORDER = 10
+from freeconv import verify
 
+SEED = 7
 
-def report(name: str, ok: bool, detail: str = ""):
-    line = f"{'PASS' if ok else 'FAIL'} {name}"
-    if detail:
-        line += f"  ({detail})"
-    print(line)
-    assert ok, name
+# Wall-time bounds, in seconds, on two groups of checks: each group's
+# checks, with its shared inputs, must finish within the bound in all.
+BOUNDS = {"oracle triangle": 30.0, "operator model": 120.0}
+GROUP = {
+    "orthogonal-series-equals-partition-oracle": "oracle triangle",
+    "free-routes-equal-cumulant-oracle": "oracle triangle",
+    "free-splits-through-subordinate-halves": "oracle triangle",
+}
+GROUP.update((name, "operator model") for name, c in verify.CHECKS.items() if c.suite == "opmodel")
 
 
-def test_criterion_1_oracle_triangle():
-    t0 = time.time()
-    rng = random.Random(20260810)
-    ok = True
-    for _ in range(20):
-        mu, nu = random_atomic_rep(rng), random_atomic_rep(rng)
-        mm, nm = mu.moments(ORDER), nu.moments(ORDER)
-        series = convolve.orthogonal(mu, nu, ORDER).moments(ORDER)
-        comb = tuple(
-            partitions.orthogonal_moment_combinatorial(mm, nm, (n,))
-            for n in range(1, ORDER + 1)
-        )
-        ok = ok and series == comb
-        free_routes = convolve.free(mu, nu, ORDER)  # route A asserted == route B
-        route_b = convolve.boolean(
-            convolve.sfree(mu, nu, ORDER), convolve.sfree(nu, mu, ORDER), ORDER
-        )
-        oracle = convolve.free_cumulant_oracle(mu, nu, ORDER)
-        ok = ok and free_routes.moments(ORDER) == route_b.moments(ORDER)
-        ok = ok and free_routes.moments(ORDER) == oracle.moments(ORDER)
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 30
-    report("criterion 1: oracle triangle, 20 seeded pairs, exact", ok, f"{elapsed:.1f}s")
+@pytest.fixture(scope="module")
+def spent():
+    return Counter()
 
 
-def test_criterion_2_worked_example_reproduction():
-    rng = random.Random(2)
-    ok = True
-
-    # orthogonal against a point mass shifts all later diagonal entries
-    mu = random_atomic_rep(rng)
-    jm = mu.jacobi()
-    a = F(3, 2)
-    js = convolve.orthogonal(mu, point_mass(a), ORDER).jacobi()
-    ok = ok and js.alpha == (jm.alpha[0],) + tuple(x + a for x in jm.alpha[1:])
-    ok = ok and js.omega == jm.omega
-
-    # a point mass absorbs on the left
-    nu = random_atomic_rep(rng)
-    da = point_mass(a)
-    ok = ok and convolve.orthogonal(da, nu, ORDER).moments(ORDER) == da.moments(ORDER)
-
-    # two-point left factor prepends one recursion level
-    p, l1, l2 = F(1, 3), F(2), F(-1)
-    q = 1 - p
-    jn = nu.jacobi()
-    jr = convolve.orthogonal(two_point(p, l1, l2), nu, ORDER).jacobi()
-    ok = ok and jr.alpha[0] == l1 * p + l2 * q
-    ok = ok and jr.alpha[1] == jn.alpha[0] + l1 * q + l2 * p
-    ok = ok and jr.alpha[2:] == jn.alpha[1:]
-    ok = ok and jr.omega == (p * q * (l1 - l2) ** 2,) + jn.omega
-
-    # the subordinate half absorbs point masses the same way
-    ok = ok and convolve.sfree(da, nu, ORDER).moments(ORDER) == da.moments(ORDER)
-    ok = ok and (
-        convolve.sfree(nu, da, ORDER).moments(ORDER)
-        == convolve.orthogonal(nu, da, ORDER).moments(ORDER)
-    )
-
-    # constant-tail self-convolutions double the coefficients
-    aw, bw = F(1, 2), F(2)
-    w = wigner(aw, bw)
-    jsf = convolve.sfree(w, w, ORDER).jacobi()
-    ok = ok and jsf.alpha == (aw, 2 * aw, 2 * aw, 2 * aw, 2 * aw)
-    ok = ok and jsf.omega == (bw, 2 * bw, 2 * bw, 2 * bw)
-    jfr = convolve.free(w, w, ORDER).jacobi()
-    ok = ok and jfr.alpha == (2 * aw,) * 5 and jfr.omega == (2 * bw,) * 4
-
-    # free convolution with a point mass shifts the whole diagonal
-    jf = convolve.free(mu, da, ORDER).jacobi()
-    ok = ok and jf.alpha == tuple(x + a for x in jm.alpha) and jf.omega == jm.omega
-    ok = ok and (
-        convolve.free(da, mu, ORDER).moments(ORDER)
-        == convolve.free(mu, da, ORDER).moments(ORDER)
-    )
-    report("criterion 2: worked examples as exact coefficient identities", ok)
+@pytest.fixture(scope="module")
+def partitions():
+    return verify.suite_inputs("partitions", seed=SEED, n_max=9)
 
 
-def test_criterion_3_decomposition_identities():
-    rng = random.Random(3)
-    ok = True
-    for _ in range(20):
-        mu, nu = random_atomic_rep(rng), random_atomic_rep(rng)
-        lhs = convolve.monotone(mu, nu, ORDER).moments(ORDER)
-        rhs = convolve.boolean(convolve.orthogonal(mu, nu, ORDER), nu, ORDER).moments(ORDER)
-        ok = ok and lhs == rhs
-        free_m = convolve.free(mu, nu, ORDER).moments(ORDER)
-        sf_mn = convolve.sfree(mu, nu, ORDER)
-        sf_nm = convolve.sfree(nu, mu, ORDER)
-        ok = ok and free_m == convolve.boolean(sf_mn, sf_nm, ORDER).moments(ORDER)
-        ok = ok and free_m == convolve.monotone(mu, sf_nm, ORDER).moments(ORDER)
-        ok = ok and free_m == convolve.monotone(nu, sf_mn, ORDER).moments(ORDER)
-        for m in range(1, 6):
-            a = convolve.orthogonal_iterated(mu, nu, m, ORDER)
-            b = convolve.orthogonal_iterated(mu, nu, m + 1, ORDER)
-            upto = min(2 * m, ORDER)
-            ok = ok and a.moments(upto) == b.moments(upto)
-    report("criterion 3: decomposition identities, 20 seeded pairs, exact", ok)
+@pytest.fixture(scope="module")
+def convolutions():
+    return verify.suite_inputs("convolutions", seed=SEED)
 
 
-def test_criterion_4_combinatorial_bijections():
-    ok = True
-    for n in range(1, 10):
-        d2 = partitions.enumerate_D2(n)
-        c = partitions.enumerate_C(n)
-        ok = ok and len(d2) == len(c)
-        images = set()
-        for pi in d2:
-            tau, sigma = partitions.bijection_f(pi)
-            ok = ok and partitions.bijection_f_inverse(tau, sigma) == pi
-            images.add((tau, sigma))
-        ok = ok and images == set(c)
-        dp2 = partitions.enumerate_DP2(n)
-        fset = partitions.enumerate_F(n)
-        ok = ok and len(dp2) == len(fset)
-        images2 = set()
-        for pair in dp2:
-            m_, sigma, j = partitions.bijection_g(pair)
-            ok = ok and partitions.bijection_g_inverse(m_, sigma, j, n) == pair
-            images2.add((m_, sigma, j))
-        ok = ok and images2 == set(fset)
-
-    rng = random.Random(4)
-    mv = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(12)]
-    k = partitions.inverse_boolean_cumulant
-    mj = lambda j: mv[j - 1]
-    ok = ok and k(mv, (4,)) == mj(4)
-    ok = ok and k(mv, (2, 3)) == mj(2) * mj(3) - mj(5)
-    ok = ok and k(mv, (1, 2, 3)) == mj(1) * mj(2) * mj(3) - mj(3) * mj(3) - mj(1) * mj(5) + mj(6)
-    ok = ok and k(mv, (1, 1, 1, 2)) == (
-        mj(1) ** 3 * mj(2)
-        - mj(2) * mj(1) * mj(2)
-        - mj(1) * mj(2) * mj(2)
-        - mj(1) * mj(1) * mj(3)
-        + mj(2) * mj(3)
-        + mj(3) * mj(2)
-        + mj(1) * mj(4)
-        - mj(5)
-    )
-
-    from freeconv.series import moments_to_F
-
-    f = moments_to_F(mv[:8])
-    for n in range(1, 9):
-        ok = ok and f.coeffs[n - 1] == partitions.signed_interval_moment_sum(mv, n)
-    report("criterion 4: partition bijections and coefficient identities", ok)
+@pytest.fixture(scope="module")
+def opmodel(spent):
+    t0 = time.perf_counter()
+    inputs = verify.suite_inputs("opmodel", seed=SEED)
+    spent["operator model"] += time.perf_counter() - t0
+    return inputs
 
 
-def test_criterion_5_arcsine_benchmark():
-    bern = bernoulli_symmetric()
-    free_m = convolve.free(bern, bern, 6).moments(6)
-    ok = free_m == (F(0), F(2), F(0), F(6), F(0), F(20))
-    p2 = graphs.path_graph(2)
-    ball = graphs.free_product_ball(p2, p2, 6)
-    ok = ok and graphs.root_spectral_moments(ball, 6) == free_m
-    report("criterion 5: arcsine moments from series and graph routes", ok)
-
-
-def test_criterion_6_operator_model():
-    t0 = time.time()
-    rng = random.Random(6)
-    alpha = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)]
-    omega = [F(rng.randint(1, 3), rng.randint(1, 2)) ** 2 for _ in range(7)]
-    beta = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)]
-    gamma = [F(rng.randint(1, 3), rng.randint(1, 2)) ** 2 for _ in range(7)]
-    jmu = make_jacobi(alpha, omega)
-    jnu = make_jacobi(beta, gamma)
-    mu = MeasureRep.from_jacobi(jmu)
-    nu = MeasureRep.from_jacobi(jnu)
-    model = opmodel.FreeProductModel(jmu, jnu, factor_dim=8, depth_cap=10)
-    ok = model.exact
-
-    got = model.state_moments(model.total(), 10)
-    ok = ok and tuple(got) == convolve.free(mu, nu, 10).moments(10)
-
-    irr = make_jacobi([0, F(1, 2)], [F(2)], complete=True)
-    model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
-    got_f = model_f.state_moments(model_f.total(), 10)
-    rep_irr = MeasureRep.from_jacobi(irr)
-    want_f = convolve.free(rep_irr, rep_irr, 10).moments(10)
-    ok = ok and all(abs(g - float(w)) <= 1e-9 for g, w in zip(got_f, want_f))
-
-    got_b1 = model.state_moments(model.branch(1), 8)
-    ok = ok and tuple(got_b1) == convolve.sfree(mu, nu, 8).moments(8)
-    got_b2 = model.state_moments(model.branch(2), 8)
-    ok = ok and tuple(got_b2) == convolve.sfree(nu, mu, 8).moments(8)
-
-    checks = [
-        opmodel.orthogonality_check(
-            model.replica(1, 1), model.branch(2, 2), model.vacuum(),
-            model.word_vector(((1, 1),)), 3,
-        ),
-        opmodel.orthogonality_check(
-            model.replica(2, 1), model.branch(1, 2), model.vacuum(),
-            model.word_vector(((2, 1),)), 3,
-        ),
-    ]
-    ok = ok and all(c.ok for c in checks)
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 120
-    report("criterion 6: truncated operator model", ok, f"{elapsed:.1f}s")
-
-
-def test_criterion_7_analytic_layer():
-    ok = True
-    al, om, be, ga = F(1, 2), F(2), F(-1, 3), F(1)
-    rng = random.Random(7)
-    for _ in range(100):
-        z = complex(rng.uniform(-4, 4), rng.uniform(2, 6))
-        g = 0j
-        for k in range(400, 0, -1):
-            a_k, w_k = (al, om) if (k - 1) % 2 == 0 else (be, ga)
-            g = 1.0 / (z - float(a_k) - float(w_k) * g)
-        ok = ok and abs(g - two_periodic_G(al, om, be, ga, z)) < 1e-9
-
-    eps = 1e-6
-    alf, omf, bef, gaf = (float(x) for x in (al, om, be, ga))
-    a2 = gaf * omf
-    disc_out = (alf - bef) ** 2 + 4 * (gaf + omf + 2 * math.sqrt(a2))
-    disc_in = (alf - bef) ** 2 + 4 * (gaf + omf - 2 * math.sqrt(a2))
-    right_out = ((alf + bef) + math.sqrt(disc_out)) / 2
-    right_in = ((alf + bef) + math.sqrt(disc_in)) / 2
-    lo = right_in + 0.08 * (right_out - right_in)
-    hi = right_out - 0.08 * (right_out - right_in)
-    for i in range(60):
-        x = lo + (hi - lo) * i / 59
-        dens = -two_periodic_G(al, om, be, ga, complex(x, eps)).imag / math.pi
-        P = -gaf - omf + (x - alf) * (x - bef)
-        f = math.sqrt(max(4 * a2 - P * P, 0.0)) / (2 * math.pi * gaf * (x - alf))
-        ok = ok and abs(dens - f) < 1e-3
-
-    grid = [-3 + 6 * i / 600 for i in range(601)]
-    for x, dens in stieltjes_density(wigner(0, 1), grid, epsilon=eps):
-        ok = ok and abs(dens - math.sqrt(max(4 - x * x, 0.0)) / (2 * math.pi)) <= 1e-3
-
-    mu = two_point(F(1, 3), -1, 2)
-    w01 = wigner(0, 1)
-    for _ in range(100):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0.3, 4))
-        fn = eval_F(mu, z)
-        val = eval_F(w01, fn) - fn + z
-        ok = ok and val.imag >= z.imag - 1e-10
-
-    cfg = convolve.SubordinationEvalConfig()
-    bern = bernoulli_symmetric()
-    for z in (0.5 + 2j, -1 + 3j, 2.5j):
-        u, v = convolve.subordination_eval(mu, bern, z, cfg)
-        f1, f2 = z - v, z - u
-        lhs = eval_F(mu, f1)
-        ok = ok and abs(lhs - eval_F(bern, f2)) < 10 * cfg.tol
-        ok = ok and abs(lhs - (f1 + f2 - z)) < 10 * cfg.tol
-    report("criterion 7: analytic layer tolerances", ok)
-
-
-def test_criterion_8_chain_decomposition():
-    j = wigner(0, 1).jacobi()
-    full = wigner(0, 1)
-    ok = True
-    for m in range(1, 6):
-        num, den = convolve.chain_k_rational(j, m)
-        n_pol, m_pol = approximant_G(j, m + 1)
-        z_num = poly_sub(poly_mul([F(0), F(1)], n_pol), m_pol)
-        ok = ok and poly_eq(poly_mul(z_num, den), poly_mul(num, n_pol))
-        chain = convolve.jacobi_chain_decomposition(j, m)
-        order = max(2 * m - 1, 1)
-        acc = chain[-1]
-        for link in reversed(chain[:-1]):
-            acc = convolve.orthogonal(link, acc, order)
-        ok = ok and acc.moments(order) == full.moments(order)
-    report("criterion 8: chain links rebuild the truncated transform", ok)
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_check(name, request, spent):
+    inputs = request.getfixturevalue(verify.CHECKS[name].suite)
+    t0 = time.perf_counter()
+    result = verify.run_check(name, inputs)
+    elapsed = time.perf_counter() - t0
+    print(f"{'PASS' if result.ok else 'FAIL'} {name}" + (f"  ({result.detail})" if result.detail else ""))
+    assert result.ok, result.detail
+    group = GROUP.get(name)
+    if group is not None:
+        spent[group] += elapsed
+        assert spent[group] < BOUNDS[group], f"{group}: {spent[group]:.1f}s so far"

@@ -1,6 +1,7 @@
 import json
 import math
 
+from freeconv import verify
 from freeconv.cli import main
 
 BERNOULLI = {"type": "atoms", "atoms": [["-1", "1/2"], ["1", "1/2"]]}
@@ -92,6 +93,14 @@ class TestConvolve:
         code, out, err = run(capsys, ["convolve", "boolean", mu, nu, "--order", "4"])
         assert code == 2 and out == "" and "list" in err
 
+    def test_wigner_tail_without_both_parameters_rejected(self, tmp_path, capsys):
+        nu = write(tmp_path, "nu.json", DELTA0)
+        for tail in ({"kind": "wigner", "a": "0"}, {"kind": "wigner", "b": "1"}):
+            obj = {"type": "jacobi", "alpha": [], "omega": [], "tail": tail}
+            mu = write(tmp_path, "mu.json", obj)
+            code, out, err = run(capsys, ["convolve", "free", mu, nu, "--order", "4"])
+            assert code == 2 and out == "" and "wigner" in err
+
     def test_unknown_measure_type_exit_code(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", {"type": "gaussian"})
         nu = write(tmp_path, "nu.json", DELTA0)
@@ -147,6 +156,16 @@ class TestGraph:
         assert code == 0
         assert json.loads(out)["moments"] == ["0", "2", "0", "6", "0", "20"]
 
+    def test_free_ball_refuses_moments_beyond_its_radius(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", P2)
+        argv = ["graph", "free-ball", g, g, "--radius", "1", "--moments"]
+        code, out, err = run(capsys, argv + ["8"])
+        assert code == 2 and out == "" and "radius 1" in err
+        # 2 * radius + 1 moments are determined and agree with the arcsine law
+        code, out, _ = run(capsys, argv + ["3"])
+        assert code == 0
+        assert json.loads(out)["moments"] == ["0", "2", "0"]
+
     def test_orthogonal_matches_convolution_command(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", P2)
         code, out, _ = run(capsys, ["graph", "orthogonal", g, g, "--moments", "6"])
@@ -169,3 +188,33 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    @staticmethod
+    def stub_checks(monkeypatch):
+        """Replace every registered check by one that passes at once."""
+        for name, c in list(verify.CHECKS.items()):
+            monkeypatch.setitem(verify.CHECKS, name, verify.Check(c.suite, lambda inputs, rng: None))
+
+    def test_failed_check_prints_its_witness(self, capsys, monkeypatch):
+        self.stub_checks(monkeypatch)
+        name = "monotone-splits-into-orthogonal-then-boolean"
+
+        def broken(inputs, rng):
+            verify.expect_equal(1, 2, "pair {}", 0)
+
+        monkeypatch.setitem(verify.CHECKS, name, verify.Check("convolutions", broken))
+        code, out, err = run(capsys, ["verify", "--suite", "convolutions"])
+        lines = out.splitlines()
+        n = sum(c.suite == "convolutions" for c in verify.CHECKS.values())
+        assert code == 1
+        assert f"FAIL {name}  (seed 7, pair 0: 1 != 2)" in lines
+        assert lines[-1] == f"{n - 1}/{n} checks passed"
+        assert f"first failure: {name}" in err
+
+    def test_all_suites_print_the_registry_in_order(self, capsys, monkeypatch):
+        self.stub_checks(monkeypatch)
+        code, out, _ = run(capsys, ["verify", "--suite", "all"])
+        names = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert code == 0
+        assert names == list(verify.CHECKS)
+        assert len(names) == 54

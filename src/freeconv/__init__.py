@@ -23,7 +23,6 @@ from .measures import (
     AtomicMeasure,
     JacobiParams,
     MeasureRep,
-    MomentSequence,
     WignerTail,
     bernoulli_symmetric,
     eval_F,
@@ -45,7 +44,6 @@ __all__ = [
     "F_to_moments",
     "JacobiParams",
     "MeasureRep",
-    "MomentSequence",
     "SubordinationEvalConfig",
     "TailSeries",
     "WignerTail",

@@ -5,7 +5,9 @@ Subcommands: `convolve` (the five operations on measure files), `density`
 root moments), and `verify` (the deterministic identity suites).
 
 Exit codes: 0 success / all checks pass, 1 a verify check failed, 2 parse
-error, 3 not a moment sequence, 4 internal route mismatch, 5 domain error.
+error, 3 not a moment sequence, 4 internal route mismatch, 5 domain error,
+6 input does not determine the requested order (too few moments or
+recursion levels).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from . import convolve
 from .errors import (
     DomainError,
     FreeconvError,
+    InsufficientDepth,
     InvalidParameter,
     NotAMomentSequence,
+    OrderExceeded,
     RouteMismatch,
 )
 from .graphs import (
@@ -45,6 +49,7 @@ EXIT_PARSE = 2
 EXIT_NOT_MOMENTS = 3
 EXIT_ROUTE = 4
 EXIT_DOMAIN = 5
+EXIT_UNDETERMINED = 6
 
 
 def _load_json(path: str):
@@ -206,6 +211,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (OrderExceeded, InsufficientDepth) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
     except (InvalidParameter, FreeconvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -35,11 +35,14 @@ from .measures import (
     make_jacobi,
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
-from .polys import poly_mul, poly_scale, poly_sub, poly_add
 from .series import (
     F_to_moments,
     TailSeries,
     moments_to_F,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    poly_sub,
     sfree_pair,
     substitute_into_shifted,
 )
@@ -156,9 +159,7 @@ def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureR
     km = free_cumulants_from_moments(mu.moments(order), order)
     kn = free_cumulants_from_moments(nu.moments(order), order)
     total = tuple(a + b for a, b in zip(km, kn))
-    rep = MeasureRep.from_moments(moments_from_free_cumulants(total, order))
-    rep.jacobi_or_none()
-    return rep
+    return MeasureRep.from_moments(moments_from_free_cumulants(total, order))
 
 
 _OPS = {

@@ -3,8 +3,12 @@
 A measure enters as exact moments, as three-term recursion coefficients
 (diagonal ``alpha``, squared off-diagonal ``omega``, optionally continued
 by a constant tail), or as finitely many weighted atoms.  Conversions
-between the three are exact rational arithmetic; the continued-fraction
-evaluators at complex points are the only floating-point code here.
+between the three are exact rational arithmetic on the series and
+polynomials of :mod:`freeconv.series`: moments give recursion coefficients
+level by level through the K-transform, and the atoms of a terminated
+fraction are the roots of its approximant's denominator.  The
+continued-fraction evaluators at complex points are the only
+floating-point code here.
 
 Conventions for recursion coefficients:
 
@@ -34,7 +38,7 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .polys import poly_mul, poly_scale, poly_sub, poly_trim
+from .series import moments_to_F, poly_mul, poly_scale, poly_sub, poly_trim
 
 
 def _frac(x) -> Fraction:
@@ -48,21 +52,6 @@ def _frac(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Exact moments m1..mN (m0 = 1 implied)."""
-
-    m: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.m)
-
-
-def moment_sequence(values: Iterable) -> MomentSequence:
-    return MomentSequence(tuple(_frac(v) for v in values))
-
 
 @dataclass(frozen=True)
 class WignerTail:
@@ -206,48 +195,35 @@ def atomic_measure(pairs: Iterable) -> AtomicMeasure:
 # ---------------------------------------------------------------------------
 
 def moments_to_jacobi(moments: Sequence) -> JacobiParams:
-    """Recursion coefficients from exact moments.
+    """Recursion coefficients from exact moments, one level per step.
 
-    Runs the orthogonal-polynomial recursion with the moment inner product,
-    entirely over rationals.  A vanishing squared norm means the underlying
-    measure is finitely supported (returned finite); a negative one means
-    the input is not a moment sequence.
+    The K-transform of a measure mu is K(z) = alpha0 + omega0 * G_mu'(z),
+    where mu' is mu with its first recursion level removed.  So K's
+    coefficients in 1/z are alpha0, omega0 and omega0 times the moments of
+    mu'; each step reads alpha and omega off K = z - F and divides the rest
+    by omega to get the next level's moments, two fewer than this level's.
+    A vanishing omega means the measure is finitely supported (returned
+    finite); a negative one means the input is not a moment sequence.  An
+    omega with no following alpha is left off.
     """
-    m = [Fraction(1)] + [_frac(x) for x in moments]
-    N = len(moments)
-
-    def inner(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-        prod = poly_mul(p, q)
-        return sum((c * m[i] for i, c in enumerate(prod)), Fraction(0))
-
+    m = [_frac(x) for x in moments]
     alpha: list[Fraction] = []
     omega: list[Fraction] = []
-    p_prev: Optional[list[Fraction]] = None
-    p_cur: list[Fraction] = [Fraction(1)]
-    s_cur = Fraction(1)
     finite = False
-    while 2 * len(alpha) + 1 <= N:
-        k = len(alpha)
-        xp = [Fraction(0)] + list(p_cur)
-        alpha.append(inner(xp, p_cur) / s_cur)
-        p_next = poly_sub(xp, poly_scale(p_cur, alpha[-1]))
-        if p_prev is not None:
-            p_next = poly_sub(p_next, poly_scale(p_prev, omega[-1]))
-        if 2 * k + 2 > N:
+    while m:
+        K = [-c for c in moments_to_F(m).coeffs]
+        alpha.append(K[0])
+        if len(K) < 2:
             break
-        s_next = inner(p_next, p_next)
-        if s_next < 0:
-            raise NotAMomentSequence(f"negative squared norm at level {k + 1}")
-        if s_next == 0:
+        if K[1] < 0:
+            raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
+        if K[1] == 0:
             finite = True
             break
-        if 2 * k + 3 > N:
-            # the norm was computable (termination check) but no further
-            # diagonal entry is, so the off-diagonal entry stays unknown
+        if len(K) < 3:
             break
-        omega.append(s_next / s_cur)
-        p_prev, p_cur = p_cur, poly_trim(p_next)
-        s_cur = s_next
+        omega.append(K[1])
+        m = [c / K[1] for c in K[2:]]
     return JacobiParams(tuple(alpha), tuple(omega), None, finite)
 
 
@@ -380,15 +356,9 @@ def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
     if not j.finite:
         return None
     d = j.levels
-    # monic orthogonal polynomials; the top one vanishes exactly on the atoms
-    p_prev: Optional[list[Fraction]] = None
-    p_cur: list[Fraction] = [Fraction(1)]
-    for k in range(d):
-        nxt = poly_sub([Fraction(0)] + p_cur, poly_scale(p_cur, j.alpha[k]))
-        if p_prev is not None:
-            nxt = poly_sub(nxt, poly_scale(p_prev, j.omega[k - 1]))
-        p_prev, p_cur = p_cur, poly_trim(nxt)
-    roots = _rational_roots(p_cur)
+    # the approximant's denominator is the monic orthogonal polynomial of
+    # degree d, which vanishes exactly on the atoms
+    roots = _rational_roots(approximant_G(j, d)[1])
     if roots is None or len(set(roots)) != d:
         return None
     roots = sorted(roots)
@@ -422,9 +392,7 @@ class MeasureRep:
         if moments is None and jacobi is None and atoms is None:
             raise InvalidParameter("empty measure representation")
         self._moments: list[Fraction] = [(_frac(x)) for x in moments] if moments else []
-        self._moment_source_cap = len(self._moments) if moments is not None else None
         self._jacobi = jacobi
-        self._jacobi_attempted = jacobi is not None
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
 
@@ -445,15 +413,6 @@ class MeasureRep:
 
     # -- moments -----------------------------------------------------------
 
-    @property
-    def max_exact_order(self) -> Optional[int]:
-        """Largest exactly computable moment order (None = unlimited)."""
-        if self._atoms is not None:
-            return None
-        if self._jacobi is not None:
-            return self._jacobi.moment_cap
-        return self._moment_source_cap
-
     def moments(self, n: int) -> tuple[Fraction, ...]:
         if n <= len(self._moments):
             return tuple(self._moments[:n])
@@ -467,9 +426,6 @@ class MeasureRep:
             )
         return tuple(self._moments[:n])
 
-    def moment_sequence(self, n: int) -> MomentSequence:
-        return MomentSequence(self.moments(n))
-
     # -- conversions -------------------------------------------------------
 
     def jacobi(self) -> JacobiParams:
@@ -479,7 +435,6 @@ class MeasureRep:
             else:
                 j = moments_to_jacobi(tuple(self._moments))
             self._jacobi = j
-            self._jacobi_attempted = True
         return self._jacobi
 
     def jacobi_or_none(self) -> Optional[JacobiParams]:

@@ -144,9 +144,6 @@ class ModelOperator:
                 out[key] = out.get(key, 0) + vv * v
         return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
-    def scaled(self, s) -> "ModelOperator":
-        return ModelOperator(self.size, {k: v * s for k, v in self.entries.items()}, exact=self.exact)
-
     def apply(self, vec: dict) -> dict:
         cols: dict[int, list] = {}
         for (r, c), v in self.entries.items():

@@ -1,4 +1,5 @@
-"""Exact truncated series in w = 1/z.
+"""The package's exact coefficient kernel: truncated series in w = 1/z
+and polynomials in z, both as rational coefficient vectors.
 
 A :class:`TailSeries` stores rational coefficients c0..cN of the value
 c0 + c1/z + ... + cN/z**N.  The transforms used throughout the package
@@ -9,6 +10,12 @@ evaluators of :mod:`freeconv.measures`.
 
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
+
+The ``poly_*`` helpers work on ascending coefficient lists in z, trimmed
+of trailing zeros: the numerators and denominators of continued-fraction
+approximants and their cross-multiplication checks.  A polynomial product
+and a series product are the same Cauchy product, computed by one loop
+(:func:`_cauchy`) that stops at the requested degree.
 """
 
 from __future__ import annotations
@@ -23,6 +30,16 @@ Rational = int | Fraction
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _cauchy(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Fraction]:
+    """Coefficients 0..n of the product of two ascending coefficient vectors,
+    entries beyond either vector's end read as zero."""
+    last_a, last_b = len(a) - 1, len(b) - 1
+    return [
+        sum((a[i] * b[k - i] for i in range(max(0, k - last_b), min(k, last_a) + 1)), Fraction(0))
+        for k in range(n + 1)
+    ]
 
 
 class TailSeries:
@@ -80,12 +97,7 @@ class TailSeries:
 
     def __mul__(self, other) -> "TailSeries":
         if isinstance(other, TailSeries):
-            n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for k in range(n + 1):
-                out.append(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)))
-            return TailSeries(out)
+            return TailSeries(_cauchy(self.coeffs, other.coeffs, min(self.order, other.order)))
         return TailSeries(tuple(c * _frac(other) for c in self.coeffs))
 
     def __rmul__(self, other) -> "TailSeries":
@@ -194,3 +206,33 @@ def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
     """
     zg = TailSeries((Fraction(1),) + f.coeffs).reciprocal()
     return zg.coeffs[1:]
+
+
+def poly_trim(p: Sequence[Rational]) -> list[Fraction]:
+    out = [_frac(c) for c in p]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(a: Sequence[Rational], b: Sequence[Rational]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return poly_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def poly_sub(a: Sequence[Rational], b: Sequence[Rational]) -> list[Fraction]:
+    return poly_add(a, [-c for c in b])
+
+
+def poly_scale(a: Sequence[Rational], s: Rational) -> list[Fraction]:
+    return poly_trim([c * s for c in a])
+
+
+def poly_mul(a: Sequence[Rational], b: Sequence[Rational]) -> list[Fraction]:
+    return poly_trim(_cauchy(a, b, len(a) + len(b) - 2))
+
+
+def poly_eq(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
+    return poly_trim(a) == poly_trim(b)

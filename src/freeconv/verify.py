@@ -38,8 +38,7 @@ from .measures import (
     two_point,
     wigner,
 )
-from .polys import poly_eq, poly_mul, poly_sub
-from .series import TailSeries, moments_to_F
+from .series import TailSeries, moments_to_F, poly_eq, poly_mul, poly_sub
 
 SUITES = ("partitions", "convolutions", "opmodel")
 ORDER = 10  # moment order of the convolution suite

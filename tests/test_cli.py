@@ -107,6 +107,19 @@ class TestConvolve:
         code, _, _ = run(capsys, ["convolve", "free", mu, nu])
         assert code == 2
 
+    def test_too_few_moments_exit_code(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.json", {"type": "moments", "m": ["0", "1", "0", "2"]})
+        nu = write(tmp_path, "nu.json", DELTA0)
+        code, out, err = run(capsys, ["convolve", "free", mu, nu, "--order", "10"])
+        assert code == 6 and out == "" and "4 moments available" in err
+
+    def test_too_few_recursion_levels_exit_code(self, tmp_path, capsys):
+        obj = {"type": "jacobi", "alpha": ["0", "1"], "omega": ["1"], "tail": {"kind": "truncate"}}
+        mu = write(tmp_path, "mu.json", obj)
+        nu = write(tmp_path, "nu.json", DELTA0)
+        code, out, err = run(capsys, ["convolve", "free", mu, nu, "--order", "10"])
+        assert code == 6 and out == "" and "2 levels" in err
+
 
 class TestDensity:
     def test_semicircle_grid(self, tmp_path, capsys):

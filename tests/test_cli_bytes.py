@@ -1,0 +1,97 @@
+"""`convolve` stdout pinned byte for byte against committed expected files.
+
+Each case runs one operation at one order on five input pairs that cover
+every measure form: atoms, moments, recursion coefficients with a wigner
+tail, and truncated recursion coefficients, plus a point mass at 0 so that
+the finite-support path and the atom output run too.  The expected files
+in ``tests/cli_expected/`` hold the concatenated stdout of the pairs, so a
+changed rational fails on its own line.
+
+To regenerate after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_cli_bytes.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from freeconv.cli import main
+
+EXPECTED_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_expected")
+
+MEASURES = {
+    "atoms": {"type": "atoms", "atoms": [["-1", "1/3"], ["1/2", "1/2"], ["2", "1/6"]]},
+    # the uniform measure on [0, 1]
+    "moments": {"type": "moments", "m": [f"1/{n + 1}" for n in range(1, 25)]},
+    "wigner": {
+        "type": "jacobi",
+        "alpha": ["1/2", "-1"],
+        "omega": ["1/3"],
+        "tail": {"kind": "wigner", "a": "0", "b": "1"},
+    },
+    # 13 levels: exact moments up to order 25
+    "truncated": {
+        "type": "jacobi",
+        "alpha": [f"{(-1) ** k}/{k + 2}" for k in range(13)],
+        "omega": [f"{k + 1}/{k + 3}" for k in range(12)],
+        "tail": {"kind": "truncate"},
+    },
+    # the identity of every operation on the right: the output carries atoms
+    "delta": {"type": "atoms", "atoms": [["0", "1"]]},
+}
+PAIRS = (
+    ("atoms", "moments"),
+    ("moments", "wigner"),
+    ("wigner", "truncated"),
+    ("truncated", "atoms"),
+    ("atoms", "delta"),
+)
+OPS = ("free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter")
+ORDERS = (10, 24)
+CASES = [(op, order) for op in OPS for order in ORDERS]
+
+
+def expected_path(op, order):
+    return os.path.join(EXPECTED_DIR, f"{op}-{order}.txt")
+
+
+def render(op, order, directory):
+    """Concatenated stdout of all pairs, each under a header line."""
+    paths = {}
+    for name, obj in MEASURES.items():
+        paths[name] = os.path.join(directory, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    out = []
+    for mu, nu in PAIRS:
+        argv = ["convolve", op, paths[mu], paths[nu], "--order", str(order)]
+        if op == "orthogonal-iter":
+            argv += ["--iterations", "3"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, f"{op} {mu} {nu} at order {order} exited {code}"
+        out.append(f"# {op} {mu} {nu} --order {order}\n{buf.getvalue()}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("op,order", CASES, ids=[f"{op}-{order}" for op, order in CASES])
+def test_convolve_stdout_matches_expected_file(op, order, tmp_path):
+    got = render(op, order, str(tmp_path))
+    with open(expected_path(op, order), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert got.splitlines() == expected.splitlines()
+    assert got == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(EXPECTED_DIR, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for op, order in CASES:
+            with open(expected_path(op, order), "w", encoding="utf-8") as fh:
+                fh.write(render(op, order, tmp))

@@ -16,7 +16,7 @@ from freeconv.measures import (
     WignerTail,
 )
 from freeconv.partitions import free_cumulants_from_moments, orthogonal_moment_combinatorial
-from freeconv.polys import poly_eq, poly_mul, poly_sub
+from freeconv.series import poly_eq, poly_mul, poly_sub
 from freeconv.measures import approximant_G
 
 

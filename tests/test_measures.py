@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from freeconv.convolve import free
 from freeconv.errors import (
     DomainError,
     EmptyJacobi,
@@ -37,6 +38,7 @@ from freeconv.measures import (
     two_point,
     wigner,
 )
+from freeconv.series import poly_mul, poly_scale, poly_sub, poly_trim
 
 
 class TestMomentsToJacobi:
@@ -58,6 +60,87 @@ class TestMomentsToJacobi:
     def test_rejects_non_moment_sequence(self):
         with pytest.raises(NotAMomentSequence):
             moments_to_jacobi([0, -1])
+
+
+def inner_product_jacobi(moments):
+    """Reference: the orthogonal-polynomial recursion with the moment inner
+    product, a separate algorithm for the coefficients moments_to_jacobi
+    reads off the K-series."""
+    m = [F(1)] + [F(x) for x in moments]
+    N = len(moments)
+
+    def inner(p, q):
+        return sum((c * m[i] for i, c in enumerate(poly_mul(p, q))), F(0))
+
+    alpha, omega = [], []
+    p_prev, p_cur, s_cur = None, [F(1)], F(1)
+    finite = False
+    while 2 * len(alpha) + 1 <= N:
+        k = len(alpha)
+        xp = [F(0)] + list(p_cur)
+        alpha.append(inner(xp, p_cur) / s_cur)
+        p_next = poly_sub(xp, poly_scale(p_cur, alpha[-1]))
+        if p_prev is not None:
+            p_next = poly_sub(p_next, poly_scale(p_prev, omega[-1]))
+        if 2 * k + 2 > N:
+            break
+        s_next = inner(p_next, p_next)
+        if s_next < 0:
+            raise NotAMomentSequence(f"negative squared norm at level {k + 1}")
+        if s_next == 0:
+            finite = True
+            break
+        if 2 * k + 3 > N:
+            break
+        omega.append(s_next / s_cur)
+        p_prev, p_cur = p_cur, poly_trim(p_next)
+        s_cur = s_next
+    return JacobiParams(tuple(alpha), tuple(omega), None, finite)
+
+
+def outcome(fn, moments):
+    try:
+        return fn(moments)
+    except NotAMomentSequence as exc:
+        return f"NotAMomentSequence: {exc}"
+
+
+def random_atomic(rng, k):
+    locs = set()
+    while len(locs) < k:
+        locs.add(F(rng.randint(-6, 6), rng.randint(1, 3)))
+    weights = [rng.randint(1, 4) for _ in range(k)]
+    return MeasureRep.from_atoms([(l, F(w, sum(weights))) for l, w in zip(sorted(locs), weights)])
+
+
+class TestMomentsToJacobiAgainstInnerProducts:
+    def test_random_rational_lists(self):
+        # every other list is a perturbed moment sequence, so that the
+        # negative norm also turns up past the first levels
+        rng = random.Random(35)
+        for i in range(300):
+            n = rng.randint(0, 14)
+            if i % 2 or n == 0:
+                m = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            else:
+                m = list(random_atomic(rng, 8).moments(n))
+                m[rng.randrange(n)] += F(rng.randint(-3, 3), rng.randint(1, 9))
+            assert outcome(moments_to_jacobi, m) == outcome(inner_product_jacobi, m), m
+
+    def test_atomic_measures_at_every_length(self):
+        rng = random.Random(36)
+        for k in range(1, 6):
+            m = random_atomic(rng, k).moments(2 * k + 3)
+            for n in range(len(m) + 1):
+                got = moments_to_jacobi(m[:n])
+                assert got == inner_product_jacobi(m[:n]), (k, n)
+                assert got.finite == (n >= 2 * k)
+
+    def test_free_outputs_at_order_24(self):
+        rng = random.Random(37)
+        for k, l in ((2, 3), (3, 1)):
+            m = free(random_atomic(rng, k), random_atomic(rng, l), 24).moments(24)
+            assert moments_to_jacobi(m) == inner_product_jacobi(m)
 
 
 class TestJacobiToMoments:

@@ -3,12 +3,12 @@
 A measure enters as exact moments, as three-term recursion coefficients
 (diagonal ``alpha``, squared off-diagonal ``omega``, optionally continued
 by a constant tail), or as finitely many weighted atoms.  Conversions
-between the three are exact rational arithmetic on the series and
-polynomials of :mod:`freeconv.series`: moments give recursion coefficients
-level by level through the K-transform, and the atoms of a terminated
-fraction are the roots of its approximant's denominator.  The
-continued-fraction evaluators at complex points are the only
-floating-point code here.
+between the three are exact rational arithmetic.  Moments give recursion
+coefficients by Gautschi's Chebyshev algorithm on the mixed moments
+<p_k, x^l>, which stops at a zero squared norm (a finite measure) and
+rejects a negative one; the atoms of a terminated fraction are the roots
+of its approximant's denominator.  The continued-fraction evaluators at
+complex points are the only floating-point code here.
 
 Conventions for recursion coefficients:
 
@@ -38,7 +38,7 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .series import moments_to_F, poly_mul, poly_scale, poly_sub, poly_trim
+from .series import poly_mul, poly_scale, poly_sub, poly_trim
 
 
 def _frac(x) -> Fraction:
@@ -195,35 +195,34 @@ def atomic_measure(pairs: Iterable) -> AtomicMeasure:
 # ---------------------------------------------------------------------------
 
 def moments_to_jacobi(moments: Sequence) -> JacobiParams:
-    """Recursion coefficients from exact moments, one level per step.
+    """Recursion coefficients from exact moments by Gautschi's Chebyshev algorithm.
 
-    The K-transform of a measure mu is K(z) = alpha0 + omega0 * G_mu'(z),
-    where mu' is mu with its first recursion level removed.  So K's
-    coefficients in 1/z are alpha0, omega0 and omega0 times the moments of
-    mu'; each step reads alpha and omega off K = z - F and divides the rest
-    by omega to get the next level's moments, two fewer than this level's.
-    A vanishing omega means the measure is finitely supported (returned
-    finite); a negative one means the input is not a moment sequence.  An
+    It runs the mixed moments s[k][l] = <p_k, x^l> of the monic orthogonal
+    polynomials from s[0][l] = m_l (m_0 = 1), O(N^2) work on two rows:
+        s[k+1][l] = s[k][l+1] - alpha_k s[k][l] - omega_{k-1} s[k-1][l]
+        omega_k = s[k+1][k+1] / s[k][k]
+        alpha_{k+1} = s[k+1][k+2] / s[k+1][k+1] - s[k][k+1] / s[k][k]
+    A zero squared norm s[k+1][k+1] means a finitely supported measure
+    (returned finite), a negative one raises NotAMomentSequence, and an
     omega with no following alpha is left off.
     """
-    m = [_frac(x) for x in moments]
-    alpha: list[Fraction] = []
-    omega: list[Fraction] = []
-    finite = False
-    while m:
-        K = [-c for c in moments_to_F(m).coeffs]
-        alpha.append(K[0])
-        if len(K) < 2:
-            break
-        if K[1] < 0:
+    m = [Fraction(1)] + [_frac(x) for x in moments]
+    n = len(m) - 1
+    alpha, omega, finite = m[1:2], [], False
+    prev, cur = [Fraction(0)] * (n + 1), m
+    for k in range(n // 2):
+        w = omega[-1] if omega else 0
+        nxt = [Fraction(0)] * (k + 1) + [
+            cur[l + 1] - alpha[k] * cur[l] - w * prev[l] for l in range(k + 1, n - k)
+        ]
+        if nxt[k + 1] < 0:
             raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
-        if K[1] == 0:
-            finite = True
+        finite = nxt[k + 1] == 0
+        if finite or 2 * k + 3 > n:
             break
-        if len(K) < 3:
-            break
-        omega.append(K[1])
-        m = [c / K[1] for c in K[2:]]
+        omega.append(nxt[k + 1] / cur[k])
+        alpha.append(nxt[k + 2] / nxt[k + 1] - cur[k + 1] / cur[k])
+        prev, cur = cur, nxt
     return JacobiParams(tuple(alpha), tuple(omega), None, finite)
 
 

@@ -3,9 +3,9 @@
 Every check is a function registered under its suite by `@check(suite)`;
 its name, as printed, is the function name with `_` turned into `-`.  A
 check states its cases with `expect`, which raises `CheckFailed` with a
-witness naming the first case that does not hold; `run_check` turns that
-into a failed `CheckResult`.  Exact checks compare rationals for equality;
-the few analytic checks carry explicit tolerances.
+witness naming the first case that does not hold; `run_check` turns that,
+or any other package error, into a failed `CheckResult`.  Exact checks
+compare rationals; the few analytic checks carry explicit tolerances.
 
 Suites are pure functions of their seed.  The inputs that several checks
 share are drawn once per suite run from `random.Random(seed)`; a check
@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from . import convolve, graphs, opmodel, partitions
+from . import convolve, errors, graphs, opmodel, partitions
 from .measures import (
     JacobiParams,
     MeasureRep,
@@ -110,8 +110,9 @@ def run_check(name: str, inputs: SimpleNamespace) -> CheckResult:
     """Run one registered check on its suite's shared inputs."""
     try:
         detail = CHECKS[name].fn(inputs, random.Random(f"{inputs.seed}:{name}"))
-    except CheckFailed as exc:
-        return CheckResult(name, False, f"seed {inputs.seed}, {exc}")
+    except (CheckFailed, errors.FreeconvError) as exc:
+        raised = "" if isinstance(exc, CheckFailed) else f"raised {type(exc).__name__}: "
+        return CheckResult(name, False, f"seed {inputs.seed}, {raised}{exc}")
     return CheckResult(name, True, detail or "")
 
 

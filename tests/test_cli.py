@@ -1,7 +1,9 @@
+import functools
 import json
 import math
+import time
 
-from freeconv import verify
+from freeconv import convolve, verify
 from freeconv.cli import main
 
 BERNOULLI = {"type": "atoms", "atoms": [["-1", "1/2"], ["1", "1/2"]]}
@@ -121,6 +123,23 @@ class TestConvolve:
         assert code == 6 and out == "" and "2 levels" in err
 
 
+class TestEmissionSpeed:
+    def test_free_at_order_60_emits_within_bound(self, tmp_path, capsys):
+        # the recursion coefficients emitted with the 60 moments cost O(N^2):
+        # on a 2-core machine under Python 3.11 the run takes about 1.2 s,
+        # where peeling one K-series reciprocal per level took about 15 s
+        mu = {"type": "atoms", "atoms": [["-2", "1/6"], ["-3/2", "1/12"], ["-1/2", "1/2"], ["1/2", "1/4"]]}
+        nu = {"type": "atoms", "atoms": [["-3", "5/12"], ["-1", "1/3"], ["1", "1/4"]]}
+        argv = ["convolve", "free", write(tmp_path, "mu.json", mu), write(tmp_path, "nu.json", nu)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv + ["--order", "60"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["m"]) == 60 and len(obj["jacobi"]["alpha"]) == 30
+        assert elapsed < 5.0, elapsed
+
+
 class TestDensity:
     def test_semicircle_grid(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", WIGNER01)
@@ -221,6 +240,26 @@ class TestVerify:
         n = sum(c.suite == "convolutions" for c in verify.CHECKS.values())
         assert code == 1
         assert f"FAIL {name}  (seed 7, pair 0: 1 != 2)" in lines
+        assert lines[-1] == f"{n - 1}/{n} checks passed"
+        assert f"first failure: {name}" in err
+
+    def test_check_raising_a_package_error_fails_alone(self, capsys, monkeypatch):
+        # the subordination check runs for real, with an iteration cap of 1,
+        # so subordination_eval raises NoConvergence inside it
+        name = "subordination-fixed-point-system"
+        real = verify.CHECKS[name]
+        self.stub_checks(monkeypatch)
+        monkeypatch.setitem(verify.CHECKS, name, real)
+        one_step = functools.partial(convolve.SubordinationEvalConfig, max_iter=1)
+        monkeypatch.setattr(convolve, "SubordinationEvalConfig", one_step)
+        code, out, err = run(capsys, ["verify", "--suite", "convolutions"])
+        lines = out.splitlines()
+        n = sum(c.suite == "convolutions" for c in verify.CHECKS.values())
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"FAIL {name}  (seed 7, raised NoConvergence: no convergence within 1 ")
+        assert sum(line.startswith("PASS ") for line in lines) == n - 1
         assert lines[-1] == f"{n - 1}/{n} checks passed"
         assert f"first failure: {name}" in err
 

@@ -38,7 +38,7 @@ from freeconv.measures import (
     two_point,
     wigner,
 )
-from freeconv.series import poly_mul, poly_scale, poly_sub, poly_trim
+from freeconv.series import moments_to_F, poly_mul, poly_scale, poly_sub, poly_trim
 
 
 class TestMomentsToJacobi:
@@ -65,7 +65,7 @@ class TestMomentsToJacobi:
 def inner_product_jacobi(moments):
     """Reference: the orthogonal-polynomial recursion with the moment inner
     product, a separate algorithm for the coefficients moments_to_jacobi
-    reads off the K-series."""
+    computes from mixed moments."""
     m = [F(1)] + [F(x) for x in moments]
     N = len(moments)
 
@@ -141,6 +141,61 @@ class TestMomentsToJacobiAgainstInnerProducts:
         for k, l in ((2, 3), (3, 1)):
             m = free(random_atomic(rng, k), random_atomic(rng, l), 24).moments(24)
             assert moments_to_jacobi(m) == inner_product_jacobi(m)
+
+
+def kseries_peel_jacobi(moments):
+    """Reference: read the coefficients off the K-series level by level.
+
+    K(z) = alpha0 + omega0 * G_mu'(z), where mu' is mu with its first
+    recursion level removed, so K's coefficients in 1/z are alpha0, omega0
+    and omega0 times the moments of mu'; each step reads alpha and omega off
+    K = z - F and divides the rest by omega to get the next level's moments.
+    """
+    m = [F(x) for x in moments]
+    alpha, omega = [], []
+    finite = False
+    while m:
+        K = [-c for c in moments_to_F(m).coeffs]
+        alpha.append(K[0])
+        if len(K) < 2:
+            break
+        if K[1] < 0:
+            raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
+        if K[1] == 0:
+            finite = True
+            break
+        if len(K) < 3:
+            break
+        omega.append(K[1])
+        m = [c / K[1] for c in K[2:]]
+    return JacobiParams(tuple(alpha), tuple(omega), None, finite)
+
+
+def seeded_moment_lists():
+    """The lists of TestMomentsToJacobiAgainstInnerProducts: 300 seeded
+    rational lists, half of them perturbed moment sequences, then every
+    prefix of random atomic moment sequences."""
+    rng = random.Random(35)
+    for i in range(300):
+        n = rng.randint(0, 14)
+        if i % 2 or n == 0:
+            yield [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        else:
+            m = list(random_atomic(rng, 8).moments(n))
+            m[rng.randrange(n)] += F(rng.randint(-3, 3), rng.randint(1, 9))
+            yield m
+    rng = random.Random(36)
+    for k in range(1, 6):
+        m = random_atomic(rng, k).moments(2 * k + 3)
+        for n in range(len(m) + 1):
+            yield list(m[:n])
+
+
+class TestMomentsToJacobiAgainstKSeriesPeel:
+    def test_three_algorithms_agree(self):
+        for m in seeded_moment_lists():
+            got = outcome(moments_to_jacobi, m)
+            assert got == outcome(inner_product_jacobi, m) == outcome(kseries_peel_jacobi, m), m
 
 
 class TestJacobiToMoments:

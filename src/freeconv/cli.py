@@ -103,6 +103,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    for flag, value in (("--moments", args.moments), ("--radius", args.radius)):
+        if value < 1:
+            raise InvalidParameter(f"{flag} must be >= 1, got {value}")
     g1 = parse_graph(_load_json(args.g1))
     g2 = parse_graph(_load_json(args.g2))
     if args.op == "star":
@@ -131,6 +134,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise InvalidParameter(f"--n-max must be >= 1, got {args.n_max}")
     results = run_suites(args.suite, n_max=args.n_max, seed=args.seed)
     failed = [r for r in results if not r.ok]
     for r in results:

@@ -134,9 +134,7 @@ class ModelOperator:
         return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
-        cols: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
+        cols = self.columns()
         out: dict = {}
         for (r, c), v in other.entries.items():
             for rr, vv in cols.get(r, ()):
@@ -144,15 +142,15 @@ class ModelOperator:
                 out[key] = out.get(key, 0) + vv * v
         return ModelOperator(self.size, out, exact=self.exact and other.exact)
 
-    def apply(self, vec: dict) -> dict:
+    def columns(self) -> dict[int, list]:
+        """Column index c -> [(r, value), ...] in entry order, built anew."""
         cols: dict[int, list] = {}
         for (r, c), v in self.entries.items():
             cols.setdefault(c, []).append((r, v))
-        out: dict = {}
-        for c, x in vec.items():
-            for r, v in cols.get(c, ()):
-                out[r] = out.get(r, 0) + v * x
-        return {k: v for k, v in out.items() if v != 0}
+        return cols
+
+    def apply(self, vec: dict) -> dict:
+        return apply_columns(self.columns(), vec)
 
     def compress(self, keep: frozenset[int]) -> "ModelOperator":
         out = {k: v for k, v in self.entries.items() if k[0] in keep and k[1] in keep}
@@ -179,6 +177,15 @@ class ModelOperator:
             elif abs(a - b) > tol:
                 return False
         return True
+
+
+def apply_columns(cols: dict[int, list], vec: dict) -> dict:
+    """The operator with column index `cols` applied to a sparse vector."""
+    out: dict = {}
+    for c, x in vec.items():
+        for r, v in cols.get(c, ()):
+            out[r] = out.get(r, 0) + v * x
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def vec_dot(u: dict, v: dict):
@@ -248,9 +255,7 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
     d = basis.dims[factor - 1]
     if a.size != d:
         raise InvalidParameter(f"factor operator must be {d}-dimensional")
-    cols: dict[int, list] = {}
-    for (r, c), v in a.entries.items():
-        cols.setdefault(c, []).append((r, v))
+    cols = a.columns()
     entries: dict = {}
     for ci, w in enumerate(basis.words):
         if w and w[0][0] == factor:
@@ -360,10 +365,11 @@ class FreeProductModel:
         if vec is None:
             vec = self.vacuum()
         norm = vec_dot(vec, vec)
+        cols = op.columns()
         out = []
         cur = vec
         for _ in range(n_max):
-            cur = op.apply(cur)
+            cur = apply_columns(cols, cur)
             out.append(vec_dot(cur, vec) / norm)
         return out
 
@@ -402,7 +408,12 @@ def orthogonality_check(
     `a` on both sides of a power of `b` and arbitrary monomials w1, w2 in
     a, b outside, the first-state expectation factors through the second
     state's value on the middle power.  Violations are reported, not
-    raised.
+    raised, in a fixed order: (i) by p, q; (ii) by w2, q, s, p, w1, with
+    words in length-lexicographic order.
+
+    Each operator's column index is built once and the power chains are
+    shared: a^k w2 xi once per w2, the b-chain once per q, the a-chain
+    once per s; phi(w1 a^p) and <a^(p+q) w2 xi, w1> once per argument pair.
     """
     exact = a.exact and b.exact
     if tol is None:
@@ -413,9 +424,16 @@ def orthogonality_check(
             return x == y
         return abs(x - y) <= tol
 
-    ops = {"a": a, "b": b}
+    cols = {"a": a.columns(), "b": b.columns()}
     n_xi = vec_dot(xi, xi)
     n_eta = vec_dot(eta, eta)
+
+    def chain(letter: str, vec: dict, n: int) -> list[dict]:
+        """[vec, op vec, ..., op^n vec] for the operator named `letter`."""
+        out = [vec]
+        for _ in range(n):
+            out.append(apply_columns(cols[letter], out[-1]))
+        return out
 
     words: list[tuple[str, ...]] = [()]
     frontier: list[tuple[str, ...]] = [()]
@@ -427,61 +445,53 @@ def orthogonality_check(
         words.extend(nxt)
         frontier = nxt
 
-    def apply_word(word: tuple[str, ...], vec: dict) -> dict:
-        for letter in reversed(word):
-            vec = ops[letter].apply(vec)
-        return vec
+    # suffix[w] = w applied to xi; words come shortest first, so the suffix
+    # w[1:] is always ready.  Operators are symmetric and the words closed
+    # under reversal, so the reversed left word gives the bra side.
+    suffix = {(): xi}
+    for w in words[1:]:
+        suffix[w] = apply_columns(cols[w[0]], suffix[w[1:]])
+    lefts = {w: suffix[w[::-1]] for w in words}
 
-    # suffix[w] = w applied to xi; operators are symmetric so the same cache,
-    # applied to the reversed left word, gives the bra side.
-    suffix = {w: apply_word(w, xi) for w in words}
-    lefts = {w: apply_word(tuple(reversed(w)), xi) for w in words}
-
-    a_pow: list[dict] = [xi]
-    for _ in range(2 * n_max):
-        a_pow.append(a.apply(a_pow[-1]))
-
-    psi_b: list = [1]
-    cur = eta
-    for _ in range(n_max):
-        cur = b.apply(cur)
-        psi_b.append(vec_dot(cur, eta) / n_eta)
+    a_pow = chain("a", xi, 2 * n_max)
+    psi_b = [1] + [vec_dot(v, eta) / n_eta for v in chain("b", eta, n_max)[1:]]
+    phi_w1a = {
+        (p, w1): vec_dot(a_pow[p], lefts[w1]) / n_xi
+        for p in range(1, n_max + 1)
+        for w1 in words
+    }
 
     violations: list[str] = []
     checked = 0
 
-    # condition (i)
+    # condition (i): ab[q][p] = a^p b^q xi, ba[p][q] = b^q a^p xi
+    ab = [None] + [chain("a", v, n_max) for v in chain("b", xi, n_max)[1:]]
+    ba = [None] + [chain("b", v, n_max) for v in a_pow[1 : n_max + 1]]
     for p in range(1, n_max + 1):
         for q in range(1, n_max + 1):
-            vec = apply_word(("a",) * p + ("b",) * q, xi)
-            val = vec_dot(vec, xi) / n_xi
-            checked += 1
-            if not close(val, 0):
-                violations.append(f"phi(a^{p} b^{q}) = {val}")
-            vec = apply_word(("b",) * q + ("a",) * p, xi)
-            val = vec_dot(vec, xi) / n_xi
-            checked += 1
-            if not close(val, 0):
-                violations.append(f"phi(b^{q} a^{p}) = {val}")
+            for label, vec in ((f"a^{p} b^{q}", ab[q][p]), (f"b^{q} a^{p}", ba[p][q])):
+                val = vec_dot(vec, xi) / n_xi
+                checked += 1
+                if not close(val, 0):
+                    violations.append(f"phi({label}) = {val}")
 
     # condition (ii)
     for w2 in words:
-        base = suffix[w2]
+        a_w2 = chain("a", suffix[w2], 2 * n_max)
+        plain = {
+            (k, w1): vec_dot(a_w2[k], lefts[w1]) / n_xi
+            for k in range(2, 2 * n_max + 1)
+            for w1 in words
+        }
         for q in range(1, n_max + 1):
-            v_q = apply_word(("a",) * q, base)
-            phi_a2w2 = vec_dot(v_q, xi) / n_xi
+            phi_a2w2 = vec_dot(a_w2[q], xi) / n_xi
+            b_chain = chain("b", a_w2[q], n_max)
             for s in range(1, n_max + 1):
-                v_s = apply_word(("b",) * s, v_q)
+                a_chain = chain("a", b_chain[s], n_max)
                 for p in range(1, n_max + 1):
-                    v_p = apply_word(("a",) * p, v_s)
-                    v_plain = a_pow[p + q] if w2 == () else apply_word(("a",) * (p + q), base)
                     for w1 in words:
-                        bra = lefts[w1]
-                        lhs = vec_dot(v_p, bra) / n_xi
-                        phi_w1a1 = vec_dot(a_pow[p], bra) / n_xi
-                        rhs = psi_b[s] * (
-                            vec_dot(v_plain, bra) / n_xi - phi_w1a1 * phi_a2w2
-                        )
+                        lhs = vec_dot(a_chain[p], lefts[w1]) / n_xi
+                        rhs = psi_b[s] * (plain[p + q, w1] - phi_w1a[p, w1] * phi_a2w2)
                         checked += 1
                         if not close(lhs, rhs):
                             violations.append(

@@ -3,6 +3,8 @@ import json
 import math
 import time
 
+import pytest
+
 from freeconv import convolve, verify
 from freeconv.cli import main
 
@@ -208,6 +210,17 @@ class TestGraph:
         assert code == 0
         assert json.loads(out2)["m"] == graph_moments
 
+    @pytest.mark.parametrize(
+        "op, flag, value",
+        [("star", "--moments", "-4"), ("free-ball", "--moments", "0"),
+         ("free-ball", "--radius", "-1"), ("free-ball", "--radius", "0")],
+    )
+    def test_out_of_range_argument_is_named(self, tmp_path, capsys, op, flag, value):
+        g = write(tmp_path, "g.json", P2)
+        code, out, err = run(capsys, ["graph", op, g, g, flag, value])
+        assert code == 2 and out == ""
+        assert f"{flag} must be >= 1, got {value}" in err
+
     def test_bad_graph_exit_code(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", {"vertices": 2, "root": 9, "edges": []})
         code, _, _ = run(capsys, ["graph", "star", g, g])
@@ -220,6 +233,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_rejected(self, capsys, n_max):
+        # every range the partition checks loop over would be empty
+        code, out, err = run(capsys, ["verify", "--suite", "partitions", "--n-max", n_max])
+        assert code == 2 and out == ""
+        assert f"--n-max must be >= 1, got {n_max}" in err
 
     @staticmethod
     def stub_checks(monkeypatch):

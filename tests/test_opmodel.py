@@ -1,9 +1,12 @@
+import hashlib
 import random
+import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from freeconv import convolve, opmodel
+from freeconv import convolve, opmodel, verify
 from freeconv.errors import DepthExceeded, InsufficientDepth
 from freeconv.measures import (
     MeasureRep,
@@ -239,3 +242,174 @@ class TestOrthogonalityCheck:
         )
         assert not rep.ok
         assert rep.violations
+
+
+def orthogonality_check_reference(a, b, xi, eta, n_max, tol=None):
+    """The orthogonality check as first written: every monomial is applied
+    from scratch, one `ModelOperator.apply` per letter.  Kept as the
+    reference for the shared-chain version."""
+    exact = a.exact and b.exact
+    if tol is None:
+        tol = 0.0 if exact else opmodel.FLOAT_TOL
+
+    def close(x, y) -> bool:
+        if exact:
+            return x == y
+        return abs(x - y) <= tol
+
+    ops = {"a": a, "b": b}
+    n_xi = opmodel.vec_dot(xi, xi)
+    n_eta = opmodel.vec_dot(eta, eta)
+
+    words = [()]
+    frontier = [()]
+    for _ in range(n_max):
+        nxt = []
+        for w in frontier:
+            for letter in ("a", "b"):
+                nxt.append(w + (letter,))
+        words.extend(nxt)
+        frontier = nxt
+
+    def apply_word(word, vec):
+        for letter in reversed(word):
+            vec = ops[letter].apply(vec)
+        return vec
+
+    suffix = {w: apply_word(w, xi) for w in words}
+    lefts = {w: apply_word(tuple(reversed(w)), xi) for w in words}
+
+    a_pow = [xi]
+    for _ in range(2 * n_max):
+        a_pow.append(a.apply(a_pow[-1]))
+
+    psi_b = [1]
+    cur = eta
+    for _ in range(n_max):
+        cur = b.apply(cur)
+        psi_b.append(opmodel.vec_dot(cur, eta) / n_eta)
+
+    violations = []
+    checked = 0
+
+    for p in range(1, n_max + 1):
+        for q in range(1, n_max + 1):
+            vec = apply_word(("a",) * p + ("b",) * q, xi)
+            val = opmodel.vec_dot(vec, xi) / n_xi
+            checked += 1
+            if not close(val, 0):
+                violations.append(f"phi(a^{p} b^{q}) = {val}")
+            vec = apply_word(("b",) * q + ("a",) * p, xi)
+            val = opmodel.vec_dot(vec, xi) / n_xi
+            checked += 1
+            if not close(val, 0):
+                violations.append(f"phi(b^{q} a^{p}) = {val}")
+
+    for w2 in words:
+        base = suffix[w2]
+        for q in range(1, n_max + 1):
+            v_q = apply_word(("a",) * q, base)
+            phi_a2w2 = opmodel.vec_dot(v_q, xi) / n_xi
+            for s in range(1, n_max + 1):
+                v_s = apply_word(("b",) * s, v_q)
+                for p in range(1, n_max + 1):
+                    v_p = apply_word(("a",) * p, v_s)
+                    v_plain = a_pow[p + q] if w2 == () else apply_word(("a",) * (p + q), base)
+                    for w1 in words:
+                        bra = lefts[w1]
+                        lhs = opmodel.vec_dot(v_p, bra) / n_xi
+                        phi_w1a1 = opmodel.vec_dot(a_pow[p], bra) / n_xi
+                        rhs = psi_b[s] * (
+                            opmodel.vec_dot(v_plain, bra) / n_xi - phi_w1a1 * phi_a2w2
+                        )
+                        checked += 1
+                        if not close(lhs, rhs):
+                            violations.append(
+                                "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
+                                % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", lhs, rhs)
+                            )
+    return opmodel.OrthogonalityReport(not violations, checked, violations, None if exact else tol)
+
+
+def recorded_orthogonality_checks(names, inputs, run=True):
+    """((a, b, xi, eta, n_max), report) of every orthogonality check that
+    the named verify checks make on `inputs`.  With `run=False` only the
+    arguments are recorded, and each check is answered by a clean report."""
+    calls = []
+    real = opmodel.orthogonality_check
+
+    def record(*args):
+        report = real(*args) if run else opmodel.OrthogonalityReport(True, 0, [], None)
+        calls.append((args, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(opmodel, "orthogonality_check", record)
+        for name in names:
+            verify.run_check(name, inputs)
+    return calls
+
+
+REFERENCE_CASES = (
+    ["x1-x2"]
+    + [f"replica-branch-{i}" for i in range(1, 7)]
+    + ["tensor-path3-path2", "float-x1-x2", "float-replica-branch"]
+)
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    # the verify model's random factors, on a smaller word space
+    rng = random.Random(7)
+    jmu = verify.random_square_omega_jacobi(rng)
+    jnu = verify.random_square_omega_jacobi(rng)
+    model = opmodel.FreeProductModel(jmu, jnu, factor_dim=4, depth_cap=6)
+    names = [
+        "generic-free-pair-fails-orthogonality",
+        "replica-branch-pairs-pass-orthogonality",
+        "tensor-pair-of-graphs-passes-orthogonality",
+    ]
+    calls = recorded_orthogonality_checks(names, SimpleNamespace(seed=7, model=model), run=False)
+    cases = [args[:4] for args, _ in calls]
+    # irrational off-diagonal entries: float operators, so the tol path runs
+    irr = make_jacobi([0, 0], [F(2)])
+    model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+    word = model_f.word_vector(((1, 1),))
+    cases.append((model_f.x1, model_f.x2, model_f.vacuum(), word))
+    cases.append((model_f.replica(1, 1), model_f.branch(2, 2), model_f.vacuum(), word))
+    assert len(cases) == len(REFERENCE_CASES)
+    return dict(zip(REFERENCE_CASES, cases))
+
+
+class TestOrthogonalityCheckAgainstReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_report_equals_the_reference_in_every_field(self, reference_cases, case):
+        a, b, xi, eta = reference_cases[case]
+        for n_max in (1, 2, 3):
+            got = opmodel.orthogonality_check(a, b, xi, eta, n_max)
+            want = orthogonality_check_reference(a, b, xi, eta, n_max)
+            assert got == want, n_max
+        # the cases reach both outcomes, exactly and in floats
+        assert got.ok == (case not in ("x1-x2", "float-x1-x2"))
+        assert got.tol == (1e-9 if case.startswith("float") else None)
+
+
+class TestOrthogonalityCheckSpeed:
+    # sha256 of the violation lines, one per line, as the reference gives them
+    VIOLATIONS_SHA256 = {
+        3: "3c108cd6127f12b4674d0318c6fe10624b0db40f70690192a6080de8bc046bd1",
+        7: "263edb83229099ebf951fe51b7daa1bd4c9f65c289a5040acdce10f57cd6676e",
+    }
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_generic_free_pair_check_within_bound(self, seed):
+        # on a 2-core machine under Python 3.11 the check takes about 0.7 s;
+        # applying every monomial from scratch took about 6 s
+        inputs = verify.suite_inputs("opmodel", seed)
+        start = time.perf_counter()
+        ((_, report),) = recorded_orthogonality_checks(["generic-free-pair-fails-orthogonality"], inputs)
+        elapsed = time.perf_counter() - start
+        assert (report.ok, report.checked, len(report.violations), report.tol) == (False, 6093, 6093, None)
+        digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
+        assert digest == self.VIOLATIONS_SHA256[seed]
+        assert elapsed < 3.0, elapsed

@@ -36,6 +36,7 @@ from .graphs import (
     root_spectral_moments,
 )
 from .measures import (
+    _in_full,
     fraction_to_str,
     measure_to_json,
     parse_measure,
@@ -55,8 +56,8 @@ EXIT_UNDETERMINED = 6
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return _in_full(json.loads, fh.read())
+    except (OSError, ValueError) as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
 
 

@@ -16,6 +16,13 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
               compared; a third cross-check goes through non-crossing
               cumulants in :func:`free_cumulant_oracle`.
 
+An outer factor given by atoms, or by recursion coefficients that are
+finite or end in a Wigner tail, composes through its continued fraction in
+O(d * N**2) for d levels; moments and truncated recursions go through the
+power table of their K-series in O(N**3) (:func:`k_outer`), and so does the
+test oracle :func:`orthogonal_iterated`.  A measure made from a K-series
+keeps it, and :func:`k_series` reads it back.
+
 Pointwise evaluation of the subordination transforms lives in
 :func:`subordination_eval`; it is the only place here that iterates
 numerically.
@@ -36,7 +43,9 @@ from .measures import (
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
 from .series import (
+    ContinuedFraction,
     F_to_moments,
+    Outer,
     TailSeries,
     moments_to_F,
     poly_add,
@@ -79,13 +88,26 @@ def k_series(rep: MeasureRep, order: int) -> TailSeries:
     """K-transform of the measure as a series of order N-1 (N moments)."""
     if order < 1:
         raise InvalidParameter("order must be >= 1")
+    if rep.kseries is not None and order <= rep.kseries.order + 1:
+        return rep.kseries.truncate(order - 1)
     return -moments_to_F(rep.moments(order))
 
 
+def k_outer(rep: MeasureRep, order: int) -> Outer:
+    """K-transform as an outer: the continued fraction of a measure given by
+    atoms or by recursion coefficients fixing every moment, else the K-series."""
+    j = rep.exact_jacobi()
+    if j is None or order < 1:  # k_series rejects the order
+        return k_series(rep, order)
+    levels = tuple((j.alpha_at(i), j.omega_at(i)) for i in range(max(j.levels, len(j.omega), 1)))
+    tail = (j.tail.a, j.tail.b) if j.tail else None
+    return ContinuedFraction(levels, tail, order - 1)
+
+
 def measure_from_k(ks: TailSeries) -> MeasureRep:
-    """Measure with the given K-series, held as its moments; recursion
-    coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
-    return MeasureRep.from_moments(F_to_moments(-ks))
+    """Measure with the given K-series, held as its moments and the series;
+    recursion coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
+    return MeasureRep(moments=F_to_moments(-ks), kseries=ks)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +119,12 @@ def boolean(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
 
 
 def orthogonal(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return measure_from_k(
-        substitute_into_shifted(k_series(mu, order), k_series(nu, order))
-    )
+    return measure_from_k(substitute_into_shifted(k_outer(mu, order), k_series(nu, order)))
 
 
 def monotone(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     kn = k_series(nu, order)
-    return measure_from_k(kn + substitute_into_shifted(k_series(mu, order), kn))
+    return measure_from_k(kn + substitute_into_shifted(k_outer(mu, order), kn))
 
 
 def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> MeasureRep:
@@ -127,7 +147,7 @@ def sfree_iterations(order: int) -> int:
 
 
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    u, _ = sfree_pair(k_series(mu, order), k_series(nu, order))
+    u, _ = sfree_pair(k_outer(mu, order), k_outer(nu, order))
     return measure_from_k(u)
 
 
@@ -141,7 +161,7 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     identically, so a mismatch can only mean a bug; both are always computed
     and compared before returning route A.
     """
-    u, v = sfree_pair(k_series(mu, order), k_series(nu, order))
+    u, v = sfree_pair(k_outer(mu, order), k_outer(nu, order))
     route_a = monotone(mu, measure_from_k(v), order)
     route_b = measure_from_k(u + v)
     ma, mb = route_a.moments(order), route_b.moments(order)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -38,7 +39,7 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .series import poly_mul, poly_scale, poly_sub, poly_trim
+from .series import TailSeries, poly_mul, poly_scale, poly_sub, poly_trim
 
 
 def _frac(x) -> Fraction:
@@ -387,6 +388,7 @@ class MeasureRep:
         moments: Optional[Sequence[Fraction]] = None,
         jacobi: Optional[JacobiParams] = None,
         atoms: Optional[AtomicMeasure] = None,
+        kseries: Optional[TailSeries] = None,
     ):
         if moments is None and jacobi is None and atoms is None:
             raise InvalidParameter("empty measure representation")
@@ -394,6 +396,9 @@ class MeasureRep:
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
+        self._moments_given = moments is not None
+        # the K-series the moments were computed from, if any
+        self.kseries = kseries
 
     # -- constructors ------------------------------------------------------
 
@@ -435,6 +440,15 @@ class MeasureRep:
                 j = moments_to_jacobi(tuple(self._moments))
             self._jacobi = j
         return self._jacobi
+
+    def exact_jacobi(self) -> Optional[JacobiParams]:
+        """The recursion coefficients of a measure given by atoms or by
+        coefficients that fix every moment, else None; a measure given by
+        moments has None, whatever its caches hold."""
+        if self._moments_given:
+            return None
+        j = self.jacobi()
+        return j if j.moment_cap is None else None
 
     def jacobi_or_none(self) -> Optional[JacobiParams]:
         try:
@@ -585,8 +599,24 @@ def bernoulli_symmetric() -> MeasureRep:
 # JSON measure format
 # ---------------------------------------------------------------------------
 
+def _in_full(convert, value):
+    """convert(value), retried without Python's int/str digit limit (4300
+    by default since 3.11): rationals are written and read in full."""
+    try:
+        return convert(value)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def fraction_to_str(x: Fraction) -> str:
-    return str(x)
+    return _in_full(str, x)
 
 
 def parse_fraction(value) -> Fraction:
@@ -596,7 +626,7 @@ def parse_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _in_full(Fraction, value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"bad rational literal {value!r}") from exc
     raise InvalidParameter(f"rationals must be ints or 'p/q' strings, got {value!r}")
@@ -636,6 +666,8 @@ def parse_measure(obj: dict) -> MeasureRep:
             tail = None
         else:
             raise InvalidParameter(f"unknown tail kind {tail_obj.get('kind')!r}")
+        if not alpha and tail is None:
+            raise InvalidParameter("a 'jacobi' measure needs an 'alpha' entry or a 'wigner' tail")
         return MeasureRep.from_jacobi(make_jacobi(alpha, omega, tail))
     if kind == "atoms":
         return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])

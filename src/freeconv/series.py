@@ -11,6 +11,12 @@ evaluators of :mod:`freeconv.measures`.
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
 
+Composition outer(z - inner(z)), alone or as the coupled s-free pair, runs
+one loop over two kinds of outer: a :class:`TailSeries` steps through the
+table of powers (z - inner)**-j, O(N**3) for N coefficients, and a
+:class:`ContinuedFraction` through its levels, one online reciprocal
+1/(z - X) each, O(d * N**2) for d levels.
+
 The ``poly_*`` helpers work on ascending coefficient lists in z, trimmed
 of trailing zeros: the numerators and denominators of continued-fraction
 approximants and their cross-multiplication checks.  A polynomial product
@@ -21,7 +27,8 @@ and a series product are the same Cauchy product, computed by one loop
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ZeroLeadingCoefficient
 
@@ -118,22 +125,26 @@ class TailSeries:
         return TailSeries(out)
 
 
+def _next_reciprocal_coeff(t: list[Fraction], x: Sequence[Fraction]) -> None:
+    """Append coefficient k = len(t) of t = 1/(z - x(z)): t_0 = 0, t_1 = 1,
+    t_k = sum_{i <= k-2} x_i * t_{k-1-i}.  It reads x only up to index k - 2,
+    so x may still be growing (an online reciprocal, van der Hoeven 2002)."""
+    k = len(t)
+    t.append(Fraction(k) if k < 2 else sum((x[i] * t[k - 1 - i] for i in range(k - 1)), Fraction(0)))
+
+
 def _add_power_column(powers: list[list[Fraction]], inner: Sequence[Fraction]) -> int:
     """Extend the table powers[j - 1][k] = [z**-k] (z - inner(z))**-j by one column.
 
     After column k the table has rows j = 1..k, each with entries 0..k.  Row
-    1 is t = 1/(z - inner), whose coefficients satisfy t_1 = 1 and
-    t_k = sum_{i <= k-2} inner_i * t_{k-1-i}; row j is row j - 1 times row 1.
-    Column k reads inner only up to index k - 2, so inner may still be
-    growing while the table is filled.  Returns k.
+    1 is t = 1/(z - inner), grown by :func:`_next_reciprocal_coeff`; row j
+    is row j - 1 times row 1.  Column k reads inner only up to index k - 2.
+    Returns k.
     """
     k = len(powers) + 1
     powers.append([Fraction(0)] * k)
     t = powers[0]
-    if k == 1:
-        t.append(Fraction(1))
-    else:
-        t.append(sum((inner[i] * t[k - 1 - i] for i in range(k - 1)), Fraction(0)))
+    _next_reciprocal_coeff(t, inner)
     for j in range(2, k + 1):
         prev = powers[j - 2]
         powers[j - 1].append(
@@ -142,46 +153,85 @@ def _add_power_column(powers: list[list[Fraction]], inner: Sequence[Fraction]) -
     return k
 
 
-def _composed_coeff(outer: Sequence[Fraction], powers: list[list[Fraction]], k: int) -> Fraction:
-    """Coefficient k >= 1 of outer(z - inner) from a table holding column k."""
-    return sum((outer[j] * powers[j - 1][k] for j in range(1, k + 1)), Fraction(0))
+class ContinuedFraction:
+    """K(z) = alpha_0 + omega_0/(z - alpha_1 - omega_1/(z - ...)) to ``order``
+    in 1/z, with levels[i] = (alpha_i, omega_i); below the last level comes
+    the constant tail (a, b), T = 1/(z - a - b*T), or nothing."""
+
+    __slots__ = ("levels", "tail", "order")
+
+    def __init__(
+        self,
+        levels: Sequence[tuple[Fraction, Fraction]],
+        tail: Optional[tuple[Fraction, Fraction]],
+        order: int,
+    ):
+        self.levels, self.tail, self.order = levels, tail, order
 
 
-def substitute_into_shifted(outer: TailSeries, inner: TailSeries) -> TailSeries:
-    """Expand outer evaluated at z - inner(z), as a series in 1/z.
+Outer = TailSeries | ContinuedFraction
 
-    ``outer`` is read as a function of 1/z, so the result is
-    sum_j outer_j * (z - inner(z))**-j, read off column by column from the
-    power table of :func:`_add_power_column`; it truncates cleanly at the
-    common order.
-    """
-    n = min(outer.order, inner.order)
+
+def _table_steps(outer: TailSeries, inner: Sequence[Fraction]) -> Iterator[Fraction]:
+    """Coefficients of sum_j outer_j * (z - inner(z))**-j, O(k**2) work each."""
     a = outer.coeffs
     powers: list[list[Fraction]] = []
-    out = [a[0]]
-    for _ in range(n):
-        out.append(_composed_coeff(a, powers, _add_power_column(powers, inner.coeffs)))
+    yield a[0]
+    while True:
+        k = _add_power_column(powers, inner)
+        yield sum((a[j] * powers[j - 1][k] for j in range(1, k + 1)), Fraction(0))
+
+
+def _fraction_steps(outer: ContinuedFraction, inner: Sequence[Fraction]) -> Iterator[Fraction]:
+    """Coefficients of the fraction at z - inner(z): alpha_0 + omega_0 * L_1,
+    where level i is L_i = 1/(z - X_i), X_i = inner + alpha_i + omega_i *
+    L_{i+1}, and the tail level is its own L_{i+1}.  Coefficient k of L_i
+    reads inner and L_{i+1} only up to index k - 2: O(k) work per level."""
+    (alpha0, omega0), *rest = outer.levels
+    chain = rest + ([outer.tail] if outer.tail else [])
+    ts: list[list[Fraction]] = [[Fraction(0)] for _ in chain]
+    xs: list[list[Fraction]] = [[] for _ in chain]
+    below = ts[1:] + [ts[-1] if outer.tail else None]
+    yield alpha0
+    for k in count(1):
+        if k >= 2:
+            j = k - 2
+            for (alpha, omega), x, deeper in zip(chain, xs, below):
+                c = inner[j] + alpha if j == 0 else inner[j]
+                x.append(c + omega * deeper[j] if deeper else c)
+        for t, x in zip(ts, xs):
+            _next_reciprocal_coeff(t, x)
+        yield omega0 * ts[0][k] if ts else Fraction(0)
+
+
+def _grow(n: int, jobs: Sequence[tuple[Outer, Sequence[Fraction], list[Fraction]]]) -> None:
+    """Fill coefficients 0..n of each job's ``out`` with its outer composed
+    with z - inner, all jobs one index at a time; an inner may be another
+    job's ``out``, since coefficient k reads it only up to index k - 2."""
+    steps = [
+        (_table_steps if isinstance(outer, TailSeries) else _fraction_steps)(outer, inner)
+        for outer, inner, _ in jobs
+    ]
+    for _ in range(n + 1):
+        for step, (_, _, out) in zip(steps, jobs):
+            out.append(next(step))
+
+
+def substitute_into_shifted(outer: Outer, inner: TailSeries) -> TailSeries:
+    """outer evaluated at z - inner(z), as a series in 1/z truncated at the
+    common order; a :class:`TailSeries` outer is read as a function of 1/z."""
+    out: list[Fraction] = []
+    _grow(min(outer.order, inner.order), [(outer, inner.coeffs, out)])
     return TailSeries(out)
 
 
-def sfree_pair(k_mu: TailSeries, k_nu: TailSeries) -> tuple[TailSeries, TailSeries]:
-    """The coupled fixed point u = k_mu(z - v), v = k_nu(z - u), truncated
-    at the common order.
-
-    Coefficient k of u needs v only up to index k - 2 (and vice versa), so
-    both halves grow together one coefficient at a time, each from a power
-    table over the other.
-    """
-    n = min(k_mu.order, k_nu.order)
-    a, b = k_mu.coeffs, k_nu.coeffs
-    u, v = [a[0]], [b[0]]
-    powers_v: list[list[Fraction]] = []
-    powers_u: list[list[Fraction]] = []
-    for _ in range(n):
-        k = _add_power_column(powers_v, v)
-        _add_power_column(powers_u, u)
-        u.append(_composed_coeff(a, powers_v, k))
-        v.append(_composed_coeff(b, powers_u, k))
+def sfree_pair(outer_mu: Outer, outer_nu: Outer) -> tuple[TailSeries, TailSeries]:
+    """The coupled fixed point u = K_mu(z - v), v = K_nu(z - u), truncated
+    at the common order: both halves grow together, one coefficient at a
+    time, each stepping its own outer over the other."""
+    u: list[Fraction] = []
+    v: list[Fraction] = []
+    _grow(min(outer_mu.order, outer_nu.order), [(outer_mu, v, u), (outer_nu, u, v)])
     return TailSeries(u), TailSeries(v)
 
 

@@ -29,6 +29,7 @@ from freeconv.measures import (
     make_jacobi,
     measure_to_json,
     moments_to_jacobi,
+    fraction_to_str,
     parse_fraction,
     parse_measure,
     point_mass,
@@ -454,6 +455,9 @@ class TestJson:
             {"type": "atoms", "atoms": "01"},
             {"type": "atoms", "atoms": ["01"]},
             {"type": "atoms", "atoms": [["0", "1/2", "1/2"]]},
+            {"type": "jacobi"},
+            {"type": "jacobi", "alpha": [], "omega": []},
+            {"type": "jacobi", "alpha": [], "omega": [], "tail": {"kind": "truncate"}},
         ],
     )
     def test_malformed_fields_rejected(self, obj):
@@ -469,3 +473,14 @@ class TestJson:
     def test_emission_carries_atoms_when_rational(self):
         obj = measure_to_json(two_point(F(1, 3), -1, 2), 6)
         assert obj["atoms"] == [["-1", "1/3"], ["2", "2/3"]]
+
+    def test_rationals_beyond_the_int_str_digit_limit_round_trip(self):
+        # Python 3.11+ refuses int/str conversions above 4300 digits by default
+        big = F(10**5001 + 7, 3**4000)
+        text = fraction_to_str(big)
+        assert len(text) > 5000 and parse_fraction(text) == big
+        rep = MeasureRep.from_moments([0, big, 0])
+        blob = json.dumps(measure_to_json(rep, 3))
+        obj = json.loads(blob)
+        assert obj["m"][1] == text and obj["jacobi"]["omega"] == [text]
+        assert parse_measure(obj).moments(3) == (F(0), big, F(0))

@@ -420,14 +420,14 @@ class MeasureRep:
     def moments(self, n: int) -> tuple[Fraction, ...]:
         if n <= len(self._moments):
             return tuple(self._moments[:n])
-        if self._atoms is not None:
-            self._moments = list(self._atoms.moments(n))
-        elif self._jacobi is not None:
-            self._moments = list(jacobi_to_moments(self._jacobi, n))
-        else:
+        if self._moments_given:  # whatever the caches derived from them hold
             raise OrderExceeded(
                 f"only {len(self._moments)} moments available, {n} requested"
             )
+        if self._atoms is not None:
+            self._moments = list(self._atoms.moments(n))
+        else:
+            self._moments = list(jacobi_to_moments(self._jacobi, n))
         return tuple(self._moments[:n])
 
     # -- conversions -------------------------------------------------------

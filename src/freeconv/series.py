@@ -4,9 +4,15 @@ and polynomials in z, both as rational coefficient vectors.
 A :class:`TailSeries` stores rational coefficients c0..cN of the value
 c0 + c1/z + ... + cN/z**N.  The transforms used throughout the package
 (G, F - z and K) all have this shape near infinity, and the identities
-between them hold coefficient by coefficient, so everything here is done
-over ``fractions.Fraction``.  Floating point only appears in the analytic
-evaluators of :mod:`freeconv.measures`.
+between them hold coefficient by coefficient.  Floating point only appears
+in the analytic evaluators of :mod:`freeconv.measures`.
+
+The loops run on ints graded by a scale c (a dilation): coefficient k of
+weight k + h is A_k / c**(k + h), h = 1 for K and F - z and 0 for z*G, and
+alpha and omega enter as alpha * c and omega * c**2.  For each value x of
+weight w with r = c**w mod den(x) != 0, c becomes c * den(x) / gcd(den(x),
+r); two scales meet at their lcm.  A series the kernel made carries its
+graded form to the next step; ``coeffs`` holds Fractions, built once each.
 
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ZeroLeadingCoefficient
@@ -49,16 +57,58 @@ def _cauchy(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Fracti
     ]
 
 
+def _fit(c: int, weighted: Iterable[tuple[Rational, int]]) -> int:
+    """A multiple of c making x * c**w an integer for each x of weight w > 0."""
+    for x, w in weighted:
+        d = x.denominator
+        r = pow(c, w, d)
+        if r:
+            c = c * d // gcd(d, r)
+    return c
+
+
+def _times(x: Rational, p: int) -> int:
+    """x * p, which must be an integer."""
+    q, r = divmod(p, x.denominator)
+    if r:
+        raise ValueError(f"{x} * {p} is not an integer")
+    return x.numerator * q
+
+
 class TailSeries:
     """Immutable truncated series in 1/z with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_graded")
 
     def __init__(self, coeffs: Iterable[Rational]):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
         self.coeffs = coeffs
+        self._graded = None  # (c, h, A): coefficient k is A[k] / c**(k + h)
+
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...], graded: Optional[tuple]) -> "TailSeries":
+        out = object.__new__(cls)
+        out.coeffs, out._graded = coeffs, graded
+        return out
+
+    @classmethod
+    def _from_ints(cls, c: int, h: int, ints: Sequence[int]) -> "TailSeries":
+        return cls._of(tuple(Fraction(a, c ** (k + h)) for k, a in enumerate(ints)), (c, h, ints))
+
+    def _scaled(self, h: int, to: int = 0) -> tuple[int, Sequence[int]]:
+        """(c, A) at the carried scale, else a fitted one, or at ``to`` (a multiple)."""
+        g = self._graded
+        if g is None or g[1] != h:
+            c = _fit(1, zip(self.coeffs, count(h)))
+            g = (c, h, [_times(x, c ** (k + h)) for k, x in enumerate(self.coeffs)])
+            if self._graded is None:
+                self._graded = g
+        c, _, ints = g
+        if not to or to == c:
+            return c, ints
+        return to, [a * (to // c) ** (k + h) for k, a in enumerate(ints)]
 
     @property
     def order(self) -> int:
@@ -75,7 +125,8 @@ class TailSeries:
     def truncate(self, order: int) -> "TailSeries":
         if order >= self.order:
             return self
-        return TailSeries(self.coeffs[: order + 1])
+        g = self._graded
+        return TailSeries._of(self.coeffs[: order + 1], g and (g[0], g[1], g[2][: order + 1]))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -92,9 +143,13 @@ class TailSeries:
         return hash(self.coeffs)
 
     def __neg__(self) -> "TailSeries":
-        return TailSeries(tuple(-c for c in self.coeffs))
+        g = self._graded
+        return TailSeries._of(tuple(-c for c in self.coeffs), g and (g[0], g[1], [-a for a in g[2]]))
 
     def __add__(self, other: "TailSeries") -> "TailSeries":
+        g, o = self._graded, other._graded
+        if g and o and g[:2] == o[:2]:
+            return TailSeries._from_ints(g[0], g[1], list(map(add, g[2], o[2])))
         n = min(self.order, other.order)
         return TailSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
@@ -111,45 +166,41 @@ class TailSeries:
         return self.__mul__(other)
 
     def reciprocal(self) -> "TailSeries":
-        """Series b with self * b == 1 up to the truncation order."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Series b with self * b == 1 up to the truncation order: the monic
+        self / c0 is inverted in graded form, then divided by c0 once."""
+        a0 = self.coeffs[0]
+        if a0 == 0:
             raise ZeroLeadingCoefficient("cannot invert a series with zero constant term")
-        inv0 = Fraction(1) / a[0]
-        out = [inv0]
+        c, a = (self if a0 == 1 else TailSeries(x / a0 for x in self.coeffs))._scaled(0)
+        out = [1]
         for n in range(1, len(a)):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += a[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return TailSeries(out)
+            out.append(-sum(map(mul, a[1 : n + 1], reversed(out))))
+        b = TailSeries._from_ints(c, 0, out)
+        return b if a0 == 1 else TailSeries(x / a0 for x in b.coeffs)
 
 
-def _next_reciprocal_coeff(t: list[Fraction], x: Sequence[Fraction]) -> None:
+def _next_reciprocal_coeff(t: list[int], x: Sequence[int]) -> None:
     """Append coefficient k = len(t) of t = 1/(z - x(z)): t_0 = 0, t_1 = 1,
-    t_k = sum_{i <= k-2} x_i * t_{k-1-i}.  It reads x only up to index k - 2,
-    so x may still be growing (an online reciprocal, van der Hoeven 2002)."""
+    t_k = sum_{i <= k-2} x_i * t_{k-1-i} (weight k - 1).  It reads x only up to
+    index k - 2, so x may still be growing (van der Hoeven 2002)."""
     k = len(t)
-    t.append(Fraction(k) if k < 2 else sum((x[i] * t[k - 1 - i] for i in range(k - 1)), Fraction(0)))
+    t.append(k if k < 2 else sum(map(mul, x[: k - 1], t[k - 1 : 0 : -1])))
 
 
-def _add_power_column(powers: list[list[Fraction]], inner: Sequence[Fraction]) -> int:
+def _add_power_column(powers: list[list[int]], inner: Sequence[int]) -> int:
     """Extend the table powers[j - 1][k] = [z**-k] (z - inner(z))**-j by one column.
 
-    After column k the table has rows j = 1..k, each with entries 0..k.  Row
-    1 is t = 1/(z - inner), grown by :func:`_next_reciprocal_coeff`; row j
-    is row j - 1 times row 1.  Column k reads inner only up to index k - 2.
-    Returns k.
+    After column k the table has rows j = 1..k, each with entries 0..k, of
+    weight k - j.  Row 1 is t = 1/(z - inner), grown by
+    :func:`_next_reciprocal_coeff`; row j is row j - 1 times row 1.  Column
+    k reads inner only up to index k - 2.  Returns k.
     """
     k = len(powers) + 1
-    powers.append([Fraction(0)] * k)
+    powers.append([0] * k)
     t = powers[0]
     _next_reciprocal_coeff(t, inner)
     for j in range(2, k + 1):
-        prev = powers[j - 2]
-        powers[j - 1].append(
-            sum((prev[i] * t[k - i] for i in range(j - 1, k)), Fraction(0))
-        )
+        powers[j - 1].append(sum(map(mul, powers[j - 2][j - 1 : k], t[k - j + 1 : 0 : -1])))
     return k
 
 
@@ -168,48 +219,54 @@ class ContinuedFraction:
     ):
         self.levels, self.tail, self.order = levels, tail, order
 
+    def _scaled(self, h: int, to: int = 0) -> tuple[int, list[tuple[int, int]]]:
+        """(c, [(alpha * c, omega * c**2), ...]) of levels and tail; K has h = 1."""
+        pairs = [*self.levels, *([self.tail] if self.tail else [])]
+        c = to or _fit(1, ((x, w) for pair in pairs for x, w in zip(pair, (1, 2))))
+        return c, [(_times(a, c), _times(w, c * c)) for a, w in pairs]
+
 
 Outer = TailSeries | ContinuedFraction
 
 
-def _table_steps(outer: TailSeries, inner: Sequence[Fraction]) -> Iterator[Fraction]:
+def _table_steps(outer: TailSeries, inner: Sequence[int], c: int) -> Iterator[int]:
     """Coefficients of sum_j outer_j * (z - inner(z))**-j, O(k**2) work each."""
-    a = outer.coeffs
-    powers: list[list[Fraction]] = []
+    a = outer._scaled(1, c)[1]
+    powers: list[list[int]] = []
     yield a[0]
     while True:
         k = _add_power_column(powers, inner)
-        yield sum((a[j] * powers[j - 1][k] for j in range(1, k + 1)), Fraction(0))
+        yield sum(map(mul, a[1 : k + 1], [row[k] for row in powers]))
 
 
-def _fraction_steps(outer: ContinuedFraction, inner: Sequence[Fraction]) -> Iterator[Fraction]:
+def _fraction_steps(outer: ContinuedFraction, inner: Sequence[int], c: int) -> Iterator[int]:
     """Coefficients of the fraction at z - inner(z): alpha_0 + omega_0 * L_1,
     where level i is L_i = 1/(z - X_i), X_i = inner + alpha_i + omega_i *
     L_{i+1}, and the tail level is its own L_{i+1}.  Coefficient k of L_i
     reads inner and L_{i+1} only up to index k - 2: O(k) work per level."""
-    (alpha0, omega0), *rest = outer.levels
-    chain = rest + ([outer.tail] if outer.tail else [])
-    ts: list[list[Fraction]] = [[Fraction(0)] for _ in chain]
-    xs: list[list[Fraction]] = [[] for _ in chain]
+    (alpha0, omega0), *chain = outer._scaled(1, c)[1]
+    ts: list[list[int]] = [[0] for _ in chain]
+    xs: list[list[int]] = [[] for _ in chain]
     below = ts[1:] + [ts[-1] if outer.tail else None]
     yield alpha0
     for k in count(1):
         if k >= 2:
             j = k - 2
             for (alpha, omega), x, deeper in zip(chain, xs, below):
-                c = inner[j] + alpha if j == 0 else inner[j]
-                x.append(c + omega * deeper[j] if deeper else c)
+                xj = inner[j] + alpha if j == 0 else inner[j]
+                x.append(xj + omega * deeper[j] if deeper else xj)
         for t, x in zip(ts, xs):
             _next_reciprocal_coeff(t, x)
-        yield omega0 * ts[0][k] if ts else Fraction(0)
+        yield omega0 * ts[0][k] if ts else 0
 
 
-def _grow(n: int, jobs: Sequence[tuple[Outer, Sequence[Fraction], list[Fraction]]]) -> None:
+def _grow(n: int, c: int, jobs: Sequence[tuple[Outer, Sequence[int], list[int]]]) -> None:
     """Fill coefficients 0..n of each job's ``out`` with its outer composed
-    with z - inner, all jobs one index at a time; an inner may be another
-    job's ``out``, since coefficient k reads it only up to index k - 2."""
+    with z - inner, all jobs one index at a time and graded at scale c; an
+    inner may be another job's ``out``, since coefficient k reads it only up
+    to index k - 2."""
     steps = [
-        (_table_steps if isinstance(outer, TailSeries) else _fraction_steps)(outer, inner)
+        (_table_steps if isinstance(outer, TailSeries) else _fraction_steps)(outer, inner, c)
         for outer, inner, _ in jobs
     ]
     for _ in range(n + 1):
@@ -220,19 +277,20 @@ def _grow(n: int, jobs: Sequence[tuple[Outer, Sequence[Fraction], list[Fraction]
 def substitute_into_shifted(outer: Outer, inner: TailSeries) -> TailSeries:
     """outer evaluated at z - inner(z), as a series in 1/z truncated at the
     common order; a :class:`TailSeries` outer is read as a function of 1/z."""
-    out: list[Fraction] = []
-    _grow(min(outer.order, inner.order), [(outer, inner.coeffs, out)])
-    return TailSeries(out)
+    c = lcm(outer._scaled(1)[0], inner._scaled(1)[0])
+    out: list[int] = []
+    _grow(min(outer.order, inner.order), c, [(outer, inner._scaled(1, c)[1], out)])
+    return TailSeries._from_ints(c, 1, out)
 
 
 def sfree_pair(outer_mu: Outer, outer_nu: Outer) -> tuple[TailSeries, TailSeries]:
     """The coupled fixed point u = K_mu(z - v), v = K_nu(z - u), truncated
     at the common order: both halves grow together, one coefficient at a
-    time, each stepping its own outer over the other."""
-    u: list[Fraction] = []
-    v: list[Fraction] = []
-    _grow(min(outer_mu.order, outer_nu.order), [(outer_mu, v, u), (outer_nu, u, v)])
-    return TailSeries(u), TailSeries(v)
+    time, each stepping its own outer over the other, at one scale."""
+    c = lcm(outer_mu._scaled(1)[0], outer_nu._scaled(1)[0])
+    u, v = [], []
+    _grow(min(outer_mu.order, outer_nu.order), c, [(outer_mu, v, u), (outer_nu, u, v)])
+    return TailSeries._from_ints(c, 1, u), TailSeries._from_ints(c, 1, v)
 
 
 def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
@@ -244,9 +302,9 @@ def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
     m = tuple(_frac(x) for x in moments)
     if not m:
         raise ValueError("need at least one moment")
-    zg = TailSeries((Fraction(1),) + m)
-    f_over_z = zg.reciprocal()  # F(z)/z = 1/(z*G(z))
-    return TailSeries(f_over_z.coeffs[1:])
+    f_over_z = TailSeries((Fraction(1),) + m).reciprocal()  # F(z)/z = 1/(z*G(z))
+    c, _, b = f_over_z._graded
+    return TailSeries._of(f_over_z.coeffs[1:], (c, 1, b[1:]))
 
 
 def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
@@ -254,8 +312,9 @@ def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
 
     Exact inverse of :func:`moments_to_F` at every order.
     """
-    zg = TailSeries((Fraction(1),) + f.coeffs).reciprocal()
-    return zg.coeffs[1:]
+    c, a = f._scaled(1)
+    zg = TailSeries._of((Fraction(1),) + f.coeffs, (c, 0, [1, *a]))
+    return zg.reciprocal().coeffs[1:]
 
 
 def poly_trim(p: Sequence[Rational]) -> list[Fraction]:

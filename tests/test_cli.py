@@ -7,6 +7,7 @@ import pytest
 
 from freeconv import convolve, verify
 from freeconv.cli import main
+from freeconv.measures import fraction_to_str, parse_measure
 
 BERNOULLI = {"type": "atoms", "atoms": [["-1", "1/2"], ["1", "1/2"]]}
 DELTA0 = {"type": "atoms", "atoms": [["0", "1"]]}
@@ -183,6 +184,28 @@ class TestEmissionSpeed:
         assert code == 0
         assert len(json.loads(out)["m"]) == 80
         assert elapsed < 2.0, elapsed
+
+    def test_free_at_order_80_on_moments_within_bound(self, tmp_path, capsys):
+        # the same pair given as 80 moments each composes through the O(N^3)
+        # power table of its K-series: on a 2-core machine under Python 3.11
+        # the run takes about 0.5 s on the graded integer kernel, where the
+        # Fraction loops took about 3 s
+        mu = {"type": "atoms", "atoms": [["-2", "1/6"], ["-3/2", "1/12"], ["-1/2", "1/2"], ["1/2", "1/4"]]}
+        nu = {"type": "atoms", "atoms": [["-3", "5/12"], ["-1", "1/3"], ["1", "1/4"]]}
+        paths = {}
+        for name, obj in (("mu", mu), ("nu", nu)):
+            moments = parse_measure(obj).moments(80)
+            paths[name] = write(tmp_path, name + ".json", obj)
+            as_moments = {"type": "moments", "m": [fraction_to_str(x) for x in moments]}
+            paths[name + "_m"] = write(tmp_path, name + "_m.json", as_moments)
+        code, out, _ = run(capsys, ["convolve", "free", paths["mu"], paths["nu"], "--order", "80"])
+        assert code == 0
+        start = time.perf_counter()
+        code, out_m, _ = run(capsys, ["convolve", "free", paths["mu_m"], paths["nu_m"], "--order", "80"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out_m)["m"] == json.loads(out)["m"]
+        assert elapsed < 1.5, elapsed
 
 
 class TestDensity:

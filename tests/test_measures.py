@@ -13,6 +13,7 @@ from freeconv.errors import (
     InsufficientDepth,
     InvalidParameter,
     NotAMomentSequence,
+    OrderExceeded,
 )
 from freeconv.measures import (
     JacobiParams,
@@ -415,6 +416,16 @@ class TestConstructors:
 
     def test_zero_variance_collapses_to_point(self):
         assert wigner(2, 0).moments(3) == (F(2), F(4), F(8))
+
+    def test_moment_list_ends_whatever_the_caches_hold(self):
+        # [1, 1] is the point mass at 1, so its recursion coefficients and
+        # atoms would extend the list; a rep given by moments must not
+        for derive in (lambda r: None, MeasureRep.jacobi, MeasureRep.atoms):
+            rep = MeasureRep.from_moments([1, 1])
+            derive(rep)
+            with pytest.raises(OrderExceeded):
+                rep.moments(4)
+            assert rep.moments(2) == (F(1), F(1))
 
     def test_rational_sqrt(self):
         assert rational_sqrt(F(9, 4)) == F(3, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from freeconv.errors import ZeroLeadingCoefficient
 from freeconv.series import (
+    ContinuedFraction,
     F_to_moments,
     TailSeries,
     moments_to_F,
@@ -65,6 +66,11 @@ class TestReciprocal:
         assert b == ts(1, -1, 0, 1, -1, 0, 1, -1)
         assert a * b == TailSeries.constant(1, 7)
 
+    def test_non_unit_constant_terms(self):
+        for c0 in (F(-1), F(-3, 7), F(5, 2), F(10**6 + 3, 999_983)):
+            a = ts(c0, 1, F(-2, 3), 0, F(7, 10**6))
+            assert a.reciprocal().coeffs == tuple(fraction_reciprocal(a.coeffs))
+
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroLeadingCoefficient):
             ts(0, 1).reciprocal()
@@ -86,19 +92,46 @@ class TestSubstituteIntoShifted:
         assert substitute_into_shifted(outer, inner) == outer
 
 
+def fraction_reciprocal(a):
+    """Coefficients of 1/a, a[0] != 0, by the plain Fraction loop: the
+    reference for the graded integer kernel, which it does not call."""
+    inv0 = F(1) / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        acc = F(0)
+        for k in range(1, n + 1):
+            acc += a[k] * out[n - k]
+        out.append(-inv0 * acc)
+    return out
+
+
+def fraction_product(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
 def horner_substitute(outer, inner):
-    """Reference composition: Horner's rule on dense products of 1/(z - inner)."""
+    """Reference composition: Horner's rule on dense Fraction products of
+    1/(z - inner), with no call into the kernel."""
     n = min(outer.order, inner.order)
-    outer, inner = outer.truncate(n), inner.truncate(n)
+    a, x = outer.coeffs, inner.coeffs
     if n == 0:
-        return TailSeries.constant(outer.coeffs[0], 0)
-    one = TailSeries.constant(1, n)
-    geom = (one - TailSeries((F(0),) + inner.coeffs[:n])).reciprocal()
-    t = TailSeries((F(0),) + geom.coeffs[:n])
-    acc = TailSeries.constant(outer.coeffs[n], n)
+        return TailSeries.constant(a[0], 0)
+    geom = fraction_reciprocal([F(1)] + [-c for c in x[:n]])  # 1/(1 - x(w)/z)
+    t = [F(0)] + geom[:n]  # 1/(z - x)
+    acc = [a[n]] + [F(0)] * n
     for k in range(n - 1, -1, -1):
-        acc = acc * t + TailSeries.constant(outer.coeffs[k], n)
-    return acc
+        acc = fraction_product(acc, t)
+        acc[0] += a[k]
+    return TailSeries(acc)
+
+
+def reference_moments_to_F(moments):
+    return TailSeries(fraction_reciprocal([F(1)] + [F(m) for m in moments])[1:])
+
+
+def reference_F_to_moments(f):
+    return tuple(fraction_reciprocal([F(1)] + list(f.coeffs))[1:])
 
 
 def random_series(rng, order):
@@ -151,6 +184,29 @@ class TestSFreePair:
         a = ts(1, 2, F(1, 3), -1, 5)
         u, v = sfree_pair(a, TailSeries.zero(4))
         assert u == a and v.is_zero()
+
+
+class TestGradedScale:
+    """The kernel's scale is fitted to the weights of the values, so it stays
+    at the dilation that clears them rather than the lcm of denominators."""
+
+    def test_moments_of_a_point_mass_need_one_dilation(self):
+        f = moments_to_F([F(1, 2) ** k for k in range(1, 13)])
+        assert f == TailSeries.constant(F(-1, 2), 11)
+        assert f._graded[0] == 2
+
+    def test_k_coefficient_k_weighs_k_plus_one(self):
+        k = ts(F(1, 2), F(1, 4), F(-1, 8))
+        assert substitute_into_shifted(k, TailSeries.zero(2))._graded[0] == 2
+
+    def test_omega_weighs_two(self):
+        # alpha = 1/2, omega = 1/4: both are cleared by the dilation 2
+        u, v = sfree_pair(ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6), TailSeries.zero(6))
+        assert u._graded[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
+
+    def test_scales_meet_at_their_lcm(self):
+        u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 3), 0, 0))
+        assert u._graded[0] == 6
 
 
 class TestMomentTransforms:

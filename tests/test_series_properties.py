@@ -1,6 +1,16 @@
-"""Property tests of composition through the continued fraction.
+"""Property tests of the series kernel.
 
-The power table of ``_add_power_column`` serves any K-series and is the
+The first group compares the graded integer kernel with the Fraction
+references of ``test_series`` (the plain reciprocal loop and Horner's rule),
+which never call it: ``reciprocal``, ``moments_to_F``/``F_to_moments``,
+``substitute_into_shifted`` and ``sfree_pair`` on coefficients with
+denominators up to 10**6, zeros, negative and fractional constant terms and
+order 0, and on series the kernel made at one scale, combined after
+``truncate``/``__neg__``/``__add__`` with hand-built series or series at a
+scale that does not divide it.
+
+The second group checks composition through the continued fraction.  The
+power table of ``_add_power_column`` serves any K-series and is the
 reference here.  Each example draws a measure that holds a continued fraction
 fixing every moment (1-5 atoms, a complete recursion cut off by a zero omega,
 or a Wigner tail below 0-3 explicit levels with alpha and omega of unequal
@@ -10,6 +20,7 @@ as, alone and paired with a structured or a moment-only measure.
 """
 
 from fractions import Fraction as F
+from operator import add
 
 import pytest
 
@@ -20,7 +31,88 @@ from hypothesis import strategies as st  # noqa: E402
 
 from freeconv.convolve import k_outer, k_series  # noqa: E402
 from freeconv.measures import MeasureRep, WignerTail, make_jacobi  # noqa: E402
-from freeconv.series import ContinuedFraction, sfree_pair, substitute_into_shifted  # noqa: E402
+from freeconv.series import (  # noqa: E402
+    ContinuedFraction,
+    F_to_moments,
+    TailSeries,
+    moments_to_F,
+    sfree_pair,
+    substitute_into_shifted,
+)
+from test_series import (  # noqa: E402
+    fraction_reciprocal,
+    horner_substitute,
+    reference_F_to_moments,
+    reference_moments_to_F,
+)
+
+WIDE = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+NONZERO = WIDE.filter(lambda x: x != 0)
+
+
+def series(max_order=8):
+    return st.lists(WIDE, min_size=1, max_size=max_order + 1).map(TailSeries)
+
+
+def plain(s):
+    """The same coefficients without the graded form the kernel carries."""
+    return TailSeries(s.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(NONZERO, st.lists(WIDE, max_size=12))
+def test_reciprocal_matches_the_fraction_loop(c0, rest):
+    a = TailSeries([c0, *rest])
+    assert a.reciprocal().coeffs == tuple(fraction_reciprocal(a.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(WIDE, min_size=1, max_size=12), series(11))
+def test_moment_transforms_match_the_references(moments, f):
+    assert moments_to_F(moments) == reference_moments_to_F(moments)
+    assert F_to_moments(f) == reference_F_to_moments(f)
+    assert F_to_moments(moments_to_F(moments)) == tuple(moments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(), series())
+def test_composition_matches_horner(outer, inner):
+    assert substitute_into_shifted(outer, inner) == horner_substitute(outer, inner)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(6), series(6))
+def test_sfree_pair_solves_the_coupled_equations(a, b):
+    u, v = sfree_pair(a, b)
+    assert u == horner_substitute(a, v) and v == horner_substitute(b, u)
+
+
+@settings(max_examples=50, deadline=None)
+@given(series(7), series(7), series(7), st.integers(0, 7))
+def test_carried_scales_meet_hand_built_ones(a, b, hand, cut):
+    # u and v share one carried scale, k another that need not divide it,
+    # and hand carries none until the kernel first reads it
+    u, v = sfree_pair(a, b)
+    k = -moments_to_F(hand.coeffs)
+    sums = (
+        (u, v), (u.truncate(cut), v), (k, k.truncate(cut)), (u, plain(hand)), (k, u), ((-k).truncate(cut), v)
+    )
+    for x, y in sums:
+        assert (x + y).coeffs == tuple(map(add, x.coeffs, y.coeffs))
+    for x in [x + y for x, y in sums] + [(-u).truncate(cut), k]:
+        for y in (v, hand, k, x):
+            assert substitute_into_shifted(x, y) == horner_substitute(x, y)
+        assert F_to_moments(x) == reference_F_to_moments(x)
+        assert moments_to_F(F_to_moments(x)) == x
+        if x.coeffs[0] != 0:
+            assert x.reciprocal().coeffs == tuple(fraction_reciprocal(x.coeffs))
+    for x, y in ((u, k), (k.truncate(cut), hand), (-v, u + v)):
+        p, q = sfree_pair(x, y)
+        assert p == horner_substitute(x, q) and q == horner_substitute(y, p)
 
 SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
 POSITIVE = st.builds(F, st.integers(1, 6), st.integers(1, 3))

@@ -11,8 +11,9 @@ The loops run on ints graded by a scale c (a dilation): coefficient k of
 weight k + h is A_k / c**(k + h), h = 1 for K and F - z and 0 for z*G, and
 alpha and omega enter as alpha * c and omega * c**2.  For each value x of
 weight w with r = c**w mod den(x) != 0, c becomes c * den(x) / gcd(den(x),
-r); two scales meet at their lcm.  A series the kernel made carries its
-graded form to the next step; ``coeffs`` holds Fractions, built once each.
+r), a multiple of the least clearing dilation that divides the lcm of the
+denominators; two scales meet at their lcm.  A series the kernel made
+carries its graded form on; ``coeffs`` holds Fractions, built once each.
 
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
@@ -33,7 +34,7 @@ and a series product are the same Cauchy product, computed by one loop
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -58,7 +59,8 @@ def _cauchy(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Fracti
 
 
 def _fit(c: int, weighted: Iterable[tuple[Rational, int]]) -> int:
-    """A multiple of c making x * c**w an integer for each x of weight w > 0."""
+    """A multiple of c making x * c**w an integer for each x of weight w > 0
+    (from c = 1 at most the lcm of the denominators, not always the least)."""
     for x, w in weighted:
         d = x.denominator
         r = pow(c, w, d)
@@ -97,18 +99,15 @@ class TailSeries:
     def _from_ints(cls, c: int, h: int, ints: Sequence[int]) -> "TailSeries":
         return cls._of(tuple(Fraction(a, c ** (k + h)) for k, a in enumerate(ints)), (c, h, ints))
 
-    def _scaled(self, h: int, to: int = 0) -> tuple[int, Sequence[int]]:
-        """(c, A) at the carried scale, else a fitted one, or at ``to`` (a multiple)."""
+    def _scaled(self, h: int = 1) -> tuple[int, Sequence[int]]:
+        """(c, A) at the carried scale, else at a fitted one; K has h = 1."""
         g = self._graded
         if g is None or g[1] != h:
             c = _fit(1, zip(self.coeffs, count(h)))
             g = (c, h, [_times(x, c ** (k + h)) for k, x in enumerate(self.coeffs)])
             if self._graded is None:
                 self._graded = g
-        c, _, ints = g
-        if not to or to == c:
-            return c, ints
-        return to, [a * (to // c) ** (k + h) for k, a in enumerate(ints)]
+        return g[0], g[2]
 
     @property
     def order(self) -> int:
@@ -219,19 +218,18 @@ class ContinuedFraction:
     ):
         self.levels, self.tail, self.order = levels, tail, order
 
-    def _scaled(self, h: int, to: int = 0) -> tuple[int, list[tuple[int, int]]]:
-        """(c, [(alpha * c, omega * c**2), ...]) of levels and tail; K has h = 1."""
+    def _scaled(self) -> tuple[int, list[tuple[int, int]]]:
+        """(c, [(alpha * c, omega * c**2), ...]) of levels and tail at a fitted c."""
         pairs = [*self.levels, *([self.tail] if self.tail else [])]
-        c = to or _fit(1, ((x, w) for pair in pairs for x, w in zip(pair, (1, 2))))
+        c = _fit(1, ((x, w) for pair in pairs for x, w in zip(pair, (1, 2))))
         return c, [(_times(a, c), _times(w, c * c)) for a, w in pairs]
 
 
 Outer = TailSeries | ContinuedFraction
 
 
-def _table_steps(outer: TailSeries, inner: Sequence[int], c: int) -> Iterator[int]:
-    """Coefficients of sum_j outer_j * (z - inner(z))**-j, O(k**2) work each."""
-    a = outer._scaled(1, c)[1]
+def _table_steps(a: Sequence[int], inner: Sequence[int]) -> Iterator[int]:
+    """Coefficients of sum_j a_j * (z - inner(z))**-j, O(k**2) work each."""
     powers: list[list[int]] = []
     yield a[0]
     while True:
@@ -239,15 +237,15 @@ def _table_steps(outer: TailSeries, inner: Sequence[int], c: int) -> Iterator[in
         yield sum(map(mul, a[1 : k + 1], [row[k] for row in powers]))
 
 
-def _fraction_steps(outer: ContinuedFraction, inner: Sequence[int], c: int) -> Iterator[int]:
+def _fraction_steps(pairs: list[tuple[int, int]], tail: bool, inner: Sequence[int]) -> Iterator[int]:
     """Coefficients of the fraction at z - inner(z): alpha_0 + omega_0 * L_1,
     where level i is L_i = 1/(z - X_i), X_i = inner + alpha_i + omega_i *
     L_{i+1}, and the tail level is its own L_{i+1}.  Coefficient k of L_i
     reads inner and L_{i+1} only up to index k - 2: O(k) work per level."""
-    (alpha0, omega0), *chain = outer._scaled(1, c)[1]
+    (alpha0, omega0), *chain = pairs
     ts: list[list[int]] = [[0] for _ in chain]
     xs: list[list[int]] = [[] for _ in chain]
-    below = ts[1:] + [ts[-1] if outer.tail else None]
+    below = ts[1:] + [ts[-1] if tail else None]
     yield alpha0
     for k in count(1):
         if k >= 2:
@@ -260,36 +258,36 @@ def _fraction_steps(outer: ContinuedFraction, inner: Sequence[int], c: int) -> I
         yield omega0 * ts[0][k] if ts else 0
 
 
-def _grow(n: int, c: int, jobs: Sequence[tuple[Outer, Sequence[int], list[int]]]) -> None:
-    """Fill coefficients 0..n of each job's ``out`` with its outer composed
-    with z - inner, all jobs one index at a time and graded at scale c; an
-    inner may be another job's ``out``, since coefficient k reads it only up
-    to index k - 2."""
-    steps = [
-        (_table_steps if isinstance(outer, TailSeries) else _fraction_steps)(outer, inner, c)
-        for outer, inner, _ in jobs
-    ]
-    for _ in range(n + 1):
-        for step, (_, _, out) in zip(steps, jobs):
-            out.append(next(step))
+def _steps(outer: Outer, form: tuple[int, Sequence], c: int, inner: Sequence[int]) -> Iterator[int]:
+    """outer at z - inner(z) graded at c, from its ``_scaled()`` form at scale s | c."""
+    s, v = form
+    m = c // s
+    if isinstance(outer, TailSeries):
+        return _table_steps([a * m**k for k, a in enumerate(v, 1)], inner)
+    return _fraction_steps([(a * m, w * m * m) for a, w in v], outer.tail is not None, inner)
 
 
 def substitute_into_shifted(outer: Outer, inner: TailSeries) -> TailSeries:
     """outer evaluated at z - inner(z), as a series in 1/z truncated at the
     common order; a :class:`TailSeries` outer is read as a function of 1/z."""
-    c = lcm(outer._scaled(1)[0], inner._scaled(1)[0])
-    out: list[int] = []
-    _grow(min(outer.order, inner.order), c, [(outer, inner._scaled(1, c)[1], out)])
-    return TailSeries._from_ints(c, 1, out)
+    form, (s, b) = outer._scaled(), inner._scaled()
+    c = lcm(form[0], s)
+    steps = _steps(outer, form, c, [a * (c // s) ** k for k, a in enumerate(b, 1)])
+    return TailSeries._from_ints(c, 1, list(islice(steps, min(outer.order, inner.order) + 1)))
 
 
 def sfree_pair(outer_mu: Outer, outer_nu: Outer) -> tuple[TailSeries, TailSeries]:
     """The coupled fixed point u = K_mu(z - v), v = K_nu(z - u), truncated
     at the common order: both halves grow together, one coefficient at a
-    time, each stepping its own outer over the other, at one scale."""
-    c = lcm(outer_mu._scaled(1)[0], outer_nu._scaled(1)[0])
+    time and at one scale, each stepping its own outer over the other; that
+    is possible since coefficient k reads its inner only up to index k - 2."""
+    form_mu, form_nu = outer_mu._scaled(), outer_nu._scaled()
+    c = lcm(form_mu[0], form_nu[0])
     u, v = [], []
-    _grow(min(outer_mu.order, outer_nu.order), c, [(outer_mu, v, u), (outer_nu, u, v)])
+    steps_u, steps_v = _steps(outer_mu, form_mu, c, v), _steps(outer_nu, form_nu, c, u)
+    for _ in range(min(outer_mu.order, outer_nu.order) + 1):
+        u.append(next(steps_u))
+        v.append(next(steps_v))
     return TailSeries._from_ints(c, 1, u), TailSeries._from_ints(c, 1, v)
 
 
@@ -312,7 +310,7 @@ def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
 
     Exact inverse of :func:`moments_to_F` at every order.
     """
-    c, a = f._scaled(1)
+    c, a = f._scaled()
     zg = TailSeries._of((Fraction(1),) + f.coeffs, (c, 0, [1, *a]))
     return zg.reciprocal().coeffs[1:]
 

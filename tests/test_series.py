@@ -187,8 +187,9 @@ class TestSFreePair:
 
 
 class TestGradedScale:
-    """The kernel's scale is fitted to the weights of the values, so it stays
-    at the dilation that clears them rather than the lcm of denominators."""
+    """The kernel's scale is fitted to the weights of the values: a multiple
+    of the least dilation that clears them, and a divisor of the lcm of
+    their denominators."""
 
     def test_moments_of_a_point_mass_need_one_dilation(self):
         f = moments_to_F([F(1, 2) ** k for k in range(1, 13)])
@@ -204,9 +205,21 @@ class TestGradedScale:
         u, v = sfree_pair(ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6), TailSeries.zero(6))
         assert u._graded[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
 
+    def test_a_square_denominator_multiplies_the_scale_whole(self):
+        # the atoms -1/2, 1/2: F - z = -1/(4z), and -1/4 at weight 2 takes c
+        # from 1 to 4, a multiple of 2, the least dilation clearing it
+        f = moments_to_F([0, F(1, 4), 0, F(1, 16), 0, F(1, 64)])
+        assert f == ts(0, F(-1, 4), 0, 0, 0, 0)
+        assert f._graded[0] == 4
+        assert moments_to_F([0, F(1, 4)])._graded[0] == 4
+
     def test_scales_meet_at_their_lcm(self):
         u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 3), 0, 0))
         assert u._graded[0] == 6
+        u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
+        assert u._graded[0] == 6
+        u, v = sfree_pair(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
+        assert u._graded[0] == v._graded[0] == 6
 
 
 class TestMomentTransforms:

@@ -3,7 +3,9 @@
 A measure enters as exact moments, as three-term recursion coefficients
 (diagonal ``alpha``, squared off-diagonal ``omega``, optionally continued
 by a constant tail), or as finitely many weighted atoms.  Conversions
-between the three are exact rational arithmetic.  Moments give recursion
+between the three are exact: each runs on rows of Python ints over one
+denominator, reduced by the row's gcd, and builds Fractions only for the
+values it returns.  Moments give recursion
 coefficients by Gautschi's Chebyshev algorithm on the mixed moments
 <p_k, x^l>, which stops at a zero squared norm (a finite measure) and
 rejects a negative one; the atoms of a terminated fraction are the roots
@@ -40,6 +42,12 @@ from .errors import (
     OrderExceeded,
 )
 from .series import TailSeries, poly_mul, poly_scale, poly_sub, poly_trim
+
+
+def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of xs and the ints x*d."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def _frac(x) -> Fraction:
@@ -163,18 +171,16 @@ class AtomicMeasure:
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
-    def moment(self, n: int) -> Fraction:
-        return sum((wt * loc**n for loc, wt in self.atoms), Fraction(0))
-
     def moments(self, n: int) -> tuple[Fraction, ...]:
+        """m_1..m_n; m_k = sum W_i P_i^k / (v q^k) on integer locations P_i / q
+        and weights W_i / v."""
+        q, locs = _over_lcm([loc for loc, _ in self.atoms])
+        v, terms = _over_lcm([wt for _, wt in self.atoms])
         out = []
-        powers = {loc: Fraction(1) for loc, _ in self.atoms}
         for _ in range(n):
-            total = Fraction(0)
-            for loc, wt in self.atoms:
-                powers[loc] *= loc
-                total += wt * powers[loc]
-            out.append(total)
+            terms = [x * p for x, p in zip(terms, locs)]
+            v *= q
+            out.append(Fraction(sum(terms), v))
         return tuple(out)
 
 
@@ -203,33 +209,45 @@ def moments_to_jacobi(moments: Sequence) -> JacobiParams:
         s[k+1][l] = s[k][l+1] - alpha_k s[k][l] - omega_{k-1} s[k-1][l]
         omega_k = s[k+1][k+1] / s[k][k]
         alpha_{k+1} = s[k+1][k+2] / s[k+1][k+1] - s[k][k+1] / s[k][k]
+    Each row is an int vector over one denominator, reduced by their gcd.
     A zero squared norm s[k+1][k+1] means a finitely supported measure
-    (returned finite), a negative one raises NotAMomentSequence, and an
-    omega with no following alpha is left off.
+    (returned finite), and the rest of its row, which ties the later moments
+    to that measure, must be zero; a negative norm or a nonzero entry there
+    raises NotAMomentSequence.  An omega with no following alpha is left off.
     """
     m = [Fraction(1)] + [_frac(x) for x in moments]
     n = len(m) - 1
     alpha, omega, finite = m[1:2], [], False
-    prev, cur = [Fraction(0)] * (n + 1), m
+    (dc, cur), prev, dp = _over_lcm(m), [0] * (n + 1), 1
     for k in range(n // 2):
-        w = omega[-1] if omega else 0
-        nxt = [Fraction(0)] * (k + 1) + [
-            cur[l + 1] - alpha[k] * cur[l] - w * prev[l] for l in range(k + 1, n - k)
+        a, w = alpha[k], omega[-1] if omega else Fraction(0)
+        f = math.lcm(a.denominator * dc, w.denominator * dp)
+        s, t = f // dc, a.numerator * (f // (a.denominator * dc))
+        u = w.numerator * (f // (w.denominator * dp))
+        nxt = [0] * (k + 1) + [
+            s * c1 - t * c0 - u * p
+            for c1, c0, p in zip(cur[k + 2 :], cur[k + 1 :], prev[k + 1 : n - k])
         ]
+        g = math.gcd(f, *nxt)
+        if g > 1:
+            nxt, f = [x // g for x in nxt], f // g
         if nxt[k + 1] < 0:
             raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
         finite = nxt[k + 1] == 0
+        if finite and any(nxt[k + 2 :]):
+            raise NotAMomentSequence(f"moments disagree past the zero norm at level {len(alpha)}")
         if finite or 2 * k + 3 > n:
             break
-        omega.append(nxt[k + 1] / cur[k])
-        alpha.append(nxt[k + 2] / nxt[k + 1] - cur[k + 1] / cur[k])
-        prev, cur = cur, nxt
+        omega.append(Fraction(nxt[k + 1] * dc, f * cur[k]))
+        alpha.append(Fraction(nxt[k + 2] * cur[k] - cur[k + 1] * nxt[k + 1], nxt[k + 1] * cur[k]))
+        prev, dp, cur, dc = cur, dc, nxt, f
     return JacobiParams(tuple(alpha), tuple(omega), None, finite)
 
 
 def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     """First n moments from recursion coefficients, via the weighted-walk
-    transfer recursion (exact)."""
+    transfer recursion v[l] <- alpha_l v[l] + v[l-1] + omega_l v[l+1] run on
+    ints times c, the lcm of their denominators; m_t is v[0] after t steps."""
     if n < 0:
         raise InvalidParameter("n must be >= 0")
     if j.moment_cap is not None and n > j.moment_cap:
@@ -239,22 +257,20 @@ def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     levels = n // 2 + 1
     alphas = [j.alpha_at(k) for k in range(levels)]
     omegas = [j.omega_at(k) for k in range(max(levels - 1, 0))]
-    v = [Fraction(0)] * (levels + 1)
-    v[0] = Fraction(1)
+    c, aw = _over_lcm(alphas + omegas)
+    a, w, v, d = aw[:levels], aw[levels:] + [0], [1], 1
     out = []
-    for _ in range(n):
-        nxt = [Fraction(0)] * (levels + 1)
-        for l in range(levels):
-            if v[l] == 0:
-                continue
-            nxt[l] += alphas[l] * v[l]
-            if l + 1 <= levels:
-                nxt[l + 1] += v[l]
-        for l in range(1, levels):
-            if v[l]:
-                nxt[l - 1] += omegas[l - 1] * v[l]
-        v = nxt
-        out.append(v[0])
+    for t in range(n):
+        top = min(t + 1, n - 1 - t)  # levels reached that can still return to level 0
+        v = [
+            x * p + c * q + y * r
+            for x, y, p, q, r in zip(a[: top + 1], w, v + [0], [0] + v, v[1:] + [0, 0])
+        ]
+        d *= c
+        g = math.gcd(d, *v)
+        if g > 1:
+            v, d = [x // g for x in v], d // g
+        out.append(Fraction(v[0], d))
     return tuple(out)
 
 
@@ -277,10 +293,7 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 def _rational_roots(p: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """All roots of p if they are rational (found by deflation), else None."""
     coeffs = poly_trim(p)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    ints = _over_lcm(coeffs)[1]
     roots: list[Fraction] = []
     while len(ints) > 1:
         g = 0
@@ -314,10 +327,7 @@ def _rational_roots(p: Sequence[Fraction]) -> Optional[list[Fraction]]:
         q[-1] = Fraction(ints[-1])
         for i in range(len(ints) - 2, 0, -1):
             q[i - 1] = Fraction(ints[i]) + root * q[i]
-        lcm2 = 1
-        for c in q:
-            lcm2 = lcm2 * c.denominator // math.gcd(lcm2, c.denominator)
-        ints = [int(c * lcm2) for c in q]
+        ints = _over_lcm(q)[1]
     return roots
 
 
@@ -651,7 +661,9 @@ def parse_measure(obj: dict) -> MeasureRep:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
     if kind == "moments":
-        return MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
+        rep = MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
+        rep.jacobi()  # a list that is no moment sequence is rejected here
+        return rep
     if kind == "jacobi":
         alpha = [parse_fraction(v) for v in _json_list(obj, "alpha")]
         omega = [parse_fraction(v) for v in _json_list(obj, "omega")]

@@ -50,7 +50,8 @@ class TestConvolve:
         assert obj["jacobi"]["omega"] == ["1", "2", "2", "2"]
 
     def test_orthogonal_right_identity_is_byte_exact(self, tmp_path, capsys):
-        mu_obj = {"type": "moments", "m": ["1/2", "3/4", "-2", "5", "0", "1/3"]}
+        # the first six moments of atoms -3, -1, 1/2, 2 at weights 1/6, 1/4, 1/4, 1/3
+        mu_obj = {"type": "moments", "m": ["1/24", "151/48", "-197/96", "3667/192", "-11549/384", "109891/768"]}
         mu = write(tmp_path, "mu.json", mu_obj)
         nu = write(tmp_path, "nu.json", DELTA0)
         code, out, _ = run(capsys, ["convolve", "orthogonal", mu, nu, "--order", "6"])
@@ -111,6 +112,19 @@ class TestConvolve:
         nu = write(tmp_path, "nu.json", DELTA0)
         code, _, _ = run(capsys, ["convolve", "free", mu, nu])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ["0", "0", "5", "7"],  # m2 = 0 makes it a point mass at 0, so m3 must be 0
+            ["0", "-1", "0", "1"],  # negative variance
+        ],
+    )
+    def test_inconsistent_moment_list_exit_code(self, tmp_path, capsys, m):
+        mu = write(tmp_path, "mu.json", {"type": "moments", "m": m})
+        nu = write(tmp_path, "nu.json", DELTA0)
+        code, out, err = run(capsys, ["convolve", "boolean", mu, nu, "--order", "4"])
+        assert code == 3 and out == "" and "level 1" in err
 
     def test_too_few_moments_exit_code(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", {"type": "moments", "m": ["0", "1", "0", "2"]})

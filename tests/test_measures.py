@@ -2,10 +2,12 @@ import cmath
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from freeconv import measures
 from freeconv.convolve import free
 from freeconv.errors import (
     DomainError,
@@ -90,6 +92,10 @@ def inner_product_jacobi(moments):
         if s_next < 0:
             raise NotAMomentSequence(f"negative squared norm at level {k + 1}")
         if s_next == 0:
+            # p_next vanishes on the support, so <p_next, x^l> = 0 for every
+            # l the moments reach
+            if any(inner(p_next, [F(0)] * l + [F(1)]) for l in range(k + 2, N - k)):
+                raise NotAMomentSequence(f"moments disagree past the zero norm at level {k + 1}")
             finite = True
             break
         if 2 * k + 3 > N:
@@ -98,6 +104,68 @@ def inner_product_jacobi(moments):
         p_prev, p_cur = p_cur, poly_trim(p_next)
         s_cur = s_next
     return JacobiParams(tuple(alpha), tuple(omega), None, finite)
+
+
+def fraction_moments_to_jacobi(moments):
+    """Reference: the Chebyshev algorithm of moments_to_jacobi run on
+    Fraction rows, each entry reduced on its own."""
+    m = [F(1)] + [F(x) for x in moments]
+    n = len(m) - 1
+    alpha, omega, finite = m[1:2], [], False
+    prev, cur = [F(0)] * (n + 1), m
+    for k in range(n // 2):
+        w = omega[-1] if omega else 0
+        nxt = [F(0)] * (k + 1) + [
+            cur[l + 1] - alpha[k] * cur[l] - w * prev[l] for l in range(k + 1, n - k)
+        ]
+        if nxt[k + 1] < 0:
+            raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
+        finite = nxt[k + 1] == 0
+        if finite and any(nxt[k + 2 :]):
+            raise NotAMomentSequence(f"moments disagree past the zero norm at level {len(alpha)}")
+        if finite or 2 * k + 3 > n:
+            break
+        omega.append(nxt[k + 1] / cur[k])
+        alpha.append(nxt[k + 2] / nxt[k + 1] - cur[k + 1] / cur[k])
+        prev, cur = cur, nxt
+    return JacobiParams(tuple(alpha), tuple(omega), None, finite)
+
+
+def fraction_jacobi_to_moments(j, n):
+    """Reference: the weighted-walk transfer of jacobi_to_moments on Fraction
+    entries at all n // 2 + 2 levels, skipping the empty ones."""
+    levels = n // 2 + 1
+    alphas = [j.alpha_at(k) for k in range(levels)]
+    omegas = [j.omega_at(k) for k in range(max(levels - 1, 0))]
+    v = [F(0)] * (levels + 1)
+    v[0] = F(1)
+    out = []
+    for _ in range(n):
+        nxt = [F(0)] * (levels + 1)
+        for l in range(levels):
+            if v[l] == 0:
+                continue
+            nxt[l] += alphas[l] * v[l]
+            nxt[l + 1] += v[l]
+        for l in range(1, levels):
+            if v[l]:
+                nxt[l - 1] += omegas[l - 1] * v[l]
+        v = nxt
+        out.append(v[0])
+    return tuple(out)
+
+
+def fraction_atomic_moments(atoms, n):
+    """Reference: m_1..m_n of weighted atoms, summed in Fractions."""
+    out = []
+    powers = {loc: F(1) for loc, _ in atoms}
+    for _ in range(n):
+        total = F(0)
+        for loc, wt in atoms:
+            powers[loc] *= loc
+            total += wt * powers[loc]
+        out.append(total)
+    return tuple(out)
 
 
 def outcome(fn, moments):
@@ -164,6 +232,9 @@ def kseries_peel_jacobi(moments):
         if K[1] < 0:
             raise NotAMomentSequence(f"negative squared norm at level {len(alpha)}")
         if K[1] == 0:
+            # the rest of the measure is a point mass, whose K is constant
+            if any(K[2:]):
+                raise NotAMomentSequence(f"moments disagree past the zero norm at level {len(alpha)}")
             finite = True
             break
         if len(K) < 3:
@@ -234,6 +305,74 @@ class TestJacobiToMoments:
             m = rep.moments(9)
             j = moments_to_jacobi(m)
             assert jacobi_to_moments(j, 9) == m
+
+
+def uniform_moments(n):
+    """m_1..m_n of the uniform measure on [0, 1], 1/(k + 1)."""
+    return [F(1, k + 1) for k in range(1, n + 1)]
+
+
+def legendre_jacobi(levels):
+    """The uniform measure on [-1, 1]: alpha_k = 0, omega_k = (k+1)^2 / (4(k+1)^2 - 1)."""
+    return make_jacobi([0] * levels, [F(k * k, 4 * k * k - 1) for k in range(1, levels)])
+
+
+class TestGrowingDenominators:
+    def test_closed_forms(self):
+        # the shifted Legendre recursion, and the even moments 1/(2k + 1)
+        j = moments_to_jacobi(uniform_moments(40))
+        assert j.alpha == (F(1, 2),) * 20
+        assert j.omega == tuple(F(k * k, 4 * (4 * k * k - 1)) for k in range(1, 20))
+        m = jacobi_to_moments(legendre_jacobi(21), 40)
+        assert m == tuple(F(1 - k % 2, k + 1) for k in range(1, 41))
+
+    def test_order_120_within_bound(self):
+        # uniform moments 1/(k + 1) and the Legendre recursion at N = 120:
+        # on a 2-core machine under Python 3.11 both calls take about 0.01 s
+        # on reduced integer rows, where Fraction rows took 0.07-0.1 s; a
+        # scale carried through the Hankel determinants would grow as
+        # c^(k(k-1)) at level k
+        moments, legendre = uniform_moments(120), legendre_jacobi(61)
+        start = time.perf_counter()
+        j = moments_to_jacobi(moments)
+        m = jacobi_to_moments(legendre, 120)
+        elapsed = time.perf_counter() - start
+        assert j.levels == 60 and len(m) == 120 and m[-1] == F(1, 121)
+        assert elapsed < 1.0, elapsed
+
+
+class TestRowsStayReduced:
+    """Every Fraction the conversions build is made of entries of rows that
+    are reduced once per step; unreduced rows would give the same values
+    from ints ten to two hundred times wider, which this guards against."""
+
+    @pytest.fixture
+    def widest(self, monkeypatch):
+        bits = [0]
+
+        class Recording(F):
+            def __new__(cls, numerator=0, denominator=None):
+                for x in (numerator, denominator):
+                    if isinstance(x, int):
+                        bits[0] = max(bits[0], abs(x).bit_length())
+                return F(numerator, denominator)
+
+        monkeypatch.setattr(measures, "Fraction", Recording)
+        return bits
+
+    def test_chebyshev_rows(self, widest):
+        # 2336 bits on reduced rows, 25579 on unreduced ones
+        mu = MeasureRep.from_atoms([(-2, F(1, 6)), (F(-3, 2), F(1, 12)), (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 4))])
+        nu = MeasureRep.from_atoms([(-3, F(5, 12)), (-1, F(1, 3)), (1, F(1, 4))])
+        m = free(mu, nu, 40).moments(40)
+        widest[0] = 0
+        moments_to_jacobi(m)
+        assert widest[0] < 5000, widest[0]
+
+    def test_walk_rows(self, widest):
+        # 114 bits on reduced rows, 20018 on unreduced ones
+        jacobi_to_moments(legendre_jacobi(61), 120)
+        assert widest[0] < 1000, widest[0]
 
 
 class TestJacobiShapes:

@@ -1,9 +1,11 @@
-"""Property tests of moments_to_jacobi on random rational atomic measures.
+"""Property tests of the measure conversions on random rational inputs.
 
-Each example draws a measure with 1-6 atoms at small rationals, takes its
-first 2k + 3 moments for k atoms, and perturbs one of them in half of the
+Each atomic example draws a measure with 1-6 atoms at small rationals, takes
+its first 2k + 3 moments for k atoms, and perturbs one of them in half of the
 examples, so that negative squared norms turn up at every level.  Every
-prefix of the list is converted.
+prefix of the list is converted.  The integer-row conversions are also
+compared with their Fraction references on atoms and recursion coefficients
+whose denominators lie near 10^6, on zero omegas and on constant tails.
 """
 
 from fractions import Fraction as F
@@ -12,18 +14,29 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_measures import inner_product_jacobi, outcome  # noqa: E402
+from test_measures import (  # noqa: E402
+    fraction_atomic_moments,
+    fraction_jacobi_to_moments,
+    fraction_moments_to_jacobi,
+    inner_product_jacobi,
+    outcome,
+    uniform_moments,
+)
 
 from freeconv.measures import (  # noqa: E402
     JacobiParams,
+    WignerTail,
     atomic_measure,
     jacobi_to_moments,
+    make_jacobi,
     moments_to_jacobi,
 )
 
 SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+NEAR_1E6 = st.builds(F, st.integers(-(10**6), 10**6), st.integers(10**6 - 99, 10**6 + 99))
+RATIONAL = st.one_of(SMALL, NEAR_1E6)
 
 
 @st.composite
@@ -57,8 +70,62 @@ def test_finite_result_round_trips(case):
         if not isinstance(j, JacobiParams) or not j.finite:
             assert perturbed or n < 2 * k, n
             continue
-        # a zero squared norm at level d reads m1..m(2d) and reproduces them
-        read = 2 * j.levels
-        assert read <= n and jacobi_to_moments(j, read) == tuple(m[:read]), n
+        # a zero squared norm at level d is accepted only when the finite
+        # measure reproduces every given moment, m1..m(2d) and all after them
+        assert 2 * j.levels <= n and jacobi_to_moments(j, n) == tuple(m[:n]), n
         if not perturbed:
-            assert j.levels == k and jacobi_to_moments(j, n) == tuple(m[:n]), n
+            assert j.levels == k, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(RATIONAL, min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+    st.integers(0, 15),
+    st.one_of(st.none(), st.tuples(st.integers(0, 14), RATIONAL)),
+)
+@example([F(1, 999_983), F(-2, 1_000_003)], [1, 2, 1, 1, 1, 1], 0, None)
+@example([F(1, 999_983), F(-2, 1_000_003)], [1, 2, 1, 1, 1, 1], 1, None)
+def test_integer_rows_match_fraction_rows_on_atoms(locs, weights, n, perturb):
+    mu = atomic_measure((l, F(w, sum(weights[: len(locs)]))) for l, w in zip(locs, weights))
+    m = mu.moments(n)
+    assert m == fraction_atomic_moments(mu.atoms, n)
+    m = list(m)
+    if perturb is not None and perturb[0] < n:
+        m[perturb[0]] += perturb[1]
+    assert outcome(moments_to_jacobi, m) == outcome(fraction_moments_to_jacobi, m)
+
+
+@st.composite
+def recursions(draw):
+    """Recursion coefficients, truncated, complete or with a constant tail,
+    one omega set to zero in about half of the draws."""
+    alpha = draw(st.lists(RATIONAL, min_size=1, max_size=6))
+    positive = RATIONAL.map(abs).filter(bool)
+    omega = draw(st.lists(positive, min_size=len(alpha) - 1, max_size=len(alpha) - 1))
+    cut = draw(st.one_of(st.none(), st.integers(0, 4)))
+    if cut is not None and cut < len(omega):
+        omega[cut] = F(0)
+    kind = draw(st.sampled_from(["truncate", "complete", "wigner"]))
+    if kind == "wigner":
+        tail = WignerTail(draw(RATIONAL), abs(draw(RATIONAL)))
+        return make_jacobi(alpha, omega, tail)
+    return make_jacobi(alpha, omega, complete=kind == "complete")
+
+
+@settings(max_examples=80, deadline=None)
+@given(recursions(), st.integers(0, 16))
+@example(make_jacobi([F(1, 999_983)], [], complete=True), 0)
+@example(make_jacobi([F(1, 999_983)], [], complete=True), 1)
+def test_integer_walk_matches_fraction_walk(j, n):
+    if j.moment_cap is not None:
+        n = min(n, j.moment_cap)
+    m = jacobi_to_moments(j, n)
+    assert m == fraction_jacobi_to_moments(j, n)
+    assert outcome(moments_to_jacobi, m) == outcome(fraction_moments_to_jacobi, m)
+
+
+def test_integer_rows_match_fraction_rows_on_uniform_moments():
+    uniform = uniform_moments(40)
+    for n in range(len(uniform) + 1):
+        assert moments_to_jacobi(uniform[:n]) == fraction_moments_to_jacobi(uniform[:n]), n

@@ -8,9 +8,12 @@ denominator, reduced by the row's gcd, and builds Fractions only for the
 values it returns.  Moments give recursion
 coefficients by Gautschi's Chebyshev algorithm on the mixed moments
 <p_k, x^l>, which stops at a zero squared norm (a finite measure) and
-rejects a negative one; the atoms of a terminated fraction are the roots
-of its approximant's denominator.  The continued-fraction evaluators at
-complex points are the only floating-point code here.
+rejects a negative one.  The atoms of a terminated fraction are the zeros
+of its approximant's denominator P_d: Sturm counts on the three-term
+recurrence bisect the grid that holds every rational zero, each isolated
+zero is tested exactly, and its weight is its Christoffel number, so an
+irrational zero gives None.  The continued-fraction evaluators at complex
+points are the only floating-point code here.
 
 Conventions for recursion coefficients:
 
@@ -41,7 +44,7 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .series import TailSeries, poly_mul, poly_scale, poly_sub, poly_trim
+from .series import TailSeries, poly_mul, poly_scale, poly_sub
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -290,95 +293,67 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return Fraction(p, q)
 
 
-def _rational_roots(p: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """All roots of p if they are rational (found by deflation), else None."""
-    coeffs = poly_trim(p)
-    ints = _over_lcm(coeffs)[1]
-    roots: list[Fraction] = []
-    while len(ints) > 1:
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-        lead, const = ints[-1], ints[0]
-        root: Optional[Fraction] = None
-        if const == 0:
-            root = Fraction(0)
-        else:
-            for pn in _divisors(abs(const)):
-                for qn in _divisors(abs(lead)):
-                    for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                        acc = Fraction(0)
-                        for c in reversed(ints):
-                            acc = acc * cand + c
-                        if acc == 0:
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                return None
-        roots.append(root)
-        # synthetic division by (x - root): q[d-1] = c[d], q[i-1] = c[i] + root*q[i]
-        q = [Fraction(0)] * (len(ints) - 1)
-        q[-1] = Fraction(ints[-1])
-        for i in range(len(ints) - 2, 0, -1):
-            q[i - 1] = Fraction(ints[i]) + root * q[i]
-        ints = _over_lcm(q)[1]
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination for the small systems used here."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidParameter("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
-    """Recover the atoms of a terminated fraction when the spectrum is rational."""
+    """The atoms of a terminated fraction when its spectrum is rational, else None.
+
+    The atoms are the zeros of P_d, the monic orthogonal polynomial of degree
+    d (the approximant's denominator N_d / P_d), and P_0..P_d, run by the
+    recurrence, are a Sturm sequence: their sign changes count the zeros of
+    P_d above a point that is not one (a zero P_k, k < d, lies between
+    opposite signs, so it adds one change whichever sign it is read as).
+    Every rational zero is y / a for an integer y, where c is P_d as a
+    primitive integer polynomial and a its leading coefficient.  So the zeros
+    are isolated by bisecting the integers y inside a Gershgorin bound,
+    counted at the midpoints (2y + 1) / (2a), which are never zeros; a cell
+    known to hold one zero is halved by the sign of c alone.  A cell of one
+    grid point holding one zero must vanish there, and that zero's weight is
+    its Christoffel number, the residue N_d(x) / P_d'(x).  The first cell
+    that holds two zeros or misses its grid point gives None.
+    """
     if not j.finite:
         return None
     d = j.levels
-    # the approximant's denominator is the monic orthogonal polynomial of
-    # degree d, which vanishes exactly on the atoms
-    roots = _rational_roots(approximant_G(j, d)[1])
-    if roots is None or len(set(roots)) != d:
-        return None
-    roots = sorted(roots)
-    mom = jacobi_to_moments(j, d - 1) if d > 1 else ()
-    rhs = [Fraction(1)] + list(mom)
-    vander = [[loc**k for loc in roots] for k in range(d)]
-    weights = _solve_linear(vander, rhs)
-    if any(w <= 0 for w in weights):
-        return None
-    return atomic_measure(zip(roots, weights))
+    num, den = approximant_G(j, d)
+    c = _over_lcm(den)[1]
+    g = math.gcd(*c)
+    c = [x // g for x in c]
+    a = c[-1]
+
+    def above(y: int) -> int:
+        x = Fraction(2 * y + 1, 2 * a)
+        p = [Fraction(1), x - j.alpha[0]]
+        for k in range(1, d):
+            p.append((x - j.alpha[k]) * p[k] - j.omega[k - 1] * p[k - 1])
+        return sum((u > 0) != (v > 0) for u, v in zip(p, p[1:]))
+
+    def value(y: int, s: int) -> int:
+        """s**d c(y / s), whose sign is that of P_d(y / s)."""
+        v, t = 0, 1
+        for x in c:
+            v, t = v * s + x * t, t * y
+        return v
+
+    r = [Fraction(math.isqrt(w.numerator * w.denominator) + 1, w.denominator) for w in j.omega]
+    top = math.floor(a * max(abs(x) + u + v for x, u, v in zip(j.alpha, [0] + r, r + [0]))) + 1
+    cells, atoms = [(-top - 1, top, d, 0)], []
+    while cells:
+        lo, hi, n_lo, n_hi = cells.pop()
+        if n_lo == n_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            if n_lo - n_hi > 1:
+                n_mid = above(mid)
+            else:  # P_d changes sign at each zero above the point
+                n_mid = n_hi + ((value(2 * mid + 1, 2 * a) < 0) != n_hi % 2)
+            cells += [(mid, hi, n_mid, n_hi), (lo, mid, n_lo, n_mid)]
+            continue
+        if n_lo - n_hi > 1 or value(hi, a):
+            return None
+        x = Fraction(hi, a)
+        slope = sum(k * v * x ** (k - 1) for k, v in enumerate(den[1:], 1))
+        atoms.append((x, sum(v * x**k for k, v in enumerate(num)) / slope))
+    return atomic_measure(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +543,6 @@ def stieltjes_density(
         g = eval_G(rep, complex(x, epsilon), depth)
         out.append((float(x), -g.imag / math.pi))
     return out
-
-
-def shift_jacobi(j: JacobiParams) -> JacobiParams:
-    return j.shift()
 
 
 # ---------------------------------------------------------------------------

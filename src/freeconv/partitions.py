@@ -61,11 +61,6 @@ def compositions(n: int) -> tuple[Composition, ...]:
     return tuple(out)
 
 
-def enumerate_interval(n: int) -> tuple[Composition, ...]:
-    """Interval partitions of {1..n}, as compositions."""
-    return compositions(n)
-
-
 @lru_cache(maxsize=None)
 def odd_compositions(n: int) -> tuple[Composition, ...]:
     return tuple(c for c in compositions(n) if len(c) % 2 == 1)

@@ -58,6 +58,20 @@ class TestConvolve:
         assert code == 0
         assert json.loads(out)["m"] == mu_obj["m"]
 
+    def test_boolean_identity_returns_atoms_near_1e6_within_bound(self, tmp_path, capsys):
+        # the point mass at 0 is the boolean identity, so the emitted atoms
+        # are the input's; a search over divisor pairs of the coefficients
+        # of their polynomial did not finish in 20 s
+        atoms = [["-98765/1000033", "1/3"], ["7/1000037", "1/3"], ["123457/1000003", "1/3"]]
+        mu = write(tmp_path, "mu.json", {"type": "atoms", "atoms": atoms})
+        nu = write(tmp_path, "nu.json", DELTA0)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["convolve", "boolean", mu, nu, "--order", "8"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["atoms"] == atoms
+        assert elapsed < 2.0, elapsed
+
     def test_output_round_trips_through_parser(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", BERNOULLI)
         code, out, _ = run(capsys, ["convolve", "boolean", mu, mu, "--order", "6"])

@@ -37,7 +37,6 @@ from freeconv.measures import (
     parse_measure,
     point_mass,
     rational_sqrt,
-    shift_jacobi,
     stieltjes_density,
     two_point,
     wigner,
@@ -390,16 +389,16 @@ class TestJacobiShapes:
 
     def test_shift(self):
         j = make_jacobi([F(1), F(2)], [F(3)], complete=True)
-        s = shift_jacobi(j)
+        s = j.shift()
         assert s.alpha == (F(2),) and s.omega == ()
 
     def test_shift_of_constant_tail_is_fixed_point(self):
         j = wigner(1, 2).jacobi()
-        assert shift_jacobi(j) == j
+        assert j.shift() == j
 
     def test_shift_needs_a_level(self):
         with pytest.raises(EmptyJacobi):
-            shift_jacobi(JacobiParams((), (), None, True))
+            JacobiParams((), (), None, True).shift()
 
 
 class TestAtoms:
@@ -421,6 +420,30 @@ class TestAtoms:
         # rational eigenvalues
         j = make_jacobi([0, 0], [2], complete=True)
         assert jacobi_to_atoms(j) is None
+
+    @pytest.mark.parametrize(
+        "j",
+        [
+            # an irrational pair with denominators near 10^6, where a search
+            # over divisor pairs of the coefficients ran for over a minute
+            make_jacobi([F(1, 999_983), F(-2, 1_000_003)], [F(3, 1_000_033)], complete=True),
+            # weight 1/3 each at 1, sqrt(2) and -sqrt(2): a rational atom
+            # among irrational ones
+            moments_to_jacobi([F(1, 3), F(5, 3), F(1, 3), 3, F(1, 3), F(17, 3)]),
+            # weight 1/4 each at 0, 10 and 5 -+ sqrt(24), the last two with
+            # power sums s_k: P_4 = x (x - 10) (x^2 - 10x + 1), so each
+            # irrational zero shares the grid cell of width 1 of a rational one
+            moments_to_jacobi(
+                [F(10**k + s, 4) for k, s in enumerate((10, 98, 970, 9602, 95050, 940898, 9313930, 92198402), 1)]
+            ),
+        ],
+        ids=["near-1e6", "mixed", "shared-cell"],
+    )
+    def test_irrational_spectrum_returns_none_quickly(self, j):
+        assert j.finite
+        start = time.perf_counter()
+        assert jacobi_to_atoms(j) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEvaluation:

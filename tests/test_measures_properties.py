@@ -5,7 +5,8 @@ its first 2k + 3 moments for k atoms, and perturbs one of them in half of the
 examples, so that negative squared norms turn up at every level.  Every
 prefix of the list is converted.  The integer-row conversions are also
 compared with their Fraction references on atoms and recursion coefficients
-whose denominators lie near 10^6, on zero omegas and on constant tails.
+whose denominators lie near 10^6, on zero omegas and on constant tails, and
+the atoms near 10^6 are recovered from their recursion coefficients.
 """
 
 from fractions import Fraction as F
@@ -29,6 +30,7 @@ from freeconv.measures import (  # noqa: E402
     JacobiParams,
     WignerTail,
     atomic_measure,
+    jacobi_to_atoms,
     jacobi_to_moments,
     make_jacobi,
     moments_to_jacobi,
@@ -86,6 +88,7 @@ def test_finite_result_round_trips(case):
 )
 @example([F(1, 999_983), F(-2, 1_000_003)], [1, 2, 1, 1, 1, 1], 0, None)
 @example([F(1, 999_983), F(-2, 1_000_003)], [1, 2, 1, 1, 1, 1], 1, None)
+@example([F(123_457, 1_000_003), F(-98_765, 1_000_033), F(7, 1_000_037)], [1] * 6, 6, None)
 def test_integer_rows_match_fraction_rows_on_atoms(locs, weights, n, perturb):
     mu = atomic_measure((l, F(w, sum(weights[: len(locs)]))) for l, w in zip(locs, weights))
     m = mu.moments(n)
@@ -93,6 +96,8 @@ def test_integer_rows_match_fraction_rows_on_atoms(locs, weights, n, perturb):
     m = list(m)
     if perturb is not None and perturb[0] < n:
         m[perturb[0]] += perturb[1]
+    else:  # the atoms come back from the recursion coefficients of 2k moments
+        assert jacobi_to_atoms(moments_to_jacobi(mu.moments(2 * len(locs)))) == mu
     assert outcome(moments_to_jacobi, m) == outcome(fraction_moments_to_jacobi, m)
 
 

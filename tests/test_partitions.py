@@ -10,18 +10,18 @@ from freeconv.errors import EvenBlockCount, InvalidParameter, OrderExceeded
 
 class TestIntervalEnumeration:
     def test_single_element(self):
-        assert P.enumerate_interval(1) == ((1,),)
+        assert P.compositions(1) == ((1,),)
 
     def test_three_elements(self):
-        assert set(P.enumerate_interval(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
+        assert set(P.compositions(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
 
     def test_counts_double(self):
         for n in range(1, 13):
-            assert len(P.enumerate_interval(n)) == 2 ** (n - 1)
+            assert len(P.compositions(n)) == 2 ** (n - 1)
 
     def test_cap(self):
         with pytest.raises(InvalidParameter):
-            P.enumerate_interval(40)
+            P.compositions(40)
 
 
 class TestOddRefinements:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import convolve
@@ -91,6 +92,9 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_density(args) -> int:
+    for flag, value in (("--xmin", args.xmin), ("--xmax", args.xmax)):
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{flag} must be finite, got {value}")
     rep = _load_measure(args.measure)
     if args.points < 2:
         raise InvalidParameter("need at least two grid points")
@@ -203,26 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins; every other package error is a parse error
+_EXIT_CODES = (
+    (NotAMomentSequence, EXIT_NOT_MOMENTS),
+    (RouteMismatch, EXIT_ROUTE),
+    (DomainError, EXIT_DOMAIN),
+    ((OrderExceeded, InsufficientDepth), EXIT_UNDETERMINED),
+    (FreeconvError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NotAMomentSequence as exc:
+    except FreeconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_MOMENTS
-    except RouteMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROUTE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (OrderExceeded, InsufficientDepth) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    except (InvalidParameter, FreeconvError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

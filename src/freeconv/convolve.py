@@ -140,12 +140,6 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
     return measure_from_k(acc)
 
 
-def sfree_iterations(order: int) -> int:
-    """Iteration count at which :func:`orthogonal_iterated` pins every moment
-    up to `order` exactly, i.e. agrees with :func:`sfree`."""
-    return -(-order // 2) + 1
-
-
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     u, _ = sfree_pair(k_outer(mu, order), k_outer(nu, order))
     return measure_from_k(u)

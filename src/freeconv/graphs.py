@@ -1,11 +1,16 @@
 """Rooted graphs and the products whose root spectra realize the convolutions.
 
-Star product glues two graphs at their roots (boolean), the comb product
-hangs a copy of the second graph on every vertex of the first (monotone),
-the orthogonal product hangs copies on every non-root vertex, and the
-truncated free product lives on alternating words of non-root vertices.
-Root spectral moments are exact integers, so all comparisons against the
-moment-level convolutions are exact.
+A rooted graph acts through its adjacency operator: a `ModelOperator` on
+the basis with the root as vector 0 and the other vertices after it in
+increasing order.  Star product glues two graphs at their roots (boolean),
+the comb product hangs a copy of the second graph on every vertex of the
+first (monotone), and the orthogonal product hangs copies on every non-root
+vertex.  The truncated free product is the free-product representation of
+the two adjacency operators on the alternating words of length <= radius
+(`opmodel.WordBasis` and `opmodel.free_product_rep`), so it shares that
+basis's size cap; its branch keeps the empty word and the words whose last
+letter comes from one factor.  Root spectral moments are exact integers, so
+all comparisons against the moment-level convolutions are exact.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
+from .opmodel import ModelOperator, WordBasis, apply_columns, free_product_rep
 
 
 @dataclass(frozen=True)
@@ -25,15 +31,17 @@ class RootedGraph:
     root: int
     edges: frozenset[tuple[int, int]]
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def non_root(self) -> list[int]:
         return [v for v in range(self.n) if v != self.root]
+
+    def adjacency(self) -> ModelOperator:
+        """Adjacency operator with the root as basis vector 0 and the other
+        vertices after it in increasing order."""
+        label = {v: i for i, v in enumerate([self.root] + self.non_root())}
+        entries = {}
+        for u, v in self.edges:
+            entries[label[u], label[v]] = entries[label[v], label[u]] = 1
+        return ModelOperator(self.n, entries)
 
 
 def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGraph:
@@ -42,8 +50,7 @@ def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGra
     if not 0 <= root < n:
         raise InvalidParameter("root outside vertex range")
     norm = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
+    for u, v in edges:
         if u == v:
             raise InvalidParameter("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -58,16 +65,12 @@ def path_graph(n: int, root: int = 0) -> RootedGraph:
 
 def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
     """<A^n delta(root), delta(root)> for n = 1..n_max, exactly."""
-    adj = g.neighbors()
-    vec = {g.root: 1}
+    cols = g.adjacency().columns()
+    vec = {0: 1}
     out = []
     for _ in range(n_max):
-        nxt: dict[int, int] = {}
-        for v, x in vec.items():
-            for u in adj[v]:
-                nxt[u] = nxt.get(u, 0) + x
-        vec = nxt
-        out.append(Fraction(vec.get(g.root, 0)))
+        vec = apply_columns(cols, vec)
+        out.append(Fraction(vec.get(0, 0)))
     return tuple(out)
 
 
@@ -81,23 +84,6 @@ def root_distribution(g: RootedGraph, order: int):
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
-
-def graph_star(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
-    """Glue the two graphs at their roots."""
-    edges = set(g1.edges)
-    mapping = {}
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == g2.root:
-            mapping[v] = g1.root
-        else:
-            mapping[v] = nxt
-            nxt += 1
-    for u, v in g2.edges:
-        a, b = mapping[u], mapping[v]
-        edges.add((min(a, b), max(a, b)))
-    return RootedGraph(nxt, g1.root, frozenset(edges))
-
 
 def _attach_copies(g1: RootedGraph, g2: RootedGraph, hosts: Sequence[int]) -> RootedGraph:
     edges = set(g1.edges)
@@ -116,6 +102,11 @@ def _attach_copies(g1: RootedGraph, g2: RootedGraph, hosts: Sequence[int]) -> Ro
     return RootedGraph(nxt, g1.root, frozenset(edges))
 
 
+def graph_star(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
+    """Glue the two graphs at their roots."""
+    return _attach_copies(g1, g2, [g1.root])
+
+
 def graph_comb(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     """Attach a copy of g2 by its root to every vertex of g1."""
     return _attach_copies(g1, g2, list(range(g1.n)))
@@ -126,47 +117,29 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     return _attach_copies(g1, g2, g1.non_root())
 
 
-def _free_product_words(
+def _free_product(
     g1: RootedGraph, g2: RootedGraph, radius: int
-) -> tuple[list[tuple], dict]:
-    letters = {1: g1.non_root(), 2: g2.non_root()}
-    words: list[tuple] = [()]
-
-    def grow(prefix: tuple):
-        if len(prefix) == radius:
-            return
-        for factor in (1, 2):
-            if prefix and prefix[0][0] == factor:
-                continue
-            for v in letters[factor]:
-                w = ((factor, v),) + prefix
-                words.append(w)
-                grow(w)
-
-    grow(())
-    words.sort(key=lambda w: (len(w), w))
-    return words, {w: i for i, w in enumerate(words)}
+) -> tuple[WordBasis, ModelOperator]:
+    """Alternating words of length <= radius and the sum of the two lifted
+    adjacency operators on them."""
+    if radius < 1:
+        raise InvalidParameter("radius must be >= 1")
+    # a letter's index is below max(n1, n2), so this index-sum cap prunes no word
+    basis = WordBasis.build(g1.n, g2.n, radius, radius * max(g1.n, g2.n))
+    op = free_product_rep(g1.adjacency(), 1, basis) + free_product_rep(g2.adjacency(), 2, basis)
+    return basis, op
 
 
-def _free_product_edges(
-    g1: RootedGraph, g2: RootedGraph, words: list[tuple], index: dict
-) -> set[tuple[int, int]]:
-    adjs = {1: g1.neighbors(), 2: g2.neighbors()}
-    roots = {1: g1.root, 2: g2.root}
-    edges: set[tuple[int, int]] = set()
-    for w in words:
-        wi = index[w]
-        for factor in (1, 2):
-            if w and w[0][0] == factor:
-                head, rest = w[0][1], w[1:]
-            else:
-                head, rest = roots[factor], w
-            for u in adjs[factor][head]:
-                target = rest if u == roots[factor] else ((factor, u),) + rest
-                ti = index.get(target)
-                if ti is not None and ti != wi:
-                    edges.add((min(wi, ti), max(wi, ti)))
-    return edges
+def _induced(op: ModelOperator, keep: Sequence[int]) -> RootedGraph:
+    """Graph on the kept basis indices, renumbered in order and rooted at the
+    first, with an edge for every entry of `op` between two of them."""
+    label = {i: k for k, i in enumerate(keep)}
+    edges = set()
+    for r, c in op.entries:
+        if r in label and c in label:
+            a, b = label[r], label[c]
+            edges.add((min(a, b), max(a, b)))
+    return RootedGraph(len(label), 0, frozenset(edges))
 
 
 def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGraph:
@@ -175,11 +148,8 @@ def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGr
     Root spectral moments of order <= 2 * radius + 1 agree with the infinite
     free product (an order-n moment only explores words of length <= n/2).
     """
-    if radius < 1:
-        raise InvalidParameter("radius must be >= 1")
-    words, index = _free_product_words(g1, g2, radius)
-    edges = _free_product_edges(g1, g2, words, index)
-    return RootedGraph(len(words), index[()], frozenset(edges))
+    basis, op = _free_product(g1, g2, radius)
+    return _induced(op, range(len(basis)))
 
 
 def free_product_branch(
@@ -189,31 +159,33 @@ def free_product_branch(
     the words whose last letter comes from the chosen factor."""
     if factor not in (1, 2):
         raise InvalidParameter("factor must be 1 or 2")
-    words, index = _free_product_words(g1, g2, radius)
-    keep = [w for w in words if not w or w[-1][0] == factor]
-    keep_index = {w: i for i, w in enumerate(keep)}
-    edges_all = _free_product_edges(g1, g2, words, index)
-    rev = {i: w for w, i in index.items()}
-    edges = set()
-    for a, b in edges_all:
-        wa, wb = rev[a], rev[b]
-        if wa in keep_index and wb in keep_index:
-            ia, ib = keep_index[wa], keep_index[wb]
-            edges.add((min(ia, ib), max(ia, ib)))
-    return RootedGraph(len(keep), keep_index[()], frozenset(edges))
+    basis, op = _free_product(g1, g2, radius)
+    return _induced(op, [i for i, w in enumerate(basis.words) if not w or w[-1][0] == factor])
 
 
 # ---------------------------------------------------------------------------
 # JSON graph format
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(obj: dict) -> RootedGraph:
+    """Graph from its JSON object; anything but integer `vertices` and `root`
+    and a list of integer pairs as `edges` is rejected, not coerced."""
     if not isinstance(obj, dict):
         raise InvalidParameter("graph object must be a JSON object")
-    try:
-        return rooted_graph(int(obj["vertices"]), int(obj["root"]), obj.get("edges", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameter(f"bad graph object: {exc}") from exc
+    for key in ("vertices", "root"):
+        if not _is_int(obj.get(key)):
+            raise InvalidParameter(f"graph {key!r} must be an integer, got {obj.get(key)!r}")
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        raise InvalidParameter(f"graph 'edges' must be a list, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise InvalidParameter(f"graph edge must be a pair of integers, got {e!r}")
+    return rooted_graph(obj["vertices"], obj["root"], edges)
 
 
 def graph_to_json(g: RootedGraph) -> dict:

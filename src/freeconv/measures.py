@@ -473,11 +473,12 @@ def wigner_transform(a, b, z: complex) -> complex:
 
 
 def _as_jacobi(rep) -> JacobiParams:
+    """Recursion coefficients of a measure given either way."""
     if isinstance(rep, JacobiParams):
         return rep
     if isinstance(rep, MeasureRep):
         return rep.jacobi()
-    raise InvalidParameter(f"cannot evaluate {type(rep).__name__}")
+    raise InvalidParameter(f"not a measure: {type(rep).__name__}")
 
 
 def eval_G(rep, z: complex, depth: int = 64) -> complex:
@@ -536,8 +537,8 @@ def stieltjes_density(
     rep, grid: Sequence[float], epsilon: float = 1e-6, depth: int = 64
 ) -> list[tuple[float, float]]:
     """Smoothed density -Im G(x + i*epsilon) / pi on the grid."""
-    if epsilon <= 0:
-        raise InvalidParameter("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
     out = []
     for x in grid:
         g = eval_G(rep, complex(x, epsilon), depth)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import DepthExceeded, InsufficientDepth, InvalidParameter
-from .measures import JacobiParams, MeasureRep, rational_sqrt
+from .measures import JacobiParams, _as_jacobi, rational_sqrt
 
 Word = tuple[tuple[int, int], ...]
 
@@ -45,7 +45,8 @@ class WordBasis:
     so matrices are reproducible across runs.  The index-sum cap (default:
     the depth cap) bounds the basis without touching any word reachable
     within the certified orders, since one operator application raises the
-    total index by at most one.
+    total index by at most one.  Building stops with `InvalidParameter` at
+    the first word past 200 000.
     """
 
     words: tuple[Word, ...]
@@ -66,25 +67,26 @@ class WordBasis:
             weight_cap = depth_cap
         dims = (d1, d2)
         words: list[Word] = [()]
-
-        def grow(prefix: Word, weight: int):
-            if len(prefix) == depth_cap:
-                return
-            for factor in (1, 2):
-                if prefix and prefix[0][0] == factor:
-                    continue
-                for k in range(1, dims[factor - 1]):
-                    if weight + k > weight_cap:
-                        break
-                    word = ((factor, k),) + prefix
-                    words.append(word)
-                    grow(word, weight + k)
-
-        grow((), 0)
-        if len(words) > _BASIS_SIZE_LIMIT:
-            raise InvalidParameter(
-                f"basis would have {len(words)} words; lower the caps"
-            )
+        # one word length at a time, with each word's index sum
+        level: list[tuple[Word, int]] = [((), 0)]
+        for _ in range(depth_cap):
+            grown = []
+            for prefix, weight in level:
+                for factor in (1, 2):
+                    if prefix and prefix[0][0] == factor:
+                        continue
+                    for k in range(1, min(dims[factor - 1], weight_cap - weight + 1)):
+                        if len(words) == _BASIS_SIZE_LIMIT:
+                            raise InvalidParameter(
+                                f"basis would have more than {_BASIS_SIZE_LIMIT} words; "
+                                "lower the caps"
+                            )
+                        word = ((factor, k),) + prefix
+                        words.append(word)
+                        grown.append((word, weight + k))
+            if not grown:
+                break
+            level = grown
         words.sort(key=lambda w: (len(w), w))
         index = {w: i for i, w in enumerate(words)}
         return cls(tuple(words), dims, depth_cap, weight_cap, index)
@@ -277,14 +279,6 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
     return ModelOperator(len(basis), entries, exact=a.exact)
 
 
-def _to_jacobi(measure) -> JacobiParams:
-    if isinstance(measure, JacobiParams):
-        return measure
-    if isinstance(measure, MeasureRep):
-        return measure.jacobi()
-    raise InvalidParameter(f"cannot realize {type(measure).__name__}")
-
-
 class FreeProductModel:
     """Both factor operators represented on one truncated word space."""
 
@@ -296,8 +290,8 @@ class FreeProductModel:
         depth_cap: int,
         weight_cap: Optional[int] = None,
     ):
-        self.mu_jacobi = _to_jacobi(mu)
-        self.nu_jacobi = _to_jacobi(nu)
+        self.mu_jacobi = _as_jacobi(mu)
+        self.nu_jacobi = _as_jacobi(nu)
         a1 = jacobi_operator(self.mu_jacobi, factor_dim)
         a2 = jacobi_operator(self.nu_jacobi, factor_dim)
         if not (a1.exact and a2.exact):

@@ -191,31 +191,6 @@ def block_depth(blocks: Sequence[Block], which: int) -> int:
     return outer + 1
 
 
-@dataclass(frozen=True)
-class NCPartition:
-    """Non-crossing partition of {1..n}, blocks sorted by their minimum."""
-
-    blocks: tuple[Block, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def depth(self) -> int:
-        return max(block_depth(self.blocks, i) for i in range(len(self.blocks)))
-
-
-def nc_partition(blocks: Iterable[Iterable[int]]) -> NCPartition:
-    norm = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    seen = [x for b in norm for x in b]
-    n = len(seen)
-    if sorted(seen) != list(range(1, n + 1)):
-        raise InvalidParameter("blocks must partition {1..n}")
-    if not is_noncrossing(norm):
-        raise InvalidParameter("blocks cross")
-    return NCPartition(norm)
-
-
 @lru_cache(maxsize=None)
 def noncrossing_partitions(n: int) -> tuple[tuple[Block, ...], ...]:
     """All non-crossing partitions of {1..n}, blocks sorted by minimum."""

@@ -268,6 +268,13 @@ class TestDensity:
         assert code == 3
 
 
+    @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_rejected(self, tmp_path, capsys, flag, value):
+        mu = write(tmp_path, "mu.json", WIGNER01)
+        code, out, err = run(capsys, ["density", mu, "--points", "3", f"{flag}={value}"])
+        assert code == 2 and out == "" and f"{flag[2:]} must be finite" in err
+
     def test_depth_below_one_rejected_before_output(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", WIGNER01)
         for depth in ("0", "-5"):
@@ -327,6 +334,44 @@ class TestGraph:
         g = write(tmp_path, "g.json", {"vertices": 2, "root": 9, "edges": []})
         code, _, _ = run(capsys, ["graph", "star", g, g])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": 2.9, "root": 0, "edges": [[0, 1]]},
+            {"vertices": "3", "root": 0, "edges": [[0, 1]]},
+            {"vertices": True, "root": 0, "edges": []},
+            {"vertices": 2, "root": False, "edges": [[0, 1]]},
+            {"root": 0, "edges": []},
+            {"vertices": 2, "root": 0, "edges": [[0, 1.7]]},
+            {"vertices": 2, "root": 0, "edges": [[0, True]]},
+            {"vertices": 3, "root": 0, "edges": [[0, 1, 5]]},
+            {"vertices": 2, "root": 0, "edges": [[0]]},
+            {"vertices": 2, "root": 0, "edges": "01"},
+            {"vertices": 2, "root": 0, "edges": [{"u": 0, "v": 1}]},
+        ],
+    )
+    def test_malformed_graph_is_rejected(self, tmp_path, capsys, obj):
+        bad = write(tmp_path, "bad.json", obj)
+        good = write(tmp_path, "good.json", P2)
+        for argv in (["star", bad, good], ["free-ball", good, bad]):
+            code, out, err = run(capsys, ["graph", *argv])
+            assert code == 2 and out == "" and "graph" in err, (argv, err)
+
+    def test_free_ball_past_the_basis_cap_is_rejected(self, tmp_path, capsys):
+        # 976 561 words of length <= 8 in the free product of two 6-cliques
+        k6 = {"vertices": 6, "root": 0, "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
+        g = write(tmp_path, "k6.json", k6)
+        code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "8"])
+        assert code == 2 and out == "" and "more than 200000 words" in err
+
+    def test_free_ball_at_a_radius_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", P2)
+        code, out, _ = run(capsys, ["graph", "free-ball", g, g, "--radius", "2000", "--moments", "3"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["graph"]["vertices"] == 1 + 2 * 2000
+        assert obj["moments"] == ["0", "2", "0"]
 
 
 class TestVerify:

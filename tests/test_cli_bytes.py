@@ -1,11 +1,14 @@
-"""`convolve` stdout pinned byte for byte against committed expected files.
+"""`convolve` and `graph` stdout pinned byte for byte against committed
+expected files.
 
-Each case runs one operation at one order on five input pairs that cover
-every measure form: atoms, moments, recursion coefficients with a wigner
-tail, and truncated recursion coefficients, plus a point mass at 0 so that
-the finite-support path and the atom output run too.  The expected files
-in ``tests/cli_expected/`` hold the concatenated stdout of the pairs, so a
-changed rational fails on its own line.
+Each `convolve` case runs one operation at one order on five input pairs
+that cover every measure form: atoms, moments, recursion coefficients with
+a wigner tail, and truncated recursion coefficients, plus a point mass at 0
+so that the finite-support path and the atom output run too.  Each `graph`
+case runs one product on four pairs of graphs rooted at a non-zero vertex,
+so the numbering of the product's vertices and edges is pinned too.  The
+expected files in ``tests/cli_expected/`` hold the concatenated stdout of
+the pairs, so a changed rational or edge fails on its own line.
 
 To regenerate after a deliberate output change:
 
@@ -55,28 +58,65 @@ OPS = ("free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter")
 ORDERS = (10, 24)
 CASES = [(op, order) for op in OPS for order in ORDERS]
 
+GRAPHS = {
+    # a triangle with a pendant vertex, rooted on the triangle; edges unsorted
+    "paw": {"vertices": 4, "root": 2, "edges": [[2, 0], [1, 2], [0, 1], [3, 2]]},
+    # a path rooted at an inner vertex
+    "path": {"vertices": 4, "root": 1, "edges": [[0, 1], [1, 2], [2, 3]]},
+    # a path rooted at its last vertex
+    "leaf": {"vertices": 3, "root": 2, "edges": [[0, 1], [1, 2]]},
+    # an isolated root beside an edge
+    "lone": {"vertices": 3, "root": 1, "edges": [[0, 2]]},
+}
+GRAPH_PAIRS = (("paw", "path"), ("path", "leaf"), ("leaf", "paw"), ("lone", "paw"))
+GRAPH_OPS = ("star", "comb", "orthogonal", "free-ball")
+
 
 def expected_path(op, order):
     return os.path.join(EXPECTED_DIR, f"{op}-{order}.txt")
 
 
-def render(op, order, directory):
-    """Concatenated stdout of all pairs, each under a header line."""
+def graph_expected_path(op):
+    return os.path.join(EXPECTED_DIR, f"graph-{op}.txt")
+
+
+def write_inputs(objects, directory):
     paths = {}
-    for name, obj in MEASURES.items():
+    for name, obj in objects.items():
         paths[name] = os.path.join(directory, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
+    return paths
+
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    return buf.getvalue()
+
+
+def render(op, order, directory):
+    """Concatenated stdout of all pairs, each under a header line."""
+    paths = write_inputs(MEASURES, directory)
     out = []
     for mu, nu in PAIRS:
         argv = ["convolve", op, paths[mu], paths[nu], "--order", str(order)]
         if op == "orthogonal-iter":
             argv += ["--iterations", "3"]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        assert code == 0, f"{op} {mu} {nu} at order {order} exited {code}"
-        out.append(f"# {op} {mu} {nu} --order {order}\n{buf.getvalue()}")
+        out.append(f"# {op} {mu} {nu} --order {order}\n{stdout_of(argv)}")
+    return "".join(out)
+
+
+def render_graph(op, directory):
+    """Concatenated stdout of all graph pairs, each under a header line."""
+    paths = write_inputs(GRAPHS, directory)
+    flags = ["--moments", "7"] + (["--radius", "3"] if op == "free-ball" else [])
+    out = []
+    for g1, g2 in GRAPH_PAIRS:
+        argv = ["graph", op, paths[g1], paths[g2]] + flags
+        out.append(f"# graph {op} {g1} {g2} {' '.join(flags)}\n{stdout_of(argv)}")
     return "".join(out)
 
 
@@ -89,9 +129,21 @@ def test_convolve_stdout_matches_expected_file(op, order, tmp_path):
     assert got == expected
 
 
+@pytest.mark.parametrize("op", GRAPH_OPS)
+def test_graph_stdout_matches_expected_file(op, tmp_path):
+    got = render_graph(op, str(tmp_path))
+    with open(graph_expected_path(op), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert got.splitlines() == expected.splitlines()
+    assert got == expected
+
+
 if __name__ == "__main__":
     os.makedirs(EXPECTED_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for op, order in CASES:
             with open(expected_path(op, order), "w", encoding="utf-8") as fh:
                 fh.write(render(op, order, tmp))
+        for op in GRAPH_OPS:
+            with open(graph_expected_path(op), "w", encoding="utf-8") as fh:
+                fh.write(render_graph(op, tmp))

@@ -96,6 +96,68 @@ class TestFreeProduct:
                 assert graphs.root_spectral_moments(graph, 8) == op(r1, r2, 8).moments(8)
 
 
-def _random_graph(rng, n):
+class TestFreeProductAgainstWordEnumeration:
+    def test_ball_and_branches_equal_the_reference(self):
+        rng = random.Random(1200)
+        for _ in range(200):
+            g1 = _random_graph(rng, rng.randint(1, 5), root=None)
+            g2 = _random_graph(rng, rng.randint(1, 5), root=None)
+            radius = rng.randint(1, 5)
+            case = (g1, g2, radius)
+            assert graphs.free_product_ball(g1, g2, radius) == reference_free_product(*case), case
+            for factor in (1, 2):
+                assert graphs.free_product_branch(g1, g2, radius, factor) == reference_free_product(
+                    *case, factor
+                ), (case, factor)
+
+
+def _random_graph(rng, n, root=0):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
-    return graphs.rooted_graph(n, 0, edges)
+    return graphs.rooted_graph(n, rng.randrange(n) if root is None else root, edges)
+
+
+def reference_free_product(g1, g2, radius, factor=None):
+    """Reference: the truncated free product built by enumerating the
+    alternating words of non-root vertices directly, each letter a
+    (factor, vertex) pair, and joining two words when one factor's
+    adjacency moves the first letter (or the root) of one to the other.
+    With `factor` it is the branch: the empty word and the words whose last
+    letter comes from that factor."""
+    letters = {1: g1.non_root(), 2: g2.non_root()}
+    roots = {1: g1.root, 2: g2.root}
+    adjs = {}
+    for f, g in ((1, g1), (2, g2)):
+        adjs[f] = [[] for _ in range(g.n)]
+        for u, v in g.edges:
+            adjs[f][u].append(v)
+            adjs[f][v].append(u)
+    words = [()]
+
+    def grow(prefix):
+        if len(prefix) == radius:
+            return
+        for f in (1, 2):
+            if prefix and prefix[0][0] == f:
+                continue
+            for v in letters[f]:
+                w = ((f, v),) + prefix
+                words.append(w)
+                grow(w)
+
+    grow(())
+    words.sort(key=lambda w: (len(w), w))
+    if factor is not None:
+        words = [w for w in words if not w or w[-1][0] == factor]
+    index = {w: i for i, w in enumerate(words)}
+    edges = set()
+    for w, wi in index.items():
+        for f in (1, 2):
+            if w and w[0][0] == f:
+                head, rest = w[0][1], w[1:]
+            else:
+                head, rest = roots[f], w
+            for u in adjs[f][head]:
+                ti = index.get(rest if u == roots[f] else ((f, u),) + rest)
+                if ti is not None and ti != wi:
+                    edges.add((min(wi, ti), max(wi, ti)))
+    return graphs.RootedGraph(len(words), index[()], frozenset(edges))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from freeconv import convolve, opmodel, verify
-from freeconv.errors import DepthExceeded, InsufficientDepth
+from freeconv.errors import DepthExceeded, InsufficientDepth, InvalidParameter
 from freeconv.measures import (
     MeasureRep,
     bernoulli_symmetric,
@@ -52,6 +52,22 @@ class TestWordBasis:
         assert len(capped) < len(full)
         assert all(sum(k for _, k in w) <= 3 for w in capped.words)
 
+    def test_words_equal_the_recursive_enumeration(self):
+        for d1 in range(1, 5):
+            for d2 in range(1, 5):
+                for depth in range(1, 5):
+                    for weight in range(1, 9):
+                        basis = opmodel.WordBasis.build(d1, d2, depth, weight)
+                        want = recursive_words(d1, d2, depth, weight)
+                        assert list(basis.words) == want, (d1, d2, depth, weight)
+
+    def test_size_cap_stops_the_enumeration(self):
+        # about 24 million words below the caps; the first 200 000 take well under 2 s
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="more than 200000 words"):
+            opmodel.WordBasis.build(6, 6, 10, 60)
+        assert time.perf_counter() - start < 2.0
+
     def test_level_slabs_partition_words(self):
         basis = opmodel.WordBasis.build(3, 3, 4)
         for factor in (1, 2):
@@ -61,6 +77,29 @@ class TestWordBasis:
                 assert not (slab & seen)
                 seen |= slab
             assert seen == set(range(len(basis)))
+
+
+def recursive_words(d1, d2, depth_cap, weight_cap):
+    """Reference: the alternating words grown depth first by prepending
+    letters, then sorted length-lexicographically."""
+    dims = (d1, d2)
+    words = [()]
+
+    def grow(prefix, weight):
+        if len(prefix) == depth_cap:
+            return
+        for factor in (1, 2):
+            if prefix and prefix[0][0] == factor:
+                continue
+            for k in range(1, dims[factor - 1]):
+                if weight + k > weight_cap:
+                    break
+                word = ((factor, k),) + prefix
+                words.append(word)
+                grow(word, weight + k)
+
+    grow((), 0)
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 class TestJacobiOperator:

@@ -146,8 +146,8 @@ class TestNonCrossing:
         assert P.is_noncrossing([(1, 4), (2, 3)])
 
     def test_depth(self):
-        pi = P.nc_partition([(1, 6), (2, 5), (3, 4)])
-        assert pi.depth() == 3
+        blocks = ((1, 6), (2, 5), (3, 4))
+        assert max(P.block_depth(blocks, i) for i in range(len(blocks))) == 3
 
     def test_cumulant_roundtrip(self):
         rng = random.Random(29)

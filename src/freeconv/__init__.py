@@ -8,7 +8,6 @@ graph products cross-checking one another.
 
 from .convolve import (
     ConvolutionRequest,
-    SubordinationEvalConfig,
     boolean,
     free,
     free_cumulant_oracle,
@@ -44,7 +43,6 @@ __all__ = [
     "F_to_moments",
     "JacobiParams",
     "MeasureRep",
-    "SubordinationEvalConfig",
     "TailSeries",
     "WignerTail",
     "bernoulli_symmetric",

@@ -68,16 +68,9 @@ class ConvolutionRequest:
     iterations: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SubordinationEvalConfig:
-    tol: float = 1e-12
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidParameter("tolerance must be > 0")
-        if self.max_iter < 1:
-            raise InvalidParameter("max_iter must be >= 1")
+# stopping rule of the pointwise subordination iteration
+SUBORDINATION_TOL = 1e-12
+SUBORDINATION_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +198,6 @@ def subordination_eval(
     mu: MeasureRep,
     nu: MeasureRep,
     z: complex,
-    cfg: Optional[SubordinationEvalConfig] = None,
-    depth: int = 64,
 ) -> tuple[complex, complex]:
     """Limits (u, v) of the coupled alternating K-iteration at z.
 
@@ -214,19 +205,17 @@ def subordination_eval(
     v to the one subordinate to nu, so z - v and z - u are the subordination
     functions of the free convolution at z.
     """
-    if cfg is None:
-        cfg = SubordinationEvalConfig()
-    u = eval_K(mu, z, depth)
-    v = eval_K(nu, z, depth)
-    for _ in range(cfg.max_iter):
-        u_next = eval_K(mu, z - v, depth)
-        v_next = eval_K(nu, z - u, depth)
+    u = eval_K(mu, z)
+    v = eval_K(nu, z)
+    for _ in range(SUBORDINATION_MAX_ITER):
+        u_next = eval_K(mu, z - v)
+        v_next = eval_K(nu, z - u)
         gap = max(abs(u_next - u), abs(v_next - v))
         u, v = u_next, v_next
-        if gap < cfg.tol:
+        if gap < SUBORDINATION_TOL:
             return u, v
     raise NoConvergence(
-        f"no convergence within {cfg.max_iter} iterations (gap {gap:.3e})",
+        f"no convergence within {SUBORDINATION_MAX_ITER} iterations (gap {gap:.3e})",
         last=(u, v),
         gap=gap,
     )

@@ -65,7 +65,7 @@ def path_graph(n: int, root: int = 0) -> RootedGraph:
 
 def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
     """<A^n delta(root), delta(root)> for n = 1..n_max, exactly."""
-    cols = g.adjacency().columns()
+    cols = g.adjacency().entries
     vec = {0: 1}
     out = []
     for _ in range(n_max):
@@ -135,10 +135,11 @@ def _induced(op: ModelOperator, keep: Sequence[int]) -> RootedGraph:
     first, with an edge for every entry of `op` between two of them."""
     label = {i: k for k, i in enumerate(keep)}
     edges = set()
-    for r, c in op.entries:
-        if r in label and c in label:
-            a, b = label[r], label[c]
-            edges.add((min(a, b), max(a, b)))
+    for c, col in op.entries.items():
+        for r in col:
+            if r in label and c in label:
+                a, b = label[r], label[c]
+                edges.add((min(a, b), max(a, b)))
     return RootedGraph(len(label), 0, frozenset(edges))
 
 
@@ -179,7 +180,7 @@ def parse_graph(obj: dict) -> RootedGraph:
     for key in ("vertices", "root"):
         if not _is_int(obj.get(key)):
             raise InvalidParameter(f"graph {key!r} must be an integer, got {obj.get(key)!r}")
-    edges = obj.get("edges", [])
+    edges = obj.get("edges")
     if not isinstance(edges, list):
         raise InvalidParameter(f"graph 'edges' must be a list, got {edges!r}")
     for e in edges:

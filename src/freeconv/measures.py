@@ -44,21 +44,13 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .series import TailSeries, poly_mul, poly_scale, poly_sub
+from .series import TailSeries, _frac, poly_mul, poly_scale, poly_sub
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm d of the denominators of xs and the ints x*d."""
     d = math.lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise InvalidParameter("floats are not accepted where exact rationals are required")
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------

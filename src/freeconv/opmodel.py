@@ -15,13 +15,19 @@ to order D - k in a state supported at word length k.
 Entries are exact rationals whenever every squared off-diagonal entry of
 both factors has a rational square root; otherwise both factors drop to
 floats and comparisons carry a 1e-9 tolerance.
+
+Operators are held by column, the one form every reader wants.  A factor's
+representation maps each word into its own slab (the word's length, plus one
+unless the word starts with that factor), so a replica is the columns of one
+slab and a branch the columns of alternating slabs of the two factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from operator import add, sub
+from typing import Container, Mapping, Optional
 
 from .errors import DepthExceeded, InsufficientDepth, InvalidParameter
 from .measures import JacobiParams, _as_jacobi, rational_sqrt
@@ -94,19 +100,11 @@ class WordBasis:
     def __len__(self) -> int:
         return len(self.words)
 
-    def level_indices(self, factor: int, n: int) -> frozenset[int]:
-        """Indices of the n-th invariant slab for the given factor: words of
-        length n-1 not starting with the factor, plus words of length n
-        starting with it."""
-        if n < 1:
-            raise InvalidParameter("level must be >= 1")
-        keep = set()
-        for i, w in enumerate(self.words):
-            if len(w) == n - 1 and (not w or w[0][0] != factor):
-                keep.add(i)
-            elif len(w) == n and w and w[0][0] == factor:
-                keep.add(i)
-        return frozenset(keep)
+    def slab(self, factor: int, i: int) -> int:
+        """The factor's slab of word i: its length, plus one unless the word
+        starts with the factor."""
+        w = self.words[i]
+        return len(w) + (not w or w[0][0] != factor)
 
 
 # ---------------------------------------------------------------------------
@@ -114,78 +112,90 @@ class WordBasis:
 # ---------------------------------------------------------------------------
 
 class ModelOperator:
-    """Sparse matrix on an indexed basis, exact or float entries."""
+    """Sparse matrix on an indexed basis, exact or float entries.
+
+    The one store is by column, `entries[c] = {r: value}`, with no zero
+    entry and no empty column.  The constructor takes the `(r, c) -> value`
+    mapping; operators are never changed in place, so they may share
+    columns.
+    """
 
     __slots__ = ("size", "entries", "exact")
 
-    def __init__(self, size: int, entries: dict, *, exact: bool = True):
-        self.size = size
-        self.entries = {k: v for k, v in entries.items() if v != 0}
-        self.exact = exact
+    def __init__(self, size: int, entries: Mapping[tuple[int, int], object], *, exact: bool = True):
+        cols: dict = {}
+        for (r, c), v in entries.items():
+            if v != 0:
+                cols.setdefault(c, {})[r] = v
+        self.size, self.entries, self.exact = size, cols, exact
+
+    @classmethod
+    def _of(cls, size: int, cols: dict, exact: bool) -> "ModelOperator":
+        """Operator on a column store that already holds no zero entry and
+        no empty column."""
+        op = cls.__new__(cls)
+        op.size, op.entries, op.exact = size, cols, exact
+        return op
 
     def __add__(self, other: "ModelOperator") -> "ModelOperator":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return ModelOperator(self.size, out, exact=self.exact and other.exact)
+        return self._combine(other, add)
 
     def __sub__(self, other: "ModelOperator") -> "ModelOperator":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return ModelOperator(self.size, out, exact=self.exact and other.exact)
+        return self._combine(other, sub)
+
+    def _combine(self, other: "ModelOperator", op) -> "ModelOperator":
+        cols = dict(self.entries)
+        for c, col in other.entries.items():
+            out = dict(cols.get(c, ()))
+            for r, v in col.items():
+                x = op(out.get(r, 0), v)
+                if x != 0:
+                    out[r] = x
+                else:
+                    del out[r]
+            if out:
+                cols[c] = out
+            else:
+                del cols[c]
+        return ModelOperator._of(self.size, cols, self.exact and other.exact)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
-        cols = self.columns()
-        out: dict = {}
-        for (r, c), v in other.entries.items():
-            for rr, vv in cols.get(r, ()):
-                key = (rr, c)
-                out[key] = out.get(key, 0) + vv * v
-        return ModelOperator(self.size, out, exact=self.exact and other.exact)
-
-    def columns(self) -> dict[int, list]:
-        """Column index c -> [(r, value), ...] in entry order, built anew."""
-        cols: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        return cols
+        own = self.entries
+        cols = {}
+        for c, col in other.entries.items():
+            # a column that meets none of ours maps to zero (distant slabs)
+            if not own.keys().isdisjoint(col) and (out := apply_columns(own, col)):
+                cols[c] = out
+        return ModelOperator._of(self.size, cols, self.exact and other.exact)
 
     def apply(self, vec: dict) -> dict:
-        return apply_columns(self.columns(), vec)
+        return apply_columns(self.entries, vec)
 
-    def compress(self, keep: frozenset[int]) -> "ModelOperator":
-        out = {k: v for k, v in self.entries.items() if k[0] in keep and k[1] in keep}
-        return ModelOperator(self.size, out, exact=self.exact)
+    def is_symmetric(self) -> bool:
+        transpose: dict = {}
+        for c, col in self.entries.items():
+            for r, v in col.items():
+                transpose.setdefault(r, {})[c] = v
+        return self.equals(ModelOperator._of(self.size, transpose, self.exact))
 
-    def is_symmetric(self, tol: float = FLOAT_TOL) -> bool:
-        for (r, c), v in self.entries.items():
-            w = self.entries.get((c, r), 0)
-            if self.exact:
-                if w != v:
-                    return False
-            elif abs(w - v) > tol:
-                return False
-        return True
-
-    def equals(self, other: "ModelOperator", tol: float = FLOAT_TOL) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        for k in keys:
-            a = self.entries.get(k, 0)
-            b = other.entries.get(k, 0)
-            if self.exact and other.exact:
-                if a != b:
-                    return False
-            elif abs(a - b) > tol:
-                return False
+    def equals(self, other: "ModelOperator") -> bool:
+        if self.exact and other.exact:
+            # no zero is stored, so equal operators have equal stores
+            return self.entries == other.entries
+        for x, y in ((self, other), (other, self)):
+            for c, col in x.entries.items():
+                y_col = y.entries.get(c, {})
+                for r, v in col.items():
+                    if abs(v - y_col.get(r, 0)) > FLOAT_TOL:
+                        return False
         return True
 
 
-def apply_columns(cols: dict[int, list], vec: dict) -> dict:
-    """The operator with column index `cols` applied to a sparse vector."""
+def apply_columns(cols: dict[int, dict], vec: dict) -> dict:
+    """The operator with column store `cols` applied to a sparse vector."""
     out: dict = {}
     for c, x in vec.items():
-        for r, v in cols.get(c, ()):
+        for r, v in cols.get(c, {}).items():
             out[r] = out.get(r, 0) + v * x
     return {k: v for k, v in out.items() if v != 0}
 
@@ -257,8 +267,7 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
     d = basis.dims[factor - 1]
     if a.size != d:
         raise InvalidParameter(f"factor operator must be {d}-dimensional")
-    cols = a.columns()
-    entries: dict = {}
+    cols: dict = {}
     for ci, w in enumerate(basis.words):
         if w and w[0][0] == factor:
             b = w[0][1]
@@ -266,17 +275,18 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
         else:
             b = 0
             rest = w
-        for r, v in cols.get(b, ()):
+        col = {}
+        for r, v in a.entries.get(b, {}).items():
             if r == 0:
                 target = w if b == 0 else rest
             else:
                 target = ((factor, r),) + rest
             ri = basis.index.get(target)
-            if ri is None:
-                continue
-            key = (ri, ci)
-            entries[key] = entries.get(key, 0) + v
-    return ModelOperator(len(basis), entries, exact=a.exact)
+            if ri is not None:
+                col[ri] = v
+        if col:
+            cols[ci] = col
+    return ModelOperator._of(len(basis), cols, a.exact)
 
 
 class FreeProductModel:
@@ -315,32 +325,31 @@ class FreeProductModel:
         return self.x1 + self.x2
 
     def replica(self, factor: int, n: int) -> ModelOperator:
-        """Compression of the factor's representation to its n-th slab."""
+        """Compression of the factor's representation to its n-th slab: the
+        columns of that slab, which the representation maps into itself."""
         if n < 1 or n > self.depth_cap + 1:
             raise DepthExceeded(f"replica level {n} outside 1..{self.depth_cap + 1}")
         key = (factor, n)
         if key not in self._replicas:
-            keep = self.basis.level_indices(factor, n)
-            self._replicas[key] = self.lam(factor).compress(keep)
+            self._replicas[key] = self._slab_columns(factor, (n,))
         return self._replicas[key]
 
     def branch(self, factor: int, k: int = 1) -> ModelOperator:
-        """Alternating sum of replicas from level k on: the truncated branch."""
+        """Alternating sum of replicas from level k on: the truncated branch,
+        the factor's slabs k, k + 2, ... and the other's k + 1, k + 3, ..."""
         if k < 1:
             raise InvalidParameter("branch level must be >= 1")
-        if k > self.depth_cap + 1:
+        last = self.depth_cap + 1
+        if k > last:
             raise DepthExceeded(f"branch level {k} outside the truncated space")
-        other = 3 - factor
-        out = ModelOperator(len(self.basis), {}, exact=self.exact)
-        n = k
-        while n <= self.depth_cap + 1:
-            out = out + self.replica(factor, n)
-            n += 2
-        n = k + 1
-        while n <= self.depth_cap + 1:
-            out = out + self.replica(other, n)
-            n += 2
-        return out
+        mine = self._slab_columns(factor, range(k, last + 1, 2))
+        return mine + self._slab_columns(3 - factor, range(k + 1, last + 1, 2))
+
+    def _slab_columns(self, factor: int, slabs: Container[int]) -> ModelOperator:
+        """The columns of the factor's representation in the given slabs."""
+        lam, slab = self.lam(factor), self.basis.slab
+        cols = {c: col for c, col in lam.entries.items() if slab(factor, c) in slabs}
+        return ModelOperator._of(lam.size, cols, lam.exact)
 
     def one(self):
         return Fraction(1) if self.exact else 1.0
@@ -359,11 +368,10 @@ class FreeProductModel:
         if vec is None:
             vec = self.vacuum()
         norm = vec_dot(vec, vec)
-        cols = op.columns()
         out = []
         cur = vec
         for _ in range(n_max):
-            cur = apply_columns(cols, cur)
+            cur = apply_columns(op.entries, cur)
             out.append(vec_dot(cur, vec) / norm)
         return out
 
@@ -372,7 +380,8 @@ class FreeProductModel:
 
 
 def _as_float(a: ModelOperator) -> ModelOperator:
-    return ModelOperator(a.size, {k: float(v) for k, v in a.entries.items()}, exact=False)
+    cols = {c: {r: float(v) for r, v in col.items()} for c, col in a.entries.items()}
+    return ModelOperator._of(a.size, cols, False)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +402,6 @@ def orthogonality_check(
     xi: dict,
     eta: dict,
     n_max: int,
-    tol: Optional[float] = None,
 ) -> OrthogonalityReport:
     """Exhaustive two-state orthogonality test over bounded monomials.
 
@@ -405,20 +413,18 @@ def orthogonality_check(
     raised, in a fixed order: (i) by p, q; (ii) by w2, q, s, p, w1, with
     words in length-lexicographic order.
 
-    Each operator's column index is built once and the power chains are
-    shared: a^k w2 xi once per w2, the b-chain once per q, the a-chain
-    once per s; phi(w1 a^p) and <a^(p+q) w2 xi, w1> once per argument pair.
+    The power chains are shared: a^k w2 xi once per w2, the b-chain once
+    per q, the a-chain once per s; phi(w1 a^p) and <a^(p+q) w2 xi, w1> once
+    per argument pair.
     """
     exact = a.exact and b.exact
-    if tol is None:
-        tol = 0.0 if exact else FLOAT_TOL
 
     def close(x, y) -> bool:
         if exact:
             return x == y
-        return abs(x - y) <= tol
+        return abs(x - y) <= FLOAT_TOL
 
-    cols = {"a": a.columns(), "b": b.columns()}
+    cols = {"a": a.entries, "b": b.entries}
     n_xi = vec_dot(xi, xi)
     n_eta = vec_dot(eta, eta)
 
@@ -492,4 +498,4 @@ def orthogonality_check(
                                 "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
                                 % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", lhs, rhs)
                             )
-    return OrthogonalityReport(not violations, checked, violations, None if exact else tol)
+    return OrthogonalityReport(not violations, checked, violations, None if exact else FLOAT_TOL)

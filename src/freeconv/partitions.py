@@ -20,15 +20,12 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import EvenBlockCount, InvalidParameter, OrderExceeded
+from .series import _frac
 
 Composition = tuple[int, ...]
 Block = tuple[int, ...]
 
 MAX_ENUM_N = 12
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _check_n(n: int, limit: int = MAX_ENUM_N) -> None:

@@ -39,13 +39,17 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ZeroLeadingCoefficient
+from .errors import InvalidParameter, ZeroLeadingCoefficient
 
 Rational = int | Fraction
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise InvalidParameter("floats are not accepted where exact rationals are required")
+    return Fraction(x)
 
 
 def _cauchy(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Fraction]:

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import time
@@ -349,6 +348,7 @@ class TestGraph:
             {"vertices": 2, "root": 0, "edges": [[0]]},
             {"vertices": 2, "root": 0, "edges": "01"},
             {"vertices": 2, "root": 0, "edges": [{"u": 0, "v": 1}]},
+            {"vertices": 3, "root": 1},
         ],
     )
     def test_malformed_graph_is_rejected(self, tmp_path, capsys, obj):
@@ -417,8 +417,7 @@ class TestVerify:
         real = verify.CHECKS[name]
         self.stub_checks(monkeypatch)
         monkeypatch.setitem(verify.CHECKS, name, real)
-        one_step = functools.partial(convolve.SubordinationEvalConfig, max_iter=1)
-        monkeypatch.setattr(convolve, "SubordinationEvalConfig", one_step)
+        monkeypatch.setattr(convolve, "SUBORDINATION_MAX_ITER", 1)
         code, out, err = run(capsys, ["verify", "--suite", "convolutions"])
         lines = out.splitlines()
         n = sum(c.suite == "convolutions" for c in verify.CHECKS.values())

@@ -335,20 +335,20 @@ class TestSubordination:
             assert abs((z - 2 * u) - eval_F(w2, z)) < 1e-9
 
     def test_subordination_system(self):
-        cfg = convolve.SubordinationEvalConfig()
         mu = two_point(F(1, 3), -1, 2)
         nu = bernoulli_symmetric()
         z = 0.5 + 2j
-        u, v = convolve.subordination_eval(mu, nu, z, cfg)
+        u, v = convolve.subordination_eval(mu, nu, z)
         f1, f2 = z - v, z - u
         lhs = eval_F(mu, f1)
-        assert abs(lhs - eval_F(nu, f2)) < 10 * cfg.tol
-        assert abs(lhs - (f1 + f2 - z)) < 10 * cfg.tol
+        assert abs(lhs - eval_F(nu, f2)) < 10 * convolve.SUBORDINATION_TOL
+        assert abs(lhs - (f1 + f2 - z)) < 10 * convolve.SUBORDINATION_TOL
 
-    def test_no_convergence_is_reported(self):
-        cfg = convolve.SubordinationEvalConfig(tol=1e-30, max_iter=5)
+    def test_no_convergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(convolve, "SUBORDINATION_TOL", 1e-30)
+        monkeypatch.setattr(convolve, "SUBORDINATION_MAX_ITER", 5)
         with pytest.raises(NoConvergence) as err:
-            convolve.subordination_eval(BERN, BERN, 1j, cfg)
+            convolve.subordination_eval(BERN, BERN, 1j)
         assert err.value.gap is not None
 
 

@@ -17,7 +17,7 @@ from freeconv.measures import (
 )
 
 
-def small_model(seed=0, dim=4, depth=8):
+def small_model(seed=0, dim=4, depth=8, weight_cap=None):
     # complete=True: the d-dimensional factor realizes the terminated
     # measure exactly, so every moment of it is available for comparisons
     rng = random.Random(seed)
@@ -27,7 +27,7 @@ def small_model(seed=0, dim=4, depth=8):
     gamma = [F(rng.randint(1, 2)) ** 2 for _ in range(dim - 1)]
     jmu = make_jacobi(alpha, omega, complete=True)
     jnu = make_jacobi(beta, gamma, complete=True)
-    return opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth)
+    return opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight_cap)
 
 
 class TestWordBasis:
@@ -71,12 +71,22 @@ class TestWordBasis:
     def test_level_slabs_partition_words(self):
         basis = opmodel.WordBasis.build(3, 3, 4)
         for factor in (1, 2):
-            seen: set[int] = set()
-            for n in range(1, basis.depth_cap + 2):
-                slab = basis.level_indices(factor, n)
-                assert not (slab & seen)
-                seen |= slab
-            assert seen == set(range(len(basis)))
+            slabs: dict[int, set[int]] = {}
+            for i in range(len(basis)):
+                slabs.setdefault(basis.slab(factor, i), set()).add(i)
+            assert set(slabs) == set(range(1, basis.depth_cap + 2))
+            for n, words in slabs.items():
+                assert words == level_indices(basis, factor, n)
+
+
+def level_indices(basis, factor, n):
+    """Reference slab: the words of length n - 1 not starting with the
+    factor, plus the words of length n starting with it."""
+    return {
+        i
+        for i, w in enumerate(basis.words)
+        if (len(w) == n - 1 and (not w or w[0][0] != factor)) or (len(w) == n and w and w[0][0] == factor)
+    }
 
 
 def recursive_words(d1, d2, depth_cap, weight_cap):
@@ -102,14 +112,99 @@ def recursive_words(d1, d2, depth_cap, weight_cap):
     return sorted(words, key=lambda w: (len(w), w))
 
 
+def dense(op):
+    """The operator as a full `Fraction` matrix, row by row."""
+    m = [[F(0)] * op.size for _ in range(op.size)]
+    for c, col in op.entries.items():
+        for r, v in col.items():
+            m[r][c] = v
+    return m
+
+
+def from_dense(m):
+    return opmodel.ModelOperator(len(m), {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row)})
+
+
+def assert_one_store(op):
+    """No zero entry and no empty column."""
+    assert all(col and all(v != 0 for v in col.values()) for col in op.entries.values())
+
+
+class TestModelOperator:
+    SIZE = 6
+
+    def random_operators(self, seed, count=20):
+        # entries from {-1, 1} on a sparse pattern, so sums and products cancel often
+        rng = random.Random(seed)
+        ops = []
+        for _ in range(count):
+            entries = {}
+            for r in range(self.SIZE):
+                for c in range(self.SIZE):
+                    if rng.random() < 0.3:
+                        entries[r, c] = F(rng.choice((-1, 1)), rng.choice((1, 2)))
+                    elif rng.random() < 0.1:
+                        entries[r, c] = F(0)
+            ops.append(opmodel.ModelOperator(self.SIZE, entries))
+        return ops
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arithmetic_equals_the_dense_reference(self, seed):
+        n = self.SIZE
+        ops = self.random_operators(seed)
+        rng = random.Random(seed)
+        for a, b in zip(ops, ops[1:]):
+            da, db = dense(a), dense(b)
+            assert_one_store(a)
+            for got, want in (
+                (a + b, [[da[r][c] + db[r][c] for c in range(n)] for r in range(n)]),
+                (a - b, [[da[r][c] - db[r][c] for c in range(n)] for r in range(n)]),
+                (a @ b, [[sum(da[r][k] * db[k][c] for k in range(n)) for c in range(n)] for r in range(n)]),
+            ):
+                assert_one_store(got)
+                assert dense(got) == want
+                assert got.equals(from_dense(want))
+            vec = {i: F(rng.randint(-2, 2)) for i in range(n) if rng.random() < 0.5}
+            want = [sum(da[r][c] * vec.get(c, 0) for c in range(n)) for r in range(n)]
+            assert a.apply(vec) == {r: x for r, x in enumerate(want) if x != 0}
+            assert a.equals(b) == (da == db)
+            assert a.is_symmetric() == (da == [list(row) for row in zip(*da)])
+            sym = a + from_dense([list(row) for row in zip(*da)])
+            assert sym.is_symmetric()
+
+    def test_cancellation_leaves_no_zero_and_no_empty_column(self):
+        for a in self.random_operators(3):
+            assert (a - a).entries == {}
+            assert ((a + a) - a).entries == a.entries
+        # column 2 of a @ b is 1 * 1 + 1 * (-1) = 0, and no other column is nonzero
+        a = opmodel.ModelOperator(3, {(0, 0): F(1), (0, 1): F(1)})
+        b = opmodel.ModelOperator(3, {(0, 2): F(1), (1, 2): F(-1)})
+        assert (a @ b).entries == {}
+        assert a.equals(a + (a @ b))
+        assert not a.equals(a + b)
+        assert not (a + b).equals(a)
+
+    def test_float_operators_compare_within_tolerance(self):
+        def nudge(op, by):
+            return op + opmodel.ModelOperator(self.SIZE, {(0, 5): by}, exact=False)
+
+        for a in self.random_operators(4):
+            fa = opmodel._as_float(a)
+            assert fa.equals(a) and a.equals(fa)
+            assert fa.is_symmetric() == a.is_symmetric()
+            assert nudge(fa, 1e-12).equals(fa)
+            assert not nudge(fa, 1e-6).equals(fa)
+            assert (fa - fa).entries == {}
+
+
 class TestJacobiOperator:
     def test_point_mass_is_one_by_one(self):
         op = opmodel.jacobi_operator(point_mass(F(5, 2)).jacobi(), 1)
-        assert op.entries == {(0, 0): F(5, 2)}
+        assert op.entries == {0: {0: F(5, 2)}}
 
     def test_symmetric_two_point_is_flip(self):
         op = opmodel.jacobi_operator(bernoulli_symmetric().jacobi(), 2)
-        assert op.entries == {(0, 1): F(1), (1, 0): F(1)}
+        assert op.entries == {1: {0: F(1)}, 0: {1: F(1)}}
 
     def test_constant_tail_moments(self):
         op = opmodel.jacobi_operator(wigner(0, 1).jacobi(), 8)
@@ -124,7 +219,7 @@ class TestJacobiOperator:
     def test_irrational_entries_drop_to_floats(self):
         op = opmodel.jacobi_operator(make_jacobi([0, 0], [2], complete=True), 2)
         assert not op.exact
-        assert abs(op.entries[(0, 1)] - 2**0.5) < 1e-12
+        assert abs(op.entries[1][0] - 2**0.5) < 1e-12
 
     def test_depth_guard(self):
         with pytest.raises(InsufficientDepth):
@@ -136,7 +231,7 @@ class TestFreeProductRep:
         basis = opmodel.WordBasis.build(3, 3, 3)
         eye = opmodel.ModelOperator(3, {(i, i): F(1) for i in range(3)})
         lifted = opmodel.free_product_rep(eye, 1, basis)
-        assert lifted.entries == {(i, i): F(1) for i in range(len(basis))}
+        assert lifted.entries == {i: {i: F(1)} for i in range(len(basis))}
 
     def test_representation_is_symmetric(self):
         model = small_model()
@@ -193,6 +288,36 @@ class TestReplicas:
         model = small_model()
         with pytest.raises(DepthExceeded):
             model.replica(1, model.depth_cap + 2)
+
+
+def compress(op, keep):
+    """Reference replica: the entries with row and column both kept."""
+    entries = {(r, c): v for c, col in op.entries.items() for r, v in col.items() if r in keep and c in keep}
+    return opmodel.ModelOperator(op.size, entries, exact=op.exact)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [small_model(seed=14, dim=4, depth=6), small_model(seed=15, dim=3, depth=6, weight_cap=6 * 3)],
+    ids=["weight-capped", "uncapped"],
+)
+def test_replicas_and_branches_equal_their_definitions(model):
+    last = model.depth_cap + 1
+    ref = {
+        (i, n): compress(model.lam(i), level_indices(model.basis, i, n))
+        for i in (1, 2)
+        for n in range(1, last + 1)
+    }
+    for (i, n), want in ref.items():
+        assert model.replica(i, n).entries == want.entries, (i, n)
+    for i in (1, 2):
+        for k in range(1, last + 1):
+            want = opmodel.ModelOperator(len(model.basis), {})
+            for n in range(k, last + 1, 2):
+                want = want + ref[i, n]
+            for n in range(k + 1, last + 1, 2):
+                want = want + ref[3 - i, n]
+            assert model.branch(i, k).entries == want.entries, (i, k)
 
 
 class TestBranches:

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv.errors import ZeroLeadingCoefficient
+from freeconv import partitions
+from freeconv.errors import InvalidParameter, ZeroLeadingCoefficient
 from freeconv.series import (
     ContinuedFraction,
     F_to_moments,
@@ -16,6 +17,14 @@ from freeconv.series import (
 
 def ts(*coeffs):
     return TailSeries([F(c) for c in coeffs])
+
+
+def test_floats_are_rejected_not_read_as_binary_rationals():
+    # 0.1 would otherwise enter as 3602879701896397/36028797018963968
+    with pytest.raises(InvalidParameter, match="floats are not accepted"):
+        TailSeries([0.1])
+    with pytest.raises(InvalidParameter, match="floats are not accepted"):
+        partitions.moment_function([0.1], (1,))
 
 
 class TestAdd:

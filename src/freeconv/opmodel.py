@@ -24,6 +24,7 @@ slab and a branch the columns of alternating slabs of the two factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
@@ -241,8 +242,6 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
                 entries[(k, k + 1)] = r
                 entries[(k + 1, k)] = r
     else:
-        import math
-
         for k, a in enumerate(alphas):
             if a:
                 entries[(k, k)] = float(a)
@@ -396,6 +395,25 @@ class OrthogonalityReport:
     tol: Optional[float]
 
 
+class _IntColumns(dict):
+    """A column store times d on ints, for d the lcm of every entry's
+    denominator (a vector is a store of one column).  Each column is
+    converted when first read through `get`, and an absent one reads as
+    empty, so only the columns that a chain reaches are ever copied."""
+
+    def __init__(self, cols: dict[int, dict]):
+        super().__init__()
+        self.src = cols
+        self.d = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
+
+    def get(self, c, default=None) -> dict:
+        col = dict.get(self, c)
+        if col is None:
+            d = self.d
+            col = self[c] = {r: v.numerator * (d // v.denominator) for r, v in self.src.get(c, {}).items()}
+        return col
+
+
 def orthogonality_check(
     a: ModelOperator,
     b: ModelOperator,
@@ -414,19 +432,55 @@ def orthogonality_check(
     words in length-lexicographic order.
 
     The power chains are shared: a^k w2 xi once per w2, the b-chain once
-    per q, the a-chain once per s; phi(w1 a^p) and <a^(p+q) w2 xi, w1> once
-    per argument pair.
+    per q, the a-chain once per s; <w1 a^p xi, xi> and <a^(p+q) w2 xi, w1>
+    once per argument pair.
+
+    Exact operators run on integers.  Each of a, b, xi and eta is scaled
+    by the lcm d_a, d_b, d_xi, d_eta of its own entry denominators, so
+    every chain and every dot is an integer.  Both conditions are
+    homogeneous.  A raw dot with p letters a and q letters b between two
+    xi's is the rational one times d_a^p d_b^q d_xi^2, so (i) holds when
+    the raw dot is 0.  In (ii), write n_xi = <xi, xi> and n_eta =
+    <eta, eta> on the scaled vectors, L for the raw left side, P_b for
+    <b^s eta, eta>, Plain for <a^(p+q) w2 xi, w1>, P_w for <w1 a^p xi, xi>
+    and P_q for <a^q w2 xi, xi>.  The powers of d_a and d_b then agree on
+    both sides, and (ii) holds when
+
+        L n_eta n_xi == P_b (Plain n_xi - P_w P_q).
+
+    Rationals are built only for a violation's text: the left side is
+    L / d and the right side P_b (Plain n_xi - P_w P_q) / (d n_eta n_xi),
+    with d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's
+    scale is d_a and d_b to its letter counts.  Float operators run the
+    same loop on their own entries with every scale 1 and divide the dots
+    in the order of the formula, within `FLOAT_TOL`.
     """
     exact = a.exact and b.exact
-
-    def close(x, y) -> bool:
-        if exact:
-            return x == y
-        return abs(x - y) <= FLOAT_TOL
-
-    cols = {"a": a.entries, "b": b.entries}
+    if exact:
+        cols = {"a": _IntColumns(a.entries), "b": _IntColumns(b.entries)}
+        d_a, d_b = cols["a"].d, cols["b"].d
+        xi = _IntColumns({0: xi}).get(0)
+        eta = _IntColumns({0: eta}).get(0)
+    else:
+        cols = {"a": a.entries, "b": b.entries}
+        d_a = d_b = 1
     n_xi = vec_dot(xi, xi)
     n_eta = vec_dot(eta, eta)
+
+    if exact:
+        def violated(L, P_b, plain, P_w, P_q, scale):
+            """None if (ii) holds, else its two sides; (i) is the case
+            P_b = 0, with the left side as its value."""
+            rhs = P_b * (plain * n_xi - P_w * P_q)
+            if L * n_eta * n_xi == rhs:
+                return None
+            d = scale * n_xi
+            return Fraction(L, d), Fraction(rhs, d * n_eta * n_xi)
+    else:
+        def violated(L, P_b, plain, P_w, P_q, scale):
+            lhs = L / n_xi
+            rhs = P_b / n_eta * (plain / n_xi - P_w / n_xi * (P_q / n_xi))
+            return None if abs(lhs - rhs) <= FLOAT_TOL else (lhs, rhs)
 
     def chain(letter: str, vec: dict, n: int) -> list[dict]:
         """[vec, op vec, ..., op^n vec] for the operator named `letter`."""
@@ -444,6 +498,9 @@ def orthogonality_check(
                 nxt.append(w + (letter,))
         words.extend(nxt)
         frontier = nxt
+    pow_a = [d_a**k for k in range(2 * n_max + 1)]
+    pow_b = [d_b**k for k in range(n_max + 1)]
+    scale = {w: pow_a[w.count("a")] * pow_b[w.count("b")] for w in words}
 
     # suffix[w] = w applied to xi; words come shortest first, so the suffix
     # w[1:] is always ready.  Operators are symmetric and the words closed
@@ -454,12 +511,8 @@ def orthogonality_check(
     lefts = {w: suffix[w[::-1]] for w in words}
 
     a_pow = chain("a", xi, 2 * n_max)
-    psi_b = [1] + [vec_dot(v, eta) / n_eta for v in chain("b", eta, n_max)[1:]]
-    phi_w1a = {
-        (p, w1): vec_dot(a_pow[p], lefts[w1]) / n_xi
-        for p in range(1, n_max + 1)
-        for w1 in words
-    }
+    P_b = [vec_dot(v, eta) for v in chain("b", eta, n_max)]
+    P_w = {(p, w1): vec_dot(a_pow[p], lefts[w1]) for p in range(1, n_max + 1) for w1 in words}
 
     violations: list[str] = []
     checked = 0
@@ -470,32 +523,32 @@ def orthogonality_check(
     for p in range(1, n_max + 1):
         for q in range(1, n_max + 1):
             for label, vec in ((f"a^{p} b^{q}", ab[q][p]), (f"b^{q} a^{p}", ba[p][q])):
-                val = vec_dot(vec, xi) / n_xi
                 checked += 1
-                if not close(val, 0):
-                    violations.append(f"phi({label}) = {val}")
+                if shown := violated(vec_dot(vec, xi), 0, 0, 0, 0, pow_a[p] * pow_b[q]):
+                    violations.append(f"phi({label}) = {shown[0]}")
 
     # condition (ii)
     for w2 in words:
         a_w2 = chain("a", suffix[w2], 2 * n_max)
         plain = {
-            (k, w1): vec_dot(a_w2[k], lefts[w1]) / n_xi
+            (k, w1): vec_dot(a_w2[k], lefts[w1])
             for k in range(2, 2 * n_max + 1)
             for w1 in words
         }
         for q in range(1, n_max + 1):
-            phi_a2w2 = vec_dot(a_w2[q], xi) / n_xi
+            P_q = vec_dot(a_w2[q], xi)
             b_chain = chain("b", a_w2[q], n_max)
             for s in range(1, n_max + 1):
                 a_chain = chain("a", b_chain[s], n_max)
                 for p in range(1, n_max + 1):
+                    outer = pow_a[p + q] * pow_b[s] * scale[w2]
                     for w1 in words:
-                        lhs = vec_dot(a_chain[p], lefts[w1]) / n_xi
-                        rhs = psi_b[s] * (plain[p + q, w1] - phi_w1a[p, w1] * phi_a2w2)
+                        L = vec_dot(a_chain[p], lefts[w1])
                         checked += 1
-                        if not close(lhs, rhs):
+                        shown = violated(L, P_b[s], plain[p + q, w1], P_w[p, w1], P_q, outer * scale[w1])
+                        if shown:
                             violations.append(
                                 "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
-                                % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", lhs, rhs)
+                                % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", *shown)
                             )
     return OrthogonalityReport(not violations, checked, violations, None if exact else FLOAT_TOL)

@@ -86,24 +86,6 @@ def alternating_split(c: Composition) -> tuple[Composition, Composition]:
     return tuple(c[0::2]), tuple(c[1::2])
 
 
-def coarsenings(pi: Composition) -> tuple[Composition, ...]:
-    """All compositions obtained from pi by merging adjacent parts."""
-    r = len(pi)
-    out = []
-    for mask in range(1 << (r - 1)):
-        parts = []
-        acc = pi[0]
-        for pos in range(r - 1):
-            if mask & (1 << pos):
-                acc += pi[pos + 1]
-            else:
-                parts.append(acc)
-                acc = pi[pos + 1]
-        parts.append(acc)
-        out.append(tuple(parts))
-    return tuple(out)
-
-
 def moment_function(moments: Sequence[Fraction], pi: Composition) -> Fraction:
     """Product of moments over the parts of pi."""
     out = Fraction(1)
@@ -115,13 +97,30 @@ def moment_function(moments: Sequence[Fraction], pi: Composition) -> Fraction:
 
 
 def inverse_boolean_cumulant(moments: Sequence[Fraction], pi: Composition) -> Fraction:
-    """Alternating sum of the moment function over coarsenings of pi."""
-    total = Fraction(0)
-    r = len(pi)
-    for sigma in coarsenings(pi):
-        sign = -1 if (r - len(sigma)) % 2 else 1
-        total += sign * moment_function(moments, sigma)
-    return total
+    """Alternating sum of the moment function over coarsenings of pi.
+
+    A coarsening merges runs of adjacent parts, with sign (-1) to the number
+    of merges, so the sum splits at the start of its last run: with f[j] the
+    sum over the first j parts, f[j] = sum over i < j of (-1)**(j - i - 1)
+    f[i] m(pi[i] + ... + pi[j - 1]).  That is O(r**2) products for r parts
+    where the coarsenings number 2**(r - 1).
+    """
+    order = sum(pi)
+    if order > len(moments):
+        raise OrderExceeded(f"moment of order {order} not available")
+    m = [_frac(x) for x in moments[:order]]
+    f = [Fraction(1)]
+    for j in range(1, len(pi) + 1):
+        acc = Fraction(0)
+        size = 0
+        for i in range(j - 1, -1, -1):
+            size += pi[i]
+            if (j - i) % 2:
+                acc += f[i] * m[size - 1]
+            else:
+                acc -= f[i] * m[size - 1]
+        f.append(acc)
+    return f[-1]
 
 
 def signed_interval_moment_sum(moments: Sequence[Fraction], n: int) -> Fraction:
@@ -147,6 +146,7 @@ def orthogonal_moment_combinatorial(
     boolean cumulants of mu and the even-position subparts feed plain
     moments of nu, with sign (-1)**(#odd-position parts - #parts of pi).
     """
+    cumulants: dict[Composition, Fraction] = {}
     total = Fraction(0)
     for choice in odd_refinements_structured(pi):
         sign_exp = 0
@@ -155,7 +155,9 @@ def orthogonal_moment_combinatorial(
         for parts in choice:
             odd_parts, even_parts = alternating_split(parts)
             sign_exp += len(odd_parts) - 1
-            kfac *= inverse_boolean_cumulant(mu, odd_parts)
+            if odd_parts not in cumulants:
+                cumulants[odd_parts] = inverse_boolean_cumulant(mu, odd_parts)
+            kfac *= cumulants[odd_parts]
             for p in even_parts:
                 if p > len(nu):
                     raise OrderExceeded(f"moment of order {p} not available")

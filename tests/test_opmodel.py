@@ -518,7 +518,9 @@ REFERENCE_CASES = (
     ["x1-x2"]
     + [f"replica-branch-{i}" for i in range(1, 7)]
     + ["tensor-path3-path2", "float-x1-x2", "float-replica-branch"]
+    + ["thirds-x1-x2", "thirds-replica-branch"]
 )
+FAILING_CASES = ("x1-x2", "float-x1-x2", "thirds-x1-x2")
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +543,17 @@ def reference_cases():
     word = model_f.word_vector(((1, 1),))
     cases.append((model_f.x1, model_f.x2, model_f.vacuum(), word))
     cases.append((model_f.replica(1, 1), model_f.branch(2, 2), model_f.vacuum(), word))
+    # entries over 3 and 6, and states with fractional entries, so the
+    # integer check scales every operator and vector by more than 1
+    j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6), F(5, 6)], [F(1, 6) ** 2, F(5, 3) ** 2, F(7, 6) ** 2])
+    j6 = make_jacobi([F(-1, 6), F(4, 3), F(0), F(-7, 6)], [F(2, 3) ** 2, F(1, 6) ** 2, F(4, 3) ** 2])
+    model_3 = opmodel.FreeProductModel(j3, j6, factor_dim=3, depth_cap=5)
+    idx = model_3.basis.index
+    xi = {0: F(2, 3), idx[((2, 1),)]: F(-5, 6)}
+    eta = {idx[((1, 1),)]: F(3, 2), idx[((2, 2),)]: F(-1, 3)}
+    cases.append((model_3.x1, model_3.x2, xi, eta))
+    eta = {idx[((1, 1),)]: F(2, 3), idx[((1, 2),)]: F(-5, 6)}
+    cases.append((model_3.replica(1, 1), model_3.branch(2, 2), {0: F(-4, 3)}, eta))
     assert len(cases) == len(REFERENCE_CASES)
     return dict(zip(REFERENCE_CASES, cases))
 
@@ -554,8 +567,11 @@ class TestOrthogonalityCheckAgainstReference:
             want = orthogonality_check_reference(a, b, xi, eta, n_max)
             assert got == want, n_max
         # the cases reach both outcomes, exactly and in floats
-        assert got.ok == (case not in ("x1-x2", "float-x1-x2"))
+        assert got.ok == (case not in FAILING_CASES)
         assert got.tol == (1e-9 if case.startswith("float") else None)
+        if case == "thirds-x1-x2":
+            # condition (i) fails too, so its text comes from scaled integers
+            assert any(v.startswith("phi(a^") for v in got.violations)
 
 
 class TestOrthogonalityCheckSpeed:
@@ -567,8 +583,9 @@ class TestOrthogonalityCheckSpeed:
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_generic_free_pair_check_within_bound(self, seed):
-        # on a 2-core machine under Python 3.11 the check takes about 0.7 s;
-        # applying every monomial from scratch took about 6 s
+        # on a 2-core machine under Python 3.11 the check takes about 0.05 s
+        # on integers; its Fraction chains took about 0.7 s, and applying
+        # every monomial from scratch about 6 s
         inputs = verify.suite_inputs("opmodel", seed)
         start = time.perf_counter()
         ((_, report),) = recorded_orthogonality_checks(["generic-free-pair-fails-orthogonality"], inputs)
@@ -576,4 +593,4 @@ class TestOrthogonalityCheckSpeed:
         assert (report.ok, report.checked, len(report.violations), report.tol) == (False, 6093, 6093, None)
         digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
         assert digest == self.VIOLATIONS_SHA256[seed]
-        assert elapsed < 3.0, elapsed
+        assert elapsed < 1.0, elapsed

@@ -56,6 +56,35 @@ class TestAlternatingSplit:
             P.alternating_split((1, 2))
 
 
+def coarsenings(pi):
+    """All compositions obtained from pi by merging adjacent parts, one per
+    bitmask of merged gaps: the enumeration that the prefix recursion of
+    `inverse_boolean_cumulant` replaces, kept as its reference."""
+    r = len(pi)
+    out = []
+    for mask in range(1 << (r - 1)):
+        parts = []
+        acc = pi[0]
+        for pos in range(r - 1):
+            if mask & (1 << pos):
+                acc += pi[pos + 1]
+            else:
+                parts.append(acc)
+                acc = pi[pos + 1]
+        parts.append(acc)
+        out.append(tuple(parts))
+    return tuple(out)
+
+
+def inverse_boolean_cumulant_reference(moments, pi):
+    """Alternating sum of the moment function over the coarsenings of pi."""
+    total = F(0)
+    for sigma in coarsenings(pi):
+        sign = -1 if (len(pi) - len(sigma)) % 2 else 1
+        total += sign * P.moment_function(moments, sigma)
+    return total
+
+
 class TestMomentAndCumulantFunctions:
     def setup_method(self):
         rng = random.Random(17)
@@ -94,10 +123,26 @@ class TestMomentAndCumulantFunctions:
         for n in range(1, 8):
             for sigma in P.compositions(n):
                 total = sum(
-                    (P.inverse_boolean_cumulant(self.m, pi) for pi in P.coarsenings(sigma)),
+                    (P.inverse_boolean_cumulant(self.m, pi) for pi in coarsenings(sigma)),
                     F(0),
                 )
                 assert total == P.moment_function(self.m, sigma)
+
+    def test_cumulant_equals_the_enumeration_on_every_composition(self):
+        for n in range(1, 11):
+            for pi in P.compositions(n):
+                assert P.inverse_boolean_cumulant(self.m, pi) == inverse_boolean_cumulant_reference(self.m, pi)
+
+    def test_coarsenings_of_small_compositions(self):
+        assert coarsenings((2,)) == ((2,),)
+        assert set(coarsenings((1, 2, 1))) == {(1, 2, 1), (3, 1), (1, 3), (4,)}
+        assert len(coarsenings((1,) * 6)) == 2**5
+
+    def test_cumulant_order_guard_reads_the_whole_sum(self):
+        # every part fits, their sum does not
+        with pytest.raises(OrderExceeded):
+            P.inverse_boolean_cumulant(self.m, (6, 7))
+        assert P.inverse_boolean_cumulant(self.m, (6, 6)) == inverse_boolean_cumulant_reference(self.m, (6, 6))
 
 
 class TestOrthogonalMomentFormula:

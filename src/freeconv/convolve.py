@@ -11,10 +11,11 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
               only up to index k - 2, so :func:`series.sfree_pair` builds
               both exactly in one pass, with no convergence heuristics.
               :func:`orthogonal_iterated` still gives the alternating chain.
-* free:       two independent decompositions, monotone-after-s-free and
-              boolean-of-the-two-s-free-halves, always both computed and
-              compared; a third cross-check goes through non-crossing
-              cumulants in :func:`free_cumulant_oracle`.
+* free:       the boolean convolution of the two s-free halves, K = u + v;
+              monotone-after-s-free gives v + K_mu(z - v), so it agrees
+              exactly when K_mu(z - v) = u, which one separate composition
+              re-checks before the result is built; a third cross-check goes
+              through non-crossing cumulants in :func:`free_cumulant_oracle`.
 
 An outer factor given by atoms, or by recursion coefficients that are
 finite or end in a Wigner tail, composes through its continued fraction in
@@ -139,24 +140,25 @@ def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
 
 
 def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    """Free additive convolution via both decompositions.
+    """Free additive convolution: the boolean convolution of its two s-free
+    halves, checked against mu monotone-convolved with nu's half.
 
-    Both s-free halves u = K_mu(z - v) and v = K_nu(z - u) come from one
-    coupled pass.  Route A composes the left measure's F with the half v
-    subordinate to it, a separate composition that re-checks the fixed-point
-    equation for u; route B adds the two halves.  They are equal
-    identically, so a mismatch can only mean a bug; both are always computed
-    and compared before returning route A.
+    Both halves u = K_mu(z - v) and v = K_nu(z - u) come from one coupled
+    pass, and K of the result is u + v.  The monotone route gives
+    v + K_mu(z - v), so the two routes agree exactly when K_mu(z - v) = u;
+    one separate composition re-checks that, coefficient by coefficient.
+    They are equal identically, so a mismatch can only mean a bug.
     """
-    u, v = sfree_pair(k_outer(mu, order), k_outer(nu, order))
-    route_a = monotone(mu, measure_from_k(v), order)
-    route_b = measure_from_k(u + v)
-    ma, mb = route_a.moments(order), route_b.moments(order)
-    if ma != mb:
-        raise RouteMismatch(
-            f"free-convolution routes disagree: {list(map(str, ma))} vs {list(map(str, mb))}"
-        )
-    return route_a
+    outer_mu = k_outer(mu, order)
+    u, v = sfree_pair(outer_mu, k_outer(nu, order))
+    recomposed = substitute_into_shifted(outer_mu, v)
+    for k, (a, b) in enumerate(zip(recomposed.coeffs, u.coeffs)):
+        if a != b:
+            raise RouteMismatch(
+                f"free-convolution routes disagree at coefficient {k} of K (order {order}): "
+                f"K_mu(z - v) gives {a}, the s-free half u gives {b}"
+            )
+    return measure_from_k(u + v)
 
 
 def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:

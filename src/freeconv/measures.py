@@ -625,7 +625,10 @@ def parse_measure(obj: dict) -> MeasureRep:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
     if kind == "moments":
-        rep = MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
+        m = [parse_fraction(v) for v in _json_list(obj, "m")]
+        if not m:
+            raise InvalidParameter("a 'moments' measure needs at least one entry in 'm'")
+        rep = MeasureRep.from_moments(m)
         rep.jacobi()  # a list that is no moment sequence is rejected here
         return rep
     if kind == "jacobi":

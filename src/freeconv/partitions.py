@@ -404,7 +404,6 @@ def bijection_f_inverse(tau: Composition, sigma: Composition) -> DecomposablePar
     pos = 1
     idx = 0
     for part in tau:
-        group: list[int] = []
         consumed = 0
         parity = 0
         block: list[int] = []
@@ -421,8 +420,7 @@ def bijection_f_inverse(tau: Composition, sigma: Composition) -> DecomposablePar
             parity += 1
         if parity % 2 == 0:
             raise InvalidParameter("each part of tau needs an odd number of runs")
-        group.extend(block)
-        outer.append(group)
+        outer.append(block)
     return decomposable_partition(outer, inner, n)
 
 
@@ -510,29 +508,16 @@ def bijection_g_inverse(
     for size in sigma:
         eta.append(tuple(positions[at : at + size]))
         at += size
-    # outer blocks: union-find over eta groups, merged across inner blocks
-    parent = list(range(len(eta)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, k: int) -> None:
-        parent[find(i)] = find(k)
-
-    group_of = {}
-    for gi, block in enumerate(eta):
-        for x in block:
-            group_of[x] = gi
-    for k in range(m - 1):
-        if j[k] > 0:
-            union(group_of[positions[k]], group_of[positions[k + 1]])
-    merged: dict[int, list[int]] = {}
-    for gi, block in enumerate(eta):
-        merged.setdefault(find(gi), []).extend(block)
-    outer = [sorted(v) for v in merged.values()]
+    # outer blocks are runs of consecutive outer elements: a group joins the
+    # previous block when an inner block separates it from its predecessor
+    outer: list[list[int]] = []
+    at = 0
+    for block in eta:
+        if at and j[at - 1] > 0:
+            outer[-1].extend(block)
+        else:
+            outer.append(list(block))
+        at += len(block)
     pi = decomposable_partition(outer, inner, n)
     return DecompositionPair(pi, tuple(eta))
 
@@ -541,17 +526,11 @@ def nonneg_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Tuples of `parts` non-negative integers summing to `total`."""
     if parts == 0:
         return ((),) if total == 0 else ()
-    out = []
-
-    def rec(remaining: int, slots: int, acc: list[int]):
-        if slots == 1:
-            out.append(tuple(acc + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(remaining - v, slots - 1, acc + [v])
-
-    rec(total, parts, [])
-    return tuple(out)
+    # stars and bars: the parts - 1 bars sit among total + parts - 1 slots
+    return tuple(
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
+        for bars in combinations(range(total + parts - 1), parts - 1)
+    )
 
 
 def enumerate_F(n: int) -> tuple[tuple[int, Composition, tuple[int, ...]], ...]:

@@ -388,7 +388,7 @@ def orthogonal_series_equals_partition_oracle(inp, rng):
 @check("convolutions")
 def free_routes_equal_cumulant_oracle(inp, rng):
     for i, (mu, nu) in enumerate(inp.reps):
-        free_ab = convolve.free(mu, nu, ORDER)  # asserts route A == route B
+        free_ab = convolve.free(mu, nu, ORDER)  # re-checks K_mu(z - v) == u
         oracle = convolve.free_cumulant_oracle(mu, nu, ORDER)
         expect_equal(_moments(free_ab), _moments(oracle), PAIR, i, mu, nu)
 

@@ -7,6 +7,7 @@ import pytest
 from freeconv import convolve, verify
 from freeconv.cli import main
 from freeconv.measures import fraction_to_str, parse_measure
+from freeconv.series import TailSeries
 
 BERNOULLI = {"type": "atoms", "atoms": [["-1", "1/2"], ["1", "1/2"]]}
 DELTA0 = {"type": "atoms", "atoms": [["0", "1"]]}
@@ -168,6 +169,30 @@ class TestConvolve:
             code, out, err = run(capsys, ["convolve", *argv, "--order", "4"])
             assert code == 2 and out == "" and "alpha" in err
 
+    @pytest.mark.parametrize("obj", [{"type": "moments"}, {"type": "moments", "m": []}])
+    def test_empty_moment_list_rejected(self, tmp_path, capsys, obj):
+        mu = write(tmp_path, "mu.json", obj)
+        nu = write(tmp_path, "nu.json", DELTA0)
+        for argv in (
+            ["convolve", "free", mu, nu, "--order", "4"],
+            ["convolve", "boolean", nu, mu, "--order", "4"],
+            ["density", mu, "--points", "3"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "'m'" in err
+
+    def test_route_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
+        compose = convolve.substitute_into_shifted
+
+        def perturbed(outer, inner):
+            c = compose(outer, inner).coeffs
+            return TailSeries((*c[:3], c[3] + 1, *c[4:]))
+
+        monkeypatch.setattr(convolve, "substitute_into_shifted", perturbed)
+        mu = write(tmp_path, "mu.json", BERNOULLI)
+        code, out, err = run(capsys, ["convolve", "free", mu, mu, "--order", "6"])
+        assert code == 4 and out == "" and "coefficient 3 of K (order 6)" in err
+
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize(
         "op", ["free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter"]
@@ -198,7 +223,7 @@ class TestEmissionSpeed:
         assert elapsed < 5.0, elapsed
 
     def test_free_at_order_80_composes_within_bound(self, tmp_path, capsys):
-        # both factors are atomic, so the s-free pass and route A compose
+        # both factors are atomic, so the s-free pass and the check of u compose
         # through their continued fractions, O(d N^2) for d levels: on a
         # 2-core machine under Python 3.11 the run takes about 0.8 s, where
         # the O(N^3) power table took about 3 s

@@ -14,8 +14,8 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
 * free:       the boolean convolution of the two s-free halves, K = u + v;
               monotone-after-s-free gives v + K_mu(z - v), so it agrees
               exactly when K_mu(z - v) = u, which one separate composition
-              re-checks before the result is built; a third cross-check goes
-              through non-crossing cumulants in :func:`free_cumulant_oracle`.
+              re-checks before the result is built; a third cross-check adds
+              free cumulants in :func:`free_cumulant_oracle`, at any order.
 
 An outer factor given by atoms, or by recursion coefficients that are
 finite or end in a Wigner tail, composes through its continued fraction in
@@ -162,9 +162,10 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
 
 
 def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    """Independent check route: additive cumulants over non-crossing partitions."""
-    if order > 12:
-        raise InvalidParameter("cumulant oracle capped at order 12")
+    """Independent check route: free cumulants add, and the first-block
+    recursion of non-crossing partitions takes moments to them and back."""
+    if order < 1:
+        raise InvalidParameter("order must be >= 1")
     km = free_cumulants_from_moments(mu.moments(order), order)
     kn = free_cumulants_from_moments(nu.moments(order), order)
     total = tuple(a + b for a, b in zip(km, kn))

@@ -5,10 +5,13 @@ sizes), which is what every formula here actually consumes.  On top of
 that sit the depth-2 non-crossing "bridge" partitions, the two bijections
 that index them, and the combinatorial formula that computes moments of
 the orthogonal convolution without touching series at all -- the
-independent oracle for :mod:`freeconv.convolve`.
+independent oracle for :mod:`freeconv.convolve`.  The free cumulants, the
+other oracle, come from the first-block recursion of non-crossing
+partitions.
 
-Enumerations grow like 2**(n-1) or the Catalan numbers, so everything is
-guarded at small n; oracle use never needs more.
+Enumerations grow like 2**(n-1) or the Catalan numbers, so they are
+guarded at small n.  The free cumulants enumerate nothing: the recursion
+runs at any order in O(n**3) products.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EvenBlockCount, InvalidParameter, OrderExceeded
 from .series import _frac
@@ -219,74 +223,53 @@ def noncrossing_partitions(n: int) -> tuple[tuple[Block, ...], ...]:
     return rec(tuple(range(1, n + 1)))
 
 
-def _merge_profiles(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            key = tuple(sorted(pa + pb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+# ---------------------------------------------------------------------------
+# Free cumulants by the first-block recursion
+# ---------------------------------------------------------------------------
 
+def _power_rows(m: list[Fraction], n: int) -> Iterator[list[Fraction]]:
+    """Rows k = 1..n of the power table of M(z) = m[0] + m[1] z + ..., m[0] = 1:
+    row k lists [z**(k - s)] M(z)**s for s = 1..k.
 
-@lru_cache(maxsize=None)
-def nc_size_profiles(n: int) -> dict:
-    """Counts of non-crossing partitions of {1..n} by sorted block sizes.
-
-    Computed recursively without materializing the partitions, so it stays
-    cheap up to the enumeration cap.
+    Only the triangle i <= n - s of [z**i] M(z)**s is built, each entry from
+    M**s = M * M**(s - 1), so O(n**3 / 6) products in all.  Row k reads
+    m[:k] only, so a caller may append m[k] after it has row k.
     """
-    if n == 0:
-        return {(): 1}
-    _check_n(n)
-    out: dict[tuple[int, ...], int] = {}
-    rest = tuple(range(2, n + 1))
-    for k in range(len(rest) + 1):
-        for chosen in combinations(rest, k):
-            block = (1,) + chosen
-            bounds = block + (n + 1,)
-            acc = {(): 1}
-            for a, b in zip(bounds, bounds[1:]):
-                acc = _merge_profiles(acc, nc_size_profiles(b - a - 1))
-            for profile, count in acc.items():
-                key = tuple(sorted(profile + (len(block),)))
-                out[key] = out.get(key, 0) + count
-    return out
+    table = [m]  # table[s - 1][i] = [z**i] M(z)**s
+    for k in range(1, n + 1):
+        for s in range(2, k):
+            prev, i = table[s - 2], k - s
+            table[s - 1].append(prev[i] + sum(m[l] * prev[i - l] for l in range(1, i + 1)))
+        if k > 1:
+            table.append([Fraction(1)])
+        yield [row[k - s] for s, row in enumerate(table, 1)]
 
 
 def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    """First n free cumulants, by inverting the sum over non-crossing partitions."""
-    m = [_frac(x) for x in moments]
-    if n > len(m):
-        raise OrderExceeded(f"need {n} moments, have {len(m)}")
+    """First n free cumulants, inverting m_k = sum over s of kappa_s [z**(k - s)] M(z)**s.
+
+    That is M(z) = 1 + sum kappa_s z**s M(z)**s, the sum over non-crossing
+    partitions split at the block of 1 (Nica & Speicher, Lectures on the
+    Combinatorics of Free Probability, Lect. 10).
+    """
+    if n > len(moments):
+        raise OrderExceeded(f"need {n} moments, have {len(moments)}")
+    m = [Fraction(1)] + [_frac(x) for x in moments[:n]]
     kappa: list[Fraction] = []
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for profile, count in nc_size_profiles(j).items():
-            if profile == (j,):
-                continue
-            term = Fraction(count)
-            for size in profile:
-                term *= kappa[size - 1]
-            acc += term
-        kappa.append(m[j - 1] - acc)
+    for k, row in enumerate(_power_rows(m, n), 1):
+        kappa.append(m[k] - sum(map(mul, kappa, row)))
     return tuple(kappa)
 
 
 def moments_from_free_cumulants(kappa: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    """First n moments from free cumulants, summing over non-crossing partitions."""
-    k = [_frac(x) for x in kappa]
-    if n > len(k):
-        raise OrderExceeded(f"need {n} cumulants, have {len(k)}")
-    out = []
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for profile, count in nc_size_profiles(j).items():
-            term = Fraction(count)
-            for size in profile:
-                term *= k[size - 1]
-            acc += term
-        out.append(acc)
-    return tuple(out)
+    """First n moments from free cumulants by the first-block recursion."""
+    if n > len(kappa):
+        raise OrderExceeded(f"need {n} cumulants, have {len(kappa)}")
+    k = [_frac(x) for x in kappa[:n]]
+    m = [Fraction(1)]
+    for row in _power_rows(m, n):
+        m.append(sum(map(mul, k, row)))
+    return tuple(m[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,6 @@ class TailSeries:
         g = self._graded
         return TailSeries._of(self.coeffs[: order + 1], g and (g[0], g[1], g[2][: order + 1]))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __repr__(self) -> str:
         return f"TailSeries({list(self.coeffs)!r})"
 

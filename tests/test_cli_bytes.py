@@ -8,7 +8,9 @@ so that the finite-support path and the atom output run too.  Each `graph`
 case runs one product on four pairs of graphs rooted at a non-zero vertex,
 so the numbering of the product's vertices and edges is pinned too.  The
 expected files in ``tests/cli_expected/`` hold the concatenated stdout of
-the pairs, so a changed rational or edge fails on its own line.
+the pairs, so a changed rational or edge fails on its own line.  They also
+hold the `verify --suite all` stdout at seeds 7 and 1978123090; pytest
+runs seed 7, and CI diffs the console script's seed-1978123090 run.
 
 To regenerate after a deliberate output change:
 
@@ -72,12 +74,19 @@ GRAPH_PAIRS = (("paw", "path"), ("path", "leaf"), ("leaf", "paw"), ("lone", "paw
 GRAPH_OPS = ("star", "comb", "orthogonal", "free-ball")
 
 
+VERIFY_SEEDS = (7, 1978123090)
+
+
 def expected_path(op, order):
     return os.path.join(EXPECTED_DIR, f"{op}-{order}.txt")
 
 
 def graph_expected_path(op):
     return os.path.join(EXPECTED_DIR, f"graph-{op}.txt")
+
+
+def verify_expected_path(seed):
+    return os.path.join(EXPECTED_DIR, f"verify-all-{seed}.txt")
 
 
 def write_inputs(objects, directory):
@@ -138,6 +147,14 @@ def test_graph_stdout_matches_expected_file(op, tmp_path):
     assert got == expected
 
 
+def test_verify_stdout_matches_expected_file():
+    got = stdout_of(["verify", "--suite", "all", "--seed", str(VERIFY_SEEDS[0])])
+    with open(verify_expected_path(VERIFY_SEEDS[0]), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert got.splitlines() == expected.splitlines()
+    assert got == expected
+
+
 if __name__ == "__main__":
     os.makedirs(EXPECTED_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,3 +164,6 @@ if __name__ == "__main__":
         for op in GRAPH_OPS:
             with open(graph_expected_path(op), "w", encoding="utf-8") as fh:
                 fh.write(render_graph(op, tmp))
+    for seed in VERIFY_SEEDS:
+        with open(verify_expected_path(seed), "w", encoding="utf-8") as fh:
+            fh.write(stdout_of(["verify", "--suite", "all", "--seed", str(seed)]))

@@ -15,7 +15,7 @@ from freeconv.measures import (
     wigner,
     WignerTail,
 )
-from freeconv.partitions import free_cumulants_from_moments, orthogonal_moment_combinatorial
+from freeconv.partitions import orthogonal_moment_combinatorial
 from freeconv.series import TailSeries, poly_eq, poly_mul, poly_sub
 from freeconv.measures import approximant_G
 
@@ -211,57 +211,21 @@ class TestSFreeAgainstIteratedChain:
                 )
 
 
-def add_power_column(powers, series):
-    """Append column i to the table powers[s][i] = [z**i] series(z)**s, where
-    series lists coefficients in ascending powers of z; reads series[:i + 1]."""
-    i = len(powers[0])
-    powers[0].append(F(int(i == 0)))
-    for s in range(1, len(powers)):
-        powers[s].append(sum((powers[s - 1][l] * series[i - l] for l in range(i + 1)), F(0)))
-
-
-def free_cumulants(moments):
-    """kappa_1..kappa_n from m_1..m_n through M(z) = 1 + sum kappa_s z**s M(z)**s."""
-    n = len(moments)
-    m = [F(1)] + list(moments)
-    powers = [[] for _ in range(n)]
-    kappa = []
-    for k in range(1, n + 1):
-        add_power_column(powers, m)
-        kappa.append(m[k] - sum(kappa[s - 1] * powers[s][k - s] for s in range(1, k)))
-    return kappa
-
-
-def moments_from_cumulants(kappa):
-    """Inverse of :func:`free_cumulants`; m_k needs only m_0..m_(k-1)."""
-    n = len(kappa)
-    m = [F(1)]
-    powers = [[] for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        add_power_column(powers, m)
-        m.append(sum(kappa[s - 1] * powers[s][k - s] for s in range(1, k + 1)))
-    return tuple(m[1:])
+# (order, index into oracle_inputs()): every pair at 24, the atomic and tail pairs at 40
+HIGH_ORDER_CASES = [(24, 0), (24, 1), (24, 2), (40, 0), (40, 2)]
+PAIR_NAMES = ("atoms", "moments", "wigner-tail")
 
 
 class TestFreeAboveThePartitionOracle:
-    def test_cumulant_recursion_round_trips(self):
-        moments = BERN.moments(8)
-        assert moments_from_cumulants(free_cumulants(moments)) == moments
-        assert free_cumulants(wigner(0, 1).moments(8)) == [F(0), F(1)] + [F(0)] * 6
-
-    def test_cumulant_recursion_matches_non_crossing_enumeration(self):
-        for mu, _ in oracle_inputs():
-            moments = mu.moments(10)
-            assert tuple(free_cumulants(moments)) == tuple(free_cumulants_from_moments(moments, 10))
-
-    def test_order_24_matches_additive_free_cumulants(self):
-        order = 24
-        for mu, nu in oracle_inputs():
-            total = [
-                a + b
-                for a, b in zip(free_cumulants(mu.moments(order)), free_cumulants(nu.moments(order)))
-            ]
-            assert convolve.free(mu, nu, order).moments(order) == moments_from_cumulants(total)
+    @pytest.mark.parametrize(
+        "order,pair", HIGH_ORDER_CASES, ids=[f"{order}-{PAIR_NAMES[pair]}" for order, pair in HIGH_ORDER_CASES]
+    )
+    def test_matches_additive_free_cumulants(self, order, pair):
+        mu, nu = oracle_inputs()[pair]
+        assert (
+            convolve.free(mu, nu, order).moments(order)
+            == convolve.free_cumulant_oracle(mu, nu, order).moments(order)
+        )
 
 
 class TestFree:
@@ -303,9 +267,10 @@ class TestFree:
             == convolve.free_cumulant_oracle(nu, mu, 8).moments(8)
         )
 
-    def test_oracle_order_guard(self):
-        with pytest.raises(InvalidParameter):
-            convolve.free_cumulant_oracle(BERN, BERN, 13)
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_oracle_order_guard(self, order):
+        with pytest.raises(InvalidParameter, match="order must be >= 1"):
+            convolve.free_cumulant_oracle(BERN, BERN, order)
 
     def test_route_mismatch_guard_fires(self, monkeypatch):
         from freeconv.errors import RouteMismatch

@@ -145,6 +145,23 @@ class TestMomentAndCumulantFunctions:
         assert P.inverse_boolean_cumulant(self.m, (6, 6)) == inverse_boolean_cumulant_reference(self.m, (6, 6))
 
 
+def noncrossing_moment_sum(kappa, n):
+    """m_1..m_n as the sum over non-crossing partitions of the product of
+    kappa over the block sizes: the enumeration that the first-block
+    recursion of `free_cumulants_from_moments` replaces, kept as its
+    reference."""
+    out = []
+    for j in range(1, n + 1):
+        total = F(0)
+        for blocks in P.noncrossing_partitions(j):
+            term = F(1)
+            for b in blocks:
+                term *= kappa[len(b) - 1]
+            total += term
+        out.append(total)
+    return out
+
+
 class TestOrthogonalMomentFormula:
     def setup_method(self):
         rng = random.Random(23)
@@ -176,15 +193,13 @@ class TestNonCrossing:
         for n in range(1, 9):
             want = math.comb(2 * n, n) // (n + 1)
             assert len(P.noncrossing_partitions(n)) == want
-            assert sum(P.nc_size_profiles(n).values()) == want
 
-    def test_profiles_match_enumeration(self):
-        for n in range(1, 8):
-            counts: dict = {}
-            for blocks in P.noncrossing_partitions(n):
-                key = tuple(sorted(len(b) for b in blocks))
-                counts[key] = counts.get(key, 0) + 1
-            assert counts == P.nc_size_profiles(n)
+    def test_first_block_recursion_equals_the_non_crossing_sum(self):
+        rng = random.Random(31)
+        m = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
+        kappa = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
+        assert noncrossing_moment_sum(P.free_cumulants_from_moments(m, 8), 8) == m
+        assert list(P.moments_from_free_cumulants(kappa, 8)) == noncrossing_moment_sum(kappa, 8)
 
     def test_crossing_detected(self):
         assert not P.is_noncrossing([(1, 3), (2, 4)])

@@ -1,4 +1,4 @@
-"""Property test of the inverse boolean cumulant.
+"""Property tests of the partition routes.
 
 `partitions.inverse_boolean_cumulant` sums over the coarsenings of a
 composition by a prefix recursion over its cut points.  The reference of
@@ -7,6 +7,11 @@ example draws 0-10 rational moments (numerators up to 10**6 in size,
 denominators up to 10**3, zeros allowed) and a composition of n <= 10; the two
 must agree, and both must raise `OrderExceeded` exactly when the composition
 sums past the moments given.
+
+The convolution laws are drawn over atomic measures with 2-4 rational atoms
+at orders up to 24: `free` equals the free-cumulant oracle, `free` and
+`boolean` commute, the point mass at 0 is an identity, and a point mass on
+the left absorbs `orthogonal` and `sfree`.
 """
 
 from fractions import Fraction as F
@@ -18,8 +23,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from freeconv import convolve  # noqa: E402
 from freeconv import partitions as P  # noqa: E402
 from freeconv.errors import OrderExceeded  # noqa: E402
+from freeconv.measures import MeasureRep, point_mass  # noqa: E402
 
 from test_partitions import inverse_boolean_cumulant_reference  # noqa: E402
 
@@ -45,3 +52,50 @@ def test_prefix_recursion_equals_the_coarsening_enumeration(moments, pi):
     got = outcome(P.inverse_boolean_cumulant, moments, pi)
     assert got == outcome(inverse_boolean_cumulant_reference, moments, pi)
     assert (got is OrderExceeded) == (sum(pi) > len(moments))
+
+
+locations = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+
+
+@st.composite
+def atomic_measures(draw):
+    k = draw(st.integers(2, 4))
+    locs = draw(st.lists(locations, min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return MeasureRep.from_atoms([(x, F(w, sum(weights))) for x, w in zip(sorted(locs), weights)])
+
+
+orders = st.integers(1, 24)
+DELTA0 = point_mass(0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(atomic_measures(), atomic_measures(), orders)
+def test_free_equals_the_cumulant_oracle(mu, nu, order):
+    got = convolve.free(mu, nu, order).moments(order)
+    assert got == convolve.free_cumulant_oracle(mu, nu, order).moments(order)
+
+
+@pytest.mark.parametrize("op", [convolve.free, convolve.boolean], ids=["free", "boolean"])
+@settings(max_examples=15, deadline=None)
+@given(mu=atomic_measures(), nu=atomic_measures(), order=orders)
+def test_commutes(op, mu, nu, order):
+    assert op(mu, nu, order).moments(order) == op(nu, mu, order).moments(order)
+
+
+@settings(max_examples=15, deadline=None)
+@given(atomic_measures(), orders)
+def test_point_mass_at_zero_is_the_identity(mu, order):
+    want = mu.moments(order)
+    for op in (convolve.boolean, convolve.monotone, convolve.orthogonal, convolve.sfree, convolve.free):
+        assert op(mu, DELTA0, order).moments(order) == want
+    for op in (convolve.boolean, convolve.monotone, convolve.free):
+        assert op(DELTA0, mu, order).moments(order) == want
+
+
+@pytest.mark.parametrize("op", [convolve.orthogonal, convolve.sfree], ids=["orthogonal", "sfree"])
+@settings(max_examples=15, deadline=None)
+@given(a=locations, nu=atomic_measures(), order=orders)
+def test_point_mass_on_the_left_absorbs(op, a, nu, order):
+    delta = point_mass(a)
+    assert op(delta, nu, order).moments(order) == delta.moments(order)

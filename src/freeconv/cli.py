@@ -7,7 +7,7 @@ root moments), and `verify` (the deterministic identity suites).
 Exit codes: 0 success / all checks pass, 1 a verify check failed, 2 parse
 error, 3 not a moment sequence, 4 internal route mismatch, 5 domain error,
 6 input does not determine the requested order (too few moments or
-recursion levels).
+recursion levels) or, for `density`, a density (a truncated recursion).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def cmd_density(args) -> int:
         raise InvalidParameter("need at least two grid points")
     step = (args.xmax - args.xmin) / (args.points - 1)
     grid = [args.xmin + i * step for i in range(args.points)]
-    rows = stieltjes_density(rep, grid, epsilon=args.epsilon, depth=args.depth)
+    rows = stieltjes_density(rep, grid, epsilon=args.epsilon)
     print("x,f")
     for x, f in rows:
         print(f"{x:.12g},{f:.12g}")
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, default=3.0)
     p.add_argument("--points", type=int, default=601)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--depth", type=int, default=64)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("graph", help="rooted-graph products and root moments")

@@ -269,22 +269,6 @@ def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _int_sqrt(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None if irrational."""
-    p = _int_sqrt(x.numerator)
-    q = _int_sqrt(x.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
 def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
     """The atoms of a terminated fraction when its spectrum is rational, else None.
 
@@ -473,19 +457,17 @@ def _as_jacobi(rep) -> JacobiParams:
     raise InvalidParameter(f"not a measure: {type(rep).__name__}")
 
 
-def eval_G(rep, z: complex, depth: int = 64) -> complex:
-    """Bottom-up continued-fraction value of the Cauchy transform at z."""
+def eval_G(rep, z: complex) -> complex:
+    """Bottom-up continued-fraction value of the Cauchy transform at z,
+    through every given level and the tail."""
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
-    if depth < 1:
-        raise InvalidParameter("depth must be >= 1")
     j = _as_jacobi(rep)
-    explicit = min(depth, j.levels)
     g: Optional[complex] = None
-    if j.tail is not None and depth >= j.levels:
+    if j.tail is not None:
         g = wigner_transform(j.tail.a, j.tail.b, z)
-    for k in range(explicit - 1, -1, -1):
+    for k in range(j.levels - 1, -1, -1):
         a = float(j.alpha_at(k))
         if g is None:
             g = 1.0 / (z - a)
@@ -496,15 +478,15 @@ def eval_G(rep, z: complex, depth: int = 64) -> complex:
     return g
 
 
-def eval_F(rep, z: complex, depth: int = 64) -> complex:
-    g = eval_G(rep, z, depth)
+def eval_F(rep, z: complex) -> complex:
+    g = eval_G(rep, z)
     if abs(g) < 1e-250:
         raise NumericalSingularity("Cauchy transform too close to zero to invert")
     return 1.0 / g
 
 
-def eval_K(rep, z: complex, depth: int = 64) -> complex:
-    return complex(z) - eval_F(rep, z, depth)
+def eval_K(rep, z: complex) -> complex:
+    return complex(z) - eval_F(rep, z)
 
 
 def approximant_G(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -526,14 +508,27 @@ def approximant_G(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Fractio
 
 
 def stieltjes_density(
-    rep, grid: Sequence[float], epsilon: float = 1e-6, depth: int = 64
+    rep, grid: Sequence[float], epsilon: float = 1e-6
 ) -> list[tuple[float, float]]:
-    """Smoothed density -Im G(x + i*epsilon) / pi on the grid."""
+    """Smoothed density -Im G(x + i*epsilon) / pi on the grid.
+
+    Only a measure whose recursion is known at every level has a Cauchy
+    transform to invert: atoms, a terminated recursion or a `wigner` tail.
+    A truncated recursion (finitely many moments) raises
+    `InsufficientDepth`, since closing it would print the density of one
+    Gauss quadrature among the many measures that share those moments.
+    """
     if not 0 < epsilon < math.inf:
         raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
+    j = _as_jacobi(rep)
+    if j.moment_cap is not None:
+        raise InsufficientDepth(
+            f"{j.levels} truncated recursion levels fix {j.moment_cap} moments, "
+            "not a density; give atoms, a terminated recursion or a 'wigner' tail"
+        )
     out = []
     for x in grid:
-        g = eval_G(rep, complex(x, epsilon), depth)
+        g = eval_G(j, complex(x, epsilon))
         out.append((float(x), -g.imag / math.pi))
     return out
 

@@ -2,19 +2,25 @@
 
 The state space is spanned by the empty word plus alternating words of
 letters (factor, basis_index); a letter with factor i and index k stands
-for the k-th excited basis vector of factor i.  Factor operators act by
-prepending, replacing or contracting the first letter, which is the
-free-product representation restricted to the truncated basis; images
-that would leave the basis are dropped, and the certified-order rules
-below say how far moments are still exact.
+for p_k, the monic orthogonal polynomial of degree k of factor i's
+measure.  Factor operators act by prepending, replacing or contracting
+the first letter, which is the free-product representation restricted to
+the truncated basis; images that would leave the basis are dropped, and
+the certified-order rules below say how far moments are still exact.
 
 Certified orders are deliberately conservative: an operator assembled at
 depth cap D has exact vacuum moments up to order D, and exact moments up
 to order D - k in a state supported at word length k.
 
-Entries are exact rationals whenever every squared off-diagonal entry of
-both factors has a rational square root; otherwise both factors drop to
-floats and comparisons carry a 1e-9 tolerance.
+A factor acts as multiplication by x on its monic polynomials,
+x p_k = p_(k+1) + alpha_k p_k + omega_(k-1) p_(k-1) (Gautschi,
+*Orthogonal Polynomials*, OUP 2004, section 1.3), so every entry is a
+rational of the input and no square root is taken.  That basis is
+orthogonal but not orthonormal: |p_k|^2 = omega_0 ... omega_(k-1).  A
+word's weight is the product of its letters' weights, the inner product
+of two vectors is sum_w u_w v_w weight(w), and the operators are
+self-adjoint under it rather than symmetric.  `bra` folds the weights
+into one side, so a plain `vec_dot` gives the inner product.
 
 Operators are held by column, the one form every reader wants.  A factor's
 representation maps each word into its own slab (the word's length, plus one
@@ -27,15 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
-from typing import Container, Mapping, Optional
+from itertools import accumulate
+from operator import add, mul, sub
+from typing import Container, Mapping, Optional, Sequence
 
 from .errors import DepthExceeded, InsufficientDepth, InvalidParameter
-from .measures import JacobiParams, _as_jacobi, rational_sqrt
+from .measures import JacobiParams, _as_jacobi
 
 Word = tuple[tuple[int, int], ...]
-
-FLOAT_TOL = 1e-9
 
 _BASIS_SIZE_LIMIT = 200_000
 
@@ -107,35 +112,47 @@ class WordBasis:
         w = self.words[i]
         return len(w) + (not w or w[0][0] != factor)
 
+    def weights(self, factor_weights: tuple[Sequence, Sequence]) -> list:
+        """Each word's weight: the product, over its letters (i, k), of
+        factor_weights[i - 1][k].  A word's suffix comes before it, so each
+        weight is one product."""
+        out = [Fraction(1)]
+        for w in self.words[1:]:
+            (factor, k), rest = w[0], w[1:]
+            out.append(factor_weights[factor - 1][k] * out[self.index[rest]])
+        return out
+
 
 # ---------------------------------------------------------------------------
-# Sparse symmetric operators
+# Sparse operators
 # ---------------------------------------------------------------------------
 
 class ModelOperator:
-    """Sparse matrix on an indexed basis, exact or float entries.
+    """Sparse matrix with exact entries on an indexed basis.
 
     The one store is by column, `entries[c] = {r: value}`, with no zero
     entry and no empty column.  The constructor takes the `(r, c) -> value`
-    mapping; operators are never changed in place, so they may share
-    columns.
+    mapping and rejects a float entry; operators are never changed in
+    place, so they may share columns.
     """
 
-    __slots__ = ("size", "entries", "exact")
+    __slots__ = ("size", "entries")
 
-    def __init__(self, size: int, entries: Mapping[tuple[int, int], object], *, exact: bool = True):
+    def __init__(self, size: int, entries: Mapping[tuple[int, int], object]):
         cols: dict = {}
         for (r, c), v in entries.items():
+            if isinstance(v, float):
+                raise InvalidParameter("floats are not accepted where exact rationals are required")
             if v != 0:
                 cols.setdefault(c, {})[r] = v
-        self.size, self.entries, self.exact = size, cols, exact
+        self.size, self.entries = size, cols
 
     @classmethod
-    def _of(cls, size: int, cols: dict, exact: bool) -> "ModelOperator":
+    def _of(cls, size: int, cols: dict) -> "ModelOperator":
         """Operator on a column store that already holds no zero entry and
         no empty column."""
         op = cls.__new__(cls)
-        op.size, op.entries, op.exact = size, cols, exact
+        op.size, op.entries = size, cols
         return op
 
     def __add__(self, other: "ModelOperator") -> "ModelOperator":
@@ -158,7 +175,7 @@ class ModelOperator:
                 cols[c] = out
             else:
                 del cols[c]
-        return ModelOperator._of(self.size, cols, self.exact and other.exact)
+        return ModelOperator._of(self.size, cols)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
         own = self.entries
@@ -167,29 +184,20 @@ class ModelOperator:
             # a column that meets none of ours maps to zero (distant slabs)
             if not own.keys().isdisjoint(col) and (out := apply_columns(own, col)):
                 cols[c] = out
-        return ModelOperator._of(self.size, cols, self.exact and other.exact)
+        return ModelOperator._of(self.size, cols)
 
     def apply(self, vec: dict) -> dict:
         return apply_columns(self.entries, vec)
 
-    def is_symmetric(self) -> bool:
-        transpose: dict = {}
-        for c, col in self.entries.items():
-            for r, v in col.items():
-                transpose.setdefault(r, {})[c] = v
-        return self.equals(ModelOperator._of(self.size, transpose, self.exact))
+    def is_self_adjoint(self, weights: Sequence) -> bool:
+        """<A u, v> = <u, A v> in the inner product that gives basis vector
+        i the weight weights[i]: the matrix W A is symmetric."""
+        wa = {(r, c): weights[r] * v for c, col in self.entries.items() for r, v in col.items()}
+        return all(x == wa.get((c, r), 0) for (r, c), x in wa.items())
 
     def equals(self, other: "ModelOperator") -> bool:
-        if self.exact and other.exact:
-            # no zero is stored, so equal operators have equal stores
-            return self.entries == other.entries
-        for x, y in ((self, other), (other, self)):
-            for c, col in x.entries.items():
-                y_col = y.entries.get(c, {})
-                for r, v in col.items():
-                    if abs(v - y_col.get(r, 0)) > FLOAT_TOL:
-                        return False
-        return True
+        # no zero is stored, so equal operators have equal stores
+        return self.entries == other.entries
 
 
 def apply_columns(cols: dict[int, dict], vec: dict) -> dict:
@@ -212,16 +220,23 @@ def vec_dot(u: dict, v: dict):
     return total
 
 
+def bra(vec: dict, weights: Sequence) -> dict:
+    """`vec` with each entry times its basis vector's weight, so that
+    `vec_dot(u, bra(v, weights))` is the weighted inner product <u, v>."""
+    return {k: x * weights[k] for k, x in vec.items()}
+
+
 # ---------------------------------------------------------------------------
 # Factor operators and the free-product representation
 # ---------------------------------------------------------------------------
 
 def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
-    """Tridiagonal realization of a measure on its first d basis vectors.
+    """Multiplication by x on a measure's first d monic orthogonal
+    polynomials: column k is {k - 1: omega_(k-1), k: alpha_k, k + 1: 1}.
 
     Vacuum moments of powers reproduce the measure's moments up to order
-    2d - 1.  Entries are exact when every off-diagonal square root is
-    rational, else the whole matrix is built in floats.
+    2d - 1.  Once omega_k = 0, p_(k+1) has norm 0 and is left out, so a
+    terminated measure's operator never leaves its support.
     """
     if d < 1:
         raise InvalidParameter("dimension must be >= 1")
@@ -230,27 +245,17 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
         omegas = [j.omega_at(k) for k in range(d - 1)]
     except InsufficientDepth:
         raise InsufficientDepth(f"{d}-dimensional realization needs {d} levels") from None
-    roots = [rational_sqrt(w) for w in omegas]
-    exact = all(r is not None for r in roots)
-    entries: dict = {}
-    if exact:
-        for k, a in enumerate(alphas):
-            if a:
-                entries[(k, k)] = a
-        for k, r in enumerate(roots):
-            if r:
-                entries[(k, k + 1)] = r
-                entries[(k + 1, k)] = r
-    else:
-        for k, a in enumerate(alphas):
-            if a:
-                entries[(k, k)] = float(a)
-        for k, w in enumerate(omegas):
-            if w:
-                r = math.sqrt(float(w))
-                entries[(k, k + 1)] = r
-                entries[(k + 1, k)] = r
-    return ModelOperator(d, entries, exact=exact)
+    entries: dict = {(k, k): a for k, a in enumerate(alphas)}
+    for k, w in enumerate(omegas):
+        entries[k, k + 1] = w
+        entries[k + 1, k] = 1 if w else 0
+    return ModelOperator(d, entries)
+
+
+def monic_norms(j: JacobiParams, d: int) -> list[Fraction]:
+    """|p_k|^2 = omega_0 ... omega_(k-1) for k < d: the weights under which
+    `jacobi_operator(j, d)` is self-adjoint."""
+    return list(accumulate((j.omega_at(k) for k in range(d - 1)), mul, initial=Fraction(1)))
 
 
 def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOperator:
@@ -285,7 +290,7 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
                 col[ri] = v
         if col:
             cols[ci] = col
-    return ModelOperator._of(len(basis), cols, a.exact)
+    return ModelOperator._of(len(basis), cols)
 
 
 class FreeProductModel:
@@ -303,12 +308,10 @@ class FreeProductModel:
         self.nu_jacobi = _as_jacobi(nu)
         a1 = jacobi_operator(self.mu_jacobi, factor_dim)
         a2 = jacobi_operator(self.nu_jacobi, factor_dim)
-        if not (a1.exact and a2.exact):
-            a1 = _as_float(a1)
-            a2 = _as_float(a2)
-        self.exact = a1.exact and a2.exact
         self.factors = (a1, a2)
+        self.factor_weights = (monic_norms(self.mu_jacobi, factor_dim), monic_norms(self.nu_jacobi, factor_dim))
         self.basis = WordBasis.build(factor_dim, factor_dim, depth_cap, weight_cap)
+        self.weights = self.basis.weights(self.factor_weights)
         self.x1 = free_product_rep(a1, 1, self.basis)
         self.x2 = free_product_rep(a2, 2, self.basis)
         self._replicas: dict[tuple[int, int], ModelOperator] = {}
@@ -348,39 +351,31 @@ class FreeProductModel:
         """The columns of the factor's representation in the given slabs."""
         lam, slab = self.lam(factor), self.basis.slab
         cols = {c: col for c, col in lam.entries.items() if slab(factor, c) in slabs}
-        return ModelOperator._of(lam.size, cols, lam.exact)
-
-    def one(self):
-        return Fraction(1) if self.exact else 1.0
+        return ModelOperator._of(lam.size, cols)
 
     def vacuum(self) -> dict:
-        return {0: self.one()}
+        return {0: Fraction(1)}
 
     def word_vector(self, word: Word) -> dict:
         idx = self.basis.index.get(tuple(word))
         if idx is None:
             raise InvalidParameter(f"word {word} not in the basis")
-        return {idx: self.one()}
+        return {idx: Fraction(1)}
 
     def state_moments(self, op: ModelOperator, n_max: int, vec: Optional[dict] = None):
-        """<op^n v, v>/<v, v> for n = 1..n_max."""
+        """<op^n v, v>/<v, v> for n = 1..n_max, in the weighted inner product."""
         if vec is None:
             vec = self.vacuum()
-        norm = vec_dot(vec, vec)
+        vec_bra = bra(vec, self.weights)
+        norm = vec_dot(vec, vec_bra)
+        if not norm:
+            raise InvalidParameter(f"state vector {vec} has norm 0")
         out = []
         cur = vec
         for _ in range(n_max):
             cur = apply_columns(op.entries, cur)
-            out.append(vec_dot(cur, vec) / norm)
+            out.append(vec_dot(cur, vec_bra) / norm)
         return out
-
-    def certified_vacuum_order(self) -> int:
-        return self.depth_cap
-
-
-def _as_float(a: ModelOperator) -> ModelOperator:
-    cols = {c: {r: float(v) for r, v in col.items()} for c, col in a.entries.items()}
-    return ModelOperator._of(a.size, cols, False)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +387,6 @@ class OrthogonalityReport:
     ok: bool
     checked: int
     violations: list[str]
-    tol: Optional[float]
 
 
 class _IntColumns(dict):
@@ -420,6 +414,7 @@ def orthogonality_check(
     xi: dict,
     eta: dict,
     n_max: int,
+    weights: Sequence,
 ) -> OrthogonalityReport:
     """Exhaustive two-state orthogonality test over bounded monomials.
 
@@ -435,12 +430,15 @@ def orthogonality_check(
     per q, the a-chain once per s; <w1 a^p xi, xi> and <a^(p+q) w2 xi, w1>
     once per argument pair.
 
-    Exact operators run on integers.  Each of a, b, xi and eta is scaled
-    by the lcm d_a, d_b, d_xi, d_eta of its own entry denominators, so
-    every chain and every dot is an integer.  Both conditions are
-    homogeneous.  A raw dot with p letters a and q letters b between two
-    xi's is the rational one times d_a^p d_b^q d_xi^2, so (i) holds when
-    the raw dot is 0.  In (ii), write n_xi = <xi, xi> and n_eta =
+    Every dot is the inner product with basis weights `weights`, under
+    which `a` and `b` must be self-adjoint; it runs on integers.  Each of
+    a, b, xi, eta and the weights is scaled by the lcm d_a, d_b, d_xi,
+    d_eta, d_w of its own entry denominators, so every chain and every dot
+    is an integer.  Both conditions are homogeneous.  A raw dot with p
+    letters a and q letters b between two xi's is the rational one times
+    d_a^p d_b^q d_xi^2 d_w, so (i) holds when the raw dot is 0.  Each side
+    of (ii) below is a product of three dots, so d_w cancels from it, and
+    from the two sides' texts.  In (ii), write n_xi = <xi, xi> and n_eta =
     <eta, eta> on the scaled vectors, L for the raw left side, P_b for
     <b^s eta, eta>, Plain for <a^(p+q) w2 xi, w1>, P_w for <w1 a^p xi, xi>
     and P_q for <a^q w2 xi, xi>.  The powers of d_a and d_b then agree on
@@ -451,36 +449,25 @@ def orthogonality_check(
     Rationals are built only for a violation's text: the left side is
     L / d and the right side P_b (Plain n_xi - P_w P_q) / (d n_eta n_xi),
     with d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's
-    scale is d_a and d_b to its letter counts.  Float operators run the
-    same loop on their own entries with every scale 1 and divide the dots
-    in the order of the formula, within `FLOAT_TOL`.
+    scale is d_a and d_b to its letter counts.
     """
-    exact = a.exact and b.exact
-    if exact:
-        cols = {"a": _IntColumns(a.entries), "b": _IntColumns(b.entries)}
-        d_a, d_b = cols["a"].d, cols["b"].d
-        xi = _IntColumns({0: xi}).get(0)
-        eta = _IntColumns({0: eta}).get(0)
-    else:
-        cols = {"a": a.entries, "b": b.entries}
-        d_a = d_b = 1
-    n_xi = vec_dot(xi, xi)
-    n_eta = vec_dot(eta, eta)
+    cols = {"a": _IntColumns(a.entries), "b": _IntColumns(b.entries)}
+    d_a, d_b = cols["a"].d, cols["b"].d
+    xi = _IntColumns({0: xi}).get(0)
+    eta = _IntColumns({0: eta}).get(0)
+    weights = _IntColumns({0: dict(enumerate(weights))}).get(0)
+    xi_bra, eta_bra = bra(xi, weights), bra(eta, weights)
+    n_xi = vec_dot(xi, xi_bra)
+    n_eta = vec_dot(eta, eta_bra)
 
-    if exact:
-        def violated(L, P_b, plain, P_w, P_q, scale):
-            """None if (ii) holds, else its two sides; (i) is the case
-            P_b = 0, with the left side as its value."""
-            rhs = P_b * (plain * n_xi - P_w * P_q)
-            if L * n_eta * n_xi == rhs:
-                return None
-            d = scale * n_xi
-            return Fraction(L, d), Fraction(rhs, d * n_eta * n_xi)
-    else:
-        def violated(L, P_b, plain, P_w, P_q, scale):
-            lhs = L / n_xi
-            rhs = P_b / n_eta * (plain / n_xi - P_w / n_xi * (P_q / n_xi))
-            return None if abs(lhs - rhs) <= FLOAT_TOL else (lhs, rhs)
+    def violated(L, P_b, plain, P_w, P_q, scale):
+        """None if (ii) holds, else its two sides; (i) is the case
+        P_b = 0, with the left side as its value."""
+        rhs = P_b * (plain * n_xi - P_w * P_q)
+        if L * n_eta * n_xi == rhs:
+            return None
+        d = scale * n_xi
+        return Fraction(L, d), Fraction(rhs, d * n_eta * n_xi)
 
     def chain(letter: str, vec: dict, n: int) -> list[dict]:
         """[vec, op vec, ..., op^n vec] for the operator named `letter`."""
@@ -503,15 +490,15 @@ def orthogonality_check(
     scale = {w: pow_a[w.count("a")] * pow_b[w.count("b")] for w in words}
 
     # suffix[w] = w applied to xi; words come shortest first, so the suffix
-    # w[1:] is always ready.  Operators are symmetric and the words closed
+    # w[1:] is always ready.  Operators are self-adjoint and the words closed
     # under reversal, so the reversed left word gives the bra side.
     suffix = {(): xi}
     for w in words[1:]:
         suffix[w] = apply_columns(cols[w[0]], suffix[w[1:]])
-    lefts = {w: suffix[w[::-1]] for w in words}
+    lefts = {w: bra(suffix[w[::-1]], weights) for w in words}
 
     a_pow = chain("a", xi, 2 * n_max)
-    P_b = [vec_dot(v, eta) for v in chain("b", eta, n_max)]
+    P_b = [vec_dot(v, eta_bra) for v in chain("b", eta, n_max)]
     P_w = {(p, w1): vec_dot(a_pow[p], lefts[w1]) for p in range(1, n_max + 1) for w1 in words}
 
     violations: list[str] = []
@@ -524,7 +511,7 @@ def orthogonality_check(
         for q in range(1, n_max + 1):
             for label, vec in ((f"a^{p} b^{q}", ab[q][p]), (f"b^{q} a^{p}", ba[p][q])):
                 checked += 1
-                if shown := violated(vec_dot(vec, xi), 0, 0, 0, 0, pow_a[p] * pow_b[q]):
+                if shown := violated(vec_dot(vec, xi_bra), 0, 0, 0, 0, pow_a[p] * pow_b[q]):
                     violations.append(f"phi({label}) = {shown[0]}")
 
     # condition (ii)
@@ -536,7 +523,7 @@ def orthogonality_check(
             for w1 in words
         }
         for q in range(1, n_max + 1):
-            P_q = vec_dot(a_w2[q], xi)
+            P_q = vec_dot(a_w2[q], xi_bra)
             b_chain = chain("b", a_w2[q], n_max)
             for s in range(1, n_max + 1):
                 a_chain = chain("a", b_chain[s], n_max)
@@ -551,4 +538,4 @@ def orthogonality_check(
                                 "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
                                 % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", *shown)
                             )
-    return OrthogonalityReport(not violations, checked, violations, None if exact else FLOAT_TOL)
+    return OrthogonalityReport(not violations, checked, violations)

@@ -711,6 +711,8 @@ def semicircle_density_recovered_by_inversion(inp, rng):
 # ---------------------------------------------------------------------------
 
 def _phi(op_words: Sequence[opmodel.ModelOperator], vec: dict) -> Fraction:
+    """<w vec, vec>/<vec, vec> for the product w of `op_words`, with `vec` on
+    the empty word, whose weight is 1, so plain dots are the inner product."""
     cur = vec
     for op in reversed(op_words):
         cur = op.apply(cur)
@@ -721,8 +723,12 @@ def _phi(op_words: Sequence[opmodel.ModelOperator], vec: dict) -> Fraction:
 def tridiagonal_factor_reproduces_moments(inp, rng):
     model = inp.model
     a1 = model.factors[0]
-    for label, op in (("A1", a1), ("X1", model.x1), ("X2", model.x2)):
-        expect(op.is_symmetric(), "{} is not symmetric", label)
+    for label, op, weights in (
+        ("A1", a1, model.factor_weights[0]),
+        ("X1", model.x1, model.weights),
+        ("X2", model.x2, model.weights),
+    ):
+        expect(op.is_self_adjoint(weights), "{} is not self-adjoint under its weights", label)
     vac_factor = {0: Fraction(1)}
     cur = vac_factor
     factor_moments = []
@@ -735,28 +741,26 @@ def tridiagonal_factor_reproduces_moments(inp, rng):
 @check("opmodel")
 def vacuum_moments_match_free_convolution(inp, rng):
     model, mu, nu = inp.model, inp.mu, inp.nu
-    expect(model.exact, "the model of {} and {} dropped to floats", mu, nu)
-    got = model.state_moments(inp.total, model.certified_vacuum_order())
+    got = model.state_moments(inp.total, model.depth_cap)
     expect_equal(tuple(got), convolve.free(mu, nu, 10).moments(10), "mu = {}, nu = {}", mu, nu)
 
 
 @check("opmodel")
-def float_fallback_within_tolerance(inp, rng):
-    # irrational off-diagonal entries, as a prefix and as a complete recursion
+def irrational_root_factors_stay_exact(inp, rng):
+    # omega = 2 has no rational square root; as a prefix and as a complete recursion
     for alpha, complete in (([0, 0], False), ([0, Fraction(1, 2)], True)):
         irr = make_jacobi(alpha, [Fraction(2)], complete=complete)
-        model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
-        got = model_f.state_moments(model_f.total(), 10)
+        model = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+        got = model.state_moments(model.total(), 10)
         rep = MeasureRep.from_jacobi(make_jacobi(alpha, [Fraction(2)], complete=True))
-        for n, (g, w) in enumerate(zip(got, convolve.free(rep, rep, 10).moments(10)), start=1):
-            expect(abs(g - float(w)) <= 1e-9, "alpha = {}, omega = (2,), order {}: {} vs {}", alpha, n, g, w)
+        expect_equal(tuple(got), convolve.free(rep, rep, 10).moments(10), "alpha = {}, omega = (2,)", alpha)
 
 
 @check("opmodel")
 def replica_sum_reassembles_representation(inp, rng):
     model = inp.model
     for factor, lam in ((1, model.x1), (2, model.x2)):
-        total_rep = opmodel.ModelOperator(len(model.basis), {}, exact=model.exact)
+        total_rep = opmodel.ModelOperator(len(model.basis), {})
         for n in range(1, model.depth_cap + 2):
             total_rep = total_rep + model.replica(factor, n)
         expect(total_rep.equals(lam), "factor {}", factor)
@@ -851,7 +855,7 @@ def replica_branch_pairs_pass_orthogonality(inp, rng):
         cases.append((1, 1, 2, 2, vac, vec))
     cases.append((1, 2, 2, 3, model.word_vector(((2, 1),)), model.word_vector(((1, 1), (2, 1)))))
     for j, n, i, k, xi, eta in cases:
-        report = opmodel.orthogonality_check(model.replica(j, n), model.branch(i, k), xi, eta, 3)
+        report = opmodel.orthogonality_check(model.replica(j, n), model.branch(i, k), xi, eta, 3, model.weights)
         case = "replica({}, {}), branch({}, {}), xi = {}, eta = {}: {}"
         expect(report.ok, case, j, n, i, k, xi, eta, report.violations[:1])
 
@@ -859,7 +863,9 @@ def replica_branch_pairs_pass_orthogonality(inp, rng):
 @check("opmodel")
 def generic_free_pair_fails_orthogonality(inp, rng):
     model = inp.model
-    neg = opmodel.orthogonality_check(model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 3)
+    neg = opmodel.orthogonality_check(
+        model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 3, model.weights
+    )
     expect(not neg.ok, "X1, X2 passed all {} cases", neg.checked)
     return f"{len(neg.violations)} violating monomials"
 
@@ -931,12 +937,12 @@ def tensor_pair_of_graphs_passes_orthogonality(inp, rng):
         for x, y in g2.edges:
             a2_entries[(pid(u, x), pid(u, y))] = 1
             a2_entries[(pid(u, y), pid(u, x))] = 1
-    a_first = opmodel.ModelOperator(size, a1_entries, exact=True)
-    a_second = opmodel.ModelOperator(size, a2_entries, exact=True)
+    a_first = opmodel.ModelOperator(size, a1_entries)
+    a_second = opmodel.ModelOperator(size, a2_entries)
     xi = {pid(g1.root, g2.root): Fraction(1)}
     v0 = next(v for v in range(n1) if v != g1.root)
     eta = {pid(v0, g2.root): Fraction(1)}
-    report = opmodel.orthogonality_check(a_first, a_second, xi, eta, 3)
+    report = opmodel.orthogonality_check(a_first, a_second, xi, eta, 3, [1] * size)
     expect(report.ok, "A1 x P, P x A2 on path(3) x path(2): {}", report.violations[:1])
 
 

@@ -299,11 +299,35 @@ class TestDensity:
         code, out, err = run(capsys, ["density", mu, "--points", "3", f"{flag}={value}"])
         assert code == 2 and out == "" and f"{flag[2:]} must be finite" in err
 
-    def test_depth_below_one_rejected_before_output(self, tmp_path, capsys):
+    def test_truncated_recursion_refused_before_output(self, tmp_path, capsys):
+        # three levels fix five moments, not a density; closing the fraction
+        # would give a Gauss quadrature's, 212206.6 at x = 0
+        mu = write(tmp_path, "mu.json", {"type": "jacobi", "alpha": ["0", "1/2", "0"], "omega": ["1", "2"]})
+        code, out, err = run(capsys, ["density", mu, "--points", "3"])
+        assert code == 6 and out == "" and "3 truncated recursion levels" in err
+
+    def test_free_convolution_output_refused(self, tmp_path, capsys):
+        # the emitted moments of mu + nu are a finite list: no density follows
+        mu = {"type": "atoms", "atoms": [["-2", "1/6"], ["-3/2", "1/12"], ["-1/2", "1/2"], ["1/2", "1/4"]]}
+        nu = {"type": "atoms", "atoms": [["-3", "5/12"], ["-1", "1/3"], ["1", "1/4"]]}
+        argv = ["convolve", "free", write(tmp_path, "mu.json", mu), write(tmp_path, "nu.json", nu)]
+        code, out, _ = run(capsys, argv + ["--order", "40"])
+        assert code == 0
+        path = tmp_path / "free.json"
+        path.write_text(out)
+        code, out, err = run(capsys, ["density", str(path), "--xmin", "-5", "--xmax", "2", "--points", "29"])
+        assert code == 6 and out == "" and "20 truncated recursion levels" in err
+
+    def test_finite_and_atomic_inputs_print(self, tmp_path, capsys):
+        for obj in (BERNOULLI, {"type": "jacobi", "alpha": ["0", "1"], "omega": ["0"]}):
+            code, out, _ = run(capsys, ["density", write(tmp_path, "mu.json", obj), "--points", "3"])
+            assert code == 0 and len(out.splitlines()) == 4
+
+    def test_depth_option_is_gone(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", WIGNER01)
-        for depth in ("0", "-5"):
-            code, out, err = run(capsys, ["density", mu, "--points", "3", "--depth", depth])
-            assert code == 2 and out == "" and "depth" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["density", mu, "--points", "3", "--depth", "8"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestGraph:

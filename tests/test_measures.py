@@ -36,7 +36,6 @@ from freeconv.measures import (
     parse_fraction,
     parse_measure,
     point_mass,
-    rational_sqrt,
     stieltjes_density,
     two_point,
     wigner,
@@ -475,6 +474,12 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_G(point_mass(0), -1j)
 
+    def test_every_level_and_the_tail_are_used(self):
+        # 80 explicit levels equal to the tail: still the semicircle, however deep
+        deep = make_jacobi([0] * 80, [1] * 80, WignerTail(0, 1))
+        for z in (2j, 0.5 + 0.01j):
+            assert abs(eval_G(deep, z) - eval_G(wigner(0, 1), z)) < 1e-12
+
     def test_moment_series_agreement_at_large_argument(self):
         rep = two_point(F(1, 3), -1, 2)
         m = rep.moments(12)
@@ -546,6 +551,16 @@ class TestStieltjes:
             for x, f in stieltjes_density(rep, [-10.0, 10.0], epsilon=1e-6):
                 assert f < 1e-3
 
+    def test_truncated_recursion_refused(self):
+        # finitely many moments fix no density: closing the recursion would
+        # give a Gauss quadrature's (212206.6 at x = 0 for this one)
+        for rep in (
+            MeasureRep.from_jacobi(make_jacobi([0, F(1, 2), 0], [1, 2])),
+            MeasureRep.from_moments(wigner(0, 1).moments(8)),
+        ):
+            with pytest.raises(InsufficientDepth, match="levels"):
+                stieltjes_density(rep, [0.0])
+
 
 class TestConstructors:
     def test_two_point_recursion_coefficients(self):
@@ -588,10 +603,6 @@ class TestConstructors:
             with pytest.raises(OrderExceeded):
                 rep.moments(4)
             assert rep.moments(2) == (F(1), F(1))
-
-    def test_rational_sqrt(self):
-        assert rational_sqrt(F(9, 4)) == F(3, 2)
-        assert rational_sqrt(F(2)) is None
 
 
 class TestJson:

@@ -13,8 +13,17 @@ from freeconv.measures import (
     bernoulli_symmetric,
     make_jacobi,
     point_mass,
+    two_point,
     wigner,
 )
+
+
+def thirds_model():
+    """Factors with entries over 3 and 6, whose words past the vacuum all
+    have weights other than 1."""
+    j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6), F(5, 6)], [F(1, 6) ** 2, F(5, 3) ** 2, F(7, 6) ** 2])
+    j6 = make_jacobi([F(-1, 6), F(4, 3), F(0), F(-7, 6)], [F(2, 3) ** 2, F(1, 6) ** 2, F(4, 3) ** 2])
+    return opmodel.FreeProductModel(j3, j6, factor_dim=3, depth_cap=5)
 
 
 def small_model(seed=0, dim=4, depth=8, weight_cap=None):
@@ -168,9 +177,14 @@ class TestModelOperator:
             want = [sum(da[r][c] * vec.get(c, 0) for c in range(n)) for r in range(n)]
             assert a.apply(vec) == {r: x for r, x in enumerate(want) if x != 0}
             assert a.equals(b) == (da == db)
-            assert a.is_symmetric() == (da == [list(row) for row in zip(*da)])
+            unit = [1] * n
+            assert a.is_self_adjoint(unit) == (da == [list(row) for row in zip(*da)])
             sym = a + from_dense([list(row) for row in zip(*da)])
-            assert sym.is_symmetric()
+            assert sym.is_self_adjoint(unit)
+            # W A is symmetric exactly when A is self-adjoint under weights W
+            weights = [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n)]
+            wa = [[weights[r] * da[r][c] for c in range(n)] for r in range(n)]
+            assert a.is_self_adjoint(weights) == (wa == [list(row) for row in zip(*wa)])
 
     def test_cancellation_leaves_no_zero_and_no_empty_column(self):
         for a in self.random_operators(3):
@@ -184,17 +198,9 @@ class TestModelOperator:
         assert not a.equals(a + b)
         assert not (a + b).equals(a)
 
-    def test_float_operators_compare_within_tolerance(self):
-        def nudge(op, by):
-            return op + opmodel.ModelOperator(self.SIZE, {(0, 5): by}, exact=False)
-
-        for a in self.random_operators(4):
-            fa = opmodel._as_float(a)
-            assert fa.equals(a) and a.equals(fa)
-            assert fa.is_symmetric() == a.is_symmetric()
-            assert nudge(fa, 1e-12).equals(fa)
-            assert not nudge(fa, 1e-6).equals(fa)
-            assert (fa - fa).entries == {}
+    def test_float_entry_rejected(self):
+        with pytest.raises(InvalidParameter, match="floats are not accepted"):
+            opmodel.ModelOperator(self.SIZE, {(0, 0): F(1), (0, 5): 0.5})
 
 
 class TestJacobiOperator:
@@ -216,10 +222,20 @@ class TestJacobiOperator:
             moments.append(opmodel.vec_dot(cur, vac))
         assert tuple(moments) == wigner(0, 1).moments(15)
 
-    def test_irrational_entries_drop_to_floats(self):
-        op = opmodel.jacobi_operator(make_jacobi([0, 0], [2], complete=True), 2)
-        assert not op.exact
-        assert abs(op.entries[1][0] - 2**0.5) < 1e-12
+    def test_irrational_root_stays_exact_on_monic_polynomials(self):
+        # x p_0 = p_1 and x p_1 = 2 p_0 + p_1 / 2, with |p_1|^2 = 2
+        j = make_jacobi([0, F(1, 2)], [2], complete=True)
+        op = opmodel.jacobi_operator(j, 2)
+        assert op.entries == {0: {1: 1}, 1: {0: F(2), 1: F(1, 2)}}
+        assert opmodel.monic_norms(j, 2) == [F(1), F(2)]
+        assert op.is_self_adjoint([F(1), F(2)]) and not op.is_self_adjoint([1, 1])
+
+    def test_terminated_measure_stays_on_its_support(self):
+        # omega_1 = 0: p_2 has norm 0, so column 1 does not reach it
+        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        op = opmodel.jacobi_operator(j, 4)
+        assert op.entries == {0: {0: F(1), 1: 1}, 1: {0: F(1, 3), 1: F(2)}}
+        assert opmodel.monic_norms(j, 4) == [F(1), F(1, 3), F(0), F(0)]
 
     def test_depth_guard(self):
         with pytest.raises(InsufficientDepth):
@@ -233,19 +249,57 @@ class TestFreeProductRep:
         lifted = opmodel.free_product_rep(eye, 1, basis)
         assert lifted.entries == {i: {i: F(1)} for i in range(len(basis))}
 
-    def test_representation_is_symmetric(self):
+    def test_representation_is_self_adjoint_under_the_word_weights(self):
         model = small_model()
-        assert model.x1.is_symmetric()
-        assert model.x2.is_symmetric()
+        assert model.x1.is_self_adjoint(model.weights)
+        assert model.x2.is_self_adjoint(model.weights)
+        assert not model.x1.is_self_adjoint([1] * len(model.basis))
+        # a word's weight is the product of its letters' |p_k|^2
+        w1, w2 = model.factor_weights
+        assert model.weights[model.basis.index[((1, 2), (2, 1), (1, 3))]] == w1[2] * w2[1] * w1[3]
 
     def test_vacuum_moments_are_free_convolution(self):
         model = small_model(seed=1)
         mu = MeasureRep.from_jacobi(model.mu_jacobi)
         nu = MeasureRep.from_jacobi(model.nu_jacobi)
-        order = model.certified_vacuum_order()
+        order = model.depth_cap
         loc = convolve.free(mu, nu, order).moments(order)
         got = model.state_moments(model.total(), order)
         assert tuple(got) == loc
+
+    def test_irrational_root_pair_is_exact_at_depth_40(self):
+        # omega = 2 and 27/16 have no rational square root
+        mu, nu = two_point(F(1, 3), -1, 2), two_point(F(1, 4), 0, 3)
+        model = opmodel.FreeProductModel(mu, nu, factor_dim=2, depth_cap=40)
+        got = model.state_moments(model.total(), 40)
+        assert all(type(x) is F for x in got)
+        assert tuple(got) == convolve.free(mu, nu, 40).moments(40)
+        assert got[5] == F(117571, 16)
+
+    def test_state_moments_use_the_word_weights(self):
+        # v = X1 X2 vac spreads over words of several weights; by
+        # self-adjointness <A^n v, v> = phi(X2 X1 A^n X1 X2) in the vacuum,
+        # whose one word has weight 1
+        model = thirds_model()
+        x1, x2, total = model.x1, model.x2, model.total()
+        vac = model.vacuum()
+        vec = x1.apply(x2.apply(vac))
+        assert len({model.weights[k] for k in vec}) > 1
+
+        def phi(ops):
+            cur = vac
+            for op in reversed(ops):
+                cur = op.apply(cur)
+            return cur.get(0, 0)
+
+        want = [phi([x2, x1] + [total] * n + [x1, x2]) / phi([x2, x1, x1, x2]) for n in range(1, 6)]
+        assert model.state_moments(total, 5, vec=vec) == want
+
+    def test_state_of_norm_zero_rejected(self):
+        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
+        with pytest.raises(InvalidParameter, match="norm 0"):
+            model.state_moments(model.total(), 2, vec=model.word_vector(((1, 2),)))
 
     def test_centered_alternating_products_vanish(self):
         model = small_model(seed=2)
@@ -293,7 +347,7 @@ class TestReplicas:
 def compress(op, keep):
     """Reference replica: the entries with row and column both kept."""
     entries = {(r, c): v for c, col in op.entries.items() for r, v in col.items() if r in keep and c in keep}
-    return opmodel.ModelOperator(op.size, entries, exact=op.exact)
+    return opmodel.ModelOperator(op.size, entries)
 
 
 @pytest.mark.parametrize(
@@ -396,34 +450,31 @@ class TestOrthogonalityCheck:
             model.vacuum(),
             model.word_vector(((1, 1),)),
             3,
+            model.weights,
         )
         assert rep.ok, rep.violations[:3]
 
     def test_generic_free_pair_fails(self):
         model = small_model(seed=13)
         rep = opmodel.orthogonality_check(
-            model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 3
+            model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 3, model.weights
         )
         assert not rep.ok
         assert rep.violations
 
 
-def orthogonality_check_reference(a, b, xi, eta, n_max, tol=None):
+def orthogonality_check_reference(a, b, xi, eta, n_max, weights):
     """The orthogonality check as first written: every monomial is applied
-    from scratch, one `ModelOperator.apply` per letter.  Kept as the
-    reference for the shared-chain version."""
-    exact = a.exact and b.exact
-    if tol is None:
-        tol = 0.0 if exact else opmodel.FLOAT_TOL
+    from scratch, one `ModelOperator.apply` per letter, and every inner
+    product sums over the weights on `Fraction`s.  Kept as the reference
+    for the shared-chain version."""
 
-    def close(x, y) -> bool:
-        if exact:
-            return x == y
-        return abs(x - y) <= tol
+    def dot(u, v):
+        return sum((x * v.get(k, 0) * weights[k] for k, x in u.items()), F(0))
 
     ops = {"a": a, "b": b}
-    n_xi = opmodel.vec_dot(xi, xi)
-    n_eta = opmodel.vec_dot(eta, eta)
+    n_xi = dot(xi, xi)
+    n_eta = dot(eta, eta)
 
     words = [()]
     frontier = [()]
@@ -451,7 +502,7 @@ def orthogonality_check_reference(a, b, xi, eta, n_max, tol=None):
     cur = eta
     for _ in range(n_max):
         cur = b.apply(cur)
-        psi_b.append(opmodel.vec_dot(cur, eta) / n_eta)
+        psi_b.append(dot(cur, eta) / n_eta)
 
     violations = []
     checked = 0
@@ -459,21 +510,21 @@ def orthogonality_check_reference(a, b, xi, eta, n_max, tol=None):
     for p in range(1, n_max + 1):
         for q in range(1, n_max + 1):
             vec = apply_word(("a",) * p + ("b",) * q, xi)
-            val = opmodel.vec_dot(vec, xi) / n_xi
+            val = dot(vec, xi) / n_xi
             checked += 1
-            if not close(val, 0):
+            if val != 0:
                 violations.append(f"phi(a^{p} b^{q}) = {val}")
             vec = apply_word(("b",) * q + ("a",) * p, xi)
-            val = opmodel.vec_dot(vec, xi) / n_xi
+            val = dot(vec, xi) / n_xi
             checked += 1
-            if not close(val, 0):
+            if val != 0:
                 violations.append(f"phi(b^{q} a^{p}) = {val}")
 
     for w2 in words:
         base = suffix[w2]
         for q in range(1, n_max + 1):
             v_q = apply_word(("a",) * q, base)
-            phi_a2w2 = opmodel.vec_dot(v_q, xi) / n_xi
+            phi_a2w2 = dot(v_q, xi) / n_xi
             for s in range(1, n_max + 1):
                 v_s = apply_word(("b",) * s, v_q)
                 for p in range(1, n_max + 1):
@@ -481,29 +532,30 @@ def orthogonality_check_reference(a, b, xi, eta, n_max, tol=None):
                     v_plain = a_pow[p + q] if w2 == () else apply_word(("a",) * (p + q), base)
                     for w1 in words:
                         bra = lefts[w1]
-                        lhs = opmodel.vec_dot(v_p, bra) / n_xi
-                        phi_w1a1 = opmodel.vec_dot(a_pow[p], bra) / n_xi
+                        lhs = dot(v_p, bra) / n_xi
+                        phi_w1a1 = dot(a_pow[p], bra) / n_xi
                         rhs = psi_b[s] * (
-                            opmodel.vec_dot(v_plain, bra) / n_xi - phi_w1a1 * phi_a2w2
+                            dot(v_plain, bra) / n_xi - phi_w1a1 * phi_a2w2
                         )
                         checked += 1
-                        if not close(lhs, rhs):
+                        if lhs != rhs:
                             violations.append(
                                 "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
                                 % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", lhs, rhs)
                             )
-    return opmodel.OrthogonalityReport(not violations, checked, violations, None if exact else tol)
+    return opmodel.OrthogonalityReport(not violations, checked, violations)
 
 
 def recorded_orthogonality_checks(names, inputs, run=True):
-    """((a, b, xi, eta, n_max), report) of every orthogonality check that
-    the named verify checks make on `inputs`.  With `run=False` only the
-    arguments are recorded, and each check is answered by a clean report."""
+    """((a, b, xi, eta, n_max, weights), report) of every orthogonality
+    check that the named verify checks make on `inputs`.  With `run=False`
+    only the arguments are recorded, and each check is answered by a clean
+    report."""
     calls = []
     real = opmodel.orthogonality_check
 
     def record(*args):
-        report = real(*args) if run else opmodel.OrthogonalityReport(True, 0, [], None)
+        report = real(*args) if run else opmodel.OrthogonalityReport(True, 0, [])
         calls.append((args, report))
         return report
 
@@ -517,10 +569,10 @@ def recorded_orthogonality_checks(names, inputs, run=True):
 REFERENCE_CASES = (
     ["x1-x2"]
     + [f"replica-branch-{i}" for i in range(1, 7)]
-    + ["tensor-path3-path2", "float-x1-x2", "float-replica-branch"]
+    + ["tensor-path3-path2", "irrational-x1-x2", "irrational-replica-branch"]
     + ["thirds-x1-x2", "thirds-replica-branch"]
 )
-FAILING_CASES = ("x1-x2", "float-x1-x2", "thirds-x1-x2")
+FAILING_CASES = ("x1-x2", "irrational-x1-x2", "thirds-x1-x2")
 
 
 @pytest.fixture(scope="module")
@@ -536,24 +588,22 @@ def reference_cases():
         "tensor-pair-of-graphs-passes-orthogonality",
     ]
     calls = recorded_orthogonality_checks(names, SimpleNamespace(seed=7, model=model), run=False)
-    cases = [args[:4] for args, _ in calls]
-    # irrational off-diagonal entries: float operators, so the tol path runs
+    cases = [args[:4] + args[5:] for args, _ in calls]
+    # omega = 2 has no rational square root: the weights are not squares
     irr = make_jacobi([0, 0], [F(2)])
-    model_f = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
-    word = model_f.word_vector(((1, 1),))
-    cases.append((model_f.x1, model_f.x2, model_f.vacuum(), word))
-    cases.append((model_f.replica(1, 1), model_f.branch(2, 2), model_f.vacuum(), word))
+    model_i = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+    word = model_i.word_vector(((1, 1),))
+    cases.append((model_i.x1, model_i.x2, model_i.vacuum(), word, model_i.weights))
+    cases.append((model_i.replica(1, 1), model_i.branch(2, 2), model_i.vacuum(), word, model_i.weights))
     # entries over 3 and 6, and states with fractional entries, so the
     # integer check scales every operator and vector by more than 1
-    j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6), F(5, 6)], [F(1, 6) ** 2, F(5, 3) ** 2, F(7, 6) ** 2])
-    j6 = make_jacobi([F(-1, 6), F(4, 3), F(0), F(-7, 6)], [F(2, 3) ** 2, F(1, 6) ** 2, F(4, 3) ** 2])
-    model_3 = opmodel.FreeProductModel(j3, j6, factor_dim=3, depth_cap=5)
+    model_3 = thirds_model()
     idx = model_3.basis.index
     xi = {0: F(2, 3), idx[((2, 1),)]: F(-5, 6)}
     eta = {idx[((1, 1),)]: F(3, 2), idx[((2, 2),)]: F(-1, 3)}
-    cases.append((model_3.x1, model_3.x2, xi, eta))
+    cases.append((model_3.x1, model_3.x2, xi, eta, model_3.weights))
     eta = {idx[((1, 1),)]: F(2, 3), idx[((1, 2),)]: F(-5, 6)}
-    cases.append((model_3.replica(1, 1), model_3.branch(2, 2), {0: F(-4, 3)}, eta))
+    cases.append((model_3.replica(1, 1), model_3.branch(2, 2), {0: F(-4, 3)}, eta, model_3.weights))
     assert len(cases) == len(REFERENCE_CASES)
     return dict(zip(REFERENCE_CASES, cases))
 
@@ -561,14 +611,13 @@ def reference_cases():
 class TestOrthogonalityCheckAgainstReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_report_equals_the_reference_in_every_field(self, reference_cases, case):
-        a, b, xi, eta = reference_cases[case]
+        a, b, xi, eta, weights = reference_cases[case]
         for n_max in (1, 2, 3):
-            got = opmodel.orthogonality_check(a, b, xi, eta, n_max)
-            want = orthogonality_check_reference(a, b, xi, eta, n_max)
+            got = opmodel.orthogonality_check(a, b, xi, eta, n_max, weights)
+            want = orthogonality_check_reference(a, b, xi, eta, n_max, weights)
             assert got == want, n_max
-        # the cases reach both outcomes, exactly and in floats
+        # the cases reach both outcomes
         assert got.ok == (case not in FAILING_CASES)
-        assert got.tol == (1e-9 if case.startswith("float") else None)
         if case == "thirds-x1-x2":
             # condition (i) fails too, so its text comes from scaled integers
             assert any(v.startswith("phi(a^") for v in got.violations)
@@ -590,7 +639,7 @@ class TestOrthogonalityCheckSpeed:
         start = time.perf_counter()
         ((_, report),) = recorded_orthogonality_checks(["generic-free-pair-fails-orthogonality"], inputs)
         elapsed = time.perf_counter() - start
-        assert (report.ok, report.checked, len(report.violations), report.tol) == (False, 6093, 6093, None)
+        assert (report.ok, report.checked, len(report.violations)) == (False, 6093, 6093)
         digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
         assert digest == self.VIOLATIONS_SHA256[seed]
         assert elapsed < 1.0, elapsed

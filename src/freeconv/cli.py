@@ -7,7 +7,8 @@ root moments), and `verify` (the deterministic identity suites).
 Exit codes: 0 success / all checks pass, 1 a verify check failed, 2 parse
 error, 3 not a moment sequence, 4 internal route mismatch, 5 domain error,
 6 input does not determine the requested order (too few moments or
-recursion levels) or, for `density`, a density (a truncated recursion).
+recursion levels) or, for `density`, a density: a truncated recursion,
+which `JacobiParams.prefix` refuses to read past its last level.
 """
 
 from __future__ import annotations

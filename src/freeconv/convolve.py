@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InsufficientDepth, InvalidParameter, NoConvergence, RouteMismatch
+from .errors import InvalidParameter, NoConvergence, RouteMismatch
 from .measures import (
     JacobiParams,
     MeasureRep,
@@ -93,7 +93,7 @@ def k_outer(rep: MeasureRep, order: int) -> Outer:
     j = rep.exact_jacobi()
     if j is None or order < 1:  # k_series rejects the order
         return k_series(rep, order)
-    levels = tuple((j.alpha_at(i), j.omega_at(i)) for i in range(max(j.levels, len(j.omega), 1)))
+    levels = tuple(zip(*j.prefix(max(j.levels, 1) + 1)))
     tail = (j.tail.a, j.tail.b) if j.tail else None
     return ContinuedFraction(levels, tail, order - 1)
 
@@ -186,6 +186,8 @@ def convolve_request(req: ConvolutionRequest) -> MeasureRep:
         if req.iterations is None:
             raise InvalidParameter("orthogonal-iter needs an iteration count")
         return orthogonal_iterated(req.mu, req.nu, req.iterations, req.order)
+    if req.iterations is not None:
+        raise InvalidParameter(f"--iterations is only for orthogonal-iter, not {req.op}")
     try:
         fn = _OPS[req.op]
     except KeyError:
@@ -237,11 +239,7 @@ def jacobi_chain_decomposition(j: JacobiParams, m: int) -> list[MeasureRep]:
     """
     if m < 1:
         raise InvalidParameter("chain length must be >= 1")
-    try:
-        alphas = [j.alpha_at(k) for k in range(m + 1)]
-        omegas = [j.omega_at(k) for k in range(m)]
-    except InsufficientDepth:
-        raise InsufficientDepth(f"chain of length {m} needs {m + 1} levels") from None
+    alphas, omegas = j.prefix(m + 1)
     out = [
         MeasureRep.from_jacobi(
             make_jacobi((alphas[0], alphas[1]), (omegas[0],), complete=True)
@@ -260,8 +258,7 @@ def chain_k_rational(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Frac
     """K-transform of the chain as an exact rational function (num, den)."""
     if m < 1:
         raise InvalidParameter("chain length must be >= 1")
-    alphas = [j.alpha_at(k) for k in range(m + 1)]
-    omegas = [j.omega_at(k) for k in range(m)]
+    alphas, omegas = j.prefix(m + 1)
     # innermost link: omega[m-1]/(z - alpha[m]); for m = 1 handled below
     num: list[Fraction] = [omegas[m - 1]]
     den: list[Fraction] = [-alphas[m], Fraction(1)]

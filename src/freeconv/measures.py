@@ -24,6 +24,11 @@ Conventions for recursion coefficients:
   every moment is exact (``finite=True``).
 * ``tail=WignerTail(a, b)`` continues both sequences with the constants
   a and b, so every moment is exact.
+
+`JacobiParams.prefix` is the one reader of recursion levels, here and in
+`convolve` and `opmodel`: past the given entries it reads the tail, or
+zeros once the fraction has terminated, and past a truncated prefix it
+raises `InsufficientDepth`, so no evaluator closes a truncated fraction.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -76,25 +82,35 @@ class JacobiParams:
 
     @property
     def levels(self) -> int:
-        return len(self.alpha)
+        """Levels with a given entry; above a tail the omegas may run one
+        level deeper than the alphas."""
+        return max(len(self.alpha), len(self.omega))
 
-    def alpha_at(self, n: int) -> Fraction:
-        if n < len(self.alpha):
-            return self.alpha[n]
+    def prefix(self, d: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """alpha_0..alpha_(d-1) and omega_0..omega_(d-2), the one reader of
+        recursion levels: past the given entries come the tail's (a, b), or
+        zeros once the fraction has terminated.  Nothing is known past a
+        truncated prefix, so asking for more raises `InsufficientDepth`."""
         if self.tail is not None:
-            return self.tail.a
-        if self.finite:
-            return Fraction(0)
-        raise InsufficientDepth(f"diagonal entry {n} is beyond the known prefix")
+            a, b = self.tail.a, self.tail.b
+        elif self.finite or d <= len(self.alpha):
+            a = b = Fraction(0)
+        else:
+            n = len(self.alpha)
+            raise InsufficientDepth(
+                f"{n} truncated recursion levels fix only {2 * n - 1} moments; "
+                f"{d} levels were asked for"
+            )
+        return (self.alpha + (a,) * d)[:d], (self.omega + (b,) * d)[: max(d - 1, 0)]
 
-    def omega_at(self, n: int) -> Fraction:
-        if n < len(self.omega):
-            return self.omega[n]
-        if self.tail is not None:
-            return self.tail.b
-        if self.finite:
-            return Fraction(0)
-        raise InsufficientDepth(f"off-diagonal entry {n} is beyond the known prefix")
+    @cached_property
+    def _float_levels(self) -> tuple[tuple[float, float], ...]:
+        """(alpha_k, omega_k) as floats for every given level, deepest first,
+        read once for `eval_G`.  The omega below the last level comes from
+        the tail, is 0 once the fraction has terminated, and is unknown for a
+        truncated recursion, which raises `InsufficientDepth`."""
+        alphas, omegas = self.prefix(self.levels + 1)
+        return tuple(zip(map(float, alphas), map(float, omegas)))[::-1]
 
     @property
     def moment_cap(self) -> Optional[int]:
@@ -245,13 +261,8 @@ def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     ints times c, the lcm of their denominators; m_t is v[0] after t steps."""
     if n < 0:
         raise InvalidParameter("n must be >= 0")
-    if j.moment_cap is not None and n > j.moment_cap:
-        raise InsufficientDepth(
-            f"only {j.moment_cap} exact moments from {j.levels} levels"
-        )
     levels = n // 2 + 1
-    alphas = [j.alpha_at(k) for k in range(levels)]
-    omegas = [j.omega_at(k) for k in range(max(levels - 1, 0))]
+    alphas, omegas = j.prefix(levels)
     c, aw = _over_lcm(alphas + omegas)
     a, w, v, d = aw[:levels], aw[levels:] + [0], [1], 1
     out = []
@@ -464,17 +475,9 @@ def eval_G(rep, z: complex) -> complex:
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
     j = _as_jacobi(rep)
-    g: Optional[complex] = None
-    if j.tail is not None:
-        g = wigner_transform(j.tail.a, j.tail.b, z)
-    for k in range(j.levels - 1, -1, -1):
-        a = float(j.alpha_at(k))
-        if g is None:
-            g = 1.0 / (z - a)
-        else:
-            g = 1.0 / (z - a - float(j.omega_at(k)) * g)
-    if g is None:
-        g = 1.0 / z
+    g = wigner_transform(j.tail.a, j.tail.b, z) if j.tail is not None else 0j
+    for a, w in j._float_levels:
+        g = 1.0 / (z - a - w * g)
     return g
 
 
@@ -497,11 +500,11 @@ def approximant_G(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Fractio
     """
     if m < 1:
         raise InvalidParameter("approximant level must be >= 1")
+    alphas, omegas = j.prefix(m)
     n_prev, n_cur = [Fraction(0)], [Fraction(1)]
-    m_prev, m_cur = [Fraction(1)], [-j.alpha_at(0), Fraction(1)]
+    m_prev, m_cur = [Fraction(1)], [-alphas[0], Fraction(1)]
     for k in range(1, m):
-        factor = [-j.alpha_at(k), Fraction(1)]
-        w = j.omega_at(k - 1)
+        factor, w = [-alphas[k], Fraction(1)], omegas[k - 1]
         n_prev, n_cur = n_cur, poly_sub(poly_mul(factor, n_cur), poly_scale(n_prev, w))
         m_prev, m_cur = m_cur, poly_sub(poly_mul(factor, m_cur), poly_scale(m_prev, w))
     return n_cur, m_cur
@@ -521,16 +524,7 @@ def stieltjes_density(
     if not 0 < epsilon < math.inf:
         raise InvalidParameter(f"epsilon must be finite and > 0, got {epsilon}")
     j = _as_jacobi(rep)
-    if j.moment_cap is not None:
-        raise InsufficientDepth(
-            f"{j.levels} truncated recursion levels fix {j.moment_cap} moments, "
-            "not a density; give atoms, a terminated recursion or a 'wigner' tail"
-        )
-    out = []
-    for x in grid:
-        g = eval_G(j, complex(x, epsilon))
-        out.append((float(x), -g.imag / math.pi))
-    return out
+    return [(float(x), -eval_G(j, complex(x, epsilon)).imag / math.pi) for x in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 from typing import Container, Mapping, Optional, Sequence
 
-from .errors import DepthExceeded, InsufficientDepth, InvalidParameter
+from .errors import DepthExceeded, InvalidParameter
 from .measures import JacobiParams, _as_jacobi
 
 Word = tuple[tuple[int, int], ...]
@@ -240,11 +240,7 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
     """
     if d < 1:
         raise InvalidParameter("dimension must be >= 1")
-    try:
-        alphas = [j.alpha_at(k) for k in range(d)]
-        omegas = [j.omega_at(k) for k in range(d - 1)]
-    except InsufficientDepth:
-        raise InsufficientDepth(f"{d}-dimensional realization needs {d} levels") from None
+    alphas, omegas = j.prefix(d)
     entries: dict = {(k, k): a for k, a in enumerate(alphas)}
     for k, w in enumerate(omegas):
         entries[k, k + 1] = w
@@ -255,7 +251,7 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
 def monic_norms(j: JacobiParams, d: int) -> list[Fraction]:
     """|p_k|^2 = omega_0 ... omega_(k-1) for k < d: the weights under which
     `jacobi_operator(j, d)` is self-adjoint."""
-    return list(accumulate((j.omega_at(k) for k in range(d - 1)), mul, initial=Fraction(1)))
+    return list(accumulate(j.prefix(d)[1], mul, initial=Fraction(1)))
 
 
 def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOperator:

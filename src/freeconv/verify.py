@@ -524,11 +524,6 @@ def chain_links_rebuild_truncated_transforms(inp, rng):
         for link in reversed(chain[:-1]):
             acc = convolve.orthogonal(link, acc, order_m)
         expect_equal(acc.moments(order_m), w01.moments(order_m), "{} links", m)
-        num, den = convolve.chain_k_rational(jw, m)
-        n_pol, m_pol = approximant_G(jw, m + 1)
-        # K-approximant equals z - reciprocal of the G-approximant
-        lhs = poly_mul(poly_sub(poly_mul([Fraction(0), Fraction(1)], n_pol), m_pol), den)
-        expect(poly_eq(lhs, poly_mul(num, n_pol)), "{} links: {} != {}", m, lhs, poly_mul(num, n_pol))
 
 
 @check("convolutions")

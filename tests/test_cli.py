@@ -151,7 +151,7 @@ class TestConvolve:
         mu = write(tmp_path, "mu.json", obj)
         nu = write(tmp_path, "nu.json", DELTA0)
         code, out, err = run(capsys, ["convolve", "free", mu, nu, "--order", "10"])
-        assert code == 6 and out == "" and "2 levels" in err
+        assert code == 6 and out == "" and "2 truncated recursion levels" in err
 
 
     @pytest.mark.parametrize(
@@ -201,9 +201,18 @@ class TestConvolve:
         # both factors hold continued fractions, so no op needs a K-series
         mu = write(tmp_path, "mu.json", BERNOULLI)
         nu = write(tmp_path, "nu.json", WIGNER01)
-        argv = ["convolve", op, mu, nu, "--order", order, "--iterations", "3"]
+        argv = ["convolve", op, mu, nu, "--order", order]
+        if op == "orthogonal-iter":
+            argv += ["--iterations", "3"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "order" in err
+
+    @pytest.mark.parametrize("op", ["free", "boolean", "monotone", "orthogonal", "sfree"])
+    def test_iterations_rejected_by_every_other_op(self, tmp_path, capsys, op):
+        mu = write(tmp_path, "mu.json", BERNOULLI)
+        argv = ["convolve", op, mu, mu, "--order", "6", "--iterations", "3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "--iterations" in err
 
 
 class TestEmissionSpeed:

@@ -345,7 +345,7 @@ class TestChainDecomposition:
 
     def test_depth_guard(self):
         j = make_jacobi([0, 0], [1])
-        with pytest.raises(InsufficientDepth):
+        with pytest.raises(InsufficientDepth, match="2 truncated recursion levels"):
             convolve.jacobi_chain_decomposition(j, 2)
 
 

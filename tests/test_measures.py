@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeconv import measures
-from freeconv.convolve import free
+from freeconv.convolve import free, subordination_eval
 from freeconv.errors import (
     DomainError,
     EmptyJacobi,
@@ -133,8 +133,7 @@ def fraction_jacobi_to_moments(j, n):
     """Reference: the weighted-walk transfer of jacobi_to_moments on Fraction
     entries at all n // 2 + 2 levels, skipping the empty ones."""
     levels = n // 2 + 1
-    alphas = [j.alpha_at(k) for k in range(levels)]
-    omegas = [j.omega_at(k) for k in range(max(levels - 1, 0))]
+    alphas, omegas = j.prefix(levels)
     v = [F(0)] * (levels + 1)
     v[0] = F(1)
     out = []
@@ -281,7 +280,7 @@ class TestJacobiToMoments:
 
     def test_depth_guard(self):
         j = make_jacobi([0, 0], [1])
-        with pytest.raises(InsufficientDepth):
+        with pytest.raises(InsufficientDepth, match="2 truncated recursion levels"):
             jacobi_to_moments(j, 4)  # only 2d - 1 = 3 moments are pinned
 
     def test_terminated_coefficients_have_all_moments(self):
@@ -400,6 +399,24 @@ class TestJacobiShapes:
             JacobiParams((), (), None, True).shift()
 
 
+class TestPrefix:
+    def test_wigner_tail_continues_past_the_given_entries(self):
+        j = make_jacobi([1, 2], [3], WignerTail(F(1, 2), 5))
+        assert j.prefix(4) == ((F(1), F(2), F(1, 2), F(1, 2)), (F(3), F(5), F(5)))
+        assert wigner(0, 1).jacobi().prefix(2) == ((F(0), F(0)), (F(1),))
+
+    def test_terminated_fraction_reads_zeros(self):
+        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        assert j.prefix(4) == ((F(1), F(2), F(0), F(0)), (F(1, 3), F(0), F(0)))
+
+    def test_truncated_prefix_ends_at_its_levels(self):
+        j = make_jacobi([0, F(1, 2), 0], [1, 2])
+        assert j.prefix(3) == ((F(0), F(1, 2), F(0)), (F(1), F(2)))
+        assert j.prefix(0) == ((), ())
+        with pytest.raises(InsufficientDepth, match="3 truncated recursion levels fix only 5 moments"):
+            j.prefix(4)
+
+
 class TestAtoms:
     def test_weights_validated(self):
         with pytest.raises(InvalidParameter):
@@ -474,6 +491,23 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_G(point_mass(0), -1j)
 
+    def test_truncated_recursion_refused(self):
+        # closing the 4 levels with 1/(z - alpha) would give -2.778 - 0.262i here,
+        # where the semicircle has 0.249 - 0.963i
+        rep = MeasureRep.from_moments(wigner(0, 1).moments(8))
+        z = 0.5 + 0.01j
+        for evaluate in (eval_G, eval_F, eval_K, lambda r, z: subordination_eval(r, r, z)):
+            with pytest.raises(InsufficientDepth, match="4 truncated recursion levels"):
+                evaluate(rep, z)
+
+    def test_omega_one_level_deeper_than_alpha_above_a_tail(self):
+        # omega_1 = 2 lies below the only given alpha and above the tail
+        rep = MeasureRep.from_jacobi(make_jacobi([0], [1, 2], WignerTail(0, 1)))
+        m = rep.moments(12)
+        z = 10j
+        series = 1 / z + sum(float(m[n - 1]) * z ** (-n - 1) for n in range(1, 13))
+        assert abs(eval_G(rep, z) - series) < 1e-10
+
     def test_every_level_and_the_tail_are_used(self):
         # 80 explicit levels equal to the tail: still the semicircle, however deep
         deep = make_jacobi([0] * 80, [1] * 80, WignerTail(0, 1))
@@ -505,11 +539,7 @@ class TestApproximants:
         j = wigner(0, 1).jacobi()
         full = wigner(0, 1)
         for m in range(1, 6):
-            prefix = make_jacobi(
-                [j.alpha_at(k) for k in range(m)],
-                [j.omega_at(k) for k in range(m - 1)],
-                complete=True,
-            )
+            prefix = make_jacobi(*j.prefix(m), complete=True)
             order = 2 * m - 1
             assert jacobi_to_moments(prefix, order) == full.moments(order)
 

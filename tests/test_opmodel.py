@@ -238,7 +238,7 @@ class TestJacobiOperator:
         assert opmodel.monic_norms(j, 4) == [F(1), F(1, 3), F(0), F(0)]
 
     def test_depth_guard(self):
-        with pytest.raises(InsufficientDepth):
+        with pytest.raises(InsufficientDepth, match="2 truncated recursion levels"):
             opmodel.jacobi_operator(make_jacobi([0, 0], [1]), 4)
 
 

@@ -21,8 +21,7 @@ An outer factor given by atoms, or by recursion coefficients that are
 finite or end in a Wigner tail, composes through its continued fraction in
 O(d * N**2) for d levels; moments and truncated recursions go through the
 power table of their K-series in O(N**3) (:func:`k_outer`), and so does the
-test oracle :func:`orthogonal_iterated`.  A measure made from a K-series
-keeps it, and :func:`k_series` reads it back.
+test oracle :func:`orthogonal_iterated`.
 
 Pointwise evaluation of the subordination transforms lives in
 :func:`subordination_eval`; it is the only place here that iterates
@@ -82,8 +81,6 @@ def k_series(rep: MeasureRep, order: int) -> TailSeries:
     """K-transform of the measure as a series of order N-1 (N moments)."""
     if order < 1:
         raise InvalidParameter("order must be >= 1")
-    if rep.kseries is not None and order <= rep.kseries.order + 1:
-        return rep.kseries.truncate(order - 1)
     return -moments_to_F(rep.moments(order))
 
 
@@ -99,9 +96,9 @@ def k_outer(rep: MeasureRep, order: int) -> Outer:
 
 
 def measure_from_k(ks: TailSeries) -> MeasureRep:
-    """Measure with the given K-series, held as its moments and the series;
-    recursion coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
-    return MeasureRep(moments=F_to_moments(-ks), kseries=ks)
+    """Measure with the given K-series, held as its moments; recursion
+    coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
+    return MeasureRep(moments=F_to_moments(-ks))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .errors import (
     NumericalSingularity,
     OrderExceeded,
 )
-from .series import TailSeries, _frac, poly_mul, poly_scale, poly_sub
+from .series import _frac, poly_mul, poly_scale, poly_sub
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -120,10 +120,9 @@ class JacobiParams:
         return 2 * len(self.alpha) - 1
 
     def shift(self) -> "JacobiParams":
-        """Drop the leading diagonal and off-diagonal entries."""
-        if not self.alpha:
-            if self.tail is not None:
-                return self
+        """Drop the leading diagonal and off-diagonal entries.  Without a
+        tail, fewer than two levels leave nothing to shift to."""
+        if self.tail is None and len(self.alpha) < 2:
             raise EmptyJacobi("no levels left to shift")
         return make_jacobi(
             self.alpha[1:], self.omega[1:], tail=self.tail, complete=self.finite
@@ -171,8 +170,7 @@ def make_jacobi(
             f"expected {max(len(a) - 1, 0)} off-diagonal entries for {len(a)} diagonal ones"
         )
     if not a:
-        # no data at all: the zero measure convention, a point mass at 0
-        return JacobiParams((Fraction(0),), (), None, True)
+        raise InvalidParameter("recursion coefficients need an alpha entry or a tail")
     return JacobiParams(a, w, None, complete)
 
 
@@ -360,17 +358,16 @@ class MeasureRep:
         moments: Optional[Sequence[Fraction]] = None,
         jacobi: Optional[JacobiParams] = None,
         atoms: Optional[AtomicMeasure] = None,
-        kseries: Optional[TailSeries] = None,
     ):
         if moments is None and jacobi is None and atoms is None:
             raise InvalidParameter("empty measure representation")
-        self._moments: list[Fraction] = [(_frac(x)) for x in moments] if moments else []
+        if moments is not None and not moments:
+            raise InvalidParameter("a measure given by moments needs at least one")
+        self._moments: list[Fraction] = [_frac(x) for x in moments or ()]
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
         self._moments_given = moments is not None
-        # the K-series the moments were computed from, if any
-        self.kseries = kseries
 
     # -- constructors ------------------------------------------------------
 

@@ -12,8 +12,10 @@ weight k + h is A_k / c**(k + h), h = 1 for K and F - z and 0 for z*G, and
 alpha and omega enter as alpha * c and omega * c**2.  For each value x of
 weight w with r = c**w mod den(x) != 0, c becomes c * den(x) / gcd(den(x),
 r), a multiple of the least clearing dilation that divides the lcm of the
-denominators; two scales meet at their lcm.  A series the kernel made
-carries its graded form on; ``coeffs`` holds Fractions, built once each.
+denominators; two scales meet at their lcm.  The graded form lives only
+inside one kernel call: the call fits the scale of each series it reads and
+returns Fractions, so a result is read next at the scale its own
+coefficients need, not at the lcm of the inputs it came from.
 
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameter, ZeroLeadingCoefficient
@@ -84,34 +86,28 @@ def _times(x: Rational, p: int) -> int:
 class TailSeries:
     """Immutable truncated series in 1/z with exact rational coefficients."""
 
-    __slots__ = ("coeffs", "_graded")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
         self.coeffs = coeffs
-        self._graded = None  # (c, h, A): coefficient k is A[k] / c**(k + h)
 
     @classmethod
-    def _of(cls, coeffs: tuple[Fraction, ...], graded: Optional[tuple]) -> "TailSeries":
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "TailSeries":
         out = object.__new__(cls)
-        out.coeffs, out._graded = coeffs, graded
+        out.coeffs = coeffs
         return out
 
     @classmethod
     def _from_ints(cls, c: int, h: int, ints: Sequence[int]) -> "TailSeries":
-        return cls._of(tuple(Fraction(a, c ** (k + h)) for k, a in enumerate(ints)), (c, h, ints))
+        return cls._of(tuple(Fraction(a, c ** (k + h)) for k, a in enumerate(ints)))
 
-    def _scaled(self, h: int = 1) -> tuple[int, Sequence[int]]:
-        """(c, A) at the carried scale, else at a fitted one; K has h = 1."""
-        g = self._graded
-        if g is None or g[1] != h:
-            c = _fit(1, zip(self.coeffs, count(h)))
-            g = (c, h, [_times(x, c ** (k + h)) for k, x in enumerate(self.coeffs)])
-            if self._graded is None:
-                self._graded = g
-        return g[0], g[2]
+    def _scaled(self, h: int = 1) -> tuple[int, list[int]]:
+        """(c, A) at a fitted scale c: coefficient k is A[k] / c**(k + h); K has h = 1."""
+        c = _fit(1, zip(self.coeffs, count(h)))
+        return c, [_times(x, c ** (k + h)) for k, x in enumerate(self.coeffs)]
 
     @property
     def order(self) -> int:
@@ -126,10 +122,7 @@ class TailSeries:
         return cls((_frac(value),) + (Fraction(0),) * order)
 
     def truncate(self, order: int) -> "TailSeries":
-        if order >= self.order:
-            return self
-        g = self._graded
-        return TailSeries._of(self.coeffs[: order + 1], g and (g[0], g[1], g[2][: order + 1]))
+        return self if order >= self.order else TailSeries._of(self.coeffs[: order + 1])
 
     def __repr__(self) -> str:
         return f"TailSeries({list(self.coeffs)!r})"
@@ -143,19 +136,13 @@ class TailSeries:
         return hash(self.coeffs)
 
     def __neg__(self) -> "TailSeries":
-        g = self._graded
-        return TailSeries._of(tuple(-c for c in self.coeffs), g and (g[0], g[1], [-a for a in g[2]]))
+        return TailSeries._of(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "TailSeries") -> "TailSeries":
-        g, o = self._graded, other._graded
-        if g and o and g[:2] == o[:2]:
-            return TailSeries._from_ints(g[0], g[1], list(map(add, g[2], o[2])))
-        n = min(self.order, other.order)
-        return TailSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return TailSeries._of(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TailSeries") -> "TailSeries":
-        n = min(self.order, other.order)
-        return TailSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return TailSeries._of(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "TailSeries":
         if isinstance(other, TailSeries):
@@ -302,8 +289,7 @@ def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
     if not m:
         raise ValueError("need at least one moment")
     f_over_z = TailSeries((Fraction(1),) + m).reciprocal()  # F(z)/z = 1/(z*G(z))
-    c, _, b = f_over_z._graded
-    return TailSeries._of(f_over_z.coeffs[1:], (c, 1, b[1:]))
+    return TailSeries._of(f_over_z.coeffs[1:])
 
 
 def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
@@ -311,9 +297,7 @@ def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
 
     Exact inverse of :func:`moments_to_F` at every order.
     """
-    c, a = f._scaled()
-    zg = TailSeries._of((Fraction(1),) + f.coeffs, (c, 0, [1, *a]))
-    return zg.reciprocal().coeffs[1:]
+    return TailSeries._of((Fraction(1),) + f.coeffs).reciprocal().coeffs[1:]
 
 
 def poly_trim(p: Sequence[Rational]) -> list[Fraction]:

@@ -398,6 +398,25 @@ class TestJacobiShapes:
         with pytest.raises(EmptyJacobi):
             JacobiParams((), (), None, True).shift()
 
+    def test_shift_needs_two_levels_without_a_tail(self):
+        # one truncated level fixes only m1, and a point mass has no level
+        # below its terminating omega: neither shifts to a measure
+        for j in (make_jacobi([1], []), make_jacobi([1], [], complete=True)):
+            with pytest.raises(EmptyJacobi, match="no levels left to shift"):
+                j.shift()
+
+    def test_shift_above_a_tail_drops_an_omega_deeper_than_the_alphas(self):
+        j = make_jacobi([], [3], WignerTail(1, 2))
+        assert j.shift() == make_jacobi([], [], WignerTail(1, 2))
+
+    def test_no_alpha_and_no_tail_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="need an alpha entry or a tail"):
+            make_jacobi([], [])
+
+    def test_empty_moment_list_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="needs at least one"):
+            MeasureRep.from_moments([])
+
 
 class TestPrefix:
     def test_wigner_tail_continues_past_the_given_entries(self):

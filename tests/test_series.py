@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from freeconv import partitions
+from freeconv import partitions, series
+from freeconv.convolve import k_outer, k_series
 from freeconv.errors import InvalidParameter, ZeroLeadingCoefficient
+from freeconv.measures import MeasureRep
 from freeconv.series import (
     ContinuedFraction,
     F_to_moments,
@@ -196,39 +199,77 @@ class TestSFreePair:
 
 
 class TestGradedScale:
-    """The kernel's scale is fitted to the weights of the values: a multiple
-    of the least dilation that clears them, and a divisor of the lcm of
-    their denominators."""
+    """The scale the kernel fits when it reads a series (``_scaled()``): a
+    multiple of the least dilation that clears the weighted values, and a
+    divisor of the lcm of their denominators.  It lives only inside one
+    kernel call, so a result is read at the scale of its own coefficients."""
 
     def test_moments_of_a_point_mass_need_one_dilation(self):
         f = moments_to_F([F(1, 2) ** k for k in range(1, 13)])
         assert f == TailSeries.constant(F(-1, 2), 11)
-        assert f._graded[0] == 2
+        assert f._scaled()[0] == 2
 
     def test_k_coefficient_k_weighs_k_plus_one(self):
         k = ts(F(1, 2), F(1, 4), F(-1, 8))
-        assert substitute_into_shifted(k, TailSeries.zero(2))._graded[0] == 2
+        assert substitute_into_shifted(k, TailSeries.zero(2))._scaled()[0] == 2
 
     def test_omega_weighs_two(self):
         # alpha = 1/2, omega = 1/4: both are cleared by the dilation 2
-        u, v = sfree_pair(ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6), TailSeries.zero(6))
-        assert u._graded[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
+        cf = ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6)
+        assert cf._scaled() == (2, [(1, 1), (0, 0)])
+        u, v = sfree_pair(cf, TailSeries.zero(6))
+        assert u._scaled()[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
 
     def test_a_square_denominator_multiplies_the_scale_whole(self):
         # the atoms -1/2, 1/2: F - z = -1/(4z), and -1/4 at weight 2 takes c
         # from 1 to 4, a multiple of 2, the least dilation clearing it
         f = moments_to_F([0, F(1, 4), 0, F(1, 16), 0, F(1, 64)])
         assert f == ts(0, F(-1, 4), 0, 0, 0, 0)
-        assert f._graded[0] == 4
-        assert moments_to_F([0, F(1, 4)])._graded[0] == 4
+        assert f._scaled()[0] == 4
+        assert moments_to_F([0, F(1, 4)])._scaled()[0] == 4
 
-    def test_scales_meet_at_their_lcm(self):
+    def test_scales_meet_at_their_lcm(self, monkeypatch):
+        # inside the call the scales 2 and 3 (or 2 and 6) meet at 6; the
+        # results leave as Fractions and are read next at their own scale
+        met = []
+
+        def steps(outer, form, c, inner, steps=series._steps):
+            met.append(c)
+            return steps(outer, form, c, inner)
+
+        monkeypatch.setattr(series, "_steps", steps)
         u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 3), 0, 0))
-        assert u._graded[0] == 6
+        assert u == ts(F(1, 2), 0, 0) and u._scaled()[0] == 2
         u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
-        assert u._graded[0] == 6
+        assert u == ts(F(1, 2), 0, 0) and u._scaled()[0] == 2
         u, v = sfree_pair(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
-        assert u._graded[0] == v._graded[0] == 6
+        assert (u, v) == (ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
+        assert u._scaled()[0] == 2 and v._scaled()[0] == 6
+        assert met == [6, 6, 6, 6]
+
+
+class TestWhereTheScalesPart:
+    """The 4-atom and 3-atom pair of ``TestEmissionSpeed`` at N = 80, where
+    u + v fits a scale far below the one the s-free pass ran at."""
+
+    N = 80
+
+    def halves(self):
+        mu = MeasureRep.from_atoms([(-2, F(1, 6)), (F(-3, 2), F(1, 12)), (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 4))])
+        nu = MeasureRep.from_atoms([(-3, F(5, 12)), (-1, F(1, 3)), (1, F(1, 4))])
+        outer_mu, outer_nu = k_outer(mu, self.N), k_outer(nu, self.N)
+        return mu, outer_mu, outer_nu, sfree_pair(outer_mu, outer_nu)
+
+    def test_moments_of_u_plus_v_match_the_fraction_loop(self):
+        _, outer_mu, outer_nu, (u, v) = self.halves()
+        assert (u + v)._scaled()[0] < lcm(outer_mu._scaled()[0], outer_nu._scaled()[0])
+        assert F_to_moments(-(u + v)) == reference_F_to_moments(-(u + v))
+
+    def test_both_outers_of_mu_give_u_back(self):
+        mu, outer_mu, _, (u, v) = self.halves()
+        assert isinstance(outer_mu, ContinuedFraction)
+        assert substitute_into_shifted(outer_mu, v) == u
+        assert substitute_into_shifted(k_series(mu, self.N), v) == u
 
 
 class TestMomentTransforms:

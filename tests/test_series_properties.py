@@ -5,9 +5,9 @@ references of ``test_series`` (the plain reciprocal loop and Horner's rule),
 which never call it: ``reciprocal``, ``moments_to_F``/``F_to_moments``,
 ``substitute_into_shifted`` and ``sfree_pair`` on coefficients with
 denominators up to 10**6, zeros, negative and fractional constant terms and
-order 0, and on series the kernel made at one scale, combined after
-``truncate``/``__neg__``/``__add__`` with hand-built series or series at a
-scale that does not divide it.
+order 0, and on series the kernel made, combined after
+``truncate``/``__neg__``/``__add__`` with hand-built series and with series
+whose fitted scale does not divide theirs.
 
 The second group checks composition through the continued fraction.  The
 power table of ``_add_power_column`` serves any K-series and is the
@@ -58,11 +58,6 @@ def series(max_order=8):
     return st.lists(WIDE, min_size=1, max_size=max_order + 1).map(TailSeries)
 
 
-def plain(s):
-    """The same coefficients without the graded form the kernel carries."""
-    return TailSeries(s.coeffs)
-
-
 @settings(max_examples=80, deadline=None)
 @given(NONZERO, st.lists(WIDE, max_size=12))
 def test_reciprocal_matches_the_fraction_loop(c0, rest):
@@ -93,13 +88,13 @@ def test_sfree_pair_solves_the_coupled_equations(a, b):
 
 @settings(max_examples=50, deadline=None)
 @given(series(7), series(7), series(7), st.integers(0, 7))
-def test_carried_scales_meet_hand_built_ones(a, b, hand, cut):
-    # u and v share one carried scale, k another that need not divide it,
-    # and hand carries none until the kernel first reads it
+def test_kernel_results_meet_hand_built_series(a, b, hand, cut):
+    # u and v come out of one pass, k out of a reciprocal, and hand is built
+    # by hand; the kernel fits each one's scale afresh when it reads it
     u, v = sfree_pair(a, b)
     k = -moments_to_F(hand.coeffs)
     sums = (
-        (u, v), (u.truncate(cut), v), (k, k.truncate(cut)), (u, plain(hand)), (k, u), ((-k).truncate(cut), v)
+        (u, v), (u.truncate(cut), v), (k, k.truncate(cut)), (u, hand), (k, u), ((-k).truncate(cut), v)
     )
     for x, y in sums:
         assert (x + y).coeffs == tuple(map(add, x.coeffs, y.coeffs))

@@ -12,6 +12,12 @@ partitions.
 Enumerations grow like 2**(n-1) or the Catalan numbers, so they are
 guarded at small n.  The free cumulants enumerate nothing: the recursion
 runs at any order in O(n**3) products.
+
+The oracle loops (inverse boolean cumulants, the orthogonal moment and the
+first-block recursion) run on ints.  Every quantity in them is homogeneous
+in the moment order, so the moments enter graded at one dilation scale c
+fitted per call, m_k * c**k (:func:`freeconv.series._graded`), no entry is
+rescaled inside a loop, and a result of order n is divided by c**n once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EvenBlockCount, InvalidParameter, OrderExceeded
-from .series import _frac
+from .series import _frac, _graded, _powers
 
 Composition = tuple[int, ...]
 Block = tuple[int, ...]
@@ -112,17 +118,24 @@ def inverse_boolean_cumulant(moments: Sequence[Fraction], pi: Composition) -> Fr
     order = sum(pi)
     if order > len(moments):
         raise OrderExceeded(f"moment of order {order} not available")
-    m = [_frac(x) for x in moments[:order]]
-    f = [Fraction(1)]
+    c, a = _graded([_frac(x) for x in moments[:order]])
+    return Fraction(_inverse_boolean_graded(a, pi), c**order)
+
+
+def _inverse_boolean_graded(a: Sequence[int], pi: Composition) -> int:
+    """The prefix recursion of :func:`inverse_boolean_cumulant` on moments
+    graded at a scale c, a[k - 1] = m_k * c**k: every f[j] has degree
+    pi[0] + ... + pi[j - 1], so the result is the cumulant times c**sum(pi)."""
+    f = [1]
     for j in range(1, len(pi) + 1):
-        acc = Fraction(0)
+        acc = 0
         size = 0
         for i in range(j - 1, -1, -1):
             size += pi[i]
             if (j - i) % 2:
-                acc += f[i] * m[size - 1]
+                acc += f[i] * a[size - 1]
             else:
-                acc -= f[i] * m[size - 1]
+                acc -= f[i] * a[size - 1]
         f.append(acc)
     return f[-1]
 
@@ -149,25 +162,32 @@ def orthogonal_moment_combinatorial(
     subparts; within each part the odd-position subparts feed the inverse
     boolean cumulants of mu and the even-position subparts feed plain
     moments of nu, with sign (-1)**(#odd-position parts - #parts of pi).
+
+    A part p reads mu up to order p and, from p = 3 on, nu up to order
+    p - 2 (the refinement 1, p - 2, 1).  Both are graded at one scale c,
+    and every term on pi has degree sum(pi) in it.
     """
-    cumulants: dict[Composition, Fraction] = {}
-    total = Fraction(0)
-    for choice in odd_refinements_structured(pi):
+    refinements = odd_refinements_structured(pi)
+    top = max(pi, default=0)
+    for moments, order in ((mu, top), (nu, top - 2)):
+        if order > len(moments):
+            raise OrderExceeded(f"moment of order {order} not available")
+    c, a, b = _graded([_frac(x) for x in mu[:top]], [_frac(x) for x in nu[: max(top - 2, 0)]])
+    cumulants: dict[Composition, int] = {}
+    total = 0
+    for choice in refinements:
         sign_exp = 0
-        kfac = Fraction(1)
-        mfac = Fraction(1)
+        term = 1
         for parts in choice:
             odd_parts, even_parts = alternating_split(parts)
             sign_exp += len(odd_parts) - 1
             if odd_parts not in cumulants:
-                cumulants[odd_parts] = inverse_boolean_cumulant(mu, odd_parts)
-            kfac *= cumulants[odd_parts]
+                cumulants[odd_parts] = _inverse_boolean_graded(a, odd_parts)
+            term *= cumulants[odd_parts]
             for p in even_parts:
-                if p > len(nu):
-                    raise OrderExceeded(f"moment of order {p} not available")
-                mfac *= _frac(nu[p - 1])
-        total += (-1 if sign_exp % 2 else 1) * kfac * mfac
-    return total
+                term *= b[p - 1]
+        total += -term if sign_exp % 2 else term
+    return Fraction(total, c ** sum(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +247,12 @@ def noncrossing_partitions(n: int) -> tuple[tuple[Block, ...], ...]:
 # Free cumulants by the first-block recursion
 # ---------------------------------------------------------------------------
 
-def _power_rows(m: list[Fraction], n: int) -> Iterator[list[Fraction]]:
+def _power_rows(m: list[int], n: int) -> Iterator[list[int]]:
     """Rows k = 1..n of the power table of M(z) = m[0] + m[1] z + ..., m[0] = 1:
     row k lists [z**(k - s)] M(z)**s for s = 1..k.
 
+    The entries are ints graded at one scale c, m[i] the i-th coefficient
+    times c**i: [z**i] M(z)**s then has degree i, so no entry is rescaled.
     Only the triangle i <= n - s of [z**i] M(z)**s is built, each entry from
     M**s = M * M**(s - 1), so O(n**3 / 6) products in all.  Row k reads
     m[:k] only, so a caller may append m[k] after it has row k.
@@ -239,9 +261,9 @@ def _power_rows(m: list[Fraction], n: int) -> Iterator[list[Fraction]]:
     for k in range(1, n + 1):
         for s in range(2, k):
             prev, i = table[s - 2], k - s
-            table[s - 1].append(prev[i] + sum(m[l] * prev[i - l] for l in range(1, i + 1)))
+            table[s - 1].append(prev[i] + sum(map(mul, m[1 : i + 1], prev[i - 1 :: -1])))
         if k > 1:
-            table.append([Fraction(1)])
+            table.append([1])
         yield [row[k - s] for s, row in enumerate(table, 1)]
 
 
@@ -250,26 +272,28 @@ def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fr
 
     That is M(z) = 1 + sum kappa_s z**s M(z)**s, the sum over non-crossing
     partitions split at the block of 1 (Nica & Speicher, Lectures on the
-    Combinatorics of Free Probability, Lect. 10).
+    Combinatorics of Free Probability, Lect. 10).  kappa_k has degree k, so
+    the recursion runs on moments and cumulants graded at one scale.
     """
     if n > len(moments):
         raise OrderExceeded(f"need {n} moments, have {len(moments)}")
-    m = [Fraction(1)] + [_frac(x) for x in moments[:n]]
-    kappa: list[Fraction] = []
+    c, m = _graded([_frac(x) for x in moments[:n]])
+    m.insert(0, 1)
+    kappa: list[int] = []
     for k, row in enumerate(_power_rows(m, n), 1):
         kappa.append(m[k] - sum(map(mul, kappa, row)))
-    return tuple(kappa)
+    return tuple(map(Fraction, kappa, _powers(c, 1)))
 
 
 def moments_from_free_cumulants(kappa: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """First n moments from free cumulants by the first-block recursion."""
     if n > len(kappa):
         raise OrderExceeded(f"need {n} cumulants, have {len(kappa)}")
-    k = [_frac(x) for x in kappa[:n]]
-    m = [Fraction(1)]
+    c, k = _graded([_frac(x) for x in kappa[:n]])
+    m = [1]
     for row in _power_rows(m, n):
         m.append(sum(map(mul, k, row)))
-    return tuple(m[1:])
+    return tuple(map(Fraction, m[1:], _powers(c, 1)))
 
 
 # ---------------------------------------------------------------------------

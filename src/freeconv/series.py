@@ -15,7 +15,8 @@ r), a multiple of the least clearing dilation that divides the lcm of the
 denominators; two scales meet at their lcm.  The graded form lives only
 inside one kernel call: the call fits the scale of each series it reads and
 returns Fractions, so a result is read next at the scale its own
-coefficients need, not at the lcm of the inputs it came from.
+coefficients need, not at the lcm of the inputs it came from.  The
+partition oracles grade their moment lists by the same fit (:func:`_graded`).
 
 Series are immutable; every operation returns a fresh series truncated at
 the common order of its inputs.
@@ -36,7 +37,7 @@ and a series product are the same Cauchy product, computed by one loop
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -83,6 +84,20 @@ def _times(x: Rational, p: int) -> int:
     return x.numerator * q
 
 
+def _powers(c: int, h: int) -> Iterator[int]:
+    """c**h, c**(h + 1), c**(h + 2), ... as a running product."""
+    return accumulate(repeat(c), mul, initial=c**h)
+
+
+def _graded(*seqs: Sequence[Rational], h: int = 1) -> tuple:
+    """(c, A, B, ...) at one scale c fitted to every sequence given: entry k
+    of each, of weight k + h, is A[k] / c**(k + h)."""
+    c = 1
+    for xs in seqs:
+        c = _fit(c, zip(xs, count(h)))
+    return (c, *([_times(x, p) for x, p in zip(xs, _powers(c, h))] for xs in seqs))
+
+
 class TailSeries:
     """Immutable truncated series in 1/z with exact rational coefficients."""
 
@@ -102,12 +117,11 @@ class TailSeries:
 
     @classmethod
     def _from_ints(cls, c: int, h: int, ints: Sequence[int]) -> "TailSeries":
-        return cls._of(tuple(Fraction(a, c ** (k + h)) for k, a in enumerate(ints)))
+        return cls._of(tuple(map(Fraction, ints, _powers(c, h))))
 
     def _scaled(self, h: int = 1) -> tuple[int, list[int]]:
         """(c, A) at a fitted scale c: coefficient k is A[k] / c**(k + h); K has h = 1."""
-        c = _fit(1, zip(self.coeffs, count(h)))
-        return c, [_times(x, c ** (k + h)) for k, x in enumerate(self.coeffs)]
+        return _graded(self.coeffs, h=h)
 
     @property
     def order(self) -> int:
@@ -251,7 +265,7 @@ def _steps(outer: Outer, form: tuple[int, Sequence], c: int, inner: Sequence[int
     s, v = form
     m = c // s
     if isinstance(outer, TailSeries):
-        return _table_steps([a * m**k for k, a in enumerate(v, 1)], inner)
+        return _table_steps(list(map(mul, v, _powers(m, 1))), inner)
     return _fraction_steps([(a * m, w * m * m) for a, w in v], outer.tail is not None, inner)
 
 
@@ -260,7 +274,7 @@ def substitute_into_shifted(outer: Outer, inner: TailSeries) -> TailSeries:
     common order; a :class:`TailSeries` outer is read as a function of 1/z."""
     form, (s, b) = outer._scaled(), inner._scaled()
     c = lcm(form[0], s)
-    steps = _steps(outer, form, c, [a * (c // s) ** k for k, a in enumerate(b, 1)])
+    steps = _steps(outer, form, c, list(map(mul, b, _powers(c // s, 1))))
     return TailSeries._from_ints(c, 1, list(islice(steps, min(outer.order, inner.order) + 1)))
 
 

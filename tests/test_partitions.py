@@ -162,6 +162,27 @@ def noncrossing_moment_sum(kappa, n):
     return out
 
 
+def orthogonal_moment_reference(mu, nu, pi):
+    """The odd-refinement sum of `orthogonal_moment_combinatorial` on
+    Fractions, each inverse boolean cumulant enumerated over its
+    coarsenings: the reference for the graded-integer loop."""
+    cumulants = {}
+    total = F(0)
+    for choice in P.odd_refinements_structured(pi):
+        sign_exp = 0
+        kfac = F(1)
+        mfac = F(1)
+        for parts in choice:
+            odd_parts, even_parts = P.alternating_split(parts)
+            sign_exp += len(odd_parts) - 1
+            if odd_parts not in cumulants:
+                cumulants[odd_parts] = inverse_boolean_cumulant_reference(mu, odd_parts)
+            kfac *= cumulants[odd_parts]
+            mfac *= P.moment_function(nu, even_parts)
+        total += (-1 if sign_exp % 2 else 1) * kfac * mfac
+    return total
+
+
 class TestOrthogonalMomentFormula:
     def setup_method(self):
         rng = random.Random(23)
@@ -186,6 +207,15 @@ class TestOrthogonalMomentFormula:
             for part in pi:
                 per_block *= P.orthogonal_moment_combinatorial(self.mu, self.nu, (part,))
             assert P.orthogonal_moment_combinatorial(self.mu, self.nu, pi) == per_block
+
+    def test_one_scale_holds_both_factors(self):
+        # mu's denominators are powers of 2 and nu's powers of 3, so a scale
+        # fitted to one factor alone leaves the other's moments fractional
+        mu = [F(1, 2), F(3, 4), F(-5, 8), F(7, 16), F(1, 2), F(-3, 32), F(5, 64), F(9, 128)]
+        nu = [F(1, 3), F(-2, 9), F(4, 27), F(5, 81), F(-7, 3), F(2, 243)]
+        for n in range(1, 9):
+            assert P.orthogonal_moment_combinatorial(mu, nu, (n,)) == orthogonal_moment_reference(mu, nu, (n,))
+        assert P.orthogonal_moment_combinatorial(mu, nu, (3, 5)) == orthogonal_moment_reference(mu, nu, (3, 5))
 
 
 class TestNonCrossing:

@@ -8,6 +8,13 @@ denominators up to 10**3, zeros allowed) and a composition of n <= 10; the two
 must agree, and both must raise `OrderExceeded` exactly when the composition
 sums past the moments given.
 
+The three oracles run on integers graded at one fitted scale.  The orthogonal
+moment is drawn on two independent moment lists of the same kind and a
+composition of n <= 8, against the Fraction enumeration of ``test_partitions``;
+the two must agree or both raise `OrderExceeded`.  The free cumulants and
+their inverse are drawn against the sum over non-crossing partitions at
+n <= 8, and round trip at n <= 12.
+
 The convolution laws are drawn over atomic measures with 2-4 rational atoms
 at orders up to 24: `free` equals the free-cumulant oracle, `free` and
 `boolean` commute, the point mass at 0 is an identity, and a point mass on
@@ -28,30 +35,58 @@ from freeconv import partitions as P  # noqa: E402
 from freeconv.errors import OrderExceeded  # noqa: E402
 from freeconv.measures import MeasureRep, point_mass  # noqa: E402
 
-from test_partitions import inverse_boolean_cumulant_reference  # noqa: E402
+from test_partitions import (  # noqa: E402
+    inverse_boolean_cumulant_reference,
+    noncrossing_moment_sum,
+    orthogonal_moment_reference,
+)
 
 rationals = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**3))
 
 
-@st.composite
-def compositions(draw):
-    n = draw(st.integers(1, 10))
-    return P.compositions(n)[draw(st.integers(0, 2 ** (n - 1) - 1))]
+def compositions(n_max):
+    @st.composite
+    def draw_one(draw):
+        n = draw(st.integers(1, n_max))
+        return P.compositions(n)[draw(st.integers(0, 2 ** (n - 1) - 1))]
+
+    return draw_one()
 
 
-def outcome(fn, moments, pi):
+def outcome(fn, *args):
     try:
-        return fn(moments, pi)
+        return fn(*args)
     except OrderExceeded:
         return OrderExceeded
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(rationals, max_size=10), compositions())
+@given(st.lists(rationals, max_size=10), compositions(10))
 def test_prefix_recursion_equals_the_coarsening_enumeration(moments, pi):
     got = outcome(P.inverse_boolean_cumulant, moments, pi)
     assert got == outcome(inverse_boolean_cumulant_reference, moments, pi)
     assert (got is OrderExceeded) == (sum(pi) > len(moments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10), compositions(8))
+def test_graded_orthogonal_moment_equals_the_fraction_enumeration(mu, nu, pi):
+    got = outcome(P.orthogonal_moment_combinatorial, mu, nu, pi)
+    assert got == outcome(orthogonal_moment_reference, mu, nu, pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals, min_size=8, max_size=8), st.lists(rationals, min_size=8, max_size=8), st.integers(1, 8))
+def test_first_block_recursion_equals_the_non_crossing_sum(moments, kappa, n):
+    assert noncrossing_moment_sum(P.free_cumulants_from_moments(moments, n), n) == moments[:n]
+    assert list(P.moments_from_free_cumulants(kappa, n)) == noncrossing_moment_sum(kappa, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12))
+def test_free_cumulants_round_trip(moments):
+    n = len(moments)
+    assert P.moments_from_free_cumulants(P.free_cumulants_from_moments(moments, n), n) == tuple(moments)
 
 
 locations = st.builds(F, st.integers(-8, 8), st.integers(1, 4))

@@ -28,6 +28,16 @@ def test_floats_are_rejected_not_read_as_binary_rationals():
         TailSeries([0.1])
     with pytest.raises(InvalidParameter, match="floats are not accepted"):
         partitions.moment_function([0.1], (1,))
+    # the graded-integer oracles read x.denominator, which a float lacks
+    for read_as_moments in (
+        lambda m: partitions.inverse_boolean_cumulant(m, (1,)),
+        lambda m: partitions.orthogonal_moment_combinatorial(m, [F(1)], (3,)),
+        lambda m: partitions.orthogonal_moment_combinatorial([F(1)] * 3, m, (3,)),
+        lambda m: partitions.free_cumulants_from_moments(m, 1),
+        lambda m: partitions.moments_from_free_cumulants(m, 1),
+    ):
+        with pytest.raises(InvalidParameter, match="floats are not accepted"):
+            read_as_moments([0.5] * 3)
 
 
 class TestAdd:

@@ -9,6 +9,11 @@ independent oracle for :mod:`freeconv.convolve`.  The free cumulants, the
 other oracle, come from the first-block recursion of non-crossing
 partitions.
 
+The depth-2 family has one definition, :func:`_depth_split`, which both the
+enumeration and the public constructor :func:`decomposable_partition` read;
+validation happens at that constructor only.  The bijection inverses check
+their arguments in O(n) and build their results by construction.
+
 Enumerations grow like 2**(n-1) or the Catalan numbers, so they are
 guarded at small n.  The free cumulants enumerate nothing: the recursion
 runs at any order in O(n**3) products.
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +48,11 @@ def _check_n(n: int, limit: int = MAX_ENUM_N) -> None:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     if n > limit:
         raise InvalidParameter(f"enumeration capped at n <= {limit}, got {n}")
+
+
+def _check_parts(parts: Sequence[int]) -> None:
+    if min(parts, default=1) < 1:
+        raise InvalidParameter(f"parts must be >= 1, got {tuple(parts)}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +108,7 @@ def alternating_split(c: Composition) -> tuple[Composition, Composition]:
 
 def moment_function(moments: Sequence[Fraction], pi: Composition) -> Fraction:
     """Product of moments over the parts of pi."""
+    _check_parts(pi)
     out = Fraction(1)
     for part in pi:
         if part > len(moments):
@@ -115,6 +126,7 @@ def inverse_boolean_cumulant(moments: Sequence[Fraction], pi: Composition) -> Fr
     f[i] m(pi[i] + ... + pi[j - 1]).  That is O(r**2) products for r parts
     where the coarsenings number 2**(r - 1).
     """
+    _check_parts(pi)
     order = sum(pi)
     if order > len(moments):
         raise OrderExceeded(f"moment of order {order} not available")
@@ -312,10 +324,6 @@ class DecomposablePartition:
     inner: tuple[Block, ...]
     n: int
 
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(sorted(self.outer + self.inner, key=lambda b: b[0]))
-
     def legs(self) -> tuple[tuple[Block, ...], ...]:
         """Maximal runs of consecutive integers within each outer block."""
         out = []
@@ -330,105 +338,98 @@ class DecomposablePartition:
         return tuple(out)
 
 
+def _depth_split(blocks: Sequence[Block]) -> tuple[tuple[Block, ...], tuple[Block, ...]] | None:
+    """Outer (depth 1) and inner (depth 2) blocks of a non-crossing partition
+    whose blocks are sorted by minimum, or None when a block lies deeper or
+    two inner blocks are neighbours.  This is the one definition of the
+    decomposable family.  The inner blocks it returns are intervals: a gap
+    in one would hold a block of depth 3."""
+    outer: list[Block] = []
+    inner: list[Block] = []
+    for i, block in enumerate(blocks):
+        depth = block_depth(blocks, i)
+        if depth == 1:
+            outer.append(block)
+        elif depth == 2 and not (inner and inner[-1][-1] + 1 == block[0]):
+            inner.append(block)
+        else:
+            return None
+    return tuple(outer), tuple(inner)
+
+
 def decomposable_partition(
     outer: Iterable[Iterable[int]], inner: Iterable[Iterable[int]], n: int
 ) -> DecomposablePartition:
-    outer_t = tuple(sorted((tuple(sorted(b)) for b in outer), key=lambda b: b[0]))
-    inner_t = tuple(sorted((tuple(sorted(b)) for b in inner), key=lambda b: b[0]))
+    outer_t = tuple(sorted(tuple(sorted(b)) for b in outer))
+    inner_t = tuple(sorted(tuple(sorted(b)) for b in inner))
     if not outer_t:
         raise InvalidParameter("need at least one outer block")
-    pi = DecomposablePartition(outer_t, inner_t, n)
-    _validate_decomposable(pi)
-    return pi
-
-
-def _validate_decomposable(pi: DecomposablePartition) -> None:
-    blocks = pi.blocks
-    seen = [x for b in blocks for x in b]
-    if sorted(seen) != list(range(1, pi.n + 1)):
+    # disjoint non-empty blocks sort by their minimum
+    blocks = sorted(outer_t + inner_t)
+    if () in blocks or sorted(x for b in blocks for x in b) != list(range(1, n + 1)):
         raise InvalidParameter("blocks must partition {1..n}")
     if not is_noncrossing(blocks):
         raise InvalidParameter("blocks cross")
-    outer_set = set(pi.outer)
-    for i, b in enumerate(blocks):
-        d = block_depth(blocks, i)
-        if b in outer_set and d != 1:
-            raise InvalidParameter(f"outer block {b} has depth {d}")
-        if b not in outer_set:
-            if d != 2:
-                raise InvalidParameter(f"inner block {b} has depth {d}")
-            if tuple(range(b[0], b[-1] + 1)) != b:
-                raise InvalidParameter(f"inner block {b} is not an interval")
-    for a, b in zip(pi.inner, pi.inner[1:]):
-        if b[0] == a[-1] + 1:
-            raise InvalidParameter(f"inner blocks {a} and {b} are neighbors")
+    if _depth_split(blocks) != (outer_t, inner_t):
+        raise InvalidParameter("outer blocks need depth 1, inner blocks depth 2 and no neighbours")
+    return DecomposablePartition(outer_t, inner_t, n)
 
 
+@lru_cache(maxsize=None)
 def enumerate_D2(n: int) -> tuple[DecomposablePartition, ...]:
     """All decomposable depth-2 partitions of {1..n}, filtered from the
     full non-crossing family (the independent route, kept separate from
     the bijection-based construction so the two can cross-check)."""
     _check_n(n, limit=10)
-    out = []
-    for blocks in noncrossing_partitions(n):
-        depths = [block_depth(blocks, i) for i in range(len(blocks))]
-        if max(depths) > 2:
-            continue
-        outer = tuple(b for b, d in zip(blocks, depths) if d == 1)
-        inner = tuple(b for b, d in zip(blocks, depths) if d == 2)
-        ok = all(b[0] > a[-1] + 1 for a, b in zip(inner, inner[1:]))
-        if ok:
-            out.append(DecomposablePartition(outer, inner, n))
-    return tuple(out)
+    splits = (_depth_split(blocks) for blocks in noncrossing_partitions(n))
+    return tuple(DecomposablePartition(*split, n) for split in splits if split is not None)
 
 
 def bijection_f(pi: DecomposablePartition) -> tuple[Composition, Composition]:
     """Fuse each outer block with its inner blocks into one part of tau and
     record, inside each fused part, the run lengths of alternating outer
-    legs and inner blocks (an odd refinement sigma of tau)."""
+    legs and inner blocks (an odd refinement sigma of tau).  The gap between
+    two legs of an outer block is exactly one inner block, so the legs alone
+    give sigma."""
     tau = []
     sigma = []
     for block, legs in zip(pi.outer, pi.legs()):
-        lo, hi = block[0], block[-1]
-        tau.append(hi - lo + 1)
-        inner_here = [b for b in pi.inner if lo < b[0] and b[-1] < hi]
-        runs: list[int] = []
-        pieces = sorted(list(legs) + inner_here, key=lambda b: b[0])
-        for piece in pieces:
-            runs.append(len(piece))
-        sigma.extend(runs)
+        tau.append(block[-1] - block[0] + 1)
+        sigma.append(len(legs[0]))
+        for before, leg in zip(legs, legs[1:]):
+            sigma += (leg[0] - before[-1] - 1, len(leg))
     return tuple(tau), tuple(sigma)
 
 
 def bijection_f_inverse(tau: Composition, sigma: Composition) -> DecomposablePartition:
     """Rebuild the partition whose fused hulls are tau and whose alternating
-    run lengths are sigma."""
+    run lengths are sigma, decomposable by construction once sigma cuts
+    each part of tau into an odd number of positive runs."""
     n = sum(tau)
-    if sum(sigma) != n:
-        raise InvalidParameter("sigma must refine tau")
-    outer: list[list[int]] = []
+    if min(tau, default=0) < 1 or min(sigma, default=0) < 1 or sum(sigma) != n:
+        raise InvalidParameter("tau and sigma must be compositions of one n")
+    outer: list[Block] = []
     inner: list[Block] = []
+    runs = iter(sigma)
     pos = 1
-    idx = 0
     for part in tau:
-        consumed = 0
-        parity = 0
+        end = pos + part
         block: list[int] = []
-        while consumed < part:
-            size = sigma[idx]
-            idx += 1
-            consumed += size
-            members = list(range(pos, pos + size))
-            pos += size
-            if parity % 2 == 0:
-                block.extend(members)
+        count = 0
+        while pos < end:
+            run = tuple(range(pos, pos + next(runs)))
+            if count % 2:
+                inner.append(run)
             else:
-                inner.append(tuple(members))
-            parity += 1
-        if parity % 2 == 0:
+                block.extend(run)
+            pos += len(run)
+            count += 1
+        if pos != end:
+            raise InvalidParameter("sigma must refine tau")
+        if count % 2 == 0:
             raise InvalidParameter("each part of tau needs an odd number of runs")
-        outer.append(block)
-    return decomposable_partition(outer, inner, n)
+        outer.append(tuple(block))
+    return DecomposablePartition(tuple(outer), tuple(inner), n)
 
 
 def enumerate_C(n: int) -> tuple[tuple[Composition, Composition], ...]:
@@ -461,19 +462,13 @@ def enumerate_DP2(n: int) -> tuple[DecompositionPair, ...]:
                 blocks = []
                 at = 0
                 for g in grouping:
-                    chunk: list[int] = []
-                    for leg in legs[at : at + g]:
-                        chunk.extend(leg)
-                    blocks.append(tuple(chunk))
+                    blocks.append(tuple(chain.from_iterable(legs[at : at + g])))
                     at += g
                 choices.append(tuple(blocks))
             per_block_choices.append(choices)
+        # outer blocks have disjoint hulls, so their groups are already in order
         for combo in product(*per_block_choices):
-            eta: list[Block] = []
-            for blocks in combo:
-                eta.extend(blocks)
-            eta.sort(key=lambda b: b[0])
-            out.append(DecompositionPair(pi, tuple(eta)))
+            out.append(DecompositionPair(pi, tuple(chain.from_iterable(combo))))
     return tuple(out)
 
 
@@ -497,35 +492,34 @@ def bijection_g_inverse(
 ) -> DecompositionPair:
     """Rebuild the pair from its triple: place the outer elements with the
     prescribed gaps, regroup them by sigma, then merge groups that sit on
-    the two sides of an inner block."""
-    if sum(sigma) != m or len(j) != max(m - 1, 0) or m + sum(j) != n:
+    the two sides of an inner block.  Once the triple is checked, the pair
+    is decomposable and admissible by construction."""
+    if min(sigma, default=0) < 1 or min(j, default=0) < 0:
+        raise InvalidParameter("sigma needs positive parts and j non-negative ones")
+    if sum(sigma) != m or len(j) != m - 1 or m + sum(j) != n:
         raise InvalidParameter("inconsistent triple")
     positions = []
-    pos = 1
     inner: list[Block] = []
-    for k in range(m):
+    pos = 1
+    for gap in (*j, 0):
         positions.append(pos)
-        pos += 1
-        if k < m - 1 and j[k] > 0:
-            inner.append(tuple(range(pos, pos + j[k])))
-            pos += j[k]
-    # regroup outer elements by sigma
+        if gap:
+            inner.append(tuple(range(pos + 1, pos + 1 + gap)))
+        pos += 1 + gap
+    # regroup outer elements by sigma; outer blocks are runs of groups: a
+    # group joins the previous block when an inner block separates them
     eta: list[Block] = []
-    at = 0
-    for size in sigma:
-        eta.append(tuple(positions[at : at + size]))
-        at += size
-    # outer blocks are runs of consecutive outer elements: a group joins the
-    # previous block when an inner block separates it from its predecessor
     outer: list[list[int]] = []
     at = 0
-    for block in eta:
-        if at and j[at - 1] > 0:
-            outer[-1].extend(block)
+    for size in sigma:
+        group = positions[at : at + size]
+        eta.append(tuple(group))
+        if at and j[at - 1]:
+            outer[-1].extend(group)
         else:
-            outer.append(list(block))
-        at += len(block)
-    pi = decomposable_partition(outer, inner, n)
+            outer.append(group)
+        at += size
+    pi = DecomposablePartition(tuple(map(tuple, outer)), tuple(inner), n)
     return DecompositionPair(pi, tuple(eta))
 
 

@@ -212,6 +212,23 @@ class TestSFreeAgainstIteratedChain:
                 )
 
 
+    def test_m_iterations_fix_exactly_2m_plus_2_moments(self):
+        # coefficient k of K_mu(z - inner) reads inner only up to index k - 2,
+        # so each iteration pins two more moments of the s-free half: the least
+        # count for N moments is max(1, ceil(N/2) - 1)
+        rng = random.Random(40)
+        pairs = [(random_rep(rng), random_rep(rng)) for _ in range(8)]
+        for m in range(1, 8):
+            order = 2 * m + 3
+            differs = False
+            for mu, nu in pairs:
+                got = convolve.orthogonal_iterated(mu, nu, m, order).moments(order)
+                want = convolve.sfree(mu, nu, order).moments(order)
+                assert got[: 2 * m + 2] == want[: 2 * m + 2], m
+                differs = differs or got[2 * m + 2] != want[2 * m + 2]
+            assert differs, f"every pair agrees at moment {2 * m + 3} after {m} iterations"
+
+
 # (order, index into oracle_inputs()): every pair at 24, the atomic and tail pairs at 40
 HIGH_ORDER_CASES = [(24, 0), (24, 1), (24, 2), (40, 0), (40, 2)]
 PAIR_NAMES = ("atoms", "moments", "wigner-tail")

@@ -138,6 +138,19 @@ class TestMomentAndCumulantFunctions:
         assert set(coarsenings((1, 2, 1))) == {(1, 2, 1), (3, 1), (1, 3), (4,)}
         assert len(coarsenings((1,) * 6)) == 2**5
 
+    @pytest.mark.parametrize(
+        "oracle, pi",
+        [
+            (P.moment_function, (0,)),
+            (P.moment_function, (2, -1)),
+            (P.inverse_boolean_cumulant, (0,)),
+            (P.inverse_boolean_cumulant, (2, -1)),
+        ],
+    )
+    def test_parts_below_one_rejected(self, oracle, pi):
+        with pytest.raises(InvalidParameter):
+            oracle(self.m, pi)
+
     def test_cumulant_order_guard_reads_the_whole_sum(self):
         # every part fits, their sum does not
         with pytest.raises(OrderExceeded):
@@ -252,6 +265,28 @@ class TestNonCrossing:
         assert kappa == (F(0), F(1), F(0), F(0), F(0), F(0), F(0), F(0))
 
 
+def decomposable_reference(outer, inner, n):
+    """Whether blocks form a decomposable depth-2 partition, condition by
+    condition: the validator that `decomposable_partition` replaced by one
+    shared predicate, kept as its reference."""
+    outer = [tuple(sorted(b)) for b in outer]
+    inner = sorted(tuple(sorted(b)) for b in inner)
+    blocks = outer + inner
+    if not outer or () in blocks or sorted(x for b in blocks for x in b) != list(range(1, n + 1)):
+        return False
+    if not P.is_noncrossing(blocks):
+        return False
+
+    def depth(b):
+        return 1 + sum(1 for o in blocks if o[0] < b[0] and o[-1] > b[-1])
+
+    if any(depth(b) != 1 for b in outer) or any(depth(b) != 2 for b in inner):
+        return False
+    if any(b != tuple(range(b[0], b[-1] + 1)) for b in inner):
+        return False
+    return all(b[0] != a[-1] + 1 for a, b in zip(inner, inner[1:]))
+
+
 class TestDecomposablePartitions:
     def test_smallest_cases(self):
         assert len(P.enumerate_D2(1)) == 1
@@ -289,6 +324,30 @@ class TestDecomposablePartitions:
         # with a separating outer element the same shape is fine
         P.decomposable_partition(outer=[{1, 3, 6}], inner=[{2}, {4, 5}], n=6)
 
+    @pytest.mark.parametrize(
+        "outer, inner, n",
+        [
+            ([{1, 5}], [{2, 4}, {3}], 5),  # inner block with a gap
+            ([{1, 3}], [{2, 4}], 4),  # crossing blocks
+            ([{1, 4}, {2, 3}], [], 4),  # outer block at depth 2
+            ([{1, 2}], [{3}], 3),  # inner block at depth 1
+            ([{1, 2}, ()], [], 2),  # empty block
+            ([{1, 2}], [], 3),  # not a partition of {1..n}
+        ],
+    )
+    def test_constructor_rejects(self, outer, inner, n):
+        assert not decomposable_reference(outer, inner, n)
+        with pytest.raises(InvalidParameter):
+            P.decomposable_partition(outer, inner, n)
+
+    @pytest.mark.parametrize(
+        "tau, sigma",
+        [((2, 1), (3,)), ((1, 1), (2,)), ((2,), (1, 0, 1)), ((1,), (1, -1, 1)), ((), ()), ((3,), (1, 2))],
+    )
+    def test_fusion_inverse_rejects_malformed_arguments(self, tau, sigma):
+        with pytest.raises(InvalidParameter):
+            P.bijection_f_inverse(tau, sigma)
+
 
 class TestDecompositionPairs:
     def test_counts_match_triple_index(self):
@@ -321,3 +380,18 @@ class TestDecompositionPairs:
         assert sigma == (4, 1, 2, 1)
         assert j == (0, 2, 0, 2, 0, 2, 3)
         assert P.bijection_g_inverse(m, sigma, j, 17) == pair
+
+    @pytest.mark.parametrize(
+        "m, sigma, j, n",
+        [
+            (2, (3, -1), (0,), 2),
+            (2, (2, 0), (0,), 2),
+            (2, (0, 2), (0,), 2),
+            (3, (3,), (2, -1), 4),
+            (0, (), (), 0),
+            (2, (2,), (0, 0), 4),
+        ],
+    )
+    def test_grouping_inverse_rejects_malformed_arguments(self, m, sigma, j, n):
+        with pytest.raises(InvalidParameter):
+            P.bijection_g_inverse(m, sigma, j, n)

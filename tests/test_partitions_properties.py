@@ -15,6 +15,17 @@ the two must agree or both raise `OrderExceeded`.  The free cumulants and
 their inverse are drawn against the sum over non-crossing partitions at
 n <= 8, and round trip at n <= 12.
 
+The bijection inverses check their arguments and then build their results
+by construction; the condition-by-condition validator of ``test_partitions``
+stays their reference.  Each draws n <= 9, a composition tau of n and a
+composition sigma of n (half the time an odd refinement of tau), or a triple
+(m, sigma, j) whose entries are near those of a member of the triple index
+(j entries down to -1).  An inverse raises `InvalidParameter` exactly when its
+argument lies outside the index; otherwise the public constructor accepts its
+result and the forward bijection maps it back.  The public constructor is
+drawn on set partitions of n <= 8, crossing or not, with each block marked
+outer or inner, and must agree with the validator.
+
 The convolution laws are drawn over atomic measures with 2-4 rational atoms
 at orders up to 24: `free` equals the free-cumulant oracle, `free` and
 `boolean` commute, the point mass at 0 is an identity, and a point mass on
@@ -22,6 +33,7 @@ the left absorbs `orthogonal` and `sfree`.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -32,10 +44,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from freeconv import convolve  # noqa: E402
 from freeconv import partitions as P  # noqa: E402
-from freeconv.errors import OrderExceeded  # noqa: E402
+from freeconv.errors import InvalidParameter, OrderExceeded  # noqa: E402
 from freeconv.measures import MeasureRep, point_mass  # noqa: E402
 
 from test_partitions import (  # noqa: E402
+    decomposable_reference,
     inverse_boolean_cumulant_reference,
     noncrossing_moment_sum,
     orthogonal_moment_reference,
@@ -44,13 +57,12 @@ from test_partitions import (  # noqa: E402
 rationals = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**3))
 
 
-def compositions(n_max):
-    @st.composite
-    def draw_one(draw):
-        n = draw(st.integers(1, n_max))
-        return P.compositions(n)[draw(st.integers(0, 2 ** (n - 1) - 1))]
+def composition_of(n):
+    return st.integers(0, 2 ** (n - 1) - 1).map(lambda i: P.compositions(n)[i])
 
-    return draw_one()
+
+def compositions(n_max):
+    return st.integers(1, n_max).flatmap(composition_of)
 
 
 def outcome(fn, *args):
@@ -87,6 +99,80 @@ def test_first_block_recursion_equals_the_non_crossing_sum(moments, kappa, n):
 def test_free_cumulants_round_trip(moments):
     n = len(moments)
     assert P.moments_from_free_cumulants(P.free_cumulants_from_moments(moments, n), n) == tuple(moments)
+
+
+@lru_cache(maxsize=None)
+def index(enumerate_, n):
+    return frozenset(enumerate_(n))
+
+
+@st.composite
+def fusion_arguments(draw):
+    n = draw(st.integers(1, 9))
+    tau = draw(composition_of(n))
+    return tau, draw(st.one_of(composition_of(n), st.sampled_from(P.odd_refinements(tau))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fusion_arguments())
+def test_fusion_inverse_accepts_exactly_the_pair_index(args):
+    tau, sigma = args
+    n = sum(tau)
+    if args not in index(P.enumerate_C, n):
+        with pytest.raises(InvalidParameter):
+            P.bijection_f_inverse(tau, sigma)
+        return
+    pi = P.bijection_f_inverse(tau, sigma)
+    assert decomposable_reference(pi.outer, pi.inner, n)
+    assert P.decomposable_partition(pi.outer, pi.inner, n) == pi
+    assert P.bijection_f(pi) == args
+
+
+@st.composite
+def grouping_arguments(draw):
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, n))
+    sigma = draw(composition_of(draw(st.sampled_from((m, m, m + 1, max(m - 1, 1))))))
+    members = st.sampled_from(P.nonneg_compositions(n - m, m - 1) or ((),))
+    near = st.lists(st.integers(-1, n - m), min_size=max(m - 2, 0), max_size=m).map(tuple)
+    return m, sigma, draw(st.one_of(members, near)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouping_arguments())
+def test_grouping_inverse_accepts_exactly_the_triple_index(args):
+    *triple, n = args
+    if tuple(triple) not in index(P.enumerate_F, n):
+        with pytest.raises(InvalidParameter):
+            P.bijection_g_inverse(*args)
+        return
+    pair = P.bijection_g_inverse(*args)
+    pi = pair.pi
+    assert decomposable_reference(pi.outer, pi.inner, n)
+    assert P.decomposable_partition(pi.outer, pi.inner, n) == pi
+    assert pair in index(P.enumerate_DP2, n)
+    assert P.bijection_g(pair) == tuple(triple)
+
+
+@st.composite
+def marked_set_partitions(draw):
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [[x for x in range(1, n + 1) if labels[x - 1] == label] for label in sorted(set(labels))]
+    marks = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    outer = [b for b, is_inner in zip(blocks, marks) if not is_inner]
+    inner = [b for b, is_inner in zip(blocks, marks) if is_inner]
+    return outer, inner, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_set_partitions())
+def test_constructor_agrees_with_the_validator(args):
+    if not decomposable_reference(*args):
+        with pytest.raises(InvalidParameter):
+            P.decomposable_partition(*args)
+        return
+    assert P.decomposable_partition(*args) in index(P.enumerate_D2, args[2])
 
 
 locations = st.builds(F, st.integers(-8, 8), st.integers(1, 4))

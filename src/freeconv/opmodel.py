@@ -8,9 +8,18 @@ the first letter, which is the free-product representation restricted to
 the truncated basis; images that would leave the basis are dropped, and
 the certified-order rules below say how far moments are still exact.
 
-Certified orders are deliberately conservative: an operator assembled at
-depth cap D has exact vacuum moments up to order D, and exact moments up
-to order D - k in a state supported at word length k.
+Certified orders: with factors of dimension d, depth cap D and index-sum
+cap W (default D), the vacuum moments of the total are exact through order
+min(2D + 1, 2W + 1, 2d - 1).  A vacuum moment of order n sums the walks of
+n steps from the empty word back to it.  A step adds or removes a letter
+of index 1 or moves the first letter's index by one, so the word length,
+the index sum and each letter's index rise by at most one per step and
+must come back down: a walk of n steps stays within n // 2 of each, which
+for n up to that bound keeps it inside the truncated space.  The bound is
+tight: on seeded factors with more than d levels, order
+min(2D + 2, 2W + 2, 2d) differs from the free convolution.  In a state
+supported at word length k, moments are exact up to order D - k (not
+measured).
 
 A factor acts as multiplication by x on its monic polynomials,
 x p_k = p_(k+1) + alpha_k p_k + omega_(k-1) p_(k-1) (Gautschi,
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Container, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DepthExceeded, InvalidParameter
 from .measures import JacobiParams, _as_jacobi
@@ -310,7 +319,16 @@ class FreeProductModel:
         self.weights = self.basis.weights(self.factor_weights)
         self.x1 = free_product_rep(a1, 1, self.basis)
         self.x2 = free_product_rep(a2, 2, self.basis)
-        self._replicas: dict[tuple[int, int], ModelOperator] = {}
+        self._total = self.x1 + self.x2
+        # per factor, slab n's columns of its representation at index n
+        self._slabs = (self._slab_groups(self.x1, 1), self._slab_groups(self.x2, 2))
+
+    def _slab_groups(self, lam: ModelOperator, factor: int) -> list[ModelOperator]:
+        groups: list[dict] = [{} for _ in range(self.depth_cap + 2)]
+        slab = self.basis.slab
+        for c, col in lam.entries.items():
+            groups[slab(factor, c)][c] = col
+        return [ModelOperator._of(lam.size, cols) for cols in groups]
 
     @property
     def depth_cap(self) -> int:
@@ -320,34 +338,40 @@ class FreeProductModel:
         return self.x1 if factor == 1 else self.x2
 
     def total(self) -> ModelOperator:
-        return self.x1 + self.x2
+        return self._total
 
     def replica(self, factor: int, n: int) -> ModelOperator:
         """Compression of the factor's representation to its n-th slab: the
         columns of that slab, which the representation maps into itself."""
         if n < 1 or n > self.depth_cap + 1:
             raise DepthExceeded(f"replica level {n} outside 1..{self.depth_cap + 1}")
-        key = (factor, n)
-        if key not in self._replicas:
-            self._replicas[key] = self._slab_columns(factor, (n,))
-        return self._replicas[key]
+        return self._slabs[factor - 1][n]
 
     def branch(self, factor: int, k: int = 1) -> ModelOperator:
         """Alternating sum of replicas from level k on: the truncated branch,
-        the factor's slabs k, k + 2, ... and the other's k + 1, k + 3, ..."""
+        the factor's slabs k, k + 2, ... and the other's k + 1, k + 3, ...
+
+        Every column lies in one slab of each factor, so a branch column is
+        the one factor's column, or the total's where both factors select it;
+        the columns are assembled with no arithmetic."""
         if k < 1:
             raise InvalidParameter("branch level must be >= 1")
         last = self.depth_cap + 1
         if k > last:
             raise DepthExceeded(f"branch level {k} outside the truncated space")
-        mine = self._slab_columns(factor, range(k, last + 1, 2))
-        return mine + self._slab_columns(3 - factor, range(k + 1, last + 1, 2))
-
-    def _slab_columns(self, factor: int, slabs: Container[int]) -> ModelOperator:
-        """The columns of the factor's representation in the given slabs."""
-        lam, slab = self.lam(factor), self.basis.slab
-        cols = {c: col for c, col in lam.entries.items() if slab(factor, c) in slabs}
-        return ModelOperator._of(lam.size, cols)
+        mine, other, total = self._slabs[factor - 1], self._slabs[2 - factor], self._total.entries
+        cols: dict = {}
+        for n in range(k, last + 1, 2):
+            cols.update(mine[n].entries)
+        for n in range(k + 1, last + 1, 2):
+            for c, col in other[n].entries.items():
+                if c not in cols:
+                    cols[c] = col
+                elif c in total:
+                    cols[c] = total[c]
+                else:
+                    del cols[c]
+        return ModelOperator._of(self._total.size, cols)
 
     def vacuum(self) -> dict:
         return {0: Fraction(1)}
@@ -359,18 +383,24 @@ class FreeProductModel:
         return {idx: Fraction(1)}
 
     def state_moments(self, op: ModelOperator, n_max: int, vec: Optional[dict] = None):
-        """<op^n v, v>/<v, v> for n = 1..n_max, in the weighted inner product."""
+        """<op^n v, v>/<v, v> for n = 1..n_max, in the weighted inner product.
+
+        The chain runs on integers: with d and d_v the lcm of the entry
+        denominators of op and v, the n-th vector is d^n d_v op^n v."""
         if vec is None:
             vec = self.vacuum()
         vec_bra = bra(vec, self.weights)
         norm = vec_dot(vec, vec_bra)
         if not norm:
             raise InvalidParameter(f"state vector {vec} has norm 0")
+        cols = _IntColumns(op.entries)
+        state = _IntColumns({0: vec})
+        cur, scale = state.get(0), norm * state.d
         out = []
-        cur = vec
         for _ in range(n_max):
-            cur = apply_columns(op.entries, cur)
-            out.append(vec_dot(cur, vec_bra) / norm)
+            cur = apply_columns(cols, cur)
+            scale *= cols.d
+            out.append(vec_dot(cur, vec_bra) / scale)
         return out
 
 

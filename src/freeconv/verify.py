@@ -663,12 +663,14 @@ def subordinate_half_gives_two_periodic_coefficients(inp, rng):
 @check("convolutions")
 def two_periodic_closed_form_matches_fraction(inp, rng):
     al, om, be, ga = TWO_PERIODIC
+    # (alpha, omega) of the even and the odd levels
+    levels = ((float(al), float(om)), (float(be), float(ga)))
     for _ in range(100):
         z = complex(rng.uniform(-4, 4), rng.uniform(2, 6))
         g = 0j
         for k in range(400, 0, -1):
-            a_k, w_k = (al, om) if (k - 1) % 2 == 0 else (be, ga)
-            g = 1.0 / (z - float(a_k) - float(w_k) * g)
+            a_k, w_k = levels[(k - 1) % 2]
+            g = 1.0 / (z - a_k - w_k * g)
         closed = two_periodic_G(al, om, be, ga, z)
         expect(abs(g - closed) < 1e-9, "z = {}: fraction {} vs closed form {}", z, g, closed)
 

@@ -33,6 +33,19 @@ class TestRootMoments:
     def test_single_edge_is_symmetric_two_point(self):
         assert graphs.root_spectral_moments(P2, 5) == (F(0), F(1), F(0), F(1), F(0))
 
+    def test_walk_equals_the_adjacency_operator_walk(self):
+        # seeded graphs rooted anywhere, and free-product balls built from them
+        rng = random.Random(2300)
+        cases = [_random_graph(rng, rng.randint(1, 7), root=None) for _ in range(40)]
+        for _ in range(10):
+            g1 = _random_graph(rng, rng.randint(2, 4), root=None)
+            g2 = _random_graph(rng, rng.randint(2, 4), root=None)
+            cases.append(graphs.free_product_ball(g1, g2, 3))
+        for g in cases:
+            got = graphs.root_spectral_moments(g, 9)
+            assert got == adjacency_root_moments(g, 9), g
+            assert all(type(x) is F for x in got)
+
 
 class TestProducts:
     def test_star_of_two_edges(self):
@@ -109,6 +122,18 @@ class TestFreeProductAgainstWordEnumeration:
                 assert graphs.free_product_branch(g1, g2, radius, factor) == reference_free_product(
                     *case, factor
                 ), (case, factor)
+
+
+def adjacency_root_moments(g, n_max):
+    """Reference: the root moments walked on the adjacency operator, the
+    root as basis vector 0."""
+    a = g.adjacency()
+    vec = {0: F(1)}
+    out = []
+    for _ in range(n_max):
+        vec = a.apply(vec)
+        out.append(vec.get(0, F(0)))
+    return tuple(out)
 
 
 def _random_graph(rng, n, root=0):

@@ -350,28 +350,120 @@ def compress(op, keep):
     return opmodel.ModelOperator(op.size, entries)
 
 
+def refuse_arithmetic(self, other, op):
+    raise AssertionError("operator arithmetic after the model was built")
+
+
+def replica_sums(model):
+    """Reference replicas and branches: compressions to the slabs, and
+    their alternating sums, added on `Fraction`s."""
+    last = model.depth_cap + 1
+    replicas = {
+        (i, n): compress(model.lam(i), level_indices(model.basis, i, n))
+        for i in (1, 2)
+        for n in range(1, last + 1)
+    }
+    branches = {}
+    for i in (1, 2):
+        for k in range(1, last + 1):
+            want = opmodel.ModelOperator(len(model.basis), {})
+            for n in range(k, last + 1, 2):
+                want = want + replicas[i, n]
+            for n in range(k + 1, last + 1, 2):
+                want = want + replicas[3 - i, n]
+            branches[i, k] = want
+    return replicas, branches
+
+
 @pytest.mark.parametrize(
     "model",
     [small_model(seed=14, dim=4, depth=6), small_model(seed=15, dim=3, depth=6, weight_cap=6 * 3)],
     ids=["weight-capped", "uncapped"],
 )
-def test_replicas_and_branches_equal_their_definitions(model):
-    last = model.depth_cap + 1
-    ref = {
-        (i, n): compress(model.lam(i), level_indices(model.basis, i, n))
-        for i in (1, 2)
-        for n in range(1, last + 1)
-    }
-    for (i, n), want in ref.items():
+def test_replicas_and_branches_equal_their_definitions(model, monkeypatch):
+    replicas, branches = replica_sums(model)
+    total = model.x1 + model.x2
+    # the model assembles all three from columns it built once
+    monkeypatch.setattr(opmodel.ModelOperator, "_combine", refuse_arithmetic)
+    assert model.total().entries == total.entries
+    assert model.total() is model.total()
+    for (i, n), want in replicas.items():
         assert model.replica(i, n).entries == want.entries, (i, n)
-    for i in (1, 2):
-        for k in range(1, last + 1):
-            want = opmodel.ModelOperator(len(model.basis), {})
-            for n in range(k, last + 1, 2):
-                want = want + ref[i, n]
-            for n in range(k + 1, last + 1, 2):
-                want = want + ref[3 - i, n]
-            assert model.branch(i, k).entries == want.entries, (i, k)
+    for (i, k), want in branches.items():
+        assert model.branch(i, k).entries == want.entries, (i, k)
+
+
+def test_cancelling_pair_has_an_empty_total():
+    # x1 = a and x2 = -a on the one-word space: their sum has no column, and
+    # the empty word lies in slab 1 of both factors, so branch(1, 1) is x1
+    a = F(3, 2)
+    model = opmodel.FreeProductModel(point_mass(a), point_mass(-a), factor_dim=1, depth_cap=3)
+    replicas, branches = replica_sums(model)
+    assert model.total().entries == {}
+    assert model.total().equals(replicas[1, 1] + replicas[2, 1])
+    assert model.branch(1, 1).entries == branches[1, 1].entries == {0: {0: a}}
+    for (i, k), want in branches.items():
+        assert model.branch(i, k).entries == want.entries, (i, k)
+    assert model.state_moments(model.total(), 3) == [0, 0, 0]
+
+
+def fraction_state_moments(model, op, n_max, vec):
+    """Reference: the moment chain on `Fraction` columns, divided by the
+    state's norm at every step."""
+    vec_bra = opmodel.bra(vec, model.weights)
+    norm = opmodel.vec_dot(vec, vec_bra)
+    out, cur = [], vec
+    for _ in range(n_max):
+        cur = op.apply(cur)
+        out.append(opmodel.vec_dot(cur, vec_bra) / norm)
+    return out
+
+
+def test_state_moments_equal_the_fraction_chain():
+    model = thirds_model()
+    # index sums <= 2 keep words to length 2, so slab 5 is empty
+    capped = opmodel.FreeProductModel(model.mu_jacobi, model.nu_jacobi, factor_dim=3, depth_cap=5, weight_cap=2)
+    empty = capped.replica(1, 5)
+    assert not empty.entries
+
+    def state(m):
+        # entries over 5 and 7, which no entry of the thirds model has
+        idx = m.basis.index
+        return {0: F(2, 5), idx[((2, 1),)]: F(-3, 7), idx[((1, 1), (2, 1))]: F(1, 35)}
+
+    cases = [
+        (model, model.total(), model.vacuum()),
+        (model, model.branch(1, 2), model.word_vector(((2, 1),))),
+        (model, model.x1, state(model)),
+        (model, model.total(), state(model)),
+        (capped, empty, state(capped)),
+    ]
+    for m, op, v in cases:
+        got = m.state_moments(op, 7, vec=v)
+        assert got == fraction_state_moments(m, op, 7, v)
+        assert all(type(x) is F for x in got)
+    assert capped.state_moments(empty, 3, vec=state(capped)) == [0, 0, 0]
+
+
+def complete_jacobi(rng, levels):
+    alpha = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(levels)]
+    omega = [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(levels - 1)]
+    return make_jacobi(alpha, omega, complete=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vacuum_moments_exact_through_the_certified_order_and_no_further(seed):
+    # factors with 7 levels, cut to d <= 6: the first moment off the free
+    # convolution is order min(2D + 2, 2W + 2, 2d)
+    rng = random.Random(seed)
+    jmu, jnu = complete_jacobi(rng, 7), complete_jacobi(rng, 7)
+    want = convolve.free(MeasureRep.from_jacobi(jmu), MeasureRep.from_jacobi(jnu), 14).moments(14)
+    for depth, dim, weight in [(2, 6, 2), (3, 6, 3), (4, 6, 4), (6, 2, 6), (6, 3, 6), (5, 6, 3), (4, 4, 4)]:
+        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
+        order = min(2 * depth + 1, 2 * weight + 1, 2 * dim - 1)
+        got = model.state_moments(model.total(), order + 1)
+        assert tuple(got[:order]) == want[:order], (depth, dim, weight)
+        assert got[order] != want[order], (depth, dim, weight)
 
 
 class TestBranches:

@@ -9,17 +9,22 @@ the truncated basis; images that would leave the basis are dropped, and
 the certified-order rules below say how far moments are still exact.
 
 Certified orders: with factors of dimension d, depth cap D and index-sum
-cap W (default D), the vacuum moments of the total are exact through order
-min(2D + 1, 2W + 1, 2d - 1).  A vacuum moment of order n sums the walks of
-n steps from the empty word back to it.  A step adds or removes a letter
-of index 1 or moves the first letter's index by one, so the word length,
-the index sum and each letter's index rise by at most one per step and
-must come back down: a walk of n steps stays within n // 2 of each, which
-for n up to that bound keeps it inside the truncated space.  The bound is
-tight: on seeded factors with more than d levels, order
-min(2D + 2, 2W + 2, 2d) differs from the free convolution.  In a state
-supported at word length k, moments are exact up to order D - k (not
-measured).
+cap W (default D), the moments of the total in the state at a word of
+length k and index sum s are exact through order
+min(2(D - k), 2(W - s), 2t) + 1, where t is the least, over the word's
+letters, of d - 1 minus the letter's index plus the index sum in front of
+it (t = d - 1 for the empty word).  At the vacuum that is
+min(2D + 1, 2W + 1, 2d - 1); with m the largest index, t >= d - 1 - m.  A
+moment of order n sums the walks of n steps from the word back to it.  A
+step adds or removes a letter of index 1 at the front or moves the first
+letter's index by one, so a deeper letter's index moves only once the
+letters in front are stripped, one index per step.  The length, the index
+sum and that cost rise by at most one per step and must come back down, so
+a walk of n steps stays within n // 2 of each, inside the truncated space
+for n up to the bound.  In a state on several words the least of their
+orders holds.  The bound is tight: on seeded factors with more than d
+levels, the next order differs, at the vacuum from the free convolution
+and at words of length up to 3 from a deeper model.
 
 A factor acts as multiplication by x on its monic polynomials,
 x p_k = p_(k+1) + alpha_k p_k + omega_(k-1) p_(k-1) (Gautschi,
@@ -31,10 +36,13 @@ of two vectors is sum_w u_w v_w weight(w), and the operators are
 self-adjoint under it rather than symmetric.  `bra` folds the weights
 into one side, so a plain `vec_dot` gives the inner product.
 
-Operators are held by column, the one form every reader wants.  A factor's
-representation maps each word into its own slab (the word's length, plus one
-unless the word starts with that factor), so a replica is the columns of one
-slab and a branch the columns of alternating slabs of the two factors.
+Operators are held by column, the one form every reader wants, as ints
+over a denominator `den`.  A model puts both factors over one, which its
+representations, total, replicas and branches then share.  A factor's
+representation maps each word into its own slab (the word's length, plus
+one unless the word starts with that factor), so a replica is the columns
+of one slab and a branch the columns of alternating slabs of the two
+factors.
 """
 
 from __future__ import annotations
@@ -42,12 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import add, mul, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import DepthExceeded, InvalidParameter
-from .measures import JacobiParams, _as_jacobi
+from .measures import JacobiParams, _as_jacobi, _over_lcm
 
 Word = tuple[tuple[int, int], ...]
 
@@ -137,32 +145,47 @@ class WordBasis:
 # ---------------------------------------------------------------------------
 
 class ModelOperator:
-    """Sparse matrix with exact entries on an indexed basis.
+    """Sparse matrix `entries / den` with int entries on an indexed basis.
 
-    The one store is by column, `entries[c] = {r: value}`, with no zero
-    entry and no empty column.  The constructor takes the `(r, c) -> value`
-    mapping and rejects a float entry; operators are never changed in
+    The one store is by column, `entries[c] = {r: int}`, with no zero entry
+    and no empty column.  The constructor, the one reader of rationals,
+    takes int and `Fraction` values at `(r, c)` in 0..size - 1 and sets
+    `den` to the lcm of their denominators.  Operators are never changed in
     place, so they may share columns.
     """
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("size", "entries", "den")
 
     def __init__(self, size: int, entries: Mapping[tuple[int, int], object]):
-        cols: dict = {}
         for (r, c), v in entries.items():
             if isinstance(v, float):
                 raise InvalidParameter("floats are not accepted where exact rationals are required")
-            if v != 0:
-                cols.setdefault(c, {})[r] = v
-        self.size, self.entries = size, cols
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise InvalidParameter(f"operator entries must be ints or Fractions, got {v!r}")
+            if not (0 <= r < size and 0 <= c < size):
+                raise InvalidParameter(f"entry ({r}, {c}) outside the {size} basis vectors")
+        den = math.lcm(*(v.denominator for v in entries.values()))
+        cols: dict = {}
+        for (r, c), v in entries.items():
+            if v:
+                cols.setdefault(c, {})[r] = v.numerator * (den // v.denominator)
+        self.size, self.entries, self.den = size, cols, den
 
     @classmethod
-    def _of(cls, size: int, cols: dict) -> "ModelOperator":
-        """Operator on a column store that already holds no zero entry and
-        no empty column."""
+    def _of(cls, size: int, cols: dict, den: int) -> "ModelOperator":
+        """Operator on an int column store that already holds no zero entry
+        and no empty column."""
         op = cls.__new__(cls)
-        op.size, op.entries = size, cols
+        op.size, op.entries, op.den = size, cols, den
         return op
+
+    def _over(self, den: int) -> "ModelOperator":
+        """The same matrix over `den`, a multiple of the operator's own."""
+        if den == self.den:
+            return self
+        k = den // self.den
+        cols = {c: {r: v * k for r, v in col.items()} for c, col in self.entries.items()}
+        return ModelOperator._of(self.size, cols, den)
 
     def __add__(self, other: "ModelOperator") -> "ModelOperator":
         return self._combine(other, add)
@@ -171,8 +194,9 @@ class ModelOperator:
         return self._combine(other, sub)
 
     def _combine(self, other: "ModelOperator", op) -> "ModelOperator":
-        cols = dict(self.entries)
-        for c, col in other.entries.items():
+        den = math.lcm(self.den, other.den)
+        cols = dict(self._over(den).entries)
+        for c, col in other._over(den).entries.items():
             out = dict(cols.get(c, ()))
             for r, v in col.items():
                 x = op(out.get(r, 0), v)
@@ -184,7 +208,7 @@ class ModelOperator:
                 cols[c] = out
             else:
                 del cols[c]
-        return ModelOperator._of(self.size, cols)
+        return ModelOperator._of(self.size, cols, den)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
         own = self.entries
@@ -193,20 +217,26 @@ class ModelOperator:
             # a column that meets none of ours maps to zero (distant slabs)
             if not own.keys().isdisjoint(col) and (out := apply_columns(own, col)):
                 cols[c] = out
-        return ModelOperator._of(self.size, cols)
+        return ModelOperator._of(self.size, cols, self.den * other.den)
 
     def apply(self, vec: dict) -> dict:
-        return apply_columns(self.entries, vec)
+        """The matrix applied to a vector of rationals, on ints over den * d_v
+        for d_v the lcm of the vector's denominators."""
+        d_v, xs = _over_lcm(vec.values())
+        d = self.den * d_v
+        return {r: Fraction(x, d) for r, x in apply_columns(self.entries, dict(zip(vec, xs))).items()}
 
     def is_self_adjoint(self, weights: Sequence) -> bool:
         """<A u, v> = <u, A v> in the inner product that gives basis vector
-        i the weight weights[i]: the matrix W A is symmetric."""
-        wa = {(r, c): weights[r] * v for c, col in self.entries.items() for r, v in col.items()}
-        return all(x == wa.get((c, r), 0) for (r, c), x in wa.items())
+        i the weight weights[i]: W A is symmetric, on the weights' ints."""
+        w, cols = _over_lcm(weights)[1], self.entries
+        return all(w[r] * v == w[c] * cols.get(r, {}).get(c, 0) for c, col in cols.items() for r, v in col.items())
 
     def equals(self, other: "ModelOperator") -> bool:
-        # no zero is stored, so equal operators have equal stores
-        return self.entries == other.entries
+        """Equal matrices, also when a sum has cancelled to a smaller den:
+        over a common den, with no zero stored, the stores are equal."""
+        den = math.lcm(self.den, other.den)
+        return self._over(den).entries == other._over(den).entries
 
 
 def apply_columns(cols: dict[int, dict], vec: dict) -> dict:
@@ -295,7 +325,7 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
                 col[ri] = v
         if col:
             cols[ci] = col
-    return ModelOperator._of(len(basis), cols)
+    return ModelOperator._of(len(basis), cols, a.den)
 
 
 class FreeProductModel:
@@ -313,6 +343,8 @@ class FreeProductModel:
         self.nu_jacobi = _as_jacobi(nu)
         a1 = jacobi_operator(self.mu_jacobi, factor_dim)
         a2 = jacobi_operator(self.nu_jacobi, factor_dim)
+        den = math.lcm(a1.den, a2.den)  # shared by every operator built from the factors
+        a1, a2 = a1._over(den), a2._over(den)
         self.factors = (a1, a2)
         self.factor_weights = (monic_norms(self.mu_jacobi, factor_dim), monic_norms(self.nu_jacobi, factor_dim))
         self.basis = WordBasis.build(factor_dim, factor_dim, depth_cap, weight_cap)
@@ -328,7 +360,7 @@ class FreeProductModel:
         slab = self.basis.slab
         for c, col in lam.entries.items():
             groups[slab(factor, c)][c] = col
-        return [ModelOperator._of(lam.size, cols) for cols in groups]
+        return [ModelOperator._of(lam.size, cols, lam.den) for cols in groups]
 
     @property
     def depth_cap(self) -> int:
@@ -371,7 +403,7 @@ class FreeProductModel:
                     cols[c] = total[c]
                 else:
                     del cols[c]
-        return ModelOperator._of(self._total.size, cols)
+        return ModelOperator._of(self._total.size, cols, self._total.den)
 
     def vacuum(self) -> dict:
         return {0: Fraction(1)}
@@ -385,23 +417,29 @@ class FreeProductModel:
     def state_moments(self, op: ModelOperator, n_max: int, vec: Optional[dict] = None):
         """<op^n v, v>/<v, v> for n = 1..n_max, in the weighted inner product.
 
-        The chain runs on integers: with d and d_v the lcm of the entry
-        denominators of op and v, the n-th vector is d^n d_v op^n v."""
+        The chain runs on ints: v and its bra are each put over the lcm of
+        their denominators, and the n-th dot is divided by den^n times the
+        0-th."""
+        if op.size != len(self.basis):
+            raise InvalidParameter(f"operator on {op.size} basis vectors, the model has {len(self.basis)}")
         if vec is None:
             vec = self.vacuum()
-        vec_bra = bra(vec, self.weights)
-        norm = vec_dot(vec, vec_bra)
-        if not norm:
+        cur = _int_vector(vec)
+        vec_bra = _int_vector(bra(vec, self.weights))
+        scale = vec_dot(cur, vec_bra)
+        if not scale:
             raise InvalidParameter(f"state vector {vec} has norm 0")
-        cols = _IntColumns(op.entries)
-        state = _IntColumns({0: vec})
-        cur, scale = state.get(0), norm * state.d
         out = []
         for _ in range(n_max):
-            cur = apply_columns(cols, cur)
-            scale *= cols.d
-            out.append(vec_dot(cur, vec_bra) / scale)
+            cur = apply_columns(op.entries, cur)
+            scale *= op.den
+            out.append(Fraction(vec_dot(cur, vec_bra), scale))
         return out
+
+
+def _int_vector(vec: dict) -> dict:
+    """`vec` times the lcm of its denominators, on ints."""
+    return dict(zip(vec, _over_lcm(vec.values())[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +451,6 @@ class OrthogonalityReport:
     ok: bool
     checked: int
     violations: list[str]
-
-
-class _IntColumns(dict):
-    """A column store times d on ints, for d the lcm of every entry's
-    denominator (a vector is a store of one column).  Each column is
-    converted when first read through `get`, and an absent one reads as
-    empty, so only the columns that a chain reaches are ever copied."""
-
-    def __init__(self, cols: dict[int, dict]):
-        super().__init__()
-        self.src = cols
-        self.d = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
-
-    def get(self, c, default=None) -> dict:
-        col = dict.get(self, c)
-        if col is None:
-            d = self.d
-            col = self[c] = {r: v.numerator * (d // v.denominator) for r, v in self.src.get(c, {}).items()}
-        return col
 
 
 def orthogonality_check(
@@ -457,18 +476,17 @@ def orthogonality_check(
     once per argument pair.
 
     Every dot is the inner product with basis weights `weights`, under
-    which `a` and `b` must be self-adjoint; it runs on integers.  Each of
-    a, b, xi, eta and the weights is scaled by the lcm d_a, d_b, d_xi,
-    d_eta, d_w of its own entry denominators, so every chain and every dot
-    is an integer.  Both conditions are homogeneous.  A raw dot with p
-    letters a and q letters b between two xi's is the rational one times
-    d_a^p d_b^q d_xi^2 d_w, so (i) holds when the raw dot is 0.  Each side
-    of (ii) below is a product of three dots, so d_w cancels from it, and
-    from the two sides' texts.  In (ii), write n_xi = <xi, xi> and n_eta =
-    <eta, eta> on the scaled vectors, L for the raw left side, P_b for
-    <b^s eta, eta>, Plain for <a^(p+q) w2 xi, w1>, P_w for <w1 a^p xi, xi>
-    and P_q for <a^q w2 xi, xi>.  The powers of d_a and d_b then agree on
-    both sides, and (ii) holds when
+    which `a` and `b` must be self-adjoint, and runs on ints: a and b are
+    their stores, scaled by d_a = a.den and d_b = b.den, and xi, eta and the
+    weights (only where a bra reads them) by the lcm d_xi, d_eta, d_w of
+    their own denominators.  Both conditions are homogeneous.  A raw dot
+    with p letters a and q letters b between two xi's is the rational one
+    times d_a^p d_b^q d_xi^2 d_w, so (i) holds when it is 0.  Each side of
+    (ii) is a product of three dots, so d_w cancels from it and from its
+    text.  With n_xi = <xi, xi> and n_eta = <eta, eta> scaled, L the raw
+    left side, P_b = <b^s eta, eta>, Plain = <a^(p+q) w2 xi, w1>,
+    P_w = <w1 a^p xi, xi> and P_q = <a^q w2 xi, xi>, the powers of d_a and
+    d_b agree on both sides, and (ii) holds when
 
         L n_eta n_xi == P_b (Plain n_xi - P_w P_q).
 
@@ -477,14 +495,9 @@ def orthogonality_check(
     with d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's
     scale is d_a and d_b to its letter counts.
     """
-    cols = {"a": _IntColumns(a.entries), "b": _IntColumns(b.entries)}
-    d_a, d_b = cols["a"].d, cols["b"].d
-    xi = _IntColumns({0: xi}).get(0)
-    eta = _IntColumns({0: eta}).get(0)
-    weights = _IntColumns({0: dict(enumerate(weights))}).get(0)
-    xi_bra, eta_bra = bra(xi, weights), bra(eta, weights)
-    n_xi = vec_dot(xi, xi_bra)
-    n_eta = vec_dot(eta, eta_bra)
+    cols = {"a": a.entries, "b": b.entries}
+    d_a, d_b = a.den, b.den
+    xi, eta = _int_vector(xi), _int_vector(eta)
 
     def violated(L, P_b, plain, P_w, P_q, scale):
         """None if (ii) holds, else its two sides; (i) is the case
@@ -502,15 +515,7 @@ def orthogonality_check(
             out.append(apply_columns(cols[letter], out[-1]))
         return out
 
-    words: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[str, ...]] = [()]
-    for _ in range(n_max):
-        nxt = []
-        for w in frontier:
-            for letter in ("a", "b"):
-                nxt.append(w + (letter,))
-        words.extend(nxt)
-        frontier = nxt
+    words = [w for n in range(n_max + 1) for w in product("ab", repeat=n)]
     pow_a = [d_a**k for k in range(2 * n_max + 1)]
     pow_b = [d_b**k for k in range(n_max + 1)]
     scale = {w: pow_a[w.count("a")] * pow_b[w.count("b")] for w in words}
@@ -521,6 +526,11 @@ def orthogonality_check(
     suffix = {(): xi}
     for w in words[1:]:
         suffix[w] = apply_columns(cols[w[0]], suffix[w[1:]])
+    # a dot reads the weights only where eta or a suffix is supported
+    weights = _int_vector({k: weights[k] for k in set(eta).union(*suffix.values())})
+    xi_bra, eta_bra = bra(xi, weights), bra(eta, weights)
+    n_xi = vec_dot(xi, xi_bra)
+    n_eta = vec_dot(eta, eta_bra)
     lefts = {w: bra(suffix[w[::-1]], weights) for w in words}
 
     a_pow = chain("a", xi, 2 * n_max)

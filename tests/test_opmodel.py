@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -24,6 +25,13 @@ def thirds_model():
     j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6), F(5, 6)], [F(1, 6) ** 2, F(5, 3) ** 2, F(7, 6) ** 2])
     j6 = make_jacobi([F(-1, 6), F(4, 3), F(0), F(-7, 6)], [F(2, 3) ** 2, F(1, 6) ** 2, F(4, 3) ** 2])
     return opmodel.FreeProductModel(j3, j6, factor_dim=3, depth_cap=5)
+
+
+def halves_and_thirds_model():
+    """Factors whose operators have denominators 2 and 3."""
+    jmu = make_jacobi([F(1, 2), 0], [1], complete=True)
+    jnu = make_jacobi([F(1, 3), 1], [4], complete=True)
+    return opmodel.FreeProductModel(jmu, jnu, factor_dim=2, depth_cap=4)
 
 
 def small_model(seed=0, dim=4, depth=8, weight_cap=None):
@@ -121,10 +129,16 @@ def recursive_words(d1, d2, depth_cap, weight_cap):
     return sorted(words, key=lambda w: (len(w), w))
 
 
+def rational(op):
+    """The operator's matrix as a column store of `Fraction`s: its int
+    store over its denominator."""
+    return {c: {r: F(v, op.den) for r, v in col.items()} for c, col in op.entries.items()}
+
+
 def dense(op):
     """The operator as a full `Fraction` matrix, row by row."""
     m = [[F(0)] * op.size for _ in range(op.size)]
-    for c, col in op.entries.items():
+    for c, col in rational(op).items():
         for r, v in col.items():
             m[r][c] = v
     return m
@@ -202,15 +216,30 @@ class TestModelOperator:
         with pytest.raises(InvalidParameter, match="floats are not accepted"):
             opmodel.ModelOperator(self.SIZE, {(0, 0): F(1), (0, 5): 0.5})
 
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ({(0, 5): 1}, "outside"),
+            ({(-1, 0): 1}, "outside"),
+            ({(0, 0): "1/2"}, "ints or Fractions"),
+            ({(0, 0): True}, "ints or Fractions"),
+            ({(0, 0): 1 + 0j}, "ints or Fractions"),
+        ],
+        ids=["column-past-size", "negative-row", "string", "bool", "complex"],
+    )
+    def test_malformed_entry_rejected(self, entries, match):
+        with pytest.raises(InvalidParameter, match=match):
+            opmodel.ModelOperator(2, entries)
+
 
 class TestJacobiOperator:
     def test_point_mass_is_one_by_one(self):
         op = opmodel.jacobi_operator(point_mass(F(5, 2)).jacobi(), 1)
-        assert op.entries == {0: {0: F(5, 2)}}
+        assert rational(op) == {0: {0: F(5, 2)}}
 
     def test_symmetric_two_point_is_flip(self):
         op = opmodel.jacobi_operator(bernoulli_symmetric().jacobi(), 2)
-        assert op.entries == {1: {0: F(1)}, 0: {1: F(1)}}
+        assert rational(op) == {1: {0: F(1)}, 0: {1: F(1)}}
 
     def test_constant_tail_moments(self):
         op = opmodel.jacobi_operator(wigner(0, 1).jacobi(), 8)
@@ -226,7 +255,7 @@ class TestJacobiOperator:
         # x p_0 = p_1 and x p_1 = 2 p_0 + p_1 / 2, with |p_1|^2 = 2
         j = make_jacobi([0, F(1, 2)], [2], complete=True)
         op = opmodel.jacobi_operator(j, 2)
-        assert op.entries == {0: {1: 1}, 1: {0: F(2), 1: F(1, 2)}}
+        assert rational(op) == {0: {1: 1}, 1: {0: F(2), 1: F(1, 2)}}
         assert opmodel.monic_norms(j, 2) == [F(1), F(2)]
         assert op.is_self_adjoint([F(1), F(2)]) and not op.is_self_adjoint([1, 1])
 
@@ -234,7 +263,7 @@ class TestJacobiOperator:
         # omega_1 = 0: p_2 has norm 0, so column 1 does not reach it
         j = make_jacobi([1, 2], [F(1, 3)], complete=True)
         op = opmodel.jacobi_operator(j, 4)
-        assert op.entries == {0: {0: F(1), 1: 1}, 1: {0: F(1, 3), 1: F(2)}}
+        assert rational(op) == {0: {0: F(1), 1: 1}, 1: {0: F(1, 3), 1: F(2)}}
         assert opmodel.monic_norms(j, 4) == [F(1), F(1, 3), F(0), F(0)]
 
     def test_depth_guard(self):
@@ -295,6 +324,12 @@ class TestFreeProductRep:
         want = [phi([x2, x1] + [total] * n + [x1, x2]) / phi([x2, x1, x1, x2]) for n in range(1, 6)]
         assert model.state_moments(total, 5, vec=vec) == want
 
+    def test_operator_of_another_size_rejected(self):
+        model = small_model()
+        for size in (len(model.basis) - 1, len(model.basis) + 1):
+            with pytest.raises(InvalidParameter, match="basis vectors"):
+                model.state_moments(opmodel.ModelOperator(size, {(0, 0): 1}), 2)
+
     def test_state_of_norm_zero_rejected(self):
         j = make_jacobi([1, 2], [F(1, 3)], complete=True)
         model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
@@ -346,7 +381,7 @@ class TestReplicas:
 
 def compress(op, keep):
     """Reference replica: the entries with row and column both kept."""
-    entries = {(r, c): v for c, col in op.entries.items() for r, v in col.items() if r in keep and c in keep}
+    entries = {(r, c): v for c, col in rational(op).items() for r, v in col.items() if r in keep and c in keep}
     return opmodel.ModelOperator(op.size, entries)
 
 
@@ -388,9 +423,9 @@ def test_replicas_and_branches_equal_their_definitions(model, monkeypatch):
     assert model.total().entries == total.entries
     assert model.total() is model.total()
     for (i, n), want in replicas.items():
-        assert model.replica(i, n).entries == want.entries, (i, n)
+        assert rational(model.replica(i, n)) == rational(want), (i, n)
     for (i, k), want in branches.items():
-        assert model.branch(i, k).entries == want.entries, (i, k)
+        assert rational(model.branch(i, k)) == rational(want), (i, k)
 
 
 def test_cancelling_pair_has_an_empty_total():
@@ -401,10 +436,66 @@ def test_cancelling_pair_has_an_empty_total():
     replicas, branches = replica_sums(model)
     assert model.total().entries == {}
     assert model.total().equals(replicas[1, 1] + replicas[2, 1])
-    assert model.branch(1, 1).entries == branches[1, 1].entries == {0: {0: a}}
+    assert rational(model.branch(1, 1)) == rational(branches[1, 1]) == {0: {0: a}}
     for (i, k), want in branches.items():
-        assert model.branch(i, k).entries == want.entries, (i, k)
+        assert rational(model.branch(i, k)) == rational(want), (i, k)
     assert model.state_moments(model.total(), 3) == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        thirds_model(),
+        halves_and_thirds_model(),
+        small_model(seed=16, dim=3, depth=5, weight_cap=4),
+        opmodel.FreeProductModel(point_mass(F(3, 2)), point_mass(F(-3, 2)), factor_dim=1, depth_cap=3),
+    ],
+    ids=["thirds", "halves-and-thirds", "weight-capped", "cancelling"],
+)
+def test_model_operators_are_ints_over_one_denominator(model):
+    dim = model.basis.dims[0]
+    den = math.lcm(*(opmodel.jacobi_operator(j, dim).den for j in (model.mu_jacobi, model.nu_jacobi)))
+    last = model.depth_cap + 1
+    ops = [*model.factors, model.x1, model.x2, model.total()]
+    ops += [model.replica(i, n) for i in (1, 2) for n in range(1, last + 1)]
+    ops += [model.branch(i, k) for i in (1, 2) for k in range(1, last + 1)]
+    assert {op.den for op in ops} == {den}
+    assert all(type(v) is int for op in ops for col in op.entries.values() for v in col.values())
+    # the factors carry their own rationals over the shared denominator
+    assert rational(model.factors[0]) == rational(opmodel.jacobi_operator(model.mu_jacobi, dim))
+    assert rational(model.factors[1]) == rational(opmodel.jacobi_operator(model.nu_jacobi, dim))
+
+
+def test_factors_over_2_and_3_share_the_denominator_6():
+    model = halves_and_thirds_model()
+    assert [opmodel.jacobi_operator(j, 2).den for j in (model.mu_jacobi, model.nu_jacobi)] == [2, 3]
+    assert model.total().den == 6
+    mu, nu = MeasureRep.from_jacobi(model.mu_jacobi), MeasureRep.from_jacobi(model.nu_jacobi)
+    assert tuple(model.state_moments(model.total(), 9)) == convolve.free(mu, nu, 9).moments(9)
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__")
+
+
+def test_operator_arithmetic_and_moment_chains_do_no_fraction_arithmetic(monkeypatch):
+    model = thirds_model()
+    x1, x2, total = model.x1, model.x2, model.total()
+    calls = []
+    for name in FRACTION_ARITHMETIC:
+        def counted(*args, _real=getattr(F, name)):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    assert (x1 + x2).equals(total) and (total - x1).equals(x2)
+    assert not (model.replica(1, 1) @ model.replica(1, 3)).entries
+    assert x1.is_self_adjoint(model.weights) and total.is_self_adjoint(model.weights)
+    assert not calls
+    # only the state's bra is rational: the chain adds no Fraction operation
+    model.state_moments(total, 2, vec=model.word_vector(((1, 1),)))
+    setup, calls[:] = len(calls), []
+    model.state_moments(total, 9, vec=model.word_vector(((1, 1),)))
+    assert len(calls) == setup
 
 
 def fraction_state_moments(model, op, n_max, vec):
@@ -464,6 +555,42 @@ def test_vacuum_moments_exact_through_the_certified_order_and_no_further(seed):
         got = model.state_moments(model.total(), order + 1)
         assert tuple(got[:order]) == want[:order], (depth, dim, weight)
         assert got[order] != want[order], (depth, dim, weight)
+
+
+def word_state_order(depth, weight, dim, word):
+    """The order through which the state at `word` is exact: min(2(D - k),
+    2(W - s), 2t) + 1, with t the least over the letters of dim - 1 minus
+    the letter's index plus the index sum in front of it."""
+    t, front = dim - 1, 0
+    for _, index in word:
+        t = min(t, front + dim - 1 - index)
+        front += index
+    return min(2 * (depth - len(word)), 2 * (weight - front), 2 * t) + 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_word_state_moments_exact_through_the_certified_order_and_no_further(seed):
+    # against a model of the 7-level factors at depth 8, exact at these
+    # words through order 2(8 - s) + 1 >= 7
+    rng = random.Random(seed)
+    jmu, jnu = complete_jacobi(rng, 7), complete_jacobi(rng, 7)
+    ref = opmodel.FreeProductModel(jmu, jnu, factor_dim=7, depth_cap=8)
+    for depth, weight, dim, word, binding in [
+        (2, 6, 6, ((1, 1),), "depth"),
+        (5, 3, 6, ((1, 1), (2, 1)), "index sum"),
+        (5, 8, 4, ((1, 2), (2, 1)), "largest letter first"),
+        (5, 8, 4, ((1, 1), (2, 3)), "largest letter second"),
+        (6, 9, 4, ((2, 1), (1, 1), (2, 3)), "largest letter third"),
+    ]:
+        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
+        order = word_state_order(depth, weight, dim, word)
+        got = model.state_moments(model.total(), order + 1, vec=model.word_vector(word))
+        want = ref.state_moments(ref.total(), order + 1, vec=ref.word_vector(word))
+        assert got[:order] == want[:order], binding
+        assert got[order] != want[order], binding
+    # behind a letter of index 1, the index-3 letter reaches dim = 4 only
+    # after 4 steps, not the 2 that dim - 1 - 3 allows
+    assert word_state_order(5, 8, 4, ((1, 1), (2, 3))) == 2 * (1 + 4 - 1 - 3) + 1 == 3
 
 
 class TestBranches:

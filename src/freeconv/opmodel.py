@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import Mapping, Optional, Sequence
 
@@ -515,7 +515,15 @@ def orthogonality_check(
             out.append(apply_columns(cols[letter], out[-1]))
         return out
 
-    words = [w for n in range(n_max + 1) for w in product("ab", repeat=n)]
+    words: list[tuple[str, ...]] = [()]
+    frontier: list[tuple[str, ...]] = [()]
+    for _ in range(n_max):
+        nxt = []
+        for w in frontier:
+            for letter in ("a", "b"):
+                nxt.append(w + (letter,))
+        words.extend(nxt)
+        frontier = nxt
     pow_a = [d_a**k for k in range(2 * n_max + 1)]
     pow_b = [d_b**k for k in range(n_max + 1)]
     scale = {w: pow_a[w.count("a")] * pow_b[w.count("b")] for w in words}

@@ -915,14 +915,30 @@ def graph_products_realize_the_five_convolutions(inp, rng):
 
 @check("opmodel")
 def tensor_pair_of_graphs_passes_orthogonality(inp, rng):
-    g1, g2 = graphs.path_graph(3), graphs.path_graph(2)
-    n2, size = g2.n, g1.n * g2.n
-    # A1 x P_root and P_nonroot x A2, with vertex (u, x) at u * n2 + x
-    a1 = {(u * n2 + g2.root, v * n2 + g2.root): 1 for e in g1.edges for u, v in (e, e[::-1])}
-    a2 = {(u * n2 + x, u * n2 + y): 1 for u in g1.non_root() for e in g2.edges for x, y in (e, e[::-1])}
-    a_first, a_second = opmodel.ModelOperator(size, a1), opmodel.ModelOperator(size, a2)
-    xi = {g1.root * n2 + g2.root: Fraction(1)}
-    eta = {g1.non_root()[0] * n2 + g2.root: Fraction(1)}
+    g1 = graphs.path_graph(3)
+    g2 = graphs.path_graph(2)
+    n1, n2 = g1.n, g2.n
+    size = n1 * n2
+
+    def pid(u, v):
+        return u * n2 + v
+
+    a1_entries: dict = {}
+    for u, v in g1.edges:
+        a1_entries[(pid(u, g2.root), pid(v, g2.root))] = 1
+        a1_entries[(pid(v, g2.root), pid(u, g2.root))] = 1
+    a2_entries: dict = {}
+    for u in range(n1):
+        if u == g1.root:
+            continue
+        for x, y in g2.edges:
+            a2_entries[(pid(u, x), pid(u, y))] = 1
+            a2_entries[(pid(u, y), pid(u, x))] = 1
+    a_first = opmodel.ModelOperator(size, a1_entries)
+    a_second = opmodel.ModelOperator(size, a2_entries)
+    xi = {pid(g1.root, g2.root): Fraction(1)}
+    v0 = next(v for v in range(n1) if v != g1.root)
+    eta = {pid(v0, g2.root): Fraction(1)}
     report = opmodel.orthogonality_check(a_first, a_second, xi, eta, 3, [1] * size)
     expect(report.ok, "A1 x P, P x A2 on path(3) x path(2): {}", report.violations[:1])
 

@@ -390,8 +390,8 @@ def refuse_arithmetic(self, other, op):
 
 
 def replica_sums(model):
-    """Reference replicas and branches: compressions to the slabs, and
-    their alternating sums, added on `Fraction`s."""
+    """Reference replicas and branches: compressions to the slabs and
+    their alternating sums."""
     last = model.depth_cap + 1
     replicas = {
         (i, n): compress(model.lam(i), level_indices(model.basis, i, n))

@@ -1,14 +1,14 @@
 """Alternating parent/change pairs of the benchmark, with quartiles and wins.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --parent-commit SHA \\
-        --seed-base N --out BENCH_<n>.json [--pairs 10]
+        --seed-base N --out BENCH_<n>.json
 
 DIR is a checkout of each side without ``__pycache__`` (``git archive``
 gives one); each side runs its own ``perfbench/run.py`` from its own
 directory, untraced.  For each workload of the change's ``BENCHMARK.json``,
-at its ``run_seconds``, pair p runs both sides at seed N + 100 i + p, where
-i counts the workloads from 1 in that order; odd pairs run the parent
-first.  Each result is the last stdout line of ``run.py``.  The output
+at its ``run_seconds``, each of ``PAIRS`` pairs p runs both sides at seed
+N + 100 i + p, where i counts the workloads from 1 in that order; odd pairs
+run the parent first.  Each result is the last stdout line of ``run.py``.  The output
 holds every run and, per workload and end-to-end metric, each side's
 quartiles and the number of pairs in which the change is strictly better,
 in the direction ``BENCHMARK.json`` gives for the metric.  Standard library
@@ -26,6 +26,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10  # the fewest alternating pairs a gain may be claimed on
 
 
 def schedule(workloads: list[str], pairs: int, seed_base: int) -> list[tuple[str, int, int, str]]:
@@ -76,10 +78,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("quartiles need at least 2 pairs")
     for checkout in (args.parent, args.change):
         # run.py imports the program in-process and in fresh set-up probes;
         # bytecode left on one side only moves its setup_s and peak_rss_mb
@@ -92,7 +91,7 @@ def main(argv=None) -> int:
     seconds = {w["name"]: float(bench["run_seconds"]) for w in bench["workloads"]}
 
     runs = []
-    for workload, pair, seed, side in schedule(list(seconds), args.pairs, args.seed_base):
+    for workload, pair, seed, side in schedule(list(seconds), PAIRS, args.seed_base):
         checkout = args.parent if side == "parent" else args.change
         start = time.monotonic()
         result = run_one(checkout, workload, seed, seconds[workload])
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
         print(f"{workload} pair {pair} {side}: req_per_s {metric:.4g} ({took:.0f} s)", file=sys.stderr)
 
     ranges = ", ".join(
-        f"{w} at {s:g} s (seeds {args.seed_base + 100 * i + 1}-{args.seed_base + 100 * i + args.pairs})"
+        f"{w} at {s:g} s (seeds {args.seed_base + 100 * i + 1}-{args.seed_base + 100 * i + PAIRS})"
         for i, (w, s) in enumerate(seconds.items(), 1)
     )
     out = {
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
         "parent_commit": args.parent_commit,
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
         "note": (
-            f"{args.pairs} alternating parent/change pairs per workload, odd pairs run the parent "
+            f"{PAIRS} alternating parent/change pairs per workload, odd pairs run the parent "
             f"first; {ranges}; each result is the last stdout line of run.py, each side run from "
             "its own checkout by tools/bench_pairs.py"
         ),

@@ -1,17 +1,14 @@
 """Rooted graphs and the products whose root spectra realize the convolutions.
 
-A rooted graph acts through its adjacency operator: a `ModelOperator` on
-the basis with the root as vector 0 and the other vertices after it in
-increasing order.  Star product glues two graphs at their roots (boolean),
-the comb product hangs a copy of the second graph on every vertex of the
-first (monotone), and the orthogonal product hangs copies on every non-root
-vertex.  The truncated free product is the free-product representation of
-the two adjacency operators on the alternating words of length <= radius
-(`opmodel.WordBasis` and `opmodel.free_product_rep`), so it shares that
-basis's size cap; its branch keeps the empty word and the words whose last
-letter comes from one factor.  Root spectral moments are walk counts on the
-edge lists, exact integers, so all comparisons against the moment-level
-convolutions are exact.
+Star product glues two graphs at their roots (boolean), the comb product
+hangs a copy of the second graph on every vertex of the first (monotone),
+and the orthogonal product hangs copies on every non-root vertex.  The
+truncated free product is built as its natural decomposition (Accardi,
+Lenczewski and Salapata, IDAQP 10, 2007): a branch is the alternating
+orthogonal product g_f |- (g_o |- ...), the ball the star product of the
+two branches.  Root spectral moments are walk counts on the edge lists,
+exact integers, so all comparisons against the moment-level convolutions
+are exact.
 """
 
 from __future__ import annotations
@@ -21,7 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
-from .opmodel import ModelOperator, WordBasis, free_product_rep
+
+_WORD_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -34,15 +32,6 @@ class RootedGraph:
 
     def non_root(self) -> list[int]:
         return [v for v in range(self.n) if v != self.root]
-
-    def adjacency(self) -> ModelOperator:
-        """Adjacency operator with the root as basis vector 0 and the other
-        vertices after it in increasing order."""
-        label = {v: i for i, v in enumerate([self.root] + self.non_root())}
-        entries = {}
-        for u, v in self.edges:
-            entries[label[u], label[v]] = entries[label[v], label[u]] = 1
-        return ModelOperator(self.n, entries)
 
 
 def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGraph:
@@ -126,30 +115,38 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     return _attach_copies(g1, g2, g1.non_root())
 
 
-def _free_product(
-    g1: RootedGraph, g2: RootedGraph, radius: int
-) -> tuple[WordBasis, ModelOperator]:
-    """Alternating words of length <= radius and the sum of the two lifted
-    adjacency operators on them."""
+def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, factors: tuple[int, ...]) -> RootedGraph:
+    """Alternating words of length <= radius, shortest first: a word w hangs
+    a copy of each factor its first letter does not come from (the root: of
+    `factors`), with root w and vertex v the word ((f, v),) + w.  A length's
+    words, held as (first letter, index of the rest) and sorted so, continue
+    the numbering in (length, word) order, root first."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    # a letter's index is below max(n1, n2), so this index-sum cap prunes no word
-    basis = WordBasis.build(g1.n, g2.n, radius, radius * max(g1.n, g2.n))
-    op = free_product_rep(g1.adjacency(), 1, basis) + free_product_rep(g2.adjacency(), 2, basis)
-    return basis, op
-
-
-def _induced(op: ModelOperator, keep: Sequence[int]) -> RootedGraph:
-    """Graph on the kept basis indices, renumbered in order and rooted at the
-    first, with an edge for every entry of `op` between two of them."""
-    label = {i: k for k, i in enumerate(keep)}
-    edges = set()
-    for c, col in op.entries.items():
-        for r in col:
-            if r in label and c in label:
-                a, b = label[r], label[c]
-                edges.add((min(a, b), max(a, b)))
-    return RootedGraph(len(label), 0, frozenset(edges))
+    # the words of each length, by their first letter's factor, counted before any is built
+    gs, sizes = (g1, g2), (g1.n - 1, g2.n - 1)
+    count, total = [sizes[f - 1] if f in factors else 0 for f in (1, 2)], 1
+    for _ in range(radius):
+        total += sum(count)
+        if total > _WORD_LIMIT:
+            raise InvalidParameter(f"basis would have more than {_WORD_LIMIT} words; lower the caps")
+        count = [count[1] * sizes[0], count[0] * sizes[1]]
+        if not any(count):
+            break
+    level = [(0, 0)]  # the newest words: factor of the first letter (0 at the root), index
+    n, edges = 1, set()
+    while n < total:
+        copies = [(f, i) for first, i in level for f in ((3 - first,) if first else factors)]
+        words = sorted(((f, v), i) for f, i in copies for v in gs[f - 1].non_root())
+        index = {w: n + k for k, w in enumerate(words)}
+        for f, i in copies:
+            g = gs[f - 1]
+            name = {v: index[(f, v), i] for v in g.non_root()}
+            name[g.root] = i
+            edges.update(tuple(sorted((name[u], name[v]))) for u, v in g.edges)
+        n += len(words)
+        level = [(f, index[(f, v), i]) for (f, v), i in words]
+    return RootedGraph(n, 0, frozenset(edges))
 
 
 def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGraph:
@@ -158,8 +155,7 @@ def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGr
     Root spectral moments of order <= 2 * radius + 1 agree with the infinite
     free product (an order-n moment only explores words of length <= n/2).
     """
-    basis, op = _free_product(g1, g2, radius)
-    return _induced(op, range(len(basis)))
+    return _free_product(g1, g2, radius, (1, 2))
 
 
 def free_product_branch(
@@ -169,8 +165,7 @@ def free_product_branch(
     the words whose last letter comes from the chosen factor."""
     if factor not in (1, 2):
         raise InvalidParameter("factor must be 1 or 2")
-    basis, op = _free_product(g1, g2, radius)
-    return _induced(op, [i for i, w in enumerate(basis.words) if not w or w[-1][0] == factor])
+    return _free_product(g1, g2, radius, (factor,))
 
 
 # ---------------------------------------------------------------------------

@@ -79,22 +79,19 @@ class WordBasis:
     """
 
     words: tuple[Word, ...]
-    dims: tuple[int, int]
+    dim: int
     depth_cap: int
     weight_cap: int
     index: Mapping[Word, int] = field(compare=False, repr=False)
 
     @classmethod
-    def build(
-        cls, d1: int, d2: int, depth_cap: int, weight_cap: Optional[int] = None
-    ) -> "WordBasis":
-        if d1 < 1 or d2 < 1:
-            raise InvalidParameter("factor dimensions must be >= 1")
+    def build(cls, d: int, depth_cap: int, weight_cap: Optional[int] = None) -> "WordBasis":
+        if d < 1:
+            raise InvalidParameter("factor dimension must be >= 1")
         if depth_cap < 1:
             raise InvalidParameter("depth cap must be >= 1")
         if weight_cap is None:
             weight_cap = depth_cap
-        dims = (d1, d2)
         words: list[Word] = [()]
         # one word length at a time, with each word's index sum
         level: list[tuple[Word, int]] = [((), 0)]
@@ -104,7 +101,7 @@ class WordBasis:
                 for factor in (1, 2):
                     if prefix and prefix[0][0] == factor:
                         continue
-                    for k in range(1, min(dims[factor - 1], weight_cap - weight + 1)):
+                    for k in range(1, min(d, weight_cap - weight + 1)):
                         if len(words) == _BASIS_SIZE_LIMIT:
                             raise InvalidParameter(
                                 f"basis would have more than {_BASIS_SIZE_LIMIT} words; "
@@ -118,7 +115,7 @@ class WordBasis:
             level = grown
         words.sort(key=lambda w: (len(w), w))
         index = {w: i for i, w in enumerate(words)}
-        return cls(tuple(words), dims, depth_cap, weight_cap, index)
+        return cls(tuple(words), d, depth_cap, weight_cap, index)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -303,9 +300,8 @@ def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOp
     """
     if factor not in (1, 2):
         raise InvalidParameter("factor must be 1 or 2")
-    d = basis.dims[factor - 1]
-    if a.size != d:
-        raise InvalidParameter(f"factor operator must be {d}-dimensional")
+    if a.size != basis.dim:
+        raise InvalidParameter(f"factor operator must be {basis.dim}-dimensional")
     cols: dict = {}
     for ci, w in enumerate(basis.words):
         if w and w[0][0] == factor:
@@ -347,7 +343,7 @@ class FreeProductModel:
         a1, a2 = a1._over(den), a2._over(den)
         self.factors = (a1, a2)
         self.factor_weights = (monic_norms(self.mu_jacobi, factor_dim), monic_norms(self.nu_jacobi, factor_dim))
-        self.basis = WordBasis.build(factor_dim, factor_dim, depth_cap, weight_cap)
+        self.basis = WordBasis.build(factor_dim, depth_cap, weight_cap)
         self.weights = self.basis.weights(self.factor_weights)
         self.x1 = free_product_rep(a1, 1, self.basis)
         self.x2 = free_product_rep(a2, 2, self.basis)
@@ -424,7 +420,7 @@ class FreeProductModel:
             raise InvalidParameter(f"operator on {op.size} basis vectors, the model has {len(self.basis)}")
         if vec is None:
             vec = self.vacuum()
-        cur = _int_vector(vec)
+        cur = _int_state(vec, self.weights)
         vec_bra = _int_vector(bra(vec, self.weights))
         scale = vec_dot(cur, vec_bra)
         if not scale:
@@ -440,6 +436,14 @@ class FreeProductModel:
 def _int_vector(vec: dict) -> dict:
     """`vec` times the lcm of its denominators, on ints."""
     return dict(zip(vec, _over_lcm(vec.values())[1]))
+
+
+def _int_state(vec: dict, weights: Sequence) -> dict:
+    """`_int_vector` of a state vector whose keys all index `weights`."""
+    for k in vec:
+        if not 0 <= k < len(weights):
+            raise InvalidParameter(f"state key {k} outside the {len(weights)} basis vectors")
+    return _int_vector(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +501,7 @@ def orthogonality_check(
     """
     cols = {"a": a.entries, "b": b.entries}
     d_a, d_b = a.den, b.den
-    xi, eta = _int_vector(xi), _int_vector(eta)
+    xi, eta = _int_state(xi, weights), _int_state(eta, weights)
 
     def violated(L, P_b, plain, P_w, P_q, scale):
         """None if (ii) holds, else its two sides; (i) is the case

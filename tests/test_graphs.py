@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from freeconv import convolve, graphs
 from freeconv.errors import InvalidParameter
 from freeconv.measures import bernoulli_symmetric
+from freeconv.opmodel import ModelOperator
 
 
 P2 = graphs.path_graph(2)
@@ -124,10 +126,65 @@ class TestFreeProductAgainstWordEnumeration:
                 ), (case, factor)
 
 
+class TestFreeProductDecomposition:
+    """The branch of g1 * g2 is the alternating orthogonal product
+    g_f |- (g_o |- (g_f |- ...)) and the ball the star product of the two
+    branches, each renumbered by the word its vertices stand for."""
+
+    def test_branches_and_ball_are_the_relabelled_products(self):
+        rng = random.Random(2500)
+        for _ in range(100):
+            gs = {f: _random_graph(rng, rng.randint(1, 5), root=None) for f in (1, 2)}
+            radius = rng.randint(1, 5)
+            branches = {f: orthogonal_iterate(gs, radius, f) for f in (1, 2)}
+            for f, (g, words) in branches.items():
+                assert graphs.free_product_branch(gs[1], gs[2], radius, f) == by_sorted_words(g, words), (gs, radius, f)
+            (b1, words1), (b2, words2) = branches[1], branches[2]
+            star_words = words1 + [words2[x] for x in b2.non_root()]
+            want = by_sorted_words(graphs.graph_star(b1, b2), star_words)
+            assert graphs.free_product_ball(gs[1], gs[2], radius) == want, (gs, radius)
+
+    def test_size_cap_stops_the_products(self):
+        # 976 561 words in the ball and 488 281 in a branch of two 6-cliques at radius 8
+        k6 = graphs.rooted_graph(6, 0, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        for build in (graphs.free_product_ball, graphs.free_product_branch):
+            start = time.perf_counter()
+            with pytest.raises(InvalidParameter, match="more than 200000 words"):
+                build(k6, k6, 8)
+            assert time.perf_counter() - start < 2.0
+
+
+def orthogonal_iterate(gs, radius, f):
+    """g_f |- (g_o |- ...) with `radius` factors, by `graph_orthogonal`, and
+    the word each vertex stands for: g_f's vertex v is () at the root and
+    ((f, v),) otherwise, and vertex x of the copy hung at v is
+    word(x) + ((f, v),), copies numbered after g_f host by host."""
+    g = gs[f]
+    words = [() if v == g.root else ((f, v),) for v in range(g.n)]
+    if radius == 1:
+        return g, words
+    h, inner = orthogonal_iterate(gs, radius - 1, 3 - f)
+    for v in g.non_root():
+        words += [inner[x] + ((f, v),) for x in h.non_root()]
+    return graphs.graph_orthogonal(g, h), words
+
+
+def by_sorted_words(g, words):
+    """g renumbered by its vertices' words in (length, word) order."""
+    order = sorted(range(g.n), key=lambda v: (len(words[v]), words[v]))
+    label = {v: i for i, v in enumerate(order)}
+    edges = frozenset(tuple(sorted((label[u], label[v]))) for u, v in g.edges)
+    return graphs.RootedGraph(g.n, label[g.root], edges)
+
+
 def adjacency_root_moments(g, n_max):
-    """Reference: the root moments walked on the adjacency operator, the
-    root as basis vector 0."""
-    a = g.adjacency()
+    """Reference: the root moments walked on the adjacency operator, with
+    the root as basis vector 0 and the other vertices after it in order."""
+    label = {v: i for i, v in enumerate([g.root] + g.non_root())}
+    entries = {}
+    for u, v in g.edges:
+        entries[label[u], label[v]] = entries[label[v], label[u]] = 1
+    a = ModelOperator(g.n, entries)
     vec = {0: F(1)}
     out = []
     for _ in range(n_max):

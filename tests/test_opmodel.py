@@ -49,7 +49,7 @@ def small_model(seed=0, dim=4, depth=8, weight_cap=None):
 
 class TestWordBasis:
     def test_two_dimensional_factors_give_zigzag_words(self):
-        basis = opmodel.WordBasis.build(2, 2, 6)
+        basis = opmodel.WordBasis.build(2, 6)
         # one empty word plus two alternating words per length
         assert len(basis) == 1 + 2 * 6
         assert basis.words[0] == ()
@@ -57,36 +57,34 @@ class TestWordBasis:
         assert basis.words[2] == ((2, 1),)
 
     def test_ordering_is_length_then_lexicographic(self):
-        basis = opmodel.WordBasis.build(3, 3, 2)
+        basis = opmodel.WordBasis.build(3, 2)
         lengths = [len(w) for w in basis.words]
         assert lengths == sorted(lengths)
         level1 = [w for w in basis.words if len(w) == 1]
         assert level1 == sorted(level1)
 
     def test_weight_cap_prunes_heavy_letters(self):
-        full = opmodel.WordBasis.build(8, 8, 2, weight_cap=14)
-        capped = opmodel.WordBasis.build(8, 8, 2, weight_cap=3)
+        full = opmodel.WordBasis.build(8, 2, weight_cap=14)
+        capped = opmodel.WordBasis.build(8, 2, weight_cap=3)
         assert len(capped) < len(full)
         assert all(sum(k for _, k in w) <= 3 for w in capped.words)
 
     def test_words_equal_the_recursive_enumeration(self):
-        for d1 in range(1, 5):
-            for d2 in range(1, 5):
-                for depth in range(1, 5):
-                    for weight in range(1, 9):
-                        basis = opmodel.WordBasis.build(d1, d2, depth, weight)
-                        want = recursive_words(d1, d2, depth, weight)
-                        assert list(basis.words) == want, (d1, d2, depth, weight)
+        for d in range(1, 5):
+            for depth in range(1, 5):
+                for weight in range(1, 9):
+                    basis = opmodel.WordBasis.build(d, depth, weight)
+                    assert list(basis.words) == recursive_words(d, depth, weight), (d, depth, weight)
 
     def test_size_cap_stops_the_enumeration(self):
         # about 24 million words below the caps; the first 200 000 take well under 2 s
         start = time.perf_counter()
         with pytest.raises(InvalidParameter, match="more than 200000 words"):
-            opmodel.WordBasis.build(6, 6, 10, 60)
+            opmodel.WordBasis.build(6, 10, 60)
         assert time.perf_counter() - start < 2.0
 
     def test_level_slabs_partition_words(self):
-        basis = opmodel.WordBasis.build(3, 3, 4)
+        basis = opmodel.WordBasis.build(3, 4)
         for factor in (1, 2):
             slabs: dict[int, set[int]] = {}
             for i in range(len(basis)):
@@ -106,10 +104,9 @@ def level_indices(basis, factor, n):
     }
 
 
-def recursive_words(d1, d2, depth_cap, weight_cap):
+def recursive_words(d, depth_cap, weight_cap):
     """Reference: the alternating words grown depth first by prepending
     letters, then sorted length-lexicographically."""
-    dims = (d1, d2)
     words = [()]
 
     def grow(prefix, weight):
@@ -118,7 +115,7 @@ def recursive_words(d1, d2, depth_cap, weight_cap):
         for factor in (1, 2):
             if prefix and prefix[0][0] == factor:
                 continue
-            for k in range(1, dims[factor - 1]):
+            for k in range(1, d):
                 if weight + k > weight_cap:
                     break
                 word = ((factor, k),) + prefix
@@ -273,7 +270,7 @@ class TestJacobiOperator:
 
 class TestFreeProductRep:
     def test_identity_lifts_to_identity(self):
-        basis = opmodel.WordBasis.build(3, 3, 3)
+        basis = opmodel.WordBasis.build(3, 3)
         eye = opmodel.ModelOperator(3, {(i, i): F(1) for i in range(3)})
         lifted = opmodel.free_product_rep(eye, 1, basis)
         assert lifted.entries == {i: {i: F(1)} for i in range(len(basis))}
@@ -335,6 +332,17 @@ class TestFreeProductRep:
         model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
         with pytest.raises(InvalidParameter, match="norm 0"):
             model.state_moments(model.total(), 2, vec=model.word_vector(((1, 2),)))
+
+    @pytest.mark.parametrize("key", [-1, 7, 99, 10**6])
+    def test_state_key_outside_the_basis_rejected(self, key):
+        # a negative key would read a weight from the end, a large one past it
+        model = opmodel.FreeProductModel(two_point(F(1, 3), -1, 2), two_point(F(1, 4), 0, 3), factor_dim=2, depth_cap=3)
+        bad = {key: F(1)}
+        with pytest.raises(InvalidParameter, match="outside the 7 basis vectors"):
+            model.state_moments(model.total(), 3, vec=bad)
+        for xi, eta in ((bad, model.vacuum()), (model.vacuum(), bad)):
+            with pytest.raises(InvalidParameter, match="outside the 7 basis vectors"):
+                opmodel.orthogonality_check(model.x1, model.x2, xi, eta, 2, model.weights)
 
     def test_centered_alternating_products_vanish(self):
         model = small_model(seed=2)
@@ -453,7 +461,7 @@ def test_cancelling_pair_has_an_empty_total():
     ids=["thirds", "halves-and-thirds", "weight-capped", "cancelling"],
 )
 def test_model_operators_are_ints_over_one_denominator(model):
-    dim = model.basis.dims[0]
+    dim = model.basis.dim
     den = math.lcm(*(opmodel.jacobi_operator(j, dim).den for j in (model.mu_jacobi, model.nu_jacobi)))
     last = model.depth_cap + 1
     ops = [*model.factors, model.x1, model.x2, model.total()]

@@ -129,7 +129,8 @@ def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, factors: tuple[
     for _ in range(radius):
         total += sum(count)
         if total > _WORD_LIMIT:
-            raise InvalidParameter(f"basis would have more than {_WORD_LIMIT} words; lower the caps")
+            what = "ball" if factors == (1, 2) else "branch"
+            raise InvalidParameter(f"a free-product {what} of radius {radius} would have more than {_WORD_LIMIT} words")
         count = [count[1] * sizes[0], count[0] * sizes[1]]
         if not any(count):
             break

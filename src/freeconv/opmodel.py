@@ -48,11 +48,12 @@ factors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import DepthExceeded, InvalidParameter
 from .measures import JacobiParams, _as_jacobi, _over_lcm
@@ -454,7 +455,55 @@ def _int_state(vec: dict, weights: Sequence) -> dict:
 class OrthogonalityReport:
     ok: bool
     checked: int
-    violations: list[str]
+    violations: Sequence[str]
+
+
+class _Violations(Sequence):
+    """Violation texts of one orthogonality check, held as raw int tuples
+    and formatted only when an item is read, so `len` builds no text.
+
+    An item of condition (i) is (order, p, q, L): order 0 for a^p b^q, 1
+    for b^q a^p.  An item of (ii) is (p, s, q, i1, i2, L, R), with w1 and
+    w2 the words i1 and i2.  L and R are the scaled sides of the check's
+    docstring; a text divides them by the powers of d_a, d_b, n_xi and
+    n_eta that they carry.  The sequence equals any sequence of the same
+    texts, a list among them.
+    """
+
+    __slots__ = ("raw", "words", "d_a", "d_b", "n_xi", "n_eta")
+
+    def __init__(self, words: list[tuple[str, ...]], d_a: int, d_b: int, n_xi: int, n_eta: int):
+        self.raw: list[tuple] = []
+        self.words, self.d_a, self.d_b, self.n_xi, self.n_eta = words, d_a, d_b, n_xi, n_eta
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._text(item) for item in self.raw[i]]
+        return self._text(self.raw[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _text(self, item: tuple) -> str:
+        d_a, d_b, n_xi = self.d_a, self.d_b, self.n_xi
+        if len(item) == 4:
+            order, p, q, L = item
+            label = f"b^{q} a^{p}" if order else f"a^{p} b^{q}"
+            return f"phi({label}) = {Fraction(L, d_a**p * d_b**q * n_xi)}"
+        p, s, q, i1, i2, L, R = item
+        w1, w2 = self.words[i1], self.words[i2]
+        d = d_a ** (p + q + w1.count("a") + w2.count("a")) * d_b ** (s + w1.count("b") + w2.count("b")) * n_xi
+        return "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s" % (
+            p, s, q, "".join(w1) or "1", "".join(w2) or "1", Fraction(L, d), Fraction(R, d * self.n_eta * n_xi)
+        )
 
 
 def orthogonality_check(
@@ -473,44 +522,41 @@ def orthogonality_check(
     a, b outside, the first-state expectation factors through the second
     state's value on the middle power.  Violations are reported, not
     raised, in a fixed order: (i) by p, q; (ii) by w2, q, s, p, w1, with
-    words in length-lexicographic order.
-
-    The power chains are shared: a^k w2 xi once per w2, the b-chain once
-    per q, the a-chain once per s; <w1 a^p xi, xi> and <a^(p+q) w2 xi, w1>
-    once per argument pair.
+    words in length-lexicographic order.  Both states need a nonzero norm.
 
     Every dot is the inner product with basis weights `weights`, under
-    which `a` and `b` must be self-adjoint, and runs on ints: a and b are
-    their stores, scaled by d_a = a.den and d_b = b.den, and xi, eta and the
-    weights (only where a bra reads them) by the lcm d_xi, d_eta, d_w of
-    their own denominators.  Both conditions are homogeneous.  A raw dot
-    with p letters a and q letters b between two xi's is the rational one
-    times d_a^p d_b^q d_xi^2 d_w, so (i) holds when it is 0.  Each side of
-    (ii) is a product of three dots, so d_w cancels from it and from its
-    text.  With n_xi = <xi, xi> and n_eta = <eta, eta> scaled, L the raw
-    left side, P_b = <b^s eta, eta>, Plain = <a^(p+q) w2 xi, w1>,
-    P_w = <w1 a^p xi, xi> and P_q = <a^q w2 xi, xi>, the powers of d_a and
-    d_b agree on both sides, and (ii) holds when
+    which `a` and `b` must be self-adjoint, and the check moves letters
+    across a dot by that: phi(a^p b^q) = <b^q xi, a^p xi> = phi(b^q a^p),
+    and phi(w1 a^p u) = <u, a^p w1* xi>, with w1* the reversed word.  So
+    the left vectors a^p w1* xi are built once, n_max |words| steps of
+    `a`, and for each (w2, q, s, p) one pass through a transposed index
+    of them (basis key -> (w1, weighted entry)) gives the row of dots
+    against every w1.  The row of the left side is compared with the row
+    of the right side in one list comparison, and only a row that differs
+    is walked for its violations.  Plain = <a^(p+q) w2 xi, w1* xi> is the
+    row of a^q w2 xi at p, so no chain runs past n_max steps.
 
-        L n_eta n_xi == P_b (Plain n_xi - P_w P_q).
+    The dots run on ints: a and b are their stores, scaled by d_a = a.den
+    and d_b = b.den, and xi, eta and the weights (only where a left vector
+    or eta is supported) by the lcm d_xi, d_eta, d_w of their own
+    denominators.  Both conditions are homogeneous.  A raw dot with p
+    letters a and q letters b between two xi's is the rational one times
+    d_a^p d_b^q d_xi^2 d_w, so (i) holds when it is 0.  Each side of (ii)
+    is a product of three dots, so d_w cancels from it and from its text.
+    With n_xi = <xi, xi> and n_eta = <eta, eta> scaled, L the raw left
+    side, P_b = <b^s eta, eta>, P_w = <w1 a^p xi, xi> and
+    P_q = <a^q w2 xi, xi>, the powers of d_a and d_b agree on both sides,
+    and (ii) holds when
 
-    Rationals are built only for a violation's text: the left side is
-    L / d and the right side P_b (Plain n_xi - P_w P_q) / (d n_eta n_xi),
-    with d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's
-    scale is d_a and d_b to its letter counts.
+        L n_eta n_xi == R,  R = P_b (Plain n_xi - P_w P_q).
+
+    A violation is kept as its ints, and its text is built when read: the
+    left side is L / d and the right side R / (d n_eta n_xi), with
+    d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's scale is
+    d_a and d_b to its letter counts.
     """
     cols = {"a": a.entries, "b": b.entries}
-    d_a, d_b = a.den, b.den
     xi, eta = _int_state(xi, weights), _int_state(eta, weights)
-
-    def violated(L, P_b, plain, P_w, P_q, scale):
-        """None if (ii) holds, else its two sides; (i) is the case
-        P_b = 0, with the left side as its value."""
-        rhs = P_b * (plain * n_xi - P_w * P_q)
-        if L * n_eta * n_xi == rhs:
-            return None
-        d = scale * n_xi
-        return Fraction(L, d), Fraction(rhs, d * n_eta * n_xi)
 
     def chain(letter: str, vec: dict, n: int) -> list[dict]:
         """[vec, op vec, ..., op^n vec] for the operator named `letter`."""
@@ -522,68 +568,70 @@ def orthogonality_check(
     words: list[tuple[str, ...]] = [()]
     frontier: list[tuple[str, ...]] = [()]
     for _ in range(n_max):
-        nxt = []
-        for w in frontier:
-            for letter in ("a", "b"):
-                nxt.append(w + (letter,))
-        words.extend(nxt)
-        frontier = nxt
-    pow_a = [d_a**k for k in range(2 * n_max + 1)]
-    pow_b = [d_b**k for k in range(n_max + 1)]
-    scale = {w: pow_a[w.count("a")] * pow_b[w.count("b")] for w in words}
+        frontier = [w + (letter,) for w in frontier for letter in ("a", "b")]
+        words.extend(frontier)
 
     # suffix[w] = w applied to xi; words come shortest first, so the suffix
-    # w[1:] is always ready.  Operators are self-adjoint and the words closed
-    # under reversal, so the reversed left word gives the bra side.
+    # w[1:] is always ready
     suffix = {(): xi}
     for w in words[1:]:
         suffix[w] = apply_columns(cols[w[0]], suffix[w[1:]])
-    # a dot reads the weights only where eta or a suffix is supported
-    weights = _int_vector({k: weights[k] for k in set(eta).union(*suffix.values())})
+    # lefts[p][j] = a^p w_j* xi, the words being closed under reversal
+    lefts = [[suffix[w[::-1]] for w in words]]
+    for _ in range(n_max):
+        lefts.append([apply_columns(cols["a"], v) for v in lefts[-1]])
+    weights = _int_vector({k: weights[k] for k in set(eta).union(*(v for vecs in lefts for v in vecs))})
     xi_bra, eta_bra = bra(xi, weights), bra(eta, weights)
-    n_xi = vec_dot(xi, xi_bra)
-    n_eta = vec_dot(eta, eta_bra)
-    lefts = {w: bra(suffix[w[::-1]], weights) for w in words}
+    n_xi, n_eta = vec_dot(xi, xi_bra), vec_dot(eta, eta_bra)
+    if not (n_xi and n_eta):
+        raise InvalidParameter("orthogonality states need a nonzero norm")
+    # index[p][k] lists (j, weight_k * lefts[p][j][k])
+    index: list[dict[int, list]] = [{}]
+    for vecs in lefts[1:]:
+        t: dict[int, list] = {}
+        for j, v in enumerate(vecs):
+            for k, x in v.items():
+                t.setdefault(k, []).append((j, x * weights[k]))
+        index.append(t)
 
-    a_pow = chain("a", xi, 2 * n_max)
+    def row(vec: dict, p: int) -> list:
+        """<vec, lefts[p][j]> for every word j, in one pass over vec."""
+        out = [0] * len(words)
+        t = index[p]
+        for k, x in vec.items():
+            for j, y in t.get(k, ()):
+                out[j] += x * y
+        return out
+
     P_b = [vec_dot(v, eta_bra) for v in chain("b", eta, n_max)]
-    P_w = {(p, w1): vec_dot(a_pow[p], lefts[w1]) for p in range(1, n_max + 1) for w1 in words}
+    P_w = [None] + [row(xi, p) for p in range(1, n_max + 1)]
+    violations = _Violations(words, a.den, b.den, n_xi, n_eta)
+    raw = violations.raw
 
-    violations: list[str] = []
-    checked = 0
-
-    # condition (i): ab[q][p] = a^p b^q xi, ba[p][q] = b^q a^p xi
-    ab = [None] + [chain("a", v, n_max) for v in chain("b", xi, n_max)[1:]]
-    ba = [None] + [chain("b", v, n_max) for v in a_pow[1 : n_max + 1]]
+    # condition (i)
+    b_xi = chain("b", xi, n_max)
     for p in range(1, n_max + 1):
+        a_bra = bra(lefts[p][0], weights)
         for q in range(1, n_max + 1):
-            for label, vec in ((f"a^{p} b^{q}", ab[q][p]), (f"b^{q} a^{p}", ba[p][q])):
-                checked += 1
-                if shown := violated(vec_dot(vec, xi_bra), 0, 0, 0, 0, pow_a[p] * pow_b[q]):
-                    violations.append(f"phi({label}) = {shown[0]}")
+            if L := vec_dot(b_xi[q], a_bra):
+                raw += ((0, p, q, L), (1, p, q, L))
 
     # condition (ii)
-    for w2 in words:
-        a_w2 = chain("a", suffix[w2], 2 * n_max)
-        plain = {
-            (k, w1): vec_dot(a_w2[k], lefts[w1])
-            for k in range(2, 2 * n_max + 1)
-            for w1 in words
-        }
+    c = n_eta * n_xi
+    for i2, w2 in enumerate(words):
+        a_w2 = chain("a", suffix[w2], n_max)
         for q in range(1, n_max + 1):
             P_q = vec_dot(a_w2[q], xi_bra)
-            b_chain = chain("b", a_w2[q], n_max)
-            for s in range(1, n_max + 1):
-                a_chain = chain("a", b_chain[s], n_max)
+            # R / P_b by p and w1
+            base = [None] + [
+                [plain * n_xi - pw * P_q for plain, pw in zip(row(a_w2[q], p), P_w[p])]
+                for p in range(1, n_max + 1)
+            ]
+            for s, v in enumerate(chain("b", a_w2[q], n_max)[1:], 1):
                 for p in range(1, n_max + 1):
-                    outer = pow_a[p + q] * pow_b[s] * scale[w2]
-                    for w1 in words:
-                        L = vec_dot(a_chain[p], lefts[w1])
-                        checked += 1
-                        shown = violated(L, P_b[s], plain[p + q, w1], P_w[p, w1], P_q, outer * scale[w1])
-                        if shown:
-                            violations.append(
-                                "phi(w1 a^%d b^%d a^%d w2) mismatch at w1=%s w2=%s: %s vs %s"
-                                % (p, s, q, "".join(w1) or "1", "".join(w2) or "1", *shown)
-                            )
-    return OrthogonalityReport(not violations, checked, violations)
+                    Ls = row(v, p)
+                    Rs = [P_b[s] * x for x in base[p]]
+                    if [L * c for L in Ls] != Rs:
+                        raw += ((p, s, q, i1, i2, L, R) for i1, (L, R) in enumerate(zip(Ls, Rs)) if L * c != R)
+    checked = 2 * n_max**2 + len(words) ** 2 * n_max**3
+    return OrthogonalityReport(not raw, checked, violations)

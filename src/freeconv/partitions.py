@@ -11,12 +11,15 @@ partitions.
 
 The depth-2 family has one definition, :func:`_depth_split`, which both the
 enumeration and the public constructor :func:`decomposable_partition` read;
-validation happens at that constructor only.  The bijection inverses check
-their arguments in O(n) and build their results by construction.
+it takes every block's depth in one pass, from a stack of the open blocks'
+ends.  Validation happens at that constructor only.  The bijection inverses
+check their arguments in O(n) and build their results by construction.
 
 Enumerations grow like 2**(n-1) or the Catalan numbers, so they are
-guarded at small n.  The free cumulants enumerate nothing: the recursion
-runs at any order in O(n**3) products.
+guarded at small n.  The non-crossing partitions split at the block of the
+first element, whose gaps are intervals, and each interval is enumerated
+once per call.  The free cumulants enumerate nothing: the recursion runs at
+any order in O(n**3) products.
 
 The oracle loops (inverse boolean cumulants, the orthogonal moment and the
 first-block recursion) run on ints.  Every quantity in them is homogeneous
@@ -216,43 +219,32 @@ def is_noncrossing(blocks: Iterable[Block]) -> bool:
     return True
 
 
-def block_depth(blocks: Sequence[Block], which: int) -> int:
-    """One plus the number of blocks whose hull strictly contains the block."""
-    lo, hi = min(blocks[which]), max(blocks[which])
-    outer = 0
-    for j, other in enumerate(blocks):
-        if j != which and min(other) < lo and max(other) > hi:
-            outer += 1
-    return outer + 1
-
-
 @lru_cache(maxsize=None)
 def noncrossing_partitions(n: int) -> tuple[tuple[Block, ...], ...]:
     """All non-crossing partitions of {1..n}, blocks sorted by minimum."""
     _check_n(n)
+    memo: dict[tuple[int, int], tuple[tuple[Block, ...], ...]] = {}
 
-    def rec(elements: tuple[int, ...]) -> tuple[tuple[Block, ...], ...]:
-        if not elements:
+    def rec(lo: int, hi: int) -> tuple[tuple[Block, ...], ...]:
+        """The partitions of lo..hi: the block of lo with each choice of its
+        other elements, times the partitions of the gaps it leaves."""
+        if lo > hi:
             return ((),)
-        first, rest = elements[0], elements[1:]
+        if (lo, hi) in memo:
+            return memo[lo, hi]
         out = []
-        for k in range(len(rest) + 1):
-            for chosen in combinations(rest, k):
-                block = (first,) + chosen
-                # the gaps between consecutive block elements partition freely
-                gaps = []
-                bounds = block + (elements[-1] + 1,)
-                for a, b in zip(bounds, bounds[1:]):
-                    gaps.append(tuple(x for x in rest if a < x < b))
-                for parts in product(*(rec(g) for g in gaps)):
-                    merged: list[Block] = [block]
-                    for p in parts:
-                        merged.extend(p)
-                    merged.sort(key=lambda blk: blk[0])
-                    out.append(tuple(merged))
-        return tuple(out)
+        for k in range(hi - lo + 1):
+            for chosen in combinations(range(lo + 1, hi + 1), k):
+                block = (lo,) + chosen
+                bounds = block + (hi + 1,)
+                # the gaps follow the block's minimum in order, so the merged
+                # blocks are already sorted by minimum
+                for parts in product(*(rec(a + 1, b - 1) for a, b in zip(bounds, bounds[1:]))):
+                    out.append((block, *chain.from_iterable(parts)))
+        memo[lo, hi] = result = tuple(out)
+        return result
 
-    return rec(tuple(range(1, n + 1)))
+    return rec(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +338,20 @@ def _depth_split(blocks: Sequence[Block]) -> tuple[tuple[Block, ...], tuple[Bloc
     in one would hold a block of depth 3."""
     outer: list[Block] = []
     inner: list[Block] = []
-    for i, block in enumerate(blocks):
-        depth = block_depth(blocks, i)
-        if depth == 1:
+    # maxima of the blocks whose hulls hold the current minimum, innermost
+    # last: with no crossing, those hulls hold the whole block, so their
+    # count is its depth less one
+    ends: list[int] = []
+    for block in blocks:
+        while ends and ends[-1] < block[0]:
+            ends.pop()
+        if not ends:
             outer.append(block)
-        elif depth == 2 and not (inner and inner[-1][-1] + 1 == block[0]):
+        elif len(ends) == 1 and not (inner and inner[-1][-1] + 1 == block[0]):
             inner.append(block)
         else:
             return None
+        ends.append(block[-1])
     return tuple(outer), tuple(inner)
 
 

@@ -69,3 +69,17 @@ def test_check(name, request, spent):
     if group is not None:
         spent[group] += result.elapsed
         assert spent[group] < BOUNDS[group], f"{group}: {spent[group]:.1f}s so far"
+
+
+def test_stabilization_builds_each_iterate_once(convolutions, monkeypatch):
+    # iterates m = 1..6 of each of the 5 pairs, neighbours compared
+    calls = []
+    real = verify.convolve.orthogonal_iterated
+
+    def record(mu, nu, m, order):
+        calls.append((id(mu), id(nu), m))
+        return real(mu, nu, m, order)
+
+    monkeypatch.setattr(verify.convolve, "orthogonal_iterated", record)
+    assert verify.run_check("iterated-orthogonal-moments-stabilize", convolutions).ok
+    assert len(calls) == len(set(calls)) == 5 * 6

@@ -421,7 +421,7 @@ class TestGraph:
         k6 = {"vertices": 6, "root": 0, "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
         g = write(tmp_path, "k6.json", k6)
         code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "8"])
-        assert code == 2 and out == "" and "more than 200000 words" in err
+        assert code == 2 and out == "" and "radius 8 would have more than 200000 words" in err
 
     def test_free_ball_at_a_radius_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", P2)

@@ -147,9 +147,9 @@ class TestFreeProductDecomposition:
     def test_size_cap_stops_the_products(self):
         # 976 561 words in the ball and 488 281 in a branch of two 6-cliques at radius 8
         k6 = graphs.rooted_graph(6, 0, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-        for build in (graphs.free_product_ball, graphs.free_product_branch):
+        for build, what in ((graphs.free_product_ball, "ball"), (graphs.free_product_branch, "branch")):
             start = time.perf_counter()
-            with pytest.raises(InvalidParameter, match="more than 200000 words"):
+            with pytest.raises(InvalidParameter, match=f"free-product {what} of radius 8 would have more than 200000 words"):
                 build(k6, k6, 8)
             assert time.perf_counter() - start < 2.0
 

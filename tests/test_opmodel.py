@@ -859,9 +859,11 @@ class TestOrthogonalityCheckSpeed:
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_generic_free_pair_check_within_bound(self, seed):
-        # on a 2-core machine under Python 3.11 the check takes about 0.05 s
-        # on integers; its Fraction chains took about 0.7 s, and applying
-        # every monomial from scratch about 6 s
+        # on a 2-core machine under Python 3.11 the check takes about 0.02 s
+        # by rows, and counting its violations formats none of them (the
+        # digest's 6 093 texts take about 0.045 s more); dot by dot on
+        # integers it took about 0.05 s, on Fraction chains about 0.7 s, and
+        # applying every monomial from scratch about 6 s
         inputs = verify.suite_inputs("opmodel", seed)
         start = time.perf_counter()
         ((_, report),) = recorded_orthogonality_checks(["generic-free-pair-fails-orthogonality"], inputs)

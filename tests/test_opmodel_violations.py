@@ -1,0 +1,62 @@
+"""The violations of `opmodel.orthogonality_check`: a sequence that keeps
+each violation as ints and builds its text when the item is read, and reads
+like the list of texts the reference check builds."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from freeconv import opmodel
+from freeconv.errors import InvalidParameter
+from freeconv.measures import make_jacobi
+from test_opmodel import orthogonality_check_reference, small_model
+
+
+def failing_args():
+    model = small_model(seed=13)
+    return model.x1, model.x2, model.vacuum(), model.word_vector(((1, 1),)), 2, model.weights
+
+
+def test_failing_report_reads_like_the_reference_list():
+    got = opmodel.orthogonality_check(*failing_args()).violations
+    want = orthogonality_check_reference(*failing_args()).violations
+    assert type(want) is list and len(want) > 10
+    assert len(got) == len(want)
+    assert (got[0], got[-1], got[-len(want)]) == (want[0], want[-1], want[0])
+    with pytest.raises(IndexError):
+        got[len(want)]
+    for cut in (slice(1, 4), slice(None, None, -5), slice(-3, None)):
+        assert type(got[cut]) is list and got[cut] == want[cut]
+    assert [v for v in got] == want
+    assert got == want and want == got and not got != want
+    assert got != want[:-1] and got != want[::-1] and got != "".join(want)
+
+
+def test_counting_builds_no_text(monkeypatch):
+    report = opmodel.orthogonality_check(*failing_args())
+
+    def text(self, item):
+        raise AssertionError("a violation text was built")
+
+    monkeypatch.setattr(type(report.violations), "_text", text)
+    assert not report.ok and len(report.violations) > 10
+
+
+def test_passing_report_has_no_violations():
+    model = small_model(seed=12)
+    report = opmodel.orthogonality_check(
+        model.replica(1, 1), model.branch(2, 2), model.vacuum(), model.word_vector(((1, 1),)), 3, model.weights
+    )
+    assert report.ok and not report.violations
+    assert len(report.violations) == 0 and list(report.violations) == [] and report.violations == []
+
+
+def test_state_of_norm_zero_rejected():
+    # the conditions divide by each state's norm; the word of index 2 has weight omega_1 = 0
+    j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+    model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
+    null = model.word_vector(((1, 2),))
+    assert model.weights[next(iter(null))] == 0
+    for xi, eta in ((null, model.vacuum()), (model.vacuum(), null)):
+        with pytest.raises(InvalidParameter, match="nonzero norm"):
+            opmodel.orthogonality_check(model.x1, model.x2, xi, eta, 2, model.weights)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -231,7 +232,77 @@ class TestOrthogonalMomentFormula:
         assert P.orthogonal_moment_combinatorial(mu, nu, (3, 5)) == orthogonal_moment_reference(mu, nu, (3, 5))
 
 
+def block_depth(blocks, which):
+    """One plus the number of blocks whose hull strictly contains the block."""
+    lo, hi = min(blocks[which]), max(blocks[which])
+    outer = 0
+    for j, other in enumerate(blocks):
+        if j != which and min(other) < lo and max(other) > hi:
+            outer += 1
+    return outer + 1
+
+
+def depth_split_reference(blocks):
+    """`_depth_split` by `block_depth`, one pass over all blocks per block:
+    the reference for its stack of open block ends."""
+    outer, inner = [], []
+    for i, block in enumerate(blocks):
+        depth = block_depth(blocks, i)
+        if depth == 1:
+            outer.append(block)
+        elif depth == 2 and not (inner and inner[-1][-1] + 1 == block[0]):
+            inner.append(block)
+        else:
+            return None
+    return tuple(outer), tuple(inner)
+
+
+def noncrossing_partitions_reference(n):
+    """The first-block recursion of `noncrossing_partitions` on tuples of
+    elements, with no memo and each merge sorted: the reference for the
+    interval-memoized recursion."""
+
+    def rec(elements):
+        if not elements:
+            return ((),)
+        first, rest = elements[0], elements[1:]
+        out = []
+        for k in range(len(rest) + 1):
+            for chosen in itertools.combinations(rest, k):
+                block = (first,) + chosen
+                gaps = []
+                bounds = block + (elements[-1] + 1,)
+                for a, b in zip(bounds, bounds[1:]):
+                    gaps.append(tuple(x for x in rest if a < x < b))
+                for parts in itertools.product(*(rec(g) for g in gaps)):
+                    merged = [block]
+                    for p in parts:
+                        merged.extend(p)
+                    merged.sort(key=lambda blk: blk[0])
+                    out.append(tuple(merged))
+        return tuple(out)
+
+    return rec(tuple(range(1, n + 1)))
+
+
 class TestNonCrossing:
+    def test_enumeration_equals_the_reference_recursion_in_order(self):
+        for n in range(1, 11):
+            assert P.noncrossing_partitions(n) == noncrossing_partitions_reference(n), n
+
+    def test_depth_split_equals_the_block_depth_split(self):
+        outcomes = set()
+        for n in range(1, 11):
+            for blocks in P.noncrossing_partitions(n):
+                want = depth_split_reference(blocks)
+                assert P._depth_split(blocks) == want, blocks
+                if want is None:
+                    outcomes.add("deeper" if max(block_depth(blocks, i) for i in range(len(blocks))) > 2 else "neighbours")
+                else:
+                    outcomes.add("split")
+        # every branch of the split is reached
+        assert outcomes == {"split", "deeper", "neighbours"}
+
     def test_catalan_counts(self):
         for n in range(1, 9):
             want = math.comb(2 * n, n) // (n + 1)
@@ -250,7 +321,7 @@ class TestNonCrossing:
 
     def test_depth(self):
         blocks = ((1, 6), (2, 5), (3, 4))
-        assert max(P.block_depth(blocks, i) for i in range(len(blocks))) == 3
+        assert max(block_depth(blocks, i) for i in range(len(blocks))) == 3
 
     def test_cumulant_roundtrip(self):
         rng = random.Random(29)

@@ -119,7 +119,11 @@ def monotone(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
 
 
 def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> MeasureRep:
-    """m-fold alternating orthogonal convolution (m = 1 is the plain one)."""
+    """m-fold alternating orthogonal convolution (m = 1 is the plain one).
+
+    m iterations fix exactly 2m + 2 moments of the s-free half, and
+    generically not moment 2m + 3: coefficient k of K_mu(z - inner) reads
+    inner only up to index k - 2, so each iteration pins two more moments."""
     if m < 1:
         raise InvalidParameter("iteration count must be >= 1")
     k_mu = k_series(mu, order)

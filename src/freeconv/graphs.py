@@ -6,16 +6,18 @@ and the orthogonal product hangs copies on every non-root vertex.  The
 truncated free product is built as its natural decomposition (Accardi,
 Lenczewski and Salapata, IDAQP 10, 2007): a branch is the alternating
 orthogonal product g_f |- (g_o |- ...), the ball the star product of the
-two branches.  Root spectral moments are walk counts on the edge lists,
-exact integers, so all comparisons against the moment-level convolutions
-are exact.
+two branches.  Its words are grown by `_alternating_words`, which also
+builds the operator model's word basis.  Root spectral moments are walk
+counts on the edge lists, exact integers, so all comparisons against the
+moment-level convolutions are exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidParameter
 
@@ -115,38 +117,84 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     return _attach_copies(g1, g2, g1.non_root())
 
 
-def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, factors: tuple[int, ...]) -> RootedGraph:
-    """Alternating words of length <= radius, shortest first: a word w hangs
-    a copy of each factor its first letter does not come from (the root: of
-    `factors`), with root w and vertex v the word ((f, v),) + w.  A length's
-    words, held as (first letter, index of the rest) and sorted so, continue
-    the numbering in (length, word) order, root first."""
+def _alternating_words(
+    vertices: Sequence[Mapping[int, int]], length_cap: int, cost_cap: int, first: tuple[int, ...], what: str
+) -> tuple[int, list[tuple[int, int, int, dict[int, int]]]]:
+    """The free product of two rooted factors as its alternating words of at
+    most `length_cap` letters and total cost at most `cost_cap`.
+
+    vertices[f - 1] maps factor f's vertices to their costs: the root costs
+    0 and every other vertex, a letter (f, v), a positive cost.  A word w
+    hangs a copy of each factor its first letter does not come from (the
+    root: of `first`), whose root is w and whose letter v is the word
+    ((f, v),) + w while that word is within both caps.  The words are
+    counted by length, first factor and cost before any is built, and past
+    200 000 `InvalidParameter` names `what`.  A length's words are grown
+    from the last length's, each held as (first letter, index of the rest),
+    and numbered in (length, word) order, root first.
+
+    Returns the number of words and every copy, hosts in order, as
+    (factor, host word, slab, vertex -> word index); the slab is the host's
+    length plus one.
+    """
+    roots = [next(v for v, c in vs.items() if not c) for vs in vertices]
+    letters = [sorted((v, c) for v, c in vs.items() if c) for vs in vertices]
+    costs = [Counter(c for _, c in ls) for ls in letters]
+    count, total = {(0, 0): 1}, 1  # one length's words by first factor (0 at the root) and cost
+    for _ in range(length_cap):
+        grown: Counter = Counter()
+        for (g, s), k in count.items():
+            for f in (3 - g,) if g else first:
+                for c, m in costs[f - 1].items():
+                    if s + c <= cost_cap:
+                        grown[f, s + c] += k * m
+        total += sum(grown.values())
+        if total > _WORD_LIMIT:
+            raise InvalidParameter(f"a {what} would have more than {_WORD_LIMIT} words")
+        if not grown:
+            break
+        count = grown
+    level = [(0, 0, 0)]  # the newest words: first factor (0 at the root), index, cost
+    n, copies = 1, []
+    for slab in range(1, length_cap + 2):
+        hosts: tuple[list, list] = ([], [])
+        for g, i, s in level:
+            for f in (3 - g,) if g else first:
+                name = {roots[f - 1]: i}
+                copies.append((f, i, slab, name))
+                hosts[f - 1].append((name, s))
+        if slab > length_cap:
+            break
+        # in (first letter, rest) order: factor, then letter, then host
+        level = []
+        for f in (1, 2):
+            for v, c in letters[f - 1]:
+                for name, s in hosts[f - 1]:
+                    if s + c <= cost_cap:
+                        name[v] = n
+                        level.append((f, n, s + c))
+                        n += 1
+        if not level:
+            break
+    return n, copies
+
+
+def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, first: tuple[int, ...]) -> RootedGraph:
+    """The alternating words of length <= radius, every letter at cost 1, as
+    a graph: each copy's edges relabelled by its words."""
     if radius < 1:
         raise InvalidParameter("radius must be >= 1")
-    # the words of each length, by their first letter's factor, counted before any is built
-    gs, sizes = (g1, g2), (g1.n - 1, g2.n - 1)
-    count, total = [sizes[f - 1] if f in factors else 0 for f in (1, 2)], 1
-    for _ in range(radius):
-        total += sum(count)
-        if total > _WORD_LIMIT:
-            what = "ball" if factors == (1, 2) else "branch"
-            raise InvalidParameter(f"a free-product {what} of radius {radius} would have more than {_WORD_LIMIT} words")
-        count = [count[1] * sizes[0], count[0] * sizes[1]]
-        if not any(count):
-            break
-    level = [(0, 0)]  # the newest words: factor of the first letter (0 at the root), index
-    n, edges = 1, set()
-    while n < total:
-        copies = [(f, i) for first, i in level for f in ((3 - first,) if first else factors)]
-        words = sorted(((f, v), i) for f, i in copies for v in gs[f - 1].non_root())
-        index = {w: n + k for k, w in enumerate(words)}
-        for f, i in copies:
-            g = gs[f - 1]
-            name = {v: index[(f, v), i] for v in g.non_root()}
-            name[g.root] = i
-            edges.update(tuple(sorted((name[u], name[v]))) for u, v in g.edges)
-        n += len(words)
-        level = [(f, index[(f, v), i]) for (f, v), i in words]
+    gs = (g1, g2)
+    what = "ball" if first == (1, 2) else "branch"
+    n, copies = _alternating_words(
+        [{v: int(v != g.root) for v in range(g.n)} for g in gs], radius, radius, first,
+        f"free-product {what} of radius {radius}",
+    )
+    edges = set()
+    for f, _, _, name in copies:
+        # a copy is whole, or hung at a word of the full radius and its root alone
+        if len(name) > 1:
+            edges.update((a, b) if a < b else (b, a) for a, b in ((name[u], name[v]) for u, v in gs[f - 1].edges))
     return RootedGraph(n, 0, frozenset(edges))
 
 

@@ -38,11 +38,19 @@ into one side, so a plain `vec_dot` gives the inner product.
 
 Operators are held by column, the one form every reader wants, as ints
 over a denominator `den`.  A model puts both factors over one, which its
-representations, total, replicas and branches then share.  A factor's
-representation maps each word into its own slab (the word's length, plus
-one unless the word starts with that factor), so a replica is the columns
-of one slab and a branch the columns of alternating slabs of the two
-factors.
+representations, total, replicas and branches then share.
+
+A factor's operator is a rooted path whose vertex k is the letter of
+index k (Hora & Obata, *Quantum Probability and Spectral Analysis of
+Graphs*, Springer 2007), so the word space is the free product of the two
+paths, with letter k at cost k and the index-sum cap as the cost cap.
+`graphs._alternating_words`, which also builds the graph free product,
+grows its words and the copies of the paths they hang.  A factor's
+representation is its operator relabelled through each of its copies.  A
+copy hung at a word of length n lies in slab n + 1, so a word's slab is its
+length, plus one unless it starts with the factor.  A replica is the
+copies of one slab, and a branch the copies of alternating slabs of the
+two factors.
 """
 
 from __future__ import annotations
@@ -53,14 +61,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import DepthExceeded, InvalidParameter
+from .graphs import _alternating_words
 from .measures import JacobiParams, _as_jacobi, _over_lcm
 
 Word = tuple[tuple[int, int], ...]
-
-_BASIS_SIZE_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +78,17 @@ _BASIS_SIZE_LIMIT = 200_000
 class WordBasis:
     """Alternating words of bounded length and bounded index sum.
 
-    Ordering is length-lexicographic with the factor index breaking ties,
-    so matrices are reproducible across runs.  The index-sum cap (default:
-    the depth cap) bounds the basis without touching any word reachable
-    within the certified orders, since one operator application raises the
-    total index by at most one.  Building stops with `InvalidParameter` at
-    the first word past 200 000.
+    A factor of dimension d is the rooted path 0 - 1 - ... - (d - 1), whose
+    vertex k is the letter of index k at cost k, so the basis is the
+    words of the free product of two such paths under the depth cap and
+    the index-sum cap (default: the depth cap), as `graphs` grows them:
+    length-lexicographic with the factor breaking ties, so matrices are
+    reproducible across runs, and counted first, so a basis past 200 000
+    words raises `InvalidParameter` before any is built.  `copies` are the
+    copies of the paths the words hang, as (factor, host word, slab,
+    vertex -> word index).  The index-sum cap bounds the basis without
+    touching any word reachable within the certified orders, since one
+    operator application raises the total index by at most one.
     """
 
     words: tuple[Word, ...]
@@ -84,6 +96,7 @@ class WordBasis:
     depth_cap: int
     weight_cap: int
     index: Mapping[Word, int] = field(compare=False, repr=False)
+    copies: list = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, d: int, depth_cap: int, weight_cap: Optional[int] = None) -> "WordBasis":
@@ -93,49 +106,21 @@ class WordBasis:
             raise InvalidParameter("depth cap must be >= 1")
         if weight_cap is None:
             weight_cap = depth_cap
-        words: list[Word] = [()]
-        # one word length at a time, with each word's index sum
-        level: list[tuple[Word, int]] = [((), 0)]
-        for _ in range(depth_cap):
-            grown = []
-            for prefix, weight in level:
-                for factor in (1, 2):
-                    if prefix and prefix[0][0] == factor:
-                        continue
-                    for k in range(1, min(d, weight_cap - weight + 1)):
-                        if len(words) == _BASIS_SIZE_LIMIT:
-                            raise InvalidParameter(
-                                f"basis would have more than {_BASIS_SIZE_LIMIT} words; "
-                                "lower the caps"
-                            )
-                        word = ((factor, k),) + prefix
-                        words.append(word)
-                        grown.append((word, weight + k))
-            if not grown:
-                break
-            level = grown
-        words.sort(key=lambda w: (len(w), w))
-        index = {w: i for i, w in enumerate(words)}
-        return cls(tuple(words), d, depth_cap, weight_cap, index)
+        path = {k: k for k in range(d)}
+        n, copies = _alternating_words(
+            (path, path), depth_cap, weight_cap, (1, 2),
+            f"word basis of depth cap {depth_cap} and index-sum cap {weight_cap}",
+        )
+        words: list[Word] = [()] * n
+        for factor, host, _, name in copies:
+            rest = words[host]
+            for k, i in name.items():
+                if k:
+                    words[i] = ((factor, k),) + rest
+        return cls(tuple(words), d, depth_cap, weight_cap, {w: i for i, w in enumerate(words)}, copies)
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def slab(self, factor: int, i: int) -> int:
-        """The factor's slab of word i: its length, plus one unless the word
-        starts with the factor."""
-        w = self.words[i]
-        return len(w) + (not w or w[0][0] != factor)
-
-    def weights(self, factor_weights: tuple[Sequence, Sequence]) -> list:
-        """Each word's weight: the product, over its letters (i, k), of
-        factor_weights[i - 1][k].  A word's suffix comes before it, so each
-        weight is one product."""
-        out = [Fraction(1)]
-        for w in self.words[1:]:
-            (factor, k), rest = w[0], w[1:]
-            out.append(factor_weights[factor - 1][k] * out[self.index[rest]])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +209,18 @@ class ModelOperator:
         d = self.den * d_v
         return {r: Fraction(x, d) for r, x in apply_columns(self.entries, dict(zip(vec, xs))).items()}
 
-    def is_self_adjoint(self, weights: Sequence) -> bool:
+    def is_self_adjoint(self, weights: Sequence, columns: Optional[Iterable[int]] = None) -> bool:
         """<A u, v> = <u, A v> in the inner product that gives basis vector
-        i the weight weights[i]: W A is symmetric, on the weights' ints."""
-        w, cols = _over_lcm(weights)[1], self.entries
-        return all(w[r] * v == w[c] * cols.get(r, {}).get(c, 0) for c, col in cols.items() for r, v in col.items())
+        i the weight weights[i]: W A is symmetric, on the weights' ints.
+        With `columns`, only the entries of those columns are compared with
+        their mirrors."""
+        cols = self.entries
+        if columns is None:
+            read, w = cols.items(), _over_lcm(weights)[1]
+        else:  # the weights of those columns and their rows only
+            read = [(c, cols[c]) for c in columns if c in cols]
+            w = _int_vector({k: weights[k] for k in {c for c, _ in read}.union(*(col for _, col in read))})
+        return all(w[r] * v == w[c] * cols.get(r, {}).get(c, 0) for c, col in read for r, v in col.items())
 
     def equals(self, other: "ModelOperator") -> bool:
         """Equal matrices, also when a sum has cancelled to a smaller den:
@@ -291,42 +283,15 @@ def monic_norms(j: JacobiParams, d: int) -> list[Fraction]:
     return list(accumulate(j.prefix(d)[1], mul, initial=Fraction(1)))
 
 
-def free_product_rep(a: ModelOperator, factor: int, basis: WordBasis) -> ModelOperator:
-    """Action of a factor operator on the word basis.
-
-    On a word starting with the same factor the operator mixes that first
-    letter (and contracts it away through its vacuum component); on any
-    other word it acts through the factor's vacuum vector, prepending a
-    letter.  Images outside the basis are dropped.
-    """
-    if factor not in (1, 2):
-        raise InvalidParameter("factor must be 1 or 2")
-    if a.size != basis.dim:
-        raise InvalidParameter(f"factor operator must be {basis.dim}-dimensional")
-    cols: dict = {}
-    for ci, w in enumerate(basis.words):
-        if w and w[0][0] == factor:
-            b = w[0][1]
-            rest = w[1:]
-        else:
-            b = 0
-            rest = w
-        col = {}
-        for r, v in a.entries.get(b, {}).items():
-            if r == 0:
-                target = w if b == 0 else rest
-            else:
-                target = ((factor, r),) + rest
-            ri = basis.index.get(target)
-            if ri is not None:
-                col[ri] = v
-        if col:
-            cols[ci] = col
-    return ModelOperator._of(len(basis), cols, a.den)
-
-
 class FreeProductModel:
-    """Both factor operators represented on one truncated word space."""
+    """Both factor operators represented on one truncated word space.
+
+    A factor's representation is its Jacobi operator relabelled through
+    each copy of its path that the words hang: column k of the copy at
+    host w is word k of the copy (w itself at k = 0), and a row outside the
+    basis is dropped.  Every word lies in one copy of each factor, so the
+    copies' columns never overlap, and the copies of one slab make the
+    factor's replica of that slab."""
 
     def __init__(
         self,
@@ -341,29 +306,34 @@ class FreeProductModel:
         a1 = jacobi_operator(self.mu_jacobi, factor_dim)
         a2 = jacobi_operator(self.nu_jacobi, factor_dim)
         den = math.lcm(a1.den, a2.den)  # shared by every operator built from the factors
-        a1, a2 = a1._over(den), a2._over(den)
-        self.factors = (a1, a2)
+        self.factors = (a1._over(den), a2._over(den))
         self.factor_weights = (monic_norms(self.mu_jacobi, factor_dim), monic_norms(self.nu_jacobi, factor_dim))
-        self.basis = WordBasis.build(factor_dim, depth_cap, weight_cap)
-        self.weights = self.basis.weights(self.factor_weights)
-        self.x1 = free_product_rep(a1, 1, self.basis)
-        self.x2 = free_product_rep(a2, 2, self.basis)
+        self.basis = basis = WordBasis.build(factor_dim, depth_cap, weight_cap)
+        size = len(basis)
+        # a word's weight is its letter's norm times its host word's
+        self.weights = weights = [Fraction(1)] * size
+        # per factor, slab n's columns at index n
+        groups = tuple([{} for _ in range(depth_cap + 2)] for _ in (1, 2))
+        reps: tuple[dict, dict] = ({}, {})
+        for factor, host, slab, name in basis.copies:
+            norms, cols = self.factor_weights[factor - 1], self.factors[factor - 1].entries
+            out, rep = groups[factor - 1][slab], reps[factor - 1]
+            whole = len(name) == factor_dim  # else cut by a cap: rows outside it are dropped
+            for k, i in name.items():
+                if k:
+                    weights[i] = norms[k] * weights[host]
+                if (col := cols.get(k)) and (col := {name[r]: v for r, v in col.items() if whole or r in name}):
+                    out[i] = rep[i] = col
+        self._slabs = tuple([ModelOperator._of(size, cols, den) for cols in g] for g in groups)
+        self.x1, self.x2 = (ModelOperator._of(size, cols, den) for cols in reps)
         self._total = self.x1 + self.x2
-        # per factor, slab n's columns of its representation at index n
-        self._slabs = (self._slab_groups(self.x1, 1), self._slab_groups(self.x2, 2))
-
-    def _slab_groups(self, lam: ModelOperator, factor: int) -> list[ModelOperator]:
-        groups: list[dict] = [{} for _ in range(self.depth_cap + 2)]
-        slab = self.basis.slab
-        for c, col in lam.entries.items():
-            groups[slab(factor, c)][c] = col
-        return [ModelOperator._of(lam.size, cols, lam.den) for cols in groups]
 
     @property
     def depth_cap(self) -> int:
         return self.basis.depth_cap
 
     def lam(self, factor: int) -> ModelOperator:
+        _check_factor(factor)
         return self.x1 if factor == 1 else self.x2
 
     def total(self) -> ModelOperator:
@@ -372,6 +342,7 @@ class FreeProductModel:
     def replica(self, factor: int, n: int) -> ModelOperator:
         """Compression of the factor's representation to its n-th slab: the
         columns of that slab, which the representation maps into itself."""
+        _check_factor(factor)
         if n < 1 or n > self.depth_cap + 1:
             raise DepthExceeded(f"replica level {n} outside 1..{self.depth_cap + 1}")
         return self._slabs[factor - 1][n]
@@ -383,6 +354,7 @@ class FreeProductModel:
         Every column lies in one slab of each factor, so a branch column is
         the one factor's column, or the total's where both factors select it;
         the columns are assembled with no arithmetic."""
+        _check_factor(factor)
         if k < 1:
             raise InvalidParameter("branch level must be >= 1")
         last = self.depth_cap + 1
@@ -432,6 +404,11 @@ class FreeProductModel:
             scale *= op.den
             out.append(Fraction(vec_dot(cur, vec_bra), scale))
         return out
+
+
+def _check_factor(factor: int) -> None:
+    if factor not in (1, 2):
+        raise InvalidParameter("factor must be 1 or 2")
 
 
 def _int_vector(vec: dict) -> dict:
@@ -522,7 +499,9 @@ def orthogonality_check(
     a, b outside, the first-state expectation factors through the second
     state's value on the middle power.  Violations are reported, not
     raised, in a fixed order: (i) by p, q; (ii) by w2, q, s, p, w1, with
-    words in length-lexicographic order.  Both states need a nonzero norm.
+    words in length-lexicographic order.  Both states need a nonzero norm,
+    and each operator must be self-adjoint under `weights` on the columns
+    the check applies it at; `InvalidParameter` is raised otherwise.
 
     Every dot is the inner product with basis weights `weights`, under
     which `a` and `b` must be self-adjoint, and the check moves letters
@@ -556,13 +535,18 @@ def orthogonality_check(
     d_a and d_b to its letter counts.
     """
     cols = {"a": a.entries, "b": b.entries}
+    read: dict[str, set] = {"a": set(), "b": set()}  # the columns each operator is applied at
     xi, eta = _int_state(xi, weights), _int_state(eta, weights)
+
+    def act(letter: str, vec: dict) -> dict:
+        read[letter].update(vec)
+        return apply_columns(cols[letter], vec)
 
     def chain(letter: str, vec: dict, n: int) -> list[dict]:
         """[vec, op vec, ..., op^n vec] for the operator named `letter`."""
         out = [vec]
         for _ in range(n):
-            out.append(apply_columns(cols[letter], out[-1]))
+            out.append(act(letter, out[-1]))
         return out
 
     words: list[tuple[str, ...]] = [()]
@@ -575,13 +559,13 @@ def orthogonality_check(
     # w[1:] is always ready
     suffix = {(): xi}
     for w in words[1:]:
-        suffix[w] = apply_columns(cols[w[0]], suffix[w[1:]])
+        suffix[w] = act(w[0], suffix[w[1:]])
     # lefts[p][j] = a^p w_j* xi, the words being closed under reversal
     lefts = [[suffix[w[::-1]] for w in words]]
     for _ in range(n_max):
-        lefts.append([apply_columns(cols["a"], v) for v in lefts[-1]])
-    weights = _int_vector({k: weights[k] for k in set(eta).union(*(v for vecs in lefts for v in vecs))})
-    xi_bra, eta_bra = bra(xi, weights), bra(eta, weights)
+        lefts.append([act("a", v) for v in lefts[-1]])
+    w_int = _int_vector({k: weights[k] for k in set(eta).union(*(v for vecs in lefts for v in vecs))})
+    xi_bra, eta_bra = bra(xi, w_int), bra(eta, w_int)
     n_xi, n_eta = vec_dot(xi, xi_bra), vec_dot(eta, eta_bra)
     if not (n_xi and n_eta):
         raise InvalidParameter("orthogonality states need a nonzero norm")
@@ -591,7 +575,7 @@ def orthogonality_check(
         t: dict[int, list] = {}
         for j, v in enumerate(vecs):
             for k, x in v.items():
-                t.setdefault(k, []).append((j, x * weights[k]))
+                t.setdefault(k, []).append((j, x * w_int[k]))
         index.append(t)
 
     def row(vec: dict, p: int) -> list:
@@ -611,7 +595,7 @@ def orthogonality_check(
     # condition (i)
     b_xi = chain("b", xi, n_max)
     for p in range(1, n_max + 1):
-        a_bra = bra(lefts[p][0], weights)
+        a_bra = bra(lefts[p][0], w_int)
         for q in range(1, n_max + 1):
             if L := vec_dot(b_xi[q], a_bra):
                 raw += ((0, p, q, L), (1, p, q, L))
@@ -633,5 +617,8 @@ def orthogonality_check(
                     Rs = [P_b[s] * x for x in base[p]]
                     if [L * c for L in Ls] != Rs:
                         raw += ((p, s, q, i1, i2, L, R) for i1, (L, R) in enumerate(zip(Ls, Rs)) if L * c != R)
+    for letter, op in (("a", a), ("b", b)):
+        if not op.is_self_adjoint(weights, read[letter]):
+            raise InvalidParameter(f"operator {letter} is not self-adjoint under the weights")
     checked = 2 * n_max**2 + len(words) ** 2 * n_max**3
     return OrthogonalityReport(not raw, checked, violations)

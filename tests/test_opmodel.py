@@ -77,21 +77,22 @@ class TestWordBasis:
                     assert list(basis.words) == recursive_words(d, depth, weight), (d, depth, weight)
 
     def test_size_cap_stops_the_enumeration(self):
-        # about 24 million words below the caps; the first 200 000 take well under 2 s
+        # about 24 million words below the caps; they are counted before any is built
         start = time.perf_counter()
         with pytest.raises(InvalidParameter, match="more than 200000 words"):
             opmodel.WordBasis.build(6, 10, 60)
-        assert time.perf_counter() - start < 2.0
+        assert time.perf_counter() - start < 0.1
 
     def test_level_slabs_partition_words(self):
-        basis = opmodel.WordBasis.build(3, 4)
+        # every alpha is nonzero, so every word's column holds its diagonal entry
+        j = make_jacobi([1, 2, 3], [4, 5], complete=True)
+        model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
+        last = model.depth_cap + 1
         for factor in (1, 2):
-            slabs: dict[int, set[int]] = {}
-            for i in range(len(basis)):
-                slabs.setdefault(basis.slab(factor, i), set()).add(i)
-            assert set(slabs) == set(range(1, basis.depth_cap + 2))
+            slabs = {n: set(model.replica(factor, n).entries) for n in range(1, last + 1)}
+            assert sorted(i for cols in slabs.values() for i in cols) == list(range(len(model.basis)))
             for n, words in slabs.items():
-                assert words == level_indices(basis, factor, n)
+                assert words == level_indices(model.basis, factor, n), (factor, n)
 
 
 def level_indices(basis, factor, n):
@@ -269,12 +270,6 @@ class TestJacobiOperator:
 
 
 class TestFreeProductRep:
-    def test_identity_lifts_to_identity(self):
-        basis = opmodel.WordBasis.build(3, 3)
-        eye = opmodel.ModelOperator(3, {(i, i): F(1) for i in range(3)})
-        lifted = opmodel.free_product_rep(eye, 1, basis)
-        assert lifted.entries == {i: {i: F(1)} for i in range(len(basis))}
-
     def test_representation_is_self_adjoint_under_the_word_weights(self):
         model = small_model()
         assert model.x1.is_self_adjoint(model.weights)
@@ -416,6 +411,66 @@ def replica_sums(model):
                 want = want + replicas[3 - i, n]
             branches[i, k] = want
     return replicas, branches
+
+
+def free_product_rep(a, factor, basis):
+    """Reference representation, word by word: on a word starting with the
+    factor the operator mixes that first letter (and contracts it away
+    through its vacuum component); on any other word it acts through the
+    factor's vacuum vector, prepending a letter.  Images outside the basis
+    are dropped."""
+    cols = {}
+    for ci, w in enumerate(basis.words):
+        b, rest = (w[0][1], w[1:]) if w and w[0][0] == factor else (0, w)
+        col = {}
+        for r, v in a.entries.get(b, {}).items():
+            ri = basis.index.get(rest if r == 0 else ((factor, r),) + rest)
+            if ri is not None:
+                col[ri] = v
+        if col:
+            cols[ci] = col
+    return opmodel.ModelOperator._of(len(basis), cols, a.den)
+
+
+def test_model_equals_the_word_by_word_representation():
+    # factor dimension 1-5, depth cap 1-5 and index-sum cap 1..D + 4: 175 models
+    rng = random.Random(175)
+    for dim in range(1, 6):
+        for depth in range(1, 6):
+            for weight in range(1, depth + 5):
+                jmu, jnu = complete_jacobi(rng, 6), complete_jacobi(rng, 6)
+                model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
+                case = (dim, depth, weight)
+                for factor, x in ((1, model.x1), (2, model.x2)):
+                    want = free_product_rep(model.factors[factor - 1], factor, model.basis)
+                    assert (x.entries, x.den) == (want.entries, want.den), case
+                weights = [math.prod(model.factor_weights[f - 1][k] for f, k in w) for w in model.basis.words]
+                assert model.weights == weights, case
+                replicas, branches = replica_sums(model)
+                for key, want in replicas.items():
+                    assert rational(model.replica(*key)) == rational(want), (case, key)
+                for key, want in branches.items():
+                    assert rational(model.branch(*key)) == rational(want), (case, key)
+
+
+class TestFactorOutsideOneAndTwo:
+    # a factor index other than 1 or 2 read another factor's operators, or raised a bare IndexError
+    model = small_model(seed=2, dim=3, depth=3)
+
+    @pytest.mark.parametrize("factor", [0, 3])
+    def test_lam_rejects_it(self, factor):
+        with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
+            self.model.lam(factor)
+
+    @pytest.mark.parametrize("factor", [0, 3])
+    def test_replica_rejects_it(self, factor):
+        with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
+            self.model.replica(factor, 1)
+
+    @pytest.mark.parametrize("factor", [0, 3])
+    def test_branch_rejects_it(self, factor):
+        with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
+            self.model.branch(factor, 1)
 
 
 @pytest.mark.parametrize(

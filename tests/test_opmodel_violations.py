@@ -1,7 +1,9 @@
 """The violations of `opmodel.orthogonality_check`: a sequence that keeps
 each violation as ints and builds its text when the item is read, and reads
-like the list of texts the reference check builds."""
+like the list of texts the reference check builds; and the states and
+operators the check refuses."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -60,3 +62,34 @@ def test_state_of_norm_zero_rejected():
     for xi, eta in ((null, model.vacuum()), (model.vacuum(), null)):
         with pytest.raises(InvalidParameter, match="nonzero norm"):
             opmodel.orthogonality_check(model.x1, model.x2, xi, eta, 2, model.weights)
+
+
+def random_integer_operator(rng, size=4):
+    entries = {(r, c): rng.randint(-3, 3) for r in range(size) for c in range(size)}
+    return opmodel.ModelOperator(size, entries)
+
+
+def test_pairs_that_are_not_self_adjoint_are_rejected():
+    # the check moves letters across each dot by self-adjointness, so on
+    # any other pair its report would mean nothing
+    rng = random.Random(30)
+    pairs = 0
+    while pairs < 30:
+        a, b = random_integer_operator(rng), random_integer_operator(rng)
+        if a.is_self_adjoint([1] * 4) and b.is_self_adjoint([1] * 4):
+            continue
+        pairs += 1
+        with pytest.raises(InvalidParameter, match="not self-adjoint under the weights"):
+            opmodel.orthogonality_check(a, b, {0: F(1)}, {1: F(1)}, 2, [1] * 4)
+
+
+def test_only_the_columns_the_check_reads_must_be_self_adjoint():
+    # b is symmetric on the columns the states reach (0 and 1) and not on
+    # column 3, which no chain reaches, since no entry leads there
+    a = opmodel.ModelOperator(4, {(0, 0): 1, (0, 1): 2, (1, 0): 2})
+    b = opmodel.ModelOperator(4, {(1, 1): 3, (2, 3): 5})
+    assert not b.is_self_adjoint([1] * 4)
+    assert b.is_self_adjoint([1] * 4, [0, 1, 2])
+    opmodel.orthogonality_check(a, b, {0: F(1)}, {1: F(1)}, 2, [1] * 4)
+    with pytest.raises(InvalidParameter, match="operator b is not self-adjoint"):
+        opmodel.orthogonality_check(a, b, {0: F(1)}, {3: F(1)}, 2, [1] * 4)

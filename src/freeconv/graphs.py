@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter
+from .measures import MeasureRep, _known_keys
 
 _WORD_LIMIT = 200_000
 
@@ -76,8 +77,6 @@ def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
 
 def root_distribution(g: RootedGraph, order: int):
     """Measure representation of the root spectral distribution."""
-    from .measures import MeasureRep
-
     return MeasureRep.from_moments(root_spectral_moments(g, order))
 
 
@@ -118,64 +117,64 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
 
 
 def _alternating_words(
-    vertices: Sequence[Mapping[int, int]], length_cap: int, cost_cap: int, first: tuple[int, ...], what: str
-) -> tuple[int, list[tuple[int, int, int, dict[int, int]]]]:
-    """The free product of two rooted factors as its alternating words of at
-    most `length_cap` letters and total cost at most `cost_cap`.
+    vertices: Sequence[Mapping[int, int]], cap: int, first: tuple[int, ...], what: str
+) -> tuple[int, list[tuple[int, int, int, Optional[dict[int, int]]]]]:
+    """The free product of two rooted factors as its alternating words of
+    total cost at most `cap`.
 
     vertices[f - 1] maps factor f's vertices to their costs: the root costs
-    0 and every other vertex, a letter (f, v), a positive cost.  A word w
-    hangs a copy of each factor its first letter does not come from (the
-    root: of `first`), whose root is w and whose letter v is the word
-    ((f, v),) + w while that word is within both caps.  The words are
-    counted by length, first factor and cost before any is built, and past
-    200 000 `InvalidParameter` names `what`.  A length's words are grown
-    from the last length's, each held as (first letter, index of the rest),
-    and numbered in (length, word) order, root first.
+    0 and every other vertex, a letter (f, v), a positive cost, so the cap
+    also bounds the length.  A word w hangs a copy of each factor its first
+    letter does not come from (the root: of `first`), whose root is w and
+    whose letter v is the word ((f, v),) + w while that word is within the
+    cap.  The words are counted by length, first factor and cost before any
+    is built, and past 200 000 `InvalidParameter` names `what`.  A length's
+    words are grown from the last length's, each held as (first letter,
+    index of the rest), and numbered in (length, word) order, root first.
 
     Returns the number of words and every copy, hosts in order, as
     (factor, host word, slab, vertex -> word index); the slab is the host's
-    length plus one.
+    length plus one.  A copy with no letter within the cap is its root
+    alone and carries None for the map.
     """
     roots = [next(v for v, c in vs.items() if not c) for vs in vertices]
     letters = [sorted((v, c) for v, c in vs.items() if c) for vs in vertices]
     costs = [Counter(c for _, c in ls) for ls in letters]
+    cheapest = [min(cs, default=cap + 1) for cs in costs]
     count, total = {(0, 0): 1}, 1  # one length's words by first factor (0 at the root) and cost
-    for _ in range(length_cap):
+    while count:
         grown: Counter = Counter()
         for (g, s), k in count.items():
             for f in (3 - g,) if g else first:
                 for c, m in costs[f - 1].items():
-                    if s + c <= cost_cap:
+                    if s + c <= cap:
                         grown[f, s + c] += k * m
         total += sum(grown.values())
         if total > _WORD_LIMIT:
             raise InvalidParameter(f"a {what} would have more than {_WORD_LIMIT} words")
-        if not grown:
-            break
         count = grown
     level = [(0, 0, 0)]  # the newest words: first factor (0 at the root), index, cost
-    n, copies = 1, []
-    for slab in range(1, length_cap + 2):
+    n, copies, slab = 1, [], 0
+    while level:
+        slab += 1
         hosts: tuple[list, list] = ([], [])
         for g, i, s in level:
             for f in (3 - g,) if g else first:
-                name = {roots[f - 1]: i}
-                copies.append((f, i, slab, name))
-                hosts[f - 1].append((name, s))
-        if slab > length_cap:
-            break
+                if s + cheapest[f - 1] > cap:
+                    copies.append((f, i, slab, None))
+                else:
+                    name = {roots[f - 1]: i}
+                    copies.append((f, i, slab, name))
+                    hosts[f - 1].append((name, s))
         # in (first letter, rest) order: factor, then letter, then host
         level = []
         for f in (1, 2):
             for v, c in letters[f - 1]:
                 for name, s in hosts[f - 1]:
-                    if s + c <= cost_cap:
+                    if s + c <= cap:
                         name[v] = n
                         level.append((f, n, s + c))
                         n += 1
-        if not level:
-            break
     return n, copies
 
 
@@ -186,14 +185,12 @@ def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, first: tuple[in
         raise InvalidParameter("radius must be >= 1")
     gs = (g1, g2)
     what = "ball" if first == (1, 2) else "branch"
-    n, copies = _alternating_words(
-        [{v: int(v != g.root) for v in range(g.n)} for g in gs], radius, radius, first,
-        f"free-product {what} of radius {radius}",
-    )
+    costs = [{v: int(v != g.root) for v in range(g.n)} for g in gs]
+    n, copies = _alternating_words(costs, radius, first, f"free-product {what} of radius {radius}")
     edges = set()
     for f, _, _, name in copies:
         # a copy is whole, or hung at a word of the full radius and its root alone
-        if len(name) > 1:
+        if name:
             edges.update((a, b) if a < b else (b, a) for a, b in ((name[u], name[v]) for u, v in gs[f - 1].edges))
     return RootedGraph(n, 0, frozenset(edges))
 
@@ -227,9 +224,11 @@ def _is_int(x) -> bool:
 
 def parse_graph(obj: dict) -> RootedGraph:
     """Graph from its JSON object; anything but integer `vertices` and `root`
-    and a list of integer pairs as `edges` is rejected, not coerced."""
+    and a list of integer pairs as `edges`, and any other key, is rejected,
+    not coerced."""
     if not isinstance(obj, dict):
         raise InvalidParameter("graph object must be a JSON object")
+    _known_keys(obj, ("vertices", "root", "edges"), "a graph")
     for key in ("vertices", "root"):
         if not _is_int(obj.get(key)):
             raise InvalidParameter(f"graph {key!r} must be an integer, got {obj.get(key)!r}")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -579,17 +580,32 @@ def fraction_to_str(x: Fraction) -> str:
     return _in_full(str, x)
 
 
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value) -> Fraction:
+    """A JSON integer, or a string of the grammar -?[0-9]+(/[0-9]+)? in
+    ASCII digits, matched before `Fraction` reads it, so no decimal,
+    exponent, sign, space or underscore is reinterpreted."""
     if isinstance(value, bool):
         raise InvalidParameter("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise InvalidParameter(f"bad rational literal {value!r}: rationals are written -?[0-9]+(/[0-9]+)?")
         try:
             return _in_full(Fraction, value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParameter(f"bad rational literal {value!r}") from exc
+        except ZeroDivisionError as exc:
+            raise InvalidParameter(f"bad rational literal {value!r}: zero denominator") from exc
     raise InvalidParameter(f"rationals must be ints or 'p/q' strings, got {value!r}")
+
+
+def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Reject any key of the JSON object outside `keys`, naming it."""
+    extra = sorted(k for k in obj if k not in keys)
+    if extra:
+        raise InvalidParameter(f"unknown key{'s' * (len(extra) > 1)} {', '.join(map(repr, extra))} in {what}")
 
 
 def _json_list(obj: dict, key: str) -> list:
@@ -605,11 +621,25 @@ def _parse_atom(pair) -> tuple[Fraction, Fraction]:
     return parse_fraction(pair[0]), parse_fraction(pair[1])
 
 
+_MEASURE_KEYS = {
+    # `jacobi` and `atoms` are the views `measure_to_json` prints beside the
+    # moments, so its output reads back; they are not read
+    "moments": ("type", "m", "jacobi", "atoms"),
+    "jacobi": ("type", "alpha", "omega", "tail"),
+    "atoms": ("type", "atoms"),
+}
+_TAIL_KEYS = {"truncate": ("kind",), "wigner": ("kind", "a", "b")}
+
+
 def parse_measure(obj: dict) -> MeasureRep:
-    """Parse the tagged measure object; unknown auxiliary keys are ignored."""
+    """Parse the tagged measure object; a key its type does not name, in
+    the measure or its tail, is rejected."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _MEASURE_KEYS:
+        raise InvalidParameter(f"unknown measure type {kind!r}")
+    _known_keys(obj, _MEASURE_KEYS[kind], f"a {kind!r} measure")
     if kind == "moments":
         m = [parse_fraction(v) for v in _json_list(obj, "m")]
         if not m:
@@ -621,22 +651,18 @@ def parse_measure(obj: dict) -> MeasureRep:
         alpha = [parse_fraction(v) for v in _json_list(obj, "alpha")]
         omega = [parse_fraction(v) for v in _json_list(obj, "omega")]
         tail_obj = obj.get("tail", {"kind": "truncate"})
-        if not isinstance(tail_obj, dict):
-            raise InvalidParameter(f"'tail' must be an object, got {tail_obj!r}")
-        if tail_obj.get("kind") == "wigner":
+        if not isinstance(tail_obj, dict) or tail_obj.get("kind") not in ("truncate", "wigner"):
+            raise InvalidParameter(f"'tail' must be a 'truncate' or 'wigner' object, got {tail_obj!r}")
+        _known_keys(tail_obj, _TAIL_KEYS[tail_obj["kind"]], f"a {tail_obj['kind']!r} tail")
+        tail = None
+        if tail_obj["kind"] == "wigner":
             if "a" not in tail_obj or "b" not in tail_obj:
                 raise InvalidParameter(f"a 'wigner' tail needs both 'a' and 'b', got {tail_obj!r}")
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
-        elif tail_obj.get("kind") == "truncate":
-            tail = None
-        else:
-            raise InvalidParameter(f"unknown tail kind {tail_obj.get('kind')!r}")
         if not alpha and tail is None:
             raise InvalidParameter("a 'jacobi' measure needs an 'alpha' entry or a 'wigner' tail")
         return MeasureRep.from_jacobi(make_jacobi(alpha, omega, tail))
-    if kind == "atoms":
-        return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])
-    raise InvalidParameter(f"unknown measure type {kind!r}")
+    return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])
 
 
 def measure_to_json(rep: MeasureRep, order: int) -> dict:

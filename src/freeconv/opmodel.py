@@ -8,23 +8,28 @@ the first letter, which is the free-product representation restricted to
 the truncated basis; images that would leave the basis are dropped, and
 the certified-order rules below say how far moments are still exact.
 
-Certified orders: with factors of dimension d, depth cap D and index-sum
-cap W (default D), the moments of the total in the state at a word of
-length k and index sum s are exact through order
-min(2(D - k), 2(W - s), 2t) + 1, where t is the least, over the word's
-letters, of d - 1 minus the letter's index plus the index sum in front of
-it (t = d - 1 for the empty word).  At the vacuum that is
-min(2D + 1, 2W + 1, 2d - 1); with m the largest index, t >= d - 1 - m.  A
-moment of order n sums the walks of n steps from the word back to it.  A
-step adds or removes a letter of index 1 at the front or moves the first
-letter's index by one, so a deeper letter's index moves only once the
-letters in front are stripped, one index per step.  The length, the index
-sum and that cost rise by at most one per step and must come back down, so
-a walk of n steps stays within n // 2 of each, inside the truncated space
-for n up to the bound.  In a state on several words the least of their
-orders holds.  The bound is tight: on seeded factors with more than d
-levels, the next order differs, at the vacuum from the free convolution
-and at words of length up to 3 from a deeper model.
+Certified orders: the one cap is the depth cap D on a word's index sum,
+which also bounds its length, since every index is at least 1.  A factor
+takes the first d levels of its input, d = D + 1 for a `wigner` tail and
+min(D + 1, levels) for a finite or truncated recursion, so only a
+truncated recursion of at most D levels stops before the cap.  The moments
+of the total in the state at a word of index sum s are exact through order
+min(2(D - s), 2t) + 1, where t is the least, over the word's letters from
+a truncated factor, of d - 1 minus the letter's index plus the index sum
+in front of it (t = d - 1 at the vacuum, and no bound without a truncated
+factor).  At the vacuum that is 2D + 1, or 2d - 1 for the least d of a
+truncated factor.  A moment of order n sums the walks of n steps from the
+word back to it.  A step adds or removes a letter of index 1 at the front
+or moves the first letter's index by one, so a deeper letter's index moves
+only once the letters in front are stripped, one index per step.  The
+index sum and that cost rise by at most one per step and must come back
+down, so a walk of n steps stays within n // 2 of each, inside the
+truncated space for n up to the bound.  A finite factor's path is its
+whole operator, and a path of D + 1 levels holds every index the cap
+allows, so neither adds a bound.  In a state on several words the least of
+their orders holds.  The bound is tight: on seeded factors, the next order
+differs at the vacuum from the free convolution and at words of length up
+to 3 from a deeper model, for the cap and for a truncated factor.
 
 A factor acts as multiplication by x on its monic polynomials,
 x p_k = p_(k+1) + alpha_k p_k + omega_(k-1) p_(k-1) (Gautschi,
@@ -43,7 +48,7 @@ representations, total, replicas and branches then share.
 A factor's operator is a rooted path whose vertex k is the letter of
 index k (Hora & Obata, *Quantum Probability and Spectral Analysis of
 Graphs*, Springer 2007), so the word space is the free product of the two
-paths, with letter k at cost k and the index-sum cap as the cost cap.
+paths, with letter k at cost k and the depth cap as the cost cap.
 `graphs._alternating_words`, which also builds the graph free product,
 grows its words and the copies of the paths they hang.  A factor's
 representation is its operator relabelled through each of its copies.  A
@@ -76,48 +81,43 @@ Word = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class WordBasis:
-    """Alternating words of bounded length and bounded index sum.
+    """Alternating words of index sum at most the depth cap.
 
-    A factor of dimension d is the rooted path 0 - 1 - ... - (d - 1), whose
-    vertex k is the letter of index k at cost k, so the basis is the
-    words of the free product of two such paths under the depth cap and
-    the index-sum cap (default: the depth cap), as `graphs` grows them:
-    length-lexicographic with the factor breaking ties, so matrices are
-    reproducible across runs, and counted first, so a basis past 200 000
-    words raises `InvalidParameter` before any is built.  `copies` are the
-    copies of the paths the words hang, as (factor, host word, slab,
-    vertex -> word index).  The index-sum cap bounds the basis without
+    Factor f of `dims[f - 1]` levels is the rooted path 0 - 1 - ... -
+    (dims[f - 1] - 1), whose vertex k is the letter of index k at cost k,
+    so the basis is the words of the free product of the two paths under
+    the depth cap, as `graphs` grows them: length-lexicographic with the
+    factor breaking ties, so matrices are reproducible across runs, and
+    counted first, so a basis past 200 000 words raises `InvalidParameter`
+    before any is built.  `copies` are the copies of the paths the words
+    hang, as (factor, host word, slab, vertex -> word index), the map None
+    for a copy that is its root alone.  The cap bounds the basis without
     touching any word reachable within the certified orders, since one
     operator application raises the total index by at most one.
     """
 
     words: tuple[Word, ...]
-    dim: int
+    dims: tuple[int, int]
     depth_cap: int
-    weight_cap: int
     index: Mapping[Word, int] = field(compare=False, repr=False)
     copies: list = field(compare=False, repr=False)
 
     @classmethod
-    def build(cls, d: int, depth_cap: int, weight_cap: Optional[int] = None) -> "WordBasis":
-        if d < 1:
-            raise InvalidParameter("factor dimension must be >= 1")
+    def build(cls, dims: tuple[int, int], depth_cap: int) -> "WordBasis":
         if depth_cap < 1:
             raise InvalidParameter("depth cap must be >= 1")
-        if weight_cap is None:
-            weight_cap = depth_cap
-        path = {k: k for k in range(d)}
+        if min(dims) < 1:
+            raise InvalidParameter("factor dimension must be >= 1")
         n, copies = _alternating_words(
-            (path, path), depth_cap, weight_cap, (1, 2),
-            f"word basis of depth cap {depth_cap} and index-sum cap {weight_cap}",
+            [{k: k for k in range(d)} for d in dims], depth_cap, (1, 2), f"word basis of depth cap {depth_cap}"
         )
         words: list[Word] = [()] * n
         for factor, host, _, name in copies:
             rest = words[host]
-            for k, i in name.items():
+            for k, i in (name or {}).items():
                 if k:
                     words[i] = ((factor, k),) + rest
-        return cls(tuple(words), d, depth_cap, weight_cap, {w: i for i, w in enumerate(words)}, copies)
+        return cls(tuple(words), tuple(dims), depth_cap, {w: i for i, w in enumerate(words)}, copies)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -284,8 +284,12 @@ def monic_norms(j: JacobiParams, d: int) -> list[Fraction]:
 
 
 class FreeProductModel:
-    """Both factor operators represented on one truncated word space.
+    """Both factor operators represented on the word space of one depth cap.
 
+    Factor f is the path of its input's first `basis.dims[f - 1]` levels:
+    D + 1 for a `wigner` tail and min(D + 1, levels) for a finite or
+    truncated recursion, at depth cap D.  The words are those of index sum
+    at most D, and the module docstring states the orders this certifies.
     A factor's representation is its Jacobi operator relabelled through
     each copy of its path that the words hang: column k of the copy at
     host w is word k of the copy (w itself at k = 0), and a row outside the
@@ -293,22 +297,14 @@ class FreeProductModel:
     copies' columns never overlap, and the copies of one slab make the
     factor's replica of that slab."""
 
-    def __init__(
-        self,
-        mu,
-        nu,
-        factor_dim: int,
-        depth_cap: int,
-        weight_cap: Optional[int] = None,
-    ):
-        self.mu_jacobi = _as_jacobi(mu)
-        self.nu_jacobi = _as_jacobi(nu)
-        a1 = jacobi_operator(self.mu_jacobi, factor_dim)
-        a2 = jacobi_operator(self.nu_jacobi, factor_dim)
+    def __init__(self, mu, nu, depth_cap: int):
+        self.mu_jacobi, self.nu_jacobi = js = (_as_jacobi(mu), _as_jacobi(nu))
+        dims = [depth_cap + 1 if j.tail is not None else min(depth_cap + 1, j.levels) for j in js]
+        self.basis = basis = WordBasis.build(dims, depth_cap)
+        a1, a2 = (jacobi_operator(j, d) for j, d in zip(js, dims))
         den = math.lcm(a1.den, a2.den)  # shared by every operator built from the factors
         self.factors = (a1._over(den), a2._over(den))
-        self.factor_weights = (monic_norms(self.mu_jacobi, factor_dim), monic_norms(self.nu_jacobi, factor_dim))
-        self.basis = basis = WordBasis.build(factor_dim, depth_cap, weight_cap)
+        self.factor_weights = tuple(monic_norms(j, d) for j, d in zip(js, dims))
         size = len(basis)
         # a word's weight is its letter's norm times its host word's
         self.weights = weights = [Fraction(1)] * size
@@ -318,7 +314,8 @@ class FreeProductModel:
         for factor, host, slab, name in basis.copies:
             norms, cols = self.factor_weights[factor - 1], self.factors[factor - 1].entries
             out, rep = groups[factor - 1][slab], reps[factor - 1]
-            whole = len(name) == factor_dim  # else cut by a cap: rows outside it are dropped
+            name = name or {0: host}  # a copy of its root alone
+            whole = len(name) == basis.dims[factor - 1]  # else cut by the cap: rows outside it are dropped
             for k, i in name.items():
                 if k:
                     weights[i] = norms[k] * weights[host]

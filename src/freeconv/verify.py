@@ -184,7 +184,7 @@ def suite_inputs(suite: str, seed: int = 7, n_max: int = 8) -> SimpleNamespace:
     if suite == "opmodel":
         jmu = random_square_omega_jacobi(rng)
         jnu = random_square_omega_jacobi(rng)
-        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=8, depth_cap=10)
+        model = opmodel.FreeProductModel(jmu, jnu, depth_cap=10)
         return SimpleNamespace(
             seed=seed,
             mu=MeasureRep.from_jacobi(jmu),
@@ -746,7 +746,7 @@ def irrational_root_factors_stay_exact(inp, rng):
     # omega = 2 has no rational square root; as a prefix and as a complete recursion
     for alpha, complete in (([0, 0], False), ([0, Fraction(1, 2)], True)):
         irr = make_jacobi(alpha, [Fraction(2)], complete=complete)
-        model = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+        model = opmodel.FreeProductModel(irr, irr, depth_cap=10)
         got = model.state_moments(model.total(), 10)
         rep = MeasureRep.from_jacobi(make_jacobi(alpha, [Fraction(2)], complete=True))
         expect_equal(tuple(got), convolve.free(rep, rep, 10).moments(10), "alpha = {}, omega = (2,)", alpha)

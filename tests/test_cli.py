@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from freeconv import convolve, verify
+from freeconv import convolve, measures, verify
 from freeconv.cli import main
 from freeconv.measures import fraction_to_str, parse_measure
 from freeconv.series import TailSeries
@@ -213,6 +213,49 @@ class TestConvolve:
         argv = ["convolve", op, mu, mu, "--order", "6", "--iterations", "3"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "--iterations" in err
+
+
+BAD_LITERALS = ["1.5", "1e3", " 1/2 ", "1_0", "+1", "\u0661", "1e1000000", "1/0", "1/-2", "0x10", ""]
+
+
+class TestInputGrammar:
+    @pytest.mark.parametrize("literal", BAD_LITERALS)
+    def test_literal_outside_the_grammar_is_named(self, tmp_path, capsys, monkeypatch, literal):
+        # the literal is matched before Fraction reads it, so "1e1000000"
+        # builds no integer; "1/0" matches and fails on its denominator
+        real = measures._in_full
+        monkeypatch.setattr(measures, "_in_full", lambda f, v: real(f, v) if v == "1/0" else pytest.fail(v))
+        mu = write(tmp_path, "mu.json", {"type": "atoms", "atoms": [[literal, "1"]]})
+        code, out, err = run(capsys, ["convolve", "free", mu, mu, "--order", "4"])
+        assert code == 2 and out == "" and repr(literal) in err and "Traceback" not in err
+
+    def test_json_integers_are_rationals(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.json", {"type": "atoms", "atoms": [[-1, "1/2"], [1, "1/2"]]})
+        code, out, _ = run(capsys, ["convolve", "free", mu, mu, "--order", "6"])
+        assert code == 0 and json.loads(out)["m"] == ["0", "2", "0", "6", "0", "20"]
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"type": "moments", "m": ["0", "1"], "n": ["2"]}, "'n'"),
+            ({"type": "jacobi", "alpha": ["0"], "omega": [], "tial": WIGNER01["tail"]}, "'tial'"),
+            ({"type": "atoms", "atoms": [["0", "1"]], "Atoms": [], "weights": []}, "'Atoms', 'weights'"),
+            ({"type": "jacobi", "alpha": ["0"], "omega": [], "tail": {**WIGNER01["tail"], "c": "1"}}, "'c'"),
+            ({"type": "jacobi", "alpha": ["0"], "omega": [], "tail": {"kind": "truncate", "a": "0"}}, "'a'"),
+        ],
+        ids=["moments", "jacobi", "atoms", "wigner-tail", "truncate-tail"],
+    )
+    def test_unknown_measure_key_is_named(self, tmp_path, capsys, obj, key):
+        mu = write(tmp_path, "mu.json", obj)
+        for argv in (["convolve", "free", mu, mu, "--order", "4"], ["density", mu, "--points", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and f"unknown key{'s' * (',' in key)} {key}" in err
+            assert "Traceback" not in err
+
+    def test_unknown_graph_key_is_named(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", {**P2, "weights": [1]})
+        code, out, err = run(capsys, ["graph", "star", g, g])
+        assert code == 2 and out == "" and "unknown key 'weights' in a graph" in err
 
 
 class TestEmissionSpeed:

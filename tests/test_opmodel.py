@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -19,23 +20,29 @@ from freeconv.measures import (
 )
 
 
-def thirds_model():
+def cut(j, d):
+    """The truncated input of j's first d levels, whose factor is the path
+    of d levels at any depth cap of at least d - 1."""
+    return make_jacobi(j.alpha[:d], j.omega[: d - 1])
+
+
+def thirds_model(depth=5):
     """Factors with entries over 3 and 6, whose words past the vacuum all
     have weights other than 1."""
-    j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6), F(5, 6)], [F(1, 6) ** 2, F(5, 3) ** 2, F(7, 6) ** 2])
-    j6 = make_jacobi([F(-1, 6), F(4, 3), F(0), F(-7, 6)], [F(2, 3) ** 2, F(1, 6) ** 2, F(4, 3) ** 2])
-    return opmodel.FreeProductModel(j3, j6, factor_dim=3, depth_cap=5)
+    j3 = make_jacobi([F(1, 3), F(-2, 3), F(1, 6)], [F(1, 6) ** 2, F(5, 3) ** 2])
+    j6 = make_jacobi([F(-1, 6), F(4, 3), F(0)], [F(2, 3) ** 2, F(1, 6) ** 2])
+    return opmodel.FreeProductModel(j3, j6, depth_cap=depth)
 
 
 def halves_and_thirds_model():
     """Factors whose operators have denominators 2 and 3."""
     jmu = make_jacobi([F(1, 2), 0], [1], complete=True)
     jnu = make_jacobi([F(1, 3), 1], [4], complete=True)
-    return opmodel.FreeProductModel(jmu, jnu, factor_dim=2, depth_cap=4)
+    return opmodel.FreeProductModel(jmu, jnu, depth_cap=4)
 
 
-def small_model(seed=0, dim=4, depth=8, weight_cap=None):
-    # complete=True: the d-dimensional factor realizes the terminated
+def small_model(seed=0, dim=4, depth=8):
+    # complete=True: the factor of dim levels realizes the terminated
     # measure exactly, so every moment of it is available for comparisons
     rng = random.Random(seed)
     alpha = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
@@ -44,12 +51,12 @@ def small_model(seed=0, dim=4, depth=8, weight_cap=None):
     gamma = [F(rng.randint(1, 2)) ** 2 for _ in range(dim - 1)]
     jmu = make_jacobi(alpha, omega, complete=True)
     jnu = make_jacobi(beta, gamma, complete=True)
-    return opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight_cap)
+    return opmodel.FreeProductModel(jmu, jnu, depth_cap=depth)
 
 
 class TestWordBasis:
     def test_two_dimensional_factors_give_zigzag_words(self):
-        basis = opmodel.WordBasis.build(2, 6)
+        basis = opmodel.WordBasis.build((2, 2), 6)
         # one empty word plus two alternating words per length
         assert len(basis) == 1 + 2 * 6
         assert basis.words[0] == ()
@@ -57,36 +64,30 @@ class TestWordBasis:
         assert basis.words[2] == ((2, 1),)
 
     def test_ordering_is_length_then_lexicographic(self):
-        basis = opmodel.WordBasis.build(3, 2)
+        basis = opmodel.WordBasis.build((3, 3), 2)
         lengths = [len(w) for w in basis.words]
         assert lengths == sorted(lengths)
         level1 = [w for w in basis.words if len(w) == 1]
         assert level1 == sorted(level1)
 
-    def test_weight_cap_prunes_heavy_letters(self):
-        full = opmodel.WordBasis.build(8, 2, weight_cap=14)
-        capped = opmodel.WordBasis.build(8, 2, weight_cap=3)
-        assert len(capped) < len(full)
-        assert all(sum(k for _, k in w) <= 3 for w in capped.words)
-
     def test_words_equal_the_recursive_enumeration(self):
-        for d in range(1, 5):
-            for depth in range(1, 5):
-                for weight in range(1, 9):
-                    basis = opmodel.WordBasis.build(d, depth, weight)
-                    assert list(basis.words) == recursive_words(d, depth, weight), (d, depth, weight)
+        for d1 in range(1, 6):
+            for d2 in range(1, 6):
+                for depth in range(1, 9):
+                    basis = opmodel.WordBasis.build((d1, d2), depth)
+                    assert list(basis.words) == recursive_words((d1, d2), depth), (d1, d2, depth)
 
     def test_size_cap_stops_the_enumeration(self):
-        # about 24 million words below the caps; they are counted before any is built
+        # 2**25 - 1 words under the cap; they are counted before any is built
         start = time.perf_counter()
-        with pytest.raises(InvalidParameter, match="more than 200000 words"):
-            opmodel.WordBasis.build(6, 10, 60)
+        with pytest.raises(InvalidParameter, match="word basis of depth cap 24 would have more than 200000 words"):
+            opmodel.WordBasis.build((25, 25), 24)
         assert time.perf_counter() - start < 0.1
 
     def test_level_slabs_partition_words(self):
         # every alpha is nonzero, so every word's column holds its diagonal entry
         j = make_jacobi([1, 2, 3], [4, 5], complete=True)
-        model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
+        model = opmodel.FreeProductModel(j, j, depth_cap=4)
         last = model.depth_cap + 1
         for factor in (1, 2):
             slabs = {n: set(model.replica(factor, n).entries) for n in range(1, last + 1)}
@@ -105,19 +106,18 @@ def level_indices(basis, factor, n):
     }
 
 
-def recursive_words(d, depth_cap, weight_cap):
-    """Reference: the alternating words grown depth first by prepending
-    letters, then sorted length-lexicographically."""
+def recursive_words(dims, depth_cap):
+    """Reference: the alternating words of index sum at most the cap,
+    grown depth first by prepending letters, then sorted
+    length-lexicographically."""
     words = [()]
 
     def grow(prefix, weight):
-        if len(prefix) == depth_cap:
-            return
         for factor in (1, 2):
             if prefix and prefix[0][0] == factor:
                 continue
-            for k in range(1, d):
-                if weight + k > weight_cap:
+            for k in range(1, dims[factor - 1]):
+                if weight + k > depth_cap:
                     break
                 word = ((factor, k),) + prefix
                 words.append(word)
@@ -291,7 +291,7 @@ class TestFreeProductRep:
     def test_irrational_root_pair_is_exact_at_depth_40(self):
         # omega = 2 and 27/16 have no rational square root
         mu, nu = two_point(F(1, 3), -1, 2), two_point(F(1, 4), 0, 3)
-        model = opmodel.FreeProductModel(mu, nu, factor_dim=2, depth_cap=40)
+        model = opmodel.FreeProductModel(mu, nu, depth_cap=40)
         got = model.state_moments(model.total(), 40)
         assert all(type(x) is F for x in got)
         assert tuple(got) == convolve.free(mu, nu, 40).moments(40)
@@ -316,22 +316,44 @@ class TestFreeProductRep:
         want = [phi([x2, x1] + [total] * n + [x1, x2]) / phi([x2, x1, x1, x2]) for n in range(1, 6)]
         assert model.state_moments(total, 5, vec=vec) == want
 
+    @pytest.mark.parametrize("depth", [3, 6, 10])
+    def test_tail_and_two_point_are_exact_through_the_cap_order_and_no_further(self, depth):
+        # the tail's path reaches the cap, the two-point law's stops at its 2 levels
+        mu, nu = wigner(F(1, 2), 2), two_point(F(1, 3), -1, 2)
+        model = opmodel.FreeProductModel(mu, nu, depth_cap=depth)
+        assert model.basis.dims == (depth + 1, 2)
+        order = 2 * depth + 1
+        got = model.state_moments(model.total(), order + 1)
+        want = convolve.free(mu, nu, order + 1).moments(order + 1)
+        assert tuple(got[:order]) == want[:order]
+        assert got[order] != want[order]
+
     def test_operator_of_another_size_rejected(self):
         model = small_model()
         for size in (len(model.basis) - 1, len(model.basis) + 1):
             with pytest.raises(InvalidParameter, match="basis vectors"):
                 model.state_moments(opmodel.ModelOperator(size, {(0, 0): 1}), 2)
 
-    def test_state_of_norm_zero_rejected(self):
+    def test_finite_factor_gets_no_letter_past_its_levels(self):
+        # the two levels of a terminated recursion make the whole path, so no
+        # word holds p_2, whose norm is 0, and every weight is positive
         j = make_jacobi([1, 2], [F(1, 3)], complete=True)
-        model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
+        model = opmodel.FreeProductModel(j, j, depth_cap=4)
+        assert model.basis.dims == (2, 2)
+        assert all(k == 1 for w in model.basis.words for _, k in w)
+        assert all(w > 0 for w in model.weights)
+        with pytest.raises(InvalidParameter, match="not in the basis"):
+            model.word_vector(((1, 2),))
+
+    def test_state_of_norm_zero_rejected(self):
+        model = small_model(dim=2, depth=4)
         with pytest.raises(InvalidParameter, match="norm 0"):
-            model.state_moments(model.total(), 2, vec=model.word_vector(((1, 2),)))
+            model.state_moments(model.total(), 2, vec={model.basis.index[((1, 1),)]: F(0)})
 
     @pytest.mark.parametrize("key", [-1, 7, 99, 10**6])
     def test_state_key_outside_the_basis_rejected(self, key):
         # a negative key would read a weight from the end, a large one past it
-        model = opmodel.FreeProductModel(two_point(F(1, 3), -1, 2), two_point(F(1, 4), 0, 3), factor_dim=2, depth_cap=3)
+        model = opmodel.FreeProductModel(two_point(F(1, 3), -1, 2), two_point(F(1, 4), 0, 3), depth_cap=3)
         bad = {key: F(1)}
         with pytest.raises(InvalidParameter, match="outside the 7 basis vectors"):
             model.state_moments(model.total(), 3, vec=bad)
@@ -432,25 +454,34 @@ def free_product_rep(a, factor, basis):
     return opmodel.ModelOperator._of(len(basis), cols, a.den)
 
 
+def factor_input(rng, kind):
+    """A factor of a seeded recursion: kind n = 1..4 is a finite one of n
+    levels, 5 one truncated to 3 levels, 6 a constant tail."""
+    if kind <= 4:
+        return complete_jacobi(rng, kind)
+    if kind == 5:
+        return cut(complete_jacobi(rng, 6), 3)
+    return wigner(F(rng.randint(-3, 3), 2), F(rng.randint(1, 3), rng.randint(1, 2))).jacobi()
+
+
 def test_model_equals_the_word_by_word_representation():
-    # factor dimension 1-5, depth cap 1-5 and index-sum cap 1..D + 4: 175 models
+    # six kinds of factor on each side, depth cap 1-5: 180 models
     rng = random.Random(175)
-    for dim in range(1, 6):
+    for kinds in itertools.product(range(1, 7), repeat=2):
         for depth in range(1, 6):
-            for weight in range(1, depth + 5):
-                jmu, jnu = complete_jacobi(rng, 6), complete_jacobi(rng, 6)
-                model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
-                case = (dim, depth, weight)
-                for factor, x in ((1, model.x1), (2, model.x2)):
-                    want = free_product_rep(model.factors[factor - 1], factor, model.basis)
-                    assert (x.entries, x.den) == (want.entries, want.den), case
-                weights = [math.prod(model.factor_weights[f - 1][k] for f, k in w) for w in model.basis.words]
-                assert model.weights == weights, case
-                replicas, branches = replica_sums(model)
-                for key, want in replicas.items():
-                    assert rational(model.replica(*key)) == rational(want), (case, key)
-                for key, want in branches.items():
-                    assert rational(model.branch(*key)) == rational(want), (case, key)
+            jmu, jnu = (factor_input(rng, kind) for kind in kinds)
+            model = opmodel.FreeProductModel(jmu, jnu, depth_cap=depth)
+            case = (kinds, depth)
+            for factor, x in ((1, model.x1), (2, model.x2)):
+                want = free_product_rep(model.factors[factor - 1], factor, model.basis)
+                assert (x.entries, x.den) == (want.entries, want.den), case
+            weights = [math.prod(model.factor_weights[f - 1][k] for f, k in w) for w in model.basis.words]
+            assert model.weights == weights, case
+            replicas, branches = replica_sums(model)
+            for key, want in replicas.items():
+                assert rational(model.replica(*key)) == rational(want), (case, key)
+            for key, want in branches.items():
+                assert rational(model.branch(*key)) == rational(want), (case, key)
 
 
 class TestFactorOutsideOneAndTwo:
@@ -475,8 +506,11 @@ class TestFactorOutsideOneAndTwo:
 
 @pytest.mark.parametrize(
     "model",
-    [small_model(seed=14, dim=4, depth=6), small_model(seed=15, dim=3, depth=6, weight_cap=6 * 3)],
-    ids=["weight-capped", "uncapped"],
+    [
+        small_model(seed=14, dim=4, depth=6),
+        opmodel.FreeProductModel(wigner(F(1, 2), 2), small_model(seed=15, dim=3, depth=2).nu_jacobi, depth_cap=5),
+    ],
+    ids=["equal-paths", "tail-and-finite"],
 )
 def test_replicas_and_branches_equal_their_definitions(model, monkeypatch):
     replicas, branches = replica_sums(model)
@@ -495,7 +529,7 @@ def test_cancelling_pair_has_an_empty_total():
     # x1 = a and x2 = -a on the one-word space: their sum has no column, and
     # the empty word lies in slab 1 of both factors, so branch(1, 1) is x1
     a = F(3, 2)
-    model = opmodel.FreeProductModel(point_mass(a), point_mass(-a), factor_dim=1, depth_cap=3)
+    model = opmodel.FreeProductModel(point_mass(a), point_mass(-a), depth_cap=3)
     replicas, branches = replica_sums(model)
     assert model.total().entries == {}
     assert model.total().equals(replicas[1, 1] + replicas[2, 1])
@@ -510,14 +544,14 @@ def test_cancelling_pair_has_an_empty_total():
     [
         thirds_model(),
         halves_and_thirds_model(),
-        small_model(seed=16, dim=3, depth=5, weight_cap=4),
-        opmodel.FreeProductModel(point_mass(F(3, 2)), point_mass(F(-3, 2)), factor_dim=1, depth_cap=3),
+        opmodel.FreeProductModel(wigner(F(1, 3), F(4, 9)), thirds_model().nu_jacobi, depth_cap=4),
+        opmodel.FreeProductModel(point_mass(F(3, 2)), point_mass(F(-3, 2)), depth_cap=3),
     ],
-    ids=["thirds", "halves-and-thirds", "weight-capped", "cancelling"],
+    ids=["thirds", "halves-and-thirds", "tail-and-truncated", "cancelling"],
 )
 def test_model_operators_are_ints_over_one_denominator(model):
-    dim = model.basis.dim
-    den = math.lcm(*(opmodel.jacobi_operator(j, dim).den for j in (model.mu_jacobi, model.nu_jacobi)))
+    d1, d2 = model.basis.dims
+    den = math.lcm(opmodel.jacobi_operator(model.mu_jacobi, d1).den, opmodel.jacobi_operator(model.nu_jacobi, d2).den)
     last = model.depth_cap + 1
     ops = [*model.factors, model.x1, model.x2, model.total()]
     ops += [model.replica(i, n) for i in (1, 2) for n in range(1, last + 1)]
@@ -525,8 +559,8 @@ def test_model_operators_are_ints_over_one_denominator(model):
     assert {op.den for op in ops} == {den}
     assert all(type(v) is int for op in ops for col in op.entries.values() for v in col.values())
     # the factors carry their own rationals over the shared denominator
-    assert rational(model.factors[0]) == rational(opmodel.jacobi_operator(model.mu_jacobi, dim))
-    assert rational(model.factors[1]) == rational(opmodel.jacobi_operator(model.nu_jacobi, dim))
+    assert rational(model.factors[0]) == rational(opmodel.jacobi_operator(model.mu_jacobi, d1))
+    assert rational(model.factors[1]) == rational(opmodel.jacobi_operator(model.nu_jacobi, d2))
 
 
 def test_factors_over_2_and_3_share_the_denominator_6():
@@ -575,9 +609,9 @@ def fraction_state_moments(model, op, n_max, vec):
 
 def test_state_moments_equal_the_fraction_chain():
     model = thirds_model()
-    # index sums <= 2 keep words to length 2, so slab 5 is empty
-    capped = opmodel.FreeProductModel(model.mu_jacobi, model.nu_jacobi, factor_dim=3, depth_cap=5, weight_cap=2)
-    empty = capped.replica(1, 5)
+    # an operator with no column, on the words of index sum at most 2
+    capped = thirds_model(depth=2)
+    empty = capped.x1 - capped.x1
     assert not empty.entries
 
     def state(m):
@@ -607,53 +641,64 @@ def complete_jacobi(rng, levels):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vacuum_moments_exact_through_the_certified_order_and_no_further(seed):
-    # factors with 7 levels, cut to d <= 6: the first moment off the free
-    # convolution is order min(2D + 2, 2W + 2, 2d)
+    # factors with 7 levels, whole or cut to truncated inputs of d1 and d2
+    # levels: the first moment off the free convolution is order 2D + 2, or
+    # 2d for the least d <= D of a cut factor
     rng = random.Random(seed)
     jmu, jnu = complete_jacobi(rng, 7), complete_jacobi(rng, 7)
     want = convolve.free(MeasureRep.from_jacobi(jmu), MeasureRep.from_jacobi(jnu), 14).moments(14)
-    for depth, dim, weight in [(2, 6, 2), (3, 6, 3), (4, 6, 4), (6, 2, 6), (6, 3, 6), (5, 6, 3), (4, 4, 4)]:
-        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
-        order = min(2 * depth + 1, 2 * weight + 1, 2 * dim - 1)
+    for depth, d1, d2 in [
+        (2, 6, 6), (3, 6, 6), (4, 6, None), (6, None, None), (5, 6, 6),
+        (6, 2, 2), (6, 3, None), (6, None, 3), (4, 4, 4), (5, 3, 4),
+    ]:
+        model = opmodel.FreeProductModel(cut(jmu, d1) if d1 else jmu, cut(jnu, d2) if d2 else jnu, depth_cap=depth)
+        order = 2 * min(depth + 1, d1 or 8, d2 or 8) - 1
         got = model.state_moments(model.total(), order + 1)
-        assert tuple(got[:order]) == want[:order], (depth, dim, weight)
-        assert got[order] != want[order], (depth, dim, weight)
+        assert tuple(got[:order]) == want[:order], (depth, d1, d2)
+        assert got[order] != want[order], (depth, d1, d2)
 
 
-def word_state_order(depth, weight, dim, word):
-    """The order through which the state at `word` is exact: min(2(D - k),
-    2(W - s), 2t) + 1, with t the least over the letters of dim - 1 minus
-    the letter's index plus the index sum in front of it."""
-    t, front = dim - 1, 0
-    for _, index in word:
-        t = min(t, front + dim - 1 - index)
+def word_state_order(depth, dims, word):
+    """The order through which the state at `word` is exact: min(2(D - s),
+    2t) + 1, with t the least over the letters of a cut factor, dims[f - 1]
+    levels (None for a whole one), of its levels - 1 minus the letter's
+    index plus the index sum in front of it."""
+    t, front = depth, 0
+    for factor, index in word:
+        if dims[factor - 1]:
+            t = min(t, front + dims[factor - 1] - 1 - index)
         front += index
-    return min(2 * (depth - len(word)), 2 * (weight - front), 2 * t) + 1
+    return min(2 * (depth - front), 2 * t) + 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_word_state_moments_exact_through_the_certified_order_and_no_further(seed):
-    # against a model of the 7-level factors at depth 8, exact at these
-    # words through order 2(8 - s) + 1 >= 7
+    # against a model of the whole 7-level factors at depth 8, exact at
+    # these words through order 2(8 - s) + 1 >= 7
     rng = random.Random(seed)
     jmu, jnu = complete_jacobi(rng, 7), complete_jacobi(rng, 7)
-    ref = opmodel.FreeProductModel(jmu, jnu, factor_dim=7, depth_cap=8)
-    for depth, weight, dim, word, binding in [
-        (2, 6, 6, ((1, 1),), "depth"),
-        (5, 3, 6, ((1, 1), (2, 1)), "index sum"),
-        (5, 8, 4, ((1, 2), (2, 1)), "largest letter first"),
-        (5, 8, 4, ((1, 1), (2, 3)), "largest letter second"),
-        (6, 9, 4, ((2, 1), (1, 1), (2, 3)), "largest letter third"),
+    ref = opmodel.FreeProductModel(jmu, jnu, depth_cap=8)
+    for depth, dims, word, binding in [
+        (2, (6, 6), ((1, 1),), "cap, one letter"),
+        (3, (6, 6), ((1, 1), (2, 1)), "cap, two letters"),
+        (4, (None, None), ((2, 2), (1, 1)), "cap, whole factors"),
+        (8, (4, 4), ((1, 2), (2, 1)), "largest letter first"),
+        (8, (4, 4), ((1, 1), (2, 3)), "largest letter second"),
+        (8, (4, 4), ((2, 1), (1, 1), (2, 3)), "largest letter third"),
+        (8, (4, None), ((1, 1), (2, 3)), "largest letter of a whole factor"),
     ]:
-        model = opmodel.FreeProductModel(jmu, jnu, factor_dim=dim, depth_cap=depth, weight_cap=weight)
-        order = word_state_order(depth, weight, dim, word)
+        d1, d2 = dims
+        model = opmodel.FreeProductModel(cut(jmu, d1) if d1 else jmu, cut(jnu, d2) if d2 else jnu, depth_cap=depth)
+        order = word_state_order(depth, dims, word)
         got = model.state_moments(model.total(), order + 1, vec=model.word_vector(word))
         want = ref.state_moments(ref.total(), order + 1, vec=ref.word_vector(word))
         assert got[:order] == want[:order], binding
         assert got[order] != want[order], binding
-    # behind a letter of index 1, the index-3 letter reaches dim = 4 only
-    # after 4 steps, not the 2 that dim - 1 - 3 allows
-    assert word_state_order(5, 8, 4, ((1, 1), (2, 3))) == 2 * (1 + 4 - 1 - 3) + 1 == 3
+    # behind a letter of index 1, the index-3 letter reaches level 4 only
+    # after 4 steps, not the 2 that 4 - 1 - 3 allows; a whole factor's
+    # letter bounds nothing
+    assert word_state_order(8, (4, 4), ((1, 1), (2, 3))) == 2 * (1 + 4 - 1 - 3) + 1 == 3
+    assert word_state_order(8, (4, None), ((1, 1), (2, 3))) == 2 * (4 - 1 - 1) + 1 == 5
 
 
 class TestBranches:
@@ -863,7 +908,7 @@ def reference_cases():
     rng = random.Random(7)
     jmu = verify.random_square_omega_jacobi(rng)
     jnu = verify.random_square_omega_jacobi(rng)
-    model = opmodel.FreeProductModel(jmu, jnu, factor_dim=4, depth_cap=6)
+    model = opmodel.FreeProductModel(cut(jmu, 4), cut(jnu, 4), depth_cap=6)
     names = [
         "generic-free-pair-fails-orthogonality",
         "replica-branch-pairs-pass-orthogonality",
@@ -873,7 +918,7 @@ def reference_cases():
     cases = [args[:4] + args[5:] for args, _ in calls]
     # omega = 2 has no rational square root: the weights are not squares
     irr = make_jacobi([0, 0], [F(2)])
-    model_i = opmodel.FreeProductModel(irr, irr, factor_dim=2, depth_cap=10)
+    model_i = opmodel.FreeProductModel(irr, irr, depth_cap=10)
     word = model_i.word_vector(((1, 1),))
     cases.append((model_i.x1, model_i.x2, model_i.vacuum(), word, model_i.weights))
     cases.append((model_i.replica(1, 1), model_i.branch(2, 2), model_i.vacuum(), word, model_i.weights))

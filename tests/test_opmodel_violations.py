@@ -54,11 +54,11 @@ def test_passing_report_has_no_violations():
 
 
 def test_state_of_norm_zero_rejected():
-    # the conditions divide by each state's norm; the word of index 2 has weight omega_1 = 0
+    # the conditions divide by each state's norm; every word's weight is
+    # positive, so a state of norm 0 is a zero vector
     j = make_jacobi([1, 2], [F(1, 3)], complete=True)
-    model = opmodel.FreeProductModel(j, j, factor_dim=3, depth_cap=4)
-    null = model.word_vector(((1, 2),))
-    assert model.weights[next(iter(null))] == 0
+    model = opmodel.FreeProductModel(j, j, depth_cap=4)
+    null = {model.basis.index[((1, 1),)]: F(0)}
     for xi, eta in ((null, model.vacuum()), (model.vacuum(), null)):
         with pytest.raises(InvalidParameter, match="nonzero norm"):
             opmodel.orthogonality_check(model.x1, model.x2, xi, eta, 2, model.weights)

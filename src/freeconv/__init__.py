@@ -7,7 +7,6 @@ graph products cross-checking one another.
 """
 
 from .convolve import (
-    ConvolutionRequest,
     boolean,
     free,
     free_cumulant_oracle,
@@ -39,7 +38,6 @@ from .series import TailSeries, F_to_moments, moments_to_F, substitute_into_shif
 
 __all__ = [
     "AtomicMeasure",
-    "ConvolutionRequest",
     "F_to_moments",
     "JacobiParams",
     "MeasureRep",

@@ -44,7 +44,7 @@ from .measures import (
     parse_measure,
     stieltjes_density,
 )
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,6 +53,11 @@ EXIT_NOT_MOMENTS = 3
 EXIT_ROUTE = 4
 EXIT_DOMAIN = 5
 EXIT_UNDETERMINED = 6
+
+
+# the glued products by name, in the order `freeconv graph` lists them
+# before `free-ball`
+GLUED_PRODUCTS = {"orthogonal": graph_orthogonal, "comb": graph_comb, "star": graph_star}
 
 
 def _load_json(path: str):
@@ -84,10 +89,14 @@ def _print_measure(obj: dict, fmt: str) -> None:
 def cmd_convolve(args) -> int:
     mu = _load_measure(args.mu)
     nu = _load_measure(args.nu)
-    req = convolve.ConvolutionRequest(
-        mu=mu, nu=nu, op=args.op, order=args.order, iterations=args.iterations
-    )
-    result = convolve.convolve_request(req)
+    if args.op == "orthogonal-iter":
+        if args.iterations is None:
+            raise InvalidParameter("orthogonal-iter needs an iteration count")
+        result = convolve.orthogonal_iterated(mu, nu, args.iterations, args.order)
+    elif args.iterations is not None:
+        raise InvalidParameter(f"--iterations is only for orthogonal-iter, not {args.op}")
+    else:
+        result = convolve.OPERATIONS[args.op](mu, nu, args.order)
     _print_measure(measure_to_json(result, args.order), args.output)
     return EXIT_OK
 
@@ -114,13 +123,7 @@ def cmd_graph(args) -> int:
             raise InvalidParameter(f"{flag} must be >= 1, got {value}")
     g1 = parse_graph(_load_json(args.g1))
     g2 = parse_graph(_load_json(args.g2))
-    if args.op == "star":
-        g = graph_star(g1, g2)
-    elif args.op == "comb":
-        g = graph_comb(g1, g2)
-    elif args.op == "orthogonal":
-        g = graph_orthogonal(g1, g2)
-    elif args.op == "free-ball":
+    if args.op == "free-ball":
         # a walk changes the word length by at most one per step, so the
         # ball determines the root moments only up to order 2 * radius + 1
         if args.moments > 2 * args.radius + 1:
@@ -130,7 +133,7 @@ def cmd_graph(args) -> int:
             )
         g = free_product_ball(g1, g2, args.radius)
     else:
-        raise InvalidParameter(f"unknown graph operation {args.op!r}")
+        g = GLUED_PRODUCTS[args.op](g1, g2)
     out = {
         "graph": graph_to_json(g),
         "moments": [fraction_to_str(m) for m in root_spectral_moments(g, args.moments)],
@@ -165,10 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convolve", help="convolve two measure files")
-    p.add_argument(
-        "op",
-        choices=["free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter"],
-    )
+    p.add_argument("op", choices=[*convolve.OPERATIONS, "orthogonal-iter"])
     p.add_argument("mu", help="left measure JSON file")
     p.add_argument("nu", help="right measure JSON file")
     p.add_argument("--order", type=int, default=10, help="number of exact moments")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("graph", help="rooted-graph products and root moments")
-    p.add_argument("op", choices=["orthogonal", "comb", "star", "free-ball"])
+    p.add_argument("op", choices=[*GLUED_PRODUCTS, "free-ball"])
     p.add_argument("g1", help="first graph JSON file")
     p.add_argument("g2", help="second graph JSON file")
     p.add_argument("--radius", type=int, default=6, help="word-length cap for free-ball")
@@ -195,11 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("verify", help="run the identity suites")
-    p.add_argument(
-        "--suite",
-        choices=["partitions", "convolutions", "opmodel", "all"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_verify)

@@ -30,9 +30,7 @@ numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InvalidParameter, NoConvergence, RouteMismatch
 from .measures import (
@@ -55,17 +53,6 @@ from .series import (
     sfree_pair,
     substitute_into_shifted,
 )
-
-
-@dataclass(frozen=True)
-class ConvolutionRequest:
-    """A single convolution job, as the CLI hands it over."""
-
-    mu: MeasureRep
-    nu: MeasureRep
-    op: str
-    order: int
-    iterations: Optional[int] = None
 
 
 # stopping rule of the pointwise subordination iteration
@@ -173,27 +160,14 @@ def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureR
     return MeasureRep.from_moments(moments_from_free_cumulants(total, order))
 
 
-_OPS = {
+# the five convolutions by name, in the order `freeconv convolve` lists them
+OPERATIONS = {
+    "free": free,
     "boolean": boolean,
     "monotone": monotone,
     "orthogonal": orthogonal,
     "sfree": sfree,
-    "free": free,
 }
-
-
-def convolve_request(req: ConvolutionRequest) -> MeasureRep:
-    if req.op == "orthogonal-iter":
-        if req.iterations is None:
-            raise InvalidParameter("orthogonal-iter needs an iteration count")
-        return orthogonal_iterated(req.mu, req.nu, req.iterations, req.order)
-    if req.iterations is not None:
-        raise InvalidParameter(f"--iterations is only for orthogonal-iter, not {req.op}")
-    try:
-        fn = _OPS[req.op]
-    except KeyError:
-        raise InvalidParameter(f"unknown convolution {req.op!r}") from None
-    return fn(req.mu, req.nu, req.order)
 
 
 # ---------------------------------------------------------------------------

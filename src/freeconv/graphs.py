@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter
-from .measures import MeasureRep, _known_keys
+from .measures import _known_keys
 
 _WORD_LIMIT = 200_000
 
@@ -73,11 +73,6 @@ def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
         vec = nxt
         out.append(Fraction(vec.get(g.root, 0)))
     return tuple(out)
-
-
-def root_distribution(g: RootedGraph, order: int):
-    """Measure representation of the root spectral distribution."""
-    return MeasureRep.from_moments(root_spectral_moments(g, order))
 
 
 # ---------------------------------------------------------------------------

@@ -633,7 +633,8 @@ _TAIL_KEYS = {"truncate": ("kind",), "wigner": ("kind", "a", "b")}
 
 def parse_measure(obj: dict) -> MeasureRep:
     """Parse the tagged measure object; a key its type does not name, in
-    the measure or its tail, is rejected."""
+    the measure or its tail, is rejected, and so is a level (an entry or a
+    `wigner` tail) after a zero omega, which `make_jacobi` would drop."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
@@ -661,6 +662,15 @@ def parse_measure(obj: dict) -> MeasureRep:
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
         if not alpha and tail is None:
             raise InvalidParameter("a 'jacobi' measure needs an 'alpha' entry or a 'wigner' tail")
+        if 0 in omega:
+            k = omega.index(0)
+            follows = (
+                f"alpha[{k + 1}]" if len(alpha) > k + 1
+                else f"omega[{k + 1}]" if len(omega) > k + 1
+                else "a 'wigner' tail" if tail else None
+            )
+            if follows:
+                raise InvalidParameter(f"omega[{k}] is zero and ends the recursion, but {follows} follows it")
         return MeasureRep.from_jacobi(make_jacobi(alpha, omega, tail))
     return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])
 

@@ -898,8 +898,8 @@ def graph_products_realize_the_five_convolutions(inp, rng):
     for _ in range(5):
         g1 = random_graph(rng, rng.randint(2, 4))
         g2 = random_graph(rng, rng.randint(2, 4))
-        r1 = graphs.root_distribution(g1, 8)
-        r2 = graphs.root_distribution(g2, 8)
+        r1 = MeasureRep.from_moments(graphs.root_spectral_moments(g1, 8))
+        r2 = MeasureRep.from_moments(graphs.root_spectral_moments(g2, 8))
         products = [
             ("star", graphs.graph_star(g1, g2), convolve.boolean),
             ("comb", graphs.graph_comb(g1, g2), convolve.monotone),

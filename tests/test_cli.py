@@ -257,6 +257,41 @@ class TestInputGrammar:
         code, out, err = run(capsys, ["graph", "star", g, g])
         assert code == 2 and out == "" and "unknown key 'weights' in a graph" in err
 
+    @pytest.mark.parametrize(
+        "alpha, omega, tail, level",
+        [
+            (["0", "5", "7"], ["0", "1"], None, "alpha[1]"),
+            (["1"], ["0"], WIGNER01["tail"], "a 'wigner' tail"),
+            (["1"], ["0", "2"], None, "omega[1]"),
+            (["1", "2", "3"], ["4", "0"], WIGNER01["tail"], "alpha[2]"),
+        ],
+        ids=["alpha", "wigner-tail", "omega", "second-level"],
+    )
+    def test_level_after_a_zero_omega_is_named(self, tmp_path, capsys, alpha, omega, tail, level):
+        obj = {"type": "jacobi", "alpha": alpha, "omega": omega}
+        if tail:
+            obj["tail"] = tail
+        mu = write(tmp_path, "mu.json", obj)
+        zero = f"omega[{omega.index('0')}] is zero"
+        for argv in (["convolve", "free", mu, mu, "--order", "4"], ["density", mu, "--points", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and zero in err and f"but {level} follows it" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, choices",
+        [
+            ("convolve", "{free,boolean,monotone,orthogonal,sfree,orthogonal-iter}"),
+            ("graph", "{orthogonal,comb,star,free-ball}"),
+            ("verify", "{partitions,convolutions,opmodel,all}"),
+        ],
+    )
+    def test_each_command_lists_its_operations_in_order(self, capsys, command, choices):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0 and choices in capsys.readouterr().out
+
 
 class TestEmissionSpeed:
     def test_free_at_order_60_emits_within_bound(self, tmp_path, capsys):
@@ -307,13 +342,13 @@ class TestEmissionSpeed:
         assert code == 0
         elapsed = []
 
-        def timed(req, convolve_request=convolve.convolve_request):
+        def timed(mu, nu, order, free=convolve.OPERATIONS["free"]):
             start = time.perf_counter()
-            result = convolve_request(req)
+            result = free(mu, nu, order)
             elapsed.append(time.perf_counter() - start)
             return result
 
-        monkeypatch.setattr(convolve, "convolve_request", timed)
+        monkeypatch.setitem(convolve.OPERATIONS, "free", timed)
         code, out_m, _ = run(capsys, ["convolve", "free", paths["mu_m"], paths["nu_m"], "--order", "80"])
         assert code == 0
         assert json.loads(out_m)["m"] == json.loads(out)["m"]
@@ -371,7 +406,12 @@ class TestDensity:
         assert code == 6 and out == "" and "20 truncated recursion levels" in err
 
     def test_finite_and_atomic_inputs_print(self, tmp_path, capsys):
-        for obj in (BERNOULLI, {"type": "jacobi", "alpha": ["0", "1"], "omega": ["0"]}):
+        for obj in (
+            BERNOULLI,
+            {"type": "jacobi", "alpha": ["0"], "omega": ["0"]},
+            # a zero omega that ends the input, before a tail that adds no level
+            {"type": "jacobi", "alpha": ["0", "1"], "omega": ["2", "0"], "tail": {"kind": "truncate"}},
+        ):
             code, out, _ = run(capsys, ["density", write(tmp_path, "mu.json", obj), "--points", "3"])
             assert code == 0 and len(out.splitlines()) == 4
 

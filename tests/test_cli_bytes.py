@@ -12,12 +12,15 @@ the pairs, so a changed rational or edge fails on its own line.  They also
 hold the `verify --suite all` stdout at seeds 7 and 1978123090; pytest
 runs seed 7, and CI diffs the console script's seed-1978123090 run.
 
-To regenerate after a deliberate output change:
+The order-80 stdout of the six operations on one larger pair is pinned by
+its sha256 digest.  To regenerate the files, and print the digests to
+paste into `HIGH_ORDER_SHA256`, after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_bytes.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -59,6 +62,23 @@ PAIRS = (
 OPS = ("free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter")
 ORDERS = (10, 24)
 CASES = [(op, order) for op in OPS for order in ORDERS]
+
+# the `TestEmissionSpeed` pair of test_cli.py (4 atoms and 3 atoms): its
+# recursion coefficients grow long only past order 24, so its order-80
+# stdout is pinned too, by sha256 rather than by a file
+HIGH_ORDER = 80
+HIGH_ORDER_MEASURES = {
+    "mu": {"type": "atoms", "atoms": [["-2", "1/6"], ["-3/2", "1/12"], ["-1/2", "1/2"], ["1/2", "1/4"]]},
+    "nu": {"type": "atoms", "atoms": [["-3", "5/12"], ["-1", "1/3"], ["1", "1/4"]]},
+}
+HIGH_ORDER_SHA256 = {
+    "free": "ebcbe60cde24545ab30334fe0b3bf97128447e0cf2f77e4f2ce000b26f5be3c5",
+    "boolean": "13b25067caaa278aaaba1246c21d90962209cd0cfea667b5b5a3ddcbbdda9760",
+    "monotone": "9242ecde50057facd82ea121e8aabb0cab25c168a8b7f8725e8bc8e99bd2052d",
+    "orthogonal": "63d537579c0baa9ebec34d95680eb2d56c54bee2c5838d289778a31b4fbb598e",
+    "sfree": "49211f8c3fb2108b712bd625c9faf100cf2605c441eceb4a59d357ef8ed5bbc8",
+    "orthogonal-iter": "d07ec1ff49493145fb995ec4c8fe23682656022629b5cbae28b0b5829dc3f716",  # 3 iterations
+}
 
 GRAPHS = {
     # a triangle with a pendant vertex, rooted on the triangle; edges unsorted
@@ -118,6 +138,14 @@ def render(op, order, directory):
     return "".join(out)
 
 
+def high_order_digest(op, directory, iterations=3):
+    paths = write_inputs(HIGH_ORDER_MEASURES, directory)
+    argv = ["convolve", op, paths["mu"], paths["nu"], "--order", str(HIGH_ORDER)]
+    if op == "orthogonal-iter":
+        argv += ["--iterations", str(iterations)]
+    return hashlib.sha256(stdout_of(argv).encode("utf-8")).hexdigest()
+
+
 def render_graph(op, directory):
     """Concatenated stdout of all graph pairs, each under a header line."""
     paths = write_inputs(GRAPHS, directory)
@@ -136,6 +164,17 @@ def test_convolve_stdout_matches_expected_file(op, order, tmp_path):
         expected = fh.read()
     assert got.splitlines() == expected.splitlines()
     assert got == expected
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_convolve_stdout_at_order_80_matches_its_digest(op, tmp_path):
+    assert high_order_digest(op, str(tmp_path)) == HIGH_ORDER_SHA256[op]
+
+
+def test_iterations_that_fix_every_moment_print_the_sfree_bytes(tmp_path):
+    # m iterations fix 2m + 2 moments of the s-free half: 39 fix all 80
+    iterations = HIGH_ORDER // 2 - 1
+    assert high_order_digest("orthogonal-iter", str(tmp_path), iterations) == HIGH_ORDER_SHA256["sfree"]
 
 
 @pytest.mark.parametrize("op", GRAPH_OPS)
@@ -167,3 +206,6 @@ if __name__ == "__main__":
     for seed in VERIFY_SEEDS:
         with open(verify_expected_path(seed), "w", encoding="utf-8") as fh:
             fh.write(stdout_of(["verify", "--suite", "all", "--seed", str(seed)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in OPS:
+            print(f"HIGH_ORDER_SHA256[{op!r}] = {high_order_digest(op, tmp)!r}")

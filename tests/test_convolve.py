@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeconv import convolve
+from freeconv.cli import main
 from freeconv.errors import InsufficientDepth, InvalidParameter, NoConvergence
 from freeconv.measures import (
     MeasureRep,
@@ -382,19 +384,35 @@ class TestChainDecomposition:
             convolve.jacobi_chain_decomposition(j, 2)
 
 
-class TestRequest:
-    def test_dispatch(self):
-        req = convolve.ConvolutionRequest(BERN, BERN, "free", 6)
-        assert convolve.convolve_request(req).moments(6) == (
-            F(0), F(2), F(0), F(6), F(0), F(20),
-        )
+class TestCliDispatch:
+    """`freeconv convolve` calls the function `convolve.OPERATIONS` names,
+    or `orthogonal_iterated`; argparse refuses any other name."""
 
-    def test_iterated_needs_count(self):
-        req = convolve.ConvolutionRequest(BERN, BERN, "orthogonal-iter", 6)
-        with pytest.raises(InvalidParameter):
-            convolve.convolve_request(req)
+    @pytest.fixture
+    def bern(self, tmp_path):
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps({"type": "atoms", "atoms": [["-1", "1/2"], ["1", "1/2"]]}))
+        return str(path)
 
-    def test_unknown_operation(self):
-        req = convolve.ConvolutionRequest(BERN, BERN, "classical", 6)
-        with pytest.raises(InvalidParameter):
-            convolve.convolve_request(req)
+    def test_dispatch(self, bern, capsys):
+        for op, fn in convolve.OPERATIONS.items():
+            assert main(["convolve", op, bern, bern, "--order", "6"]) == 0
+            got = json.loads(capsys.readouterr().out)["m"]
+            assert got == [str(x) for x in fn(BERN, BERN, 6).moments(6)], op
+
+    def test_iterated_needs_count(self, bern, capsys):
+        assert main(["convolve", "orthogonal-iter", bern, bern, "--order", "6"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "orthogonal-iter needs an iteration count" in out.err
+
+    def test_measure_files_are_read_before_the_iteration_rules(self, bern, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        for argv in (["orthogonal-iter", bern, missing], ["free", bern, missing, "--iterations", "3"]):
+            assert main(["convolve", *argv]) == 2
+            assert "cannot read" in capsys.readouterr().err
+
+    def test_unknown_operation(self, bern, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convolve", "classical", bern, bern, "--order", "6"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and "invalid choice: 'classical'" in out.err

@@ -6,7 +6,7 @@ import pytest
 
 from freeconv import convolve, graphs
 from freeconv.errors import InvalidParameter
-from freeconv.measures import bernoulli_symmetric
+from freeconv.measures import MeasureRep, bernoulli_symmetric
 from freeconv.opmodel import ModelOperator
 
 
@@ -98,8 +98,8 @@ class TestFreeProduct:
         for _ in range(5):
             g1 = _random_graph(rng, rng.randint(2, 4))
             g2 = _random_graph(rng, rng.randint(2, 4))
-            r1 = graphs.root_distribution(g1, 8)
-            r2 = graphs.root_distribution(g2, 8)
+            r1 = MeasureRep.from_moments(graphs.root_spectral_moments(g1, 8))
+            r2 = MeasureRep.from_moments(graphs.root_spectral_moments(g2, 8))
             pairs = [
                 (graphs.graph_star(g1, g2), convolve.boolean),
                 (graphs.graph_comb(g1, g2), convolve.monotone),

@@ -46,10 +46,6 @@ from .series import (
     Outer,
     TailSeries,
     moments_to_F,
-    poly_add,
-    poly_mul,
-    poly_scale,
-    poly_sub,
     sfree_pair,
     substitute_into_shifted,
 )
@@ -110,15 +106,17 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
 
     m iterations fix exactly 2m + 2 moments of the s-free half, and
     generically not moment 2m + 3: coefficient k of K_mu(z - inner) reads
-    inner only up to index k - 2, so each iteration pins two more moments."""
+    inner only up to index k - 2, so each iteration pins two more moments.
+    So every m >= order / 2 gives the same `order` moments, and at most
+    `order` links are composed, whatever m is."""
     if m < 1:
         raise InvalidParameter("iteration count must be >= 1")
     k_mu = k_series(mu, order)
     k_nu = k_series(nu, order)
-    chain = [k_mu if i % 2 == 0 else k_nu for i in range(m + 1)]
-    acc = chain[-1]
-    for ks in reversed(chain[:-1]):
-        acc = substitute_into_shifted(ks, acc)
+    m = min(m, order)
+    acc = k_nu if m % 2 else k_mu
+    for i in range(m - 1, -1, -1):
+        acc = substitute_into_shifted(k_nu if i % 2 else k_mu, acc)
     return measure_from_k(acc)
 
 
@@ -210,7 +208,8 @@ def jacobi_chain_decomposition(j: JacobiParams, m: int) -> list[MeasureRep]:
     K-transform, exactly the m-level approximant of the input's K.
 
     The first link carries alpha0 + omega0/(z - alpha1); link n >= 2 carries
-    omega[n-1]/(z - alpha[n]).
+    omega[n-1]/(z - alpha[n]).  So the chain's K is (z N - P) / N for the
+    convergent N / P = N_(m+1) / P_(m+1) of `measures.approximant_G`.
     """
     if m < 1:
         raise InvalidParameter("chain length must be >= 1")
@@ -227,23 +226,3 @@ def jacobi_chain_decomposition(j: JacobiParams, m: int) -> list[MeasureRep]:
             )
         )
     return out
-
-
-def chain_k_rational(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Fraction]]:
-    """K-transform of the chain as an exact rational function (num, den)."""
-    if m < 1:
-        raise InvalidParameter("chain length must be >= 1")
-    alphas, omegas = j.prefix(m + 1)
-    # innermost link: omega[m-1]/(z - alpha[m]); for m = 1 handled below
-    num: list[Fraction] = [omegas[m - 1]]
-    den: list[Fraction] = [-alphas[m], Fraction(1)]
-    for n in range(m - 1, 0, -1):
-        # omega[n-1]/(z - alpha[n] - previous)
-        new_den = poly_sub(poly_mul([-alphas[n], Fraction(1)], den), num)
-        num = poly_scale(den, omegas[n - 1])
-        den = new_den
-    # outer link adds alpha0 and uses the value built above as the nested part:
-    # K = alpha0 + num/den  (for m = 1 the loop is empty and num/den is
-    # omega0/(z - alpha1) already)
-    num = poly_add(poly_scale(den, alphas[0]), num)
-    return num, den

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter
 from .measures import _known_keys
@@ -112,30 +112,27 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
 
 
 def _alternating_words(
-    vertices: Sequence[Mapping[int, int]], cap: int, first: tuple[int, ...], what: str
+    costs: Sequence[Mapping[int, int]], factor: Callable, cap: int, first: tuple[int, ...], what: str
 ) -> tuple[int, list[tuple[int, int, int, Optional[dict[int, int]]]]]:
     """The free product of two rooted factors as its alternating words of
     total cost at most `cap`.
 
-    vertices[f - 1] maps factor f's vertices to their costs: the root costs
-    0 and every other vertex, a letter (f, v), a positive cost, so the cap
-    also bounds the length.  A word w hangs a copy of each factor its first
-    letter does not come from (the root: of `first`), whose root is w and
-    whose letter v is the word ((f, v),) + w while that word is within the
-    cap.  The words are counted by length, first factor and cost before any
-    is built, and past 200 000 `InvalidParameter` names `what`.  A length's
-    words are grown from the last length's, each held as (first letter,
-    index of the rest), and numbered in (length, word) order, root first.
+    costs[f - 1] counts factor f's letters by their positive cost, so the
+    cap also bounds the length, and factor(f) gives its root and its
+    letters (v, cost), v ascending.  A word w hangs a copy of each factor its
+    first letter does not come from (the root: of `first`), whose root is w
+    and whose letter v is the word ((f, v),) + w while that word is within
+    the cap.  The words are counted by length, first factor and cost from
+    `costs` alone, and past 200 000 `InvalidParameter` names `what` before
+    `factor` is called, so nothing is built per vertex.  A length's words
+    are grown from the last length's, each held as (first letter, index of
+    the rest), and numbered in (length, word) order, root first.
 
     Returns the number of words and every copy, hosts in order, as
     (factor, host word, slab, vertex -> word index); the slab is the host's
     length plus one.  A copy with no letter within the cap is its root
     alone and carries None for the map.
     """
-    roots = [next(v for v, c in vs.items() if not c) for vs in vertices]
-    letters = [sorted((v, c) for v, c in vs.items() if c) for vs in vertices]
-    costs = [Counter(c for _, c in ls) for ls in letters]
-    cheapest = [min(cs, default=cap + 1) for cs in costs]
     count, total = {(0, 0): 1}, 1  # one length's words by first factor (0 at the root) and cost
     while count:
         grown: Counter = Counter()
@@ -148,6 +145,8 @@ def _alternating_words(
         if total > _WORD_LIMIT:
             raise InvalidParameter(f"a {what} would have more than {_WORD_LIMIT} words")
         count = grown
+    roots, letters = zip(*map(factor, (1, 2)))
+    cheapest = [min(cs, default=cap + 1) for cs in costs]
     level = [(0, 0, 0)]  # the newest words: first factor (0 at the root), index, cost
     n, copies, slab = 1, [], 0
     while level:
@@ -180,8 +179,11 @@ def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, first: tuple[in
         raise InvalidParameter("radius must be >= 1")
     gs = (g1, g2)
     what = "ball" if first == (1, 2) else "branch"
-    costs = [{v: int(v != g.root) for v in range(g.n)} for g in gs]
-    n, copies = _alternating_words(costs, radius, first, f"free-product {what} of radius {radius}")
+    n, copies = _alternating_words(
+        [{1: g.n - 1} if g.n > 1 else {} for g in gs],  # every letter costs 1
+        lambda f: (gs[f - 1].root, [(v, 1) for v in gs[f - 1].non_root()]),
+        radius, first, f"free-product {what} of radius {radius}",
+    )
     edges = set()
     for f, _, _, name in copies:
         # a copy is whole, or hung at a word of the full radius and its root alone

@@ -9,11 +9,13 @@ values it returns.  Moments give recursion
 coefficients by Gautschi's Chebyshev algorithm on the mixed moments
 <p_k, x^l>, which stops at a zero squared norm (a finite measure) and
 rejects a negative one.  The atoms of a terminated fraction are the zeros
-of its approximant's denominator P_d: Sturm counts on the three-term
-recurrence bisect the grid that holds every rational zero, each isolated
-zero is tested exactly, and its weight is its Christoffel number, so an
-irrational zero gives None.  The continued-fraction evaluators at complex
-points are the only floating-point code here.
+of its approximant's denominator P_d: Sturm counts on the convergents'
+denominators, as primitive integer rows, bisect the grid that holds every
+rational zero, each isolated zero is tested exactly, and its weight is its
+Christoffel number, so an irrational zero gives None.  `approximant_G` is
+the one loop that runs the three-term recurrence on polynomials.  The
+continued-fraction evaluators at complex points are the only
+floating-point code here.
 
 Conventions for recursion coefficients:
 
@@ -283,41 +285,42 @@ def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
     """The atoms of a terminated fraction when its spectrum is rational, else None.
 
     The atoms are the zeros of P_d, the monic orthogonal polynomial of degree
-    d (the approximant's denominator N_d / P_d), and P_0..P_d, run by the
-    recurrence, are a Sturm sequence: their sign changes count the zeros of
+    d (the approximant's denominator N_d / P_d), and the convergents'
+    P_0..P_d are a Sturm sequence: their sign changes count the zeros of
     P_d above a point that is not one (a zero P_k, k < d, lies between
     opposite signs, so it adds one change whichever sign it is read as).
-    Every rational zero is y / a for an integer y, where c is P_d as a
-    primitive integer polynomial and a its leading coefficient.  So the zeros
-    are isolated by bisecting the integers y inside a Gershgorin bound,
-    counted at the midpoints (2y + 1) / (2a), which are never zeros; a cell
-    known to hold one zero is halved by the sign of c alone.  A cell of one
-    grid point holding one zero must vanish there, and that zero's weight is
-    its Christoffel number, the residue N_d(x) / P_d'(x).  The first cell
-    that holds two zeros or misses its grid point gives None.
+    Each P_k is held as a primitive integer row, whose sign at y / s is that
+    of s**k times it, by Horner on ints.  Every rational zero is y / a for an
+    integer y, a the leading coefficient of P_d's row.  So the zeros are
+    isolated by bisecting the integers y inside a Gershgorin bound, counted
+    at the midpoints (2y + 1) / (2a), which are never zeros; a cell known to
+    hold one zero is halved by the sign of P_d alone.  A cell of one grid
+    point holding one zero must vanish there, and that zero's weight is its
+    Christoffel number, the residue N_d(x) / P_d'(x).  The first cell that
+    holds two zeros or misses its grid point gives None.
     """
     if not j.finite:
         return None
     d = j.levels
-    num, den = approximant_G(j, d)
-    c = _over_lcm(den)[1]
-    g = math.gcd(*c)
-    c = [x // g for x in c]
-    a = c[-1]
+    convergents = approximant_G(j, d)
+    num, den = convergents[d]
+    rows = []
+    for _, p in convergents:
+        row = _over_lcm(p)[1]
+        g = math.gcd(*row)
+        rows.append([x // g for x in row])
+    a = rows[-1][-1]
 
-    def above(y: int) -> int:
-        x = Fraction(2 * y + 1, 2 * a)
-        p = [Fraction(1), x - j.alpha[0]]
-        for k in range(1, d):
-            p.append((x - j.alpha[k]) * p[k] - j.omega[k - 1] * p[k - 1])
-        return sum((u > 0) != (v > 0) for u, v in zip(p, p[1:]))
-
-    def value(y: int, s: int) -> int:
-        """s**d c(y / s), whose sign is that of P_d(y / s)."""
+    def value(row: list[int], y: int, s: int) -> int:
+        """s**k row(y / s) for the row of degree k, whose sign is that of P_k(y / s)."""
         v, t = 0, 1
-        for x in c:
+        for x in row:
             v, t = v * s + x * t, t * y
         return v
+
+    def above(y: int) -> int:
+        signs = [value(row, 2 * y + 1, 2 * a) > 0 for row in rows]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
 
     r = [Fraction(math.isqrt(w.numerator * w.denominator) + 1, w.denominator) for w in j.omega]
     top = math.floor(a * max(abs(x) + u + v for x, u, v in zip(j.alpha, [0] + r, r + [0]))) + 1
@@ -331,10 +334,10 @@ def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
             if n_lo - n_hi > 1:
                 n_mid = above(mid)
             else:  # P_d changes sign at each zero above the point
-                n_mid = n_hi + ((value(2 * mid + 1, 2 * a) < 0) != n_hi % 2)
+                n_mid = n_hi + ((value(rows[-1], 2 * mid + 1, 2 * a) < 0) != n_hi % 2)
             cells += [(mid, hi, n_mid, n_hi), (lo, mid, n_lo, n_mid)]
             continue
-        if n_lo - n_hi > 1 or value(hi, a):
+        if n_lo - n_hi > 1 or value(rows[-1], hi, a):
             return None
         x = Fraction(hi, a)
         slope = sum(k * v * x ** (k - 1) for k, v in enumerate(den[1:], 1))
@@ -388,6 +391,8 @@ class MeasureRep:
     # -- moments -----------------------------------------------------------
 
     def moments(self, n: int) -> tuple[Fraction, ...]:
+        if n < 0:
+            raise InvalidParameter("n must be >= 0")
         if n <= len(self._moments):
             return tuple(self._moments[:n])
         if self._moments_given:  # whatever the caches derived from them hold
@@ -490,22 +495,25 @@ def eval_K(rep, z: complex) -> complex:
     return complex(z) - eval_F(rep, z)
 
 
-def approximant_G(j: JacobiParams, m: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Numerator and denominator polynomials of the m-level approximant.
+def approximant_G(j: JacobiParams, m: int) -> list[tuple[list[Fraction], list[Fraction]]]:
+    """The convergents N_k / P_k of the J-fraction, k = 0..m, as pairs of
+    coefficient lists, lowest degree first.
 
-    Both satisfy Y[k+1] = (z - alpha[k])*Y[k] - omega[k-1]*Y[k-1] with
-    starts N0 = 0, N1 = 1 and M0 = 1, M1 = z - alpha0.
+    This is the one loop that runs the three-term recurrence on
+    polynomials: both satisfy Y[k+1] = (z - alpha[k])*Y[k] - omega[k-1]*Y[k-1]
+    with starts N0 = 0, N1 = 1 and P0 = 1, P1 = z - alpha0 (Gautschi,
+    *Orthogonal Polynomials*, OUP 2004, section 1.3).  P_k is the monic
+    orthogonal polynomial of degree k, and N_m / P_m is the m-level
+    approximant of G.
     """
     if m < 1:
         raise InvalidParameter("approximant level must be >= 1")
     alphas, omegas = j.prefix(m)
-    n_prev, n_cur = [Fraction(0)], [Fraction(1)]
-    m_prev, m_cur = [Fraction(1)], [-alphas[0], Fraction(1)]
+    out = [([Fraction(0)], [Fraction(1)]), ([Fraction(1)], [-alphas[0], Fraction(1)])]
     for k in range(1, m):
         factor, w = [-alphas[k], Fraction(1)], omegas[k - 1]
-        n_prev, n_cur = n_cur, poly_sub(poly_mul(factor, n_cur), poly_scale(n_prev, w))
-        m_prev, m_cur = m_cur, poly_sub(poly_mul(factor, m_cur), poly_scale(m_prev, w))
-    return n_cur, m_cur
+        out.append(tuple(poly_sub(poly_mul(factor, y), poly_scale(y0, w)) for y, y0 in zip(out[k], out[k - 1])))
+    return out
 
 
 def stieltjes_density(

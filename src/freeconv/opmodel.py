@@ -109,7 +109,9 @@ class WordBasis:
         if min(dims) < 1:
             raise InvalidParameter("factor dimension must be >= 1")
         n, copies = _alternating_words(
-            [{k: k for k in range(d)} for d in dims], depth_cap, (1, 2), f"word basis of depth cap {depth_cap}"
+            [dict.fromkeys(range(1, d), 1) for d in dims],  # letter k costs k
+            lambda f: (0, [(k, k) for k in range(1, dims[f - 1])]),
+            depth_cap, (1, 2), f"word basis of depth cap {depth_cap}",
         )
         words: list[Word] = [()] * n
         for factor, host, _, name in copies:

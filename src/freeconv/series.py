@@ -321,15 +321,9 @@ def poly_trim(p: Sequence[Rational]) -> list[Fraction]:
     return out
 
 
-def poly_add(a: Sequence[Rational], b: Sequence[Rational]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
 def poly_sub(a: Sequence[Rational], b: Sequence[Rational]) -> list[Fraction]:
-    return poly_add(a, [-c for c in b])
+    n = max(len(a), len(b))
+    return poly_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def poly_scale(a: Sequence[Rational], s: Rational) -> list[Fraction]:

@@ -512,28 +512,39 @@ def worked_recursion_coefficient_examples(inp, rng):
     expect_equal(_moments(convolve.free(mu, da, ORDER)), want, "free({}, delta) commutes", mu)
 
 
+def _nested_chain(j: JacobiParams, m: int, order: int) -> MeasureRep:
+    """The m links of j's chain decomposition, nested by orthogonal convolution."""
+    chain = convolve.jacobi_chain_decomposition(j, m)
+    acc = chain[-1]
+    for link in reversed(chain[:-1]):
+        acc = convolve.orthogonal(link, acc, order)
+    return acc
+
+
 @check("convolutions")
 def chain_links_rebuild_truncated_transforms(inp, rng):
     w01 = wigner(0, 1)
-    jw = w01.jacobi()
     for m in range(1, 6):
-        chain = convolve.jacobi_chain_decomposition(jw, m)
         order_m = max(2 * m - 1, 1)
-        acc = chain[-1]
-        for link in reversed(chain[:-1]):
-            acc = convolve.orthogonal(link, acc, order_m)
+        acc = _nested_chain(w01.jacobi(), m, order_m)
         expect_equal(acc.moments(order_m), w01.moments(order_m), "{} links", m)
 
 
 @check("convolutions")
 def approximant_reciprocal_identity(inp, rng):
+    # the K of m links is (z N - P) / N for the convergent N / P of level
+    # m + 1; its series at order 2m + 4 runs past the 2m - 1 moments the
+    # chain shares with the semicircle, to w**(2m + 3) in w = 1/z, so N times
+    # it is known from z**m down to z**-(m + 3): z N - P, then zeros
     jw = wigner(0, 1).jacobi()
-    for m in range(2, 7):
-        n_pol, m_pol = approximant_G(jw, m)
-        knum, kden = convolve.chain_k_rational(jw, m - 1)
-        # (z - K_{m-1}) * N_m == M_m * den
-        lhs = poly_mul(poly_sub(poly_mul([Fraction(0), Fraction(1)], kden), knum), n_pol)
-        expect(poly_eq(lhs, poly_mul(m_pol, kden)), "m = {}: {} != {}", m, lhs, poly_mul(m_pol, kden))
+    for m in range(1, 6):
+        order = 2 * m + 4
+        ks = convolve.k_series(_nested_chain(jw, m, order), order).coeffs
+        n_pol, p_pol = approximant_G(jw, m + 1)[m + 1]
+        got = poly_mul(n_pol[::-1], ks)[:order]  # in powers of w, from z**m
+        want = poly_sub(poly_mul([0, 1], n_pol), p_pol)
+        want = [0] * (m + 1 - len(want)) + want[::-1]
+        expect(poly_eq(got, want), "{} links: N * K = {}, z N - P = {}", m, got, want)
 
 
 # the fixed measures of the sampled-point checks; all supported in [-2, 2]
@@ -662,14 +673,10 @@ def subordinate_half_gives_two_periodic_coefficients(inp, rng):
 @check("convolutions")
 def two_periodic_closed_form_matches_fraction(inp, rng):
     al, om, be, ga = TWO_PERIODIC
-    # (alpha, omega) of the even and the odd levels
-    levels = ((float(al), float(om)), (float(be), float(ga)))
+    fraction = make_jacobi((al, be) * 200, (om, ga) * 199 + (om,), complete=True)
     for _ in range(100):
         z = complex(rng.uniform(-4, 4), rng.uniform(2, 6))
-        g = 0j
-        for k in range(400, 0, -1):
-            a_k, w_k = levels[(k - 1) % 2]
-            g = 1.0 / (z - a_k - w_k * g)
+        g = eval_G(fraction, z)
         closed = two_periodic_G(al, om, be, ga, z)
         expect(abs(g - closed) < 1e-9, "z = {}: fraction {} vs closed form {}", z, g, closed)
 

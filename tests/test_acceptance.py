@@ -9,6 +9,7 @@ operator model also carry wall-time bounds.
 
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -83,3 +84,19 @@ def test_stabilization_builds_each_iterate_once(convolutions, monkeypatch):
     monkeypatch.setattr(verify.convolve, "orthogonal_iterated", record)
     assert verify.run_check("iterated-orthogonal-moments-stabilize", convolutions).ok
     assert len(calls) == len(set(calls)) == 5 * 6
+
+
+def test_reciprocal_identity_fails_on_a_perturbed_convergent(convolutions, monkeypatch):
+    # one coefficient of N_4, read at 3 links, is moved off the recurrence
+    real = verify.approximant_G
+
+    def perturbed(j, m):
+        out = real(j, m)
+        if m == 4:
+            n, p = out[4]
+            out[4] = ([n[0] + Fraction(1, 7)] + n[1:], p)
+        return out
+
+    monkeypatch.setattr(verify, "approximant_G", perturbed)
+    result = verify.run_check("approximant-reciprocal-identity", convolutions)
+    assert not result.ok and result.detail.startswith("seed 7, 3 links:"), result.detail

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -506,6 +507,21 @@ class TestGraph:
         code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "8"])
         assert code == 2 and out == "" and "radius 8 would have more than 200000 words" in err
 
+    def test_free_ball_of_a_million_vertices_is_refused_before_any_is_read(self, tmp_path, capsys):
+        # the words are counted from each factor's number of letters, so the
+        # refusal costs nothing per vertex
+        g = write(tmp_path, "big.json", {"vertices": 10**6, "root": 0, "edges": [[0, 1]]})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "1", "--moments", "1"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and "radius 1 would have more than 200000 words" in err
+        assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+
     def test_free_ball_at_a_radius_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", P2)
         code, out, _ = run(capsys, ["graph", "free-ball", g, g, "--radius", "2000", "--moments", "3"])
@@ -528,6 +544,12 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--suite", "partitions", "--n-max", n_max])
         assert code == 2 and out == ""
         assert f"--n-max must be >= 1, got {n_max}" in err
+
+    def test_n_max_above_the_enumeration_cap_is_rejected(self, capsys):
+        # every check clamps n at or below partitions.MAX_ENUM_N = 12
+        code, out, err = run(capsys, ["verify", "--suite", "convolutions", "--n-max", "13"])
+        assert code == 2 and out == ""
+        assert "--n-max must be <= 12, the partition enumerations' cap, got 13" in err
 
     @staticmethod
     def stub_checks(monkeypatch):

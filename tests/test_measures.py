@@ -480,6 +480,17 @@ class TestAtoms:
         assert jacobi_to_atoms(j) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_twelve_atoms_near_1e6_round_trip_quickly(self):
+        # atoms -> moments -> recursion coefficients -> atoms at weight 1/12,
+        # locations p/q with q near 10^6; about 0.15 s on 2 cores, Python 3.11
+        rng = random.Random(12)
+        locs = {F(rng.randint(-(10**6), 10**6), 10**6 + rng.randint(1, 100)) for _ in range(12)}
+        am = atomic_measure([(x, F(1, 12)) for x in locs])
+        assert len(am.atoms) == 12
+        start = time.perf_counter()
+        assert jacobi_to_atoms(moments_to_jacobi(am.moments(24))) == am
+        assert time.perf_counter() - start < 1.0
+
 
 class TestEvaluation:
     def test_point_mass_at_origin(self):
@@ -546,11 +557,11 @@ class TestEvaluation:
 class TestApproximants:
     def test_level_one(self):
         j = make_jacobi([F(1, 2), 0], [F(3)], complete=True)
-        n, m = approximant_G(j, 1)
+        n, m = approximant_G(j, 1)[1]
         assert n == [F(1)] and m == [F(-1, 2), F(1)]
 
     def test_level_two_constant_tail(self):
-        n, m = approximant_G(wigner(0, 1).jacobi(), 2)
+        n, m = approximant_G(wigner(0, 1).jacobi(), 2)[2]
         assert n == [F(0), F(1)]
         assert m == [F(-1), F(0), F(1)]
 
@@ -568,7 +579,7 @@ class TestApproximants:
         rep = two_point(F(1, 3), -1, 2)
         j = rep.jacobi()
         for m in (1, 2):
-            num, den = approximant_G(j, m)
+            num, den = approximant_G(j, m)[m]
             order = 2 * m + 1
             # divide as series in 1/z: multiply both by z**-deg(den)
             num_w = [F(0)] * (m - len(num) + 1) + list(reversed(num))
@@ -652,6 +663,18 @@ class TestConstructors:
             with pytest.raises(OrderExceeded):
                 rep.moments(4)
             assert rep.moments(2) == (F(1), F(1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: MeasureRep.from_moments([1, 2, 3]), lambda: two_point(F(1, 3), -1, 2), lambda: wigner(0, 1)],
+        ids=["moments", "atoms", "jacobi"],
+    )
+    def test_negative_moment_count_is_rejected_whatever_the_cache_holds(self, make):
+        rep = make()
+        for _ in range(2):  # before the cache fills, then after
+            with pytest.raises(InvalidParameter, match="n must be >= 0"):
+                rep.moments(-1)
+            assert len(rep.moments(3)) == 3
 
 
 class TestJson:

@@ -536,15 +536,16 @@ def approximant_reciprocal_identity(inp, rng):
     # m + 1; its series at order 2m + 4 runs past the 2m - 1 moments the
     # chain shares with the semicircle, to w**(2m + 3) in w = 1/z, so N times
     # it is known from z**m down to z**-(m + 3): z N - P, then zeros
-    jw = wigner(0, 1).jacobi()
-    for m in range(1, 6):
-        order = 2 * m + 4
-        ks = convolve.k_series(_nested_chain(jw, m, order), order).coeffs
-        n_pol, p_pol = approximant_G(jw, m + 1)[m + 1]
-        got = poly_mul(n_pol[::-1], ks)[:order]  # in powers of w, from z**m
-        want = poly_sub(poly_mul([0, 1], n_pol), p_pol)
-        want = [0] * (m + 1 - len(want)) + want[::-1]
-        expect(poly_eq(got, want), "{} links: N * K = {}, z N - P = {}", m, got, want)
+    tailed = make_jacobi((Fraction(1, 2), Fraction(-1, 3)), (Fraction(2),), WignerTail(Fraction(1, 4), Fraction(3, 2)))
+    for name, j in (("wigner(0, 1)", wigner(0, 1).jacobi()), ("a wigner-tailed recursion", tailed)):
+        for m in range(1, 6):
+            order = 2 * m + 4
+            ks = convolve.k_series(_nested_chain(j, m, order), order).coeffs
+            n_pol, p_pol = approximant_G(j, m + 1)[m + 1]
+            got = poly_mul(n_pol[::-1], ks)[:order]  # in powers of w, from z**m
+            want = poly_sub(poly_mul([0, 1], n_pol), p_pol)
+            want = [0] * (m + 1 - len(want)) + want[::-1]
+            expect(poly_eq(got, want), "{}, {} links: N * K = {}, z N - P = {}", name, m, got, want)
 
 
 # the fixed measures of the sampled-point checks; all supported in [-2, 2]
@@ -960,6 +961,13 @@ def suite_opmodel(seed: int = 7) -> list[CheckResult]:
 def run_suites(which: str, n_max: int = 8, seed: int = 7) -> list[CheckResult]:
     if which not in ("all",) + SUITES:
         raise ValueError(f"unknown suite {which!r}")
+    if n_max < 1:
+        raise errors.InvalidParameter(f"--n-max must be >= 1, got {n_max}")
+    if n_max > partitions.MAX_ENUM_N:
+        # every check clamps n at or below the enumerations' cap
+        raise errors.InvalidParameter(
+            f"--n-max must be <= {partitions.MAX_ENUM_N}, the partition enumerations' cap, got {n_max}"
+        )
     out: list[CheckResult] = []
     if which in ("all", "partitions"):
         out.extend(suite_partitions(n_max=n_max, seed=seed))

@@ -99,4 +99,4 @@ def test_reciprocal_identity_fails_on_a_perturbed_convergent(convolutions, monke
 
     monkeypatch.setattr(verify, "approximant_G", perturbed)
     result = verify.run_check("approximant-reciprocal-identity", convolutions)
-    assert not result.ok and result.detail.startswith("seed 7, 3 links:"), result.detail
+    assert not result.ok and result.detail.startswith("seed 7, wigner(0, 1), 3 links:"), result.detail

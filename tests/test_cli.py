@@ -7,6 +7,7 @@ import pytest
 
 from freeconv import convolve, measures, verify
 from freeconv.cli import main
+from freeconv.errors import InvalidParameter
 from freeconv.measures import fraction_to_str, parse_measure
 from freeconv.series import TailSeries
 
@@ -550,6 +551,12 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--suite", "convolutions", "--n-max", "13"])
         assert code == 2 and out == ""
         assert "--n-max must be <= 12, the partition enumerations' cap, got 13" in err
+
+    @pytest.mark.parametrize("n_max", [0, 13, 50])
+    def test_run_suites_rejects_n_max_outside_the_enumerations(self, n_max):
+        for suite in (*verify.SUITES, "all"):
+            with pytest.raises(InvalidParameter, match=f"got {n_max}"):
+                verify.run_suites(suite, n_max=n_max)
 
     @staticmethod
     def stub_checks(monkeypatch):

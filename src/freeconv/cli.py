@@ -68,10 +68,6 @@ def _load_json(path: str):
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
 
 
-def _load_measure(path: str):
-    return parse_measure(_load_json(path))
-
-
 def _print_measure(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, indent=2))
@@ -87,8 +83,8 @@ def _print_measure(obj: dict, fmt: str) -> None:
 
 
 def cmd_convolve(args) -> int:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
+    mu = parse_measure(_load_json(args.mu))
+    nu = parse_measure(_load_json(args.nu))
     if args.op == "orthogonal-iter":
         if args.iterations is None:
             raise InvalidParameter("orthogonal-iter needs an iteration count")
@@ -105,7 +101,7 @@ def cmd_density(args) -> int:
     for flag, value in (("--xmin", args.xmin), ("--xmax", args.xmax)):
         if not math.isfinite(value):
             raise InvalidParameter(f"{flag} must be finite, got {value}")
-    rep = _load_measure(args.measure)
+    rep = parse_measure(_load_json(args.measure))
     if args.points < 2:
         raise InvalidParameter("need at least two grid points")
     step = (args.xmax - args.xmin) / (args.points - 1)

@@ -81,7 +81,7 @@ def k_outer(rep: MeasureRep, order: int) -> Outer:
 def measure_from_k(ks: TailSeries) -> MeasureRep:
     """Measure with the given K-series, held as its moments; recursion
     coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
-    return MeasureRep(moments=F_to_moments(-ks))
+    return MeasureRep.from_moments(F_to_moments(-ks))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ truncated free product is built as its natural decomposition (Accardi,
 Lenczewski and Salapata, IDAQP 10, 2007): a branch is the alternating
 orthogonal product g_f |- (g_o |- ...), the ball the star product of the
 two branches.  Its words are grown by `_alternating_words`, which also
-builds the operator model's word basis.  Root spectral moments are walk
+builds the operator model's word basis.  Every product holds at most
+200 000 vertices (`_WORD_LIMIT`), counted from the factors' sizes before
+anything is built.  Root spectral moments are walk
 counts on the edge lists, exact integers, so all comparisons against the
 moment-level convolutions are exact.
 """
@@ -79,7 +81,13 @@ def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
 # Products
 # ---------------------------------------------------------------------------
 
-def _attach_copies(g1: RootedGraph, g2: RootedGraph, hosts: Sequence[int]) -> RootedGraph:
+def _attach_copies(g1: RootedGraph, g2: RootedGraph, what: str, n_hosts: int, hosts: Iterable[int]) -> RootedGraph:
+    """g1 with a copy of g2 hung by its root at each of its n_hosts hosts.
+    The vertex count comes from the sizes alone, and past 200 000
+    `InvalidParameter` names the product before any host is read."""
+    n = g1.n + n_hosts * (g2.n - 1)
+    if n > _WORD_LIMIT:
+        raise InvalidParameter(f"the {what} product would have {n} vertices, more than {_WORD_LIMIT}")
     edges = set(g1.edges)
     nxt = g1.n
     for host in hosts:
@@ -98,17 +106,17 @@ def _attach_copies(g1: RootedGraph, g2: RootedGraph, hosts: Sequence[int]) -> Ro
 
 def graph_star(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     """Glue the two graphs at their roots."""
-    return _attach_copies(g1, g2, [g1.root])
+    return _attach_copies(g1, g2, "star", 1, [g1.root])
 
 
 def graph_comb(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     """Attach a copy of g2 by its root to every vertex of g1."""
-    return _attach_copies(g1, g2, list(range(g1.n)))
+    return _attach_copies(g1, g2, "comb", g1.n, range(g1.n))
 
 
 def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
     """Attach a copy of g2 by its root to every non-root vertex of g1."""
-    return _attach_copies(g1, g2, g1.non_root())
+    return _attach_copies(g1, g2, "orthogonal", g1.n - 1, (v for v in range(g1.n) if v != g1.root))
 
 
 def _alternating_words(

@@ -17,6 +17,14 @@ the one loop that runs the three-term recurrence on polynomials.  The
 continued-fraction evaluators at complex points are the only
 floating-point code here.
 
+Each rule has one owner.  The constructors (`make_jacobi`,
+`atomic_measure` and `MeasureRep.from_*`) own the value rules: signs,
+weights, emptiness and where a fraction ends.  `MeasureRep` holds a
+measure in exactly one given form and owns the views derived from it
+(moments, recursion coefficients, atoms).  `parse_measure` and
+`measure_to_json` own the JSON shape only: they translate between JSON
+and those objects.
+
 Conventions for recursion coefficients:
 
 * ``tail=None`` means plain truncation: the coefficients are a known
@@ -142,11 +150,14 @@ def make_jacobi(
     """Validate and normalize recursion coefficients.
 
     A zero omega terminates the fraction: later entries are dropped and the
-    result is marked finite.  ``complete=True`` asserts the given prefix is
-    the whole measure (finitely supported) even with all omegas positive.
+    result is marked finite; a tail of zero variance is one more zero
+    omega.  ``complete=True`` asserts the given prefix is the whole measure
+    (finitely supported) even with all omegas positive.
     """
     a = tuple(_frac(x) for x in alpha)
     w = tuple(_frac(x) for x in omega)
+    if not a and tail is None:
+        raise InvalidParameter("recursion coefficients need an alpha entry or a tail")
     if any(x < 0 for x in w):
         raise InvalidParameter("squared off-diagonal entries must be >= 0")
     if tail is not None:
@@ -154,10 +165,7 @@ def make_jacobi(
         if tail.b < 0:
             raise InvalidParameter("tail variance must be >= 0")
         if tail.b == 0:
-            # constant-zero continuation terminates the fraction
-            cut = len(w)
-            a = a + (tail.a,) * max(0, cut + 1 - len(a))
-            return make_jacobi(a[: cut + 1], w[:cut], None, complete=True)
+            w += (tail.b,)
     for m, x in enumerate(w):
         if x == 0:
             need = m + 1
@@ -168,12 +176,10 @@ def make_jacobi(
             return JacobiParams(a[:need], w[:m], None, True)
     if tail is not None:
         return JacobiParams(a, w, tail, False)
-    if len(w) != max(len(a) - 1, 0):
+    if len(w) != len(a) - 1:
         raise InvalidParameter(
-            f"expected {max(len(a) - 1, 0)} off-diagonal entries for {len(a)} diagonal ones"
+            f"expected {len(a) - 1} off-diagonal entries for {len(a)} diagonal ones"
         )
-    if not a:
-        raise InvalidParameter("recursion coefficients need an alpha entry or a tail")
     return JacobiParams(a, w, None, complete)
 
 
@@ -350,10 +356,11 @@ def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
 # ---------------------------------------------------------------------------
 
 class MeasureRep:
-    """A measure under one or more representations, with cached conversions.
+    """A measure given in exactly one form, with the other views derived
+    from it and cached.
 
-    All representations present agree on every moment they can produce; the
-    caches are write-once, so instances are safe to share.
+    The keywords take values the ``from_*`` constructors have validated.
+    The caches are write-once, so instances are safe to share.
     """
 
     def __init__(
@@ -363,11 +370,9 @@ class MeasureRep:
         jacobi: Optional[JacobiParams] = None,
         atoms: Optional[AtomicMeasure] = None,
     ):
-        if moments is None and jacobi is None and atoms is None:
-            raise InvalidParameter("empty measure representation")
-        if moments is not None and not moments:
-            raise InvalidParameter("a measure given by moments needs at least one")
-        self._moments: list[Fraction] = [_frac(x) for x in moments or ()]
+        if (moments is None) + (jacobi is None) + (atoms is None) != 2:
+            raise InvalidParameter("a measure is given by exactly one of moments, jacobi and atoms")
+        self._moments: list[Fraction] = list(moments or ())
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
@@ -377,16 +382,18 @@ class MeasureRep:
 
     @classmethod
     def from_moments(cls, values: Iterable) -> "MeasureRep":
-        return cls(moments=[_frac(v) for v in values])
+        moments = [_frac(v) for v in values]
+        if not moments:
+            raise InvalidParameter("a measure given by moments needs at least one")
+        return cls(moments=moments)
 
     @classmethod
     def from_jacobi(cls, j: JacobiParams) -> "MeasureRep":
         return cls(jacobi=j)
 
     @classmethod
-    def from_atoms(cls, pairs) -> "MeasureRep":
-        am = pairs if isinstance(pairs, AtomicMeasure) else atomic_measure(pairs)
-        return cls(atoms=am)
+    def from_atoms(cls, pairs: Iterable) -> "MeasureRep":
+        return cls(atoms=atomic_measure(pairs))
 
     # -- moments -----------------------------------------------------------
 
@@ -408,12 +415,9 @@ class MeasureRep:
     # -- conversions -------------------------------------------------------
 
     def jacobi(self) -> JacobiParams:
-        if self._jacobi is None:
-            if self._atoms is not None:
-                j = moments_to_jacobi(self._atoms.moments(2 * len(self._atoms.atoms)))
-            else:
-                j = moments_to_jacobi(tuple(self._moments))
-            self._jacobi = j
+        if self._jacobi is None:  # given by moments, or by k atoms, which 2k moments fix
+            n = len(self._moments) if self._moments_given else 2 * len(self._atoms.atoms)
+            self._jacobi = moments_to_jacobi(self.moments(n))
         return self._jacobi
 
     def exact_jacobi(self) -> Optional[JacobiParams]:
@@ -435,7 +439,7 @@ class MeasureRep:
         if not self._atoms_attempted:
             self._atoms_attempted = True
             j = self.jacobi_or_none()
-            if j is not None and j.finite:
+            if j is not None:
                 self._atoms = jacobi_to_atoms(j)
         return self._atoms
 
@@ -455,8 +459,6 @@ def wigner_transform(a, b, z: complex) -> complex:
     a = float(a)
     b = float(b)
     u = complex(z) - a
-    if b == 0:
-        return 1.0 / u
     sb = 2.0 * math.sqrt(b)
     s = cmath.sqrt(u - sb) * cmath.sqrt(u + sb)
     return 2.0 / (u + s)
@@ -552,12 +554,8 @@ def two_point(p, loc1, loc2) -> MeasureRep:
 
 
 def wigner(a, b) -> MeasureRep:
-    b = _frac(b)
-    if b < 0:
-        raise InvalidParameter("variance must be >= 0")
-    if b == 0:
-        return point_mass(a)
-    return MeasureRep.from_jacobi(make_jacobi((), (), WignerTail(_frac(a), b)))
+    """Constant recursion coefficients a and b; b = 0 is the point mass at a."""
+    return MeasureRep.from_jacobi(make_jacobi((), (), WignerTail(a, b)))
 
 
 def bernoulli_symmetric() -> MeasureRep:
@@ -686,25 +684,22 @@ def parse_measure(obj: dict) -> MeasureRep:
 def measure_to_json(rep: MeasureRep, order: int) -> dict:
     """Canonical emission: moments at the given order plus derived views.
 
-    The derived recursion coefficients and atoms are recomputed from the
-    emitted moments so that parse -> emit is idempotent byte for byte.
+    The recursion coefficients and atoms are the views of the measure the
+    emitted moments give, so that parse -> emit is idempotent byte for byte.
     """
     m = rep.moments(order)
     out: dict = {"type": "moments", "m": [fraction_to_str(x) for x in m]}
-    try:
-        j = moments_to_jacobi(m)
-    except NotAMomentSequence:
-        j = None
+    emitted = MeasureRep.from_moments(m)
+    j = emitted.jacobi_or_none()
     if j is not None:
         out["jacobi"] = {
             "alpha": [fraction_to_str(x) for x in j.alpha],
             "omega": [fraction_to_str(x) for x in j.omega],
             "tail": {"kind": "truncate"},
         }
-        if j.finite:
-            atoms = jacobi_to_atoms(j)
-            if atoms is not None:
-                out["atoms"] = [
-                    [fraction_to_str(l), fraction_to_str(w)] for l, w in atoms.atoms
-                ]
+    atoms = emitted.atoms()
+    if atoms is not None:
+        out["atoms"] = [
+            [fraction_to_str(l), fraction_to_str(w)] for l, w in atoms.atoms
+        ]
     return out

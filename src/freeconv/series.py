@@ -106,7 +106,7 @@ class TailSeries:
     def __init__(self, coeffs: Iterable[Rational]):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
-            raise ValueError("a series needs at least its constant term")
+            raise InvalidParameter("a series needs at least its constant term")
         self.coeffs = coeffs
 
     @classmethod
@@ -301,7 +301,7 @@ def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
     """
     m = tuple(_frac(x) for x in moments)
     if not m:
-        raise ValueError("need at least one moment")
+        raise InvalidParameter("need at least one moment")
     f_over_z = TailSeries((Fraction(1),) + m).reciprocal()  # F(z)/z = 1/(z*G(z))
     return TailSeries._of(f_over_z.coeffs[1:])
 

@@ -159,13 +159,6 @@ def random_graph(rng: random.Random, n: int) -> graphs.RootedGraph:
     return graphs.rooted_graph(n, 0, edges)
 
 
-def _series_shift_left(ts: TailSeries) -> TailSeries:
-    """z * ts for a series with zero constant term."""
-    if ts.coeffs[0] != 0:
-        raise ValueError("shift-left needs a zero constant term")
-    return TailSeries(ts.coeffs[1:])
-
-
 def suite_inputs(suite: str, seed: int = 7, n_max: int = 8) -> SimpleNamespace:
     """The inputs the checks of one suite share, built once per suite run."""
     rng = random.Random(seed)
@@ -194,7 +187,7 @@ def suite_inputs(suite: str, seed: int = 7, n_max: int = 8) -> SimpleNamespace:
             b1=model.branch(1),
             b2=model.branch(2),
         )
-    raise ValueError(f"unknown suite {suite!r}")
+    raise errors.InvalidParameter(f"unknown suite {suite!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +606,11 @@ def orthogonal_shifts_into_monotone_recursion(inp, rng):
         k_orth = convolve.k_series(convolve.orthogonal(mu, nu, ORDER), ORDER)
         k_mono = convolve.k_series(convolve.monotone(mu_s, nu, ORDER), ORDER)
         c = k_orth - TailSeries.constant(jm.alpha[0], k_orth.order)
-        lhs = _series_shift_left(c) - (c * k_mono).truncate(ORDER - 2)
+        expect(
+            c.coeffs[0] == 0, PAIR + ": K of orthogonal has constant term {}, not alpha_0 = {}",
+            i, mu, nu, k_orth.coeffs[0], jm.alpha[0],
+        )
+        lhs = TailSeries(c.coeffs[1:]) - (c * k_mono).truncate(ORDER - 2)  # z * c - c * k_mono
         expect_equal(lhs.coeffs, TailSeries.constant(jm.omega[0], lhs.order).coeffs, PAIR, i, mu, nu)
 
 
@@ -960,7 +957,7 @@ def suite_opmodel(seed: int = 7) -> list[CheckResult]:
 
 def run_suites(which: str, n_max: int = 8, seed: int = 7) -> list[CheckResult]:
     if which not in ("all",) + SUITES:
-        raise ValueError(f"unknown suite {which!r}")
+        raise errors.InvalidParameter(f"unknown suite {which!r}")
     if n_max < 1:
         raise errors.InvalidParameter(f"--n-max must be >= 1, got {n_max}")
     if n_max > partitions.MAX_ENUM_N:

@@ -100,3 +100,23 @@ def test_reciprocal_identity_fails_on_a_perturbed_convergent(convolutions, monke
     monkeypatch.setattr(verify, "approximant_G", perturbed)
     result = verify.run_check("approximant-reciprocal-identity", convolutions)
     assert not result.ok and result.detail.startswith("seed 7, wigner(0, 1), 3 links:"), result.detail
+
+
+def test_shift_precondition_fails_the_check_and_names_the_pair(convolutions, monkeypatch):
+    # K of the orthogonal convolution moved by 1 (boolean with delta_1 adds
+    # 1 to K), so its constant term is no longer alpha_0 of mu
+    real = verify.convolve.orthogonal
+
+    def moved(mu, nu, order):
+        return verify.convolve.boolean(real(mu, nu, order), verify.point_mass(1), order)
+
+    monkeypatch.setattr(verify.convolve, "orthogonal", moved)
+    result = verify.run_check("orthogonal-shifts-into-monotone-recursion", convolutions)
+    i, (mu, nu) = next((i, p) for i, p in enumerate(convolutions.reps) if p[0].jacobi().levels >= 2)
+    alpha0 = mu.jacobi().alpha[0]
+    show = verify._show
+    want = (
+        f"seed 7, pair {i} ({show(mu)}, {show(nu)}): "
+        f"K of orthogonal has constant term {show(alpha0 + 1)}, not alpha_0 = {show(alpha0)}"
+    )
+    assert not result.ok and result.detail == want, result.detail

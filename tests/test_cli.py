@@ -523,6 +523,38 @@ class TestGraph:
         assert code == 2 and out == "" and "radius 1 would have more than 200000 words" in err
         assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
 
+    @pytest.mark.parametrize(
+        "op, vertices",
+        [("star", 1_999_999), ("comb", 10**12), ("orthogonal", 10**12 - 10**6 + 1)],
+    )
+    def test_glued_product_of_a_million_vertices_is_refused_before_any_is_read(self, tmp_path, capsys, op, vertices):
+        # the product's vertex count comes from the factor sizes and the
+        # number of hosts, so the refusal builds no host list and no copy
+        g = write(tmp_path, "big.json", {"vertices": 10**6, "root": 0, "edges": [[0, 1]]})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["graph", op, g, g, "--moments", "1"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert f"the {op} product would have {vertices} vertices, more than 200000" in err
+        assert elapsed < 0.5 and peak < 2**20, (elapsed, peak)
+
+    def test_glued_product_at_the_vertex_cap(self, tmp_path, capsys):
+        # the star of n1 and n2 vertices has n1 + n2 - 1: 200 000 is built,
+        # 200 001 is refused
+        g1, g2, g3 = (
+            write(tmp_path, f"g{n}.json", {"vertices": n, "root": 0, "edges": [[0, 1]]})
+            for n in (100_000, 100_001, 100_002)
+        )
+        code, out, _ = run(capsys, ["graph", "star", g1, g2, "--moments", "2"])
+        assert code == 0 and json.loads(out)["graph"]["vertices"] == 200_000
+        code, out, err = run(capsys, ["graph", "star", g1, g3, "--moments", "2"])
+        assert code == 2 and out == "" and "200001 vertices, more than 200000" in err
+
     def test_free_ball_at_a_radius_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", P2)
         code, out, _ = run(capsys, ["graph", "free-ball", g, g, "--radius", "2000", "--moments", "3"])
@@ -557,6 +589,14 @@ class TestVerify:
         for suite in (*verify.SUITES, "all"):
             with pytest.raises(InvalidParameter, match=f"got {n_max}"):
                 verify.run_suites(suite, n_max=n_max)
+
+    def test_suite_inputs_rejects_an_unknown_suite(self):
+        with pytest.raises(InvalidParameter, match="unknown suite 'nope'"):
+            verify.suite_inputs("nope")
+
+    def test_run_suites_rejects_an_unknown_suite(self):
+        with pytest.raises(InvalidParameter, match="unknown suite 'nope'"):
+            verify.run_suites("nope")
 
     @staticmethod
     def stub_checks(monkeypatch):

@@ -380,6 +380,20 @@ class TestJacobiShapes:
     def test_wigner_zero_variance_collapses(self):
         j = make_jacobi([5], [2], tail=WignerTail(F(3), F(0)))
         assert j.finite and j.alpha == (F(5), F(3)) and j.omega == (F(2),)
+        # a zero-variance tail is one more zero omega; these are the results
+        # make_jacobi gave when it cut such a tail by calling itself
+        table = [
+            ((), (), (3, 0), (3,), ()),
+            ((1, 2, 3, 4), (2,), (3, 0), (1, 2), (2,)),  # more alphas than levels
+            ((1, 2), (), (3, 0), (1,), ()),
+            ((), (4, 9), (F(1, 2), 0), (F(1, 2),) * 3, (4, 9)),  # fewer alphas than levels
+            ((1, 2, 3), (0, 5), (3, 0), (1,), ()),  # a zero omega before the tail
+            ((), (1, 0), (7, 0), (7, 7), (1,)),  # the same, alphas read from the tail
+        ]
+        for alpha, omega, tail, want_alpha, want_omega in table:
+            want = JacobiParams(tuple(map(F, want_alpha)), tuple(map(F, want_omega)), None, True)
+            for complete in (False, True):
+                assert make_jacobi(alpha, omega, WignerTail(*tail), complete=complete) == want
 
     def test_negative_omega_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -416,6 +430,27 @@ class TestJacobiShapes:
     def test_empty_moment_list_is_rejected(self):
         with pytest.raises(InvalidParameter, match="needs at least one"):
             MeasureRep.from_moments([])
+
+
+class TestOneForm:
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            {"moments": [F(0), F(1)], "atoms": atomic_measure([(5, 1)])},
+            {"moments": [F(5)], "jacobi": make_jacobi([5], [], complete=True)},
+            {"jacobi": make_jacobi([5], [], complete=True), "atoms": atomic_measure([(5, 1)])},
+            {"moments": [F(5)], "jacobi": make_jacobi([5], [], complete=True), "atoms": atomic_measure([(5, 1)])},
+        ],
+        ids=["moments+atoms", "moments+jacobi", "jacobi+atoms", "all-three"],
+    )
+    def test_two_or_more_forms_are_rejected(self, forms):
+        # moments (0, 1) beside the atom at 5 used to read as two measures
+        with pytest.raises(InvalidParameter, match="exactly one of moments, jacobi and atoms"):
+            MeasureRep(**forms)
+
+    def test_no_form_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="exactly one of moments, jacobi and atoms"):
+            MeasureRep()
 
 
 class TestPrefix:
@@ -653,6 +688,15 @@ class TestConstructors:
 
     def test_zero_variance_collapses_to_point(self):
         assert wigner(2, 0).moments(3) == (F(2), F(4), F(8))
+        for a in (0, 2, F(-3, 7)):
+            w, p = wigner(a, 0), point_mass(a)
+            assert w.moments(6) == p.moments(6)
+            assert w.jacobi() == p.jacobi() == JacobiParams((F(a),), (), None, True)
+            assert w.atoms().atoms == p.atoms().atoms == ((F(a), F(1)),)
+
+    def test_negative_variance_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="variance must be >= 0"):
+            wigner(0, -1)
 
     def test_moment_list_ends_whatever_the_caches_hold(self):
         # [1, 1] is the point mass at 1, so its recursion coefficients and
@@ -729,6 +773,16 @@ class TestJson:
     def test_emission_carries_atoms_when_rational(self):
         obj = measure_to_json(two_point(F(1, 3), -1, 2), 6)
         assert obj["atoms"] == [["-1", "1/3"], ["2", "2/3"]]
+        assert obj["jacobi"] == {"alpha": ["1", "0"], "omega": ["2"], "tail": {"kind": "truncate"}}
+
+    def test_emission_without_rational_atoms(self):
+        # no moment sequence (negative variance): the moments alone
+        obj = measure_to_json(MeasureRep.from_moments([0, -1, 0, 1]), 4)
+        assert obj == {"type": "moments", "m": ["0", "-1", "0", "1"]}
+        # atoms at -sqrt(2) and sqrt(2): a finite recursion but no rational atoms
+        obj = measure_to_json(MeasureRep.from_moments([0, 2, 0, 4]), 4)
+        assert "atoms" not in obj
+        assert obj["jacobi"] == {"alpha": ["0", "0"], "omega": ["2"], "tail": {"kind": "truncate"}}
 
     def test_rationals_beyond_the_int_str_digit_limit_round_trip(self):
         # Python 3.11+ refuses int/str conversions above 4300 digits by default

@@ -40,6 +40,16 @@ def test_floats_are_rejected_not_read_as_binary_rationals():
             read_as_moments([0.5] * 3)
 
 
+def test_empty_series_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameter, match="a series needs at least its constant term"):
+        TailSeries(())
+
+
+def test_empty_moment_list_has_no_F_series():
+    with pytest.raises(InvalidParameter, match="need at least one moment"):
+        moments_to_F([])
+
+
 class TestAdd:
     def test_additive_identity(self):
         assert ts(1, 1) + ts(0, 0) == ts(1, 1)

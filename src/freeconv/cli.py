@@ -22,7 +22,6 @@ from . import convolve
 from .errors import (
     DomainError,
     FreeconvError,
-    InsufficientDepth,
     InvalidParameter,
     NotAMomentSequence,
     OrderExceeded,
@@ -60,11 +59,24 @@ EXIT_UNDETERMINED = 6
 GLUED_PRODUCTS = {"orthogonal": graph_orthogonal, "comb": graph_comb, "star": graph_star}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct: a repeated key is refused, not
+    overwritten by its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
+    """The JSON document in the file; an unreadable file, malformed or too
+    deeply nested JSON and a repeated key raise `InvalidParameter`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _in_full(json.loads, fh.read())
-    except (OSError, ValueError) as exc:
+            return _in_full(lambda text: json.loads(text, object_pairs_hook=_unique_keys), fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
 
 
@@ -114,7 +126,10 @@ def cmd_density(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    for flag, value in (("--moments", args.moments), ("--radius", args.radius)):
+    if args.radius is not None and args.op != "free-ball":
+        raise InvalidParameter(f"--radius is only for free-ball, not {args.op}")
+    radius = 6 if args.radius is None else args.radius
+    for flag, value in (("--moments", args.moments), ("--radius", radius)):
         if value < 1:
             raise InvalidParameter(f"{flag} must be >= 1, got {value}")
     g1 = parse_graph(_load_json(args.g1))
@@ -122,12 +137,12 @@ def cmd_graph(args) -> int:
     if args.op == "free-ball":
         # a walk changes the word length by at most one per step, so the
         # ball determines the root moments only up to order 2 * radius + 1
-        if args.moments > 2 * args.radius + 1:
+        if args.moments > 2 * radius + 1:
             raise InvalidParameter(
-                f"a free-ball of radius {args.radius} determines only "
-                f"{2 * args.radius + 1} root moments, {args.moments} requested"
+                f"a free-ball of radius {radius} determines only "
+                f"{2 * radius + 1} root moments, {args.moments} requested"
             )
-        g = free_product_ball(g1, g2, args.radius)
+        g = free_product_ball(g1, g2, radius)
     else:
         g = GLUED_PRODUCTS[args.op](g1, g2)
     out = {
@@ -184,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=[*GLUED_PRODUCTS, "free-ball"])
     p.add_argument("g1", help="first graph JSON file")
     p.add_argument("g2", help="second graph JSON file")
-    p.add_argument("--radius", type=int, default=6, help="word-length cap for free-ball")
+    p.add_argument("--radius", type=int, default=None, help="word-length cap for free-ball, 6 if not given")
     p.add_argument("--moments", type=int, default=6, help="number of root moments")
     p.set_defaults(fn=cmd_graph)
 
@@ -202,7 +217,7 @@ _EXIT_CODES = (
     (NotAMomentSequence, EXIT_NOT_MOMENTS),
     (RouteMismatch, EXIT_ROUTE),
     (DomainError, EXIT_DOMAIN),
-    ((OrderExceeded, InsufficientDepth), EXIT_UNDETERMINED),
+    (OrderExceeded, EXIT_UNDETERMINED),
     (FreeconvError, EXIT_PARSE),
 )
 

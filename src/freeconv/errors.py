@@ -1,48 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class for each exit code
+of the command line (see :mod:`freeconv.cli`).
+
+* `InvalidParameter` (exit 2): an input, argument or request outside its
+  admissible range or shape;
+* `NotAMomentSequence` (exit 3);
+* `RouteMismatch` (exit 4);
+* `DomainError` (exit 5);
+* `OrderExceeded` (exit 6): the input does not determine the request;
+* `NoConvergence` (exit 2, as any other `FreeconvError`).
+"""
 
 
 class FreeconvError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroLeadingCoefficient(FreeconvError):
-    """Reciprocal of a series whose constant term vanishes."""
+class InvalidParameter(FreeconvError):
+    """An argument or request is outside its admissible range or shape."""
 
 
 class NotAMomentSequence(FreeconvError):
     """A sequence failed positive-semidefiniteness during conversion."""
 
 
-class OrderExceeded(FreeconvError):
-    """A computation needs moments beyond the available order."""
-
-
-class InsufficientDepth(FreeconvError):
-    """Not enough recursion levels are known for the request."""
-
-
-class EvenBlockCount(FreeconvError):
-    """Alternating split applied to a composition with an even number of parts."""
-
-
-class EmptyJacobi(FreeconvError):
-    """Shift of recursion coefficients that has no levels left."""
-
-
-class InvalidParameter(FreeconvError):
-    """A constructor argument is outside its admissible range."""
+class RouteMismatch(FreeconvError):
+    """Two computation routes that must agree exactly did not."""
 
 
 class DomainError(FreeconvError):
-    """Evaluation requested outside the open upper half-plane."""
+    """Evaluation outside the open upper half-plane, or at a point where a
+    transform is too close to zero to invert."""
 
 
-class NumericalSingularity(FreeconvError):
-    """A transform value is too close to zero to invert."""
-
-
-class DepthExceeded(FreeconvError):
-    """An operator request does not fit into the truncated space."""
+class OrderExceeded(FreeconvError):
+    """A computation needs moments or recursion levels beyond those the
+    input determines."""
 
 
 class NoConvergence(FreeconvError):
@@ -56,7 +48,3 @@ class NoConvergence(FreeconvError):
         super().__init__(message)
         self.last = last
         self.gap = gap
-
-
-class RouteMismatch(FreeconvError):
-    """Two computation routes that must agree exactly did not."""

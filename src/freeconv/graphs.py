@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter
 from .measures import _known_keys
@@ -39,13 +39,29 @@ class RootedGraph:
         return [v for v in range(self.n) if v != self.root]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGraph:
+    """The one owner of the graph rules, checked in this order: `n` and
+    `root` are ints and not bools, every edge is a list or tuple of two
+    such ints, there is a vertex, the root is one of them, and every edge
+    joins two distinct ones."""
+    for key, x in (("vertices", n), ("root", root)):
+        if not _is_int(x):
+            raise InvalidParameter(f"graph {key!r} must be an integer, got {x!r}")
+    pairs = []
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise InvalidParameter(f"graph edge must be a pair of integers, got {e!r}")
+        pairs.append(e)
     if n < 1:
         raise InvalidParameter("graph needs at least one vertex")
     if not 0 <= root < n:
         raise InvalidParameter("root outside vertex range")
     norm = set()
-    for u, v in edges:
+    for u, v in pairs:
         if u == v:
             raise InvalidParameter("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -209,13 +225,17 @@ def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGr
     return _free_product(g1, g2, radius, (1, 2))
 
 
+def _check_factor(factor: int) -> None:
+    if factor not in (1, 2):
+        raise InvalidParameter("factor must be 1 or 2")
+
+
 def free_product_branch(
     g1: RootedGraph, g2: RootedGraph, radius: int, factor: int = 1
 ) -> RootedGraph:
     """Induced subgraph of the truncated free product on the empty word and
     the words whose last letter comes from the chosen factor."""
-    if factor not in (1, 2):
-        raise InvalidParameter("factor must be 1 or 2")
+    _check_factor(factor)
     return _free_product(g1, g2, radius, (factor,))
 
 
@@ -223,27 +243,22 @@ def free_product_branch(
 # JSON graph format
 # ---------------------------------------------------------------------------
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_graph(obj: dict) -> RootedGraph:
-    """Graph from its JSON object; anything but integer `vertices` and `root`
-    and a list of integer pairs as `edges`, and any other key, is rejected,
-    not coerced."""
+    """Graph from its JSON object, which holds `vertices`, `root` and a list
+    as `edges` and no other key; `rooted_graph` checks the values, so
+    nothing is coerced."""
     if not isinstance(obj, dict):
         raise InvalidParameter("graph object must be a JSON object")
     _known_keys(obj, ("vertices", "root", "edges"), "a graph")
-    for key in ("vertices", "root"):
-        if not _is_int(obj.get(key)):
-            raise InvalidParameter(f"graph {key!r} must be an integer, got {obj.get(key)!r}")
-    edges = obj.get("edges")
+    return rooted_graph(obj.get("vertices"), obj.get("root"), _json_edges(obj.get("edges")))
+
+
+def _json_edges(edges) -> Iterator:
+    """The `edges` of a graph object, checked to be a list only when
+    `rooted_graph` reads them, after the vertex count and the root."""
     if not isinstance(edges, list):
         raise InvalidParameter(f"graph 'edges' must be a list, got {edges!r}")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
-            raise InvalidParameter(f"graph edge must be a pair of integers, got {e!r}")
-    return rooted_graph(obj["vertices"], obj["root"], edges)
+    yield from edges
 
 
 def graph_to_json(g: RootedGraph) -> dict:

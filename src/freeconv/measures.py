@@ -38,7 +38,7 @@ Conventions for recursion coefficients:
 `JacobiParams.prefix` is the one reader of recursion levels, here and in
 `convolve` and `opmodel`: past the given entries it reads the tail, or
 zeros once the fraction has terminated, and past a truncated prefix it
-raises `InsufficientDepth`, so no evaluator closes a truncated fraction.
+raises `OrderExceeded`, so no evaluator closes a truncated fraction.
 """
 
 from __future__ import annotations
@@ -52,15 +52,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    DomainError,
-    EmptyJacobi,
-    InsufficientDepth,
-    InvalidParameter,
-    NotAMomentSequence,
-    NumericalSingularity,
-    OrderExceeded,
-)
+from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded
 from .series import _frac, poly_mul, poly_scale, poly_sub
 
 
@@ -101,14 +93,14 @@ class JacobiParams:
         """alpha_0..alpha_(d-1) and omega_0..omega_(d-2), the one reader of
         recursion levels: past the given entries come the tail's (a, b), or
         zeros once the fraction has terminated.  Nothing is known past a
-        truncated prefix, so asking for more raises `InsufficientDepth`."""
+        truncated prefix, so asking for more raises `OrderExceeded`."""
         if self.tail is not None:
             a, b = self.tail.a, self.tail.b
         elif self.finite or d <= len(self.alpha):
             a = b = Fraction(0)
         else:
             n = len(self.alpha)
-            raise InsufficientDepth(
+            raise OrderExceeded(
                 f"{n} truncated recursion levels fix only {2 * n - 1} moments; "
                 f"{d} levels were asked for"
             )
@@ -119,7 +111,7 @@ class JacobiParams:
         """(alpha_k, omega_k) as floats for every given level, deepest first,
         read once for `eval_G`.  The omega below the last level comes from
         the tail, is 0 once the fraction has terminated, and is unknown for a
-        truncated recursion, which raises `InsufficientDepth`."""
+        truncated recursion, which raises `OrderExceeded`."""
         alphas, omegas = self.prefix(self.levels + 1)
         return tuple(zip(map(float, alphas), map(float, omegas)))[::-1]
 
@@ -134,7 +126,7 @@ class JacobiParams:
         """Drop the leading diagonal and off-diagonal entries.  Without a
         tail, fewer than two levels leave nothing to shift to."""
         if self.tail is None and len(self.alpha) < 2:
-            raise EmptyJacobi("no levels left to shift")
+            raise InvalidParameter("no levels left to shift")
         return make_jacobi(
             self.alpha[1:], self.omega[1:], tail=self.tail, complete=self.finite
         )
@@ -235,6 +227,8 @@ def moments_to_jacobi(moments: Sequence) -> JacobiParams:
     """
     m = [Fraction(1)] + [_frac(x) for x in moments]
     n = len(m) - 1
+    if not n:
+        raise InvalidParameter("recursion coefficients need at least one moment")
     alpha, omega, finite = m[1:2], [], False
     (dc, cur), prev, dp = _over_lcm(m), [0] * (n + 1), 1
     for k in range(n // 2):
@@ -359,8 +353,10 @@ class MeasureRep:
     """A measure given in exactly one form, with the other views derived
     from it and cached.
 
-    The keywords take values the ``from_*`` constructors have validated.
-    The caches are write-once, so instances are safe to share.
+    The keywords are checked here: a non-empty list of moments, each read
+    by `_frac`, a `JacobiParams` or an `AtomicMeasure`, the last two as
+    `make_jacobi` and `atomic_measure` build them.  The caches are
+    write-once, so instances are safe to share.
     """
 
     def __init__(
@@ -372,7 +368,12 @@ class MeasureRep:
     ):
         if (moments is None) + (jacobi is None) + (atoms is None) != 2:
             raise InvalidParameter("a measure is given by exactly one of moments, jacobi and atoms")
-        self._moments: list[Fraction] = list(moments or ())
+        for value, kind in ((jacobi, JacobiParams), (atoms, AtomicMeasure)):
+            if not isinstance(value, (kind, type(None))):
+                raise InvalidParameter(f"{kind.__name__} expected, got {type(value).__name__}")
+        self._moments: list[Fraction] = [_frac(v) for v in moments or ()]
+        if moments is not None and not self._moments:
+            raise InvalidParameter("a measure given by moments needs at least one")
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
@@ -382,10 +383,7 @@ class MeasureRep:
 
     @classmethod
     def from_moments(cls, values: Iterable) -> "MeasureRep":
-        moments = [_frac(v) for v in values]
-        if not moments:
-            raise InvalidParameter("a measure given by moments needs at least one")
-        return cls(moments=moments)
+        return cls(moments=values)
 
     @classmethod
     def from_jacobi(cls, j: JacobiParams) -> "MeasureRep":
@@ -489,7 +487,7 @@ def eval_G(rep, z: complex) -> complex:
 def eval_F(rep, z: complex) -> complex:
     g = eval_G(rep, z)
     if abs(g) < 1e-250:
-        raise NumericalSingularity("Cauchy transform too close to zero to invert")
+        raise DomainError("Cauchy transform too close to zero to invert")
     return 1.0 / g
 
 
@@ -526,7 +524,7 @@ def stieltjes_density(
     Only a measure whose recursion is known at every level has a Cauchy
     transform to invert: atoms, a terminated recursion or a `wigner` tail.
     A truncated recursion (finitely many moments) raises
-    `InsufficientDepth`, since closing it would print the density of one
+    `OrderExceeded`, since closing it would print the density of one
     Gauss quadrature among the many measures that share those moments.
     """
     if not 0 < epsilon < math.inf:
@@ -544,8 +542,7 @@ def point_mass(a) -> MeasureRep:
 
 
 def two_point(p, loc1, loc2) -> MeasureRep:
-    p = _frac(p)
-    loc1, loc2 = _frac(loc1), _frac(loc2)
+    p = _frac(p)  # the locations are read by `atomic_measure`
     if not 0 < p < 1:
         raise InvalidParameter("weight must lie strictly between 0 and 1")
     if loc1 == loc2:

@@ -68,9 +68,10 @@ from itertools import accumulate
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional
 
-from .errors import DepthExceeded, InvalidParameter
-from .graphs import _alternating_words
+from .errors import InvalidParameter
+from .graphs import _alternating_words, _check_factor
 from .measures import JacobiParams, _as_jacobi, _over_lcm
+from .series import _frac
 
 Word = tuple[tuple[int, int], ...]
 
@@ -133,8 +134,8 @@ class ModelOperator:
     """Sparse matrix `entries / den` with int entries on an indexed basis.
 
     The one store is by column, `entries[c] = {r: int}`, with no zero entry
-    and no empty column.  The constructor, the one reader of rationals,
-    takes int and `Fraction` values at `(r, c)` in 0..size - 1 and sets
+    and no empty column.  The constructor takes values at `(r, c)` in
+    0..size - 1, each an int or a `Fraction` as `_frac` reads it, and sets
     `den` to the lcm of their denominators.  Operators are never changed in
     place, so they may share columns.
     """
@@ -143,10 +144,7 @@ class ModelOperator:
 
     def __init__(self, size: int, entries: Mapping[tuple[int, int], object]):
         for (r, c), v in entries.items():
-            if isinstance(v, float):
-                raise InvalidParameter("floats are not accepted where exact rationals are required")
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise InvalidParameter(f"operator entries must be ints or Fractions, got {v!r}")
+            _frac(v)  # an int or a Fraction, else InvalidParameter
             if not (0 <= r < size and 0 <= c < size):
                 raise InvalidParameter(f"entry ({r}, {c}) outside the {size} basis vectors")
         den = math.lcm(*(v.denominator for v in entries.values()))
@@ -343,7 +341,7 @@ class FreeProductModel:
         columns of that slab, which the representation maps into itself."""
         _check_factor(factor)
         if n < 1 or n > self.depth_cap + 1:
-            raise DepthExceeded(f"replica level {n} outside 1..{self.depth_cap + 1}")
+            raise InvalidParameter(f"replica level {n} outside 1..{self.depth_cap + 1}")
         return self._slabs[factor - 1][n]
 
     def branch(self, factor: int, k: int = 1) -> ModelOperator:
@@ -358,7 +356,7 @@ class FreeProductModel:
             raise InvalidParameter("branch level must be >= 1")
         last = self.depth_cap + 1
         if k > last:
-            raise DepthExceeded(f"branch level {k} outside the truncated space")
+            raise InvalidParameter(f"branch level {k} outside the truncated space")
         mine, other, total = self._slabs[factor - 1], self._slabs[2 - factor], self._total.entries
         cols: dict = {}
         for n in range(k, last + 1, 2):
@@ -403,11 +401,6 @@ class FreeProductModel:
             scale *= op.den
             out.append(Fraction(vec_dot(cur, vec_bra), scale))
         return out
-
-
-def _check_factor(factor: int) -> None:
-    if factor not in (1, 2):
-        raise InvalidParameter("factor must be 1 or 2")
 
 
 def _int_vector(vec: dict) -> dict:

@@ -37,7 +37,7 @@ from itertools import chain, combinations, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EvenBlockCount, InvalidParameter, OrderExceeded
+from .errors import InvalidParameter, OrderExceeded
 from .series import _frac, _graded, _powers
 
 Composition = tuple[int, ...]
@@ -105,7 +105,7 @@ def odd_refinements(pi: Composition) -> tuple[Composition, ...]:
 def alternating_split(c: Composition) -> tuple[Composition, Composition]:
     """Parts at odd positions and parts at even positions (1-based)."""
     if len(c) % 2 == 0:
-        raise EvenBlockCount(f"alternating split needs an odd part count, got {len(c)}")
+        raise InvalidParameter(f"alternating split needs an odd part count, got {len(c)}")
     return tuple(c[0::2]), tuple(c[1::2])
 
 

@@ -42,17 +42,22 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidParameter, ZeroLeadingCoefficient
+from .errors import InvalidParameter
 
 Rational = int | Fraction
 
 
 def _frac(x) -> Fraction:
+    """The one reader of a rational outside JSON: a Fraction as it is, an
+    int that is not a bool as a Fraction; anything else, a float, a string
+    or a complex included, is refused, not converted."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
     if isinstance(x, float):
         raise InvalidParameter("floats are not accepted where exact rationals are required")
-    return Fraction(x)
+    raise InvalidParameter(f"rationals must be ints or Fractions, got {x!r}")
 
 
 def _cauchy(a: Sequence[Rational], b: Sequence[Rational], n: int) -> list[Fraction]:
@@ -171,7 +176,7 @@ class TailSeries:
         self / c0 is inverted in graded form, then divided by c0 once."""
         a0 = self.coeffs[0]
         if a0 == 0:
-            raise ZeroLeadingCoefficient("cannot invert a series with zero constant term")
+            raise InvalidParameter("cannot invert a series with zero constant term")
         c, a = (self if a0 == 1 else TailSeries(x / a0 for x in self.coeffs))._scaled(0)
         out = [1]
         for n in range(1, len(a)):
@@ -299,10 +304,9 @@ def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
     Computed as the reciprocal of z*G(z) = 1 + m1*w + m2*w**2 + ...; the
     constant term of the result is -m1 and the series has order N - 1.
     """
-    m = tuple(_frac(x) for x in moments)
-    if not m:
+    if not moments:
         raise InvalidParameter("need at least one moment")
-    f_over_z = TailSeries((Fraction(1),) + m).reciprocal()  # F(z)/z = 1/(z*G(z))
+    f_over_z = TailSeries((Fraction(1), *moments)).reciprocal()  # F(z)/z = 1/(z*G(z))
     return TailSeries._of(f_over_z.coeffs[1:])
 
 

@@ -254,6 +254,34 @@ class TestInputGrammar:
             assert code == 2 and out == "" and f"unknown key{'s' * (',' in key)} {key}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"type": "atoms", "atoms": [["0", "1"]], "atoms": [["5", "1"]]}', "'atoms'"),
+            ('{"type": "jacobi", "alpha": [], "omega": [], "tail": {"kind": "wigner", "a": "0", "b": "1", "b": "2"}}', "'b'"),
+        ],
+        ids=["top-level", "in-the-tail"],
+    )
+    def test_duplicate_key_is_refused(self, tmp_path, capsys, text, key):
+        # the last value used to win: the first document read as the atom at 5
+        mu = tmp_path / "mu.json"
+        mu.write_text(text)
+        for argv in (["convolve", "free", str(mu), str(mu), "--order", "4"], ["density", str(mu), "--points", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert f"cannot read {mu}: duplicate key {key}" in err
+
+    def test_deep_nesting_is_refused(self, tmp_path, capsys):
+        # the JSON decoder runs out of recursion depth: a parse error, not
+        # the exit 1 of a failed verify check
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        p2 = write(tmp_path, "p2.json", P2)
+        for argv in (["density", str(deep)], ["convolve", "free", str(deep), str(deep)], ["graph", "star", p2, str(deep)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and err.startswith(f"error: cannot read {deep}: ")
+            assert "recursion" in err
+
     def test_unknown_graph_key_is_named(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", {**P2, "weights": [1]})
         code, out, err = run(capsys, ["graph", "star", g, g])
@@ -471,6 +499,14 @@ class TestGraph:
         code, out, err = run(capsys, ["graph", op, g, g, flag, value])
         assert code == 2 and out == ""
         assert f"{flag} must be >= 1, got {value}" in err
+
+    @pytest.mark.parametrize("op", ["star", "comb", "orthogonal"])
+    @pytest.mark.parametrize("radius", ["3", "0"])
+    def test_radius_is_only_for_the_free_ball(self, tmp_path, capsys, op, radius):
+        # the glued products read no radius, so a radius given to them is refused
+        g = write(tmp_path, "g.json", P2)
+        code, out, err = run(capsys, ["graph", op, g, g, "--radius", radius])
+        assert code == 2 and out == "" and err == f"error: --radius is only for free-ball, not {op}\n"
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", {"vertices": 2, "root": 9, "edges": []})

@@ -7,7 +7,7 @@ import pytest
 
 from freeconv import convolve, verify
 from freeconv.cli import main
-from freeconv.errors import InsufficientDepth, InvalidParameter, NoConvergence
+from freeconv.errors import InvalidParameter, NoConvergence, OrderExceeded
 from freeconv.measures import (
     MeasureRep,
     bernoulli_symmetric,
@@ -376,7 +376,7 @@ class TestChainDecomposition:
 
     def test_depth_guard(self):
         j = make_jacobi([0, 0], [1])
-        with pytest.raises(InsufficientDepth, match="2 truncated recursion levels"):
+        with pytest.raises(OrderExceeded, match="2 truncated recursion levels"):
             convolve.jacobi_chain_decomposition(j, 2)
 
 

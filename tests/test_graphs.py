@@ -22,6 +22,27 @@ class TestConstruction:
         with pytest.raises(InvalidParameter):
             graphs.rooted_graph(2, 0, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, root, edges, match",
+        [
+            (2.0, 0, [(0, 1)], "'vertices' must be an integer, got 2.0"),
+            (True, 0, [], "'vertices' must be an integer, got True"),
+            (3, 0.0, [(0, 1)], "'root' must be an integer, got 0.0"),
+            (3, False, [(0, 1)], "'root' must be an integer, got False"),
+            (3, 0, [(0, 1.5)], r"edge must be a pair of integers, got \(0, 1.5\)"),
+            (3, 0, [(True, 2)], r"edge must be a pair of integers, got \(True, 2\)"),
+            (3, 0, [(0, 1, 2)], r"edge must be a pair of integers, got \(0, 1, 2\)"),
+            (3, 0, [5], "edge must be a pair of integers, got 5"),
+        ],
+        ids=["float-n", "bool-n", "float-root", "bool-root", "float-endpoint", "bool-endpoint", "triple", "int-edge"],
+    )
+    def test_ints_and_pairs_of_ints(self, n, root, edges, match):
+        # `rooted_graph` owns the rules that `parse_graph` applied alone; a
+        # float or bool was accepted, and an edge that is no pair escaped as
+        # a ValueError or TypeError
+        with pytest.raises(InvalidParameter, match=match):
+            graphs.rooted_graph(n, root, edges)
+
     def test_json_round_trip(self):
         g = graphs.rooted_graph(4, 1, [(0, 1), (1, 2), (2, 3)])
         assert graphs.parse_graph(graphs.graph_to_json(g)) == g

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from freeconv import convolve, opmodel, verify
-from freeconv.errors import DepthExceeded, InsufficientDepth, InvalidParameter
+from freeconv.errors import InvalidParameter, OrderExceeded
 from freeconv.measures import (
     MeasureRep,
     bernoulli_symmetric,
@@ -265,7 +265,7 @@ class TestJacobiOperator:
         assert opmodel.monic_norms(j, 4) == [F(1), F(1, 3), F(0), F(0)]
 
     def test_depth_guard(self):
-        with pytest.raises(InsufficientDepth, match="2 truncated recursion levels"):
+        with pytest.raises(OrderExceeded, match="2 truncated recursion levels"):
             opmodel.jacobi_operator(make_jacobi([0, 0], [1]), 4)
 
 
@@ -400,7 +400,7 @@ class TestReplicas:
 
     def test_level_guard(self):
         model = small_model()
-        with pytest.raises(DepthExceeded):
+        with pytest.raises(InvalidParameter, match="replica level"):
             model.replica(1, model.depth_cap + 2)
 
 

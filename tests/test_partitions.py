@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeconv import partitions as P
-from freeconv.errors import EvenBlockCount, InvalidParameter, OrderExceeded
+from freeconv.errors import InvalidParameter, OrderExceeded
 
 
 class TestIntervalEnumeration:
@@ -53,7 +53,7 @@ class TestAlternatingSplit:
         assert P.alternating_split((2, 1, 1, 1, 2)) == ((2, 1, 2), (1, 1))
 
     def test_even_count_rejected(self):
-        with pytest.raises(EvenBlockCount):
+        with pytest.raises(InvalidParameter, match="odd part count"):
             P.alternating_split((1, 2))
 
 

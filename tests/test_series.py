@@ -6,8 +6,9 @@ import pytest
 
 from freeconv import partitions, series
 from freeconv.convolve import k_outer, k_series
-from freeconv.errors import InvalidParameter, ZeroLeadingCoefficient
-from freeconv.measures import MeasureRep
+from freeconv.errors import InvalidParameter
+from freeconv.measures import MeasureRep, make_jacobi
+from freeconv.opmodel import ModelOperator
 from freeconv.series import (
     ContinuedFraction,
     F_to_moments,
@@ -38,6 +39,24 @@ def test_floats_are_rejected_not_read_as_binary_rationals():
     ):
         with pytest.raises(InvalidParameter, match="floats are not accepted"):
             read_as_moments([0.5] * 3)
+
+
+@pytest.mark.parametrize("value", ["1/2", "1e2", True, None, 1 + 0j], ids=["ratio-string", "exponent-string", "bool", "none", "complex"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda x: make_jacobi([x], []),
+        lambda x: MeasureRep.from_moments([x]),
+        lambda x: TailSeries([x]),
+        lambda x: ModelOperator(1, {(0, 0): x}),
+    ],
+    ids=["make_jacobi", "from_moments", "TailSeries", "ModelOperator"],
+)
+def test_one_reader_refuses_what_is_no_int_or_fraction(read, value):
+    # `_frac` reads every rational outside JSON: a string is not parsed, a
+    # bool is not 1, and None or a complex is refused as a package error
+    with pytest.raises(InvalidParameter, match="rationals must be ints or Fractions"):
+        read(value)
 
 
 def test_empty_series_is_an_invalid_parameter():
@@ -104,7 +123,7 @@ class TestReciprocal:
             assert a.reciprocal().coeffs == tuple(fraction_reciprocal(a.coeffs))
 
     def test_zero_constant_term_rejected(self):
-        with pytest.raises(ZeroLeadingCoefficient):
+        with pytest.raises(InvalidParameter, match="zero constant term"):
             ts(0, 1).reciprocal()
 
 

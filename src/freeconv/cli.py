@@ -4,11 +4,11 @@ Subcommands: `convolve` (the five operations on measure files), `density`
 (Stieltjes inversion on a grid, CSV), `graph` (rooted-graph products with
 root moments), and `verify` (the deterministic identity suites).
 
-Exit codes: 0 success / all checks pass, 1 a verify check failed, 2 parse
-error, 3 not a moment sequence, 4 internal route mismatch, 5 domain error,
-6 input does not determine the requested order (too few moments or
-recursion levels) or, for `density`, a density: a truncated recursion,
-which `JacobiParams.prefix` refuses to read past its last level.
+Exit codes: 0 success / all checks pass, 1 a verify check failed; any
+other failure exits with the `exit_code` of the `FreeconvError` it raised
+(see :mod:`freeconv.errors`).  `density` refuses a truncated recursion
+with `OrderExceeded`: `JacobiParams.prefix` will not read past its last
+level, and finitely many levels fix no density.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import math
 import sys
 
 from . import convolve
-from .errors import (
-    DomainError,
-    FreeconvError,
-    InvalidParameter,
-    NotAMomentSequence,
-    OrderExceeded,
-    RouteMismatch,
-)
+from .errors import FreeconvError, InvalidParameter
 from .graphs import (
     free_product_ball,
     graph_comb,
@@ -47,11 +40,6 @@ from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_PARSE = 2
-EXIT_NOT_MOMENTS = 3
-EXIT_ROUTE = 4
-EXIT_DOMAIN = 5
-EXIT_UNDETERMINED = 6
 
 
 # the glued products by name, in the order `freeconv graph` lists them
@@ -71,11 +59,12 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _load_json(path: str):
-    """The JSON document in the file; an unreadable file, malformed or too
-    deeply nested JSON and a repeated key raise `InvalidParameter`."""
+    """The JSON document in the file, decoded once, its integers in full; an
+    unreadable file, malformed or too deeply nested JSON and a repeated key
+    raise `InvalidParameter`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _in_full(lambda text: json.loads(text, object_pairs_hook=_unique_keys), fh.read())
+            return json.loads(fh.read(), object_pairs_hook=_unique_keys, parse_int=lambda s: _in_full(int, s))
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
 
@@ -212,16 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# first match wins; every other package error is a parse error
-_EXIT_CODES = (
-    (NotAMomentSequence, EXIT_NOT_MOMENTS),
-    (RouteMismatch, EXIT_ROUTE),
-    (DomainError, EXIT_DOMAIN),
-    (OrderExceeded, EXIT_UNDETERMINED),
-    (FreeconvError, EXIT_PARSE),
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -229,7 +208,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FreeconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,14 @@
-"""Exception types shared across the package: one class for each exit code
-of the command line (see :mod:`freeconv.cli`).
-
-* `InvalidParameter` (exit 2): an input, argument or request outside its
-  admissible range or shape;
-* `NotAMomentSequence` (exit 3);
-* `RouteMismatch` (exit 4);
-* `DomainError` (exit 5);
-* `OrderExceeded` (exit 6): the input does not determine the request;
-* `NoConvergence` (exit 2, as any other `FreeconvError`).
+"""Exception types shared across the package: one class for each failure
+exit code of the command line, which each class carries as `exit_code`
+and :func:`freeconv.cli.main` returns.  `InvalidParameter` and
+`NoConvergence` keep the base class's code.
 """
 
 
 class FreeconvError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidParameter(FreeconvError):
@@ -22,19 +18,27 @@ class InvalidParameter(FreeconvError):
 class NotAMomentSequence(FreeconvError):
     """A sequence failed positive-semidefiniteness during conversion."""
 
+    exit_code = 3
+
 
 class RouteMismatch(FreeconvError):
     """Two computation routes that must agree exactly did not."""
+
+    exit_code = 4
 
 
 class DomainError(FreeconvError):
     """Evaluation outside the open upper half-plane, or at a point where a
     transform is too close to zero to invert."""
 
+    exit_code = 5
+
 
 class OrderExceeded(FreeconvError):
     """A computation needs moments or recursion levels beyond those the
     input determines."""
+
+    exit_code = 6
 
 
 class NoConvergence(FreeconvError):

@@ -149,7 +149,7 @@ def make_jacobi(
     a = tuple(_frac(x) for x in alpha)
     w = tuple(_frac(x) for x in omega)
     if not a and tail is None:
-        raise InvalidParameter("recursion coefficients need an alpha entry or a tail")
+        raise InvalidParameter("recursion coefficients need an alpha entry or a tail ('wigner' in JSON)")
     if any(x < 0 for x in w):
         raise InvalidParameter("squared off-diagonal entries must be >= 0")
     if tail is not None:
@@ -373,7 +373,7 @@ class MeasureRep:
                 raise InvalidParameter(f"{kind.__name__} expected, got {type(value).__name__}")
         self._moments: list[Fraction] = [_frac(v) for v in moments or ()]
         if moments is not None and not self._moments:
-            raise InvalidParameter("a measure given by moments needs at least one")
+            raise InvalidParameter("a measure given by moments needs at least one ('m' in JSON)")
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
@@ -645,10 +645,7 @@ def parse_measure(obj: dict) -> MeasureRep:
         raise InvalidParameter(f"unknown measure type {kind!r}")
     _known_keys(obj, _MEASURE_KEYS[kind], f"a {kind!r} measure")
     if kind == "moments":
-        m = [parse_fraction(v) for v in _json_list(obj, "m")]
-        if not m:
-            raise InvalidParameter("a 'moments' measure needs at least one entry in 'm'")
-        rep = MeasureRep.from_moments(m)
+        rep = MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
         rep.jacobi()  # a list that is no moment sequence is rejected here
         return rep
     if kind == "jacobi":
@@ -663,8 +660,6 @@ def parse_measure(obj: dict) -> MeasureRep:
             if "a" not in tail_obj or "b" not in tail_obj:
                 raise InvalidParameter(f"a 'wigner' tail needs both 'a' and 'b', got {tail_obj!r}")
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
-        if not alpha and tail is None:
-            raise InvalidParameter("a 'jacobi' measure needs an 'alpha' entry or a 'wigner' tail")
         if 0 in omega:
             k = omega.index(0)
             follows = (

@@ -151,9 +151,6 @@ class TailSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __neg__(self) -> "TailSeries":
         return TailSeries._of(tuple(-c for c in self.coeffs))
 
@@ -167,9 +164,6 @@ class TailSeries:
         if isinstance(other, TailSeries):
             return TailSeries(_cauchy(self.coeffs, other.coeffs, min(self.order, other.order)))
         return TailSeries(tuple(c * _frac(other) for c in self.coeffs))
-
-    def __rmul__(self, other) -> "TailSeries":
-        return self.__mul__(other)
 
     def reciprocal(self) -> "TailSeries":
         """Series b with self * b == 1 up to the truncation order: the monic

@@ -1,13 +1,22 @@
 import json
 import math
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from freeconv import convolve, measures, verify
+from freeconv import cli, convolve, measures, verify
 from freeconv.cli import main
-from freeconv.errors import InvalidParameter
+from freeconv.errors import (
+    DomainError,
+    FreeconvError,
+    InvalidParameter,
+    NoConvergence,
+    NotAMomentSequence,
+    OrderExceeded,
+    RouteMismatch,
+)
 from freeconv.measures import fraction_to_str, parse_measure
 from freeconv.series import TailSeries
 
@@ -169,7 +178,8 @@ class TestConvolve:
         nu = write(tmp_path, "nu.json", DELTA0)
         for argv in (["free", mu, nu], ["boolean", nu, mu]):
             code, out, err = run(capsys, ["convolve", *argv, "--order", "4"])
-            assert code == 2 and out == "" and "alpha" in err
+            assert code == 2 and out == ""
+            assert err == "error: recursion coefficients need an alpha entry or a tail ('wigner' in JSON)\n"
 
     @pytest.mark.parametrize("obj", [{"type": "moments"}, {"type": "moments", "m": []}])
     def test_empty_moment_list_rejected(self, tmp_path, capsys, obj):
@@ -181,7 +191,8 @@ class TestConvolve:
             ["density", mu, "--points", "3"],
         ):
             code, out, err = run(capsys, argv)
-            assert code == 2 and out == "" and "'m'" in err
+            assert code == 2 and out == ""
+            assert err == "error: a measure given by moments needs at least one ('m' in JSON)\n"
 
     def test_route_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         compose = convolve.substitute_into_shifted
@@ -194,6 +205,27 @@ class TestConvolve:
         mu = write(tmp_path, "mu.json", BERNOULLI)
         code, out, err = run(capsys, ["convolve", "free", mu, mu, "--order", "6"])
         assert code == 4 and out == "" and "coefficient 3 of K (order 6)" in err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (FreeconvError, 2),
+            (InvalidParameter, 2),
+            (NotAMomentSequence, 3),
+            (RouteMismatch, 4),
+            (DomainError, 5),
+            (OrderExceeded, 6),
+            (NoConvergence, 2),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_each_error_class_carries_its_exit_code(self, capsys, monkeypatch, error, code):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "run_suites", refuse)
+        assert error.exit_code == code
+        assert run(capsys, ["verify"]) == (code, "", "error: refused\n")
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -271,6 +303,40 @@ class TestInputGrammar:
             assert code == 2 and out == "" and err.startswith("error: ")
             assert f"cannot read {mu}: duplicate key {key}" in err
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ('{"type": "atoms", "atoms": [["0", "1"]], "atoms": [["5", "1"]]}', 2),
+            ('{"a": ', 2),
+            ('{"type": "atoms", "atoms": [[0, 1]]}', 0),
+        ],
+        ids=["duplicate-key", "truncated", "valid"],
+    )
+    def test_each_file_is_decoded_once(self, tmp_path, capsys, monkeypatch, text, code):
+        # a refused document is not decoded again with the process-wide
+        # int-digit limit lifted
+        mu = tmp_path / "mu.json"
+        mu.write_text(text)
+        nu = write(tmp_path, "nu.json", DELTA0)
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda doc, **kw: decoded.append(doc) or loads(doc, **kw))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run(capsys, ["convolve", "free", str(mu), nu, "--order", "4"])[0] == code
+        assert decoded == ([text] if code else [text, json.dumps(DELTA0)])
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_json_integer_past_the_digit_limit_is_read_in_full(self, tmp_path, capsys):
+        # 4401 digits, past Python's default int/str limit of 4300; a moment
+        # this size keeps the run fast, where an atom location this size
+        # would send the atom search through seconds of Sturm chains
+        big = "1" + "0" * 4400
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"type": "moments", "m": [0, %s]}' % big)
+        nu = write(tmp_path, "nu.json", DELTA0)
+        code, out, _ = run(capsys, ["convolve", "boolean", str(mu), nu, "--order", "2"])
+        assert code == 0 and json.loads(out)["m"] == ["0", big]
+
     def test_deep_nesting_is_refused(self, tmp_path, capsys):
         # the JSON decoder runs out of recursion depth: a parse error, not
         # the exit 1 of a failed verify check
@@ -294,8 +360,10 @@ class TestInputGrammar:
             (["1"], ["0"], WIGNER01["tail"], "a 'wigner' tail"),
             (["1"], ["0", "2"], None, "omega[1]"),
             (["1", "2", "3"], ["4", "0"], WIGNER01["tail"], "alpha[2]"),
+            # the zero omega is named before the missing alpha entry
+            ([], ["0", "1"], None, "omega[1]"),
         ],
-        ids=["alpha", "wigner-tail", "omega", "second-level"],
+        ids=["alpha", "wigner-tail", "omega", "second-level", "no-alpha"],
     )
     def test_level_after_a_zero_omega_is_named(self, tmp_path, capsys, alpha, omega, tail, level):
         obj = {"type": "jacobi", "alpha": alpha, "omega": omega}

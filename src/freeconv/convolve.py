@@ -209,20 +209,15 @@ def jacobi_chain_decomposition(j: JacobiParams, m: int) -> list[MeasureRep]:
 
     The first link carries alpha0 + omega0/(z - alpha1); link n >= 2 carries
     omega[n-1]/(z - alpha[n]).  So the chain's K is (z N - P) / N for the
-    convergent N / P = N_(m+1) / P_(m+1) of `measures.approximant_G`.
+    convergent N / P = N_(m+1) / P_(m+1) of `measures.approximant_G`.  Past
+    a zero omega a link is the point mass at its first alpha, alpha0 for the
+    first link and 0 for the others.
     """
     if m < 1:
         raise InvalidParameter("chain length must be >= 1")
     alphas, omegas = j.prefix(m + 1)
-    out = [
-        MeasureRep.from_jacobi(
-            make_jacobi((alphas[0], alphas[1]), (omegas[0],), complete=True)
-        )
+    firsts = (alphas[0],) + (Fraction(0),) * (m - 1)
+    return [
+        MeasureRep.from_jacobi(make_jacobi((a, b), (w, 0)) if w else make_jacobi((a,), (0,)))
+        for a, b, w in zip(firsts, alphas[1:], omegas)
     ]
-    for n in range(2, m + 1):
-        out.append(
-            MeasureRep.from_jacobi(
-                make_jacobi((Fraction(0), alphas[n]), (omegas[n - 1],), complete=True)
-            )
-        )
-    return out

@@ -29,11 +29,13 @@ Conventions for recursion coefficients:
 
 * ``tail=None`` means plain truncation: the coefficients are a known
   prefix of some measure, so exact moments stop at order 2d-1 for d
-  diagonal entries.  If an omega is zero the fraction terminates and the
-  measure is finitely supported; the parameters are then complete and
-  every moment is exact (``finite=True``).
+  diagonal entries.
 * ``tail=WignerTail(a, b)`` continues both sequences with the constants
   a and b, so every moment is exact.
+* A zero omega makes the measure finitely supported, with every moment
+  exact (``finite=True``): a finite recursion is written ending in its
+  first zero omega, a tail of variance 0 is that zero, and nothing may
+  follow it.
 
 `JacobiParams.prefix` is the one reader of recursion levels, here and in
 `convolve` and `opmodel`: past the given entries it reads the tail, or
@@ -128,7 +130,7 @@ class JacobiParams:
         if self.tail is None and len(self.alpha) < 2:
             raise InvalidParameter("no levels left to shift")
         return make_jacobi(
-            self.alpha[1:], self.omega[1:], tail=self.tail, complete=self.finite
+            self.alpha[1:], self.omega[1:] + (0,) * self.finite, self.tail
         )
 
 
@@ -136,43 +138,48 @@ def make_jacobi(
     alpha: Iterable,
     omega: Iterable,
     tail: Optional[WignerTail] = None,
-    *,
-    complete: bool = False,
 ) -> JacobiParams:
     """Validate and normalize recursion coefficients.
 
-    A zero omega terminates the fraction: later entries are dropped and the
-    result is marked finite; a tail of zero variance is one more zero
-    omega.  ``complete=True`` asserts the given prefix is the whole measure
-    (finitely supported) even with all omegas positive.
+    The first zero omega ends the recursion, and the result is finite: a
+    finite recursion is written ending in its zero omega, and a `wigner`
+    tail of variance 0 is that zero at index ``len(omega)``, its ``a``
+    filling the diagonal up to it.  Nothing may follow the zero: a later
+    alpha or omega entry, or a tail after a given zero, is refused, first
+    of all the rules.
     """
     a = tuple(_frac(x) for x in alpha)
     w = tuple(_frac(x) for x in omega)
+    if tail is not None:
+        tail = WignerTail(_frac(tail.a), _frac(tail.b))
+    end = w.index(0) if 0 in w else len(w) if tail is not None and tail.b == 0 else None
+    if end is not None:
+        follows = (
+            f"alpha[{end + 1}]" if len(a) > end + 1
+            else f"omega[{end + 1}]" if len(w) > end + 1
+            else "a 'wigner' tail" if tail is not None and end < len(w)
+            else None
+        )
+        if follows:
+            zero = f"omega[{end}] is zero and" if end < len(w) else "the 'wigner' tail of variance 0"
+            raise InvalidParameter(f"{zero} ends the recursion, but {follows} follows it")
     if not a and tail is None:
         raise InvalidParameter("recursion coefficients need an alpha entry or a tail ('wigner' in JSON)")
     if any(x < 0 for x in w):
         raise InvalidParameter("squared off-diagonal entries must be >= 0")
-    if tail is not None:
-        tail = WignerTail(_frac(tail.a), _frac(tail.b))
-        if tail.b < 0:
-            raise InvalidParameter("tail variance must be >= 0")
-        if tail.b == 0:
-            w += (tail.b,)
-    for m, x in enumerate(w):
-        if x == 0:
-            need = m + 1
-            if len(a) < need:
-                if tail is None:
-                    raise InvalidParameter("omega terminates beyond the given diagonal")
-                a = a + (tail.a,) * (need - len(a))
-            return JacobiParams(a[:need], w[:m], None, True)
-    if tail is not None:
-        return JacobiParams(a, w, tail, False)
-    if len(w) != len(a) - 1:
+    if tail is not None and tail.b < 0:
+        raise InvalidParameter("tail variance must be >= 0")
+    if end is not None:
+        if tail is not None:
+            a += (tail.a,) * (end + 1 - len(a))
+        if len(a) <= end:
+            raise InvalidParameter("omega terminates beyond the given diagonal")
+        return JacobiParams(a, w[:end], None, True)
+    if tail is None and len(w) != len(a) - 1:
         raise InvalidParameter(
             f"expected {len(a) - 1} off-diagonal entries for {len(a)} diagonal ones"
         )
-    return JacobiParams(a, w, None, complete)
+    return JacobiParams(a, w, tail)
 
 
 @dataclass(frozen=True)
@@ -636,8 +643,7 @@ _TAIL_KEYS = {"truncate": ("kind",), "wigner": ("kind", "a", "b")}
 
 def parse_measure(obj: dict) -> MeasureRep:
     """Parse the tagged measure object; a key its type does not name, in
-    the measure or its tail, is rejected, and so is a level (an entry or a
-    `wigner` tail) after a zero omega, which `make_jacobi` would drop."""
+    the measure or its tail, is rejected."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
@@ -660,15 +666,6 @@ def parse_measure(obj: dict) -> MeasureRep:
             if "a" not in tail_obj or "b" not in tail_obj:
                 raise InvalidParameter(f"a 'wigner' tail needs both 'a' and 'b', got {tail_obj!r}")
             tail = WignerTail(parse_fraction(tail_obj["a"]), parse_fraction(tail_obj["b"]))
-        if 0 in omega:
-            k = omega.index(0)
-            follows = (
-                f"alpha[{k + 1}]" if len(alpha) > k + 1
-                else f"omega[{k + 1}]" if len(omega) > k + 1
-                else "a 'wigner' tail" if tail else None
-            )
-            if follows:
-                raise InvalidParameter(f"omega[{k}] is zero and ends the recursion, but {follows} follows it")
         return MeasureRep.from_jacobi(make_jacobi(alpha, omega, tail))
     return MeasureRep.from_atoms([_parse_atom(p) for p in _json_list(obj, "atoms")])
 

@@ -329,10 +329,6 @@ class FreeProductModel:
     def depth_cap(self) -> int:
         return self.basis.depth_cap
 
-    def lam(self, factor: int) -> ModelOperator:
-        _check_factor(factor)
-        return self.x1 if factor == 1 else self.x2
-
     def total(self) -> ModelOperator:
         return self._total
 

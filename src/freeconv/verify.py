@@ -656,13 +656,13 @@ TWO_PERIODIC = (Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1))
 
 def _two_periodic_left() -> MeasureRep:
     al, om, _, _ = TWO_PERIODIC
-    return MeasureRep.from_jacobi(make_jacobi((al, 0), (om,), complete=True))
+    return MeasureRep.from_jacobi(make_jacobi((al, 0), (om, 0)))
 
 
 @check("convolutions")
 def subordinate_half_gives_two_periodic_coefficients(inp, rng):
     al, om, be, ga = TWO_PERIODIC
-    nu2 = MeasureRep.from_jacobi(make_jacobi((be, 0), (ga,), complete=True))
+    nu2 = MeasureRep.from_jacobi(make_jacobi((be, 0), (ga, 0)))
     js = convolve.sfree(_two_periodic_left(), nu2, ORDER).jacobi()
     want = ((al, be, al, be, al), (om, ga, om, ga))
     expect_equal((js.alpha, js.omega), want, "K = {} + {}/z and {} + {}/z", al, om, be, ga)
@@ -671,7 +671,7 @@ def subordinate_half_gives_two_periodic_coefficients(inp, rng):
 @check("convolutions")
 def two_periodic_closed_form_matches_fraction(inp, rng):
     al, om, be, ga = TWO_PERIODIC
-    fraction = make_jacobi((al, be) * 200, (om, ga) * 199 + (om,), complete=True)
+    fraction = make_jacobi((al, be) * 200, (om, ga) * 199 + (om, 0))
     for _ in range(100):
         z = complex(rng.uniform(-4, 4), rng.uniform(2, 6))
         g = eval_G(fraction, z)
@@ -748,12 +748,12 @@ def vacuum_moments_match_free_convolution(inp, rng):
 
 @check("opmodel")
 def irrational_root_factors_stay_exact(inp, rng):
-    # omega = 2 has no rational square root; as a prefix and as a complete recursion
-    for alpha, complete in (([0, 0], False), ([0, Fraction(1, 2)], True)):
-        irr = make_jacobi(alpha, [Fraction(2)], complete=complete)
+    # omega = 2 has no rational square root; as a prefix and as a finite recursion
+    for alpha, end in (([0, 0], []), ([0, Fraction(1, 2)], [0])):
+        irr = make_jacobi(alpha, [Fraction(2)] + end)
         model = opmodel.FreeProductModel(irr, irr, depth_cap=10)
         got = model.state_moments(model.total(), 10)
-        rep = MeasureRep.from_jacobi(make_jacobi(alpha, [Fraction(2)], complete=True))
+        rep = MeasureRep.from_jacobi(make_jacobi(alpha, [Fraction(2), 0]))
         expect_equal(tuple(got), convolve.free(rep, rep, 10).moments(10), "alpha = {}, omega = (2,)", alpha)
 
 

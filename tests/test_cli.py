@@ -28,6 +28,7 @@ WIGNER01 = {
     "omega": [],
     "tail": {"kind": "wigner", "a": "0", "b": "1"},
 }
+ZERO_TAIL = {"kind": "wigner", "a": "3", "b": "0"}
 P2 = {"vertices": 2, "root": 0, "edges": [[0, 1]]}
 
 
@@ -362,18 +363,26 @@ class TestInputGrammar:
             (["1", "2", "3"], ["4", "0"], WIGNER01["tail"], "alpha[2]"),
             # the zero omega is named before the missing alpha entry
             ([], ["0", "1"], None, "omega[1]"),
+            # a tail of variance 0 is the zero omega at index len(omega); the
+            # levels after it were dropped, and `convolve` exited 0
+            (["1", "2", "3", "4"], ["2"], ZERO_TAIL, "alpha[2]"),
+            (["1", "2"], [], ZERO_TAIL, "alpha[1]"),
         ],
-        ids=["alpha", "wigner-tail", "omega", "second-level", "no-alpha"],
+        ids=["alpha", "wigner-tail", "omega", "second-level", "no-alpha", "zero-tail", "zero-tail-no-omega"],
     )
     def test_level_after_a_zero_omega_is_named(self, tmp_path, capsys, alpha, omega, tail, level):
         obj = {"type": "jacobi", "alpha": alpha, "omega": omega}
         if tail:
             obj["tail"] = tail
         mu = write(tmp_path, "mu.json", obj)
-        zero = f"omega[{omega.index('0')}] is zero"
-        for argv in (["convolve", "free", mu, mu, "--order", "4"], ["density", mu, "--points", "3"]):
+        zero = f"omega[{omega.index('0')}] is zero and" if "0" in omega else "the 'wigner' tail of variance 0"
+        for argv in (
+            ["convolve", "boolean", mu, mu, "--order", "4"],
+            ["convolve", "free", mu, mu, "--order", "4"],
+            ["density", mu, "--points", "3"],
+        ):
             code, out, err = run(capsys, argv)
-            assert code == 2 and out == "" and zero in err and f"but {level} follows it" in err
+            assert code == 2 and out == "" and f"{zero} ends the recursion, but {level} follows it" in err
 
 
 class TestHelp:

@@ -184,8 +184,8 @@ class TestSFree:
 
     def test_one_level_transforms_give_two_periodic_coefficients(self):
         al, om, be, ga = F(1, 2), F(2), F(-1, 3), F(1)
-        mu = MeasureRep.from_jacobi(make_jacobi((al, 0), (om,), complete=True))
-        nu = MeasureRep.from_jacobi(make_jacobi((be, 0), (ga,), complete=True))
+        mu = MeasureRep.from_jacobi(make_jacobi((al, 0), (om, 0)))
+        nu = MeasureRep.from_jacobi(make_jacobi((be, 0), (ga, 0)))
         j = convolve.sfree(mu, nu, 10).jacobi()
         assert j.alpha == (al, be, al, be, al)
         assert j.omega == (om, ga, om, ga)
@@ -378,6 +378,19 @@ class TestChainDecomposition:
         j = make_jacobi([0, 0], [1])
         with pytest.raises(OrderExceeded, match="2 truncated recursion levels"):
             convolve.jacobi_chain_decomposition(j, 2)
+
+    def test_links_past_a_zero_omega_are_point_masses(self):
+        # the first link of a finite chain past its zero omega is the point
+        # mass at alpha0, every later one the point mass at 0
+        links = convolve.jacobi_chain_decomposition(point_mass(3).jacobi(), 3)
+        assert [link.jacobi() for link in links] == [
+            make_jacobi([3], [0]),
+            make_jacobi([0], [0]),
+            make_jacobi([0], [0]),
+        ]
+        j = two_point(F(1, 3), -1, 2).jacobi()
+        for m in range(1, 5):
+            assert verify._nested_chain(j, m, 8).moments(8) == two_point(F(1, 3), -1, 2).moments(8), m
 
 
 class TestCliDispatch:

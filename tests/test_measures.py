@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -277,7 +278,7 @@ class TestMomentsToJacobiAgainstKSeriesPeel:
 
 class TestJacobiToMoments:
     def test_point_mass(self):
-        j = make_jacobi([F(3, 2)], [], complete=True)
+        j = make_jacobi([F(3, 2)], [0])
         a = F(3, 2)
         assert jacobi_to_moments(j, 4) == (a, a**2, a**3, a**4)
 
@@ -291,7 +292,7 @@ class TestJacobiToMoments:
             jacobi_to_moments(j, 4)  # only 2d - 1 = 3 moments are pinned
 
     def test_terminated_coefficients_have_all_moments(self):
-        j = make_jacobi([0, 0], [1], complete=True)
+        j = make_jacobi([0, 0], [1, 0])
         assert jacobi_to_moments(j, 6) == (F(0), F(1), F(0), F(1), F(0), F(1))
 
     def test_round_trip_on_random_measures(self):
@@ -381,33 +382,63 @@ class TestRowsStayReduced:
 
 class TestJacobiShapes:
     def test_zero_omega_truncates(self):
-        j = make_jacobi([1, 2, 3], [4, 0], tail=None)
-        assert j.alpha == (F(1), F(2)) and j.omega == (F(4),) and j.finite
+        # the first zero omega ends the recursion, and a level after it is refused, not dropped
+        assert make_jacobi([1, 2], [4, 0]) == JacobiParams((F(1), F(2)), (F(4),), None, True)
+        with pytest.raises(InvalidParameter, match=re.escape("omega[1] is zero and ends the recursion, but alpha[2] follows it")):
+            make_jacobi([1, 2, 3], [4, 0], tail=None)
 
     def test_wigner_zero_variance_collapses(self):
         j = make_jacobi([5], [2], tail=WignerTail(F(3), F(0)))
         assert j.finite and j.alpha == (F(5), F(3)) and j.omega == (F(2),)
-        # a zero-variance tail is one more zero omega; these are the results
-        # make_jacobi gave when it cut such a tail by calling itself
+        # a zero-variance tail is one more zero omega, at index len(omega):
+        # its a fills the diagonal up to it, and a level after it is refused
         table = [
-            ((), (), (3, 0), (3,), ()),
-            ((1, 2, 3, 4), (2,), (3, 0), (1, 2), (2,)),  # more alphas than levels
-            ((1, 2), (), (3, 0), (1,), ()),
-            ((), (4, 9), (F(1, 2), 0), (F(1, 2),) * 3, (4, 9)),  # fewer alphas than levels
-            ((1, 2, 3), (0, 5), (3, 0), (1,), ()),  # a zero omega before the tail
-            ((), (1, 0), (7, 0), (7, 7), (1,)),  # the same, alphas read from the tail
+            ((), (), (3, 0), ((3,), ())),
+            ((1, 2, 3, 4), (2,), (3, 0), "the 'wigner' tail of variance 0 ends the recursion, but alpha[2] follows it"),
+            ((1, 2), (), (3, 0), "the 'wigner' tail of variance 0 ends the recursion, but alpha[1] follows it"),
+            ((), (4, 9), (F(1, 2), 0), ((F(1, 2),) * 3, (4, 9))),  # fewer alphas than levels
+            ((1, 2, 3), (0, 5), (3, 0), "omega[0] is zero and ends the recursion, but alpha[1] follows it"),
+            ((), (1, 0), (7, 0), "omega[1] is zero and ends the recursion, but a 'wigner' tail follows it"),
         ]
-        for alpha, omega, tail, want_alpha, want_omega in table:
-            want = JacobiParams(tuple(map(F, want_alpha)), tuple(map(F, want_omega)), None, True)
-            for complete in (False, True):
-                assert make_jacobi(alpha, omega, WignerTail(*tail), complete=complete) == want
+        for alpha, omega, tail, want in table:
+            if isinstance(want, str):
+                with pytest.raises(InvalidParameter, match=re.escape(want)):
+                    make_jacobi(alpha, omega, WignerTail(*tail))
+            else:
+                want_alpha, want_omega = want
+                assert make_jacobi(alpha, omega, WignerTail(*tail)) == JacobiParams(
+                    tuple(map(F, want_alpha)), tuple(map(F, want_omega)), None, True
+                )
+
+    @pytest.mark.parametrize(
+        "alpha, omega",
+        [
+            ([F(3, 2)], []),
+            ([5], []),
+            ([0, 0], [1]),
+            ([0, 0], [2]),
+            ([1, 2], [F(1, 3)]),
+            ([F(1, 2), 0], [F(3)]),
+            ([F(-1, 3), 0], [1]),
+            ([F(1, 3), 1], [4]),
+            ([0, F(1, 2)], [2]),
+            ([1, 2, 3], [4, 5]),
+            ([F(1, 999_983), F(-2, 1_000_003)], [F(3, 1_000_033)]),
+            ([F(1, 2), F(-1, 3)] * 200, [F(2), F(1)] * 199 + [F(2)]),
+        ],
+    )
+    def test_trailing_zero_gives_what_complete_gave(self, alpha, omega):
+        # `complete=True` declared a prefix the whole measure; that prefix
+        # ending in its zero omega now says the same
+        want = JacobiParams(tuple(map(F, alpha)), tuple(map(F, omega)), None, True)
+        assert make_jacobi(alpha, omega + [0]) == want
 
     def test_negative_omega_rejected(self):
         with pytest.raises(InvalidParameter):
             make_jacobi([0, 0], [-1])
 
     def test_shift(self):
-        j = make_jacobi([F(1), F(2)], [F(3)], complete=True)
+        j = make_jacobi([F(1), F(2)], [F(3), 0])
         s = j.shift()
         assert s.alpha == (F(2),) and s.omega == ()
 
@@ -422,7 +453,7 @@ class TestJacobiShapes:
     def test_shift_needs_two_levels_without_a_tail(self):
         # one truncated level fixes only m1, and a point mass has no level
         # below its terminating omega: neither shifts to a measure
-        for j in (make_jacobi([1], []), make_jacobi([1], [], complete=True)):
+        for j in (make_jacobi([1], []), make_jacobi([1], [0])):
             with pytest.raises(InvalidParameter, match="no levels left to shift"):
                 j.shift()
 
@@ -444,9 +475,9 @@ class TestOneForm:
         "forms",
         [
             {"moments": [F(0), F(1)], "atoms": atomic_measure([(5, 1)])},
-            {"moments": [F(5)], "jacobi": make_jacobi([5], [], complete=True)},
-            {"jacobi": make_jacobi([5], [], complete=True), "atoms": atomic_measure([(5, 1)])},
-            {"moments": [F(5)], "jacobi": make_jacobi([5], [], complete=True), "atoms": atomic_measure([(5, 1)])},
+            {"moments": [F(5)], "jacobi": make_jacobi([5], [0])},
+            {"jacobi": make_jacobi([5], [0]), "atoms": atomic_measure([(5, 1)])},
+            {"moments": [F(5)], "jacobi": make_jacobi([5], [0]), "atoms": atomic_measure([(5, 1)])},
         ],
         ids=["moments+atoms", "moments+jacobi", "jacobi+atoms", "all-three"],
     )
@@ -482,7 +513,7 @@ class TestPrefix:
         assert wigner(0, 1).jacobi().prefix(2) == ((F(0), F(0)), (F(1),))
 
     def test_terminated_fraction_reads_zeros(self):
-        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        j = make_jacobi([1, 2], [F(1, 3), 0])
         assert j.prefix(4) == ((F(1), F(2), F(0), F(0)), (F(1, 3), F(0), F(0)))
 
     def test_truncated_prefix_ends_at_its_levels(self):
@@ -510,7 +541,7 @@ class TestAtoms:
     def test_irrational_spectrum_returns_none(self):
         # two symmetric atoms at +-sqrt(2): terminating coefficients but no
         # rational eigenvalues
-        j = make_jacobi([0, 0], [2], complete=True)
+        j = make_jacobi([0, 0], [2, 0])
         assert jacobi_to_atoms(j) is None
 
     @pytest.mark.parametrize(
@@ -518,7 +549,7 @@ class TestAtoms:
         [
             # an irrational pair with denominators near 10^6, where a search
             # over divisor pairs of the coefficients ran for over a minute
-            make_jacobi([F(1, 999_983), F(-2, 1_000_003)], [F(3, 1_000_033)], complete=True),
+            make_jacobi([F(1, 999_983), F(-2, 1_000_003)], [F(3, 1_000_033), 0]),
             # weight 1/3 each at 1, sqrt(2) and -sqrt(2): a rational atom
             # among irrational ones
             moments_to_jacobi([F(1, 3), F(5, 3), F(1, 3), 3, F(1, 3), F(17, 3)]),
@@ -613,7 +644,7 @@ class TestEvaluation:
 
 class TestApproximants:
     def test_level_one(self):
-        j = make_jacobi([F(1, 2), 0], [F(3)], complete=True)
+        j = make_jacobi([F(1, 2), 0], [F(3), 0])
         n, m = approximant_G(j, 1)[1]
         assert n == [F(1)] and m == [F(-1, 2), F(1)]
 
@@ -626,7 +657,8 @@ class TestApproximants:
         j = wigner(0, 1).jacobi()
         full = wigner(0, 1)
         for m in range(1, 6):
-            prefix = make_jacobi(*j.prefix(m), complete=True)
+            alphas, omegas = j.prefix(m)
+            prefix = make_jacobi(alphas, omegas + (0,))
             order = 2 * m - 1
             assert jacobi_to_moments(prefix, order) == full.moments(order)
 

@@ -109,19 +109,17 @@ def recursions(draw):
     positive = RATIONAL.map(abs).filter(bool)
     omega = draw(st.lists(positive, min_size=len(alpha) - 1, max_size=len(alpha) - 1))
     cut = draw(st.one_of(st.none(), st.integers(0, 4)))
-    if cut is not None and cut < len(omega):
-        omega[cut] = F(0)
     kind = draw(st.sampled_from(["truncate", "complete", "wigner"]))
-    if kind == "wigner":
-        tail = WignerTail(draw(RATIONAL), abs(draw(RATIONAL)))
-        return make_jacobi(alpha, omega, tail)
-    return make_jacobi(alpha, omega, complete=kind == "complete")
+    tail = WignerTail(draw(RATIONAL), abs(draw(RATIONAL))) if kind == "wigner" else None
+    if cut is not None and cut < len(omega):  # the zero ends the recursion: nothing follows it
+        return make_jacobi(alpha[: cut + 1], omega[:cut] + [F(0)])
+    return make_jacobi(alpha, omega + [F(0)] * (kind == "complete"), tail)
 
 
 @settings(max_examples=80, deadline=None)
 @given(recursions(), st.integers(0, 16))
-@example(make_jacobi([F(1, 999_983)], [], complete=True), 0)
-@example(make_jacobi([F(1, 999_983)], [], complete=True), 1)
+@example(make_jacobi([F(1, 999_983)], [0]), 0)
+@example(make_jacobi([F(1, 999_983)], [0]), 1)
 def test_integer_walk_matches_fraction_walk(j, n):
     if j.moment_cap is not None:
         n = min(n, j.moment_cap)

@@ -36,21 +36,21 @@ def thirds_model(depth=5):
 
 def halves_and_thirds_model():
     """Factors whose operators have denominators 2 and 3."""
-    jmu = make_jacobi([F(1, 2), 0], [1], complete=True)
-    jnu = make_jacobi([F(1, 3), 1], [4], complete=True)
+    jmu = make_jacobi([F(1, 2), 0], [1, 0])
+    jnu = make_jacobi([F(1, 3), 1], [4, 0])
     return opmodel.FreeProductModel(jmu, jnu, depth_cap=4)
 
 
 def small_model(seed=0, dim=4, depth=8):
-    # complete=True: the factor of dim levels realizes the terminated
-    # measure exactly, so every moment of it is available for comparisons
+    # the omegas end in a zero: the factor of dim levels realizes the
+    # terminated measure exactly, so every moment of it is available for comparisons
     rng = random.Random(seed)
     alpha = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
     omega = [F(rng.randint(1, 2)) ** 2 for _ in range(dim - 1)]
     beta = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
     gamma = [F(rng.randint(1, 2)) ** 2 for _ in range(dim - 1)]
-    jmu = make_jacobi(alpha, omega, complete=True)
-    jnu = make_jacobi(beta, gamma, complete=True)
+    jmu = make_jacobi(alpha, omega + [0])
+    jnu = make_jacobi(beta, gamma + [0])
     return opmodel.FreeProductModel(jmu, jnu, depth_cap=depth)
 
 
@@ -86,7 +86,7 @@ class TestWordBasis:
 
     def test_level_slabs_partition_words(self):
         # every alpha is nonzero, so every word's column holds its diagonal entry
-        j = make_jacobi([1, 2, 3], [4, 5], complete=True)
+        j = make_jacobi([1, 2, 3], [4, 5, 0])
         model = opmodel.FreeProductModel(j, j, depth_cap=4)
         last = model.depth_cap + 1
         for factor in (1, 2):
@@ -251,7 +251,7 @@ class TestJacobiOperator:
 
     def test_irrational_root_stays_exact_on_monic_polynomials(self):
         # x p_0 = p_1 and x p_1 = 2 p_0 + p_1 / 2, with |p_1|^2 = 2
-        j = make_jacobi([0, F(1, 2)], [2], complete=True)
+        j = make_jacobi([0, F(1, 2)], [2, 0])
         op = opmodel.jacobi_operator(j, 2)
         assert rational(op) == {0: {1: 1}, 1: {0: F(2), 1: F(1, 2)}}
         assert opmodel.monic_norms(j, 2) == [F(1), F(2)]
@@ -259,7 +259,7 @@ class TestJacobiOperator:
 
     def test_terminated_measure_stays_on_its_support(self):
         # omega_1 = 0: p_2 has norm 0, so column 1 does not reach it
-        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        j = make_jacobi([1, 2], [F(1, 3), 0])
         op = opmodel.jacobi_operator(j, 4)
         assert rational(op) == {0: {0: F(1), 1: 1}, 1: {0: F(1, 3), 1: F(2)}}
         assert opmodel.monic_norms(j, 4) == [F(1), F(1, 3), F(0), F(0)]
@@ -337,7 +337,7 @@ class TestFreeProductRep:
     def test_finite_factor_gets_no_letter_past_its_levels(self):
         # the two levels of a terminated recursion make the whole path, so no
         # word holds p_2, whose norm is 0, and every weight is positive
-        j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+        j = make_jacobi([1, 2], [F(1, 3), 0])
         model = opmodel.FreeProductModel(j, j, depth_cap=4)
         assert model.basis.dims == (2, 2)
         assert all(k == 1 for w in model.basis.words for _, k in w)
@@ -419,8 +419,8 @@ def replica_sums(model):
     their alternating sums."""
     last = model.depth_cap + 1
     replicas = {
-        (i, n): compress(model.lam(i), level_indices(model.basis, i, n))
-        for i in (1, 2)
+        (i, n): compress(x, level_indices(model.basis, i, n))
+        for i, x in ((1, model.x1), (2, model.x2))
         for n in range(1, last + 1)
     }
     branches = {}
@@ -487,11 +487,6 @@ def test_model_equals_the_word_by_word_representation():
 class TestFactorOutsideOneAndTwo:
     # a factor index other than 1 or 2 read another factor's operators, or raised a bare IndexError
     model = small_model(seed=2, dim=3, depth=3)
-
-    @pytest.mark.parametrize("factor", [0, 3])
-    def test_lam_rejects_it(self, factor):
-        with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
-            self.model.lam(factor)
 
     @pytest.mark.parametrize("factor", [0, 3])
     def test_replica_rejects_it(self, factor):
@@ -636,7 +631,7 @@ def test_state_moments_equal_the_fraction_chain():
 def complete_jacobi(rng, levels):
     alpha = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(levels)]
     omega = [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(levels - 1)]
-    return make_jacobi(alpha, omega, complete=True)
+    return make_jacobi(alpha, omega + [0])
 
 
 @pytest.mark.parametrize("seed", [0, 1])

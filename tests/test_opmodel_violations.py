@@ -56,7 +56,7 @@ def test_passing_report_has_no_violations():
 def test_state_of_norm_zero_rejected():
     # the conditions divide by each state's norm; every word's weight is
     # positive, so a state of norm 0 is a zero vector
-    j = make_jacobi([1, 2], [F(1, 3)], complete=True)
+    j = make_jacobi([1, 2], [F(1, 3), 0])
     model = opmodel.FreeProductModel(j, j, depth_cap=4)
     null = {model.basis.index[((1, 1),)]: F(0)}
     for xi, eta in ((null, model.vacuum()), (model.vacuum(), null)):

@@ -124,7 +124,7 @@ def atomic(draw):
 def cut_jacobi(draw):
     """A recursion whose omega list ends in a zero: a finite measure."""
     omega = draw(st.lists(POSITIVE, max_size=4)) + [F(0)]
-    alpha = draw(st.lists(SMALL, min_size=len(omega), max_size=len(omega) + 1))
+    alpha = draw(st.lists(SMALL, min_size=len(omega), max_size=len(omega) + 1))[: len(omega)]
     return MeasureRep.from_jacobi(make_jacobi(alpha, omega))
 
 

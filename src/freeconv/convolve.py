@@ -73,7 +73,7 @@ def k_outer(rep: MeasureRep, order: int) -> Outer:
     j = rep.exact_jacobi()
     if j is None or order < 1:  # k_series rejects the order
         return k_series(rep, order)
-    levels = tuple(zip(*j.prefix(max(j.levels, 1) + 1)))
+    levels = tuple(zip(*j.prefix(max(len(j.alpha), 1) + 1)))
     tail = (j.tail.a, j.tail.b) if j.tail else None
     return ContinuedFraction(levels, tail, order - 1)
 

@@ -23,15 +23,20 @@ weights, emptiness and where a fraction ends.  `MeasureRep` holds a
 measure in exactly one given form and owns the views derived from it
 (moments, recursion coefficients, atoms).  `parse_measure` and
 `measure_to_json` own the JSON shape only: they translate between JSON
-and those objects.
+and those objects.  The views printed beside moments exist only in JSON,
+so `parse_measure` alone checks that they are the ones the moments give.
 
 Conventions for recursion coefficients:
 
+* Level k is the pair (alpha_k, omega_k), and a given omega needs its
+  level's alpha, so there are never more omegas than alphas; every
+  reader counts the given levels as ``len(alpha)``.
 * ``tail=None`` means plain truncation: the coefficients are a known
-  prefix of some measure, so exact moments stop at order 2d-1 for d
-  diagonal entries.
+  prefix of some measure, d diagonal entries and d - 1 omegas, so exact
+  moments stop at order 2d-1.
 * ``tail=WignerTail(a, b)`` continues both sequences with the constants
-  a and b, so every moment is exact.
+  a and b, supplying whole levels (a, b) past the given ones, so every
+  moment is exact.
 * A zero omega makes the measure finitely supported, with every moment
   exact (``finite=True``): a finite recursion is written ending in its
   first zero omega, a tail of variance 0 is that zero, and nothing may
@@ -85,12 +90,6 @@ class JacobiParams:
     tail: Optional[WignerTail] = None
     finite: bool = False
 
-    @property
-    def levels(self) -> int:
-        """Levels with a given entry; above a tail the omegas may run one
-        level deeper than the alphas."""
-        return max(len(self.alpha), len(self.omega))
-
     def prefix(self, d: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """alpha_0..alpha_(d-1) and omega_0..omega_(d-2), the one reader of
         recursion levels: past the given entries come the tail's (a, b), or
@@ -114,15 +113,8 @@ class JacobiParams:
         read once for `eval_G`.  The omega below the last level comes from
         the tail, is 0 once the fraction has terminated, and is unknown for a
         truncated recursion, which raises `OrderExceeded`."""
-        alphas, omegas = self.prefix(self.levels + 1)
+        alphas, omegas = self.prefix(len(self.alpha) + 1)
         return tuple(zip(map(float, alphas), map(float, omegas)))[::-1]
-
-    @property
-    def moment_cap(self) -> Optional[int]:
-        """Largest exactly-known moment order, or None when unlimited."""
-        if self.finite or self.tail is not None:
-            return None
-        return 2 * len(self.alpha) - 1
 
     def shift(self) -> "JacobiParams":
         """Drop the leading diagonal and off-diagonal entries.  Without a
@@ -141,12 +133,16 @@ def make_jacobi(
 ) -> JacobiParams:
     """Validate and normalize recursion coefficients.
 
-    The first zero omega ends the recursion, and the result is finite: a
-    finite recursion is written ending in its zero omega, and a `wigner`
-    tail of variance 0 is that zero at index ``len(omega)``, its ``a``
-    filling the diagonal up to it.  Nothing may follow the zero: a later
-    alpha or omega entry, or a tail after a given zero, is refused, first
-    of all the rules.
+    Level k is the pair (alpha[k], omega[k]), so a given omega[k] needs a
+    given alpha[k]: len(omega) <= len(alpha).  Past the given levels a
+    `wigner` tail supplies whole levels (a, b); without one, d alphas take
+    d - 1 omegas.  The first zero omega ends the recursion, and the result
+    is finite: a finite recursion is written ending in its zero omega, and
+    a `wigner` tail of variance 0 is that zero at index ``len(omega)``,
+    supplying the single level (a, 0) when alpha[len(omega)] is not given.
+    Nothing may follow the zero: a later alpha or omega entry, or a tail
+    after a given zero, is refused first of all the rules, and an omega
+    without its alpha next.
     """
     a = tuple(_frac(x) for x in alpha)
     w = tuple(_frac(x) for x in omega)
@@ -163,6 +159,8 @@ def make_jacobi(
         if follows:
             zero = f"omega[{end}] is zero and" if end < len(w) else "the 'wigner' tail of variance 0"
             raise InvalidParameter(f"{zero} ends the recursion, but {follows} follows it")
+    if len(w) > len(a):
+        raise InvalidParameter(f"omega[{len(a)}] is given without alpha[{len(a)}]: each omega needs its level's alpha")
     if not a and tail is None:
         raise InvalidParameter("recursion coefficients need an alpha entry or a tail ('wigner' in JSON)")
     if any(x < 0 for x in w):
@@ -170,10 +168,8 @@ def make_jacobi(
     if tail is not None and tail.b < 0:
         raise InvalidParameter("tail variance must be >= 0")
     if end is not None:
-        if tail is not None:
-            a += (tail.a,) * (end + 1 - len(a))
-        if len(a) <= end:
-            raise InvalidParameter("omega terminates beyond the given diagonal")
+        if len(a) == end:  # the zero-variance tail supplies the level (a, 0)
+            a += (tail.a,)
         return JacobiParams(a, w[:end], None, True)
     if tail is None and len(w) != len(a) - 1:
         raise InvalidParameter(
@@ -308,7 +304,7 @@ def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
     """
     if not j.finite:
         return None
-    d = j.levels
+    d = len(j.alpha)
     convergents = approximant_G(j, d)
     num, den = convergents[d]
     rows = []
@@ -432,7 +428,7 @@ class MeasureRep:
         if self._moments_given:
             return None
         j = self.jacobi()
-        return j if j.moment_cap is None else None
+        return j if j.finite or j.tail is not None else None
 
     def jacobi_or_none(self) -> Optional[JacobiParams]:
         try:
@@ -633,7 +629,7 @@ def _parse_atom(pair) -> tuple[Fraction, Fraction]:
 
 _MEASURE_KEYS = {
     # `jacobi` and `atoms` are the views `measure_to_json` prints beside the
-    # moments, so its output reads back; they are not read
+    # moments, so its output reads back; each given must equal the printed one
     "moments": ("type", "m", "jacobi", "atoms"),
     "jacobi": ("type", "alpha", "omega", "tail"),
     "atoms": ("type", "atoms"),
@@ -643,7 +639,8 @@ _TAIL_KEYS = {"truncate": ("kind",), "wigner": ("kind", "a", "b")}
 
 def parse_measure(obj: dict) -> MeasureRep:
     """Parse the tagged measure object; a key its type does not name, in
-    the measure or its tail, is rejected."""
+    the measure or its tail, is rejected, and so is a view beside moments
+    that differs from the one `measure_to_json` prints for them."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameter("measure object needs a 'type' field")
     kind = obj["type"]
@@ -653,6 +650,10 @@ def parse_measure(obj: dict) -> MeasureRep:
     if kind == "moments":
         rep = MeasureRep.from_moments([parse_fraction(v) for v in _json_list(obj, "m")])
         rep.jacobi()  # a list that is no moment sequence is rejected here
+        printed = measure_to_json(rep, len(obj["m"])) if "jacobi" in obj or "atoms" in obj else {}
+        for key in ("jacobi", "atoms"):
+            if key in obj and obj[key] != printed.get(key):
+                raise InvalidParameter(f"{key!r} is not the view its moments give")
         return rep
     if kind == "jacobi":
         alpha = [parse_fraction(v) for v in _json_list(obj, "alpha")]

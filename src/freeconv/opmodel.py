@@ -215,11 +215,9 @@ class ModelOperator:
         With `columns`, only the entries of those columns are compared with
         their mirrors."""
         cols = self.entries
-        if columns is None:
-            read, w = cols.items(), _over_lcm(weights)[1]
-        else:  # the weights of those columns and their rows only
-            read = [(c, cols[c]) for c in columns if c in cols]
-            w = _int_vector({k: weights[k] for k in {c for c, _ in read}.union(*(col for _, col in read))})
+        read = [(c, cols[c]) for c in (cols if columns is None else columns) if c in cols]
+        # the weights of those columns and their rows only
+        w = _int_vector({k: weights[k] for k in {c for c, _ in read}.union(*(col for _, col in read))})
         return all(w[r] * v == w[c] * cols.get(r, {}).get(c, 0) for c, col in read for r, v in col.items())
 
     def equals(self, other: "ModelOperator") -> bool:
@@ -299,7 +297,7 @@ class FreeProductModel:
 
     def __init__(self, mu, nu, depth_cap: int):
         self.mu_jacobi, self.nu_jacobi = js = (_as_jacobi(mu), _as_jacobi(nu))
-        dims = [depth_cap + 1 if j.tail is not None else min(depth_cap + 1, j.levels) for j in js]
+        dims = [depth_cap + 1 if j.tail is not None else min(depth_cap + 1, len(j.alpha)) for j in js]
         self.basis = basis = WordBasis.build(dims, depth_cap)
         a1, a2 = (jacobi_operator(j, d) for j, d in zip(js, dims))
         den = math.lcm(a1.den, a2.den)  # shared by every operator built from the factors

@@ -600,7 +600,7 @@ def orthogonal_shifts_into_monotone_recursion(inp, rng):
     # shifted-coefficient link between the orthogonal and monotone forms
     for i, (mu, nu) in enumerate(inp.reps[:5]):
         jm = mu.jacobi()
-        if jm.levels < 2:
+        if len(jm.alpha) < 2:
             continue
         mu_s = MeasureRep.from_jacobi(jm.shift())
         k_orth = convolve.k_series(convolve.orthogonal(mu, nu, ORDER), ORDER)

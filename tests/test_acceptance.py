@@ -112,7 +112,7 @@ def test_shift_precondition_fails_the_check_and_names_the_pair(convolutions, mon
 
     monkeypatch.setattr(verify.convolve, "orthogonal", moved)
     result = verify.run_check("orthogonal-shifts-into-monotone-recursion", convolutions)
-    i, (mu, nu) = next((i, p) for i, p in enumerate(convolutions.reps) if p[0].jacobi().levels >= 2)
+    i, (mu, nu) = next((i, p) for i, p in enumerate(convolutions.reps) if len(p[0].jacobi().alpha) >= 2)
     alpha0 = mu.jacobi().alpha[0]
     show = verify._show
     want = (

@@ -384,6 +384,42 @@ class TestInputGrammar:
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "" and f"{zero} ends the recursion, but {level} follows it" in err
 
+    @pytest.mark.parametrize(
+        "alpha, omega, tail",
+        [
+            # alpha_1 = 5 used to come from the tail, and `convolve` exited 0
+            (["1"], ["2", "3", "4"], {"kind": "wigner", "a": "5", "b": "1"}),
+            (["1"], ["4", "0"], None),
+        ],
+        ids=["wigner-tail", "zero-omega"],
+    )
+    def test_omega_without_its_alpha_is_named(self, tmp_path, capsys, alpha, omega, tail):
+        obj = {"type": "jacobi", "alpha": alpha, "omega": omega}
+        if tail:
+            obj["tail"] = tail
+        mu = write(tmp_path, "mu.json", obj)
+        nu = write(tmp_path, "nu.json", DELTA0)
+        for argv in (
+            ["convolve", "boolean", mu, nu, "--order", "4"],
+            ["convolve", "free", mu, nu, "--order", "4"],
+            ["density", mu, "--points", "3"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "omega[1] is given without alpha[1]" in err
+
+    def test_views_beside_moments_are_checked(self, tmp_path, capsys):
+        # the views used to be accepted and not read: `convolve` printed the
+        # moments' own views
+        mu = write(tmp_path, "mu.json", {"type": "moments", "m": ["0", "1"], "atoms": [["5", "1"]], "jacobi": {"alpha": ["9"]}})
+        nu = write(tmp_path, "nu.json", DELTA0)
+        for argv in (["convolve", "boolean", mu, nu, "--order", "2"], ["density", mu, "--points", "3"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "'jacobi' is not the view its moments give" in err
+        # the views `convolve` prints read back
+        code, out, _ = run(capsys, ["convolve", "boolean", write(tmp_path, "b.json", BERNOULLI), nu, "--order", "4"])
+        printed = write(tmp_path, "out.json", json.loads(out))
+        assert code == 0 and run(capsys, ["convolve", "boolean", printed, nu, "--order", "4"])[:2] == (0, out)
+
 
 class TestHelp:
     @pytest.mark.parametrize(

@@ -3,9 +3,15 @@
 Measure and graph documents are drawn from README's grammar and then, in
 most examples, mutated: a literal outside the grammar, an extra or a
 missing key, a level after a zero omega, a value of the wrong type, an
-empty list or a boolean.  Every run must exit 0, 2, 3 or 6 without a
-traceback, print nothing to stdout when it fails, and every accepted
-`convolve` output must read back to the moments it prints.
+empty list, a boolean or a file cut short.  Recursion coefficients come
+with any number of omegas up to two past the alphas, a zero or negative
+one among them, and with tails of variance 0 or below that may have
+levels after them; atoms and graphs may break one rule of their own; and
+a `moments` document may carry the views `convolve` prints beside it.  The
+options are drawn as well, out of range or given to the wrong operation.
+Every run must exit 0, 2, 3 or 6 without a traceback, print nothing to
+stdout when it fails, and every accepted `convolve` output must read back
+to the moments it prints.
 """
 
 import contextlib
@@ -22,7 +28,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from freeconv.cli import main  # noqa: E402
-from freeconv.measures import parse_measure  # noqa: E402
+from freeconv.measures import MeasureRep, measure_to_json, parse_measure  # noqa: E402
 
 EXIT_CODES = (0, 2, 3, 6)
 OPS = ("free", "boolean", "monotone", "orthogonal", "sfree", "orthogonal-iter")
@@ -52,8 +58,24 @@ def atoms(draw):
     return [(x, Fraction(w, sum(weights))) for x, w in zip(locs, weights)]
 
 
-def atoms_doc(pairs):
-    return {"type": "atoms", "atoms": [[str(x), str(w)] for x, w in pairs]}
+@st.composite
+def atoms_doc(draw):
+    """Atoms, or atoms that break one rule: none at all, an atom that is no
+    pair, a weight that is not positive, weights that do not sum to 1, or a
+    location given twice."""
+    pairs = draw(atoms())
+    broken = draw(st.sampled_from([None] * 6 + ["none", "pair", "weight", "sum", "twice"]))
+    if broken == "twice":  # the first atom split into two halves at its location
+        (x, w), *rest = pairs
+        pairs = [(x, w / 2), (x, w / 2), *rest]
+    pairs = [[str(x), str(w)] for x, w in pairs]
+    if broken == "none":
+        pairs = []
+    elif broken == "pair":
+        pairs[-1] = pairs[-1][:1]
+    elif broken in ("weight", "sum"):
+        pairs[-1][1] = draw(st.sampled_from(["0", "-" + pairs[-1][1]])) if broken == "weight" else "2"
+    return {"type": "atoms", "atoms": pairs}
 
 
 @st.composite
@@ -69,31 +91,52 @@ def moments_doc(draw):
 
 @st.composite
 def jacobi_doc(draw):
-    d = draw(st.integers(1, 5))
+    """d alphas, d = 0 among them, and in half of the draws d - 1 omegas,
+    else any number from 0 to d + 2, so that an omega without its alpha
+    turns up with and without a tail; a `wigner` tail of variance 0 may have
+    levels after it."""
+    d = draw(st.one_of(st.integers(1, 5), st.just(0)))
+    n = max(d - 1, 0) if draw(st.booleans()) else draw(st.integers(0, d + 2))
     doc = {
         "type": "jacobi",
         "alpha": draw(st.lists(literal(), min_size=d, max_size=d)),
-        "omega": draw(st.lists(literal(1, 4), min_size=d - 1, max_size=d - 1)),
+        "omega": draw(st.lists(literal(1, 4), min_size=n, max_size=n)),
     }
     tail = draw(st.sampled_from([None, "truncate", "wigner"]))
     if tail == "truncate":
         doc["tail"] = {"kind": "truncate"}
     elif tail == "wigner":
-        doc["tail"] = {"kind": "wigner", "a": draw(literal()), "b": draw(literal(0, 4))}
-    if doc["omega"] and draw(st.booleans()):  # a zero omega, with or without levels after it
-        doc["omega"][draw(st.integers(0, d - 2))] = "0"
+        doc["tail"] = {"kind": "wigner", "a": draw(literal()), "b": draw(st.one_of(st.sampled_from(["0", "-1"]), literal(0, 4)))}
+    if doc["omega"] and draw(st.booleans()):  # a zero omega, with or without levels after it, or a negative one
+        doc["omega"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(["0", "-1"]))
     return doc
 
 
-measure_doc = st.one_of(atoms().map(atoms_doc), moments_doc(), jacobi_doc())
+@st.composite
+def printed_doc(draw):
+    """A measure as `convolve` prints it: moments with the views they give."""
+    return measure_to_json(MeasureRep.from_atoms(draw(atoms())), draw(st.integers(1, 8)))
+
+
+measure_doc = st.one_of(atoms_doc(), moments_doc(), jacobi_doc(), printed_doc())
 
 
 @st.composite
 def graph_doc(draw):
+    """A rooted graph, or one that breaks one rule: no vertex, the root or
+    an edge's end outside the vertices, or a self-loop."""
     n = draw(st.integers(1, 4))
     arcs = [[u, v] for u in range(n) for v in range(n) if u != v]
     edges = draw(st.lists(st.sampled_from(arcs), unique_by=frozenset)) if arcs else []
-    return {"vertices": n, "root": draw(st.integers(0, n - 1)), "edges": edges}
+    doc = {"vertices": n, "root": draw(st.integers(0, n - 1)), "edges": edges}
+    broken = draw(st.sampled_from([None] * 8 + ["vertices", "root", "edge", "self-loop"]))
+    if broken == "vertices":
+        doc["vertices"] = 0
+    elif broken == "root":
+        doc["root"] = draw(st.sampled_from([-1, n]))
+    elif broken:
+        doc["edges"] = [*edges, [0, n if broken == "edge" else 0]]
+    return doc
 
 
 def nodes(doc, path=()):
@@ -101,6 +144,10 @@ def nodes(doc, path=()):
     children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
     for key, child in children:
         yield from nodes(child, path + (key,))
+
+
+class Text(str):
+    """A file's text, written as it is: a document cut short."""
 
 
 def replaced(doc, path, value):
@@ -121,7 +168,7 @@ def mutated(draw, documents):
         found = list(nodes(doc))[::-1]  # the whole document last
         leaves = [p for p, n in found if not isinstance(n, (dict, list))]
         dicts = [(p, n) for p, n in found if isinstance(n, dict)]
-        kind = draw(st.sampled_from(["literal", "type", "extra key", "missing key", "zero omega"]))
+        kind = draw(st.sampled_from(["literal", "type", "extra key", "missing key", "zero omega", "cut"]))
         if kind == "literal" and leaves:
             doc = replaced(doc, draw(st.sampled_from(leaves)), draw(st.sampled_from(BAD_LITERALS)))
         elif kind == "type":
@@ -141,6 +188,9 @@ def mutated(draw, documents):
                 extra = {"alpha": [*doc.get("alpha", []), "1"]} if draw(st.booleans()) else {
                     "tail": {"kind": "wigner", "a": "0", "b": "1"}}
                 doc = {**doc, **extra}
+        elif kind == "cut":
+            text = json.dumps(doc)
+            return Text(text[: draw(st.integers(0, len(text) - 1))])
     return doc
 
 
@@ -165,7 +215,7 @@ def directory(tmp_path_factory):
 
 def write(directory, name, doc):
     path = directory / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, Text) else json.dumps(doc))
     return str(path)
 
 
@@ -174,12 +224,13 @@ def write(directory, name, doc):
     mu=mutated(measure_doc),
     nu=st.one_of(st.just(DELTA0), mutated(measure_doc)),
     op=st.sampled_from(OPS),
-    order=st.integers(1, 12),
-    iterations=st.integers(1, 4),
+    order=st.one_of(st.integers(1, 12), st.just(0)),
+    iterations=st.integers(0, 4),
+    misused=st.sampled_from([False] * 5 + [True]),
 )
-def test_convolve_exits_with_a_code_and_its_output_reads_back(directory, mu, nu, op, order, iterations):
+def test_convolve_exits_with_a_code_and_its_output_reads_back(directory, mu, nu, op, order, iterations, misused):
     argv = ["convolve", op, write(directory, "mu.json", mu), write(directory, "nu.json", nu), "--order", str(order)]
-    if op == "orthogonal-iter":
+    if (op == "orthogonal-iter") != misused:  # only orthogonal-iter takes it, and needs it
         argv += ["--iterations", str(iterations)]
     code, out, err = run(argv)
     check_exit(code, out, err)
@@ -189,9 +240,14 @@ def test_convolve_exits_with_a_code_and_its_output_reads_back(directory, mu, nu,
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(mu=mutated(measure_doc))
-def test_density_exits_with_a_code(directory, mu):
-    check_exit(*run(["density", write(directory, "mu.json", mu), "--points", "3"]))
+@given(
+    mu=mutated(measure_doc),
+    bad=st.sampled_from(
+        [[]] * 10 + [["--points", "1"], ["--xmax", "inf"], ["--xmin", "nan"], ["--epsilon", "0"], ["--epsilon", "inf"]]
+    ),
+)
+def test_density_exits_with_a_code(directory, mu, bad):
+    check_exit(*run(["density", write(directory, "mu.json", mu), "--points", "3", *bad]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -199,11 +255,12 @@ def test_density_exits_with_a_code(directory, mu):
     g1=mutated(graph_doc()),
     g2=mutated(graph_doc()),
     op=st.sampled_from(GRAPH_OPS),
-    radius=st.integers(1, 3),
+    radius=st.sampled_from([None, 1, 2, 3]),
     moments=st.integers(1, 6),
+    bad=st.sampled_from([[]] * 8 + [["--moments", "0"], ["--radius", "0"], ["--radius", "1", "--moments", "4"]]),
 )
-def test_graph_exits_with_a_code(directory, g1, g2, op, radius, moments):
+def test_graph_exits_with_a_code(directory, g1, g2, op, radius, moments, bad):
     argv = ["graph", op, write(directory, "g1.json", g1), write(directory, "g2.json", g2), "--moments", str(moments)]
-    if op == "free-ball":  # the glued products refuse --radius
+    if radius is not None and op == "free-ball":  # the glued products refuse --radius
         argv += ["--radius", str(radius)]
-    check_exit(*run(argv))
+    check_exit(*run([*argv, *bad]))

@@ -342,7 +342,7 @@ class TestGrowingDenominators:
         j = moments_to_jacobi(moments)
         m = jacobi_to_moments(legendre, 120)
         elapsed = time.perf_counter() - start
-        assert j.levels == 60 and len(m) == 120 and m[-1] == F(1, 121)
+        assert len(j.alpha) == 60 and len(m) == 120 and m[-1] == F(1, 121)
         assert elapsed < 1.0, elapsed
 
 
@@ -391,12 +391,13 @@ class TestJacobiShapes:
         j = make_jacobi([5], [2], tail=WignerTail(F(3), F(0)))
         assert j.finite and j.alpha == (F(5), F(3)) and j.omega == (F(2),)
         # a zero-variance tail is one more zero omega, at index len(omega):
-        # its a fills the diagonal up to it, and a level after it is refused
+        # it supplies the level (a, 0) when alpha[len(omega)] is not given,
+        # and a level after it, or an omega without its alpha, is refused
         table = [
             ((), (), (3, 0), ((3,), ())),
             ((1, 2, 3, 4), (2,), (3, 0), "the 'wigner' tail of variance 0 ends the recursion, but alpha[2] follows it"),
             ((1, 2), (), (3, 0), "the 'wigner' tail of variance 0 ends the recursion, but alpha[1] follows it"),
-            ((), (4, 9), (F(1, 2), 0), ((F(1, 2),) * 3, (4, 9))),  # fewer alphas than levels
+            ((), (4, 9), (F(1, 2), 0), "omega[0] is given without alpha[0]"),  # fewer alphas than omegas
             ((1, 2, 3), (0, 5), (3, 0), "omega[0] is zero and ends the recursion, but alpha[1] follows it"),
             ((), (1, 0), (7, 0), "omega[1] is zero and ends the recursion, but a 'wigner' tail follows it"),
         ]
@@ -457,8 +458,20 @@ class TestJacobiShapes:
             with pytest.raises(InvalidParameter, match="no levels left to shift"):
                 j.shift()
 
+    @pytest.mark.parametrize(
+        "alpha, omega, tail",
+        [
+            ([1], [2, 3, 4], WignerTail(5, 1)),  # alpha_1 and alpha_2 used to come from the tail
+            ([1], [4, 0], None),  # a zero omega needs its alpha too
+        ],
+        ids=["wigner-tail", "zero-omega"],
+    )
+    def test_omega_without_its_alpha_is_refused(self, alpha, omega, tail):
+        with pytest.raises(InvalidParameter, match=re.escape("omega[1] is given without alpha[1]")):
+            make_jacobi(alpha, omega, tail)
+
     def test_shift_above_a_tail_drops_an_omega_deeper_than_the_alphas(self):
-        j = make_jacobi([], [3], WignerTail(1, 2))
+        j = make_jacobi([0], [3], WignerTail(1, 2))
         assert j.shift() == make_jacobi([], [], WignerTail(1, 2))
 
     def test_no_alpha_and_no_tail_is_rejected(self):
@@ -619,8 +632,8 @@ class TestEvaluation:
                 evaluate(rep, z)
 
     def test_omega_one_level_deeper_than_alpha_above_a_tail(self):
-        # omega_1 = 2 lies below the only given alpha and above the tail
-        rep = MeasureRep.from_jacobi(make_jacobi([0], [1, 2], WignerTail(0, 1)))
+        # omega_1 = 2 lies below the last given alpha and above the tail
+        rep = MeasureRep.from_jacobi(make_jacobi([0, 0], [1, 2], WignerTail(0, 1)))
         m = rep.moments(12)
         z = 10j
         series = 1 / z + sum(float(m[n - 1]) * z ** (-n - 1) for n in range(1, 13))
@@ -823,6 +836,22 @@ class TestJson:
         blob = json.dumps(measure_to_json(rep, 6))
         reparsed = parse_measure(json.loads(blob))
         assert json.dumps(measure_to_json(reparsed, 6)) == blob
+
+    @pytest.mark.parametrize(
+        "views, key",
+        [
+            ({"atoms": [["5", "1"]], "jacobi": {"alpha": ["9"]}}, "'jacobi'"),
+            ({"atoms": [["5", "1"]]}, "'atoms'"),
+            ({"jacobi": {"alpha": ["1"], "omega": [], "tail": {"kind": "truncate"}}}, "'jacobi'"),
+            ({"atoms": [["-1", "1/2"], ["1", "1/2"]]}, "'atoms'"),  # two moments give no atoms
+        ],
+    )
+    def test_views_beside_moments_must_be_the_ones_they_give(self, views, key):
+        # the views used to be accepted and not read
+        with pytest.raises(InvalidParameter, match=f"{key} is not the view its moments give"):
+            parse_measure({"type": "moments", "m": ["0", "1"], **views})
+        printed = measure_to_json(two_point(F(1, 3), -1, 2), 6)
+        assert parse_measure(printed).moments(6) == tuple(map(F, printed["m"]))
 
     def test_emission_carries_atoms_when_rational(self):
         obj = measure_to_json(two_point(F(1, 3), -1, 2), 6)

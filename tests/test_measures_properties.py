@@ -9,6 +9,7 @@ whose denominators lie near 10^6, on zero omegas and on constant tails, and
 the atoms near 10^6 are recovered from their recursion coefficients.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from test_measures import (  # noqa: E402
     uniform_moments,
 )
 
+from freeconv.errors import InvalidParameter  # noqa: E402
 from freeconv.measures import (  # noqa: E402
     JacobiParams,
     WignerTail,
@@ -74,9 +76,9 @@ def test_finite_result_round_trips(case):
             continue
         # a zero squared norm at level d is accepted only when the finite
         # measure reproduces every given moment, m1..m(2d) and all after them
-        assert 2 * j.levels <= n and jacobi_to_moments(j, n) == tuple(m[:n]), n
+        assert 2 * len(j.alpha) <= n and jacobi_to_moments(j, n) == tuple(m[:n]), n
         if not perturbed:
-            assert j.levels == k, n
+            assert len(j.alpha) == k, n
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,11 +123,28 @@ def recursions(draw):
 @example(make_jacobi([F(1, 999_983)], [0]), 0)
 @example(make_jacobi([F(1, 999_983)], [0]), 1)
 def test_integer_walk_matches_fraction_walk(j, n):
-    if j.moment_cap is not None:
-        n = min(n, j.moment_cap)
+    if not j.finite and j.tail is None:  # a truncated prefix fixes 2d - 1 moments
+        n = min(n, 2 * len(j.alpha) - 1)
     m = jacobi_to_moments(j, n)
     assert m == fraction_jacobi_to_moments(j, n)
     assert outcome(moments_to_jacobi, m) == outcome(fraction_moments_to_jacobi, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(RATIONAL, max_size=4),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.builds(WignerTail, RATIONAL, RATIONAL.map(abs))),
+    st.data(),
+)
+def test_an_omega_without_its_alpha_is_refused(alpha, extra, tail, data):
+    # nonzero omegas, of either sign, so that no given zero ends the
+    # recursion first; a tail of variance 0 lies below them all
+    n = len(alpha) + extra
+    omega = data.draw(st.lists(RATIONAL.filter(bool), min_size=n, max_size=n))
+    k = len(alpha)
+    with pytest.raises(InvalidParameter, match=re.escape(f"omega[{k}] is given without alpha[{k}]")):
+        make_jacobi(alpha, omega, tail)
 
 
 def test_integer_rows_match_fraction_rows_on_uniform_moments():

@@ -131,7 +131,7 @@ def cut_jacobi(draw):
 @st.composite
 def wigner_tailed(draw):
     alpha = draw(st.lists(SMALL, max_size=3))
-    omega = draw(st.lists(POSITIVE, max_size=3))
+    omega = draw(st.lists(POSITIVE, max_size=len(alpha)))  # a given omega needs its alpha
     return MeasureRep.from_jacobi(make_jacobi(alpha, omega, WignerTail(draw(SMALL), draw(POSITIVE))))
 
 

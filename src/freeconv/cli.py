@@ -84,16 +84,15 @@ def _print_measure(obj: dict, fmt: str) -> None:
 
 
 def cmd_convolve(args) -> int:
-    mu = parse_measure(_load_json(args.mu))
-    nu = parse_measure(_load_json(args.nu))
     if args.op == "orthogonal-iter":
         if args.iterations is None:
             raise InvalidParameter("orthogonal-iter needs an iteration count")
-        result = convolve.orthogonal_iterated(mu, nu, args.iterations, args.order)
+        op = lambda mu, nu, order: convolve.orthogonal_iterated(mu, nu, args.iterations, order)
     elif args.iterations is not None:
         raise InvalidParameter(f"--iterations is only for orthogonal-iter, not {args.op}")
     else:
-        result = convolve.OPERATIONS[args.op](mu, nu, args.order)
+        op = convolve.OPERATIONS[args.op]
+    result = op(parse_measure(_load_json(args.mu)), parse_measure(_load_json(args.nu)), args.order)
     _print_measure(measure_to_json(result, args.order), args.output)
     return EXIT_OK
 
@@ -102,9 +101,9 @@ def cmd_density(args) -> int:
     for flag, value in (("--xmin", args.xmin), ("--xmax", args.xmax)):
         if not math.isfinite(value):
             raise InvalidParameter(f"{flag} must be finite, got {value}")
-    rep = parse_measure(_load_json(args.measure))
     if args.points < 2:
         raise InvalidParameter("need at least two grid points")
+    rep = parse_measure(_load_json(args.measure))
     step = (args.xmax - args.xmin) / (args.points - 1)
     grid = [args.xmin + i * step for i in range(args.points)]
     rows = stieltjes_density(rep, grid, epsilon=args.epsilon)

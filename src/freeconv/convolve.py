@@ -23,6 +23,12 @@ O(d * N**2) for d levels; moments and truncated recursions go through the
 power table of their K-series in O(N**3) (:func:`k_outer`), and so does the
 test oracle :func:`orthogonal_iterated`.
 
+Every K-series read here is the measure's own K view
+(:meth:`MeasureRep.k_series`), derived from its moments once and then
+truncated to each order asked, and every result is built by
+:meth:`MeasureRep.from_k`, so its K view is the series it was built from:
+a result that feeds the next operation is not taken K -> moments -> K.
+
 Pointwise evaluation of the subordination transforms lives in
 :func:`subordination_eval`; it is the only place here that iterates
 numerically.
@@ -42,10 +48,8 @@ from .measures import (
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
 from .series import (
     ContinuedFraction,
-    F_to_moments,
     Outer,
     TailSeries,
-    moments_to_F,
     sfree_pair,
     substitute_into_shifted,
 )
@@ -61,10 +65,9 @@ SUBORDINATION_MAX_ITER = 10_000
 # ---------------------------------------------------------------------------
 
 def k_series(rep: MeasureRep, order: int) -> TailSeries:
-    """K-transform of the measure as a series of order N-1 (N moments)."""
-    if order < 1:
-        raise InvalidParameter("order must be >= 1")
-    return -moments_to_F(rep.moments(order))
+    """K-transform of the measure as a series of order N-1 (N moments): the
+    measure's own K view, derived once (:meth:`MeasureRep.k_series`)."""
+    return rep.k_series(order)
 
 
 def k_outer(rep: MeasureRep, order: int) -> Outer:
@@ -78,27 +81,21 @@ def k_outer(rep: MeasureRep, order: int) -> Outer:
     return ContinuedFraction(levels, tail, order - 1)
 
 
-def measure_from_k(ks: TailSeries) -> MeasureRep:
-    """Measure with the given K-series, held as its moments; recursion
-    coefficients are derived on demand by :meth:`MeasureRep.jacobi`."""
-    return MeasureRep.from_moments(F_to_moments(-ks))
-
-
 # ---------------------------------------------------------------------------
 # The five convolutions
 # ---------------------------------------------------------------------------
 
 def boolean(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return measure_from_k(k_series(mu, order) + k_series(nu, order))
+    return MeasureRep.from_k(k_series(mu, order) + k_series(nu, order))
 
 
 def orthogonal(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return measure_from_k(substitute_into_shifted(k_outer(mu, order), k_series(nu, order)))
+    return MeasureRep.from_k(substitute_into_shifted(k_outer(mu, order), k_series(nu, order)))
 
 
 def monotone(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     kn = k_series(nu, order)
-    return measure_from_k(kn + substitute_into_shifted(k_outer(mu, order), kn))
+    return MeasureRep.from_k(kn + substitute_into_shifted(k_outer(mu, order), kn))
 
 
 def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> MeasureRep:
@@ -117,12 +114,12 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
     acc = k_nu if m % 2 else k_mu
     for i in range(m - 1, -1, -1):
         acc = substitute_into_shifted(k_nu if i % 2 else k_mu, acc)
-    return measure_from_k(acc)
+    return MeasureRep.from_k(acc)
 
 
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     u, _ = sfree_pair(k_outer(mu, order), k_outer(nu, order))
-    return measure_from_k(u)
+    return MeasureRep.from_k(u)
 
 
 def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
@@ -144,7 +141,7 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
                 f"free-convolution routes disagree at coefficient {k} of K (order {order}): "
                 f"K_mu(z - v) gives {a}, the s-free half u gives {b}"
             )
-    return measure_from_k(u + v)
+    return MeasureRep.from_k(u + v)
 
 
 def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:

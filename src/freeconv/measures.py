@@ -21,10 +21,11 @@ Each rule has one owner.  The constructors (`make_jacobi`,
 `atomic_measure` and `MeasureRep.from_*`) own the value rules: signs,
 weights, emptiness and where a fraction ends.  `MeasureRep` holds a
 measure in exactly one given form and owns the views derived from it
-(moments, recursion coefficients, atoms).  `parse_measure` and
-`measure_to_json` own the JSON shape only: they translate between JSON
-and those objects.  The views printed beside moments exist only in JSON,
-so `parse_measure` alone checks that they are the ones the moments give.
+(moments, K-series, recursion coefficients, atoms), each derived once.
+`parse_measure` and `measure_to_json` own the JSON shape only: they
+translate between JSON and those objects.  The views printed beside
+moments exist only in JSON, so `parse_measure` alone checks that they are
+the ones the moments give.
 
 Conventions for recursion coefficients:
 
@@ -60,7 +61,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded
-from .series import _frac, poly_mul, poly_scale, poly_sub
+from .series import F_to_moments, TailSeries, _frac, moments_to_F, poly_mul, poly_scale, poly_sub
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -358,8 +359,10 @@ class MeasureRep:
 
     The keywords are checked here: a non-empty list of moments, each read
     by `_frac`, a `JacobiParams` or an `AtomicMeasure`, the last two as
-    `make_jacobi` and `atomic_measure` build them.  The caches are
-    write-once, so instances are safe to share.
+    `make_jacobi` and `atomic_measure` build them.  A cache is replaced only
+    by a longer one that repeats it (moments, and the K-series, whose
+    coefficient k reads only m_1..m_(k+1)), else written once, so instances
+    are safe to share.
     """
 
     def __init__(
@@ -377,6 +380,7 @@ class MeasureRep:
         self._moments: list[Fraction] = [_frac(v) for v in moments or ()]
         if moments is not None and not self._moments:
             raise InvalidParameter("a measure given by moments needs at least one ('m' in JSON)")
+        self._k: Optional[TailSeries] = None
         self._jacobi = jacobi
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
@@ -396,6 +400,14 @@ class MeasureRep:
     def from_atoms(cls, pairs: Iterable) -> "MeasureRep":
         return cls(atoms=atomic_measure(pairs))
 
+    @classmethod
+    def from_k(cls, ks: TailSeries) -> "MeasureRep":
+        """The measure whose K-series is ks, given by its moments, one more
+        than the order of ks; ks is its K view."""
+        rep = cls(moments=F_to_moments(-ks))
+        rep._k = ks
+        return rep
+
     # -- moments -----------------------------------------------------------
 
     def moments(self, n: int) -> tuple[Fraction, ...]:
@@ -412,6 +424,17 @@ class MeasureRep:
         else:
             self._moments = list(jacobi_to_moments(self._jacobi, n))
         return tuple(self._moments[:n])
+
+    def k_series(self, n: int) -> TailSeries:
+        """K = z - F as a series of order n - 1, from m_1..m_n: the longest
+        one derived so far, truncated, since coefficient k reads only
+        m_1..m_(k+1).  Past the moments a measure is given by, `moments`
+        raises `OrderExceeded`, and its K view is never longer than they."""
+        if n < 1:
+            raise InvalidParameter("order must be >= 1")
+        if self._k is None or self._k.order < n - 1:
+            self._k = -moments_to_F(self.moments(n))
+        return self._k.truncate(n - 1)
 
     # -- conversions -------------------------------------------------------
 
@@ -676,10 +699,13 @@ def measure_to_json(rep: MeasureRep, order: int) -> dict:
 
     The recursion coefficients and atoms are the views of the measure the
     emitted moments give, so that parse -> emit is idempotent byte for byte.
+    A measure given by exactly those moments is that measure, and its own
+    cached views are read.
     """
     m = rep.moments(order)
     out: dict = {"type": "moments", "m": [fraction_to_str(x) for x in m]}
-    emitted = MeasureRep.from_moments(m)
+    exact = rep._moments_given and len(rep._moments) == order
+    emitted = rep if exact else MeasureRep.from_moments(m)
     j = emitted.jacobi_or_none()
     if j is not None:
         out["jacobi"] = {

@@ -5,9 +5,11 @@ sizes), which is what every formula here actually consumes.  On top of
 that sit the depth-2 non-crossing "bridge" partitions, the two bijections
 that index them, and the combinatorial formula that computes moments of
 the orthogonal convolution without touching series at all -- the
-independent oracle for :mod:`freeconv.convolve`.  The free cumulants, the
-other oracle, come from the first-block recursion of non-crossing
-partitions.
+independent oracle for :mod:`freeconv.convolve`.  It grades its moments
+once, and :func:`orthogonal_moments_combinatorial` runs its graded core on
+every order 1..n with one grading and one memo of inverse boolean
+cumulants.  The free cumulants, the other oracle, come from the
+first-block recursion of non-crossing partitions.
 
 The depth-2 family has one definition, :func:`_depth_split`, which both the
 enumeration and the public constructor :func:`decomposable_partition` read;
@@ -179,16 +181,54 @@ def orthogonal_moment_combinatorial(
     moments of nu, with sign (-1)**(#odd-position parts - #parts of pi).
 
     A part p reads mu up to order p and, from p = 3 on, nu up to order
-    p - 2 (the refinement 1, p - 2, 1).  Both are graded at one scale c,
-    and every term on pi has degree sum(pi) in it.
+    p - 2 (the refinement 1, p - 2, 1).  Both are graded at one scale c
+    (:func:`_orthogonal_grading`), and every term on pi has degree sum(pi)
+    in it (:func:`_orthogonal_graded`).
     """
     refinements = odd_refinements_structured(pi)
-    top = max(pi, default=0)
+    c, a, b = _orthogonal_grading(mu, nu, max(pi, default=0))
+    return Fraction(_orthogonal_graded(a, b, refinements, {}), c ** sum(pi))
+
+
+def orthogonal_moments_combinatorial(
+    mu: Sequence[Fraction], nu: Sequence[Fraction], n: int
+) -> tuple[Fraction, ...]:
+    """The first n moments of the orthogonal convolution, the values of
+    :func:`orthogonal_moment_combinatorial` on (1,), ..., (n,), with one
+    grading of the moments and one memo of inverse boolean cumulants for
+    all n orders.  It refuses what the call on (n,) refuses."""
+    if n < 1:
+        raise InvalidParameter(f"n must be >= 1, got {n}")
+    refinements = [odd_refinements_structured((k,)) for k in range(1, n + 1)]
+    c, a, b = _orthogonal_grading(mu, nu, n)
+    cumulants: dict[Composition, int] = {}
+    return tuple(
+        Fraction(_orthogonal_graded(a, b, r, cumulants), p)
+        for r, p in zip(refinements, _powers(c, 1))
+    )
+
+
+def _orthogonal_grading(
+    mu: Sequence[Fraction], nu: Sequence[Fraction], top: int
+) -> tuple[int, list[int], list[int]]:
+    """(c, a, b): mu up to order top and nu up to order top - 2, graded at
+    one scale c, a[k - 1] = mu_k * c**k and b[k - 1] = nu_k * c**k."""
     for moments, order in ((mu, top), (nu, top - 2)):
         if order > len(moments):
             raise OrderExceeded(f"moment of order {order} not available")
-    c, a, b = _graded([_frac(x) for x in mu[:top]], [_frac(x) for x in nu[: max(top - 2, 0)]])
-    cumulants: dict[Composition, int] = {}
+    return _graded([_frac(x) for x in mu[:top]], [_frac(x) for x in nu[: max(top - 2, 0)]])
+
+
+def _orthogonal_graded(
+    a: Sequence[int],
+    b: Sequence[int],
+    refinements: Iterable[tuple[Composition, ...]],
+    cumulants: dict[Composition, int],
+) -> int:
+    """The odd-refinement sum of :func:`orthogonal_moment_combinatorial` on
+    graded moments, times c**sum(pi).  ``cumulants`` memoizes the graded
+    inverse boolean cumulant of mu on each odd-position composition; it
+    holds for any pi at the scale of a."""
     total = 0
     for choice in refinements:
         sign_exp = 0
@@ -202,7 +242,7 @@ def orthogonal_moment_combinatorial(
             for p in even_parts:
                 term *= b[p - 1]
         total += -term if sign_exp % 2 else term
-    return Fraction(total, c ** sum(pi))
+    return total
 
 
 # ---------------------------------------------------------------------------

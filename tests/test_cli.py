@@ -407,6 +407,25 @@ class TestInputGrammar:
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "" and "omega[1] is given without alpha[1]" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["convolve", "orthogonal-iter", "{f}", "{f}"], "orthogonal-iter needs an iteration count"),
+            (["convolve", "free", "{f}", "{f}", "--iterations", "2"], "--iterations is only for orthogonal-iter, not free"),
+            (["density", "{f}", "--points", "1"], "need at least two grid points"),
+        ],
+        ids=["no-iterations", "iterations-for-free", "points"],
+    )
+    @pytest.mark.parametrize("document", ["missing", "views"])
+    def test_a_misused_option_is_refused_before_any_file_is_read(self, tmp_path, capsys, argv, message, document):
+        # these options used to be checked after the files were parsed, so a
+        # missing file or a bad document was reported instead
+        path = str(tmp_path / "missing.json")
+        if document == "views":
+            path = write(tmp_path, "views.json", {"type": "moments", "m": ["0", "1"], "jacobi": {"alpha": ["9"]}})
+        code, out, err = run(capsys, [a.format(f=path) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_views_beside_moments_are_checked(self, tmp_path, capsys):
         # the views used to be accepted and not read: `convolve` printed the
         # moments' own views

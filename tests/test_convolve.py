@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv import convolve, verify
+from freeconv import convolve, measures, verify
 from freeconv.cli import main
 from freeconv.errors import InvalidParameter, NoConvergence, OrderExceeded
 from freeconv.measures import (
@@ -19,7 +19,7 @@ from freeconv.measures import (
     WignerTail,
 )
 from freeconv.partitions import orthogonal_moment_combinatorial
-from freeconv.series import TailSeries
+from freeconv.series import TailSeries, moments_to_F
 
 
 def random_rep(rng, spread=6):
@@ -393,6 +393,76 @@ class TestChainDecomposition:
             assert verify._nested_chain(j, m, 8).moments(8) == two_point(F(1, 3), -1, 2).moments(8), m
 
 
+class TestKView:
+    """A measure derives its K-series once, and a convolution result's K
+    view is the series it was built from."""
+
+    N = 10
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Lengths of the moment lists `moments_to_F` is run on."""
+        seen = []
+        real = measures.moments_to_F
+        monkeypatch.setattr(measures, "moments_to_F", lambda m: seen.append(len(m)) or real(m))
+        return seen
+
+    def reps(self):
+        rng = random.Random(37)
+        return [random_rep(rng), wigner(1, 2), MeasureRep.from_moments(random_rep(rng).moments(self.N))]
+
+    @pytest.mark.parametrize("orders", [range(1, 11), range(10, 0, -1), (4, 10, 2, 7, 10)])
+    def test_view_equals_the_series_of_the_moments(self, orders):
+        for rep in self.reps():
+            for n in orders:
+                assert convolve.k_series(rep, n) == -moments_to_F(rep.moments(n)), (rep, n)
+
+    def test_a_second_convolution_derives_no_k(self, calls):
+        mu, nu, rho = self.reps()
+        ops = [*convolve.OPERATIONS.values(), lambda a, b, n: convolve.orthogonal_iterated(a, b, 3, n)]
+        for op in ops:
+            op(rho, nu, self.N)
+            op(mu, rho, self.N)
+        first = len(calls)
+        assert first > 0
+        for op in ops:
+            op(rho, nu, self.N)
+            op(mu, rho, self.N - 3)
+            op(nu, rho, self.N)
+        assert len(calls) == first
+
+    @pytest.mark.parametrize("op", convolve.OPERATIONS)
+    def test_a_result_holds_the_k_it_was_built_from(self, op, calls, monkeypatch):
+        built = []
+        from_k = MeasureRep.from_k.__func__
+        monkeypatch.setattr(MeasureRep, "from_k", classmethod(lambda cls, ks: built.append(ks) or from_k(cls, ks)))
+        mu, nu, rho = self.reps()
+        for a, b in ((mu, nu), (rho, mu), (nu, rho)):
+            result = convolve.OPERATIONS[op](a, b, self.N)
+            before = len(calls)
+            assert convolve.k_series(result, self.N) is built[-1]
+            assert convolve.k_series(result, 3) == built[-1].truncate(2)
+            assert len(calls) == before
+            assert built[-1] == -moments_to_F(result.moments(self.N))
+
+    def test_order_exceeded_holds_after_the_cache_is_filled(self):
+        mu, nu, rho = self.reps()
+        result = convolve.free(mu, nu, self.N)
+        for rep in (rho, result):
+            convolve.k_series(rep, self.N)
+            with pytest.raises(OrderExceeded):
+                convolve.k_series(rep, self.N + 1)
+            with pytest.raises(OrderExceeded):
+                convolve.boolean(rep, nu, self.N + 1)
+            with pytest.raises(InvalidParameter, match="order must be >= 1"):
+                convolve.k_series(rep, 0)
+        # a measure given by atoms or a tail has every moment, and a longer
+        # K replaces the shorter one it repeats
+        for rep in (mu, nu):
+            short = convolve.k_series(rep, 4)
+            assert convolve.k_series(rep, 2 * self.N).truncate(3) == short
+
+
 class TestCliDispatch:
     """`freeconv convolve` calls the function `convolve.OPERATIONS` names,
     or `orthogonal_iterated`; argparse refuses any other name."""
@@ -413,12 +483,6 @@ class TestCliDispatch:
         assert main(["convolve", "orthogonal-iter", bern, bern, "--order", "6"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "orthogonal-iter needs an iteration count" in out.err
-
-    def test_measure_files_are_read_before_the_iteration_rules(self, bern, capsys, tmp_path):
-        missing = str(tmp_path / "missing.json")
-        for argv in (["orthogonal-iter", bern, missing], ["free", bern, missing, "--iterations", "3"]):
-            assert main(["convolve", *argv]) == 2
-            assert "cannot read" in capsys.readouterr().err
 
     def test_unknown_operation(self, bern, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -837,6 +837,19 @@ class TestJson:
         reparsed = parse_measure(json.loads(blob))
         assert json.dumps(measure_to_json(reparsed, 6)) == blob
 
+    def test_a_moments_document_with_views_runs_one_chebyshev_pass(self, monkeypatch):
+        # parsing used to derive the views twice: once for the measure, once
+        # for a fresh one built from the same moments to print them
+        printed = measure_to_json(MeasureRep.from_moments(two_point(F(1, 3), -1, 2).moments(6)), 6)
+        calls = []
+        real = measures.moments_to_jacobi
+        monkeypatch.setattr(measures, "moments_to_jacobi", lambda m: calls.append(len(m)) or real(m))
+        rep = parse_measure(json.loads(json.dumps(printed)))
+        assert calls == [6]
+        assert json.dumps(measure_to_json(rep, 6)) == json.dumps(printed) and calls == [6]
+        # fewer moments than the measure holds are a measure of their own
+        assert measure_to_json(rep, 4) == measure_to_json(MeasureRep.from_moments(rep.moments(4)), 4)
+
     @pytest.mark.parametrize(
         "views, key",
         [

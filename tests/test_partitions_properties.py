@@ -11,7 +11,10 @@ sums past the moments given.
 The three oracles run on integers graded at one fitted scale.  The orthogonal
 moment is drawn on two independent moment lists of the same kind and a
 composition of n <= 8, against the Fraction enumeration of ``test_partitions``;
-the two must agree or both raise `OrderExceeded`.  The free cumulants and
+the two must agree or both raise `OrderExceeded`.  Its all-orders entry,
+drawn on the same lists at n <= 10, must equal the single calls on (1,),
+..., (n,) and raise `OrderExceeded` exactly when the call on (n,) does.
+The free cumulants and
 their inverse are drawn against the sum over non-crossing partitions at
 n <= 8, and round trip at n <= 12.
 
@@ -85,6 +88,16 @@ def test_prefix_recursion_equals_the_coarsening_enumeration(moments, pi):
 def test_graded_orthogonal_moment_equals_the_fraction_enumeration(mu, nu, pi):
     got = outcome(P.orthogonal_moment_combinatorial, mu, nu, pi)
     assert got == outcome(orthogonal_moment_reference, mu, nu, pi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10), st.integers(1, 10))
+def test_all_orders_oracle_equals_the_single_order_calls(mu, nu, n):
+    got = outcome(P.orthogonal_moments_combinatorial, mu, nu, n)
+    if outcome(P.orthogonal_moment_combinatorial, mu, nu, (n,)) is OrderExceeded:
+        assert got is OrderExceeded
+    else:
+        assert got == tuple(P.orthogonal_moment_combinatorial(mu, nu, (k,)) for k in range(1, n + 1))
 
 
 @settings(max_examples=40, deadline=None)

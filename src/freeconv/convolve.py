@@ -25,9 +25,12 @@ test oracle :func:`orthogonal_iterated`.
 
 Every K-series read here is the measure's own K view
 (:meth:`MeasureRep.k_series`), derived from its moments once and then
-truncated to each order asked, and every result is built by
-:meth:`MeasureRep.from_k`, so its K view is the series it was built from:
-a result that feeds the next operation is not taken K -> moments -> K.
+truncated to each order asked, and every continued fraction its own outer
+view (:meth:`MeasureRep.k_outer`), built and fitted once and read at each
+order asked.  Every result is built by :meth:`MeasureRep.from_k`, which
+reads its moments straight off its K (:func:`series.K_to_moments`) and
+keeps that K as its K view: a result that feeds the next operation is not
+taken K -> moments -> K.
 
 Pointwise evaluation of the subordination transforms lives in
 :func:`subordination_eval`; it is the only place here that iterates
@@ -46,13 +49,7 @@ from .measures import (
     make_jacobi,
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
-from .series import (
-    ContinuedFraction,
-    Outer,
-    TailSeries,
-    sfree_pair,
-    substitute_into_shifted,
-)
+from .series import Outer, TailSeries, sfree_pair, substitute_into_shifted
 
 
 # stopping rule of the pointwise subordination iteration
@@ -72,13 +69,9 @@ def k_series(rep: MeasureRep, order: int) -> TailSeries:
 
 def k_outer(rep: MeasureRep, order: int) -> Outer:
     """K-transform as an outer: the continued fraction of a measure given by
-    atoms or by recursion coefficients fixing every moment, else the K-series."""
-    j = rep.exact_jacobi()
-    if j is None or order < 1:  # k_series rejects the order
-        return k_series(rep, order)
-    levels = tuple(zip(*j.prefix(max(len(j.alpha), 1) + 1)))
-    tail = (j.tail.a, j.tail.b) if j.tail else None
-    return ContinuedFraction(levels, tail, order - 1)
+    atoms or by recursion coefficients fixing every moment, else the K-series;
+    the measure's own outer view, built once (:meth:`MeasureRep.k_outer`)."""
+    return rep.k_outer(order)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ Each rule has one owner.  The constructors (`make_jacobi`,
 `atomic_measure` and `MeasureRep.from_*`) own the value rules: signs,
 weights, emptiness and where a fraction ends.  `MeasureRep` holds a
 measure in exactly one given form and owns the views derived from it
-(moments, K-series, recursion coefficients, atoms), each derived once.
+(moments, K-series, continued-fraction outer, recursion coefficients,
+atoms), each derived once; a refusal is remembered like a view.
 `parse_measure` and `measure_to_json` own the JSON shape only: they
 translate between JSON and those objects.  The views printed beside
 moments exist only in JSON, so `parse_measure` alone checks that they are
@@ -61,7 +62,17 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded
-from .series import F_to_moments, TailSeries, _frac, moments_to_F, poly_mul, poly_scale, poly_sub
+from .series import (
+    ContinuedFraction,
+    K_to_moments,
+    Outer,
+    TailSeries,
+    _frac,
+    moments_to_F,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+)
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -377,14 +388,27 @@ class MeasureRep:
         for value, kind in ((jacobi, JacobiParams), (atoms, AtomicMeasure)):
             if not isinstance(value, (kind, type(None))):
                 raise InvalidParameter(f"{kind.__name__} expected, got {type(value).__name__}")
-        self._moments: list[Fraction] = [_frac(v) for v in moments or ()]
-        if moments is not None and not self._moments:
-            raise InvalidParameter("a measure given by moments needs at least one ('m' in JSON)")
+        if moments is not None:
+            moments = [_frac(v) for v in moments]
+            if not moments:
+                raise InvalidParameter("a measure given by moments needs at least one ('m' in JSON)")
+        self._hold(moments, jacobi, atoms)
+
+    def _hold(
+        self,
+        moments: Optional[list[Fraction]],
+        jacobi: Optional[JacobiParams],
+        atoms: Optional[AtomicMeasure],
+    ) -> None:
+        """Hold the one given form, already checked, with empty caches."""
+        self._moments: list[Fraction] = moments if moments is not None else []
+        self._moments_given = moments is not None
         self._k: Optional[TailSeries] = None
+        self._outer: Optional[ContinuedFraction] = None
         self._jacobi = jacobi
+        self._refusal: Optional[NotAMomentSequence] = None
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
-        self._moments_given = moments is not None
 
     # -- constructors ------------------------------------------------------
 
@@ -403,8 +427,9 @@ class MeasureRep:
     @classmethod
     def from_k(cls, ks: TailSeries) -> "MeasureRep":
         """The measure whose K-series is ks, given by its moments, one more
-        than the order of ks; ks is its K view."""
-        rep = cls(moments=F_to_moments(-ks))
+        than the order of ks (`K_to_moments`); ks is its K view."""
+        rep = object.__new__(cls)
+        rep._hold(list(K_to_moments(ks)), None, None)
         rep._k = ks
         return rep
 
@@ -436,12 +461,32 @@ class MeasureRep:
             self._k = -moments_to_F(self.moments(n))
         return self._k.truncate(n - 1)
 
+    def k_outer(self, n: int) -> Outer:
+        """K as the kernel's outer to order n - 1: the continued fraction of
+        a measure given by atoms or by recursion coefficients fixing every
+        moment, built once and read at each order asked, else the K view."""
+        j = self.exact_jacobi()
+        if j is None or n < 1:  # k_series rejects the order
+            return self.k_series(n)
+        if self._outer is None:
+            levels = tuple(zip(*j.prefix(max(len(j.alpha), 1) + 1)))
+            self._outer = ContinuedFraction(levels, (j.tail.a, j.tail.b) if j.tail else None, n - 1)
+        return self._outer.at_order(n - 1)
+
     # -- conversions -------------------------------------------------------
 
     def jacobi(self) -> JacobiParams:
+        """The recursion coefficients; moments that are no moment sequence
+        raise `NotAMomentSequence`, and the same refusal again on every call."""
+        if self._refusal is not None:
+            raise self._refusal.with_traceback(None)
         if self._jacobi is None:  # given by moments, or by k atoms, which 2k moments fix
             n = len(self._moments) if self._moments_given else 2 * len(self._atoms.atoms)
-            self._jacobi = moments_to_jacobi(self.moments(n))
+            try:
+                self._jacobi = moments_to_jacobi(self.moments(n))
+            except NotAMomentSequence as exc:
+                self._refusal = exc
+                raise
         return self._jacobi
 
     def exact_jacobi(self) -> Optional[JacobiParams]:

@@ -12,14 +12,19 @@ weight k + h is A_k / c**(k + h), h = 1 for K and F - z and 0 for z*G, and
 alpha and omega enter as alpha * c and omega * c**2.  For each value x of
 weight w with r = c**w mod den(x) != 0, c becomes c * den(x) / gcd(den(x),
 r), a multiple of the least clearing dilation that divides the lcm of the
-denominators; two scales meet at their lcm.  The graded form lives only
-inside one kernel call: the call fits the scale of each series it reads and
-returns Fractions, so a result is read next at the scale its own
-coefficients need, not at the lcm of the inputs it came from.  The
-partition oracles grade their moment lists by the same fit (:func:`_graded`).
+denominators; two scales meet at their lcm.  A series holds its
+coefficients as Fractions and, once the kernel has read it, the graded form
+fitted to those coefficients (``_scaled()``), so a series read again, such
+as a measure's K view or continued fraction, is not fitted again.  A call
+returns Fractions and no form: a result fits its own when it is first read,
+so it is read at the scale its own coefficients need, not at the lcm of the
+inputs it came from.  :func:`K_to_moments` reads a result's moments straight
+off its form.  The partition oracles grade their moment lists by the same
+fit (:func:`_graded`).
 
-Series are immutable; every operation returns a fresh series truncated at
-the common order of its inputs.
+Series are immutable, the form being a cache of their coefficients; every
+operation returns a fresh series truncated at the common order of its
+inputs.
 
 Composition outer(z - inner(z)), alone or as the coupled s-free pair, runs
 one loop over two kinds of outer: a :class:`TailSeries` steps through the
@@ -39,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameter
@@ -103,30 +108,43 @@ def _graded(*seqs: Sequence[Rational], h: int = 1) -> tuple:
     return (c, *([_times(x, p) for x, p in zip(xs, _powers(c, h))] for xs in seqs))
 
 
+def _monic_inverse(a: Sequence[int]) -> list[int]:
+    """Graded coefficients of 1/A for A = 1 + a[1]/z + a[2]/z**2 + ...,
+    read at the scale of a (weight k for entry k): b_n = -sum a_i b_(n-i)."""
+    out = [1]
+    for n in range(1, len(a)):
+        out.append(-sum(map(mul, a[1 : n + 1], reversed(out))))
+    return out
+
+
 class TailSeries:
     """Immutable truncated series in 1/z with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[Rational]):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
             raise InvalidParameter("a series needs at least its constant term")
-        self.coeffs = coeffs
+        self.coeffs, self._form = coeffs, None
 
     @classmethod
     def _of(cls, coeffs: tuple[Fraction, ...]) -> "TailSeries":
         out = object.__new__(cls)
-        out.coeffs = coeffs
+        out.coeffs, out._form = coeffs, None
         return out
 
     @classmethod
     def _from_ints(cls, c: int, h: int, ints: Sequence[int]) -> "TailSeries":
         return cls._of(tuple(map(Fraction, ints, _powers(c, h))))
 
-    def _scaled(self, h: int = 1) -> tuple[int, list[int]]:
-        """(c, A) at a fitted scale c: coefficient k is A[k] / c**(k + h); K has h = 1."""
-        return _graded(self.coeffs, h=h)
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(c, A) at a scale c fitted to these coefficients, once: coefficient
+        k, of weight k + 1 as in K and F - z, is A[k] / c**(k + 1).  Every
+        reader gets the same list, and only reads it."""
+        if self._form is None:
+            self._form = _graded(self.coeffs)
+        return self._form
 
     @property
     def order(self) -> int:
@@ -171,11 +189,8 @@ class TailSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise InvalidParameter("cannot invert a series with zero constant term")
-        c, a = (self if a0 == 1 else TailSeries(x / a0 for x in self.coeffs))._scaled(0)
-        out = [1]
-        for n in range(1, len(a)):
-            out.append(-sum(map(mul, a[1 : n + 1], reversed(out))))
-        b = TailSeries._from_ints(c, 0, out)
+        c, a = _graded(self.coeffs if a0 == 1 else [x / a0 for x in self.coeffs], h=0)
+        b = TailSeries._from_ints(c, 0, _monic_inverse(a))
         return b if a0 == 1 else TailSeries(x / a0 for x in b.coeffs)
 
 
@@ -209,7 +224,7 @@ class ContinuedFraction:
     in 1/z, with levels[i] = (alpha_i, omega_i); below the last level comes
     the constant tail (a, b), T = 1/(z - a - b*T), or nothing."""
 
-    __slots__ = ("levels", "tail", "order")
+    __slots__ = ("levels", "tail", "order", "_form")
 
     def __init__(
         self,
@@ -217,13 +232,24 @@ class ContinuedFraction:
         tail: Optional[tuple[Fraction, Fraction]],
         order: int,
     ):
-        self.levels, self.tail, self.order = levels, tail, order
+        self.levels, self.tail, self.order, self._form = levels, tail, order, None
+
+    def at_order(self, order: int) -> "ContinuedFraction":
+        """The same fraction read to another order, sharing its fitted form."""
+        if order == self.order:
+            return self
+        out = ContinuedFraction(self.levels, self.tail, order)
+        out._form = self._scaled()
+        return out
 
     def _scaled(self) -> tuple[int, list[tuple[int, int]]]:
-        """(c, [(alpha * c, omega * c**2), ...]) of levels and tail at a fitted c."""
-        pairs = [*self.levels, *([self.tail] if self.tail else [])]
-        c = _fit(1, ((x, w) for pair in pairs for x, w in zip(pair, (1, 2))))
-        return c, [(_times(a, c), _times(w, c * c)) for a, w in pairs]
+        """(c, [(alpha * c, omega * c**2), ...]) of levels and tail at a c
+        fitted to them, once."""
+        if self._form is None:
+            pairs = [*self.levels, *([self.tail] if self.tail else [])]
+            c = _fit(1, ((x, w) for pair in pairs for x, w in zip(pair, (1, 2))))
+            self._form = c, [(_times(a, c), _times(w, c * c)) for a, w in pairs]
+        return self._form
 
 
 Outer = TailSeries | ContinuedFraction
@@ -310,6 +336,18 @@ def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
     Exact inverse of :func:`moments_to_F` at every order.
     """
     return TailSeries._of((Fraction(1),) + f.coeffs).reciprocal().coeffs[1:]
+
+
+def K_to_moments(k: TailSeries) -> tuple[Fraction, ...]:
+    """Moments m1..m(N+1) of the measure whose K-series, of order N, is k.
+
+    z*G(z) = 1/(1 - K(z)/z), and coefficient k of K weighs k + 1, as m_(k+1)
+    does, so the reciprocal runs at the form k already fitted
+    (``_scaled()``): equal to ``F_to_moments(-k)`` without the negation and
+    the second fit.
+    """
+    c, a = k._scaled()
+    return tuple(map(Fraction, _monic_inverse([1, *map(neg, a)])[1:], _powers(c, 1)))
 
 
 def poly_trim(p: Sequence[Rational]) -> list[Fraction]:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv import convolve, measures, verify
+from freeconv import convolve, measures, series, verify
 from freeconv.cli import main
 from freeconv.errors import InvalidParameter, NoConvergence, OrderExceeded
 from freeconv.measures import (
@@ -19,7 +19,7 @@ from freeconv.measures import (
     WignerTail,
 )
 from freeconv.partitions import orthogonal_moment_combinatorial
-from freeconv.series import TailSeries, moments_to_F
+from freeconv.series import ContinuedFraction, TailSeries, moments_to_F
 
 
 def random_rep(rng, spread=6):
@@ -444,6 +444,25 @@ class TestKView:
             assert convolve.k_series(result, 3) == built[-1].truncate(2)
             assert len(calls) == before
             assert built[-1] == -moments_to_F(result.moments(self.N))
+
+    def test_free_fits_each_factor_outer_once(self, monkeypatch):
+        # the recomposition K_mu(z - v) used to fit mu's outer again
+        fitted = []
+
+        def fit(c, weighted, real=series._fit):
+            weighted = list(weighted)
+            fitted.append(tuple(x for x, _ in weighted))
+            return real(c, weighted)
+
+        monkeypatch.setattr(series, "_fit", fit)
+        mu = two_point(F(1, 3), -1, F(5, 2))
+        nu = MeasureRep.from_atoms([(0, F(1, 2)), (F(1, 2), F(1, 4)), (3, F(1, 4))])
+        convolve.free(mu, nu, 24)
+        for rep in (mu, nu):
+            outer = convolve.k_outer(rep, 24)
+            assert isinstance(outer, ContinuedFraction) and outer.tail is None
+            assert fitted.count(tuple(x for level in outer.levels for x in level)) == 1
+        assert len(fitted) == 4  # the two outers, the inner v and the result u + v
 
     def test_order_exceeded_holds_after_the_cache_is_filled(self):
         mu, nu, rho = self.reps()

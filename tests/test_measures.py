@@ -850,6 +850,21 @@ class TestJson:
         # fewer moments than the measure holds are a measure of their own
         assert measure_to_json(rep, 4) == measure_to_json(MeasureRep.from_moments(rep.moments(4)), 4)
 
+    def test_a_refused_sequence_runs_one_chebyshev_pass(self, monkeypatch):
+        # emission used to run the pass again for the atoms view, since the
+        # refusal was not remembered
+        calls = []
+        real = measures.moments_to_jacobi
+        monkeypatch.setattr(measures, "moments_to_jacobi", lambda m: calls.append(len(m)) or real(m))
+        rep = MeasureRep.from_moments([0, -1, 0, 1])
+        assert measure_to_json(rep, 4) == {"type": "moments", "m": ["0", "-1", "0", "1"]}
+        assert calls == [4]
+        with pytest.raises(NotAMomentSequence) as first:
+            rep.jacobi()
+        with pytest.raises(NotAMomentSequence) as again:
+            rep.jacobi()
+        assert again.value is first.value and calls == [4]
+
     @pytest.mark.parametrize(
         "views, key",
         [

@@ -240,8 +240,10 @@ class TestSFreePair:
 class TestGradedScale:
     """The scale the kernel fits when it reads a series (``_scaled()``): a
     multiple of the least dilation that clears the weighted values, and a
-    divisor of the lcm of their denominators.  It lives only inside one
-    kernel call, so a result is read at the scale of its own coefficients."""
+    divisor of the lcm of their denominators.  A series fits its form on
+    its own coefficients, once, when it is first read; a kernel result
+    leaves without the scale the call ran at, so it is read at the scale of
+    its own coefficients."""
 
     def test_moments_of_a_point_mass_need_one_dilation(self):
         f = moments_to_F([F(1, 2) ** k for k in range(1, 13)])
@@ -286,6 +288,19 @@ class TestGradedScale:
         assert u._scaled()[0] == 2 and v._scaled()[0] == 6
         assert met == [6, 6, 6, 6]
 
+    def test_the_form_is_fitted_once_on_its_own_coefficients(self, monkeypatch):
+        uniform = MeasureRep.from_moments([F(1, k + 1) for k in range(1, 41)])
+        made = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
+        for s in (made, k_series(uniform, 40)):
+            form = s._scaled()
+            assert s._scaled() is form and form == series._graded(s.coeffs)
+        assert made._scaled()[0] == 2
+        fits = []
+        monkeypatch.setattr(series, "_fit", lambda c, weighted, fit=series._fit: fits.append(c) or fit(c, weighted))
+        cf = ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6)
+        assert cf.at_order(3)._scaled() is cf._scaled() and cf.at_order(6) is cf
+        assert len(fits) == 1
+
 
 class TestWhereTheScalesPart:
     """The 4-atom and 3-atom pair of ``TestEmissionSpeed`` at N = 80, where
@@ -303,6 +318,13 @@ class TestWhereTheScalesPart:
         _, outer_mu, outer_nu, (u, v) = self.halves()
         assert (u + v)._scaled()[0] < lcm(outer_mu._scaled()[0], outer_nu._scaled()[0])
         assert F_to_moments(-(u + v)) == reference_F_to_moments(-(u + v))
+
+    def test_the_sum_holds_its_own_form(self):
+        _, outer_mu, outer_nu, (u, v) = self.halves()
+        w = u + v
+        form = w._scaled()
+        assert w._scaled() is form and form == series._graded(w.coeffs)
+        assert form[0] < lcm(outer_mu._scaled()[0], outer_nu._scaled()[0])
 
     def test_both_outers_of_mu_give_u_back(self):
         mu, outer_mu, _, (u, v) = self.halves()

@@ -7,7 +7,10 @@ which never call it: ``reciprocal``, ``moments_to_F``/``F_to_moments``,
 denominators up to 10**6, zeros, negative and fractional constant terms and
 order 0, and on series the kernel made, combined after
 ``truncate``/``__neg__``/``__add__`` with hand-built series and with series
-whose fitted scale does not divide theirs.
+whose fitted scale does not divide theirs.  ``K_to_moments``, the loop
+that reads a convolution's moments off its K, is checked against
+``F_to_moments`` of the negated series, together with the measure
+``MeasureRep.from_k`` builds on it.
 
 The second group checks composition through the continued fraction.  The
 power table of ``_add_power_column`` serves any K-series and is the
@@ -30,10 +33,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from freeconv.convolve import k_outer, k_series  # noqa: E402
+from freeconv.errors import OrderExceeded  # noqa: E402
 from freeconv.measures import MeasureRep, WignerTail, make_jacobi  # noqa: E402
 from freeconv.series import (  # noqa: E402
     ContinuedFraction,
     F_to_moments,
+    K_to_moments,
     TailSeries,
     moments_to_F,
     sfree_pair,
@@ -71,6 +76,18 @@ def test_moment_transforms_match_the_references(moments, f):
     assert moments_to_F(moments) == reference_moments_to_F(moments)
     assert F_to_moments(f) == reference_F_to_moments(f)
     assert F_to_moments(moments_to_F(moments)) == tuple(moments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(12))
+def test_moments_read_straight_off_k(ks):
+    n = ks.order + 1
+    moments = F_to_moments(-ks)
+    assert K_to_moments(ks) == moments
+    rep = MeasureRep.from_k(ks)
+    assert rep.k_series(n) is ks and rep.moments(n) == moments
+    with pytest.raises(OrderExceeded):
+        rep.moments(n + 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,12 +34,12 @@ from .measures import (
     two_point,
     wigner,
 )
-from .series import TailSeries, F_to_moments, moments_to_F, substitute_into_shifted
+from .series import K_to_moments, TailSeries, moments_to_K, substitute_into_shifted
 
 __all__ = [
     "AtomicMeasure",
-    "F_to_moments",
     "JacobiParams",
+    "K_to_moments",
     "MeasureRep",
     "TailSeries",
     "WignerTail",
@@ -53,7 +53,7 @@ __all__ = [
     "jacobi_chain_decomposition",
     "jacobi_to_moments",
     "make_jacobi",
-    "moments_to_F",
+    "moments_to_K",
     "moments_to_jacobi",
     "monotone",
     "orthogonal",

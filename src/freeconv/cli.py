@@ -92,6 +92,9 @@ def cmd_convolve(args) -> int:
         raise InvalidParameter(f"--iterations is only for orthogonal-iter, not {args.op}")
     else:
         op = convolve.OPERATIONS[args.op]
+    for flag, value in (("--iterations", args.iterations), ("--order", args.order)):
+        if value is not None and value < 1:
+            raise InvalidParameter(f"{flag} must be >= 1, got {value}")
     result = op(parse_measure(_load_json(args.mu)), parse_measure(_load_json(args.nu)), args.order)
     _print_measure(measure_to_json(result, args.order), args.output)
     return EXIT_OK
@@ -103,6 +106,8 @@ def cmd_density(args) -> int:
             raise InvalidParameter(f"{flag} must be finite, got {value}")
     if args.points < 2:
         raise InvalidParameter("need at least two grid points")
+    if not 0 < args.epsilon < math.inf:
+        raise InvalidParameter(f"--epsilon must be finite and > 0, got {args.epsilon}")
     rep = parse_measure(_load_json(args.measure))
     step = (args.xmax - args.xmin) / (args.points - 1)
     grid = [args.xmin + i * step for i in range(args.points)]

@@ -20,17 +20,18 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
 An outer factor given by atoms, or by recursion coefficients that are
 finite or end in a Wigner tail, composes through its continued fraction in
 O(d * N**2) for d levels; moments and truncated recursions go through the
-power table of their K-series in O(N**3) (:func:`k_outer`), and so does the
-test oracle :func:`orthogonal_iterated`.
+power table of their K-series in O(N**3), and so does the test oracle
+:func:`orthogonal_iterated`.
 
-Every K-series read here is the measure's own K view
-(:meth:`MeasureRep.k_series`), derived from its moments once and then
-truncated to each order asked, and every continued fraction its own outer
-view (:meth:`MeasureRep.k_outer`), built and fitted once and read at each
-order asked.  Every result is built by :meth:`MeasureRep.from_k`, which
-reads its moments straight off its K (:func:`series.K_to_moments`) and
-keeps that K as its K view: a result that feeds the next operation is not
-taken K -> moments -> K.
+Each operation reads its inputs straight off the measures: the K view
+(:meth:`MeasureRep.k_series`), derived from the moments once by
+:func:`series.moments_to_K` and then truncated to each order asked, and the
+outer view (:meth:`MeasureRep.k_outer`), the continued fraction where there
+is one, else the K view, built and fitted once and read at each order
+asked.  Every result is built by :meth:`MeasureRep.from_k`, which reads its
+moments straight off its K (:func:`series.K_to_moments`) and keeps that K
+as its K view: a result that feeds the next operation is not taken
+K -> moments -> K.
 
 Pointwise evaluation of the subordination transforms lives in
 :func:`subordination_eval`; it is the only place here that iterates
@@ -49,7 +50,7 @@ from .measures import (
     make_jacobi,
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
-from .series import Outer, TailSeries, sfree_pair, substitute_into_shifted
+from .series import sfree_pair, substitute_into_shifted
 
 
 # stopping rule of the pointwise subordination iteration
@@ -58,37 +59,20 @@ SUBORDINATION_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
-# K-series plumbing
-# ---------------------------------------------------------------------------
-
-def k_series(rep: MeasureRep, order: int) -> TailSeries:
-    """K-transform of the measure as a series of order N-1 (N moments): the
-    measure's own K view, derived once (:meth:`MeasureRep.k_series`)."""
-    return rep.k_series(order)
-
-
-def k_outer(rep: MeasureRep, order: int) -> Outer:
-    """K-transform as an outer: the continued fraction of a measure given by
-    atoms or by recursion coefficients fixing every moment, else the K-series;
-    the measure's own outer view, built once (:meth:`MeasureRep.k_outer`)."""
-    return rep.k_outer(order)
-
-
-# ---------------------------------------------------------------------------
 # The five convolutions
 # ---------------------------------------------------------------------------
 
 def boolean(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return MeasureRep.from_k(k_series(mu, order) + k_series(nu, order))
+    return MeasureRep.from_k(mu.k_series(order) + nu.k_series(order))
 
 
 def orthogonal(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    return MeasureRep.from_k(substitute_into_shifted(k_outer(mu, order), k_series(nu, order)))
+    return MeasureRep.from_k(substitute_into_shifted(mu.k_outer(order), nu.k_series(order)))
 
 
 def monotone(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    kn = k_series(nu, order)
-    return MeasureRep.from_k(kn + substitute_into_shifted(k_outer(mu, order), kn))
+    kn = nu.k_series(order)
+    return MeasureRep.from_k(kn + substitute_into_shifted(mu.k_outer(order), kn))
 
 
 def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> MeasureRep:
@@ -101,8 +85,8 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
     `order` links are composed, whatever m is."""
     if m < 1:
         raise InvalidParameter("iteration count must be >= 1")
-    k_mu = k_series(mu, order)
-    k_nu = k_series(nu, order)
+    k_mu = mu.k_series(order)
+    k_nu = nu.k_series(order)
     m = min(m, order)
     acc = k_nu if m % 2 else k_mu
     for i in range(m - 1, -1, -1):
@@ -111,7 +95,7 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
 
 
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    u, _ = sfree_pair(k_outer(mu, order), k_outer(nu, order))
+    u, _ = sfree_pair(mu.k_outer(order), nu.k_outer(order))
     return MeasureRep.from_k(u)
 
 
@@ -125,8 +109,8 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     one separate composition re-checks that, coefficient by coefficient.
     They are equal identically, so a mismatch can only mean a bug.
     """
-    outer_mu = k_outer(mu, order)
-    u, v = sfree_pair(outer_mu, k_outer(nu, order))
+    outer_mu = mu.k_outer(order)
+    u, v = sfree_pair(outer_mu, nu.k_outer(order))
     recomposed = substitute_into_shifted(outer_mu, v)
     for k, (a, b) in enumerate(zip(recomposed.coeffs, u.coeffs)):
         if a != b:

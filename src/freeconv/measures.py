@@ -68,7 +68,7 @@ from .series import (
     Outer,
     TailSeries,
     _frac,
-    moments_to_F,
+    moments_to_K,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -458,7 +458,7 @@ class MeasureRep:
         if n < 1:
             raise InvalidParameter("order must be >= 1")
         if self._k is None or self._k.order < n - 1:
-            self._k = -moments_to_F(self.moments(n))
+            self._k = moments_to_K(self.moments(n))
         return self._k.truncate(n - 1)
 
     def k_outer(self, n: int) -> Outer:

@@ -8,8 +8,9 @@ the orthogonal convolution without touching series at all -- the
 independent oracle for :mod:`freeconv.convolve`.  It grades its moments
 once, and :func:`orthogonal_moments_combinatorial` runs its graded core on
 every order 1..n with one grading and one memo of inverse boolean
-cumulants.  The free cumulants, the other oracle, come from the
-first-block recursion of non-crossing partitions.
+cumulants; :func:`inverse_boolean_cumulants` likewise gives the cumulants
+of every composition of n from one grading.  The free cumulants, the other
+oracle, come from the first-block recursion of non-crossing partitions.
 
 The depth-2 family has one definition, :func:`_depth_split`, which both the
 enumeration and the public constructor :func:`decomposable_partition` read;
@@ -139,6 +140,16 @@ def inverse_boolean_cumulant(moments: Sequence[Fraction], pi: Composition) -> Fr
     return Fraction(_inverse_boolean_graded(a, pi), c**order)
 
 
+def inverse_boolean_cumulants(moments: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+    """The values of :func:`inverse_boolean_cumulant` on every composition
+    of n, in :func:`compositions` order, from one grading of the moments."""
+    if n > len(moments):
+        raise OrderExceeded(f"moment of order {n} not available")
+    c, a = _graded([_frac(x) for x in moments[:n]])
+    p = c**n
+    return tuple(Fraction(_inverse_boolean_graded(a, pi), p) for pi in compositions(n))
+
+
 def _inverse_boolean_graded(a: Sequence[int], pi: Composition) -> int:
     """The prefix recursion of :func:`inverse_boolean_cumulant` on moments
     graded at a scale c, a[k - 1] = m_k * c**k: every f[j] has degree
@@ -160,8 +171,9 @@ def _inverse_boolean_graded(a: Sequence[int], pi: Composition) -> int:
 def signed_interval_moment_sum(moments: Sequence[Fraction], n: int) -> Fraction:
     """Sum over all compositions of n of (-1)**parts times the moment product.
 
-    Brute-force value of the coefficient of z**(-n+1) in F(z) - z; used as
-    the oracle for :func:`freeconv.series.moments_to_F`.
+    Brute-force value of the coefficient of z**(-n+1) in F(z) - z, which is
+    K(z) = z - F(z) negated; used as the oracle for
+    :func:`freeconv.series.moments_to_K`.
     """
     total = Fraction(0)
     for pi in compositions(n):

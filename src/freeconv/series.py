@@ -3,13 +3,15 @@ and polynomials in z, both as rational coefficient vectors.
 
 A :class:`TailSeries` stores rational coefficients c0..cN of the value
 c0 + c1/z + ... + cN/z**N.  The transforms used throughout the package
-(G, F - z and K) all have this shape near infinity, and the identities
-between them hold coefficient by coefficient.  Floating point only appears
-in the analytic evaluators of :mod:`freeconv.measures`.
+(z*G and K = z - F) have this shape near infinity, and the identities
+between them hold coefficient by coefficient.  K is the one transform the
+package converts to and from: :func:`moments_to_K` and :func:`K_to_moments`
+are the one path between a measure's moments and its K.  Floating point
+only appears in the analytic evaluators of :mod:`freeconv.measures`.
 
 The loops run on ints graded by a scale c (a dilation): coefficient k of
-weight k + h is A_k / c**(k + h), h = 1 for K and F - z and 0 for z*G, and
-alpha and omega enter as alpha * c and omega * c**2.  For each value x of
+weight k + h is A_k / c**(k + h), h = 1 for K and 0 for z*G, and alpha
+and omega enter as alpha * c and omega * c**2.  For each value x of
 weight w with r = c**w mod den(x) != 0, c becomes c * den(x) / gcd(den(x),
 r), a multiple of the least clearing dilation that divides the lcm of the
 denominators; two scales meet at their lcm.  A series holds its
@@ -140,7 +142,7 @@ class TailSeries:
 
     def _scaled(self) -> tuple[int, list[int]]:
         """(c, A) at a scale c fitted to these coefficients, once: coefficient
-        k, of weight k + 1 as in K and F - z, is A[k] / c**(k + 1).  Every
+        k, of weight k + 1 as in K, is A[k] / c**(k + 1).  Every
         reader gets the same list, and only reads it."""
         if self._form is None:
             self._form = _graded(self.coeffs)
@@ -318,24 +320,18 @@ def sfree_pair(outer_mu: Outer, outer_nu: Outer) -> tuple[TailSeries, TailSeries
     return TailSeries._from_ints(c, 1, u), TailSeries._from_ints(c, 1, v)
 
 
-def moments_to_F(moments: Sequence[Rational]) -> TailSeries:
-    """F(z) - z as a TailSeries, from the moments m1..mN (m0 = 1 implied).
+def moments_to_K(moments: Sequence[Rational]) -> TailSeries:
+    """K(z) = z - F(z) as a TailSeries, from the moments m1..mN (m0 = 1
+    implied): the constant term is m1 and the series has order N - 1.
 
-    Computed as the reciprocal of z*G(z) = 1 + m1*w + m2*w**2 + ...; the
-    constant term of the result is -m1 and the series has order N - 1.
+    F(z)/z = 1/(z*G(z)) is the reciprocal of z*G(z) = 1 + m1*w + m2*w**2 +
+    ..., so K/z = 1 - F/z is its tail past the constant 1, negated.  Exact
+    inverse of :func:`K_to_moments` at every order.
     """
     if not moments:
         raise InvalidParameter("need at least one moment")
-    f_over_z = TailSeries((Fraction(1), *moments)).reciprocal()  # F(z)/z = 1/(z*G(z))
-    return TailSeries._of(f_over_z.coeffs[1:])
-
-
-def F_to_moments(f: TailSeries) -> tuple[Fraction, ...]:
-    """Moments m1..mN of the measure whose F(z) - z is the given series.
-
-    Exact inverse of :func:`moments_to_F` at every order.
-    """
-    return TailSeries._of((Fraction(1),) + f.coeffs).reciprocal().coeffs[1:]
+    f_over_z = TailSeries((Fraction(1), *moments)).reciprocal()
+    return TailSeries._of(tuple(-c for c in f_over_z.coeffs[1:]))
 
 
 def K_to_moments(k: TailSeries) -> tuple[Fraction, ...]:
@@ -343,8 +339,8 @@ def K_to_moments(k: TailSeries) -> tuple[Fraction, ...]:
 
     z*G(z) = 1/(1 - K(z)/z), and coefficient k of K weighs k + 1, as m_(k+1)
     does, so the reciprocal runs at the form k already fitted
-    (``_scaled()``): equal to ``F_to_moments(-k)`` without the negation and
-    the second fit.
+    (``_scaled()``), with no second fit.  Exact inverse of
+    :func:`moments_to_K` at every order.
     """
     c, a = k._scaled()
     return tuple(map(Fraction, _monic_inverse([1, *map(neg, a)])[1:], _powers(c, 1)))

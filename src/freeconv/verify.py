@@ -40,7 +40,7 @@ from .measures import (
     wigner,
     WignerTail,
 )
-from .series import TailSeries, moments_to_F, poly_eq, poly_mul, poly_sub
+from .series import TailSeries, moments_to_K, poly_eq, poly_mul, poly_sub
 
 SUITES = ("partitions", "convolutions", "opmodel")
 ORDER = 10  # moment order of the convolution suite
@@ -234,9 +234,8 @@ def moment_recovers_from_cumulant_coarsenings(inp, rng):
     # coarsening of sigma when pi's cuts are a subset of sigma's
     m = inp.m
     for n in range(1, len(m) + 1):
-        comps = partitions.compositions(n)
-        k = [partitions.inverse_boolean_cumulant(m, pi) for pi in comps]
-        for cuts, sigma in enumerate(comps):
+        k = partitions.inverse_boolean_cumulants(m, n)
+        for cuts, sigma in enumerate(partitions.compositions(n)):
             rhs = sum((k[sub] for sub in range(cuts + 1) if sub & ~cuts == 0), Fraction(0))
             expect_equal(partitions.moment_function(m, sigma), rhs, "m = {}, sigma = {}", m, sigma)
 
@@ -266,7 +265,7 @@ def cumulant_closed_forms_to_four_parts(inp, rng):
 def reciprocal_transform_coefficients_by_enumeration(inp, rng):
     for n in range(1, min(inp.n_max, 8) + 1):
         want = partitions.signed_interval_moment_sum(inp.mu, n)
-        expect_equal(moments_to_F(inp.mu[:n]).coeffs[n - 1], want, "m = {}, order {}", inp.mu, n)
+        expect_equal(-moments_to_K(inp.mu[:n]).coeffs[n - 1], want, "m = {}, order {}", inp.mu, n)
 
 
 @check("partitions")
@@ -384,7 +383,8 @@ def free_routes_equal_cumulant_oracle(inp, rng):
         free_ab = convolve.free(mu, nu, ORDER)  # re-checks K_mu(z - v) == u
         oracle = convolve.free_cumulant_oracle(mu, nu, ORDER)
         expect_equal(_moments(free_ab), _moments(oracle), PAIR, i, mu, nu)
-    # k_outer composes a Wigner tail by its continued fraction, moments by their K-series
+    # a measure's outer view composes a Wigner tail by its continued fraction,
+    # moments by their K-series
     alpha = [Fraction(rng.randint(-3, 3), 2) for _ in range(3)]
     omega = [Fraction(rng.randint(1, 4), 2) for _ in range(2)]
     tail = WignerTail(alpha[2], omega[1])
@@ -532,7 +532,7 @@ def approximant_reciprocal_identity(inp, rng):
     for name, j in (("wigner(0, 1)", wigner(0, 1).jacobi()), ("a wigner-tailed recursion", tailed)):
         for m in range(1, 6):
             order = 2 * m + 4
-            ks = convolve.k_series(_nested_chain(j, m, order), order).coeffs
+            ks = _nested_chain(j, m, order).k_series(order).coeffs
             n_pol, p_pol = approximant_G(j, m + 1)[m + 1]
             got = poly_mul(n_pol[::-1], ks)[:order]  # in powers of w, from z**m
             want = poly_sub(poly_mul([0, 1], n_pol), p_pol)
@@ -602,8 +602,8 @@ def orthogonal_shifts_into_monotone_recursion(inp, rng):
         if len(jm.alpha) < 2:
             continue
         mu_s = MeasureRep.from_jacobi(jm.shift())
-        k_orth = convolve.k_series(convolve.orthogonal(mu, nu, ORDER), ORDER)
-        k_mono = convolve.k_series(convolve.monotone(mu_s, nu, ORDER), ORDER)
+        k_orth = convolve.orthogonal(mu, nu, ORDER).k_series(ORDER)
+        k_mono = convolve.monotone(mu_s, nu, ORDER).k_series(ORDER)
         c = k_orth - TailSeries.constant(jm.alpha[0], k_orth.order)
         expect(
             c.coeffs[0] == 0, PAIR + ": K of orthogonal has constant term {}, not alpha_0 = {}",
@@ -639,7 +639,7 @@ def subordination_fixed_point_system(inp, rng):
 def pointwise_subordination_matches_series(inp, rng):
     w01, tp_m, bern = _sample_measures()
     for mu, nu in [(bern, tp_m), (w01, bern), (tp_m, w01)]:
-        ks = convolve.k_series(convolve.free(mu, nu, ORDER), ORDER)
+        ks = convolve.free(mu, nu, ORDER).k_series(ORDER)
         for _ in range(5):
             z = 20 * cmath.exp(1j * rng.uniform(0.2, math.pi - 0.2))
             u, v = convolve.subordination_eval(mu, nu, z)

@@ -86,6 +86,15 @@ def test_stabilization_builds_each_iterate_once(convolutions, monkeypatch):
     assert len(calls) == len(set(calls)) == 5 * 6
 
 
+def test_coarsening_check_grades_each_order_once(partitions, monkeypatch):
+    # the cumulants of every composition of n come from one grading of m[:n]
+    graded = []
+    real = verify.partitions._graded
+    monkeypatch.setattr(verify.partitions, "_graded", lambda *seqs, h=1: graded.append(len(seqs[0])) or real(*seqs, h=h))
+    assert verify.run_check("moment-recovers-from-cumulant-coarsenings", partitions).ok
+    assert graded == list(range(1, len(partitions.m) + 1))
+
+
 def test_reciprocal_identity_fails_on_a_perturbed_convergent(convolutions, monkeypatch):
     # one coefficient of N_4, read at 3 links, is moved off the recurrence
     real = verify.approximant_G

@@ -413,16 +413,25 @@ class TestInputGrammar:
             (["convolve", "orthogonal-iter", "{f}", "{f}"], "orthogonal-iter needs an iteration count"),
             (["convolve", "free", "{f}", "{f}", "--iterations", "2"], "--iterations is only for orthogonal-iter, not free"),
             (["density", "{f}", "--points", "1"], "need at least two grid points"),
+            (["convolve", "free", "{f}", "{f}", "--order", "0"], "--order must be >= 1, got 0"),
+            (["convolve", "orthogonal-iter", "{f}", "{f}", "--iterations", "0"], "--iterations must be >= 1, got 0"),
+            (["density", "{f}", "--epsilon", "0"], "--epsilon must be finite and > 0, got 0.0"),
+            (["density", "{f}", "--epsilon", "nan"], "--epsilon must be finite and > 0, got nan"),
         ],
-        ids=["no-iterations", "iterations-for-free", "points"],
+        ids=["no-iterations", "iterations-for-free", "points", "order", "iterations", "epsilon", "epsilon-nan"],
     )
-    @pytest.mark.parametrize("document", ["missing", "views"])
+    @pytest.mark.parametrize("document", ["missing", "views", "inconsistent"])
     def test_a_misused_option_is_refused_before_any_file_is_read(self, tmp_path, capsys, argv, message, document):
         # these options used to be checked after the files were parsed, so a
-        # missing file or a bad document was reported instead
+        # missing file or a bad document was reported instead (the
+        # inconsistent moments exit 3 when they are read)
+        documents = {
+            "views": {"type": "moments", "m": ["0", "1"], "jacobi": {"alpha": ["9"]}},
+            "inconsistent": {"type": "moments", "m": ["0", "0", "5", "7"]},
+        }
         path = str(tmp_path / "missing.json")
-        if document == "views":
-            path = write(tmp_path, "views.json", {"type": "moments", "m": ["0", "1"], "jacobi": {"alpha": ["9"]}})
+        if document in documents:
+            path = write(tmp_path, f"{document}.json", documents[document])
         code, out, err = run(capsys, [a.format(f=path) for a in argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -19,7 +19,7 @@ from freeconv.measures import (
     WignerTail,
 )
 from freeconv.partitions import orthogonal_moment_combinatorial
-from freeconv.series import ContinuedFraction, TailSeries, moments_to_F
+from freeconv.series import ContinuedFraction, TailSeries, moments_to_K
 
 
 def random_rep(rng, spread=6):
@@ -401,10 +401,10 @@ class TestKView:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Lengths of the moment lists `moments_to_F` is run on."""
+        """Lengths of the moment lists `moments_to_K` is run on."""
         seen = []
-        real = measures.moments_to_F
-        monkeypatch.setattr(measures, "moments_to_F", lambda m: seen.append(len(m)) or real(m))
+        real = measures.moments_to_K
+        monkeypatch.setattr(measures, "moments_to_K", lambda m: seen.append(len(m)) or real(m))
         return seen
 
     def reps(self):
@@ -415,7 +415,7 @@ class TestKView:
     def test_view_equals_the_series_of_the_moments(self, orders):
         for rep in self.reps():
             for n in orders:
-                assert convolve.k_series(rep, n) == -moments_to_F(rep.moments(n)), (rep, n)
+                assert rep.k_series(n) == moments_to_K(rep.moments(n)), (rep, n)
 
     def test_a_second_convolution_derives_no_k(self, calls):
         mu, nu, rho = self.reps()
@@ -440,10 +440,10 @@ class TestKView:
         for a, b in ((mu, nu), (rho, mu), (nu, rho)):
             result = convolve.OPERATIONS[op](a, b, self.N)
             before = len(calls)
-            assert convolve.k_series(result, self.N) is built[-1]
-            assert convolve.k_series(result, 3) == built[-1].truncate(2)
+            assert result.k_series(self.N) is built[-1]
+            assert result.k_series(3) == built[-1].truncate(2)
             assert len(calls) == before
-            assert built[-1] == -moments_to_F(result.moments(self.N))
+            assert built[-1] == moments_to_K(result.moments(self.N))
 
     def test_free_fits_each_factor_outer_once(self, monkeypatch):
         # the recomposition K_mu(z - v) used to fit mu's outer again
@@ -459,7 +459,7 @@ class TestKView:
         nu = MeasureRep.from_atoms([(0, F(1, 2)), (F(1, 2), F(1, 4)), (3, F(1, 4))])
         convolve.free(mu, nu, 24)
         for rep in (mu, nu):
-            outer = convolve.k_outer(rep, 24)
+            outer = rep.k_outer(24)
             assert isinstance(outer, ContinuedFraction) and outer.tail is None
             assert fitted.count(tuple(x for level in outer.levels for x in level)) == 1
         assert len(fitted) == 4  # the two outers, the inner v and the result u + v
@@ -468,18 +468,18 @@ class TestKView:
         mu, nu, rho = self.reps()
         result = convolve.free(mu, nu, self.N)
         for rep in (rho, result):
-            convolve.k_series(rep, self.N)
+            rep.k_series(self.N)
             with pytest.raises(OrderExceeded):
-                convolve.k_series(rep, self.N + 1)
+                rep.k_series(self.N + 1)
             with pytest.raises(OrderExceeded):
                 convolve.boolean(rep, nu, self.N + 1)
             with pytest.raises(InvalidParameter, match="order must be >= 1"):
-                convolve.k_series(rep, 0)
+                rep.k_series(0)
         # a measure given by atoms or a tail has every moment, and a longer
         # K replaces the shorter one it repeats
         for rep in (mu, nu):
-            short = convolve.k_series(rep, 4)
-            assert convolve.k_series(rep, 2 * self.N).truncate(3) == short
+            short = rep.k_series(4)
+            assert rep.k_series(2 * self.N).truncate(3) == short
 
 
 class TestCliDispatch:

@@ -39,7 +39,7 @@ from freeconv.measures import (
     two_point,
     wigner,
 )
-from freeconv.series import moments_to_F, poly_mul, poly_scale, poly_sub, poly_trim
+from freeconv.series import moments_to_K, poly_mul, poly_scale, poly_sub, poly_trim
 
 
 class TestMomentsToJacobi:
@@ -230,7 +230,7 @@ def kseries_peel_jacobi(moments):
     alpha, omega = [], []
     finite = False
     while m:
-        K = [-c for c in moments_to_F(m).coeffs]
+        K = moments_to_K(m).coeffs
         alpha.append(K[0])
         if len(K) < 2:
             break

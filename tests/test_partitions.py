@@ -130,9 +130,11 @@ class TestMomentAndCumulantFunctions:
                 assert total == P.moment_function(self.m, sigma)
 
     def test_cumulant_equals_the_enumeration_on_every_composition(self):
+        # one call per composition, and one call per n for all of them
         for n in range(1, 11):
-            for pi in P.compositions(n):
-                assert P.inverse_boolean_cumulant(self.m, pi) == inverse_boolean_cumulant_reference(self.m, pi)
+            want = tuple(inverse_boolean_cumulant_reference(self.m, pi) for pi in P.compositions(n))
+            assert tuple(P.inverse_boolean_cumulant(self.m, pi) for pi in P.compositions(n)) == want
+            assert P.inverse_boolean_cumulants(self.m, n) == want
 
     def test_coarsenings_of_small_compositions(self):
         assert coarsenings((2,)) == ((2,),)
@@ -156,6 +158,8 @@ class TestMomentAndCumulantFunctions:
         # every part fits, their sum does not
         with pytest.raises(OrderExceeded):
             P.inverse_boolean_cumulant(self.m, (6, 7))
+        with pytest.raises(OrderExceeded):
+            P.inverse_boolean_cumulants(self.m, 13)
         assert P.inverse_boolean_cumulant(self.m, (6, 6)) == inverse_boolean_cumulant_reference(self.m, (6, 6))
 
 

@@ -5,15 +5,14 @@ from math import lcm
 import pytest
 
 from freeconv import partitions, series
-from freeconv.convolve import k_outer, k_series
 from freeconv.errors import InvalidParameter
 from freeconv.measures import MeasureRep, make_jacobi
 from freeconv.opmodel import ModelOperator
 from freeconv.series import (
     ContinuedFraction,
-    F_to_moments,
+    K_to_moments,
     TailSeries,
-    moments_to_F,
+    moments_to_K,
     sfree_pair,
     substitute_into_shifted,
 )
@@ -64,9 +63,9 @@ def test_empty_series_is_an_invalid_parameter():
         TailSeries(())
 
 
-def test_empty_moment_list_has_no_F_series():
+def test_empty_moment_list_has_no_K_series():
     with pytest.raises(InvalidParameter, match="need at least one moment"):
-        moments_to_F([])
+        moments_to_K([])
 
 
 class TestAdd:
@@ -246,9 +245,9 @@ class TestGradedScale:
     its own coefficients."""
 
     def test_moments_of_a_point_mass_need_one_dilation(self):
-        f = moments_to_F([F(1, 2) ** k for k in range(1, 13)])
-        assert f == TailSeries.constant(F(-1, 2), 11)
-        assert f._scaled()[0] == 2
+        k = moments_to_K([F(1, 2) ** j for j in range(1, 13)])
+        assert k == TailSeries.constant(F(1, 2), 11)
+        assert k._scaled()[0] == 2
 
     def test_k_coefficient_k_weighs_k_plus_one(self):
         k = ts(F(1, 2), F(1, 4), F(-1, 8))
@@ -262,12 +261,12 @@ class TestGradedScale:
         assert u._scaled()[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
 
     def test_a_square_denominator_multiplies_the_scale_whole(self):
-        # the atoms -1/2, 1/2: F - z = -1/(4z), and -1/4 at weight 2 takes c
-        # from 1 to 4, a multiple of 2, the least dilation clearing it
-        f = moments_to_F([0, F(1, 4), 0, F(1, 16), 0, F(1, 64)])
-        assert f == ts(0, F(-1, 4), 0, 0, 0, 0)
-        assert f._scaled()[0] == 4
-        assert moments_to_F([0, F(1, 4)])._scaled()[0] == 4
+        # the atoms -1/2, 1/2: K = 1/(4z), and 1/4 at weight 2 takes c from
+        # 1 to 4, a multiple of 2, the least dilation clearing it
+        k = moments_to_K([0, F(1, 4), 0, F(1, 16), 0, F(1, 64)])
+        assert k == ts(0, F(1, 4), 0, 0, 0, 0)
+        assert k._scaled()[0] == 4
+        assert moments_to_K([0, F(1, 4)])._scaled()[0] == 4
 
     def test_scales_meet_at_their_lcm(self, monkeypatch):
         # inside the call the scales 2 and 3 (or 2 and 6) meet at 6; the
@@ -291,7 +290,7 @@ class TestGradedScale:
     def test_the_form_is_fitted_once_on_its_own_coefficients(self, monkeypatch):
         uniform = MeasureRep.from_moments([F(1, k + 1) for k in range(1, 41)])
         made = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
-        for s in (made, k_series(uniform, 40)):
+        for s in (made, uniform.k_series(40)):
             form = s._scaled()
             assert s._scaled() is form and form == series._graded(s.coeffs)
         assert made._scaled()[0] == 2
@@ -311,13 +310,13 @@ class TestWhereTheScalesPart:
     def halves(self):
         mu = MeasureRep.from_atoms([(-2, F(1, 6)), (F(-3, 2), F(1, 12)), (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 4))])
         nu = MeasureRep.from_atoms([(-3, F(5, 12)), (-1, F(1, 3)), (1, F(1, 4))])
-        outer_mu, outer_nu = k_outer(mu, self.N), k_outer(nu, self.N)
+        outer_mu, outer_nu = mu.k_outer(self.N), nu.k_outer(self.N)
         return mu, outer_mu, outer_nu, sfree_pair(outer_mu, outer_nu)
 
     def test_moments_of_u_plus_v_match_the_fraction_loop(self):
         _, outer_mu, outer_nu, (u, v) = self.halves()
         assert (u + v)._scaled()[0] < lcm(outer_mu._scaled()[0], outer_nu._scaled()[0])
-        assert F_to_moments(-(u + v)) == reference_F_to_moments(-(u + v))
+        assert K_to_moments(u + v) == reference_F_to_moments(-(u + v))
 
     def test_the_sum_holds_its_own_form(self):
         _, outer_mu, outer_nu, (u, v) = self.halves()
@@ -330,34 +329,34 @@ class TestWhereTheScalesPart:
         mu, outer_mu, _, (u, v) = self.halves()
         assert isinstance(outer_mu, ContinuedFraction)
         assert substitute_into_shifted(outer_mu, v) == u
-        assert substitute_into_shifted(k_series(mu, self.N), v) == u
+        assert substitute_into_shifted(mu.k_series(self.N), v) == u
 
 
 class TestMomentTransforms:
     def test_point_mass(self):
         a = F(3, 2)
-        f = moments_to_F([a, a**2, a**3, a**4])
-        assert f == TailSeries.constant(-a, 3)
-        assert F_to_moments(f) == (a, a**2, a**3, a**4)
+        k = moments_to_K([a, a**2, a**3, a**4])
+        assert k == TailSeries.constant(a, 3)
+        assert K_to_moments(k) == (a, a**2, a**3, a**4)
 
     def test_symmetric_two_point(self):
-        f = moments_to_F([0, 1, 0, 1, 0, 1])
-        assert f == ts(0, -1, 0, 0, 0, 0)
-        assert F_to_moments(ts(0, -1, 0, 0, 0, 0)) == (F(0), F(1), F(0), F(1), F(0), F(1))
+        k = moments_to_K([0, 1, 0, 1, 0, 1])
+        assert k == ts(0, 1, 0, 0, 0, 0)
+        assert K_to_moments(ts(0, 1, 0, 0, 0, 0)) == (F(0), F(1), F(0), F(1), F(0), F(1))
 
     def test_round_trip_on_random_sequences(self):
         rng = random.Random(11)
         for _ in range(20):
             m = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(9))
-            assert F_to_moments(moments_to_F(m)) == m
-            f = TailSeries([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8)])
-            assert moments_to_F(F_to_moments(f)) == f
+            assert K_to_moments(moments_to_K(m)) == m
+            k = TailSeries([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8)])
+            assert moments_to_K(K_to_moments(k)) == k
 
     def test_coefficients_are_signed_interval_sums(self):
         from freeconv.partitions import signed_interval_moment_sum
 
         rng = random.Random(13)
         m = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(8)]
-        f = moments_to_F(m)
+        k = moments_to_K(m)
         for n in range(1, 9):
-            assert f.coeffs[n - 1] == signed_interval_moment_sum(m, n)
+            assert -k.coeffs[n - 1] == signed_interval_moment_sum(m, n)

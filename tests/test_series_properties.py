@@ -2,14 +2,15 @@
 
 The first group compares the graded integer kernel with the Fraction
 references of ``test_series`` (the plain reciprocal loop and Horner's rule),
-which never call it: ``reciprocal``, ``moments_to_F``/``F_to_moments``,
-``substitute_into_shifted`` and ``sfree_pair`` on coefficients with
-denominators up to 10**6, zeros, negative and fractional constant terms and
-order 0, and on series the kernel made, combined after
-``truncate``/``__neg__``/``__add__`` with hand-built series and with series
-whose fitted scale does not divide theirs.  ``K_to_moments``, the loop
-that reads a convolution's moments off its K, is checked against
-``F_to_moments`` of the negated series, together with the measure
+which never call it: ``reciprocal``, ``moments_to_K``/``K_to_moments``
+(against the F - z references, negated), ``substitute_into_shifted`` and
+``sfree_pair`` on coefficients with denominators up to 10**6, zeros,
+negative and fractional constant terms and order 0, and on series the
+kernel made, combined after ``truncate``/``__neg__``/``__add__`` with
+hand-built series and with series whose fitted scale does not divide
+theirs.  ``moments_to_K`` and ``K_to_moments``, the one path between a
+measure's moments and its K, invert each other at orders 0..12, and the
+moments ``K_to_moments`` reads off a K are those of the measure
 ``MeasureRep.from_k`` builds on it.
 
 The second group checks composition through the continued fraction.  The
@@ -32,15 +33,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from freeconv.convolve import k_outer, k_series  # noqa: E402
 from freeconv.errors import OrderExceeded  # noqa: E402
 from freeconv.measures import MeasureRep, WignerTail, make_jacobi  # noqa: E402
 from freeconv.series import (  # noqa: E402
     ContinuedFraction,
-    F_to_moments,
     K_to_moments,
     TailSeries,
-    moments_to_F,
+    moments_to_K,
     sfree_pair,
     substitute_into_shifted,
 )
@@ -72,18 +71,28 @@ def test_reciprocal_matches_the_fraction_loop(c0, rest):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(WIDE, min_size=1, max_size=12), series(11))
-def test_moment_transforms_match_the_references(moments, f):
-    assert moments_to_F(moments) == reference_moments_to_F(moments)
-    assert F_to_moments(f) == reference_F_to_moments(f)
-    assert F_to_moments(moments_to_F(moments)) == tuple(moments)
+def test_moment_transforms_match_the_references(moments, ks):
+    assert moments_to_K(moments) == -reference_moments_to_F(moments)
+    assert K_to_moments(ks) == reference_F_to_moments(-ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_moments_and_k_invert_each_other(data, order):
+    # order + 1 moments give K of that order, and K of that order gives them back
+    moments = data.draw(st.lists(WIDE, min_size=order + 1, max_size=order + 1))
+    ks = TailSeries(data.draw(st.lists(WIDE, min_size=order + 1, max_size=order + 1)))
+    assert moments_to_K(moments).order == order and len(K_to_moments(ks)) == order + 1
+    assert K_to_moments(moments_to_K(moments)) == tuple(moments)
+    assert moments_to_K(K_to_moments(ks)) == ks
 
 
 @settings(max_examples=60, deadline=None)
 @given(series(12))
 def test_moments_read_straight_off_k(ks):
     n = ks.order + 1
-    moments = F_to_moments(-ks)
-    assert K_to_moments(ks) == moments
+    moments = K_to_moments(ks)
+    assert moments == reference_F_to_moments(-ks)
     rep = MeasureRep.from_k(ks)
     assert rep.k_series(n) is ks and rep.moments(n) == moments
     with pytest.raises(OrderExceeded):
@@ -109,7 +118,7 @@ def test_kernel_results_meet_hand_built_series(a, b, hand, cut):
     # u and v come out of one pass, k out of a reciprocal, and hand is built
     # by hand; the kernel fits each one's scale afresh when it reads it
     u, v = sfree_pair(a, b)
-    k = -moments_to_F(hand.coeffs)
+    k = moments_to_K(hand.coeffs)
     sums = (
         (u, v), (u.truncate(cut), v), (k, k.truncate(cut)), (u, hand), (k, u), ((-k).truncate(cut), v)
     )
@@ -118,8 +127,8 @@ def test_kernel_results_meet_hand_built_series(a, b, hand, cut):
     for x in [x + y for x, y in sums] + [(-u).truncate(cut), k]:
         for y in (v, hand, k, x):
             assert substitute_into_shifted(x, y) == horner_substitute(x, y)
-        assert F_to_moments(x) == reference_F_to_moments(x)
-        assert moments_to_F(F_to_moments(x)) == x
+        assert K_to_moments(x) == reference_F_to_moments(-x)
+        assert moments_to_K(K_to_moments(x)) == x
         if x.coeffs[0] != 0:
             assert x.reciprocal().coeffs == tuple(fraction_reciprocal(x.coeffs))
     for x, y in ((u, k), (k.truncate(cut), hand), (-v, u + v)):
@@ -161,7 +170,7 @@ def moments_only(rep, order):
 
 
 def both_outers(rep, order):
-    fraction, series = k_outer(rep, order), k_series(rep, order)
+    fraction, series = rep.k_outer(order), rep.k_series(order)
     assert isinstance(fraction, ContinuedFraction) and fraction.order == series.order
     return fraction, series
 
@@ -170,7 +179,7 @@ def both_outers(rep, order):
 @given(STRUCTURED, STRUCTURED, ORDERS)
 def test_composition_matches_the_power_table(mu, nu, order):
     fraction, series = both_outers(mu, order)
-    inner = k_series(nu, order)
+    inner = nu.k_series(order)
     assert substitute_into_shifted(fraction, inner) == substitute_into_shifted(series, inner)
 
 
@@ -192,8 +201,8 @@ def test_mixed_structured_and_moment_pairs(mu, nu, order):
     # and even once its recursion coefficients have been derived
     moments = moments_only(nu, order)
     moments.jacobi_or_none()
-    assert k_outer(moments, order) == k_series(moments, order)
+    assert moments.k_outer(order) == moments.k_series(order)
     f_mu, s_mu = both_outers(mu, order)
-    k_moments = k_series(moments, order)
+    k_moments = moments.k_series(order)
     assert sfree_pair(f_mu, k_moments) == sfree_pair(s_mu, k_moments)
     assert substitute_into_shifted(f_mu, k_moments) == substitute_into_shifted(s_mu, k_moments)

@@ -125,16 +125,16 @@ def cmd_graph(args) -> int:
     for flag, value in (("--moments", args.moments), ("--radius", radius)):
         if value < 1:
             raise InvalidParameter(f"{flag} must be >= 1, got {value}")
+    # a walk changes the word length by at most one per step, so the ball
+    # determines the root moments only up to order 2 * radius + 1
+    if args.op == "free-ball" and args.moments > 2 * radius + 1:
+        raise InvalidParameter(
+            f"a free-ball of radius {radius} determines only "
+            f"{2 * radius + 1} root moments, {args.moments} requested"
+        )
     g1 = parse_graph(_load_json(args.g1))
     g2 = parse_graph(_load_json(args.g2))
     if args.op == "free-ball":
-        # a walk changes the word length by at most one per step, so the
-        # ball determines the root moments only up to order 2 * radius + 1
-        if args.moments > 2 * radius + 1:
-            raise InvalidParameter(
-                f"a free-ball of radius {radius} determines only "
-                f"{2 * radius + 1} root moments, {args.moments} requested"
-            )
         g = free_product_ball(g1, g2, radius)
     else:
         g = GLUED_PRODUCTS[args.op](g1, g2)

@@ -16,10 +16,9 @@ moment-level convolutions are exact.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter
 from .measures import _known_keys
@@ -27,13 +26,11 @@ from .measures import _known_keys
 _WORD_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class RootedGraph:
-    """Finite simple graph with a distinguished root vertex."""
+class RootedGraph(namedtuple("RootedGraph", "n root edges")):
+    """Finite simple graph on the vertices 0..n - 1 with a distinguished
+    root, its edges a frozenset of pairs (u, v), u < v."""
 
-    n: int
-    root: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
     def non_root(self) -> list[int]:
         return [v for v in range(self.n) if v != self.root]
@@ -137,7 +134,7 @@ def graph_orthogonal(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
 
 def _alternating_words(
     costs: Sequence[Mapping[int, int]], factor: Callable, cap: int, first: tuple[int, ...], what: str
-) -> tuple[int, list[tuple[int, int, int, Optional[dict[int, int]]]]]:
+) -> tuple[int, list[tuple[int, int, int, dict[int, int] | None]]]:
     """The free product of two rooted factors as its alternating words of
     total cost at most `cap`.
 

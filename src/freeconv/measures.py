@@ -56,10 +56,10 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded
 from .series import (
@@ -84,23 +84,24 @@ def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
+# The package's value types are `collections.namedtuple` subclasses, not
+# dataclasses, so that importing the CLI loads neither `dataclasses` (with
+# `inspect`) nor `typing`.  They are immutable, compare and hash by their
+# fields and print as `Name(field=value, ...)`; a changed copy is
+# `j._replace(tail=None)` where it was `dataclasses.replace(j, tail=None)`.
 
-@dataclass(frozen=True)
-class WignerTail:
-    """Constant continuation of both recursion sequences."""
+class WignerTail(namedtuple("WignerTail", "a b")):
+    """Constant continuation of both recursion sequences: every level past
+    the given ones is (a, b), both Fractions."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Recursion coefficients: diagonal alpha, squared off-diagonal omega."""
-
-    alpha: tuple[Fraction, ...]
-    omega: tuple[Fraction, ...]
-    tail: Optional[WignerTail] = None
-    finite: bool = False
+class JacobiParams(namedtuple("JacobiParams", "alpha omega tail finite", defaults=(None, False))):
+    """Recursion coefficients: diagonal alpha and squared off-diagonal
+    omega, tuples of Fractions, continued by `tail` (a `WignerTail` or None)
+    or ended (`finite`).  No `__slots__`: the instance dict holds the
+    `cached_property` values."""
 
     def prefix(self, d: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """alpha_0..alpha_(d-1) and omega_0..omega_(d-2), the one reader of
@@ -128,6 +129,14 @@ class JacobiParams:
         alphas, omegas = self.prefix(len(self.alpha) + 1)
         return tuple(zip(map(float, alphas), map(float, omegas)))[::-1]
 
+    @cached_property
+    def _float_tail(self) -> tuple[float, float] | None:
+        """The tail's a and 2*sqrt(b) as floats, read once for `eval_G`, or
+        None without a tail."""
+        if self.tail is None:
+            return None
+        return float(self.tail.a), 2.0 * math.sqrt(float(self.tail.b))
+
     def shift(self) -> "JacobiParams":
         """Drop the leading diagonal and off-diagonal entries.  Without a
         tail, fewer than two levels leave nothing to shift to."""
@@ -141,7 +150,7 @@ class JacobiParams:
 def make_jacobi(
     alpha: Iterable,
     omega: Iterable,
-    tail: Optional[WignerTail] = None,
+    tail: WignerTail | None = None,
 ) -> JacobiParams:
     """Validate and normalize recursion coefficients.
 
@@ -190,11 +199,11 @@ def make_jacobi(
     return JacobiParams(a, w, tail)
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finitely many atoms (location, weight), weights positive and summing to 1."""
+class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
+    """Finitely many atoms, a tuple of (location, weight) Fraction pairs,
+    weights positive and summing to 1."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
     def moments(self, n: int) -> tuple[Fraction, ...]:
         """m_1..m_n; m_k = sum W_i P_i^k / (v q^k) on integer locations P_i / q
@@ -296,7 +305,7 @@ def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def jacobi_to_atoms(j: JacobiParams) -> Optional[AtomicMeasure]:
+def jacobi_to_atoms(j: JacobiParams) -> AtomicMeasure | None:
     """The atoms of a terminated fraction when its spectrum is rational, else None.
 
     The atoms are the zeros of P_d, the monic orthogonal polynomial of degree
@@ -379,9 +388,9 @@ class MeasureRep:
     def __init__(
         self,
         *,
-        moments: Optional[Sequence[Fraction]] = None,
-        jacobi: Optional[JacobiParams] = None,
-        atoms: Optional[AtomicMeasure] = None,
+        moments: Sequence[Fraction] | None = None,
+        jacobi: JacobiParams | None = None,
+        atoms: AtomicMeasure | None = None,
     ):
         if (moments is None) + (jacobi is None) + (atoms is None) != 2:
             raise InvalidParameter("a measure is given by exactly one of moments, jacobi and atoms")
@@ -396,17 +405,17 @@ class MeasureRep:
 
     def _hold(
         self,
-        moments: Optional[list[Fraction]],
-        jacobi: Optional[JacobiParams],
-        atoms: Optional[AtomicMeasure],
+        moments: list[Fraction] | None,
+        jacobi: JacobiParams | None,
+        atoms: AtomicMeasure | None,
     ) -> None:
         """Hold the one given form, already checked, with empty caches."""
         self._moments: list[Fraction] = moments if moments is not None else []
         self._moments_given = moments is not None
-        self._k: Optional[TailSeries] = None
-        self._outer: Optional[ContinuedFraction] = None
+        self._k: TailSeries | None = None
+        self._outer: ContinuedFraction | None = None
         self._jacobi = jacobi
-        self._refusal: Optional[NotAMomentSequence] = None
+        self._refusal: NotAMomentSequence | None = None
         self._atoms = atoms
         self._atoms_attempted = atoms is not None
 
@@ -489,7 +498,7 @@ class MeasureRep:
                 raise
         return self._jacobi
 
-    def exact_jacobi(self) -> Optional[JacobiParams]:
+    def exact_jacobi(self) -> JacobiParams | None:
         """The recursion coefficients of a measure given by atoms or by
         coefficients that fix every moment, else None; a measure given by
         moments has None, whatever its caches hold."""
@@ -498,13 +507,13 @@ class MeasureRep:
         j = self.jacobi()
         return j if j.finite or j.tail is not None else None
 
-    def jacobi_or_none(self) -> Optional[JacobiParams]:
+    def jacobi_or_none(self) -> JacobiParams | None:
         try:
             return self.jacobi()
         except NotAMomentSequence:
             return None
 
-    def atoms(self) -> Optional[AtomicMeasure]:
+    def atoms(self) -> AtomicMeasure | None:
         if not self._atoms_attempted:
             self._atoms_attempted = True
             j = self.jacobi_or_none()
@@ -525,10 +534,12 @@ def wigner_transform(a, b, z: complex) -> complex:
     of z - a -/+ 2*sqrt(b) realize exactly that on all of C+.  Written as
     2/(u + s) rather than (u - s)/(2b) to avoid cancellation at large |z|.
     """
-    a = float(a)
-    b = float(b)
-    u = complex(z) - a
-    sb = 2.0 * math.sqrt(b)
+    return _wigner_at(float(a), 2.0 * math.sqrt(float(b)), complex(z))
+
+
+def _wigner_at(a: float, sb: float, z: complex) -> complex:
+    """`wigner_transform` on float a, sb = 2*sqrt(b) and complex z."""
+    u = z - a
     s = cmath.sqrt(u - sb) * cmath.sqrt(u + sb)
     return 2.0 / (u + s)
 
@@ -549,7 +560,8 @@ def eval_G(rep, z: complex) -> complex:
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
     j = _as_jacobi(rep)
-    g = wigner_transform(j.tail.a, j.tail.b, z) if j.tail is not None else 0j
+    tail = j._float_tail
+    g = _wigner_at(*tail, z) if tail is not None else 0j
     for a, w in j._float_levels:
         g = 1.0 / (z - a - w * g)
     return g

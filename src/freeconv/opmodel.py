@@ -61,12 +61,11 @@ two factors.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidParameter
 from .graphs import _alternating_words, _check_factor
@@ -80,8 +79,7 @@ Word = tuple[tuple[int, int], ...]
 # Word basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordBasis:
+class WordBasis(namedtuple("WordBasis", "words dims depth_cap index copies")):
     """Alternating words of index sum at most the depth cap.
 
     Factor f of `dims[f - 1]` levels is the rooted path 0 - 1 - ... -
@@ -95,13 +93,14 @@ class WordBasis:
     for a copy that is its root alone.  The cap bounds the basis without
     touching any word reachable within the certified orders, since one
     operator application raises the total index by at most one.
+
+    `index` maps each word to its position.  `len(basis)` is the word
+    count, not the field count, so another basis is built, never
+    `_replace`d.  A basis compares, hashes and prints by its words, dims
+    and depth cap alone, since `index` and `copies` follow from them.
     """
 
-    words: tuple[Word, ...]
-    dims: tuple[int, int]
-    depth_cap: int
-    index: Mapping[Word, int] = field(compare=False, repr=False)
-    copies: list = field(compare=False, repr=False)
+    __slots__ = ()
 
     @classmethod
     def build(cls, dims: tuple[int, int], depth_cap: int) -> "WordBasis":
@@ -124,6 +123,18 @@ class WordBasis:
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other):
+        return self[:3] != other[:3] if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return f"WordBasis(words={self.words!r}, dims={self.dims!r}, depth_cap={self.depth_cap!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +220,7 @@ class ModelOperator:
         d = self.den * d_v
         return {r: Fraction(x, d) for r, x in apply_columns(self.entries, dict(zip(vec, xs))).items()}
 
-    def is_self_adjoint(self, weights: Sequence, columns: Optional[Iterable[int]] = None) -> bool:
+    def is_self_adjoint(self, weights: Sequence, columns: Iterable[int] | None = None) -> bool:
         """<A u, v> = <u, A v> in the inner product that gives basis vector
         i the weight weights[i]: W A is symmetric, on the weights' ints.
         With `columns`, only the entries of those columns are compared with
@@ -374,7 +385,7 @@ class FreeProductModel:
             raise InvalidParameter(f"word {word} not in the basis")
         return {idx: Fraction(1)}
 
-    def state_moments(self, op: ModelOperator, n_max: int, vec: Optional[dict] = None):
+    def state_moments(self, op: ModelOperator, n_max: int, vec: dict | None = None):
         """<op^n v, v>/<v, v> for n = 1..n_max, in the weighted inner product.
 
         The chain runs on ints: v and its bra are each put over the lcm of
@@ -414,11 +425,11 @@ def _int_state(vec: dict, weights: Sequence) -> dict:
 # Orthogonality report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrthogonalityReport:
-    ok: bool
-    checked: int
-    violations: Sequence[str]
+class OrthogonalityReport(namedtuple("OrthogonalityReport", "ok checked violations")):
+    """Outcome of `orthogonality_check`: whether it holds, how many
+    identities were checked, and the violation texts, a sequence of str."""
+
+    __slots__ = ()
 
 
 class _Violations(Sequence):

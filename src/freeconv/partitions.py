@@ -33,12 +33,12 @@ rescaled inside a loop, and a result of order n is divided by c**n once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import mul
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameter, OrderExceeded
 from .series import _frac, _graded, _powers
@@ -356,17 +356,15 @@ def moments_from_free_cumulants(kappa: Sequence[Fraction], n: int) -> tuple[Frac
 # Decomposable depth-2 partitions and their two indexings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecomposablePartition:
-    """Depth-<=2 non-crossing partition split into outer and inner blocks.
+class DecomposablePartition(namedtuple("DecomposablePartition", "outer inner n")):
+    """Depth-<=2 non-crossing partition of 1..n split into outer and inner
+    blocks, each a tuple of blocks.
 
     Outer blocks have depth 1, inner blocks depth 2, and consecutive inner
     blocks are separated by at least one outer element.
     """
 
-    outer: tuple[Block, ...]
-    inner: tuple[Block, ...]
-    n: int
+    __slots__ = ()
 
     def legs(self) -> tuple[tuple[Block, ...], ...]:
         """Maximal runs of consecutive integers within each outer block."""
@@ -491,14 +489,12 @@ def enumerate_C(n: int) -> tuple[tuple[Composition, Composition], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DecompositionPair:
-    """A decomposable partition together with an admissible regrouping of
-    its outer elements: cuts are allowed only between legs, never inside
-    a run of consecutive integers."""
+class DecompositionPair(namedtuple("DecompositionPair", "pi eta_outer")):
+    """A decomposable partition `pi` together with an admissible regrouping
+    `eta_outer` of its outer elements, a tuple of blocks: cuts are allowed
+    only between legs, never inside a run of consecutive integers."""
 
-    pi: DecomposablePartition
-    eta_outer: tuple[Block, ...]
+    __slots__ = ()
 
 
 def enumerate_DP2(n: int) -> tuple[DecompositionPair, ...]:

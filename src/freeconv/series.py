@@ -43,11 +43,11 @@ and a series product are the same Cauchy product, computed by one loop
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameter
 
@@ -231,7 +231,7 @@ class ContinuedFraction:
     def __init__(
         self,
         levels: Sequence[tuple[Fraction, Fraction]],
-        tail: Optional[tuple[Fraction, Fraction]],
+        tail: tuple[Fraction, Fraction] | None,
         order: int,
     ):
         self.levels, self.tail, self.order, self._form = levels, tail, order, None

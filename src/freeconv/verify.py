@@ -19,10 +19,10 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
 
 from . import convolve, errors, graphs, opmodel, partitions
 from .measures import (
@@ -48,19 +48,29 @@ HIGH_ORDER = 20  # order of the route checks above the partition enumerations' r
 PAIRS = 20  # random atomic pairs in the convolution suite
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    # seconds the check ran, set by `run_check`; not part of the result
-    elapsed: float = field(default=0.0, compare=False)
+class CheckResult(namedtuple("CheckResult", "name ok detail elapsed", defaults=("", 0.0))):
+    """One check's outcome.  `elapsed` is the seconds the check ran, set by
+    `run_check`; it is not part of the result, so results compare and hash
+    by name, outcome and detail alone."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other):
+        return self[:3] != other[:3] if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
 
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    fn: Callable[[SimpleNamespace, random.Random], Optional[str]]
+class Check(namedtuple("Check", "suite fn")):
+    """A registered check: its suite and its function, which takes the
+    suite's shared inputs and a `random.Random` and returns a detail str or
+    None."""
+
+    __slots__ = ()
 
 
 class CheckFailed(Exception):
@@ -89,7 +99,7 @@ def _show(x) -> str:
     if isinstance(x, MeasureRep):
         atoms = x.atoms()
         return _show(atoms.atoms) if atoms is not None else str(x.jacobi_or_none())
-    if isinstance(x, (tuple, list)):
+    if type(x) in (tuple, list):  # a value type prints as Name(field=value, ...)
         return "(" + ", ".join(_show(v) for v in x) + ")"
     return str(x)
 

@@ -417,8 +417,12 @@ class TestInputGrammar:
             (["convolve", "orthogonal-iter", "{f}", "{f}", "--iterations", "0"], "--iterations must be >= 1, got 0"),
             (["density", "{f}", "--epsilon", "0"], "--epsilon must be finite and > 0, got 0.0"),
             (["density", "{f}", "--epsilon", "nan"], "--epsilon must be finite and > 0, got nan"),
+            (
+                ["graph", "free-ball", "{f}", "{f}", "--radius", "1", "--moments", "9"],
+                "a free-ball of radius 1 determines only 3 root moments, 9 requested",
+            ),
         ],
-        ids=["no-iterations", "iterations-for-free", "points", "order", "iterations", "epsilon", "epsilon-nan"],
+        ids=["no-iterations", "iterations-for-free", "points", "order", "iterations", "epsilon", "epsilon-nan", "free-ball-moments"],
     )
     @pytest.mark.parametrize("document", ["missing", "views", "inconsistent"])
     def test_a_misused_option_is_refused_before_any_file_is_read(self, tmp_path, capsys, argv, message, document):

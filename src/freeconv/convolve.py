@@ -8,8 +8,9 @@ Everything reduces to K-transform series (K = z - F as a series in 1/z):
 * s-free:     the two halves are the coupled fixed point u = K_mu(z - v),
               v = K_nu(z - u), the limit of alternating orthogonal
               convolutions; coefficient k of either half needs the other
-              only up to index k - 2, so :func:`series.sfree_pair` builds
-              both exactly in one pass, with no convergence heuristics.
+              only up to index k - 2, so the kernel's one solver
+              (``series._coupled``, row ((0, 1), (1, 0))) builds both
+              exactly in one pass, with no convergence heuristics.
               :func:`orthogonal_iterated` still gives the alternating chain.
 * free:       the boolean convolution of the two s-free halves, K = u + v;
               monotone-after-s-free gives v + K_mu(z - v), so it agrees
@@ -50,7 +51,7 @@ from .measures import (
     make_jacobi,
 )
 from .partitions import free_cumulants_from_moments, moments_from_free_cumulants
-from .series import sfree_pair, substitute_into_shifted
+from .series import _coupled, substitute_into_shifted
 
 
 # stopping rule of the pointwise subordination iteration
@@ -95,8 +96,7 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
 
 
 def sfree(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
-    u, _ = sfree_pair(mu.k_outer(order), nu.k_outer(order))
-    return MeasureRep.from_k(u)
+    return MeasureRep.from_k(_coupled([mu.k_outer(order), nu.k_outer(order)], ((0, 1), (1, 0)), (None, None))[0])
 
 
 def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
@@ -110,7 +110,7 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     They are equal identically, so a mismatch can only mean a bug.
     """
     outer_mu = mu.k_outer(order)
-    u, v = sfree_pair(outer_mu, nu.k_outer(order))
+    u, v = _coupled([outer_mu, nu.k_outer(order)], ((0, 1), (1, 0)), (None, None))
     recomposed = substitute_into_shifted(outer_mu, v)
     for k, (a, b) in enumerate(zip(recomposed.coeffs, u.coeffs)):
         if a != b:

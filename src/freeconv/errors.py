@@ -1,7 +1,8 @@
 """Exception types shared across the package: one class for each failure
 exit code of the command line, which each class carries as `exit_code`
 and :func:`freeconv.cli.main` returns.  `InvalidParameter` and
-`NoConvergence` keep the base class's code.
+`NoConvergence` keep the base class's code.  :func:`_count` is the one
+refusal of a negative number of terms asked for.
 """
 
 
@@ -13,6 +14,14 @@ class FreeconvError(Exception):
 
 class InvalidParameter(FreeconvError):
     """An argument or request is outside its admissible range or shape."""
+
+
+def _count(n: int) -> int:
+    """n, a number of terms asked for, refused when negative: malformed input
+    is rejected, never read as something else (such as m[:-1] for n = -1)."""
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
+    return n
 
 
 class NotAMomentSequence(FreeconvError):

@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _count
 from .measures import _known_keys
 
 _WORD_LIMIT = 200_000
@@ -80,7 +80,7 @@ def root_spectral_moments(g: RootedGraph, n_max: int) -> tuple[Fraction, ...]:
         nbrs[v].append(u)
     vec = {g.root: 1}
     out = []
-    for _ in range(n_max):
+    for _ in range(_count(n_max)):
         nxt: dict[int, int] = {}
         for u, x in vec.items():
             for v in nbrs[u]:

@@ -61,7 +61,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded
+from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded, _count
 from .series import (
     ContinuedFraction,
     K_to_moments,
@@ -211,7 +211,7 @@ class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
         q, locs = _over_lcm([loc for loc, _ in self.atoms])
         v, terms = _over_lcm([wt for _, wt in self.atoms])
         out = []
-        for _ in range(n):
+        for _ in range(_count(n)):
             terms = [x * p for x, p in zip(terms, locs)]
             v *= q
             out.append(Fraction(sum(terms), v))
@@ -284,9 +284,7 @@ def jacobi_to_moments(j: JacobiParams, n: int) -> tuple[Fraction, ...]:
     """First n moments from recursion coefficients, via the weighted-walk
     transfer recursion v[l] <- alpha_l v[l] + v[l-1] + omega_l v[l+1] run on
     ints times c, the lcm of their denominators; m_t is v[0] after t steps."""
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    levels = n // 2 + 1
+    levels = _count(n) // 2 + 1
     alphas, omegas = j.prefix(levels)
     c, aw = _over_lcm(alphas + omegas)
     a, w, v, d = aw[:levels], aw[levels:] + [0], [1], 1
@@ -445,9 +443,7 @@ class MeasureRep:
     # -- moments -----------------------------------------------------------
 
     def moments(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
-            raise InvalidParameter("n must be >= 0")
-        if n <= len(self._moments):
+        if _count(n) <= len(self._moments):
             return tuple(self._moments[:n])
         if self._moments_given:  # whatever the caches derived from them hold
             raise OrderExceeded(

@@ -67,7 +67,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _count
 from .graphs import _alternating_words, _check_factor
 from .measures import JacobiParams, _as_jacobi, _over_lcm
 from .series import _frac
@@ -401,7 +401,7 @@ class FreeProductModel:
         if not scale:
             raise InvalidParameter(f"state vector {vec} has norm 0")
         out = []
-        for _ in range(n_max):
+        for _ in range(_count(n_max)):
             cur = apply_columns(op.entries, cur)
             scale *= op.den
             out.append(Fraction(vec_dot(cur, vec_bra), scale))

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import mul
 
-from .errors import InvalidParameter, OrderExceeded
+from .errors import InvalidParameter, OrderExceeded, _count
 from .series import _frac, _graded, _powers
 
 Composition = tuple[int, ...]
@@ -331,7 +331,7 @@ def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fr
     Combinatorics of Free Probability, Lect. 10).  kappa_k has degree k, so
     the recursion runs on moments and cumulants graded at one scale.
     """
-    if n > len(moments):
+    if _count(n) > len(moments):
         raise OrderExceeded(f"need {n} moments, have {len(moments)}")
     c, m = _graded([_frac(x) for x in moments[:n]])
     m.insert(0, 1)
@@ -343,7 +343,7 @@ def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fr
 
 def moments_from_free_cumulants(kappa: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """First n moments from free cumulants by the first-block recursion."""
-    if n > len(kappa):
+    if _count(n) > len(kappa):
         raise OrderExceeded(f"need {n} cumulants, have {len(kappa)}")
     c, k = _graded([_frac(x) for x in kappa[:n]])
     m = [1]

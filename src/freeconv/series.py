@@ -28,11 +28,17 @@ Series are immutable, the form being a cache of their coefficients; every
 operation returns a fresh series truncated at the common order of its
 inputs.
 
-Composition outer(z - inner(z)), alone or as the coupled s-free pair, runs
-one loop over two kinds of outer: a :class:`TailSeries` steps through the
-table of powers (z - inner)**-j, O(N**3) for N coefficients, and a
-:class:`ContinuedFraction` through its levels, one online reciprocal
-1/(z - X) each, O(d * N**2) for d levels.
+Every composition runs in one lazy solver, ``_coupled(outers, mix,
+shifts)``: unknowns x_i = outers[i](z - shifts[i] - sum_j mix[i][j] * x_j),
+grown together one coefficient at a time, since coefficient k of each reads
+its inner only up to index k - 2 (the relaxed series of van der Hoeven,
+2002).  :func:`substitute_into_shifted` is its one-unknown row, mix [[0]]
+with the inner as shift, and the s-free halves u = K_mu(z - v), v = K_nu(z -
+u) are its two-unknown row ((0, 1), (1, 0)).  It steps two kinds of outer: a
+:class:`TailSeries` through the table of powers (z - inner)**-j, O(N**3) for
+N coefficients, and a :class:`ContinuedFraction` through its levels, one
+online reciprocal 1/(z - X) each, O(d * N**2) for d levels.  The same
+recurrence for 1/(z - x) inverts a series and reads moments off a K.
 
 The ``poly_*`` helpers work on ascending coefficient lists in z, trimmed
 of trailing zeros: the numerators and denominators of continued-fraction
@@ -45,9 +51,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .errors import InvalidParameter
 
@@ -108,15 +114,6 @@ def _graded(*seqs: Sequence[Rational], h: int = 1) -> tuple:
     for xs in seqs:
         c = _fit(c, zip(xs, count(h)))
     return (c, *([_times(x, p) for x, p in zip(xs, _powers(c, h))] for xs in seqs))
-
-
-def _monic_inverse(a: Sequence[int]) -> list[int]:
-    """Graded coefficients of 1/A for A = 1 + a[1]/z + a[2]/z**2 + ...,
-    read at the scale of a (weight k for entry k): b_n = -sum a_i b_(n-i)."""
-    out = [1]
-    for n in range(1, len(a)):
-        out.append(-sum(map(mul, a[1 : n + 1], reversed(out))))
-    return out
 
 
 class TailSeries:
@@ -187,38 +184,31 @@ class TailSeries:
 
     def reciprocal(self) -> "TailSeries":
         """Series b with self * b == 1 up to the truncation order: the monic
-        self / c0 is inverted in graded form, then divided by c0 once."""
+        self / c0 = 1 + a_1/z + ... is inverted in graded form as z/(z - x),
+        x = -(a_1 + a_2/z + ...), then divided by c0 once."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise InvalidParameter("cannot invert a series with zero constant term")
         c, a = _graded(self.coeffs if a0 == 1 else [x / a0 for x in self.coeffs], h=0)
-        b = TailSeries._from_ints(c, 0, _monic_inverse(a))
+        b = TailSeries._from_ints(c, 0, _reciprocal_coeffs([-x for x in a[1:]], len(a) + 1)[1:])
         return b if a0 == 1 else TailSeries(x / a0 for x in b.coeffs)
 
 
 def _next_reciprocal_coeff(t: list[int], x: Sequence[int]) -> None:
     """Append coefficient k = len(t) of t = 1/(z - x(z)): t_0 = 0, t_1 = 1,
-    t_k = sum_{i <= k-2} x_i * t_{k-1-i} (weight k - 1).  It reads x only up to
-    index k - 2, so x may still be growing (van der Hoeven 2002)."""
+    t_k = sum_{i <= k-2} x_i * t_{k-1-i} (weight k - 1).  It depends on x only
+    up to index k - 2, so x may still be growing (van der Hoeven 2002): the
+    product with x_(k-1), where x already holds it, is by t_0 = 0."""
     k = len(t)
-    t.append(k if k < 2 else sum(map(mul, x[: k - 1], t[k - 1 : 0 : -1])))
+    t.append(k if k < 2 else sum(map(mul, x, reversed(t))))
 
 
-def _add_power_column(powers: list[list[int]], inner: Sequence[int]) -> int:
-    """Extend the table powers[j - 1][k] = [z**-k] (z - inner(z))**-j by one column.
-
-    After column k the table has rows j = 1..k, each with entries 0..k, of
-    weight k - j.  Row 1 is t = 1/(z - inner), grown by
-    :func:`_next_reciprocal_coeff`; row j is row j - 1 times row 1.  Column
-    k reads inner only up to index k - 2.  Returns k.
-    """
-    k = len(powers) + 1
-    powers.append([0] * k)
-    t = powers[0]
-    _next_reciprocal_coeff(t, inner)
-    for j in range(2, k + 1):
-        powers[j - 1].append(sum(map(mul, powers[j - 2][j - 1 : k], t[k - j + 1 : 0 : -1])))
-    return k
+def _reciprocal_coeffs(x: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n - 1 of 1/(z - x(z)), x read at weight k + 1 for entry k."""
+    t: list[int] = []
+    for _ in range(n):
+        _next_reciprocal_coeff(t, x)
+    return t
 
 
 class ContinuedFraction:
@@ -257,24 +247,44 @@ class ContinuedFraction:
 Outer = TailSeries | ContinuedFraction
 
 
-def _table_steps(a: Sequence[int], inner: Sequence[int]) -> Iterator[int]:
-    """Coefficients of sum_j a_j * (z - inner(z))**-j, O(k**2) work each."""
+def _regraded(form: tuple[int, list[int]], c: int) -> list[int]:
+    """A K-series form (s, A) read at a scale c that s divides."""
+    return list(map(mul, form[1], _powers(c // form[0], 1)))
+
+
+def _table_steps(outer: TailSeries, c: int, inner: Sequence[int]) -> Iterator[int]:
+    """Coefficients of outer = sum_j a_j / z**j at z - inner(z), graded at
+    c, from the table powers[j - 1][k] = [z**-k] (z - inner(z))**-j, O(k**2)
+    work each.
+
+    Coefficient k adds column k: the table then has rows j = 1..k, each with
+    entries 0..k, of weight k - j.  Row 1 is t = 1/(z - inner), grown by
+    :func:`_next_reciprocal_coeff`; row j is row j - 1 times row 1.  Column
+    k reads inner only up to index k - 2.
+    """
+    a = _regraded(outer._scaled(), c)
     powers: list[list[int]] = []
     yield a[0]
-    while True:
-        k = _add_power_column(powers, inner)
+    for k in count(1):
+        powers.append([0] * k)
+        t = powers[0]
+        _next_reciprocal_coeff(t, inner)
+        for j in range(2, k + 1):
+            powers[j - 1].append(sum(map(mul, powers[j - 2][j - 1 : k], t[k - j + 1 : 0 : -1])))
         yield sum(map(mul, a[1 : k + 1], [row[k] for row in powers]))
 
 
-def _fraction_steps(pairs: list[tuple[int, int]], tail: bool, inner: Sequence[int]) -> Iterator[int]:
-    """Coefficients of the fraction at z - inner(z): alpha_0 + omega_0 * L_1,
-    where level i is L_i = 1/(z - X_i), X_i = inner + alpha_i + omega_i *
-    L_{i+1}, and the tail level is its own L_{i+1}.  Coefficient k of L_i
-    reads inner and L_{i+1} only up to index k - 2: O(k) work per level."""
-    (alpha0, omega0), *chain = pairs
+def _fraction_steps(outer: ContinuedFraction, c: int, inner: Sequence[int]) -> Iterator[int]:
+    """Coefficients of the fraction at z - inner(z), graded at c: alpha_0 +
+    omega_0 * L_1, where level i is L_i = 1/(z - X_i), X_i = inner + alpha_i
+    + omega_i * L_{i+1}, and the tail level is its own L_{i+1}.  Coefficient
+    k of L_i reads inner and L_{i+1} only up to index k - 2: O(k) work per
+    level."""
+    m = c // outer._scaled()[0]
+    (alpha0, omega0), *chain = [(a * m, w * m * m) for a, w in outer._scaled()[1]]
     ts: list[list[int]] = [[0] for _ in chain]
     xs: list[list[int]] = [[] for _ in chain]
-    below = ts[1:] + [ts[-1] if tail else None]
+    below = ts[1:] + [ts[-1] if outer.tail else None]
     yield alpha0
     for k in count(1):
         if k >= 2:
@@ -287,37 +297,39 @@ def _fraction_steps(pairs: list[tuple[int, int]], tail: bool, inner: Sequence[in
         yield omega0 * ts[0][k] if ts else 0
 
 
-def _steps(outer: Outer, form: tuple[int, Sequence], c: int, inner: Sequence[int]) -> Iterator[int]:
-    """outer at z - inner(z) graded at c, from its ``_scaled()`` form at scale s | c."""
-    s, v = form
-    m = c // s
-    if isinstance(outer, TailSeries):
-        return _table_steps(list(map(mul, v, _powers(m, 1))), inner)
-    return _fraction_steps([(a * m, w * m * m) for a, w in v], outer.tail is not None, inner)
+def _coupled(outers: Sequence[Outer], mix: Sequence[Sequence[int]], shifts: Sequence) -> list[TailSeries]:
+    """The unknowns x_i = outers[i](z - shifts[i] - sum_j mix[i][j] * x_j), a
+    shift being a :class:`TailSeries` or None for 0, truncated at the common
+    order of the outers and the given shifts.  All grow together, one
+    coefficient at a time and at one scale, the lcm of their forms':
+    coefficient k of x_i reads its inner only up to index k - 2, which the
+    unknowns already hold.  An inner that is one unknown alone is read as it
+    is, and a given shift needs no work past its grading; any other inner
+    adds its nonzero mix entries once per coefficient."""
+    inputs = [*outers, *filter(None, shifts)]
+    c = lcm(*(x._scaled()[0] for x in inputs))
+    n = min(x.order for x in inputs) + 1
+    xs, sums, steps = [[] for _ in outers], [], []
+    for outer, row, shift in zip(outers, mix, shifts):
+        inner = [0] * n if shift is None else _regraded(shift._scaled(), c)
+        terms = [(a, xs[j]) for j, a in enumerate(row) if a]
+        if shift is None and [a for a, _ in terms] == [1]:
+            inner = terms[0][1]
+        elif terms:
+            sums.append((inner, terms))
+        steps.append((_table_steps if isinstance(outer, TailSeries) else _fraction_steps)(outer, c, inner))
+    for k in range(n):
+        for x, step in zip(xs, steps):
+            x.append(next(step))
+        for inner, terms in sums:
+            inner[k] += sum(a * x[k] for a, x in terms)
+    return [TailSeries._from_ints(c, 1, x) for x in xs]
 
 
 def substitute_into_shifted(outer: Outer, inner: TailSeries) -> TailSeries:
     """outer evaluated at z - inner(z), as a series in 1/z truncated at the
     common order; a :class:`TailSeries` outer is read as a function of 1/z."""
-    form, (s, b) = outer._scaled(), inner._scaled()
-    c = lcm(form[0], s)
-    steps = _steps(outer, form, c, list(map(mul, b, _powers(c // s, 1))))
-    return TailSeries._from_ints(c, 1, list(islice(steps, min(outer.order, inner.order) + 1)))
-
-
-def sfree_pair(outer_mu: Outer, outer_nu: Outer) -> tuple[TailSeries, TailSeries]:
-    """The coupled fixed point u = K_mu(z - v), v = K_nu(z - u), truncated
-    at the common order: both halves grow together, one coefficient at a
-    time and at one scale, each stepping its own outer over the other; that
-    is possible since coefficient k reads its inner only up to index k - 2."""
-    form_mu, form_nu = outer_mu._scaled(), outer_nu._scaled()
-    c = lcm(form_mu[0], form_nu[0])
-    u, v = [], []
-    steps_u, steps_v = _steps(outer_mu, form_mu, c, v), _steps(outer_nu, form_nu, c, u)
-    for _ in range(min(outer_mu.order, outer_nu.order) + 1):
-        u.append(next(steps_u))
-        v.append(next(steps_v))
-    return TailSeries._from_ints(c, 1, u), TailSeries._from_ints(c, 1, v)
+    return _coupled([outer], ((0,),), [inner])[0]
 
 
 def moments_to_K(moments: Sequence[Rational]) -> TailSeries:
@@ -337,13 +349,13 @@ def moments_to_K(moments: Sequence[Rational]) -> TailSeries:
 def K_to_moments(k: TailSeries) -> tuple[Fraction, ...]:
     """Moments m1..m(N+1) of the measure whose K-series, of order N, is k.
 
-    z*G(z) = 1/(1 - K(z)/z), and coefficient k of K weighs k + 1, as m_(k+1)
-    does, so the reciprocal runs at the form k already fitted
-    (``_scaled()``), with no second fit.  Exact inverse of
+    G(z) = 1/(z - K(z)) has coefficients 0, 1, m1, m2, ..., and coefficient
+    k of K weighs k + 1, as m_(k+1) does, so the recurrence runs at the form
+    k already fitted (``_scaled()``), with no second fit.  Exact inverse of
     :func:`moments_to_K` at every order.
     """
     c, a = k._scaled()
-    return tuple(map(Fraction, _monic_inverse([1, *map(neg, a)])[1:], _powers(c, 1)))
+    return tuple(map(Fraction, _reciprocal_coeffs(a, len(a) + 2)[2:], _powers(c, 1)))
 
 
 def poly_trim(p: Sequence[Rational]) -> list[Fraction]:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv import measures
+from freeconv import graphs, measures, opmodel, partitions
 from freeconv.convolve import free, subordination_eval
 from freeconv.errors import (
     DomainError,
@@ -786,6 +786,33 @@ class TestConstructors:
             with pytest.raises(InvalidParameter, match="n must be >= 0"):
                 rep.moments(-1)
             assert len(rep.moments(3)) == 3
+
+
+def model_state_moments(n):
+    j = make_jacobi([0, 1], [1])
+    model = opmodel.FreeProductModel(j, j, depth_cap=2)
+    return model.state_moments(model.total(), n)
+
+
+@pytest.mark.parametrize(
+    "count_terms",
+    [
+        lambda n: partitions.free_cumulants_from_moments([0, 1, 0, 2], n),
+        lambda n: partitions.moments_from_free_cumulants([0, 1, 0, 0], n),
+        lambda n: two_point(F(1, 3), -1, 2).atoms().moments(n),
+        lambda n: graphs.root_spectral_moments(graphs.path_graph(2), n),
+        model_state_moments,
+        lambda n: jacobi_to_moments(make_jacobi([0, 1], [1]), n),
+    ],
+    ids=["free-cumulants", "moments-from-cumulants", "atomic-moments", "root-spectral-moments", "state-moments",
+         "jacobi-moments"],
+)
+def test_a_negative_count_is_refused_and_zero_is_empty(count_terms):
+    # n = -1 is not read as "all but the last" nor as zero terms
+    for n in (-1, -2):
+        with pytest.raises(InvalidParameter, match=r"^n must be >= 0$"):
+            count_terms(n)
+    assert tuple(count_terms(0)) == ()
 
 
 class TestJson:

@@ -13,13 +13,17 @@ from freeconv.series import (
     K_to_moments,
     TailSeries,
     moments_to_K,
-    sfree_pair,
     substitute_into_shifted,
 )
 
 
 def ts(*coeffs):
     return TailSeries([F(c) for c in coeffs])
+
+
+def sfree_halves(a, b):
+    """The two-unknown row of the solver: u = a(z - v), v = b(z - u)."""
+    return tuple(series._coupled([a, b], ((0, 1), (1, 0)), (None, None)))
 
 
 def test_floats_are_rejected_not_read_as_binary_rationals():
@@ -220,20 +224,66 @@ class TestSFreePair:
         rng = random.Random(24)
         for n in range(10):
             a, b = random_series(rng, n), random_series(rng, n)
-            u, v = sfree_pair(a, b)
+            u, v = sfree_halves(a, b)
             assert u == horner_substitute(a, v)
             assert v == horner_substitute(b, u)
 
     def test_swapping_the_inputs_swaps_the_halves(self):
         rng = random.Random(25)
         a, b = random_series(rng, 8), random_series(rng, 8)
-        u, v = sfree_pair(a, b)
-        assert sfree_pair(b, a) == (v, u)
+        u, v = sfree_halves(a, b)
+        assert sfree_halves(b, a) == (v, u)
 
     def test_zero_right_input_leaves_the_left_one(self):
         a = ts(1, 2, F(1, 3), -1, 5)
-        u, v = sfree_pair(a, TailSeries.zero(4))
+        u, v = sfree_halves(a, TailSeries.zero(4))
         assert u == a and v == TailSeries.zero(4)
+
+
+def seeded_outers(rng, count, order):
+    """count outers of seeded 2- to 4-atom measures, of order - 1, each read
+    as its continued fraction or as its K-series table, as rng draws."""
+    out = []
+    for _ in range(count):
+        locs, q = rng.sample(range(-6, 7), rng.randint(2, 4)), rng.randint(1, 3)
+        weights = [rng.randint(1, 4) for _ in locs]
+        rep = MeasureRep.from_atoms((F(l, q), F(w, sum(weights))) for l, w in zip(locs, weights))
+        out.append(rep.k_outer(order) if rng.random() < 0.5 else rep.k_series(order))
+    return out
+
+
+class TestCoupledRows:
+    """Rows of the solver beyond the one- and two-unknown ones the
+    operations use, checked against sequential composition."""
+
+    def test_a_three_unknown_chain_equals_nested_composition(self):
+        # x0 = A(z - x1), x1 = B(z - x2), x2 = C(z - s): a shift and a mix
+        # that is not symmetric, solved in one pass
+        rng = random.Random(41)
+        kinds = set()
+        for order in (1, 2, 3, 6, 10, 17):
+            for _ in range(4):
+                a, b, c = seeded_outers(rng, 3, order)
+                s = random_series(rng, order - 1 + rng.randint(0, 2))
+                kinds.add(tuple(type(x).__name__ for x in (a, b, c)))
+                got = series._coupled([a, b, c], ((0, 1, 0), (0, 0, 1), (0, 0, 0)), (None, None, s))
+                x2 = substitute_into_shifted(c, s)
+                x1 = substitute_into_shifted(b, x2)
+                assert got == [substitute_into_shifted(a, x1), x1, x2]
+        assert len(kinds) > 4  # tables and fractions in every slot
+
+    def test_rows_that_add_their_inners_solve_their_equations(self):
+        # a shift beside a mix entry, a weight other than 1, an unknown that
+        # reads itself and a row with neither: each inner is summed
+        rng = random.Random(42)
+        mix = ((0, 2, 0), (-1, 1, 1), (0, 0, 0))
+        for order in range(8):
+            a, b, c = (random_series(rng, order) for _ in range(3))
+            s = random_series(rng, order + 2)
+            x = series._coupled([a, b, c], mix, (s, None, None))
+            assert x[0] == horner_substitute(a, s.truncate(order) + x[1] * 2)
+            assert x[1] == horner_substitute(b, x[2] + x[1] - x[0])
+            assert x[2] == c
 
 
 class TestGradedScale:
@@ -257,7 +307,7 @@ class TestGradedScale:
         # alpha = 1/2, omega = 1/4: both are cleared by the dilation 2
         cf = ContinuedFraction(((F(1, 2), F(1, 4)), (F(0), F(0))), None, 6)
         assert cf._scaled() == (2, [(1, 1), (0, 0)])
-        u, v = sfree_pair(cf, TailSeries.zero(6))
+        u, v = sfree_halves(cf, TailSeries.zero(6))
         assert u._scaled()[0] == 2 and u == ts(F(1, 2), F(1, 4), 0, 0, 0, 0, 0)
 
     def test_a_square_denominator_multiplies_the_scale_whole(self):
@@ -271,18 +321,20 @@ class TestGradedScale:
     def test_scales_meet_at_their_lcm(self, monkeypatch):
         # inside the call the scales 2 and 3 (or 2 and 6) meet at 6; the
         # results leave as Fractions and are read next at their own scale
+        # (the solver builds each unknown from its ints at the scale it ran at)
         met = []
+        from_ints = TailSeries._from_ints.__func__
 
-        def steps(outer, form, c, inner, steps=series._steps):
+        def watch(cls, c, h, ints):
             met.append(c)
-            return steps(outer, form, c, inner)
+            return from_ints(cls, c, h, ints)
 
-        monkeypatch.setattr(series, "_steps", steps)
+        monkeypatch.setattr(TailSeries, "_from_ints", classmethod(watch))
         u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 3), 0, 0))
         assert u == ts(F(1, 2), 0, 0) and u._scaled()[0] == 2
         u = substitute_into_shifted(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
         assert u == ts(F(1, 2), 0, 0) and u._scaled()[0] == 2
-        u, v = sfree_pair(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
+        u, v = sfree_halves(ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
         assert (u, v) == (ts(F(1, 2), 0, 0), ts(F(1, 6), 0, 0))
         assert u._scaled()[0] == 2 and v._scaled()[0] == 6
         assert met == [6, 6, 6, 6]
@@ -311,7 +363,7 @@ class TestWhereTheScalesPart:
         mu = MeasureRep.from_atoms([(-2, F(1, 6)), (F(-3, 2), F(1, 12)), (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 4))])
         nu = MeasureRep.from_atoms([(-3, F(5, 12)), (-1, F(1, 3)), (1, F(1, 4))])
         outer_mu, outer_nu = mu.k_outer(self.N), nu.k_outer(self.N)
-        return mu, outer_mu, outer_nu, sfree_pair(outer_mu, outer_nu)
+        return mu, outer_mu, outer_nu, sfree_halves(outer_mu, outer_nu)
 
     def test_moments_of_u_plus_v_match_the_fraction_loop(self):
         _, outer_mu, outer_nu, (u, v) = self.halves()

@@ -4,22 +4,22 @@ The first group compares the graded integer kernel with the Fraction
 references of ``test_series`` (the plain reciprocal loop and Horner's rule),
 which never call it: ``reciprocal``, ``moments_to_K``/``K_to_moments``
 (against the F - z references, negated), ``substitute_into_shifted`` and
-``sfree_pair`` on coefficients with denominators up to 10**6, zeros,
-negative and fractional constant terms and order 0, and on series the
-kernel made, combined after ``truncate``/``__neg__``/``__add__`` with
-hand-built series and with series whose fitted scale does not divide
-theirs.  ``moments_to_K`` and ``K_to_moments``, the one path between a
+the s-free pair (the solver's two-unknown row) on coefficients with
+denominators up to 10**6, zeros, negative and fractional constant terms and
+order 0, and on series the kernel made, combined after
+``truncate``/``__neg__``/``__add__`` with hand-built series and with series
+whose fitted scale does not divide theirs.  ``moments_to_K`` and ``K_to_moments``, the one path between a
 measure's moments and its K, invert each other at orders 0..12, and the
 moments ``K_to_moments`` reads off a K are those of the measure
 ``MeasureRep.from_k`` builds on it.
 
 The second group checks composition through the continued fraction.  The
-power table of ``_add_power_column`` serves any K-series and is the
-reference here.  Each example draws a measure that holds a continued fraction
+power table of ``_table_steps`` serves any K-series and is the reference
+here.  Each example draws a measure that holds a continued fraction
 fixing every moment (1-5 atoms, a complete recursion cut off by a zero omega,
 or a Wigner tail below 0-3 explicit levels with alpha and omega of unequal
 length) and 1-40 coefficients, and checks that ``substitute_into_shifted``
-and ``sfree_pair`` give the same series whichever outer the measure is read
+and the s-free pair give the same series whichever outer the measure is read
 as, alone and paired with a structured or a moment-only measure.
 """
 
@@ -40,7 +40,6 @@ from freeconv.series import (  # noqa: E402
     K_to_moments,
     TailSeries,
     moments_to_K,
-    sfree_pair,
     substitute_into_shifted,
 )
 from test_series import (  # noqa: E402
@@ -48,6 +47,7 @@ from test_series import (  # noqa: E402
     horner_substitute,
     reference_F_to_moments,
     reference_moments_to_F,
+    sfree_halves,
 )
 
 WIDE = st.one_of(
@@ -107,8 +107,8 @@ def test_composition_matches_horner(outer, inner):
 
 @settings(max_examples=40, deadline=None)
 @given(series(6), series(6))
-def test_sfree_pair_solves_the_coupled_equations(a, b):
-    u, v = sfree_pair(a, b)
+def test_the_pair_row_solves_the_coupled_equations(a, b):
+    u, v = sfree_halves(a, b)
     assert u == horner_substitute(a, v) and v == horner_substitute(b, u)
 
 
@@ -117,7 +117,7 @@ def test_sfree_pair_solves_the_coupled_equations(a, b):
 def test_kernel_results_meet_hand_built_series(a, b, hand, cut):
     # u and v come out of one pass, k out of a reciprocal, and hand is built
     # by hand; the kernel fits each one's scale afresh when it reads it
-    u, v = sfree_pair(a, b)
+    u, v = sfree_halves(a, b)
     k = moments_to_K(hand.coeffs)
     sums = (
         (u, v), (u.truncate(cut), v), (k, k.truncate(cut)), (u, hand), (k, u), ((-k).truncate(cut), v)
@@ -132,7 +132,7 @@ def test_kernel_results_meet_hand_built_series(a, b, hand, cut):
         if x.coeffs[0] != 0:
             assert x.reciprocal().coeffs == tuple(fraction_reciprocal(x.coeffs))
     for x, y in ((u, k), (k.truncate(cut), hand), (-v, u + v)):
-        p, q = sfree_pair(x, y)
+        p, q = sfree_halves(x, y)
         assert p == horner_substitute(x, q) and q == horner_substitute(y, p)
 
 SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
@@ -185,13 +185,13 @@ def test_composition_matches_the_power_table(mu, nu, order):
 
 @settings(max_examples=40, deadline=None)
 @given(STRUCTURED, STRUCTURED, ORDERS)
-def test_sfree_pair_matches_the_power_tables(mu, nu, order):
+def test_the_pair_row_matches_the_power_tables(mu, nu, order):
     f_mu, s_mu = both_outers(mu, order)
     f_nu, s_nu = both_outers(nu, order)
-    want = sfree_pair(s_mu, s_nu)
-    assert sfree_pair(f_mu, f_nu) == want
-    assert sfree_pair(f_mu, s_nu) == want
-    assert sfree_pair(s_mu, f_nu) == want
+    want = sfree_halves(s_mu, s_nu)
+    assert sfree_halves(f_mu, f_nu) == want
+    assert sfree_halves(f_mu, s_nu) == want
+    assert sfree_halves(s_mu, f_nu) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,5 +204,5 @@ def test_mixed_structured_and_moment_pairs(mu, nu, order):
     assert moments.k_outer(order) == moments.k_series(order)
     f_mu, s_mu = both_outers(mu, order)
     k_moments = moments.k_series(order)
-    assert sfree_pair(f_mu, k_moments) == sfree_pair(s_mu, k_moments)
+    assert sfree_halves(f_mu, k_moments) == sfree_halves(s_mu, k_moments)
     assert substitute_into_shifted(f_mu, k_moments) == substitute_into_shifted(s_mu, k_moments)

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import convolve
-from .errors import FreeconvError, InvalidParameter
+from .errors import FreeconvError, InvalidParameter, _count
 from .graphs import (
     free_product_ball,
     graph_comb,
@@ -93,8 +93,8 @@ def cmd_convolve(args) -> int:
     else:
         op = convolve.OPERATIONS[args.op]
     for flag, value in (("--iterations", args.iterations), ("--order", args.order)):
-        if value is not None and value < 1:
-            raise InvalidParameter(f"{flag} must be >= 1, got {value}")
+        if value is not None:
+            _count(value, 1, flag)
     result = op(parse_measure(_load_json(args.mu)), parse_measure(_load_json(args.nu)), args.order)
     _print_measure(measure_to_json(result, args.order), args.output)
     return EXIT_OK
@@ -123,8 +123,7 @@ def cmd_graph(args) -> int:
         raise InvalidParameter(f"--radius is only for free-ball, not {args.op}")
     radius = 6 if args.radius is None else args.radius
     for flag, value in (("--moments", args.moments), ("--radius", radius)):
-        if value < 1:
-            raise InvalidParameter(f"{flag} must be >= 1, got {value}")
+        _count(value, 1, flag)
     # a walk changes the word length by at most one per step, so the ball
     # determines the root moments only up to order 2 * radius + 1
     if args.op == "free-ball" and args.moments > 2 * radius + 1:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParameter, NoConvergence, RouteMismatch
+from .errors import NoConvergence, RouteMismatch, _count
 from .measures import (
     JacobiParams,
     MeasureRep,
@@ -84,8 +84,7 @@ def orthogonal_iterated(mu: MeasureRep, nu: MeasureRep, m: int, order: int) -> M
     inner only up to index k - 2, so each iteration pins two more moments.
     So every m >= order / 2 gives the same `order` moments, and at most
     `order` links are composed, whatever m is."""
-    if m < 1:
-        raise InvalidParameter("iteration count must be >= 1")
+    _count(m, 1, "iteration count")
     k_mu = mu.k_series(order)
     k_nu = nu.k_series(order)
     m = min(m, order)
@@ -124,8 +123,7 @@ def free(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
 def free_cumulant_oracle(mu: MeasureRep, nu: MeasureRep, order: int) -> MeasureRep:
     """Independent check route: free cumulants add, and the first-block
     recursion of non-crossing partitions takes moments to them and back."""
-    if order < 1:
-        raise InvalidParameter("order must be >= 1")
+    _count(order, 1, "order")
     km = free_cumulants_from_moments(mu.moments(order), order)
     kn = free_cumulants_from_moments(nu.moments(order), order)
     total = tuple(a + b for a, b in zip(km, kn))
@@ -187,9 +185,7 @@ def jacobi_chain_decomposition(j: JacobiParams, m: int) -> list[MeasureRep]:
     a zero omega a link is the point mass at its first alpha, alpha0 for the
     first link and 0 for the others.
     """
-    if m < 1:
-        raise InvalidParameter("chain length must be >= 1")
-    alphas, omegas = j.prefix(m + 1)
+    alphas, omegas = j.prefix(_count(m, 1, "chain length") + 1)
     firsts = (alphas[0],) + (Fraction(0),) * (m - 1)
     return [
         MeasureRep.from_jacobi(make_jacobi((a, b), (w, 0)) if w else make_jacobi((a,), (0,)))

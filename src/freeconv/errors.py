@@ -1,8 +1,15 @@
 """Exception types shared across the package: one class for each failure
 exit code of the command line, which each class carries as `exit_code`
 and :func:`freeconv.cli.main` returns.  `InvalidParameter` and
-`NoConvergence` keep the base class's code.  :func:`_count` is the one
-refusal of a negative number of terms asked for.
+`NoConvergence` keep the base class's code.
+
+Two helpers own the refusals that every module shares.  :func:`_count` is
+the one refusal of a count below its least value (an order, an iteration
+count, a level, a depth cap, a dimension, a radius, a number of terms),
+``InvalidParameter("{name} must be >= {least}, got {n}")``;
+:func:`_prefix` is the one refusal of a request for more terms than are
+given, ``OrderExceeded("only N moments available, M requested")``.
+Malformed input is rejected, never read as something else.
 """
 
 
@@ -16,11 +23,11 @@ class InvalidParameter(FreeconvError):
     """An argument or request is outside its admissible range or shape."""
 
 
-def _count(n: int) -> int:
-    """n, a number of terms asked for, refused when negative: malformed input
-    is rejected, never read as something else (such as m[:-1] for n = -1)."""
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
+def _count(n: int, least: int = 0, name: str = "n") -> int:
+    """n, a count named `name`, refused by `InvalidParameter` below `least`
+    (so n = -1 terms is not read as m[:-1])."""
+    if n < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {n}")
     return n
 
 
@@ -48,6 +55,14 @@ class OrderExceeded(FreeconvError):
     input determines."""
 
     exit_code = 6
+
+
+def _prefix(values, n: int, what: str = "moments") -> tuple:
+    """The first n of the given `values` as a tuple; a negative n is
+    refused by `_count`, and more than are given by `OrderExceeded`."""
+    if _count(n) > len(values):
+        raise OrderExceeded(f"only {len(values)} {what} available, {n} requested")
+    return tuple(values[:n])
 
 
 class NoConvergence(FreeconvError):

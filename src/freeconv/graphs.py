@@ -43,7 +43,7 @@ def _is_int(x) -> bool:
 def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGraph:
     """The one owner of the graph rules, checked in this order: `n` and
     `root` are ints and not bools, every edge is a list or tuple of two
-    such ints, there is a vertex, the root is one of them, and every edge
+    such ints, n >= 1, the root is one of the vertices, and every edge
     joins two distinct ones."""
     for key, x in (("vertices", n), ("root", root)):
         if not _is_int(x):
@@ -53,8 +53,7 @@ def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGra
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
             raise InvalidParameter(f"graph edge must be a pair of integers, got {e!r}")
         pairs.append(e)
-    if n < 1:
-        raise InvalidParameter("graph needs at least one vertex")
+    _count(n, 1, "graph 'vertices'")
     if not 0 <= root < n:
         raise InvalidParameter("root outside vertex range")
     norm = set()
@@ -196,8 +195,7 @@ def _alternating_words(
 def _free_product(g1: RootedGraph, g2: RootedGraph, radius: int, first: tuple[int, ...]) -> RootedGraph:
     """The alternating words of length <= radius, every letter at cost 1, as
     a graph: each copy's edges relabelled by its words."""
-    if radius < 1:
-        raise InvalidParameter("radius must be >= 1")
+    _count(radius, 1, "radius")
     gs = (g1, g2)
     what = "ball" if first == (1, 2) else "branch"
     n, copies = _alternating_words(

@@ -61,7 +61,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded, _count
+from .errors import DomainError, InvalidParameter, NotAMomentSequence, OrderExceeded, _count, _prefix
 from .series import (
     ContinuedFraction,
     K_to_moments,
@@ -443,25 +443,21 @@ class MeasureRep:
     # -- moments -----------------------------------------------------------
 
     def moments(self, n: int) -> tuple[Fraction, ...]:
-        if _count(n) <= len(self._moments):
-            return tuple(self._moments[:n])
-        if self._moments_given:  # whatever the caches derived from them hold
-            raise OrderExceeded(
-                f"only {len(self._moments)} moments available, {n} requested"
-            )
-        if self._atoms is not None:
-            self._moments = list(self._atoms.moments(n))
-        else:
-            self._moments = list(jacobi_to_moments(self._jacobi, n))
-        return tuple(self._moments[:n])
+        """m_1..m_n; past the moments a measure is given by (whatever the
+        caches derived from them hold) `_prefix` raises `OrderExceeded`."""
+        if not self._moments_given and _count(n) > len(self._moments):
+            if self._atoms is not None:
+                self._moments = list(self._atoms.moments(n))
+            else:
+                self._moments = list(jacobi_to_moments(self._jacobi, n))
+        return _prefix(self._moments, n)
 
     def k_series(self, n: int) -> TailSeries:
         """K = z - F as a series of order n - 1, from m_1..m_n: the longest
         one derived so far, truncated, since coefficient k reads only
         m_1..m_(k+1).  Past the moments a measure is given by, `moments`
         raises `OrderExceeded`, and its K view is never longer than they."""
-        if n < 1:
-            raise InvalidParameter("order must be >= 1")
+        _count(n, 1, "order")
         if self._k is None or self._k.order < n - 1:
             self._k = moments_to_K(self.moments(n))
         return self._k.truncate(n - 1)
@@ -470,8 +466,9 @@ class MeasureRep:
         """K as the kernel's outer to order n - 1: the continued fraction of
         a measure given by atoms or by recursion coefficients fixing every
         moment, built once and read at each order asked, else the K view."""
+        _count(n, 1, "order")
         j = self.exact_jacobi()
-        if j is None or n < 1:  # k_series rejects the order
+        if j is None:
             return self.k_series(n)
         if self._outer is None:
             levels = tuple(zip(*j.prefix(max(len(j.alpha), 1) + 1)))
@@ -585,9 +582,7 @@ def approximant_G(j: JacobiParams, m: int) -> list[tuple[list[Fraction], list[Fr
     orthogonal polynomial of degree k, and N_m / P_m is the m-level
     approximant of G.
     """
-    if m < 1:
-        raise InvalidParameter("approximant level must be >= 1")
-    alphas, omegas = j.prefix(m)
+    alphas, omegas = j.prefix(_count(m, 1, "approximant level"))
     out = [([Fraction(0)], [Fraction(1)]), ([Fraction(1)], [-alphas[0], Fraction(1)])]
     for k in range(1, m):
         factor, w = [-alphas[k], Fraction(1)], omegas[k - 1]
@@ -755,7 +750,7 @@ def measure_to_json(rep: MeasureRep, order: int) -> dict:
     A measure given by exactly those moments is that measure, and its own
     cached views are read.
     """
-    m = rep.moments(order)
+    m = rep.moments(_count(order, 1, "order"))
     out: dict = {"type": "moments", "m": [fraction_to_str(x) for x in m]}
     exact = rep._moments_given and len(rep._moments) == order
     emitted = rep if exact else MeasureRep.from_moments(m)

@@ -104,10 +104,8 @@ class WordBasis(namedtuple("WordBasis", "words dims depth_cap index copies")):
 
     @classmethod
     def build(cls, dims: tuple[int, int], depth_cap: int) -> "WordBasis":
-        if depth_cap < 1:
-            raise InvalidParameter("depth cap must be >= 1")
-        if min(dims) < 1:
-            raise InvalidParameter("factor dimension must be >= 1")
+        _count(depth_cap, 1, "depth cap")
+        _count(min(dims), 1, "factor dimension")
         n, copies = _alternating_words(
             [dict.fromkeys(range(1, d), 1) for d in dims],  # letter k costs k
             lambda f: (0, [(k, k) for k in range(1, dims[f - 1])]),
@@ -148,7 +146,8 @@ class ModelOperator:
     and no empty column.  The constructor takes values at `(r, c)` in
     0..size - 1, each an int or a `Fraction` as `_frac` reads it, and sets
     `den` to the lcm of their denominators.  Operators are never changed in
-    place, so they may share columns.
+    place, so they may share columns.  `+`, `-`, `@` and `equals` take two
+    operators of one size and refuse two sizes with `InvalidParameter`.
     """
 
     __slots__ = ("size", "entries", "den")
@@ -187,7 +186,12 @@ class ModelOperator:
     def __sub__(self, other: "ModelOperator") -> "ModelOperator":
         return self._combine(other, sub)
 
+    def _same_basis(self, other: "ModelOperator") -> None:
+        if self.size != other.size:
+            raise InvalidParameter(f"operators on {self.size} and {other.size} basis vectors")
+
     def _combine(self, other: "ModelOperator", op) -> "ModelOperator":
+        self._same_basis(other)
         den = math.lcm(self.den, other.den)
         cols = dict(self._over(den).entries)
         for c, col in other._over(den).entries.items():
@@ -205,6 +209,7 @@ class ModelOperator:
         return ModelOperator._of(self.size, cols, den)
 
     def __matmul__(self, other: "ModelOperator") -> "ModelOperator":
+        self._same_basis(other)
         own = self.entries
         cols = {}
         for c, col in other.entries.items():
@@ -233,7 +238,9 @@ class ModelOperator:
 
     def equals(self, other: "ModelOperator") -> bool:
         """Equal matrices, also when a sum has cancelled to a smaller den:
-        over a common den, with no zero stored, the stores are equal."""
+        over a common den, with no zero stored, the stores are equal.
+        Operators on different bases are refused, not compared."""
+        self._same_basis(other)
         den = math.lcm(self.den, other.den)
         return self._over(den).entries == other._over(den).entries
 
@@ -276,9 +283,7 @@ def jacobi_operator(j: JacobiParams, d: int) -> ModelOperator:
     2d - 1.  Once omega_k = 0, p_(k+1) has norm 0 and is left out, so a
     terminated measure's operator never leaves its support.
     """
-    if d < 1:
-        raise InvalidParameter("dimension must be >= 1")
-    alphas, omegas = j.prefix(d)
+    alphas, omegas = j.prefix(_count(d, 1, "dimension"))
     entries: dict = {(k, k): a for k, a in enumerate(alphas)}
     for k, w in enumerate(omegas):
         entries[k, k + 1] = w
@@ -345,7 +350,7 @@ class FreeProductModel:
         """Compression of the factor's representation to its n-th slab: the
         columns of that slab, which the representation maps into itself."""
         _check_factor(factor)
-        if n < 1 or n > self.depth_cap + 1:
+        if _count(n, 1, "replica level") > self.depth_cap + 1:
             raise InvalidParameter(f"replica level {n} outside 1..{self.depth_cap + 1}")
         return self._slabs[factor - 1][n]
 
@@ -357,10 +362,8 @@ class FreeProductModel:
         the one factor's column, or the total's where both factors select it;
         the columns are assembled with no arithmetic."""
         _check_factor(factor)
-        if k < 1:
-            raise InvalidParameter("branch level must be >= 1")
         last = self.depth_cap + 1
-        if k > last:
+        if _count(k, 1, "branch level") > last:
             raise InvalidParameter(f"branch level {k} outside the truncated space")
         mine, other, total = self._slabs[factor - 1], self._slabs[2 - factor], self._total.entries
         cols: dict = {}
@@ -531,6 +534,7 @@ def orthogonality_check(
     d = d_a^(p+q) d_b^s scale(w1) scale(w2) n_xi, where a word's scale is
     d_a and d_b to its letter counts.
     """
+    _count(n_max, 1, "n_max")
     cols = {"a": a.entries, "b": b.entries}
     read: dict[str, set] = {"a": set(), "b": set()}  # the columns each operator is applied at
     xi, eta = _int_state(xi, weights), _int_state(eta, weights)

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import mul
 
-from .errors import InvalidParameter, OrderExceeded, _count
+from .errors import InvalidParameter, _count, _prefix
 from .series import _frac, _graded, _powers
 
 Composition = tuple[int, ...]
@@ -50,9 +50,7 @@ MAX_ENUM_N = 12
 
 
 def _check_n(n: int, limit: int = MAX_ENUM_N) -> None:
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    if n > limit:
+    if _count(n, 1) > limit:
         raise InvalidParameter(f"enumeration capped at n <= {limit}, got {n}")
 
 
@@ -115,11 +113,10 @@ def alternating_split(c: Composition) -> tuple[Composition, Composition]:
 def moment_function(moments: Sequence[Fraction], pi: Composition) -> Fraction:
     """Product of moments over the parts of pi."""
     _check_parts(pi)
+    m = _prefix(moments, max(pi, default=0))
     out = Fraction(1)
     for part in pi:
-        if part > len(moments):
-            raise OrderExceeded(f"moment of order {part} not available")
-        out *= _frac(moments[part - 1])
+        out *= _frac(m[part - 1])
     return out
 
 
@@ -134,20 +131,17 @@ def inverse_boolean_cumulant(moments: Sequence[Fraction], pi: Composition) -> Fr
     """
     _check_parts(pi)
     order = sum(pi)
-    if order > len(moments):
-        raise OrderExceeded(f"moment of order {order} not available")
-    c, a = _graded([_frac(x) for x in moments[:order]])
+    c, a = _graded([_frac(x) for x in _prefix(moments, order)])
     return Fraction(_inverse_boolean_graded(a, pi), c**order)
 
 
 def inverse_boolean_cumulants(moments: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """The values of :func:`inverse_boolean_cumulant` on every composition
     of n, in :func:`compositions` order, from one grading of the moments."""
-    if n > len(moments):
-        raise OrderExceeded(f"moment of order {n} not available")
-    c, a = _graded([_frac(x) for x in moments[:n]])
+    pis = compositions(n)
+    c, a = _graded([_frac(x) for x in _prefix(moments, n)])
     p = c**n
-    return tuple(Fraction(_inverse_boolean_graded(a, pi), p) for pi in compositions(n))
+    return tuple(Fraction(_inverse_boolean_graded(a, pi), p) for pi in pis)
 
 
 def _inverse_boolean_graded(a: Sequence[int], pi: Composition) -> int:
@@ -209,9 +203,7 @@ def orthogonal_moments_combinatorial(
     :func:`orthogonal_moment_combinatorial` on (1,), ..., (n,), with one
     grading of the moments and one memo of inverse boolean cumulants for
     all n orders.  It refuses what the call on (n,) refuses."""
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    refinements = [odd_refinements_structured((k,)) for k in range(1, n + 1)]
+    refinements = [odd_refinements_structured((k,)) for k in range(1, _count(n, 1) + 1)]
     c, a, b = _orthogonal_grading(mu, nu, n)
     cumulants: dict[Composition, int] = {}
     return tuple(
@@ -225,10 +217,7 @@ def _orthogonal_grading(
 ) -> tuple[int, list[int], list[int]]:
     """(c, a, b): mu up to order top and nu up to order top - 2, graded at
     one scale c, a[k - 1] = mu_k * c**k and b[k - 1] = nu_k * c**k."""
-    for moments, order in ((mu, top), (nu, top - 2)):
-        if order > len(moments):
-            raise OrderExceeded(f"moment of order {order} not available")
-    return _graded([_frac(x) for x in mu[:top]], [_frac(x) for x in nu[: max(top - 2, 0)]])
+    return _graded([_frac(x) for x in _prefix(mu, top)], [_frac(x) for x in _prefix(nu, max(top - 2, 0))])
 
 
 def _orthogonal_graded(
@@ -331,9 +320,7 @@ def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fr
     Combinatorics of Free Probability, Lect. 10).  kappa_k has degree k, so
     the recursion runs on moments and cumulants graded at one scale.
     """
-    if _count(n) > len(moments):
-        raise OrderExceeded(f"need {n} moments, have {len(moments)}")
-    c, m = _graded([_frac(x) for x in moments[:n]])
+    c, m = _graded([_frac(x) for x in _prefix(moments, n)])
     m.insert(0, 1)
     kappa: list[int] = []
     for k, row in enumerate(_power_rows(m, n), 1):
@@ -343,9 +330,7 @@ def free_cumulants_from_moments(moments: Sequence[Fraction], n: int) -> tuple[Fr
 
 def moments_from_free_cumulants(kappa: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """First n moments from free cumulants by the first-block recursion."""
-    if _count(n) > len(kappa):
-        raise OrderExceeded(f"need {n} cumulants, have {len(kappa)}")
-    c, k = _graded([_frac(x) for x in kappa[:n]])
+    c, k = _graded([_frac(x) for x in _prefix(kappa, n, "cumulants")])
     m = [1]
     for row in _power_rows(m, n):
         m.append(sum(map(mul, k, row)))
@@ -571,7 +556,8 @@ def bijection_g_inverse(
 
 def nonneg_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 0:
+    _count(total, 0, "total")
+    if _count(parts, 0, "parts") == 0:
         return ((),) if total == 0 else ()
     # stars and bars: the parts - 1 bars sit among total + parts - 1 slots
     return tuple(
@@ -583,6 +569,7 @@ def nonneg_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_F(n: int) -> tuple[tuple[int, Composition, tuple[int, ...]], ...]:
     """Triples (m, sigma, j) with sigma a composition of m and j a tuple of
     m-1 non-negative integers summing to n - m."""
+    _check_n(n, limit=10)
     out = []
     for m in range(1, n + 1):
         for sigma in compositions(m):

@@ -967,9 +967,7 @@ def suite_opmodel(seed: int = 7) -> list[CheckResult]:
 def run_suites(which: str, n_max: int = 8, seed: int = 7) -> list[CheckResult]:
     if which not in ("all",) + SUITES:
         raise errors.InvalidParameter(f"unknown suite {which!r}")
-    if n_max < 1:
-        raise errors.InvalidParameter(f"--n-max must be >= 1, got {n_max}")
-    if n_max > partitions.MAX_ENUM_N:
+    if errors._count(n_max, 1, "--n-max") > partitions.MAX_ENUM_N:
         # every check clamps n at or below the enumerations' cap
         raise errors.InvalidParameter(
             f"--n-max must be <= {partitions.MAX_ENUM_N}, the partition enumerations' cap, got {n_max}"

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv import graphs, measures, opmodel, partitions
+from freeconv import convolve, graphs, measures, opmodel, partitions, verify
 from freeconv.convolve import free, subordination_eval
 from freeconv.errors import (
     DomainError,
@@ -788,9 +788,13 @@ class TestConstructors:
             assert len(rep.moments(3)) == 3
 
 
-def model_state_moments(n):
+def depth_two_model():
     j = make_jacobi([0, 1], [1])
-    model = opmodel.FreeProductModel(j, j, depth_cap=2)
+    return opmodel.FreeProductModel(j, j, depth_cap=2)
+
+
+def model_state_moments(n):
+    model = depth_two_model()
     return model.state_moments(model.total(), n)
 
 
@@ -810,9 +814,59 @@ def model_state_moments(n):
 def test_a_negative_count_is_refused_and_zero_is_empty(count_terms):
     # n = -1 is not read as "all but the last" nor as zero terms
     for n in (-1, -2):
-        with pytest.raises(InvalidParameter, match=r"^n must be >= 0$"):
+        with pytest.raises(InvalidParameter, match=rf"^n must be >= 0, got {n}$"):
             count_terms(n)
     assert tuple(count_terms(0)) == ()
+
+
+def model_orthogonality_check(n_max):
+    model = depth_two_model()
+    return opmodel.orthogonality_check(model.x1, model.x2, model.vacuum(), model.vacuum(), n_max, model.weights)
+
+
+@pytest.mark.parametrize(
+    "name, least, call",
+    [
+        ("iteration count", 1, lambda m: convolve.orthogonal_iterated(two_point(F(1, 3), -1, 2), wigner(0, 1), m, 4)),
+        ("order", 1, lambda n: convolve.free_cumulant_oracle(wigner(0, 1), wigner(0, 1), n)),
+        ("chain length", 1, lambda m: convolve.jacobi_chain_decomposition(make_jacobi([0, 1], [1]), m)),
+        ("order", 1, lambda n: wigner(0, 1).k_series(n)),
+        ("order", 1, lambda n: two_point(F(1, 3), -1, 2).k_outer(n)),
+        ("order", 1, lambda n: MeasureRep.from_moments([0, 1]).k_outer(n)),
+        ("order", 1, lambda n: measure_to_json(two_point(F(1, 3), -1, 2), n)),
+        ("approximant level", 1, lambda m: approximant_G(make_jacobi([0, 1], [1]), m)),
+        ("depth cap", 1, lambda d: opmodel.WordBasis.build((2, 2), d)),
+        ("factor dimension", 1, lambda d: opmodel.WordBasis.build((2, d), 2)),
+        ("dimension", 1, lambda d: opmodel.jacobi_operator(make_jacobi([0, 1], [1]), d)),
+        ("replica level", 1, lambda k: depth_two_model().replica(1, k)),
+        ("branch level", 1, lambda k: depth_two_model().branch(1, k)),
+        ("n_max", 1, model_orthogonality_check),
+        ("radius", 1, lambda r: graphs.free_product_ball(graphs.path_graph(2), graphs.path_graph(2), r)),
+        ("radius", 1, lambda r: graphs.free_product_branch(graphs.path_graph(2), graphs.path_graph(2), r)),
+        ("graph 'vertices'", 1, lambda n: graphs.rooted_graph(n, 0, [])),
+        ("n", 1, lambda n: partitions.orthogonal_moments_combinatorial([0, 1], [0, 1], n)),
+        ("n", 1, lambda n: partitions.inverse_boolean_cumulants([0, 1], n)),
+        ("n", 1, partitions.compositions),
+        ("n", 1, partitions.noncrossing_partitions),
+        ("n", 1, partitions.enumerate_D2),
+        ("n", 1, partitions.enumerate_DP2),
+        ("n", 1, partitions.enumerate_F),
+        ("total", 0, lambda t: partitions.nonneg_compositions(t, 1)),
+        ("parts", 0, lambda k: partitions.nonneg_compositions(2, k)),
+        ("--n-max", 1, lambda n: verify.run_suites("partitions", n_max=n)),
+    ],
+    ids=["orthogonal-iterated", "free-cumulant-oracle", "jacobi-chain", "k-series", "k-outer-atoms",
+         "k-outer-moments", "measure-to-json", "approximant", "depth-cap", "factor-dimension", "jacobi-operator",
+         "replica", "branch", "orthogonality-check", "free-product-ball", "free-product-branch", "rooted-graph",
+         "orthogonal-moments", "inverse-boolean-cumulants", "compositions", "noncrossing", "enumerate-D2", "enumerate-DP2", "enumerate-F",
+         "nonneg-total", "nonneg-parts", "run-suites"],
+)
+def test_a_count_below_its_least_value_is_refused_in_one_text(name, least, call):
+    # one owner, `errors._count`, prints the count's name, its least value
+    # and the value refused
+    for n in (least - 1, least - 3):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(f'{name} must be >= {least}, got {n}')}$"):
+            call(n)
 
 
 class TestJson:

@@ -229,6 +229,18 @@ class TestModelOperator:
         with pytest.raises(InvalidParameter, match=match):
             opmodel.ModelOperator(2, entries)
 
+    @pytest.mark.parametrize(
+        "combine",
+        [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a @ b, lambda a, b: a.equals(b)],
+        ids=["add", "sub", "matmul", "equals"],
+    )
+    def test_operators_of_two_sizes_are_refused(self, combine):
+        # a size-3 sum held column 4, and two empty operators were equal
+        small, large = opmodel.ModelOperator(3, {}), opmodel.ModelOperator(5, {(4, 4): 1})
+        for a, b, sizes in ((small, large, "3 and 5"), (large, small, "5 and 3")):
+            with pytest.raises(InvalidParameter, match=f"^operators on {sizes} basis vectors$"):
+                combine(a, b)
+
 
 class TestJacobiOperator:
     def test_point_mass_is_one_by_one(self):

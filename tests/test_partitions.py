@@ -438,6 +438,22 @@ class TestDecompositionPairs:
                 seen.add((m, sigma, j))
             assert seen == set(P.enumerate_F(n))
 
+    def test_triple_index_refuses_n_outside_1_to_10(self):
+        # n = 0 and -1 gave () and no cap guarded a large n
+        for n in (0, -1):
+            with pytest.raises(InvalidParameter, match=f"^n must be >= 1, got {n}$"):
+                P.enumerate_F(n)
+        with pytest.raises(InvalidParameter, match="^enumeration capped at n <= 10, got 11$"):
+            P.enumerate_F(11)
+
+    def test_nonneg_compositions_refuse_a_negative_total_or_part_count(self):
+        # (-3, 1) gave ((-3,),) and (2, -1) a bare ValueError
+        with pytest.raises(InvalidParameter, match="^total must be >= 0, got -3$"):
+            P.nonneg_compositions(-3, 1)
+        with pytest.raises(InvalidParameter, match="^parts must be >= 0, got -1$"):
+            P.nonneg_compositions(2, -1)
+        assert P.nonneg_compositions(0, 0) == ((),) and P.nonneg_compositions(2, 0) == ()
+
     def test_single_outer_block_maps_to_trivial_triple(self):
         pi = P.decomposable_partition(outer=[{1, 2, 3, 4}], inner=[], n=4)
         pair = P.DecompositionPair(pi, ((1, 2, 3, 4),))
@@ -470,3 +486,23 @@ class TestDecompositionPairs:
     def test_grouping_inverse_rejects_malformed_arguments(self, m, sigma, j, n):
         with pytest.raises(InvalidParameter):
             P.bijection_g_inverse(m, sigma, j, n)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda m: P.moment_function(m, (2, 5)), "moments"),
+        (lambda m: P.inverse_boolean_cumulant(m, (2, 3)), "moments"),
+        (lambda m: P.inverse_boolean_cumulants(m, 5), "moments"),
+        (lambda m: P.orthogonal_moment_combinatorial(m, m, (5,)), "moments"),
+        (lambda m: P.orthogonal_moments_combinatorial(m, m, 5), "moments"),
+        (lambda m: P.free_cumulants_from_moments(m, 5), "moments"),
+        (lambda m: P.moments_from_free_cumulants(m, 5), "cumulants"),
+    ],
+    ids=["moment-function", "inverse-boolean-cumulant", "inverse-boolean-cumulants", "orthogonal-moment",
+         "orthogonal-moments", "free-cumulants", "moments-from-cumulants"],
+)
+def test_more_terms_than_given_are_refused_in_one_text(call, what):
+    # one owner, `errors._prefix`, as for `MeasureRep.moments`
+    with pytest.raises(OrderExceeded, match=f"^only 4 {what} available, 5 requested$"):
+        call([F(0), F(1), F(0), F(2)])

@@ -4,8 +4,10 @@ and :func:`freeconv.cli.main` returns.  `InvalidParameter` and
 `NoConvergence` keep the base class's code.
 
 Two helpers own the refusals that every module shares.  :func:`_count` is
-the one refusal of a count below its least value (an order, an iteration
-count, a level, a depth cap, a dimension, a radius, a number of terms),
+the one refusal of a count that is not an int, or is a bool,
+``InvalidParameter("{name} must be an integer, got {n!r}")``, or that lies
+below its least value (an order, an iteration count, a level, a depth cap,
+a dimension, a radius, a number of terms),
 ``InvalidParameter("{name} must be >= {least}, got {n}")``;
 :func:`_prefix` is the one refusal of a request for more terms than are
 given, ``OrderExceeded("only N moments available, M requested")``.
@@ -23,9 +25,16 @@ class InvalidParameter(FreeconvError):
     """An argument or request is outside its admissible range or shape."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _count(n: int, least: int = 0, name: str = "n") -> int:
-    """n, a count named `name`, refused by `InvalidParameter` below `least`
-    (so n = -1 terms is not read as m[:-1])."""
+    """n, a count named `name`, refused by `InvalidParameter` when it is not
+    an int (so True is not one term, nor 2.0 two) or below `least` (so
+    n = -1 terms is not read as m[:-1])."""
+    if not _is_int(n):
+        raise InvalidParameter(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise InvalidParameter(f"{name} must be >= {least}, got {n}")
     return n

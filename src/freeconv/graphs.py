@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import InvalidParameter, _count
+from .errors import InvalidParameter, _count, _is_int
 from .measures import _known_keys
 
 _WORD_LIMIT = 200_000
@@ -34,10 +34,6 @@ class RootedGraph(namedtuple("RootedGraph", "n root edges")):
 
     def non_root(self) -> list[int]:
         return [v for v in range(self.n) if v != self.root]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGraph:
@@ -62,7 +58,10 @@ def rooted_graph(n: int, root: int, edges: Iterable[Sequence[int]]) -> RootedGra
             raise InvalidParameter("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParameter(f"edge ({u},{v}) outside vertex range")
-        norm.add((min(u, v), max(u, v)))
+        edge = (min(u, v), max(u, v))
+        if edge in norm:
+            raise InvalidParameter(f"graph edge ({u},{v}) is listed twice")
+        norm.add(edge)
     return RootedGraph(n, root, frozenset(norm))
 
 
@@ -221,8 +220,8 @@ def free_product_ball(g1: RootedGraph, g2: RootedGraph, radius: int) -> RootedGr
 
 
 def _check_factor(factor: int) -> None:
-    if factor not in (1, 2):
-        raise InvalidParameter("factor must be 1 or 2")
+    if not (_is_int(factor) and factor in (1, 2)):
+        raise InvalidParameter(f"factor must be 1 or 2, got {factor!r}")
 
 
 def free_product_branch(

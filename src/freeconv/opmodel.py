@@ -105,7 +105,8 @@ class WordBasis(namedtuple("WordBasis", "words dims depth_cap index copies")):
     @classmethod
     def build(cls, dims: tuple[int, int], depth_cap: int) -> "WordBasis":
         _count(depth_cap, 1, "depth cap")
-        _count(min(dims), 1, "factor dimension")
+        for d in dims:
+            _count(d, 1, "factor dimension")
         n, copies = _alternating_words(
             [dict.fromkeys(range(1, d), 1) for d in dims],  # letter k costs k
             lambda f: (0, [(k, k) for k in range(1, dims[f - 1])]),
@@ -190,6 +191,10 @@ class ModelOperator:
         if self.size != other.size:
             raise InvalidParameter(f"operators on {self.size} and {other.size} basis vectors")
 
+    def _same_weights(self, weights: Sequence) -> None:
+        if len(weights) != self.size:
+            raise InvalidParameter(f"{len(weights)} weights for an operator on {self.size} basis vectors")
+
     def _combine(self, other: "ModelOperator", op) -> "ModelOperator":
         self._same_basis(other)
         den = math.lcm(self.den, other.den)
@@ -229,7 +234,8 @@ class ModelOperator:
         """<A u, v> = <u, A v> in the inner product that gives basis vector
         i the weight weights[i]: W A is symmetric, on the weights' ints.
         With `columns`, only the entries of those columns are compared with
-        their mirrors."""
+        their mirrors.  There is one weight per basis vector."""
+        self._same_weights(weights)
         cols = self.entries
         read = [(c, cols[c]) for c in (cols if columns is None else columns) if c in cols]
         # the weights of those columns and their rows only
@@ -499,7 +505,8 @@ def orthogonality_check(
     a, b outside, the first-state expectation factors through the second
     state's value on the middle power.  Violations are reported, not
     raised, in a fixed order: (i) by p, q; (ii) by w2, q, s, p, w1, with
-    words in length-lexicographic order.  Both states need a nonzero norm,
+    words in length-lexicographic order.  `a` and `b` act on one basis,
+    with one weight per basis vector, both states need a nonzero norm,
     and each operator must be self-adjoint under `weights` on the columns
     the check applies it at; `InvalidParameter` is raised otherwise.
 
@@ -535,6 +542,8 @@ def orthogonality_check(
     d_a and d_b to its letter counts.
     """
     _count(n_max, 1, "n_max")
+    a._same_basis(b)
+    a._same_weights(weights)
     cols = {"a": a.entries, "b": b.entries}
     read: dict[str, set] = {"a": set(), "b": set()}  # the columns each operator is applied at
     xi, eta = _int_state(xi, weights), _int_state(eta, weights)

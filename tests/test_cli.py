@@ -38,9 +38,14 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
-def run(capsys, argv):
+def run(capsys, argv, within=None):
+    """Exit code, stdout and stderr of one `main` call; with `within`, the
+    call must also return in fewer than that many seconds."""
+    start = time.perf_counter()
     code = main(argv)
+    elapsed = time.perf_counter() - start
     out = capsys.readouterr()
+    assert within is None or elapsed < within, (argv, elapsed)
     return code, out.out, out.err
 
 
@@ -72,17 +77,14 @@ class TestConvolve:
 
     def test_boolean_identity_returns_atoms_near_1e6_within_bound(self, tmp_path, capsys):
         # the point mass at 0 is the boolean identity, so the emitted atoms
-        # are the input's; a search over divisor pairs of the coefficients
-        # of their polynomial did not finish in 20 s
-        atoms = [["-98765/1000033", "1/3"], ["7/1000037", "1/3"], ["123457/1000003", "1/3"]]
+        # are the input's, in increasing order; a search over divisor pairs
+        # of the coefficients of their polynomial did not finish in 20 s
+        atoms = [["123457/1000003", "1/3"], ["-98765/1000033", "1/3"], ["7/1000037", "1/3"]]
         mu = write(tmp_path, "mu.json", {"type": "atoms", "atoms": atoms})
         nu = write(tmp_path, "nu.json", DELTA0)
-        start = time.perf_counter()
-        code, out, _ = run(capsys, ["convolve", "boolean", mu, nu, "--order", "8"])
-        elapsed = time.perf_counter() - start
+        code, out, _ = run(capsys, ["convolve", "boolean", mu, nu, "--order", "8"], within=2.0)
         assert code == 0
-        assert json.loads(out)["atoms"] == atoms
-        assert elapsed < 2.0, elapsed
+        assert json.loads(out)["atoms"] == [atoms[1], atoms[2], atoms[0]]
 
     def test_output_round_trips_through_parser(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.json", BERNOULLI)
@@ -261,7 +263,7 @@ class TestInputGrammar:
         real = measures._in_full
         monkeypatch.setattr(measures, "_in_full", lambda f, v: real(f, v) if v == "1/0" else pytest.fail(v))
         mu = write(tmp_path, "mu.json", {"type": "atoms", "atoms": [[literal, "1"]]})
-        code, out, err = run(capsys, ["convolve", "free", mu, mu, "--order", "4"])
+        code, out, err = run(capsys, ["convolve", "free", mu, mu, "--order", "4"], within=5.0)
         assert code == 2 and out == "" and repr(literal) in err and "Traceback" not in err
 
     def test_json_integers_are_rationals(self, tmp_path, capsys):
@@ -283,7 +285,7 @@ class TestInputGrammar:
     def test_unknown_measure_key_is_named(self, tmp_path, capsys, obj, key):
         mu = write(tmp_path, "mu.json", obj)
         for argv in (["convolve", "free", mu, mu, "--order", "4"], ["density", mu, "--points", "3"]):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and f"unknown key{'s' * (',' in key)} {key}" in err
             assert "Traceback" not in err
 
@@ -300,7 +302,7 @@ class TestInputGrammar:
         mu = tmp_path / "mu.json"
         mu.write_text(text)
         for argv in (["convolve", "free", str(mu), str(mu), "--order", "4"], ["density", str(mu), "--points", "3"]):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and err.startswith("error: ")
             assert f"cannot read {mu}: duplicate key {key}" in err
 
@@ -335,7 +337,7 @@ class TestInputGrammar:
         mu = tmp_path / "mu.json"
         mu.write_text('{"type": "moments", "m": [0, %s]}' % big)
         nu = write(tmp_path, "nu.json", DELTA0)
-        code, out, _ = run(capsys, ["convolve", "boolean", str(mu), nu, "--order", "2"])
+        code, out, _ = run(capsys, ["convolve", "boolean", str(mu), nu, "--order", "2"], within=5.0)
         assert code == 0 and json.loads(out)["m"] == ["0", big]
 
     def test_deep_nesting_is_refused(self, tmp_path, capsys):
@@ -345,7 +347,7 @@ class TestInputGrammar:
         deep.write_text("[" * 200_000)
         p2 = write(tmp_path, "p2.json", P2)
         for argv in (["density", str(deep)], ["convolve", "free", str(deep), str(deep)], ["graph", "star", p2, str(deep)]):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and err.startswith(f"error: cannot read {deep}: ")
             assert "recursion" in err
 
@@ -381,7 +383,7 @@ class TestInputGrammar:
             ["convolve", "free", mu, mu, "--order", "4"],
             ["density", mu, "--points", "3"],
         ):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and f"{zero} ends the recursion, but {level} follows it" in err
 
     @pytest.mark.parametrize(
@@ -404,7 +406,7 @@ class TestInputGrammar:
             ["convolve", "free", mu, nu, "--order", "4"],
             ["density", mu, "--points", "3"],
         ):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and "omega[1] is given without alpha[1]" in err
 
     @pytest.mark.parametrize(
@@ -445,7 +447,7 @@ class TestInputGrammar:
         mu = write(tmp_path, "mu.json", {"type": "moments", "m": ["0", "1"], "atoms": [["5", "1"]], "jacobi": {"alpha": ["9"]}})
         nu = write(tmp_path, "nu.json", DELTA0)
         for argv in (["convolve", "boolean", mu, nu, "--order", "2"], ["density", mu, "--points", "3"]):
-            code, out, err = run(capsys, argv)
+            code, out, err = run(capsys, argv, within=5.0)
             assert code == 2 and out == "" and "'jacobi' is not the view its moments give" in err
         # the views `convolve` prints read back
         code, out, _ = run(capsys, ["convolve", "boolean", write(tmp_path, "b.json", BERNOULLI), nu, "--order", "4"])
@@ -563,10 +565,13 @@ class TestDensity:
 
     def test_truncated_recursion_refused_before_output(self, tmp_path, capsys):
         # three levels fix five moments, not a density; closing the fraction
-        # would give a Gauss quadrature's, 212206.6 at x = 0
+        # would give a Gauss quadrature's, 212206.6 at x = 0.  Nor do they
+        # fix the ten moments of a convolution at order 10
         mu = write(tmp_path, "mu.json", {"type": "jacobi", "alpha": ["0", "1/2", "0"], "omega": ["1", "2"]})
-        code, out, err = run(capsys, ["density", mu, "--points", "3"])
-        assert code == 6 and out == "" and "3 truncated recursion levels" in err
+        nu = write(tmp_path, "nu.json", DELTA0)
+        for argv in (["density", mu, "--points", "3"], ["convolve", "free", mu, nu, "--order", "10"]):
+            code, out, err = run(capsys, argv)
+            assert code == 6 and out == "" and "3 truncated recursion levels" in err
 
     def test_free_convolution_output_refused(self, tmp_path, capsys):
         # the emitted moments of mu + nu are a finite list: no density follows
@@ -650,7 +655,7 @@ class TestGraph:
     def test_radius_is_only_for_the_free_ball(self, tmp_path, capsys, op, radius):
         # the glued products read no radius, so a radius given to them is refused
         g = write(tmp_path, "g.json", P2)
-        code, out, err = run(capsys, ["graph", op, g, g, "--radius", radius])
+        code, out, err = run(capsys, ["graph", op, g, g, "--radius", radius], within=5.0)
         assert code == 2 and out == "" and err == f"error: --radius is only for free-ball, not {op}\n"
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
@@ -673,6 +678,8 @@ class TestGraph:
             {"vertices": 2, "root": 0, "edges": "01"},
             {"vertices": 2, "root": 0, "edges": [{"u": 0, "v": 1}]},
             {"vertices": 3, "root": 1},
+            # the second listing was merged into the first
+            {"vertices": 2, "root": 0, "edges": [[0, 1], [1, 0]]},
         ],
     )
     def test_malformed_graph_is_rejected(self, tmp_path, capsys, obj):
@@ -686,7 +693,7 @@ class TestGraph:
         # 976 561 words of length <= 8 in the free product of two 6-cliques
         k6 = {"vertices": 6, "root": 0, "edges": [[u, v] for u in range(6) for v in range(u + 1, 6)]}
         g = write(tmp_path, "k6.json", k6)
-        code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "8"])
+        code, out, err = run(capsys, ["graph", "free-ball", g, g, "--radius", "8"], within=20.0)
         assert code == 2 and out == "" and "radius 8 would have more than 200000 words" in err
 
     def test_free_ball_of_a_million_vertices_is_refused_before_any_is_read(self, tmp_path, capsys):
@@ -738,7 +745,7 @@ class TestGraph:
 
     def test_free_ball_at_a_radius_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", P2)
-        code, out, _ = run(capsys, ["graph", "free-ball", g, g, "--radius", "2000", "--moments", "3"])
+        code, out, _ = run(capsys, ["graph", "free-ball", g, g, "--radius", "2000", "--moments", "3"], within=60.0)
         assert code == 0
         obj = json.loads(out)
         assert obj["graph"]["vertices"] == 1 + 2 * 2000
@@ -761,7 +768,7 @@ class TestVerify:
 
     def test_n_max_above_the_enumeration_cap_is_rejected(self, capsys):
         # every check clamps n at or below partitions.MAX_ENUM_N = 12
-        code, out, err = run(capsys, ["verify", "--suite", "convolutions", "--n-max", "13"])
+        code, out, err = run(capsys, ["verify", "--suite", "convolutions", "--n-max", "13"], within=20.0)
         assert code == 2 and out == ""
         assert "--n-max must be <= 12, the partition enumerations' cap, got 13" in err
 

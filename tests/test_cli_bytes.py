@@ -9,8 +9,8 @@ case runs one product on four pairs of graphs rooted at a non-zero vertex,
 so the numbering of the product's vertices and edges is pinned too.  The
 expected files in ``tests/cli_expected/`` hold the concatenated stdout of
 the pairs, so a changed rational or edge fails on its own line.  They also
-hold the `verify --suite all` stdout at seeds 7 and 1978123090; pytest
-runs seed 7, and CI diffs the console script's seed-1978123090 run.
+hold the `verify --suite all` stdout at seeds 7 and 1978123090, and
+pytest runs both.
 
 The order-80 stdout of the six operations on one larger pair is pinned by
 its sha256 digest.  To regenerate the files, and print the digests to
@@ -25,6 +25,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -172,9 +173,12 @@ def test_convolve_stdout_at_order_80_matches_its_digest(op, tmp_path):
 
 
 def test_iterations_that_fix_every_moment_print_the_sfree_bytes(tmp_path):
-    # m iterations fix 2m + 2 moments of the s-free half: 39 fix all 80
-    iterations = HIGH_ORDER // 2 - 1
-    assert high_order_digest("orthogonal-iter", str(tmp_path), iterations) == HIGH_ORDER_SHA256["sfree"]
+    # m iterations fix 2m + 2 moments of the s-free half: 39 fix all 80,
+    # and a billion compose no more links than 39
+    for iterations in (HIGH_ORDER // 2 - 1, 10**9):
+        start = time.perf_counter()
+        assert high_order_digest("orthogonal-iter", str(tmp_path), iterations) == HIGH_ORDER_SHA256["sfree"]
+        assert time.perf_counter() - start < 20.0, iterations
 
 
 @pytest.mark.parametrize("op", GRAPH_OPS)
@@ -186,12 +190,20 @@ def test_graph_stdout_matches_expected_file(op, tmp_path):
     assert got == expected
 
 
-def test_verify_stdout_matches_expected_file():
-    got = stdout_of(["verify", "--suite", "all", "--seed", str(VERIFY_SEEDS[0])])
-    with open(verify_expected_path(VERIFY_SEEDS[0]), encoding="utf-8") as fh:
+def assert_verify_stdout_matches_expected_file(seed):
+    got = stdout_of(["verify", "--suite", "all", "--seed", str(seed)])
+    with open(verify_expected_path(seed), encoding="utf-8") as fh:
         expected = fh.read()
     assert got.splitlines() == expected.splitlines()
     assert got == expected
+
+
+def test_verify_stdout_matches_expected_file():
+    assert_verify_stdout_matches_expected_file(VERIFY_SEEDS[0])
+
+
+def test_verify_stdout_at_the_second_seed_matches_expected_file():
+    assert_verify_stdout_matches_expected_file(VERIFY_SEEDS[1])
 
 
 if __name__ == "__main__":

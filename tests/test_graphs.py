@@ -43,6 +43,13 @@ class TestConstruction:
         with pytest.raises(InvalidParameter, match=match):
             graphs.rooted_graph(n, root, edges)
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 0)], [(0, 1), (1, 2), (0, 1)]], ids=["reversed", "same"])
+    def test_an_edge_listed_twice_is_refused(self, edges):
+        # the second listing was merged into the first
+        u, v = edges[-1]
+        with pytest.raises(InvalidParameter, match=rf"^graph edge \({u},{v}\) is listed twice$"):
+            graphs.rooted_graph(3, 0, edges)
+
     def test_json_round_trip(self):
         g = graphs.rooted_graph(4, 1, [(0, 1), (1, 2), (2, 3)])
         assert graphs.parse_graph(graphs.graph_to_json(g)) == g
@@ -98,6 +105,12 @@ class TestProducts:
 
 
 class TestFreeProduct:
+    @pytest.mark.parametrize("factor", [True, 1.0, 2.0, 0, 3])
+    def test_branch_factor_is_the_int_1_or_2(self, factor):
+        # True was read as factor 1, and 1.0 or 2.0 indexed a list: a bare TypeError
+        with pytest.raises(InvalidParameter, match=f"^factor must be 1 or 2, got {factor!r}$"):
+            graphs.free_product_branch(P2, P2, 3, factor=factor)
+
     def test_radius_one_count(self):
         g1 = graphs.path_graph(3)
         g2 = graphs.path_graph(4)

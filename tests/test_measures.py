@@ -828,6 +828,8 @@ def model_orthogonality_check(n_max):
     "name, least, call",
     [
         ("iteration count", 1, lambda m: convolve.orthogonal_iterated(two_point(F(1, 3), -1, 2), wigner(0, 1), m, 4)),
+        ("order", 1, lambda n: convolve.orthogonal_iterated(two_point(F(1, 3), -1, 2), wigner(0, 1), 2, n)),
+        ("n", 0, lambda n: two_point(F(1, 3), -1, 2).moments(n)),
         ("order", 1, lambda n: convolve.free_cumulant_oracle(wigner(0, 1), wigner(0, 1), n)),
         ("chain length", 1, lambda m: convolve.jacobi_chain_decomposition(make_jacobi([0, 1], [1]), m)),
         ("order", 1, lambda n: wigner(0, 1).k_series(n)),
@@ -855,7 +857,7 @@ def model_orthogonality_check(n_max):
         ("parts", 0, lambda k: partitions.nonneg_compositions(2, k)),
         ("--n-max", 1, lambda n: verify.run_suites("partitions", n_max=n)),
     ],
-    ids=["orthogonal-iterated", "free-cumulant-oracle", "jacobi-chain", "k-series", "k-outer-atoms",
+    ids=["orthogonal-iterated", "orthogonal-iterated-order", "measure-moments", "free-cumulant-oracle", "jacobi-chain", "k-series", "k-outer-atoms",
          "k-outer-moments", "measure-to-json", "approximant", "depth-cap", "factor-dimension", "jacobi-operator",
          "replica", "branch", "orthogonality-check", "free-product-ball", "free-product-branch", "rooted-graph",
          "orthogonal-moments", "inverse-boolean-cumulants", "compositions", "noncrossing", "enumerate-D2", "enumerate-DP2", "enumerate-F",
@@ -866,6 +868,11 @@ def test_a_count_below_its_least_value_is_refused_in_one_text(name, least, call)
     # and the value refused
     for n in (least - 1, least - 3):
         with pytest.raises(InvalidParameter, match=f"^{re.escape(f'{name} must be >= {least}, got {n}')}$"):
+            call(n)
+    # and refuses a count that is no int: True was read as one term, 10.0
+    # ran, and 2.5 escaped as a bare TypeError
+    for n in (True, float(least), least + 0.5):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(f'{name} must be an integer, got {n!r}')}$"):
             call(n)
 
 

@@ -497,15 +497,16 @@ def test_model_equals_the_word_by_word_representation():
 
 
 class TestFactorOutsideOneAndTwo:
-    # a factor index other than 1 or 2 read another factor's operators, or raised a bare IndexError
+    # a factor index other than 1 or 2 read another factor's operators, or raised a bare IndexError;
+    # True was read as 1, and 1.0 or 2.0 raised a bare TypeError
     model = small_model(seed=2, dim=3, depth=3)
 
-    @pytest.mark.parametrize("factor", [0, 3])
+    @pytest.mark.parametrize("factor", [0, 3, True, 1.0, 2.0])
     def test_replica_rejects_it(self, factor):
         with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
             self.model.replica(factor, 1)
 
-    @pytest.mark.parametrize("factor", [0, 3])
+    @pytest.mark.parametrize("factor", [0, 3, True, 1.0, 2.0])
     def test_branch_rejects_it(self, factor):
         with pytest.raises(InvalidParameter, match="factor must be 1 or 2"):
             self.model.branch(factor, 1)

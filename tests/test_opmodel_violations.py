@@ -93,3 +93,27 @@ def test_only_the_columns_the_check_reads_must_be_self_adjoint():
     opmodel.orthogonality_check(a, b, {0: F(1)}, {1: F(1)}, 2, [1] * 4)
     with pytest.raises(InvalidParameter, match="operator b is not self-adjoint"):
         opmodel.orthogonality_check(a, b, {0: F(1)}, {3: F(1)}, 2, [1] * 4)
+
+
+@pytest.mark.parametrize(
+    "a, b, weights, match",
+    [
+        # weights[4] was read past the list: a bare IndexError
+        (opmodel.ModelOperator(5, {(4, 0): 1, (0, 4): 1}), None, [1, 1], "2 weights for an operator on 5 basis vectors"),
+        # the size-3 operator read as a size-5 one: ok=True on 11 checks
+        (opmodel.ModelOperator(3, {}), opmodel.ModelOperator(5, {}), [1] * 5, "operators on 3 and 5 basis vectors"),
+        (opmodel.ModelOperator(3, {}), None, [1] * 4, "4 weights for an operator on 3 basis vectors"),
+    ],
+    ids=["short-weights", "two-sizes", "long-weights"],
+)
+def test_operators_and_weights_of_other_sizes_are_rejected(a, b, weights, match):
+    with pytest.raises(InvalidParameter, match=f"^{match}$"):
+        opmodel.orthogonality_check(a, b or a, {0: F(1)}, {1: F(1)}, 1, weights)
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [1] * 6], ids=["short", "long"])
+def test_self_adjointness_needs_one_weight_per_basis_vector(weights):
+    a = opmodel.ModelOperator(5, {(4, 0): 1, (0, 4): 1})
+    assert a.is_self_adjoint([1] * 5)
+    with pytest.raises(InvalidParameter, match=f"^{len(weights)} weights for an operator on 5 basis vectors$"):
+        a.is_self_adjoint(weights)

@@ -14,7 +14,9 @@ import pytest
 from freeconv import graphs, measures, opmodel, partitions, verify
 from freeconv.measures import WignerTail, make_jacobi
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the directory the package under test is imported from: src/, or the
+# site-packages of an installed package
+PACKAGE_ROOT = Path(graphs.__file__).resolve().parents[1]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
@@ -23,7 +25,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, str(PACKAGE_ROOT)], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
 
